@@ -13,11 +13,9 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -85,19 +83,7 @@ class RunRecord:
     generator_id: str = GENERATOR_ID
 
     def to_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "config": self.config,
-            "outcome": self.outcome,
-            "alpha_star": self.alpha_star,
-            "certificate": self.certificate,
-            "iterations": self.iterations,
-            "lp_calls": self.lp_calls,
-            "wall_time": self.wall_time,
-            "seed": self.seed,
-            "generator_id": self.generator_id,
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RunRecord":
@@ -217,15 +203,19 @@ def cmd_membership(args) -> int:
     return EXIT_DECIDED if any_member else EXIT_INCONCLUSIVE
 
 
-def _copositive_record(a, args, command: str, seed: str = "") -> RunRecord:
-    cfg = CopoConfig(
+def _copo_config(args) -> CopoConfig:
+    """The partition settings shared by every subcommand that runs one."""
+    return CopoConfig(
         cone_family=CONE_FLAGS[args.cone],
         use_alg2=(args.alg == 2),
         max_iterations=args.max_iter,
         time_limit=args.time_limit,
         eps_alpha=args.eps,
     )
-    res = test_copositive(a, cfg)
+
+
+def _copositive_record(a, args, command: str, seed: str = "") -> RunRecord:
+    res = test_copositive(a, _copo_config(args))
     return RunRecord(
         command=command,
         input_digest=matrix_digest(a),
@@ -261,12 +251,7 @@ def cmd_copositive(args) -> int:
 
 def cmd_clique(args) -> int:
     g = load_dimacs(args.graph)
-    cfg = CopoConfig(
-        cone_family=CONE_FLAGS[args.cone],
-        use_alg2=(args.alg == 2),
-        time_limit=args.time_limit,
-    )
-    omega = instances.clique_number(g, cfg, budget=args.budget)
+    omega = instances.clique_number(g, _copo_config(args), budget=args.budget)
     if omega is None:
         print("inconclusive: probe budget exhausted")
         return EXIT_INCONCLUSIVE
@@ -276,11 +261,7 @@ def cmd_clique(args) -> int:
 
 def cmd_qpbound(args) -> int:
     q = load_matrix(args.matrix)
-    cfg = CopoConfig(
-        cone_family=CONE_FLAGS[args.cone],
-        use_alg2=(args.alg == 2),
-        time_limit=args.time_limit,
-    )
+    cfg = _copo_config(args)
     bound = instances.qp_optimum(q, cfg, eta=args.eta, budget=args.budget)
     print(f"interval [{bound.lo!r}, {bound.hi!r}] converged={bound.converged}")
     return EXIT_DECIDED if bound.converged else EXIT_INCONCLUSIVE
@@ -367,12 +348,13 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
             seed=f"{master}/{index}",
         )
     if task == "copositive":
-        cfg = CopoConfig(
-            cone_family=family,
-            use_alg2=(int(row.get("alg", 2)) == 2),
-            max_iterations=int(row.get("max_iter", 1_000_000)),
+        cfg = _copo_config(argparse.Namespace(
+            cone=cone_flag,
+            alg=int(row.get("alg", 2)),
+            max_iter=int(row.get("max_iter", 1_000_000)),
             time_limit=float(row.get("time_limit", 300.0)),
-        )
+            eps=cones.EPS_ALPHA,
+        ))
         res = test_copositive(a, cfg)
         return RunRecord(
             command="bench",
@@ -428,14 +410,7 @@ def cmd_bench(args) -> int:
         suite = json.load(fh)
     master = int(args.seed if args.seed is not None else suite.get("seed", 0))
     rows = _expand_suite(suite)
-    threads = int(os.environ.get("CONEKIT_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(lambda ir: _bench_row(ir[0], ir[1], master), enumerate(rows))
-            )
-    else:
-        records = [_bench_row(i, row, master) for i, row in enumerate(rows)]
+    records = [_bench_row(i, row, master) for i, row in enumerate(rows)]
     records = records + _summary_records(records)
     out, close = _open_out(args.out)
     try:

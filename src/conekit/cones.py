@@ -103,16 +103,14 @@ def in_H(a: np.ndarray, tol: float = 1e-9) -> MembershipVerdict:
     return MembershipVerdict(NOT_IDENTIFIED, "H")
 
 
-def _pair_index(n: int):
-    """Upper-triangle pair order used by all the LP builders."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _rank(vectors: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(vectors, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _basis_vectors(p: np.ndarray, kind: str):
+    """Semidefinite basis E_ij = v v^T over the pairs i <= j in row-major
+    upper-triangle order: v = (p_i + p_j) / 2, or for kind "minus"
+    v = (p_i - p_j) / 2 off the diagonal.  Returns (i, j, v) with one column
+    of v per pair."""
+    iu, ju = np.triu_indices(p.shape[0])
+    sign = np.where((kind == "minus") & (iu != ju), -1.0, 1.0)
+    return iu, ju, (p[:, iu] + sign * p[:, ju]) / 2.0
 
 
 def sd_basis(vectors, kind: str = "plus", rank_tol: float = 1e-9) -> SdBasis:
@@ -129,80 +127,62 @@ def sd_basis(vectors, kind: str = "plus", rank_tol: float = 1e-9) -> SdBasis:
         raise ValueError(f"expected {n} vectors of dimension {n}")
     if kind not in ("plus", "minus"):
         raise ValueError(f"unknown basis kind {kind!r}")
-    if _rank(p, rank_tol) < n:
+    s = np.linalg.svd(p, compute_uv=False)
+    if np.sum(s > rank_tol * s.max(initial=0.0)) < n:
         raise RankDeficient("basis vectors are linearly dependent")
-    elems = []
-    for i, j in _pair_index(n):
-        if kind == "plus" or i == j:
-            v = p[:, i] + p[:, j]
-            elems.append((i, j, "plus", 0.25 * np.outer(v, v)))
-        else:
-            v = p[:, i] - p[:, j]
-            elems.append((i, j, "minus", 0.25 * np.outer(v, v)))
-    return SdBasis(tuple(elems), p.copy())
+    iu, ju, v = _basis_vectors(p, kind)
+    elems = tuple(
+        (int(i), int(j), "plus" if kind == "plus" or i == j else "minus",
+         np.outer(v[:, k], v[:, k]))
+        for k, (i, j) in enumerate(zip(iu, ju))
+    )
+    return SdBasis(elems, p.copy())
 
 
 def _lp_layout(ep: EigenPair, family: str):
-    """Variable layout and basis matrices for one detection LP.
+    """Basis vectors and caps of one detection LP.
 
-    Returns (basis_elems, signs, caps) where basis_elems[k] pairs with
-    variable k, signs mark plus/minus elements, caps are the per-variable
-    upper bounds (lambda_i on diagonal terms, 0 on the rest).
+    Returns (vectors, caps): omega variable k pairs with the basis element
+    vectors[:, k] vectors[:, k]^T and is capped above by caps[k] (lambda_i
+    on the diagonal terms, 0 on the rest).
     """
-    p = ep.P
-    lam = ep.lam
-    n = p.shape[0]
-    pairs = _pair_index(n)
-    elems = []
-    caps = []
     if family == FAMILY_G:
-        for i in range(n):
-            elems.append(np.outer(p[:, i], p[:, i]))
-            caps.append(lam[i])
-        return elems, caps
-    for i, j in pairs:
-        v = p[:, i] + p[:, j]
-        elems.append(0.25 * np.outer(v, v))
-        caps.append(lam[i] if i == j else 0.0)
+        return ep.P, ep.lam
+    iu, ju, plus = _basis_vectors(ep.P, "plus")
+    caps = np.where(iu == ju, ep.lam[iu], 0.0)
+    if family == FAMILY_FPLUS:
+        return plus, caps
     if family == FAMILY_FPM:
-        for i, j in pairs:
-            if i < j:
-                v = p[:, i] - p[:, j]
-                elems.append(0.25 * np.outer(v, v))
-                caps.append(0.0)
-    elif family != FAMILY_FPLUS:
-        raise ValueError(f"unknown LP family {family!r}")
-    return elems, caps
+        off = iu != ju
+        minus = _basis_vectors(ep.P, "minus")[2][:, off]
+        caps = np.concatenate([caps, np.zeros(minus.shape[1])])
+        return np.hstack([plus, minus]), caps
+    raise ValueError(f"unknown LP family {family!r}")
 
 
 def build_lp(ep: EigenPair, family: str) -> lpmod.LinearProgram:
     """Detection LP for one family: maximize the entrywise floor alpha of the
     candidate nonnegative part, subject to the PSD-part caps.
 
+    Variables are the basis weights omega, then alpha.  Rows are the caps
+    omega_k <= caps[k], then one row per pair i <= j saying that entry (i, j)
+    of sum_k omega_k E_k is at least alpha.
+
     Sizes: G has n+1 variables and n(n+3)/2 constraints; Fplus has
     n(n+1)/2+1 and n(n+1); Fpm has n^2+1 and n(3n+1)/2.
     """
-    elems, caps = _lp_layout(ep, family)
-    n = ep.n
-    nvar = len(elems) + 1  # omega variables plus alpha
-    alpha = nvar - 1
-    rows = []
-    for k, cap in enumerate(caps):
-        coefs = np.zeros(nvar)
-        coefs[k] = 1.0
-        rows.append((coefs, lpmod.LE, cap))
-    pairs = _pair_index(n)
-    coef_mat = np.empty((len(pairs), len(elems)))
-    for k, mat in enumerate(elems):
-        coef_mat[:, k] = [mat[i, j] for i, j in pairs]
-    for r in range(len(pairs)):
-        coefs = np.zeros(nvar)
-        coefs[: len(elems)] = coef_mat[r]
-        coefs[alpha] = -1.0
-        rows.append((coefs, lpmod.GE, 0.0))
-    objective = np.zeros(nvar)
-    objective[alpha] = 1.0
-    return lpmod.LinearProgram(objective, rows)
+    vectors, caps = _lp_layout(ep, family)
+    iu, ju = np.triu_indices(ep.n)
+    k, npair = caps.size, iu.size
+    a = np.block([
+        [np.eye(k), np.zeros((k, 1))],
+        [vectors[iu] * vectors[ju], -np.ones((npair, 1))],
+    ])
+    senses = np.repeat([lpmod.LE, lpmod.GE], [k, npair])
+    rhs = np.concatenate([caps, np.zeros(npair)])
+    objective = np.zeros(k + 1)
+    objective[k] = 1.0
+    return lpmod.LinearProgram(objective, a, senses, rhs)
 
 
 def check_membership_lp(
@@ -224,12 +204,13 @@ def check_membership_lp(
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
     alpha = float(sol.objective_value)
-    elems, _ = _lp_layout(ep, family)
-    omega = sol.x[: len(elems)]
-    n_cand = np.zeros_like(a)
-    for w, mat in zip(omega, elems):
-        n_cand += w * mat
-    n_cand = (n_cand + n_cand.T) / 2.0
+    # the pair rows hold the basis entries, so they map omega to the upper
+    # triangle of N = sum_k omega_k E_k
+    k = prog.n_vars - 1
+    iu, ju = np.triu_indices(ep.n)
+    n_cand = np.empty_like(a)
+    n_cand[iu, ju] = prog.A[k:, :k] @ sol.x[:k]
+    n_cand[ju, iu] = n_cand[iu, ju]
     if alpha < -eps_alpha:
         return MembershipVerdict(
             NOT_IDENTIFIED, tag, alpha_star=alpha, n_candidate=n_cand
@@ -266,10 +247,8 @@ def in_L_bomze(
     a = as_sym_matrix(a)
     n = a.shape[0]
     split = psd_split(a)
-    if f is None:
-        f = np.ones(n)
-    rows = [(split.a_plus[i], lpmod.GE, 1.0) for i in range(n)]
-    prog = lpmod.LinearProgram(-np.asarray(f, dtype=float), rows, [(0.0, np.inf)] * n)
+    f = np.ones(n) if f is None else np.asarray(f, dtype=float)
+    prog = lpmod.LinearProgram(-f, split.a_plus, lpmod.GE, 1.0, lo=0.0)
     sol = lpmod.solve(prog, feas_tol=feas_tol)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, "L", note=f"lp-{sol.status}")

@@ -67,15 +67,13 @@ def standard_simplex(n: int) -> SimplexCell:
     return SimplexCell(np.eye(n), depth=0)
 
 
-def bisect(cell: SimplexCell, edge_rule: str = "longest"):
+def bisect(cell: SimplexCell):
     """Split a simplex at the midpoint of its longest edge.
 
     Returns (child_i, child_j, T_i, T_j) where each T maps parent vertex
     coordinates to child coordinates (V_child = V_parent @ T), which is what
     witness screening needs.
     """
-    if edge_rule != "longest":
-        raise ValueError(f"unknown edge rule {edge_rule!r}")
     i, j, length = cell.longest_edge()
     if length < 1e-14:
         raise DegenerateEdge(f"edge ({i}, {j}) has length {length:.3e}")
@@ -110,7 +108,6 @@ class CopoConfig:
     max_iterations: int = 1_000_000
     time_limit: float = 300.0
     selection_rule: str = "lifo"  # or "fifo"
-    edge_rule: str = "longest"
     eps_alpha: float = cones.EPS_ALPHA
     audit: bool = False
     audit_cap: int = 200
@@ -255,7 +252,7 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
 
         if removed:
             continue
-        child_i, child_j, t_i, t_j = bisect(cell, cfg.edge_rule)
+        child_i, child_j, t_i, t_j = bisect(cell)
         for child, t in ((child_i, t_i), (child_j, t_j)):
             if screen_witness is not None:
                 n_small, source = screen_witness

@@ -8,7 +8,7 @@ emitted metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def clique_number(
     if cfg is None:
         cfg = CopoConfig()
     if budget is not None:
-        cfg = CopoConfig(**{**cfg.__dict__, "max_iterations": budget})
+        cfg = replace(cfg, max_iterations=budget)
     lo, hi = 1, g.n  # probe at k + 1/2: copositive => omega <= k
     while lo < hi:
         mid = (lo + hi) // 2
@@ -191,7 +191,7 @@ def qp_optimum(
     if cfg is None:
         cfg = CopoConfig()
     if budget is not None:
-        cfg = CopoConfig(**{**cfg.__dict__, "max_iterations": budget})
+        cfg = replace(cfg, max_iterations=budget)
     diag = np.diag(q)
     lo = float(np.min(diag) - q.shape[0] * np.max(np.abs(q)))
     hi = float(np.max(diag))

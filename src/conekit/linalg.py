@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: Jacobi eigendecomposition, PSD testing,
+"""Dense symmetric linear algebra: eigendecomposition, PSD testing,
 congruence transforms, and the plain-text matrix format shared by the CLI."""
 
 from __future__ import annotations
@@ -8,14 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL_RECON = 1e-9
-TOL_ORTH = 1e-9
 PSD_PIVOT_TOL = 1e-9
-MAX_JACOBI_SWEEPS = 100
-
-
-class NonConvergence(RuntimeError):
-    """Jacobi sweeps failed to reduce the off-diagonal norm below tolerance."""
 
 
 class DimensionMismatch(ValueError):
@@ -73,73 +66,21 @@ class EigenPair:
         return float(np.max(np.abs(self.P.T @ self.P - np.eye(n))))
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-    if theta == 0.0:
-        t = 1.0
-    c = 1.0 / np.hypot(t, 1.0)
-    s = t * c
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
+def eigen_decompose(a: np.ndarray) -> EigenPair:
+    """Diagonalize a symmetric matrix with ``numpy.linalg.eigh``.
 
-
-def eigen_decompose(a: np.ndarray, tol: float = 1e-12) -> EigenPair:
-    """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
-
-    Eigenvalues come back in descending order.  Each eigenvector's sign is
-    fixed by a parity bit of its own bytes, which keeps the output
-    deterministic for a fixed input without aligning the signs coherently
-    (coherent alignments measurably weaken the pairwise-sum detection basis
-    built from the eigenvectors downstream).
-
-    Raises NonConvergence if the off-diagonal norm is not reduced below
-    ``tol * scale`` within MAX_JACOBI_SWEEPS sweeps.
+    Eigenvalues come back in descending order; equal eigenvalues keep
+    LAPACK's order, so a diagonal input yields signed unit vectors.  Each
+    eigenvector's sign is fixed by a parity bit of its own bytes, which keeps
+    the output deterministic for a fixed input without aligning the signs
+    coherently (coherent alignments measurably weaken the pairwise-sum
+    detection basis built from the eigenvectors downstream).
     """
-    a = as_sym_matrix(a)
-    n = a.shape[0]
-    if n == 1:
-        return EigenPair(np.eye(1), a[0, :1].copy(), True)
-
-    work = a.copy()
-    v = np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    # rotations below this threshold cannot change the off-norm meaningfully
-    skip = 0.01 * tol * scale / n
-
-    for _ in range(MAX_JACOBI_SWEEPS):
-        off = np.sqrt(np.sum(np.triu(work, 1) ** 2) * 2.0)
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) > skip:
-                    _jacobi_rotate(work, v, p, q)
-    else:
-        off = np.sqrt(np.sum(np.triu(work, 1) ** 2) * 2.0)
-        if off > tol * scale:
-            raise NonConvergence(
-                f"Jacobi sweeps exhausted with off-diagonal norm {off:.3e}"
-            )
-
-    lam = np.diag(work).copy()
+    lam, v = np.linalg.eigh(as_sym_matrix(a))
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     v = v[:, order]
-    for j in range(n):
+    for j in range(v.shape[1]):
         if hashlib.sha256(v[:, j].tobytes()).digest()[0] & 1:
             v[:, j] = -v[:, j]
     return EigenPair(v, lam, True)

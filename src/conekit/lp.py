@@ -8,7 +8,7 @@ cone membership tests (a few thousand rows at most), not for sparse work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,45 +28,52 @@ _REFACTOR_EVERY = 100
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to rows and bounds.
+    """maximize objective . x  subject to  A x (senses) rhs  and  lo <= x <= hi.
 
-    rows: list of (coefficients, sense, rhs); bounds: per-variable (lo, hi),
-    either side may be infinite.  Malformed input raises at construction.
+    A is m x n; senses holds "<=", ">=" or "==" per row, and senses, rhs,
+    lo and hi broadcast from scalars.  Bounds default to free and either side
+    may be infinite.  Malformed input raises at construction.
     """
 
     objective: np.ndarray
-    rows: tuple
-    bounds: tuple
+    A: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
-    def __init__(self, objective, rows, bounds=None):
+    def __init__(self, objective, A, senses, rhs, lo=-math.inf, hi=math.inf):
         c = np.asarray(objective, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("objective must be a nonempty vector")
         if not np.all(np.isfinite(c)):
             raise ValueError("objective coefficients must be finite")
         nvar = c.size
-        norm_rows = []
-        for k, (coefs, sense, rhs) in enumerate(rows):
-            a = np.asarray(coefs, dtype=float)
-            if a.shape != (nvar,):
-                raise ValueError(f"row {k}: expected {nvar} coefficients")
-            if not np.all(np.isfinite(a)) or not math.isfinite(rhs):
-                raise ValueError(f"row {k}: coefficients and rhs must be finite")
-            if sense not in _SENSES:
-                raise ValueError(f"row {k}: unknown sense {sense!r}")
-            norm_rows.append((a, sense, float(rhs)))
-        if bounds is None:
-            bnds = [(-math.inf, math.inf)] * nvar
-        else:
-            bnds = [(float(lo), float(hi)) for lo, hi in bounds]
-            if len(bnds) != nvar:
-                raise ValueError("bounds length must match objective")
-            for j, (lo, hi) in enumerate(bnds):
-                if math.isnan(lo) or math.isnan(hi) or lo > hi:
-                    raise ValueError(f"variable {j}: invalid bounds ({lo}, {hi})")
+        a = np.asarray(A, dtype=float)
+        if a.size == 0:
+            a = a.reshape(0, nvar)
+        if a.ndim != 2 or a.shape[1] != nvar:
+            raise ValueError(f"constraint matrix must be m x {nvar}, got {a.shape}")
+        m = a.shape[0]
+        sense = np.broadcast_to(np.asarray(senses, dtype=str), (m,))
+        b = np.broadcast_to(np.asarray(rhs, dtype=float), (m,))
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("constraint coefficients and rhs must be finite")
+        bad = ~np.isin(sense, _SENSES)
+        if np.any(bad):
+            raise ValueError(f"row {np.argmax(bad)}: unknown sense {sense[bad][0]!r}")
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (nvar,))
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (nvar,))
+        bad = np.isnan(lo) | np.isnan(hi) | (lo > hi)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise ValueError(f"variable {j}: invalid bounds ({lo[j]}, {hi[j]})")
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rows", tuple(norm_rows))
-        object.__setattr__(self, "bounds", tuple(bnds))
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "senses", sense)
+        object.__setattr__(self, "rhs", b)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def n_vars(self) -> int:
@@ -74,22 +81,14 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.A.shape[0]
 
     def constraint_violation(self, x: np.ndarray) -> float:
         """Largest violation of rows and bounds at x (0 when feasible)."""
-        worst = 0.0
-        for a, sense, rhs in self.rows:
-            v = float(a @ x)
-            if sense == LE:
-                worst = max(worst, v - rhs)
-            elif sense == GE:
-                worst = max(worst, rhs - v)
-            else:
-                worst = max(worst, abs(v - rhs))
-        for j, (lo, hi) in enumerate(self.bounds):
-            worst = max(worst, lo - x[j], x[j] - hi)
-        return worst
+        v = self.A @ x - self.rhs
+        v = np.where(self.senses == LE, v, np.where(self.senses == GE, -v, abs(v)))
+        bounds = max(np.max(self.lo - x), np.max(x - self.hi))
+        return float(max(0.0, v.max(initial=0.0), bounds))
 
 
 @dataclass
@@ -109,15 +108,19 @@ class _StandardForm:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    # column j of A corresponds to original var var_of[j] with sign sgn_of[j]
-    var_of: list = field(default_factory=list)
-    sgn_of: list = field(default_factory=list)
-    offset: np.ndarray | None = None  # x = offset + sum of signed y columns
-    row_origin: list = field(default_factory=list)  # (orig row idx, sign) or None
-    # folded singleton rows: variable -> (orig row idx, sign, coefficient),
-    # kept so their duals can be recovered from reduced costs
-    fold_hi: dict = field(default_factory=dict)
-    fold_lo: dict = field(default_factory=dict)
+    # x = offset, plus col_sgn[j] * y[j] added to x[col_var[j]] for each column j
+    col_var: np.ndarray
+    col_sgn: np.ndarray
+    offset: np.ndarray
+    # standard-form row r carries row_scale[r] times the multiplier of
+    # original row row_of[r] (-1: a bound row with no original row)
+    row_of: np.ndarray
+    row_scale: np.ndarray
+    # singleton rows folded into the upper (index 0) and lower (index 1)
+    # bound of each variable, kept so their duals can be recovered from
+    # reduced costs; -1 where no row was folded
+    fold_row: np.ndarray
+    fold_scale: np.ndarray
 
 
 def _to_standard_form(lp: LinearProgram):
@@ -128,91 +131,69 @@ def _to_standard_form(lp: LinearProgram):
     split.  Returns (_StandardForm, infeasible_flag).
     """
     nvar = lp.n_vars
-    # sense-normalized rows: (coefs, rhs, origin index, origin sign)
-    le_rows = []
-    for k, (a, sense, rhs) in enumerate(lp.rows):
-        if sense in (LE, EQ):
-            le_rows.append((a.copy(), rhs, k, 1.0))
-        if sense in (GE, EQ):
-            le_rows.append((-a, -rhs, k, -1.0))
+    # sense-normalized rows: the <= halves, then the negated >= halves
+    le_part = np.flatnonzero(lp.senses != GE)
+    ge_part = np.flatnonzero(lp.senses != LE)
+    origin = np.concatenate([le_part, ge_part])
+    sign = np.repeat([1.0, -1.0], [le_part.size, ge_part.size])
+    a_le = lp.A[origin] * sign[:, None]
+    b_le = lp.rhs[origin] * sign
 
-    lo = np.array([b[0] for b in lp.bounds])
-    hi = np.array([b[1] for b in lp.bounds])
-
-    kept = []
-    fold_hi: dict = {}
-    fold_lo: dict = {}
-    for a, rhs, k, sgn in le_rows:
-        nz = np.flatnonzero(a)
-        if nz.size == 1:
-            j = int(nz[0])
-            if a[j] > 0:
-                if rhs / a[j] <= hi[j]:
-                    hi[j] = rhs / a[j]
-                    fold_hi[j] = (k, sgn, float(a[j]))
-            else:
-                if rhs / a[j] >= lo[j]:
-                    lo[j] = rhs / a[j]
-                    fold_lo[j] = (k, sgn, float(a[j]))
-        elif nz.size == 0:
-            if rhs < -DEFAULT_FEAS_TOL:
-                return None, True
+    lo = lp.lo.copy()
+    hi = lp.hi.copy()
+    fold_row = np.full((2, nvar), -1)
+    fold_scale = np.zeros((2, nvar))
+    nnz = np.count_nonzero(a_le, axis=1)
+    for r in np.flatnonzero(nnz == 1):
+        j = int(np.flatnonzero(a_le[r])[0])
+        coef = a_le[r, j]
+        bound = b_le[r] / coef
+        if coef > 0 and bound <= hi[j]:
+            hi[j] = bound
+            side = 0
+        elif coef < 0 and bound >= lo[j]:
+            lo[j] = bound
+            side = 1
         else:
-            kept.append((a, rhs, k, sgn))
+            continue
+        fold_row[side, j] = origin[r]
+        fold_scale[side, j] = sign[r] / coef
+    if np.any(b_le[nnz == 0] < -DEFAULT_FEAS_TOL):
+        return None, True
     if np.any(lo > hi + DEFAULT_FEAS_TOL):
         return None, True
+    kept = nnz > 1
 
-    # variable transform: x = offset + signed combination of y-columns
-    offset = np.zeros(nvar)
-    cols = []  # (var index, sign)
-    extra_rows = []  # upper-bound rows re-added for doubly bounded variables
-    for j in range(nvar):
-        if math.isfinite(lo[j]):
-            offset[j] = lo[j]
-            cols.append((j, 1.0))
-            if math.isfinite(hi[j]):
-                extra_rows.append((j, hi[j] - lo[j]))
-        elif math.isfinite(hi[j]):
-            offset[j] = hi[j]
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
+    # variable transform: a variable with a finite lower bound is shifted
+    # (x = lo + y), one with only an upper bound flipped (x = hi - y), and a
+    # free one split into two columns, the negative one appended at the end
+    has_lo = np.isfinite(lo)
+    has_hi = np.isfinite(hi)
+    free = ~has_lo & ~has_hi
+    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    col_var = np.concatenate([np.arange(nvar), np.flatnonzero(free)])
+    col_sgn = np.concatenate([np.where(has_lo | free, 1.0, -1.0), -np.ones(free.sum())])
+    # doubly bounded variables get their upper bound back as a row y <= hi - lo
+    boxed = np.flatnonzero(has_lo & has_hi)
+    cap_rows = np.zeros((boxed.size, col_var.size))
+    cap_rows[np.arange(boxed.size), boxed] = 1.0
 
-    ncol = len(cols)
-    m = len(kept) + len(extra_rows)
-    A = np.zeros((m, ncol))
-    b = np.zeros(m)
-    row_origin = []
-    col_var = np.array([v for v, _ in cols], dtype=int)
-    col_sgn = np.array([s for _, s in cols])
-    for r, (a, rhs, k, sgn) in enumerate(kept):
-        A[r, :] = a[col_var] * col_sgn
-        b[r] = rhs - float(a @ offset)
-        row_origin.append((k, sgn))
-    for r, (j, ub) in enumerate(extra_rows, start=len(kept)):
-        mask = col_var == j
-        A[r, mask] = col_sgn[mask]
-        # x = lo + y, so the cap on y is ub = hi - lo directly
-        b[r] = ub
-        if j in fold_hi:
-            # the cap is really a folded singleton row; route its dual back
-            k, sgn, coef = fold_hi[j]
-            row_origin.append((k, sgn / coef))
-        else:
-            row_origin.append(None)
-
-    c = lp.objective[col_var] * col_sgn
+    A = np.vstack([a_le[kept][:, col_var] * col_sgn, cap_rows])
+    b = np.concatenate([b_le[kept] - a_le[kept] @ offset, hi[boxed] - lo[boxed]])
+    # a cap that is really a folded singleton row routes its dual back there
+    row_of = np.concatenate([origin[kept], fold_row[0, boxed]])
+    row_scale = np.concatenate([sign[kept], fold_scale[0, boxed]])
     sf = _StandardForm(
         A=A,
         b=b,
-        c=c,
-        var_of=list(col_var),
-        sgn_of=list(col_sgn),
+        c=lp.objective[col_var] * col_sgn,
+        col_var=col_var,
+        col_sgn=col_sgn,
         offset=offset,
-        row_origin=row_origin,
-        fold_hi=fold_hi,
-        fold_lo=fold_lo,
+        row_of=row_of,
+        row_scale=row_scale,
+        fold_row=fold_row,
+        fold_scale=fold_scale,
     )
     return sf, False
 
@@ -228,17 +209,11 @@ class _Simplex:
         self.feas_tol = feas_tol
         flip = b < 0
         self.flip = flip
-        A = A.copy()
-        b = b.copy()
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-        slack = np.eye(m)
-        slack[flip] *= -1.0
+        sgn = np.where(flip, -1.0, 1.0)
+        A = A * sgn[:, None]
+        b = b * sgn
         art_rows = np.flatnonzero(flip)
-        art = np.zeros((m, art_rows.size))
-        for t, r in enumerate(art_rows):
-            art[r, t] = 1.0
-        self.W = np.hstack([A, slack, art])
+        self.W = np.hstack([A, np.diag(sgn), np.eye(m)[:, art_rows]])
         # a deterministic strictly positive jitter on the rhs breaks the
         # pivot stalling that degenerate systems (many zero rhs rows) cause;
         # the true rhs is restored once an optimal basis is found
@@ -253,16 +228,9 @@ class _Simplex:
         self.art_start = n + m
         self.c = np.concatenate([c, np.zeros(m + self.n_art)])
         # start from the slack/artificial basis
-        self.basis = []
-        slack_of_row = {}
-        for r in range(m):
-            slack_of_row[r] = n + r
-        art_iter = iter(range(self.art_start, self.ncols))
-        for r in range(m):
-            if flip[r]:
-                self.basis.append(next(art_iter))
-            else:
-                self.basis.append(n + r)
+        basis = n + np.arange(m)
+        basis[art_rows] = self.art_start + np.arange(self.n_art)
+        self.basis = basis.tolist()
         self.Binv = np.eye(m)
         self.xB = self.b.copy()
         self.iterations = 0
@@ -382,6 +350,12 @@ class _Simplex:
         return np.where(self.flip, -y, y)
 
 
+def _primal(sf: _StandardForm, y: np.ndarray) -> np.ndarray:
+    """Map a standard-form point back to the original variables."""
+    moves = np.bincount(sf.col_var, weights=sf.col_sgn * y, minlength=sf.offset.size)
+    return sf.offset + moves
+
+
 def solve(
     lp: LinearProgram,
     feas_tol: float = DEFAULT_FEAS_TOL,
@@ -394,56 +368,26 @@ def solve(
     if infeasible:
         return LpSolution(status=INFEASIBLE, note="bound presolve")
 
-    m = sf.A.shape[0]
-    if m == 0:
-        # only one-sided bounds remain; optimum is at the offsets unless some
-        # column still improves, in which case the LP is unbounded
-        if np.any(sf.c > _PIVOT_TOL):
-            return LpSolution(status=UNBOUNDED)
-        x = sf.offset.copy()
-        return LpSolution(status=OPTIMAL, x=x, objective_value=float(lp.objective @ x))
-
     spx = _Simplex(sf.A, sf.b, sf.c, feas_tol)
     status = spx.solve(max_iters)
-    if status in (INFEASIBLE, ITERATION_LIMIT):
+    if status != OPTIMAL:
         return LpSolution(status=status, iterations=spx.iterations)
-    if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, iterations=spx.iterations)
 
-    y = spx.primal()
-    x = sf.offset.copy()
-    for j, (var, sgn) in enumerate(zip(sf.var_of, sf.sgn_of)):
-        x[var] += sgn * y[j]
-
+    x = _primal(sf, spx.primal())
     # refine once if rounding pushed the point slightly outside
     if lp.constraint_violation(x) > feas_tol:
         spx._refactorize()
-        y = spx.primal()
-        x = sf.offset.copy()
-        for j, (var, sgn) in enumerate(zip(sf.var_of, sf.sgn_of)):
-            x[var] += sgn * y[j]
+        x = _primal(sf, spx.primal())
 
-    duals_std = spx.duals()
     dual = np.zeros(lp.n_rows)
-    for r, origin in enumerate(sf.row_origin):
-        if origin is not None:
-            k, sgn = origin
-            dual[k] += sgn * float(duals_std[r])
-
+    has_row = sf.row_of >= 0
+    np.add.at(dual, sf.row_of[has_row], (sf.row_scale * spx.duals())[has_row])
     # singleton rows folded into bounds carry their multipliers in the
     # reduced costs; attribute the stationarity residual back to them
-    if sf.fold_hi or sf.fold_lo:
-        z = lp.objective.copy()
-        for k, (a, _, _) in enumerate(lp.rows):
-            if dual[k] != 0.0:
-                z -= dual[k] * a
-        zscale = max(1.0, float(np.max(np.abs(lp.objective))))
-        for j, (k, sgn, coef) in sf.fold_hi.items():
-            if z[j] > 1e-12 * zscale:
-                dual[k] += sgn * z[j] / coef
-        for j, (k, sgn, coef) in sf.fold_lo.items():
-            if z[j] < -1e-12 * zscale:
-                dual[k] += sgn * z[j] / coef
+    z = lp.objective - dual @ lp.A
+    zscale = max(1.0, float(np.max(np.abs(lp.objective))))
+    hit = (sf.fold_row >= 0) & (np.stack([z, -z]) > 1e-12 * zscale)
+    np.add.at(dual, sf.fold_row[hit], (sf.fold_scale * z)[hit])
 
     return LpSolution(
         status=OPTIMAL,

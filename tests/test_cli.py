@@ -8,6 +8,8 @@ import pytest
 from conekit import instances
 from conekit.cli import (
     RunRecord,
+    _copo_config,
+    build_parser,
     main,
     read_records_csv,
     read_records_json,
@@ -98,6 +100,12 @@ def test_qpbound_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     lo, hi = out.split("[")[1].split("]")[0].split(",")
     assert float(lo) - 1e-9 <= -10.0 <= float(hi) + 1e-9
+
+
+def test_eps_reaches_the_partition_config():
+    for argv in (["qpbound", "Q.txt"], ["clique", "g.col"]):
+        args = build_parser().parse_args(argv + ["--eps", "1e-6"])
+        assert _copo_config(args).eps_alpha == 1e-6
 
 
 def test_gen_roundtrip(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conekit import cones
+from conekit import cones, lp
 from conekit.linalg import EigenPair, eigen_decompose, is_psd_cholesky
 
 M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
@@ -107,6 +107,48 @@ def test_build_lp_sizes():
             prog = cones.build_lp(ep, family)
             assert prog.n_vars == nvars
             assert prog.n_rows == nrows
+
+
+def _family_bases(p):
+    """The semidefinite basis matrices of each LP family, in variable order."""
+    n = p.shape[0]
+    plus = cones.sd_basis(p, "plus").matrices()
+    minus = [m for i, j, _, m in cones.sd_basis(p, "minus").elements if i < j]
+    return {
+        "G": [np.outer(p[:, i], p[:, i]) for i in range(n)],
+        "Fplus": plus,
+        "Fpm": plus + minus,
+    }
+
+
+def test_build_lp_pair_rows_are_the_sd_basis():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 6):
+        p = rng.normal(size=(n, n))
+        ep = EigenPair(p, rng.normal(size=n), orthogonal=False)
+        iu, ju = np.triu_indices(n)
+        for family, mats in _family_bases(p).items():
+            prog = cones.build_lp(ep, family)
+            k = len(mats)
+            assert prog.n_vars == k + 1
+            expect = np.column_stack([m[iu, ju] for m in mats])
+            assert np.array_equal(prog.A[k:, :k], expect)
+            assert np.all(prog.A[k:, k] == -1.0)
+            assert np.all(prog.senses[k:] == lp.GE)
+
+
+def test_n_candidate_is_the_weighted_basis_sum():
+    rng = np.random.default_rng(13)
+    for n in (3, 5, 8):
+        a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2
+        ep = eigen_decompose(a)
+        for family, mats in _family_bases(ep.P).items():
+            v = cones.check_membership_lp(a, ep, family)
+            omega = lp.solve(cones.build_lp(ep, family)).x[: len(mats)]
+            expect = sum(w * m for w, m in zip(omega, mats))
+            scale = max(1.0, float(np.max(np.abs(expect))))
+            assert np.max(np.abs(v.n_candidate - expect)) <= 1e-12 * scale
 
 
 def test_membership_diag_nonneg_is_g_member():

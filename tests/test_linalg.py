@@ -1,9 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conekit.linalg import (
     DimensionMismatch,
-    NonConvergence,
     as_sym_matrix,
     congruence,
     eigen_decompose,
@@ -161,5 +163,8 @@ def test_matrix_text_rejects_malformed(tmp_path):
         load_matrix(p)
 
 
-def test_nonconvergence_type_exists():
-    assert issubclass(NonConvergence, Exception)
+def test_runtime_imports_no_scipy():
+    # the runtime is numpy-only; scipy is a test-time reference at most
+    probe = "import conekit, sys; sys.exit('scipy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr or "importing conekit loaded scipy"

@@ -4,8 +4,17 @@ import pytest
 from conekit import lp
 
 
+def _lp(objective, rows, bounds=None):
+    """Matrix-form LP from (coefficients, sense, rhs) rows and (lo, hi) bounds."""
+    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), len(objective))
+    lo, hi = (-np.inf, np.inf) if bounds is None else np.array(bounds, dtype=float).T
+    return lp.LinearProgram(
+        objective, a, [r[1] for r in rows], [r[2] for r in rows], lo, hi
+    )
+
+
 def _solve(objective, rows, bounds=None, **kw):
-    return lp.solve(lp.LinearProgram(objective, rows, bounds), **kw)
+    return lp.solve(_lp(objective, rows, bounds), **kw)
 
 
 def test_single_variable_box():
@@ -59,13 +68,17 @@ def test_iteration_limit_status():
 
 def test_malformed_rejected_at_construction():
     with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [([1.0, 2.0], lp.LE, 1.0)])
+        lp.LinearProgram([1.0], [[1.0, 2.0]], [lp.LE], [1.0])
     with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [([1.0], "<", 1.0)])
+        lp.LinearProgram([1.0], [[1.0]], ["<"], [1.0])
     with pytest.raises(ValueError):
-        lp.LinearProgram([np.inf], [])
+        lp.LinearProgram([np.inf], [], [], [])
     with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [], [(2.0, 1.0)])
+        lp.LinearProgram([1.0], [], [], [], lo=2.0, hi=1.0)
+    with pytest.raises(ValueError):
+        lp.LinearProgram([1.0], [[1.0]], [lp.LE], [np.nan])
+    with pytest.raises(ValueError):
+        lp.LinearProgram([1.0], [[1.0], [2.0]], [lp.LE] * 3, [1.0, 1.0])
 
 
 def test_objective_matches_solution_vector():
@@ -99,7 +112,7 @@ def test_known_feasible_lps_stay_feasible():
                 rows.append((a, lp.LE, float(a @ x0) + margin))
             else:
                 rows.append((a, lp.GE, float(a @ x0) - margin))
-        prog = lp.LinearProgram(rng.normal(size=n), rows, [(0.0, 4.0)] * n)
+        prog = _lp(rng.normal(size=n), rows, [(0.0, 4.0)] * n)
         sol = lp.solve(prog, feas_tol=1e-8)
         assert sol.status == lp.OPTIMAL
         assert prog.constraint_violation(sol.x) <= 1e-8
@@ -130,18 +143,15 @@ def test_weak_duality_and_stationarity():
             rows.append((e, lp.LE, float(x0[j]) + 5.0))
             rows.append((e, lp.GE, float(x0[j]) - 5.0))
         c = rng.normal(size=n)
-        prog = lp.LinearProgram(c, rows)
+        prog = _lp(c, rows)
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
-        by = sum(sol.dual[k] * rhs for k, (_, _, rhs) in enumerate(prog.rows))
+        by = float(sol.dual @ prog.rhs)
         assert abs(by - sol.objective_value) <= 1e-7 * max(1.0, abs(by))
-        stat = c - sum(sol.dual[k] * a for k, (a, _, _) in enumerate(prog.rows))
+        stat = c - sol.dual @ prog.A
         assert np.max(np.abs(stat)) <= 1e-7
-        for k, (_, sense, _) in enumerate(prog.rows):
-            if sense == lp.LE:
-                assert sol.dual[k] >= -1e-9
-            elif sense == lp.GE:
-                assert sol.dual[k] <= 1e-9
+        assert np.all(sol.dual[prog.senses == lp.LE] >= -1e-9)
+        assert np.all(sol.dual[prog.senses == lp.GE] <= 1e-9)
 
 
 def test_determinism():
@@ -149,9 +159,78 @@ def test_determinism():
     n = 5
     c = rng.normal(size=n)
     rows = [(a, lp.LE, 1.0) for a in rng.normal(size=(8, n))]
-    prog = lp.LinearProgram(c, rows, [(0.0, 2.0)] * n)
+    prog = _lp(c, rows, [(0.0, 2.0)] * n)
     s1 = lp.solve(prog)
     s2 = lp.solve(prog)
     assert s1.status == s2.status == lp.OPTIMAL
     assert np.array_equal(s1.x, s2.x)
     assert s1.iterations == s2.iterations
+
+
+def _random_mixed_lp(rng):
+    """A random LP around a known point x0 that mixes <=, >= and == rows,
+    singleton rows, and free, lower-bounded and boxed variables; one extra
+    row far from x0 makes some of them infeasible."""
+    n = int(rng.integers(2, 7))
+    x0 = rng.normal(size=n)
+    rows = []
+    for _ in range(int(rng.integers(n, 2 * n + 3))):
+        u = rng.uniform()
+        if u < 0.25:
+            a = np.zeros(n)
+            a[rng.integers(0, n)] = rng.normal() or 1.0
+        else:
+            a = rng.normal(size=n)
+        if u > 0.85:
+            rows.append((a, lp.EQ, float(a @ x0)))
+        elif rng.uniform() < 0.5:
+            rows.append((a, lp.LE, float(a @ x0) + rng.uniform(0.0, 2.0)))
+        else:
+            rows.append((a, lp.GE, float(a @ x0) - rng.uniform(0.0, 2.0)))
+    if rng.uniform() < 0.1:  # a row far from x0, often out of reach
+        a = rng.normal(size=n)
+        rows.append((a, lp.GE, float(a @ x0) + 4.0 * np.sum(np.abs(a)) + 1.0))
+    bounds = []
+    for j in range(n):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            bounds.append((-np.inf, np.inf))
+        elif kind == 1:
+            bounds.append((x0[j] - rng.uniform(0.0, 3.0), np.inf))
+        else:
+            width = rng.uniform(0.0, 3.0, size=2)
+            bounds.append((x0[j] - width[0], x0[j] + width[1]))
+    return _lp(rng.normal(size=n), rows, bounds)
+
+
+def test_matches_highs_on_random_mixed_lps():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2718)
+    statuses = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
+    seen = set()
+    for _ in range(300):
+        prog = _random_mixed_lp(rng)
+        le = prog.senses == lp.LE
+        ge = prog.senses == lp.GE
+        eq = prog.senses == lp.EQ
+        ref = optimize.linprog(
+            -prog.objective,
+            A_ub=np.vstack([prog.A[le], -prog.A[ge]]),
+            b_ub=np.concatenate([prog.rhs[le], -prog.rhs[ge]]),
+            A_eq=prog.A[eq] if eq.any() else None,
+            b_eq=prog.rhs[eq] if eq.any() else None,
+            bounds=[
+                (None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+                for lo, hi in zip(prog.lo, prog.hi)
+            ],
+            method="highs",
+        )
+        sol = lp.solve(prog)
+        assert sol.status == statuses[ref.status]
+        seen.add(sol.status)
+        if sol.status == lp.OPTIMAL:
+            ref_value = -ref.fun
+            tol = 1e-7 * max(1.0, abs(ref_value))
+            assert abs(sol.objective_value - ref_value) <= tol
+            assert prog.constraint_violation(sol.x) <= 1e-7
+    assert seen == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
