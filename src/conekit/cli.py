@@ -15,7 +15,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -51,21 +51,6 @@ CONE_FLAGS = {
 }
 _FLAG_OF_FAMILY = {v: k for k, v in CONE_FLAGS.items()}
 
-CSV_FIELDS = (
-    "command",
-    "input_digest",
-    "config",
-    "outcome",
-    "alpha_star",
-    "certificate",
-    "iterations",
-    "lp_calls",
-    "wall_time",
-    "seed",
-    "generator_id",
-)
-
-
 @dataclass
 class RunRecord:
     """One run of one task on one instance; the unit of all emitted tables."""
@@ -89,32 +74,29 @@ class RunRecord:
     def from_obj(cls, obj: dict) -> "RunRecord":
         return cls(**obj)
 
+    # one rule per CSV cell: str fields verbatim, None as an empty cell,
+    # everything else as JSON
     def to_csv_row(self) -> list:
-        obj = self.to_obj()
-        obj["config"] = json.dumps(self.config, sort_keys=True)
-        obj["certificate"] = (
-            "" if self.certificate is None else json.dumps(self.certificate)
-        )
-        obj["alpha_star"] = "" if self.alpha_star is None else repr(self.alpha_star)
-        return [obj[k] for k in CSV_FIELDS]
+        row = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "str":
+                value = "" if value is None else json.dumps(value, sort_keys=True)
+            row.append(value)
+        return row
 
     @classmethod
     def from_csv_row(cls, row: dict) -> "RunRecord":
-        return cls(
-            command=row["command"],
-            input_digest=row["input_digest"],
-            config=json.loads(row["config"]),
-            outcome=row["outcome"],
-            alpha_star=None if row["alpha_star"] == "" else float(row["alpha_star"]),
-            certificate=(
-                None if row["certificate"] == "" else json.loads(row["certificate"])
-            ),
-            iterations=int(row["iterations"]),
-            lp_calls=int(row["lp_calls"]),
-            wall_time=float(row["wall_time"]),
-            seed=row["seed"],
-            generator_id=row["generator_id"],
-        )
+        values = {}
+        for f in fields(cls):
+            text = row[f.name]
+            if f.type != "str":
+                text = None if text == "" else json.loads(text)
+            values[f.name] = text
+        return cls(**values)
+
+
+CSV_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 def matrix_digest(a: np.ndarray) -> str:
@@ -166,10 +148,13 @@ def _parse_cones(arg: str) -> list:
     return families
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _emit(records, args) -> None:
+    """Write records in --format to --out, or to stdout without --out."""
+    if args.out is None:
+        write_records(records, args.format, sys.stdout)
+        return
+    with open(args.out, "w", newline="") as out:
+        write_records(records, args.format, out)
 
 
 def cmd_membership(args) -> int:
@@ -193,12 +178,7 @@ def cmd_membership(args) -> int:
                 seed="",
             )
         )
-    out, close = _open_out(args.out)
-    try:
-        write_records(records, args.format, out)
-    finally:
-        if close:
-            out.close()
+    _emit(records, args)
     any_member = any(v.is_member for v in verdicts)
     return EXIT_DECIDED if any_member else EXIT_INCONCLUSIVE
 
@@ -214,36 +194,34 @@ def _copo_config(args) -> CopoConfig:
     )
 
 
-def _copositive_record(a, args, command: str, seed: str = "") -> RunRecord:
-    res = test_copositive(a, _copo_config(args))
+def _copositive_record(
+    a, cfg: CopoConfig, command: str, config: dict, seed: str = ""
+) -> RunRecord:
+    res = test_copositive(a, cfg)
     return RunRecord(
         command=command,
         input_digest=matrix_digest(a),
-        config={
-            "cone": args.cone,
-            "alg": args.alg,
-            "max_iter": args.max_iter,
-            "time_limit": args.time_limit,
-            "eps": args.eps,
-        },
+        config=config,
         outcome=res.outcome,
         certificate=None if res.certificate is None else list(res.certificate),
-        iterations=res.stats.get("iterations", 0),
-        lp_calls=res.stats.get("lp_calls", 0),
-        wall_time=res.stats.get("wall_time", 0.0),
+        iterations=res.stats["iterations"],
+        lp_calls=res.stats["lp_calls"],
+        wall_time=res.stats["wall_time"],
         seed=seed,
     )
 
 
 def cmd_copositive(args) -> int:
     a = load_matrix(args.matrix)
-    rec = _copositive_record(a, args, "copositive")
-    out, close = _open_out(args.out)
-    try:
-        write_records([rec], args.format, out)
-    finally:
-        if close:
-            out.close()
+    config = {
+        "cone": args.cone,
+        "alg": args.alg,
+        "max_iter": args.max_iter,
+        "time_limit": args.time_limit,
+        "eps": args.eps,
+    }
+    rec = _copositive_record(a, _copo_config(args), "copositive", config)
+    _emit([rec], args)
     if rec.outcome == copositivity.INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
     return EXIT_DECIDED
@@ -251,7 +229,7 @@ def cmd_copositive(args) -> int:
 
 def cmd_clique(args) -> int:
     g = load_dimacs(args.graph)
-    omega = instances.clique_number(g, _copo_config(args), budget=args.budget)
+    omega = instances.clique_number(g, _copo_config(args))
     if omega is None:
         print("inconclusive: probe budget exhausted")
         return EXIT_INCONCLUSIVE
@@ -261,8 +239,7 @@ def cmd_clique(args) -> int:
 
 def cmd_qpbound(args) -> int:
     q = load_matrix(args.matrix)
-    cfg = _copo_config(args)
-    bound = instances.qp_optimum(q, cfg, eta=args.eta, budget=args.budget)
+    bound = instances.qp_optimum(q, _copo_config(args), eta=args.eta)
     print(f"interval [{bound.lo!r}, {bound.hi!r}] converged={bound.converged}")
     return EXIT_DECIDED if bound.converged else EXIT_INCONCLUSIVE
 
@@ -333,8 +310,9 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
         "cone": cone_flag,
         "instance": row["instance"],
     }
-    started = time.monotonic()
+    seed = f"{master}/{index}"
     if task == "membership":
+        started = time.monotonic()
         verdicts = cones.membership_report(a, cones=[family])
         v = verdicts[0]
         return RunRecord(
@@ -345,28 +323,16 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
             alpha_star=v.alpha_star,
             lp_calls=1 if family in cones.LP_FAMILIES else 0,
             wall_time=time.monotonic() - started,
-            seed=f"{master}/{index}",
+            seed=seed,
         )
     if task == "copositive":
-        cfg = _copo_config(argparse.Namespace(
-            cone=cone_flag,
-            alg=int(row.get("alg", 2)),
-            max_iter=int(row.get("max_iter", 1_000_000)),
-            time_limit=float(row.get("time_limit", 300.0)),
-            eps=cones.EPS_ALPHA,
-        ))
-        res = test_copositive(a, cfg)
-        return RunRecord(
-            command="bench",
-            input_digest=matrix_digest(a),
-            config=config,
-            outcome=res.outcome,
-            certificate=None if res.certificate is None else list(res.certificate),
-            iterations=res.stats.get("iterations", 0),
-            lp_calls=res.stats.get("lp_calls", 0),
-            wall_time=time.monotonic() - started,
-            seed=f"{master}/{index}",
+        cfg = CopoConfig(
+            cone_family=family,
+            use_alg2=int(row.get("alg", 2)) == 2,
+            max_iterations=int(row.get("max_iter", CopoConfig.max_iterations)),
+            time_limit=float(row.get("time_limit", CopoConfig.time_limit)),
         )
+        return _copositive_record(a, cfg, "bench", config, seed)
     raise ValueError(f"unknown task {task!r}")
 
 
@@ -412,12 +378,7 @@ def cmd_bench(args) -> int:
     rows = _expand_suite(suite)
     records = [_bench_row(i, row, master) for i, row in enumerate(rows)]
     records = records + _summary_records(records)
-    out, close = _open_out(args.out)
-    try:
-        write_records(records, args.format, out)
-    finally:
-        if close:
-            out.close()
+    _emit(records, args)
     any_inconclusive = any(
         r.outcome
         in (copositivity.INCONCLUSIVE, cones.NOT_IDENTIFIED)
@@ -434,36 +395,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, cone_default):
-        p.add_argument("--cone", default=cone_default)
-        p.add_argument("--alg", type=int, choices=(1, 2), default=2)
+    def cone_flags(p, default):
+        p.add_argument("--cone", default=default)
         p.add_argument("--eps", type=float, default=cones.EPS_ALPHA)
-        p.add_argument("--max-iter", type=int, default=1_000_000)
-        p.add_argument("--time-limit", type=float, default=300.0)
-        p.add_argument("--format", choices=("csv", "json", "table"), default="table")
+
+    def partition_flags(p, max_iter):
+        p.add_argument("--alg", type=int, choices=(1, 2), default=2)
+        p.add_argument("--max-iter", type=int, default=max_iter)
+        p.add_argument("--time-limit", type=float, default=CopoConfig.time_limit)
+
+    def record_flags(p, default_format):
+        p.add_argument(
+            "--format", choices=("csv", "json", "table"), default=default_format
+        )
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("membership", help="per-cone membership report")
     p.add_argument("matrix")
-    common(p, "N,DD,H,G,F+,F+-,L")
+    cone_flags(p, "N,DD,H,G,F+,F+-,L")
+    record_flags(p, "table")
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("copositive", help="simplicial-partition copositivity test")
     p.add_argument("matrix")
-    common(p, "F+-")
+    cone_flags(p, "F+-")
+    partition_flags(p, CopoConfig.max_iterations)
+    record_flags(p, "table")
     p.set_defaults(func=cmd_copositive)
 
+    # the reductions run many probes, each with a smaller iteration budget
     p = sub.add_parser("clique", help="clique number via copositivity probes")
     p.add_argument("graph")
-    common(p, "F+-")
-    p.add_argument("--budget", type=int, default=200_000)
+    cone_flags(p, "F+-")
+    partition_flags(p, 200_000)
     p.set_defaults(func=cmd_clique)
 
     p = sub.add_parser("qpbound", help="bracket the simplex-QP optimum")
     p.add_argument("matrix")
-    common(p, "F+-")
+    cone_flags(p, "F+-")
+    partition_flags(p, 200_000)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--budget", type=int, default=200_000)
     p.set_defaults(func=cmd_qpbound)
 
     p = sub.add_parser("gen", help="generate instances")
@@ -480,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a declarative suite to CSV/JSON")
     p.add_argument("suite", help="suite spec (JSON)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
-    p.add_argument("--out", default=None)
+    record_flags(p, "csv")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -273,7 +273,6 @@ def membership_report(
     a: np.ndarray,
     cones=CONE_ORDER,
     ep: EigenPair | None = None,
-    stop_on_member: bool = False,
     eps_alpha: float = EPS_ALPHA,
 ) -> list[MembershipVerdict]:
     """Run the selected cone tests in canonical order.
@@ -316,6 +315,4 @@ def membership_report(
         except Exception as exc:  # aggregate, never abort the other tests
             v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
         verdicts.append(v)
-        if stop_on_member and v.is_member:
-            break
     return verdicts

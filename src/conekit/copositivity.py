@@ -26,6 +26,7 @@ INCONCLUSIVE = "inconclusive"
 FAMILIES = ("N", "H", cones.FAMILY_G, cones.FAMILY_FPLUS, cones.FAMILY_FPM)
 
 _SCREEN_TOL = 1e-11  # entrywise nonnegativity slack for witness screening
+AUDIT_CAP = 200  # audit records kept per run
 
 
 class DegenerateEdge(ValueError):
@@ -90,12 +91,12 @@ def bisect(cell: SimplexCell):
     return child_i, child_j, t_i, t_j
 
 
-def vertex_negative(a: np.ndarray, cell: SimplexCell, eps_vertex: float = 0.0):
-    """First vertex v with v^T A v < -eps_vertex, or None."""
+def vertex_negative(a: np.ndarray, cell: SimplexCell):
+    """First vertex v with v^T A v < 0, or None."""
     v = cell.vertices
     vals = np.einsum("ik,ij,jk->k", v, a, v)
     for k in range(v.shape[1]):
-        if vals[k] < -eps_vertex:
+        if vals[k] < 0.0:
             return v[:, k].copy()
     return None
 
@@ -104,38 +105,16 @@ def vertex_negative(a: np.ndarray, cell: SimplexCell, eps_vertex: float = 0.0):
 class CopoConfig:
     cone_family: str = cones.FAMILY_FPM
     use_alg2: bool = True
-    eps_vertex: float = 0.0
     max_iterations: int = 1_000_000
     time_limit: float = 300.0
-    selection_rule: str = "lifo"  # or "fifo"
     eps_alpha: float = cones.EPS_ALPHA
     audit: bool = False
-    audit_cap: int = 200
 
     def __post_init__(self):
         if self.cone_family not in FAMILIES:
             raise ValueError(f"unknown cone family {self.cone_family!r}")
-        if self.selection_rule not in ("lifo", "fifo"):
-            raise ValueError(f"unknown selection rule {self.selection_rule!r}")
         if self.max_iterations <= 0 or self.time_limit <= 0:
             raise ValueError("budgets must be positive")
-
-
-@dataclass
-class Partition:
-    """Worklist of unexplored simplices plus bookkeeping counters."""
-
-    worklist: list = field(default_factory=list)
-    iterations: int = 0
-    lp_calls: int = 0
-    removals: dict = field(default_factory=lambda: {
-        "member": 0, "member_hat": 0, "screen": 0,
-    })
-
-    def fineness(self) -> float:
-        if not self.worklist:
-            return 0.0
-        return max(cell.diameter() for cell in self.worklist)
 
 
 @dataclass
@@ -144,19 +123,6 @@ class CopoResult:
     certificate: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
     audit_records: list = field(default_factory=list)
-
-
-def _member_exact(vtav, family, cfg, part):
-    """Exact-family membership test of a congruence matrix."""
-    if family == "N":
-        return (np.min(vtav) >= 0.0), None
-    if family == "H":
-        verdict = cones.in_H(vtav)
-        return verdict.is_member, verdict
-    ep = eigen_decompose(vtav)
-    part.lp_calls += 1
-    verdict = cones.check_membership_lp(vtav, ep, family, eps_alpha=cfg.eps_alpha)
-    return verdict.is_member, verdict
 
 
 def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
@@ -173,84 +139,91 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
         raise ValueError("copositivity test needs dimension >= 2")
     if cfg is None:
         cfg = CopoConfig()
-    lp_family = cfg.cone_family in cones.LP_FAMILIES
-    alg2 = cfg.use_alg2 and lp_family
+    family = cfg.cone_family
+    alg2 = cfg.use_alg2 and family in cones.LP_FAMILIES
     global_ep = eigen_decompose(a) if alg2 else None
+    # the per-cell membership sequence: the hat LP (alg 2 only), then the
+    # exact-family test
+    steps = ("hat", "exact") if alg2 else ("exact",)
 
-    part = Partition(worklist=[standard_simplex(n)])
+    worklist = [standard_simplex(n)]  # LIFO
+    iterations = lp_calls = 0
+    removals = {"member": 0, "member_hat": 0, "screen": 0}
+    warm = {"used_exact": 0, "used_hat": 0}
     audit: list = []
     started = time.monotonic()
-    warm = {"used_exact": 0, "used_hat": 0}
 
-    def finish_inconclusive(reason):
-        stats = _stats(part, started, reason, warm)
-        return CopoResult(INCONCLUSIVE, stats=stats, audit_records=audit)
+    def finish(outcome, reason="", certificate=None):
+        stats = {
+            "iterations": iterations,
+            "lp_calls": lp_calls,
+            "removals": dict(removals),
+            "fineness": max((c.diameter() for c in worklist), default=0.0),
+            "worklist": len(worklist),
+            "wall_time": time.monotonic() - started,
+            "reason": reason,
+            "warm_start": dict(warm),
+        }
+        return CopoResult(outcome, certificate, stats, audit)
 
     def record_removal(kind, cell, verdict):
-        part.removals[kind] += 1
-        if cfg.audit and len(audit) < cfg.audit_cap:
+        removals[kind] += 1
+        if cfg.audit and len(audit) < AUDIT_CAP:
             audit.append({
                 "kind": kind,
                 "vertices": cell.vertices.copy(),
                 "verdict": verdict,
             })
 
-    while part.worklist:
-        if part.iterations >= cfg.max_iterations:
-            return finish_inconclusive("iteration-limit")
+    while worklist:
+        if iterations >= cfg.max_iterations:
+            return finish(INCONCLUSIVE, "iteration-limit")
         if time.monotonic() - started > cfg.time_limit:
-            return finish_inconclusive("time-limit")
-        if cfg.selection_rule == "lifo":
-            cell = part.worklist.pop()
-        else:
-            cell = part.worklist.pop(0)
-        part.iterations += 1
+            return finish(INCONCLUSIVE, "time-limit")
+        cell = worklist.pop()
+        iterations += 1
 
         vtav = congruence(a, cell.vertices)
         # vertex values are the diagonal of the congruence
-        diag = np.diag(vtav)
-        neg = np.flatnonzero(diag < -cfg.eps_vertex)
+        neg = np.flatnonzero(np.diag(vtav) < 0.0)
         if neg.size:
             v = cell.vertices[:, int(neg[0])].copy()
             if float(v @ a @ v) < 0.0:  # re-evaluate the raw certificate
-                stats = _stats(part, started, "", warm)
-                return CopoResult(
-                    NOT_COPOSITIVE, certificate=v, stats=stats, audit_records=audit
-                )
+                return finish(NOT_COPOSITIVE, certificate=v)
 
+        removed = None  # removal kind once a test certifies the cell
         screen_witness = None  # local-frame nonnegative part for children
-        removed = False
         try:
-            if alg2:
-                q = cell.vertices.T @ global_ep.P
-                ep_hat = EigenPair(q, global_ep.lam, orthogonal=False)
-                part.lp_calls += 1
-                verdict = cones.check_membership_lp(
-                    vtav, ep_hat, cfg.cone_family, eps_alpha=cfg.eps_alpha
-                )
-                if verdict.is_member:
-                    record_removal("member_hat", cell, verdict)
-                    removed = True
-                elif verdict.n_candidate is not None:
-                    screen_witness = (verdict.n_candidate, "hat")
-                if not removed:
-                    is_m, verdict = _member_exact(vtav, cfg.cone_family, cfg, part)
-                    if is_m:
-                        record_removal("member", cell, verdict)
-                        removed = True
-                    elif verdict is not None and verdict.n_candidate is not None:
-                        screen_witness = (verdict.n_candidate, "exact")
-            else:
-                is_m, verdict = _member_exact(vtav, cfg.cone_family, cfg, part)
-                if is_m:
-                    record_removal("member", cell, verdict)
-                    removed = True
+            for step in steps:
+                if family == "N":
+                    verdict = None
+                    is_member = np.min(vtav) >= 0.0
+                elif family == "H":
+                    verdict = cones.in_H(vtav)
+                    is_member = verdict.is_member
+                else:
+                    if step == "hat":
+                        q = cell.vertices.T @ global_ep.P
+                        ep = EigenPair(q, global_ep.lam, orthogonal=False)
+                    else:
+                        ep = eigen_decompose(vtav)
+                    lp_calls += 1
+                    verdict = cones.check_membership_lp(
+                        vtav, ep, family, eps_alpha=cfg.eps_alpha
+                    )
+                    is_member = verdict.is_member
+                if is_member:
+                    removed = "member_hat" if step == "hat" else "member"
+                    break
+                if alg2 and verdict.n_candidate is not None:
+                    screen_witness = (verdict.n_candidate, step)
         except Exception:
             # solver trouble is never grounds for removal; refine instead
-            removed = False
+            removed = None
             screen_witness = None
 
         if removed:
+            record_removal(removed, cell, verdict)
             continue
         child_i, child_j, t_i, t_j = bisect(cell)
         for child, t in ((child_i, t_i), (child_j, t_j)):
@@ -261,20 +234,6 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
                     record_removal("screen", child, None)
                     warm["used_" + source] += 1
                     continue
-            part.worklist.append(child)
+            worklist.append(child)
 
-    stats = _stats(part, started, "", warm)
-    return CopoResult(COPOSITIVE, stats=stats, audit_records=audit)
-
-
-def _stats(part: Partition, started: float, reason: str, warm: dict) -> dict:
-    return {
-        "iterations": part.iterations,
-        "lp_calls": part.lp_calls,
-        "removals": dict(part.removals),
-        "fineness": part.fineness(),
-        "worklist": len(part.worklist),
-        "wall_time": time.monotonic() - started,
-        "reason": reason,
-        "warm_start": dict(warm),
-    }
+    return finish(COPOSITIVE)

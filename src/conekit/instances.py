@@ -8,7 +8,7 @@ emitted metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,9 +135,7 @@ def std_qp_matrix(q: np.ndarray, gamma: float) -> np.ndarray:
     return q - gamma * np.ones_like(q)
 
 
-def clique_number(
-    g: Graph, cfg: CopoConfig | None = None, budget: int | None = None
-) -> int | None:
+def clique_number(g: Graph, cfg: CopoConfig | None = None) -> int | None:
     """Clique number via copositivity probes at half-integer shifts.
 
     Probing gamma = k + 1/2 keeps every tested matrix strictly inside or
@@ -151,8 +149,6 @@ def clique_number(
         return 1
     if cfg is None:
         cfg = CopoConfig()
-    if budget is not None:
-        cfg = replace(cfg, max_iterations=budget)
     lo, hi = 1, g.n  # probe at k + 1/2: copositive => omega <= k
     while lo < hi:
         mid = (lo + hi) // 2
@@ -177,10 +173,7 @@ class QpBound:
 
 
 def qp_optimum(
-    q: np.ndarray,
-    cfg: CopoConfig | None = None,
-    eta: float = 0.1,
-    budget: int | None = None,
+    q: np.ndarray, cfg: CopoConfig | None = None, eta: float = 0.1
 ) -> QpBound:
     """Bracket the minimum of x^T Q x over the standard simplex by bisection
     on the level shift: a copositive probe raises the lower bound, a
@@ -190,8 +183,6 @@ def qp_optimum(
     q = as_sym_matrix(q)
     if cfg is None:
         cfg = CopoConfig()
-    if budget is not None:
-        cfg = replace(cfg, max_iterations=budget)
     diag = np.diag(q)
     lo = float(np.min(diag) - q.shape[0] * np.max(np.abs(q)))
     hi = float(np.max(diag))

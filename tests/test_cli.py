@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from conekit.cli import (
     main,
     read_records_csv,
     read_records_json,
+    write_records,
 )
 from conekit.linalg import format_matrix
 
@@ -102,6 +104,28 @@ def test_qpbound_subcommand(tmp_path, capsys):
     assert float(lo) - 1e-9 <= -10.0 <= float(hi) + 1e-9
 
 
+def test_reductions_honour_max_iter(tmp_path):
+    # one partition iteration per probe settles neither instance
+    g = tmp_path / "k4.col"
+    instances.save_dimacs(instances.complete_graph(4), g)
+    assert main(["clique", str(g), "--max-iter", "1"]) == 2
+    q = tmp_path / "q.txt"
+    q.write_text(format_matrix(instances.gen_planted_qp(6, 3, -10.0, seed=0).Q))
+    assert main(["qpbound", str(q), "--max-iter", "1"]) == 2
+
+
+def test_flags_a_subcommand_does_not_read_are_rejected():
+    for argv in (
+        ["membership", "A.txt", "--max-iter", "5"],
+        ["membership", "A.txt", "--alg", "1"],
+        ["qpbound", "Q.txt", "--out", "x.json"],
+        ["clique", "g.col", "--format", "json"],
+        ["qpbound", "Q.txt", "--budget", "5"],
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
 def test_eps_reaches_the_partition_config():
     for argv in (["qpbound", "Q.txt"], ["clique", "g.col"]):
         args = build_parser().parse_args(argv + ["--eps", "1e-6"])
@@ -138,18 +162,31 @@ def test_runrecord_roundtrip_json_and_csv():
         wall_time=0.125,
         seed="42/3",
     )
-    assert RunRecord.from_obj(json.loads(json.dumps(rec.to_obj()))) == rec
-
-    import csv as csvmod
-    import io
+    # None fields are empty CSV cells
+    empty = RunRecord(
+        command="copositive",
+        input_digest="abc123",
+        config={"cone": "N", "alg": 2},
+        outcome="inconclusive",
+        alpha_star=None,
+        certificate=None,
+        iterations=10,
+        wall_time=0.5,
+    )
+    for r in (rec, empty):
+        assert RunRecord.from_obj(json.loads(json.dumps(r.to_obj()))) == r
 
     buf = io.StringIO()
-    w = csvmod.writer(buf, lineterminator="\n")
-    from conekit.cli import CSV_FIELDS
-
-    w.writerow(CSV_FIELDS)
-    w.writerow(rec.to_csv_row())
-    assert read_records_csv(buf.getvalue()) == [rec]
+    write_records([rec, empty], "csv", buf)
+    assert buf.getvalue().splitlines() == [
+        "command,input_digest,config,outcome,alpha_star,certificate,iterations,"
+        "lp_calls,wall_time,seed,generator_id",
+        'bench,abc123,"{""cone"": ""F+-"", ""row"": 3}",member,0.25,"[0.5, 0.5]",'
+        "7,2,0.125,42/3,numpy-pcg64",
+        'copositive,abc123,"{""alg"": 2, ""cone"": ""N""}",inconclusive,,,10,0,0.5,,'
+        "numpy-pcg64",
+    ]
+    assert read_records_csv(buf.getvalue()) == [rec, empty]
 
 
 def _suite(tmp_path, rows, seed=11):

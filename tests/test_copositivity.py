@@ -176,19 +176,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CopoConfig(cone_family="nope")
     with pytest.raises(ValueError):
-        CopoConfig(selection_rule="random")
-    with pytest.raises(ValueError):
         CopoConfig(max_iterations=0)
 
 
 def test_needs_dimension_two():
     with pytest.raises(ValueError):
         run_copositive(np.array([[1.0]]))
-
-
-def test_fifo_selection_also_sound():
-    a = k_gamma(4, 4.5)
-    res = run_copositive(
-        a, CopoConfig(cone_family="Fpm", selection_rule="fifo")
-    )
-    assert res.outcome == COPOSITIVE

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_clique_number_matches_brute_force():
 
 def test_clique_number_inconclusive_budget():
     g = gen_gnp_graph(8, 0.5, seed=1)
-    assert instances.clique_number(g, fast_cfg(), budget=1) is None
+    assert instances.clique_number(g, replace(fast_cfg(), max_iterations=1)) is None
 
 
 def test_std_qp_matrix_examples():
