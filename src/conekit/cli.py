@@ -24,13 +24,13 @@ from .copositivity import CopoConfig, test_copositive
 from .instances import (
     GENERATOR_ID,
     complete_graph,
+    format_dimacs,
     gen_gnp_graph,
     gen_planted_qp,
     gen_random_spn,
     load_dimacs,
     max_clique_matrix,
     plant_clique,
-    save_dimacs,
     std_qp_matrix,
 )
 from .linalg import format_matrix, load_matrix
@@ -157,29 +157,40 @@ def _emit(records, args) -> None:
         write_records(records, args.format, out)
 
 
+def _membership_record(
+    a, family: str, eps: float, command: str, config: dict, seed: str = ""
+) -> RunRecord:
+    """One cone's membership test on its own clock."""
+    started = time.monotonic()
+    v = cones.membership_report(a, cones=[family], eps_alpha=eps)[0]
+    return RunRecord(
+        command=command,
+        input_digest=matrix_digest(a),
+        config=config,
+        outcome=v.status,
+        alpha_star=v.alpha_star,
+        lp_calls=1 if family in cones.LP_FAMILIES else 0,
+        wall_time=time.monotonic() - started,
+        seed=seed,
+    )
+
+
 def cmd_membership(args) -> int:
     a = load_matrix(args.matrix)
     families = _parse_cones(args.cone)
-    started = time.monotonic()
-    verdicts = cones.membership_report(a, cones=families, eps_alpha=args.eps)
-    elapsed = time.monotonic() - started
-    digest = matrix_digest(a)
-    records = []
-    for v in verdicts:
-        flag = _FLAG_OF_FAMILY.get(v.cone.replace("_hat", ""), v.cone)
-        records.append(
-            RunRecord(
-                command="membership",
-                input_digest=digest,
-                config={"cone": flag, "eps": args.eps},
-                outcome=v.status,
-                alpha_star=v.alpha_star,
-                wall_time=elapsed / max(1, len(verdicts)),
-                seed="",
-            )
+    records = [
+        _membership_record(
+            a,
+            family,
+            args.eps,
+            "membership",
+            {"cone": _FLAG_OF_FAMILY[family], "eps": args.eps},
         )
+        for family in cones.CONE_ORDER
+        if family in families
+    ]
     _emit(records, args)
-    any_member = any(v.is_member for v in verdicts)
+    any_member = any(r.outcome == cones.MEMBER for r in records)
     return EXIT_DECIDED if any_member else EXIT_INCONCLUSIVE
 
 
@@ -231,7 +242,7 @@ def cmd_clique(args) -> int:
     g = load_dimacs(args.graph)
     omega = instances.clique_number(g, _copo_config(args))
     if omega is None:
-        print("inconclusive: probe budget exhausted")
+        print("inconclusive: partition budget exhausted")
         return EXIT_INCONCLUSIVE
     print(f"clique_number {omega}")
     return EXIT_DECIDED
@@ -245,33 +256,21 @@ def cmd_qpbound(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed
     if args.kind == "spn":
-        a, _, _ = gen_random_spn(args.n, seed)
-        payload = format_matrix(a)
+        payload = format_matrix(gen_random_spn(args.n, args.seed)[0])
     elif args.kind == "plantedqp":
-        inst = gen_planted_qp(args.n, args.support, args.t, seed=seed)
+        inst = gen_planted_qp(args.n, args.support, args.t, seed=args.seed)
         payload = format_matrix(inst.Q)
-    elif args.kind == "gnp":
-        g = gen_gnp_graph(args.n, args.p, seed=seed)
+    else:  # gnp, the parser's last choice
+        g = gen_gnp_graph(args.n, args.p, seed=args.seed)
         if args.clique:
-            g = plant_clique(g, args.clique, seed=seed)
-        payload = None
+            g = plant_clique(g, args.clique, seed=args.seed)
+        payload = format_dimacs(g)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(payload)
     else:
-        raise ValueError(f"unknown kind {args.kind!r}")
-    if args.kind == "gnp":
-        if args.out:
-            save_dimacs(g, args.out)
-        else:
-            sys.stdout.write(f"p edge {g.n} {g.m}\n")
-            for i, j in sorted(g.edges):
-                sys.stdout.write(f"e {i + 1} {j + 1}\n")
-    else:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        sys.stdout.write(payload)
     return EXIT_DECIDED
 
 
@@ -312,25 +311,17 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
     }
     seed = f"{master}/{index}"
     if task == "membership":
-        started = time.monotonic()
-        verdicts = cones.membership_report(a, cones=[family])
-        v = verdicts[0]
-        return RunRecord(
-            command="bench",
-            input_digest=matrix_digest(a),
-            config=config,
-            outcome=v.status,
-            alpha_star=v.alpha_star,
-            lp_calls=1 if family in cones.LP_FAMILIES else 0,
-            wall_time=time.monotonic() - started,
-            seed=seed,
-        )
+        return _membership_record(a, family, cones.EPS_ALPHA, "bench", config, seed)
     if task == "copositive":
+        alg = int(row.get("alg", 2))
+        max_iter = int(row.get("max_iter", CopoConfig.max_iterations))
+        time_limit = float(row.get("time_limit", CopoConfig.time_limit))
+        config.update(alg=alg, max_iter=max_iter, time_limit=time_limit)
         cfg = CopoConfig(
             cone_family=family,
-            use_alg2=int(row.get("alg", 2)) == 2,
-            max_iterations=int(row.get("max_iter", CopoConfig.max_iterations)),
-            time_limit=float(row.get("time_limit", CopoConfig.time_limit)),
+            use_alg2=alg == 2,
+            max_iterations=max_iter,
+            time_limit=time_limit,
         )
         return _copositive_record(a, cfg, "bench", config, seed)
     raise ValueError(f"unknown task {task!r}")
@@ -346,23 +337,23 @@ def _expand_suite(suite: dict) -> list:
 
 
 def _summary_records(records: list) -> list:
-    by_cone: dict = {}
+    """One summary per (task, cone, alg); alg is None for membership rows."""
+    groups: dict = {}
     for r in records:
-        cone = r.config.get("cone", "?")
-        bucket = by_cone.setdefault(cone, {"runs": 0, "decided": 0, "time": 0.0})
+        key = (r.config.get("task"), r.config.get("cone", "?"), r.config.get("alg"))
+        bucket = groups.setdefault(key, {"runs": 0, "decided": 0, "time": 0.0})
         bucket["runs"] += 1
         bucket["time"] += r.wall_time
         if r.outcome in (cones.MEMBER, copositivity.COPOSITIVE,
                          copositivity.NOT_COPOSITIVE):
             bucket["decided"] += 1
     out = []
-    for cone in sorted(by_cone):
-        b = by_cone[cone]
+    for (task, cone, alg), b in sorted(groups.items(), key=lambda kv: str(kv[0])):
         out.append(
             RunRecord(
                 command="summary",
                 input_digest="",
-                config={"cone": cone, "runs": b["runs"]},
+                config={"task": task, "cone": cone, "alg": alg, "runs": b["runs"]},
                 outcome=f"decided={b['decided']}/{b['runs']}",
                 wall_time=b["time"] / b["runs"],
                 seed="",
@@ -399,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cone", default=default)
         p.add_argument("--eps", type=float, default=cones.EPS_ALPHA)
 
-    def partition_flags(p, max_iter):
+    def partition_flags(p):
         p.add_argument("--alg", type=int, choices=(1, 2), default=2)
-        p.add_argument("--max-iter", type=int, default=max_iter)
+        p.add_argument("--max-iter", type=int, default=CopoConfig.max_iterations)
         p.add_argument("--time-limit", type=float, default=CopoConfig.time_limit)
 
     def record_flags(p, default_format):
@@ -419,21 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("copositive", help="simplicial-partition copositivity test")
     p.add_argument("matrix")
     cone_flags(p, "F+-")
-    partition_flags(p, CopoConfig.max_iterations)
+    partition_flags(p)
     record_flags(p, "table")
     p.set_defaults(func=cmd_copositive)
 
-    # the reductions run many probes, each with a smaller iteration budget
-    p = sub.add_parser("clique", help="clique number via copositivity probes")
+    p = sub.add_parser("clique", help="clique number by simplicial partition")
     p.add_argument("graph")
     cone_flags(p, "F+-")
-    partition_flags(p, 200_000)
+    partition_flags(p)
     p.set_defaults(func=cmd_clique)
 
     p = sub.add_parser("qpbound", help="bracket the simplex-QP optimum")
     p.add_argument("matrix")
     cone_flags(p, "F+-")
-    partition_flags(p, 200_000)
+    partition_flags(p)
     p.add_argument("--eta", type=float, default=0.1)
     p.set_defaults(func=cmd_qpbound)
 

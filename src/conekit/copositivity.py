@@ -6,7 +6,9 @@ V^T A V is certified to lie in a tractable subcone of the copositive cone,
 bisects otherwise, and stops with a negative-vertex certificate as soon as
 one appears.  The improved variant reuses a single global eigen pair to test
 the hat (non-orthogonal) family first and screens bisection children against
-the parent's LP witness without solving new LPs.
+the parent's LP witness without solving new LPs.  The same partition, tested
+at a level that follows the best vertex found, bounds the simplex QP and the
+clique number (see instances).
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ class SimplexCell:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[1]
-
     def longest_edge(self):
         """(i, j, length) of the longest edge, lexicographic tie-break."""
         v = self.vertices
@@ -78,27 +76,13 @@ def bisect(cell: SimplexCell):
     i, j, length = cell.longest_edge()
     if length < 1e-14:
         raise DegenerateEdge(f"edge ({i}, {j}) has length {length:.3e}")
-    k = cell.n_vertices
-    mid_col = np.zeros(k)
-    mid_col[i] = 0.5
-    mid_col[j] = 0.5
-    t_i = np.eye(k)
-    t_i[:, i] = mid_col
-    t_j = np.eye(k)
-    t_j[:, j] = mid_col
+    # T_i moves vertex i to the midpoint, T_j moves vertex j there
+    t_i = np.eye(cell.vertices.shape[1])
+    t_j = t_i.copy()
+    t_i[[i, j], i] = t_j[[i, j], j] = 0.5
     child_i = SimplexCell(cell.vertices @ t_i, cell.depth + 1)
     child_j = SimplexCell(cell.vertices @ t_j, cell.depth + 1)
     return child_i, child_j, t_i, t_j
-
-
-def vertex_negative(a: np.ndarray, cell: SimplexCell):
-    """First vertex v with v^T A v < 0, or None."""
-    v = cell.vertices
-    vals = np.einsum("ik,ij,jk->k", v, a, v)
-    for k in range(v.shape[1]):
-        if vals[k] < 0.0:
-            return v[:, k].copy()
-    return None
 
 
 @dataclass
@@ -133,18 +117,36 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
     which the quadratic form is strictly negative; exhausted budgets yield
     "inconclusive" with the reason in the stats.
     """
+    return _partition(a, cfg or CopoConfig(), lambda best: 0.0)[0]
+
+
+def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
+    """Certify x^T A x >= level(best) on the standard simplex.
+
+    best is the lowest raw vertex value seen: `start` first, when given, then
+    one vertex of each cell, picked off the congruence diagonal (the first
+    below the cell's shift, else the lowest) and re-evaluated.  Cell columns
+    lie on the simplex, so V^T (A - s E) V = V^T A V - s 11^T, and each cell
+    is tested at the scalar shift s = level(best).  The run stops with
+    "not_copositive" and the best vertex once best < s.  A cell removed at
+    shift s certifies x^T A x >= s on it; level never rises as best falls, so
+    every removal, screened children included, still holds at the final
+    shift, and the LIFO worklist needs no reordering.  Returns
+    (CopoResult, best).
+    """
     a = as_sym_matrix(a)
     n = a.shape[0]
     if n < 2:
         raise ValueError("copositivity test needs dimension >= 2")
-    if cfg is None:
-        cfg = CopoConfig()
     family = cfg.cone_family
     alg2 = cfg.use_alg2 and family in cones.LP_FAMILIES
-    global_ep = eigen_decompose(a) if alg2 else None
     # the per-cell membership sequence: the hat LP (alg 2 only), then the
     # exact-family test
     steps = ("hat", "exact") if alg2 else ("exact",)
+    best, best_v = np.inf, start
+    if start is not None:
+        best = float(start @ a @ start)
+    hat_shift = hat_ep = None  # the global eigen pair of A - hat_shift * E
 
     worklist = [standard_simplex(n)]  # LIFO
     iterations = lp_calls = 0
@@ -164,7 +166,7 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
             "reason": reason,
             "warm_start": dict(warm),
         }
-        return CopoResult(outcome, certificate, stats, audit)
+        return CopoResult(outcome, certificate, stats, audit), best
 
     def record_removal(kind, cell, verdict):
         removals[kind] += 1
@@ -184,12 +186,17 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
         iterations += 1
 
         vtav = congruence(a, cell.vertices)
-        # vertex values are the diagonal of the congruence
-        neg = np.flatnonzero(np.diag(vtav) < 0.0)
-        if neg.size:
-            v = cell.vertices[:, int(neg[0])].copy()
-            if float(v @ a @ v) < 0.0:  # re-evaluate the raw certificate
-                return finish(NOT_COPOSITIVE, certificate=v)
+        vals = np.diag(vtav)  # the vertex values
+        # refute with the first vertex below the cell's shift, else take the lowest
+        below = np.flatnonzero(vals < level(min(best, vals.min())))
+        v = cell.vertices[:, below[0] if below.size else np.argmin(vals)]
+        value = float(v @ a @ v)
+        if value < best:
+            best, best_v = value, v.copy()
+        shift = level(best)
+        if best < shift:
+            return finish(NOT_COPOSITIVE, certificate=best_v)
+        vtav = vtav - shift
 
         removed = None  # removal kind once a test certifies the cell
         screen_witness = None  # local-frame nonnegative part for children
@@ -203,8 +210,10 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
                     is_member = verdict.is_member
                 else:
                     if step == "hat":
-                        q = cell.vertices.T @ global_ep.P
-                        ep = EigenPair(q, global_ep.lam, orthogonal=False)
+                        if shift != hat_shift:
+                            hat_shift, hat_ep = shift, eigen_decompose(a - shift)
+                        q = cell.vertices.T @ hat_ep.P
+                        ep = EigenPair(q, hat_ep.lam, orthogonal=False)
                     else:
                         ep = eigen_decompose(vtav)
                     lp_calls += 1

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copositivity import (
-    COPOSITIVE,
-    NOT_COPOSITIVE,
-    CopoConfig,
-    test_copositive,
-)
+from .copositivity import INCONCLUSIVE, CopoConfig, _partition
 from .linalg import as_sym_matrix
 
 GENERATOR_ID = "numpy-pcg64"
@@ -116,11 +111,14 @@ def load_dimacs(path) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def format_dimacs(g: Graph) -> str:
+    edges = "".join(f"e {i + 1} {j + 1}\n" for i, j in sorted(g.edges))
+    return f"p edge {g.n} {g.m}\n" + edges
+
+
 def save_dimacs(g: Graph, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"p edge {g.n} {g.m}\n")
-        for i, j in sorted(g.edges):
-            fh.write(f"e {i + 1} {j + 1}\n")
+        fh.write(format_dimacs(g))
 
 
 def max_clique_matrix(g: Graph, gamma: float) -> np.ndarray:
@@ -136,30 +134,34 @@ def std_qp_matrix(q: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def clique_number(g: Graph, cfg: CopoConfig | None = None) -> int | None:
-    """Clique number via copositivity probes at half-integer shifts.
+    """Clique number by one simplicial partition on E - A_G.
 
-    Probing gamma = k + 1/2 keeps every tested matrix strictly inside or
-    outside the copositive cone (the boundary matrix at the clique number
-    itself stalls partition algorithms).  Binary search over k; returns None
-    if any probe exhausts its budget.
+    By Motzkin-Straus the minimum of x^T (E - A_G) x over the simplex is
+    1/omega, attained at the barycentre of a largest clique.  The partition
+    starts from the barycentre of a degree-greedy clique and certifies the
+    level 1/(k + 1/2), k = round(1/best): the half-integer margin keeps every
+    cell test strictly inside the copositive cone, where a level at 1/omega
+    itself would stall.  On completion 1/best <= omega <= k, so omega = k.
+    Returns None if the partition exhausts its budget.
     """
     if g.n < 1:
         raise ValueError("graph must be nonempty")
     if g.n == 1:
         return 1
-    if cfg is None:
-        cfg = CopoConfig()
-    lo, hi = 1, g.n  # probe at k + 1/2: copositive => omega <= k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = test_copositive(max_clique_matrix(g, mid + 0.5), cfg)
-        if res.outcome == COPOSITIVE:
-            hi = mid
-        elif res.outcome == NOT_COPOSITIVE:
-            lo = mid + 1
-        else:
-            return None
-    return lo
+    adj = g.adjacency()
+    clique = []
+    for i in np.argsort(-adj.sum(axis=1), kind="stable"):
+        if all(adj[i, clique]):
+            clique.append(i)
+    start = np.zeros(g.n)
+    start[clique] = 1.0 / len(clique)
+    res, best = _partition(
+        1.0 - adj,
+        cfg or CopoConfig(),
+        lambda best: 1.0 / (round(1.0 / best) + 0.5),
+        start,
+    )
+    return None if res.outcome == INCONCLUSIVE else round(1.0 / best)
 
 
 @dataclass
@@ -175,27 +177,19 @@ class QpBound:
 def qp_optimum(
     q: np.ndarray, cfg: CopoConfig | None = None, eta: float = 0.1
 ) -> QpBound:
-    """Bracket the minimum of x^T Q x over the standard simplex by bisection
-    on the level shift: a copositive probe raises the lower bound, a
-    non-copositive probe lowers the upper bound."""
+    """Bracket the minimum of x^T Q x over the standard simplex.
+
+    One partition certifies the level best - eta, where best is the lowest
+    vertex value found, so on completion the minimum lies in
+    [best - eta, best].  If a budget runs out the bracket is [min Q, best].
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
     q = as_sym_matrix(q)
-    if cfg is None:
-        cfg = CopoConfig()
-    diag = np.diag(q)
-    lo = float(np.min(diag) - q.shape[0] * np.max(np.abs(q)))
-    hi = float(np.max(diag))
-    while hi - lo > eta:
-        mid = 0.5 * (lo + hi)
-        res = test_copositive(std_qp_matrix(q, mid), cfg)
-        if res.outcome == COPOSITIVE:
-            lo = mid
-        elif res.outcome == NOT_COPOSITIVE:
-            hi = mid
-        else:
-            return QpBound(lo, hi, converged=False)
-    return QpBound(lo, hi, converged=True)
+    res, best = _partition(q, cfg or CopoConfig(), lambda best: best - eta)
+    if res.outcome == INCONCLUSIVE:
+        return QpBound(float(np.min(q)), best, converged=False)
+    return QpBound(best - eta, best, converged=True)
 
 
 def gen_random_spn(n: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,16 +242,12 @@ def gen_planted_qp(
     r = np.eye(n) - np.outer(x_star, e)
     g = rng.standard_normal((n, n))
     h = noise_scale * (g @ g.T) / n
-    n0 = noise_scale * _symmetric_uniform(rng, n)
+    f = rng.uniform(0.0, 1.0, size=(n, n))
+    n0 = noise_scale * ((f + f.T) / 2.0)
     n0[np.ix_(support, support)] = 0.0
     q = t * np.outer(e, e) + r.T @ h @ r + n0
     q = (q + q.T) / 2.0
     return PlantedQp(Q=q, x_star=x_star, t=float(t))
-
-
-def _symmetric_uniform(rng, n):
-    f = rng.uniform(0.0, 1.0, size=(n, n))
-    return (f + f.T) / 2.0
 
 
 def gen_gnp_graph(n: int, p: float, seed=None) -> Graph:

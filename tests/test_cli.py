@@ -63,6 +63,13 @@ def test_membership_unknown_cone_errors(m1_path):
     assert main(["membership", m1_path, "--cone", "ZZ"]) == 1
 
 
+def test_membership_records_one_lp_per_lp_cone(m1_path, capsys):
+    assert main(["membership", m1_path, "--format", "json"]) == 0
+    records = read_records_json(capsys.readouterr().out)
+    lp_calls = {r.config["cone"]: r.lp_calls for r in records}
+    assert lp_calls == {"N": 0, "DD": 0, "H": 0, "G": 1, "F+": 1, "F+-": 1, "L": 0}
+
+
 def test_copositive_exit_codes(tmp_path):
     k5 = instances.max_clique_matrix(instances.complete_graph(5), 5.5)
     p = tmp_path / "b55.txt"
@@ -105,13 +112,15 @@ def test_qpbound_subcommand(tmp_path, capsys):
 
 
 def test_reductions_honour_max_iter(tmp_path):
-    # one partition iteration per probe settles neither instance
-    g = tmp_path / "k4.col"
-    instances.save_dimacs(instances.complete_graph(4), g)
+    # one partition cell settles neither instance; the default budget does
+    g = tmp_path / "g.col"
+    instances.save_dimacs(instances.gen_gnp_graph(8, 0.5, seed=1), g)
     assert main(["clique", str(g), "--max-iter", "1"]) == 2
+    assert main(["clique", str(g)]) == 0
     q = tmp_path / "q.txt"
-    q.write_text(format_matrix(instances.gen_planted_qp(6, 3, -10.0, seed=0).Q))
+    q.write_text(format_matrix(instances.gen_planted_qp(6, 3, -10.0, seed=2).Q))
     assert main(["qpbound", str(q), "--max-iter", "1"]) == 2
+    assert main(["qpbound", str(q)]) == 0
 
 
 def test_flags_a_subcommand_does_not_read_are_rejected():
@@ -254,3 +263,25 @@ def test_bench_bad_suite_errors(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert main(["bench", str(p)]) == 1
+
+
+def test_bench_summary_per_task_and_alg(tmp_path):
+    spn = {"kind": "spn", "n": 4}
+    suite = _suite(
+        tmp_path,
+        [
+            {"instance": spn, "task": "membership", "cone": "F+-", "repeat": 3},
+            {"instance": spn, "task": "copositive", "cone": "F+-", "alg": 1,
+             "repeat": 2},
+            {"instance": spn, "task": "copositive", "cone": "F+-", "alg": 2,
+             "repeat": 2},
+        ],
+    )
+    out = tmp_path / "bench.json"
+    main(["bench", suite, "--format", "json", "--out", str(out)])
+    summary = [r for r in read_records_json(out.read_text()) if r.command == "summary"]
+    assert len(summary) == 3
+    assert sorted((r.config["task"], r.config["alg"], r.config["runs"])
+                  for r in summary) == [
+        ("copositive", 1, 2), ("copositive", 2, 2), ("membership", None, 3)
+    ]

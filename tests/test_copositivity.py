@@ -11,7 +11,6 @@ from conekit.copositivity import (
     SimplexCell,
     bisect,
     standard_simplex,
-    vertex_negative,
 )
 from conekit.copositivity import test_copositive as run_copositive
 from conekit.linalg import congruence
@@ -56,14 +55,6 @@ def test_bisect_degenerate_edge():
     cell = SimplexCell(np.column_stack([np.ones(2) / 2, np.ones(2) / 2]))
     with pytest.raises(DegenerateEdge):
         bisect(cell)
-
-
-def test_vertex_negative_examples():
-    cell = standard_simplex(3)
-    v = vertex_negative(-np.eye(3), cell)
-    assert v is not None and float(v @ -np.eye(3) @ v) == pytest.approx(-1.0)
-    assert vertex_negative(np.ones((3, 3)), cell) is None
-    assert vertex_negative(2.9 * np.eye(3) - np.ones((3, 3)), cell) is None
 
 
 def test_all_ones_copositive_one_iteration():
@@ -125,6 +116,16 @@ def test_negative_certificate_on_indefinite():
     assert res.outcome == NOT_COPOSITIVE
     v = res.certificate
     assert float(v @ a @ v) < 0.0
+
+
+def test_refutation_names_the_first_negative_vertex():
+    # e_1 and e_2 are both negative; the certificate is the first of them,
+    # not the lowest
+    a = np.diag([1.0, -1.0, -2.0]) + 0.1
+    for fam in ("N", "Fpm"):
+        res = run_copositive(a, CopoConfig(cone_family=fam))
+        assert res.outcome == NOT_COPOSITIVE
+        assert np.array_equal(res.certificate, [0.0, 1.0, 0.0])
 
 
 def test_strictly_copositive_terminates():

@@ -139,6 +139,16 @@ def test_clique_number_inconclusive_budget():
     assert instances.clique_number(g, replace(fast_cfg(), max_iterations=1)) is None
 
 
+def test_clique_number_when_greedy_misses():
+    # a hub joined to 6 leaves, plus a disjoint K4: the degree-greedy clique
+    # is the hub and one leaf, the clique number is 4
+    star = {(0, leaf) for leaf in range(1, 7)}
+    k4 = set(itertools.combinations(range(7, 11), 2))
+    g = Graph(11, frozenset(star | k4))
+    assert brute_clique_number(g) == 4
+    assert instances.clique_number(g, fast_cfg()) == 4
+
+
 def test_std_qp_matrix_examples():
     assert np.array_equal(std_qp_matrix(np.eye(2), 0.0), np.eye(2))
     assert np.array_equal(std_qp_matrix(np.eye(2), 0.5), [[0.5, -0.5], [-0.5, 0.5]])
@@ -155,6 +165,15 @@ def test_qp_optimum_zero_matrix():
     b = instances.qp_optimum(np.zeros((3, 3)), fast_cfg(), eta=0.1)
     assert b.converged
     assert b.lo - 1e-9 <= 0.0 <= b.hi + 1e-9
+
+
+def test_qp_optimum_upper_end_is_attained():
+    # the minimum 1 sits at the vertex e_0; hi is that value itself
+    q = np.array([[1.0, 5.0, 5.0], [5.0, 2.0, 5.0], [5.0, 5.0, 3.0]])
+    b = instances.qp_optimum(q, fast_cfg(), eta=0.1)
+    assert b.converged
+    assert b.hi == 1.0
+    assert b.lo == 0.9
 
 
 def test_qp_optimum_planted():
