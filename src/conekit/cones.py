@@ -15,7 +15,6 @@ from . import lp as lpmod
 from .linalg import (
     EigenPair,
     as_sym_matrix,
-    congruence,
     eigen_decompose,
     is_psd_cholesky,
 )
@@ -95,10 +94,10 @@ def split_nonneg(a: np.ndarray):
     return a - n_part, n_part
 
 
-def in_H(a: np.ndarray, tol: float = 1e-9) -> MembershipVerdict:
+def in_H(a: np.ndarray) -> MembershipVerdict:
     """Nonnegativity-first test: member iff the residual S part is PSD."""
     s_part, n_part = split_nonneg(a)
-    if is_psd_cholesky(s_part, tol):
+    if is_psd_cholesky(s_part):
         return MembershipVerdict(MEMBER, "H", s_part=s_part, n_part=n_part)
     return MembershipVerdict(NOT_IDENTIFIED, "H")
 
@@ -190,7 +189,6 @@ def check_membership_lp(
     ep: EigenPair,
     family: str,
     eps_alpha: float = EPS_ALPHA,
-    feas_tol: float = lpmod.DEFAULT_FEAS_TOL,
     max_iters: int | None = None,
 ) -> MembershipVerdict:
     """Solve the family LP for a given factorization of A and assemble the
@@ -200,7 +198,7 @@ def check_membership_lp(
         raise ValueError("eigen pair does not reconstruct the input matrix")
     tag = family if ep.orthogonal else family + "_hat"
     prog = build_lp(ep, family)
-    sol = lpmod.solve(prog, feas_tol=feas_tol, max_iters=max_iters)
+    sol = lpmod.solve(prog, max_iters=max_iters)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
     alpha = float(sol.objective_value)
@@ -235,9 +233,7 @@ def psd_split(a: np.ndarray) -> PsdSplit:
     return PsdSplit(a_plus=a_plus, a_minus=a_plus - a)
 
 
-def in_L_bomze(
-    a: np.ndarray, f: np.ndarray | None = None, feas_tol: float = 1e-8
-) -> MembershipVerdict:
+def in_L_bomze(a: np.ndarray) -> MembershipVerdict:
     """Copositivity certificate via the eigenvalue-clip split.
 
     Finds a nonnegative x with A_plus x >= e by LP; when the per-coordinate
@@ -245,11 +241,9 @@ def in_L_bomze(
     witness is claimed.  LP infeasibility means the test cannot identify A.
     """
     a = as_sym_matrix(a)
-    n = a.shape[0]
     split = psd_split(a)
-    f = np.ones(n) if f is None else np.asarray(f, dtype=float)
-    prog = lpmod.LinearProgram(-f, split.a_plus, lpmod.GE, 1.0, lo=0.0)
-    sol = lpmod.solve(prog, feas_tol=feas_tol)
+    prog = lpmod.LinearProgram(-np.ones(len(a)), split.a_plus, lpmod.GE, 1.0, lo=0.0)
+    sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, "L", note=f"lp-{sol.status}")
     x = sol.x
@@ -269,49 +263,57 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
     return bool(np.all(np.diag(a) >= off))
 
 
-def membership_report(
+def check_membership(
     a: np.ndarray,
-    cones=CONE_ORDER,
+    cone: str,
     ep: EigenPair | None = None,
     eps_alpha: float = EPS_ALPHA,
+) -> MembershipVerdict:
+    """Test A against one cone of CONE_ORDER.
+
+    The LP families build their basis from ep when it is given (e.g. a
+    non-orthogonal pair for the hat variants), else from an orthogonal
+    decomposition of A; the other cones ignore it.
+    """
+    a = as_sym_matrix(a)
+    if cone == "N":
+        if np.min(a) >= 0.0:
+            return MembershipVerdict(
+                MEMBER, "N", s_part=np.zeros_like(a), n_part=a.copy()
+            )
+        return MembershipVerdict(NOT_IDENTIFIED, "N")
+    if cone == "DD":
+        if is_diagonally_dominant(a):
+            return MembershipVerdict(
+                MEMBER, "DD", s_part=a.copy(), n_part=np.zeros_like(a)
+            )
+        return MembershipVerdict(NOT_IDENTIFIED, "DD")
+    if cone == "H":
+        return in_H(a)
+    if cone == "L":
+        return in_L_bomze(a)
+    return check_membership_lp(a, ep or eigen_decompose(a), cone, eps_alpha=eps_alpha)
+
+
+def membership_report(
+    a: np.ndarray, cones=CONE_ORDER, eps_alpha: float = EPS_ALPHA
 ) -> list[MembershipVerdict]:
     """Run the selected cone tests in canonical order.
 
-    An eigen pair may be supplied (e.g. a non-orthogonal one for the hat
-    variants); otherwise one orthogonal decomposition is computed and shared
-    by the LP families.  Per-test failures are recorded, not raised.
+    The LP families share one orthogonal decomposition.  Per-test failures
+    are recorded, not raised.
     """
     a = as_sym_matrix(a)
-    selected = [c for c in CONE_ORDER if c in set(cones)]
     unknown = set(cones) - set(CONE_ORDER)
     if unknown:
         raise ValueError(f"unknown cones: {sorted(unknown)}")
     verdicts = []
-    shared_ep = ep
-    for cone in selected:
+    ep = None
+    for cone in (c for c in CONE_ORDER if c in set(cones)):
         try:
-            if cone == "N":
-                if np.min(a) >= 0.0:
-                    v = MembershipVerdict(
-                        MEMBER, "N", s_part=np.zeros_like(a), n_part=a.copy()
-                    )
-                else:
-                    v = MembershipVerdict(NOT_IDENTIFIED, "N")
-            elif cone == "DD":
-                if is_diagonally_dominant(a):
-                    v = MembershipVerdict(
-                        MEMBER, "DD", s_part=a.copy(), n_part=np.zeros_like(a)
-                    )
-                else:
-                    v = MembershipVerdict(NOT_IDENTIFIED, "DD")
-            elif cone == "H":
-                v = in_H(a)
-            elif cone == "L":
-                v = in_L_bomze(a)
-            else:
-                if shared_ep is None:
-                    shared_ep = eigen_decompose(a)
-                v = check_membership_lp(a, shared_ep, cone, eps_alpha=eps_alpha)
+            if ep is None and cone in LP_FAMILIES:
+                ep = eigen_decompose(a)
+            v = check_membership(a, cone, ep, eps_alpha)
         except Exception as exc:  # aggregate, never abort the other tests
             v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
         verdicts.append(v)

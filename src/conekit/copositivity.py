@@ -35,54 +35,35 @@ class DegenerateEdge(ValueError):
     """The edge chosen for bisection is numerically a point."""
 
 
-@dataclass
-class SimplexCell:
-    """A simplex in the standard simplex, stored as its vertex matrix."""
-
-    vertices: np.ndarray  # (n, k) columns, nonnegative, each summing to one
-    depth: int = 0
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-
-    def longest_edge(self):
-        """(i, j, length) of the longest edge, lexicographic tie-break."""
-        v = self.vertices
-        k = v.shape[1]
-        best = (0, 1, -1.0)
-        for i in range(k - 1):
-            d = v[:, i + 1 :] - v[:, i : i + 1]
-            lengths = np.sqrt(np.sum(d * d, axis=0))
-            j = int(np.argmax(lengths))
-            if lengths[j] > best[2] + 1e-15:
-                best = (i, i + 1 + j, float(lengths[j]))
-        return best
-
-    def diameter(self) -> float:
-        return self.longest_edge()[2]
+def longest_edge(v: np.ndarray):
+    """(i, j, length) of the longest edge of the simplex with vertex columns
+    v, lexicographic tie-break."""
+    best = (0, 1, -1.0)
+    for i in range(v.shape[1] - 1):
+        d = v[:, i + 1 :] - v[:, i : i + 1]
+        lengths = np.sqrt(np.sum(d * d, axis=0))
+        j = int(np.argmax(lengths))
+        if lengths[j] > best[2] + 1e-15:
+            best = (i, i + 1 + j, float(lengths[j]))
+    return best
 
 
-def standard_simplex(n: int) -> SimplexCell:
-    return SimplexCell(np.eye(n), depth=0)
+def bisect(v: np.ndarray):
+    """Split the simplex with (n, k) vertex matrix v at the midpoint of its
+    longest edge.
 
-
-def bisect(cell: SimplexCell):
-    """Split a simplex at the midpoint of its longest edge.
-
-    Returns (child_i, child_j, T_i, T_j) where each T maps parent vertex
-    coordinates to child coordinates (V_child = V_parent @ T), which is what
-    witness screening needs.
+    Returns (v_i, v_j, T_i, T_j) where each T maps parent vertex coordinates
+    to child coordinates (v_child = v @ T), which is what witness screening
+    needs.
     """
-    i, j, length = cell.longest_edge()
+    i, j, length = longest_edge(v)
     if length < 1e-14:
         raise DegenerateEdge(f"edge ({i}, {j}) has length {length:.3e}")
     # T_i moves vertex i to the midpoint, T_j moves vertex j there
-    t_i = np.eye(cell.vertices.shape[1])
+    t_i = np.eye(v.shape[1])
     t_j = t_i.copy()
     t_i[[i, j], i] = t_j[[i, j], j] = 0.5
-    child_i = SimplexCell(cell.vertices @ t_i, cell.depth + 1)
-    child_j = SimplexCell(cell.vertices @ t_j, cell.depth + 1)
-    return child_i, child_j, t_i, t_j
+    return v @ t_i, v @ t_j, t_i, t_j
 
 
 @dataclass
@@ -114,8 +95,8 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
 
     "copositive" requires the worklist to empty with every simplex removed by
     a sound certificate; "not_copositive" always carries a simplex vertex at
-    which the quadratic form is strictly negative; exhausted budgets yield
-    "inconclusive" with the reason in the stats.
+    which the quadratic form is strictly negative; "inconclusive" names its
+    reason (a budget, or an edge too short to bisect) in the stats.
     """
     return _partition(a, cfg or CopoConfig(), lambda best: 0.0)[0]
 
@@ -148,10 +129,10 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
         best = float(start @ a @ start)
     hat_shift = hat_ep = None  # the global eigen pair of A - hat_shift * E
 
-    worklist = [standard_simplex(n)]  # LIFO
+    worklist = [np.eye(n)]  # vertex matrices, LIFO
     iterations = lp_calls = 0
     removals = {"member": 0, "member_hat": 0, "screen": 0}
-    warm = {"used_exact": 0, "used_hat": 0}
+    errors: dict = {}  # exception type name -> failed cell tests
     audit: list = []
     started = time.monotonic()
 
@@ -160,11 +141,11 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
             "iterations": iterations,
             "lp_calls": lp_calls,
             "removals": dict(removals),
-            "fineness": max((c.diameter() for c in worklist), default=0.0),
+            "fineness": max((longest_edge(c)[2] for c in worklist), default=0.0),
             "worklist": len(worklist),
             "wall_time": time.monotonic() - started,
             "reason": reason,
-            "warm_start": dict(warm),
+            "errors": dict(errors),
         }
         return CopoResult(outcome, certificate, stats, audit), best
 
@@ -173,7 +154,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
         if cfg.audit and len(audit) < AUDIT_CAP:
             audit.append({
                 "kind": kind,
-                "vertices": cell.vertices.copy(),
+                "vertices": cell.copy(),
                 "verdict": verdict,
             })
 
@@ -185,11 +166,11 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
         cell = worklist.pop()
         iterations += 1
 
-        vtav = congruence(a, cell.vertices)
+        vtav = congruence(a, cell)
         vals = np.diag(vtav)  # the vertex values
         # refute with the first vertex below the cell's shift, else take the lowest
         below = np.flatnonzero(vals < level(min(best, vals.min())))
-        v = cell.vertices[:, below[0] if below.size else np.argmin(vals)]
+        v = cell[:, below[0] if below.size else np.argmin(vals)]
         value = float(v @ a @ v)
         if value < best:
             best, best_v = value, v.copy()
@@ -202,46 +183,37 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
         screen_witness = None  # local-frame nonnegative part for children
         try:
             for step in steps:
-                if family == "N":
-                    verdict = None
-                    is_member = np.min(vtav) >= 0.0
-                elif family == "H":
-                    verdict = cones.in_H(vtav)
-                    is_member = verdict.is_member
-                else:
-                    if step == "hat":
-                        if shift != hat_shift:
-                            hat_shift, hat_ep = shift, eigen_decompose(a - shift)
-                        q = cell.vertices.T @ hat_ep.P
-                        ep = EigenPair(q, hat_ep.lam, orthogonal=False)
-                    else:
-                        ep = eigen_decompose(vtav)
-                    lp_calls += 1
-                    verdict = cones.check_membership_lp(
-                        vtav, ep, family, eps_alpha=cfg.eps_alpha
-                    )
-                    is_member = verdict.is_member
-                if is_member:
+                ep = None  # the exact step lets the cone test decompose vtav
+                if step == "hat":
+                    if shift != hat_shift:
+                        hat_shift, hat_ep = shift, eigen_decompose(a - shift)
+                    ep = EigenPair(cell.T @ hat_ep.P, hat_ep.lam, orthogonal=False)
+                lp_calls += family in cones.LP_FAMILIES
+                verdict = cones.check_membership(vtav, family, ep, cfg.eps_alpha)
+                if verdict.is_member:
                     removed = "member_hat" if step == "hat" else "member"
                     break
                 if alg2 and verdict.n_candidate is not None:
-                    screen_witness = (verdict.n_candidate, step)
-        except Exception:
-            # solver trouble is never grounds for removal; refine instead
-            removed = None
+                    screen_witness = verdict.n_candidate
+        except Exception as exc:
+            # solver trouble is never grounds for removal; count it and refine
+            name = type(exc).__name__
+            errors[name] = errors.get(name, 0) + 1
             screen_witness = None
 
         if removed:
             record_removal(removed, cell, verdict)
             continue
-        child_i, child_j, t_i, t_j = bisect(cell)
-        for child, t in ((child_i, t_i), (child_j, t_j)):
+        try:
+            v_i, v_j, t_i, t_j = bisect(cell)
+        except DegenerateEdge:
+            worklist.append(cell)
+            return finish(INCONCLUSIVE, "degenerate-edge")
+        for child, t in ((v_i, t_i), (v_j, t_j)):
             if screen_witness is not None:
-                n_small, source = screen_witness
-                n_child = t.T @ n_small @ t
-                if np.min(n_child) >= -_SCREEN_TOL * max(1.0, np.max(np.abs(n_small))):
+                n_child = t.T @ screen_witness @ t
+                if np.min(n_child) >= -_SCREEN_TOL * max(1.0, np.max(np.abs(screen_witness))):
                     record_removal("screen", child, None)
-                    warm["used_" + source] += 1
                     continue
             worklist.append(child)
 

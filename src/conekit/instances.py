@@ -142,7 +142,7 @@ def clique_number(g: Graph, cfg: CopoConfig | None = None) -> int | None:
     level 1/(k + 1/2), k = round(1/best): the half-integer margin keeps every
     cell test strictly inside the copositive cone, where a level at 1/omega
     itself would stall.  On completion 1/best <= omega <= k, so omega = k.
-    Returns None if the partition exhausts its budget.
+    Returns None if the partition ends inconclusive.
     """
     if g.n < 1:
         raise ValueError("graph must be nonempty")
@@ -181,7 +181,7 @@ def qp_optimum(
 
     One partition certifies the level best - eta, where best is the lowest
     vertex value found, so on completion the minimum lies in
-    [best - eta, best].  If a budget runs out the bracket is [min Q, best].
+    [best - eta, best].  If it ends inconclusive the bracket is [min Q, best].
     """
     if eta <= 0:
         raise ValueError("eta must be positive")

@@ -93,6 +93,11 @@ def test_copositive_exit_codes(tmp_path):
         ["copositive", str(p), "--cone", "N", "--max-iter", "20"]
     ) == 2
 
+    # an edge too short to bisect ends the run inconclusive, not in an error
+    k3 = instances.max_clique_matrix(instances.complete_graph(3), 3.0)
+    p.write_text(format_matrix(k3))
+    assert main(["copositive", str(p), "--cone", "N"]) == 2
+
 
 def test_clique_subcommand(tmp_path, capsys):
     p = tmp_path / "k4.col"

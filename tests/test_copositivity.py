@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from conekit import instances
+from conekit import cones, instances
 from conekit.copositivity import (
     COPOSITIVE,
     INCONCLUSIVE,
     NOT_COPOSITIVE,
     CopoConfig,
     DegenerateEdge,
-    SimplexCell,
     bisect,
-    standard_simplex,
+    longest_edge,
 )
 from conekit.copositivity import test_copositive as run_copositive
 from conekit.linalg import congruence
@@ -21,40 +20,62 @@ def k_gamma(n, gamma):
 
 
 def test_bisect_two_dim():
-    cell = standard_simplex(2)
+    cell = np.eye(2)
     ci, cj, ti, tj = bisect(cell)
     mid = np.array([0.5, 0.5])
-    assert np.allclose(ci.vertices[:, 0], mid) or np.allclose(ci.vertices[:, 1], mid)
-    assert np.allclose(cj.vertices[:, 0], mid) or np.allclose(cj.vertices[:, 1], mid)
-    assert ci.depth == cj.depth == 1
+    assert np.allclose(ci[:, 0], mid) or np.allclose(ci[:, 1], mid)
+    assert np.allclose(cj[:, 0], mid) or np.allclose(cj[:, 1], mid)
     # the transfer matrices reproduce the children from the parent
-    assert np.allclose(cell.vertices @ ti, ci.vertices)
-    assert np.allclose(cell.vertices @ tj, cj.vertices)
+    assert np.allclose(cell @ ti, ci)
+    assert np.allclose(cell @ tj, cj)
 
 
 def test_bisect_tie_break_deterministic():
-    cell = standard_simplex(3)  # equilateral: all edges tie
-    i, j, _ = cell.longest_edge()
+    i, j, _ = longest_edge(np.eye(3))  # equilateral: all edges tie
     assert (i, j) == (0, 1)
 
 
 def test_bisect_fineness_halves():
     # repeated bisection of the 1-simplex: fineness sqrt(2)/2^10
-    cells = [standard_simplex(2)]
+    cells = [np.eye(2)]
     for _ in range(10):
         nxt = []
         for c in cells:
             a, b, _, _ = bisect(c)
             nxt.extend([a, b])
         cells = nxt
-    fineness = max(c.diameter() for c in cells)
+    fineness = max(longest_edge(c)[2] for c in cells)
     assert fineness == pytest.approx(np.sqrt(2.0) / 2**10, rel=1e-12)
 
 
 def test_bisect_degenerate_edge():
-    cell = SimplexCell(np.column_stack([np.ones(2) / 2, np.ones(2) / 2]))
+    cell = np.column_stack([np.ones(2) / 2, np.ones(2) / 2])
     with pytest.raises(DegenerateEdge):
         bisect(cell)
+
+
+def test_degenerate_edge_is_inconclusive():
+    # the N family refines toward a zero of the form until an edge is a point
+    a = k_gamma(3, 3.0)  # 3 I - E, zero at the barycentre
+    for alg2 in (False, True):
+        cfg = CopoConfig(cone_family="N", use_alg2=alg2, max_iterations=3000)
+        res = run_copositive(a, cfg)
+        assert res.outcome == INCONCLUSIVE
+        assert res.stats["reason"] == "degenerate-edge"
+        assert res.stats["worklist"] > 0
+
+
+def test_cell_test_errors_are_counted(monkeypatch):
+    def fail(*args, **kwargs):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(cones, "check_membership_lp", fail)
+    a, _, _ = instances.gen_random_spn(4, 0)
+    cfg = CopoConfig(cone_family="Fpm", use_alg2=False, max_iterations=5)
+    res = run_copositive(a, cfg)
+    assert res.outcome == INCONCLUSIVE
+    assert res.stats["reason"] == "iteration-limit"
+    assert res.stats["errors"] == {"FloatingPointError": 5}
 
 
 def test_all_ones_copositive_one_iteration():
@@ -170,7 +191,8 @@ def test_warm_start_screening_counted():
     a = k_gamma(5, 4.5)
     res = run_copositive(a, CopoConfig(cone_family="G", use_alg2=True))
     assert res.outcome == NOT_COPOSITIVE
-    assert "warm_start" in res.stats
+    assert res.stats["removals"]["screen"] > 0
+    assert res.stats["errors"] == {}
 
 
 def test_config_validation():
