@@ -1,22 +1,16 @@
 """conekit: LP-based membership tests for tractable subcones of the
-PSD-plus-nonnegative cone, and simplicial-partition copositivity testing."""
+PSD-plus-nonnegative cone, and simplicial-partition copositivity testing.
+
+The names exported here are the entry points: they validate their input
+matrices.  The helpers inside the modules expect the symmetric float arrays
+those entry points produce."""
 
 from .cones import (
     MEMBER,
     NOT_IDENTIFIED,
     MembershipVerdict,
-    PsdSplit,
-    SdBasis,
-    build_lp,
     check_membership,
-    check_membership_lp,
-    in_H,
-    in_L_bomze,
-    is_diagonally_dominant,
     membership_report,
-    psd_split,
-    sd_basis,
-    split_nonneg,
 )
 from .copositivity import (
     COPOSITIVE,
@@ -24,7 +18,6 @@ from .copositivity import (
     NOT_COPOSITIVE,
     CopoConfig,
     CopoResult,
-    bisect,
     test_copositive,
 )
 from .instances import (
@@ -42,9 +35,6 @@ from .instances import (
 from .linalg import (
     EigenPair,
     as_sym_matrix,
-    congruence,
-    eigen_decompose,
-    is_psd_cholesky,
     load_matrix,
 )
 from .lp import LinearProgram, LpSolution, solve
@@ -55,24 +45,13 @@ __all__ = [
     "MEMBER",
     "NOT_IDENTIFIED",
     "MembershipVerdict",
-    "PsdSplit",
-    "SdBasis",
-    "build_lp",
     "check_membership",
-    "check_membership_lp",
-    "in_H",
-    "in_L_bomze",
-    "is_diagonally_dominant",
     "membership_report",
-    "psd_split",
-    "sd_basis",
-    "split_nonneg",
     "COPOSITIVE",
     "INCONCLUSIVE",
     "NOT_COPOSITIVE",
     "CopoConfig",
     "CopoResult",
-    "bisect",
     "test_copositive",
     "Graph",
     "PlantedQp",
@@ -86,9 +65,6 @@ __all__ = [
     "std_qp_matrix",
     "EigenPair",
     "as_sym_matrix",
-    "congruence",
-    "eigen_decompose",
-    "is_psd_cholesky",
     "load_matrix",
     "LinearProgram",
     "LpSolution",

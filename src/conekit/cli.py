@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
 import time
@@ -70,10 +69,6 @@ class RunRecord:
     def to_obj(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "RunRecord":
-        return cls(**obj)
-
     # one rule per CSV cell: str fields verbatim, None as an empty cell,
     # everything else as JSON
     def to_csv_row(self) -> list:
@@ -84,16 +79,6 @@ class RunRecord:
                 value = "" if value is None else json.dumps(value, sort_keys=True)
             row.append(value)
         return row
-
-    @classmethod
-    def from_csv_row(cls, row: dict) -> "RunRecord":
-        values = {}
-        for f in fields(cls):
-            text = row[f.name]
-            if f.type != "str":
-                text = None if text == "" else json.loads(text)
-            values[f.name] = text
-        return cls(**values)
 
 
 CSV_FIELDS = tuple(f.name for f in fields(RunRecord))
@@ -122,18 +107,6 @@ def write_records(records, fmt: str, out) -> None:
             )
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def read_records_csv(text: str) -> list:
-    return [RunRecord.from_csv_row(row) for row in csv.DictReader(io.StringIO(text))]
-
-
-def read_records_json(text: str) -> list:
-    return [
-        RunRecord.from_obj(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
 
 
 def _parse_cones(arg: str) -> list:

@@ -32,10 +32,6 @@ CONE_ORDER = ("N", "DD", "H", FAMILY_G, FAMILY_FPLUS, FAMILY_FPM, "L")
 EPS_ALPHA = 1e-9  # membership threshold on the LP optimum
 
 
-class RankDeficient(ValueError):
-    """Supplied vectors are not linearly independent."""
-
-
 @dataclass
 class MembershipVerdict:
     status: str
@@ -63,32 +59,9 @@ class MembershipVerdict:
         }
 
 
-@dataclass(frozen=True)
-class PsdSplit:
-    """A = a_plus - a_minus with both parts PSD."""
-
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-
-
-@dataclass(frozen=True)
-class SdBasis:
-    """n(n+1)/2 rank-one PSD matrices spanning the symmetric matrices.
-
-    elements: list of (i, j, kind, matrix) with kind "plus" or "minus".
-    """
-
-    elements: tuple
-    vectors: np.ndarray
-
-    def matrices(self):
-        return [m for _, _, _, m in self.elements]
-
-
 def split_nonneg(a: np.ndarray):
     """Split A into (S, N): N keeps the strictly positive off-diagonal
     entries, S = A - N.  Exact arithmetic identity."""
-    a = as_sym_matrix(a)
     n_part = np.where(a > 0, a, 0.0)
     np.fill_diagonal(n_part, 0.0)
     return a - n_part, n_part
@@ -102,40 +75,15 @@ def in_H(a: np.ndarray) -> MembershipVerdict:
     return MembershipVerdict(NOT_IDENTIFIED, "H")
 
 
-def _basis_vectors(p: np.ndarray, kind: str):
-    """Semidefinite basis E_ij = v v^T over the pairs i <= j in row-major
-    upper-triangle order: v = (p_i + p_j) / 2, or for kind "minus"
-    v = (p_i - p_j) / 2 off the diagonal.  Returns (i, j, v) with one column
-    of v per pair."""
+def sd_basis(p: np.ndarray, kind: str):
+    """Semidefinite basis E_ij = v v^T built from the columns of p, over the
+    pairs i <= j in row-major upper-triangle order: v = (p_i + p_j) / 2, or
+    for kind "minus" v = (p_i - p_j) / 2 off the diagonal.  Returns (i, j, v)
+    with one column of v per pair; for nonsingular p the n(n+1)/2 matrices
+    span the symmetric matrices."""
     iu, ju = np.triu_indices(p.shape[0])
     sign = np.where((kind == "minus") & (iu != ju), -1.0, 1.0)
     return iu, ju, (p[:, iu] + sign * p[:, ju]) / 2.0
-
-
-def sd_basis(vectors, kind: str = "plus", rank_tol: float = 1e-9) -> SdBasis:
-    """Build a semidefinite basis from n linearly independent vectors.
-
-    kind "plus" uses quarter outer products of pairwise sums; kind "minus"
-    keeps the diagonal elements and uses pairwise differences off-diagonal.
-    """
-    p = np.asarray(vectors, dtype=float)
-    if p.ndim != 2:
-        p = np.column_stack(vectors)
-    n = p.shape[0]
-    if p.shape[1] != n:
-        raise ValueError(f"expected {n} vectors of dimension {n}")
-    if kind not in ("plus", "minus"):
-        raise ValueError(f"unknown basis kind {kind!r}")
-    s = np.linalg.svd(p, compute_uv=False)
-    if np.sum(s > rank_tol * s.max(initial=0.0)) < n:
-        raise RankDeficient("basis vectors are linearly dependent")
-    iu, ju, v = _basis_vectors(p, kind)
-    elems = tuple(
-        (int(i), int(j), "plus" if kind == "plus" or i == j else "minus",
-         np.outer(v[:, k], v[:, k]))
-        for k, (i, j) in enumerate(zip(iu, ju))
-    )
-    return SdBasis(elems, p.copy())
 
 
 def _lp_layout(ep: EigenPair, family: str):
@@ -147,13 +95,13 @@ def _lp_layout(ep: EigenPair, family: str):
     """
     if family == FAMILY_G:
         return ep.P, ep.lam
-    iu, ju, plus = _basis_vectors(ep.P, "plus")
+    iu, ju, plus = sd_basis(ep.P, "plus")
     caps = np.where(iu == ju, ep.lam[iu], 0.0)
     if family == FAMILY_FPLUS:
         return plus, caps
     if family == FAMILY_FPM:
         off = iu != ju
-        minus = _basis_vectors(ep.P, "minus")[2][:, off]
+        minus = sd_basis(ep.P, "minus")[2][:, off]
         caps = np.concatenate([caps, np.zeros(minus.shape[1])])
         return np.hstack([plus, minus]), caps
     raise ValueError(f"unknown LP family {family!r}")
@@ -192,8 +140,8 @@ def check_membership_lp(
     max_iters: int | None = None,
 ) -> MembershipVerdict:
     """Solve the family LP for a given factorization of A and assemble the
-    witness decomposition on success."""
-    a = as_sym_matrix(a)
+    witness decomposition on success.  A caller may pass any factorization,
+    so the pair is checked against A before its LP is trusted."""
     if ep.reconstruction_residual(a) > 1e-6:
         raise ValueError("eigen pair does not reconstruct the input matrix")
     tag = family if ep.orthogonal else family + "_hat"
@@ -223,14 +171,14 @@ def check_membership_lp(
     )
 
 
-def psd_split(a: np.ndarray) -> PsdSplit:
-    """Split A = A_plus - A_minus by clipping negative eigenvalues."""
-    a = as_sym_matrix(a)
+def psd_split(a: np.ndarray):
+    """Split A = A_plus - A_minus, both PSD, by clipping negative
+    eigenvalues.  Returns (A_plus, A_minus)."""
     ep = eigen_decompose(a)
     lam_plus = np.maximum(ep.lam, 0.0)
     a_plus = (ep.P * lam_plus) @ ep.P.T
     a_plus = (a_plus + a_plus.T) / 2.0
-    return PsdSplit(a_plus=a_plus, a_minus=a_plus - a)
+    return a_plus, a_plus - a
 
 
 def in_L_bomze(a: np.ndarray) -> MembershipVerdict:
@@ -240,16 +188,15 @@ def in_L_bomze(a: np.ndarray) -> MembershipVerdict:
     curvature inequalities hold at x, A is certified copositive.  No S + N
     witness is claimed.  LP infeasibility means the test cannot identify A.
     """
-    a = as_sym_matrix(a)
-    split = psd_split(a)
-    prog = lpmod.LinearProgram(-np.ones(len(a)), split.a_plus, lpmod.GE, 1.0, lo=0.0)
+    a_plus, a_minus = psd_split(a)
+    prog = lpmod.LinearProgram(-np.ones(len(a)), a_plus, lpmod.GE, 1.0, lo=0.0)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, "L", note=f"lp-{sol.status}")
     x = sol.x
-    quad = float(x @ split.a_plus @ x)
-    lhs = quad * np.diag(split.a_minus)
-    rhs = (split.a_plus @ x) ** 2
+    quad = float(x @ a_plus @ x)
+    lhs = quad * np.diag(a_minus)
+    rhs = (a_plus @ x) ** 2
     tol = 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
     if np.all(lhs <= rhs + tol):
         return MembershipVerdict(MEMBER, "L", note="copositivity certificate")
@@ -258,7 +205,6 @@ def in_L_bomze(a: np.ndarray) -> MembershipVerdict:
 
 def is_diagonally_dominant(a: np.ndarray) -> bool:
     """True iff every diagonal entry covers the absolute row sum off it."""
-    a = as_sym_matrix(a)
     off = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
     return bool(np.all(np.diag(a) >= off))
 

@@ -9,18 +9,16 @@ from dataclasses import dataclass
 import numpy as np
 
 PSD_PIVOT_TOL = 1e-9
+ASYM_TOL = 1e-12  # relative asymmetry that as_sym_matrix repairs
 
 
-class DimensionMismatch(ValueError):
-    """Operands have incompatible shapes."""
-
-
-def as_sym_matrix(entries, asym_tol: float = 1e-12) -> np.ndarray:
-    """Validate and return an exactly symmetric dense matrix.
+def as_sym_matrix(entries) -> np.ndarray:
+    """Validate and return an exactly symmetric dense float matrix.
 
     Accepts anything array-like.  Rejects non-square shapes, non-finite
-    entries, and asymmetry beyond ``asym_tol * scale``; mild asymmetry is
-    repaired by mirroring the upper triangle.
+    entries, and asymmetry beyond ``ASYM_TOL * scale``; mild asymmetry is
+    repaired by mirroring the upper triangle.  The package's entry points
+    call it once; the helpers behind them take its output as trusted.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -31,7 +29,7 @@ def as_sym_matrix(entries, asym_tol: float = 1e-12) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(a))))
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > asym_tol * scale:
+    if asym > ASYM_TOL * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     upper = np.triu(a)
     return upper + np.triu(a, 1).T
@@ -61,13 +59,9 @@ class EigenPair:
         scale = max(1.0, float(np.max(np.abs(a))))
         return float(np.max(np.abs(self.reconstruct() - a))) / scale
 
-    def orthogonality_residual(self) -> float:
-        n = self.P.shape[1]
-        return float(np.max(np.abs(self.P.T @ self.P - np.eye(n))))
-
 
 def eigen_decompose(a: np.ndarray) -> EigenPair:
-    """Diagonalize a symmetric matrix with ``numpy.linalg.eigh``.
+    """Diagonalize a symmetric float matrix with ``numpy.linalg.eigh``.
 
     Eigenvalues come back in descending order; equal eigenvalues keep
     LAPACK's order, so a diagonal input yields signed unit vectors.  Each
@@ -76,7 +70,7 @@ def eigen_decompose(a: np.ndarray) -> EigenPair:
     coherently (coherent alignments measurably weaken the pairwise-sum
     detection basis built from the eigenvectors downstream).
     """
-    lam, v = np.linalg.eigh(as_sym_matrix(a))
+    lam, v = np.linalg.eigh(a)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     v = v[:, order]
@@ -91,9 +85,9 @@ def is_psd_cholesky(a: np.ndarray, tol: float = PSD_PIVOT_TOL) -> bool:
 
     True iff elimination completes with every pivot >= -tol * scale, where
     scale = max(1, max diagonal entry).  Total function: never raises for a
-    symmetric input.
+    symmetric float input.
     """
-    m = as_sym_matrix(a).copy()
+    m = a.copy()
     n = m.shape[0]
     scale = max(1.0, float(np.max(np.diag(m))))
     active = list(range(n))
@@ -116,12 +110,6 @@ def is_psd_cholesky(a: np.ndarray, tol: float = PSD_PIVOT_TOL) -> bool:
 
 def congruence(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Return the symmetrized congruence transform V^T A V."""
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"V has {v.shape[0] if v.ndim == 2 else '?'} rows, expected {a.shape[0]}"
-        )
     w = v.T @ a @ v
     return (w + w.T) / 2.0
 

@@ -139,25 +139,29 @@ def _to_standard_form(lp: LinearProgram):
     a_le = lp.A[origin] * sign[:, None]
     b_le = lp.rhs[origin] * sign
 
+    # singleton rows tighten the bound of their one variable
     lo = lp.lo.copy()
     hi = lp.hi.copy()
-    fold_row = np.full((2, nvar), -1)
-    fold_scale = np.zeros((2, nvar))
     nnz = np.count_nonzero(a_le, axis=1)
-    for r in np.flatnonzero(nnz == 1):
-        j = int(np.flatnonzero(a_le[r])[0])
-        coef = a_le[r, j]
-        bound = b_le[r] / coef
-        if coef > 0 and bound <= hi[j]:
-            hi[j] = bound
-            side = 0
-        elif coef < 0 and bound >= lo[j]:
-            lo[j] = bound
-            side = 1
-        else:
-            continue
-        fold_row[side, j] = origin[r]
-        fold_scale[side, j] = sign[r] / coef
+    single = np.flatnonzero(nnz == 1)
+    col = np.argmax(a_le[single] != 0, axis=1)
+    coef = a_le[single, col]
+    bound = b_le[single] / coef
+    upper = coef > 0
+    np.minimum.at(hi, col[upper], bound[upper])
+    np.maximum.at(lo, col[~upper], bound[~upper])
+    # of the rows at a tightened bound, the last in standard-form order
+    # carries its dual: picked by index, since a fancy assignment with
+    # repeated indices leaves the winning write unspecified
+    side = np.where(upper, 0, 1)
+    tight = bound == np.where(upper, hi[col], lo[col])
+    last = np.full((2, nvar), -1)
+    np.maximum.at(last, (side[tight], col[tight]), np.flatnonzero(tight))
+    folded = last >= 0
+    fold_row = np.full((2, nvar), -1)
+    fold_row[folded] = origin[single[last[folded]]]
+    fold_scale = np.zeros((2, nvar))
+    fold_scale[folded] = (sign[single] / coef)[last[folded]]
     if np.any(b_le[nnz == 0] < -DEFAULT_FEAS_TOL):
         return None, True
     if np.any(lo > hi + DEFAULT_FEAS_TOL):
@@ -202,11 +206,10 @@ class _Simplex:
     """Revised simplex over  max c.y, W y = b, y >= 0  with b >= 0 arranged
     via slacks and artificials."""
 
-    def __init__(self, A, b, c, feas_tol):
+    def __init__(self, A, b, c):
         m, n = A.shape
         self.m = m
         self.n_struct = n
-        self.feas_tol = feas_tol
         flip = b < 0
         self.flip = flip
         sgn = np.where(flip, -1.0, 1.0)
@@ -309,7 +312,7 @@ class _Simplex:
             if status == ITERATION_LIMIT:
                 return status
             art_sum = -float(phase1[self.basis] @ self.xB)
-            if art_sum > self.feas_tol * max(1.0, float(np.max(np.abs(self.b)))):
+            if art_sum > DEFAULT_FEAS_TOL * max(1.0, float(np.max(np.abs(self.b)))):
                 return INFEASIBLE
             self._drive_out_artificials()
             allow[self.art_start:] = False
@@ -356,11 +359,7 @@ def _primal(sf: _StandardForm, y: np.ndarray) -> np.ndarray:
     return sf.offset + moves
 
 
-def solve(
-    lp: LinearProgram,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    max_iters: int | None = None,
-) -> LpSolution:
+def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
     """Solve the LP; deterministic for a fixed input."""
     if max_iters is None:
         max_iters = 50 * (lp.n_rows + lp.n_vars + 2)
@@ -368,14 +367,14 @@ def solve(
     if infeasible:
         return LpSolution(status=INFEASIBLE, note="bound presolve")
 
-    spx = _Simplex(sf.A, sf.b, sf.c, feas_tol)
+    spx = _Simplex(sf.A, sf.b, sf.c)
     status = spx.solve(max_iters)
     if status != OPTIMAL:
         return LpSolution(status=status, iterations=spx.iterations)
 
     x = _primal(sf, spx.primal())
     # refine once if rounding pushed the point slightly outside
-    if lp.constraint_violation(x) > feas_tol:
+    if lp.constraint_violation(x) > DEFAULT_FEAS_TOL:
         spx._refactorize()
         x = _primal(sf, spx.primal())
 

@@ -259,7 +259,8 @@ def test_criterion_11_sd_basis_rank():
     for n in range(3, 21):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         for kind in ("plus", "minus"):
-            basis = cones.sd_basis(q, kind)
-            vec = np.array([m.ravel() for m in basis.matrices()])
+            v = cones.sd_basis(q, kind)[2]
+            vec = np.array([np.outer(v[:, k], v[:, k]).ravel()
+                            for k in range(v.shape[1])])
             ok = ok and np.linalg.matrix_rank(vec) == n * (n + 1) // 2
     report(11, "semidefinite bases have full rank for n in 3..20", ok)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import subprocess
@@ -12,8 +13,6 @@ from conekit.cli import (
     _copo_config,
     build_parser,
     main,
-    read_records_csv,
-    read_records_json,
     write_records,
 )
 from conekit.linalg import format_matrix
@@ -34,6 +33,14 @@ def m2_path(tmp_path):
     p = tmp_path / "m2.txt"
     p.write_text(format_matrix(M2))
     return str(p)
+
+
+def json_records(text):
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def csv_records(text):
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def run_cli(*args):
@@ -65,8 +72,8 @@ def test_membership_unknown_cone_errors(m1_path):
 
 def test_membership_records_one_lp_per_lp_cone(m1_path, capsys):
     assert main(["membership", m1_path, "--format", "json"]) == 0
-    records = read_records_json(capsys.readouterr().out)
-    lp_calls = {r.config["cone"]: r.lp_calls for r in records}
+    records = json_records(capsys.readouterr().out)
+    lp_calls = {r["config"]["cone"]: r["lp_calls"] for r in records}
     assert lp_calls == {"N": 0, "DD": 0, "H": 0, "G": 1, "F+": 1, "F+-": 1, "L": 0}
 
 
@@ -80,10 +87,10 @@ def test_copositive_exit_codes(tmp_path):
     p.write_text(format_matrix(k5))
     out = tmp_path / "rec.jsonl"
     assert main(["copositive", str(p), "--format", "json", "--out", str(out)]) == 0
-    rec = read_records_json(out.read_text())[0]
-    assert rec.outcome == "not_copositive"
-    assert rec.certificate is not None
-    v = np.array(rec.certificate)
+    rec = json_records(out.read_text())[0]
+    assert rec["outcome"] == "not_copositive"
+    assert rec["certificate"] is not None
+    v = np.array(rec["certificate"])
     assert float(v @ k5 @ v) < 0.0
 
     # boundary matrix, entrywise family, tiny budget: inconclusive
@@ -188,7 +195,7 @@ def test_runrecord_roundtrip_json_and_csv():
         wall_time=0.5,
     )
     for r in (rec, empty):
-        assert RunRecord.from_obj(json.loads(json.dumps(r.to_obj()))) == r
+        assert RunRecord(**json.loads(json.dumps(r.to_obj()))) == r
 
     buf = io.StringIO()
     write_records([rec, empty], "csv", buf)
@@ -200,7 +207,6 @@ def test_runrecord_roundtrip_json_and_csv():
         'copositive,abc123,"{""alg"": 2, ""cone"": ""N""}",inconclusive,,,10,0,0.5,,'
         "numpy-pcg64",
     ]
-    assert read_records_csv(buf.getvalue()) == [rec, empty]
 
 
 def _suite(tmp_path, rows, seed=11):
@@ -225,11 +231,12 @@ def test_bench_row_count_and_summary(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["bench", suite, "--out", str(out)])
     assert rc in (0, 2)
-    records = read_records_csv(out.read_text())
-    bench_rows = [r for r in records if r.command == "bench"]
-    summary_rows = [r for r in records if r.command == "summary"]
+    records = csv_records(out.read_text())
+    bench_rows = [r for r in records if r["command"] == "bench"]
+    summary_rows = [r for r in records if r["command"] == "summary"]
     assert len(bench_rows) == 16
-    assert {r.config["cone"] for r in summary_rows} == {"H", "G", "F+", "F+-"}
+    cones = {json.loads(r["config"])["cone"] for r in summary_rows}
+    assert cones == {"H", "G", "F+", "F+-"}
 
 
 def test_bench_determinism_modulo_wall_time(tmp_path):
@@ -246,9 +253,9 @@ def test_bench_determinism_modulo_wall_time(tmp_path):
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
         main(["bench", suite, "--out", str(out)])
-        recs = read_records_csv(out.read_text())
+        recs = csv_records(out.read_text())
         for r in recs:
-            r.wall_time = 0.0
+            del r["wall_time"]
         outs.append(recs)
     assert outs[0] == outs[1]
 
@@ -284,9 +291,9 @@ def test_bench_summary_per_task_and_alg(tmp_path):
     )
     out = tmp_path / "bench.json"
     main(["bench", suite, "--format", "json", "--out", str(out)])
-    summary = [r for r in read_records_json(out.read_text()) if r.command == "summary"]
+    summary = [r for r in json_records(out.read_text()) if r["command"] == "summary"]
     assert len(summary) == 3
-    assert sorted((r.config["task"], r.config["alg"], r.config["runs"])
+    assert sorted((r["config"]["task"], r["config"]["alg"], r["config"]["runs"])
                   for r in summary) == [
         ("copositive", 1, 2), ("copositive", 2, 2), ("membership", None, 3)
     ]

@@ -51,9 +51,14 @@ def test_in_h_examples():
     assert cones.in_H(a).is_member  # nonnegative matrices always pass
 
 
+def _basis_matrices(p, kind):
+    """The matrices E = v v^T of cones.sd_basis(p, kind), in pair order."""
+    v = cones.sd_basis(p, kind)[2]
+    return [np.outer(v[:, k], v[:, k]) for k in range(v.shape[1])]
+
+
 def test_sd_basis_plus_example():
-    b = cones.sd_basis(np.eye(2), "plus")
-    mats = b.matrices()
+    mats = _basis_matrices(np.eye(2), "plus")
     assert len(mats) == 3
     assert np.allclose(mats[0], [[1, 0], [0, 0]])
     assert np.allclose(mats[1], [[0.25, 0.25], [0.25, 0.25]])
@@ -61,8 +66,7 @@ def test_sd_basis_plus_example():
 
 
 def test_sd_basis_minus_example():
-    b = cones.sd_basis(np.eye(2), "minus")
-    mats = b.matrices()
+    mats = _basis_matrices(np.eye(2), "minus")
     assert np.allclose(mats[0], [[1, 0], [0, 0]])
     assert np.allclose(mats[1], [[0.25, -0.25], [-0.25, 0.25]])
     assert np.allclose(mats[2], [[0, 0], [0, 1]])
@@ -73,22 +77,17 @@ def test_sd_basis_rank():
     for n in (3, 6, 10):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         for kind in ("plus", "minus"):
-            b = cones.sd_basis(q, kind)
-            assert len(b.elements) == n * (n + 1) // 2
-            vec = np.array([m.ravel() for m in b.matrices()])
+            mats = _basis_matrices(q, kind)
+            assert len(mats) == n * (n + 1) // 2
+            vec = np.array([m.ravel() for m in mats])
             assert np.linalg.matrix_rank(vec) == n * (n + 1) // 2
-
-
-def test_sd_basis_rank_deficient():
-    with pytest.raises(cones.RankDeficient):
-        cones.sd_basis(np.ones((3, 3)), "plus")
 
 
 def test_sd_basis_elements_are_psd_rank_one():
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     for kind in ("plus", "minus"):
-        for _, _, _, m in cones.sd_basis(q, kind).elements:
+        for m in _basis_matrices(q, kind):
             assert np.allclose(m, m.T)
             assert is_psd_cholesky(m)
             assert np.linalg.matrix_rank(m, tol=1e-9) <= 1
@@ -112,8 +111,9 @@ def test_build_lp_sizes():
 def _family_bases(p):
     """The semidefinite basis matrices of each LP family, in variable order."""
     n = p.shape[0]
-    plus = cones.sd_basis(p, "plus").matrices()
-    minus = [m for i, j, _, m in cones.sd_basis(p, "minus").elements if i < j]
+    plus = _basis_matrices(p, "plus")
+    pairs = zip(*np.triu_indices(n), _basis_matrices(p, "minus"))
+    minus = [m for i, j, m in pairs if i < j]
     return {
         "G": [np.outer(p[:, i], p[:, i]) for i in range(n)],
         "Fplus": plus,
@@ -279,17 +279,17 @@ def test_psd_split_examples():
     rng = np.random.default_rng(2)
     b = rng.normal(size=(3, 3))
     psd = b @ b.T
-    sp = cones.psd_split(psd)
-    assert np.allclose(sp.a_plus, psd, atol=1e-9)
-    assert np.allclose(sp.a_minus, 0.0, atol=1e-9)
+    a_plus, a_minus = cones.psd_split(psd)
+    assert np.allclose(a_plus, psd, atol=1e-9)
+    assert np.allclose(a_minus, 0.0, atol=1e-9)
 
-    sp = cones.psd_split(np.diag([1.0, -2.0]))
-    assert np.allclose(sp.a_plus, np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(sp.a_minus, np.diag([0.0, 2.0]), atol=1e-12)
+    a_plus, a_minus = cones.psd_split(np.diag([1.0, -2.0]))
+    assert np.allclose(a_plus, np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(a_minus, np.diag([0.0, 2.0]), atol=1e-12)
 
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    sp = cones.psd_split(a)
-    assert np.allclose(sp.a_plus, a, atol=1e-9)
+    a_plus, _ = cones.psd_split(a)
+    assert np.allclose(a_plus, a, atol=1e-9)
 
 
 def test_in_l_examples():

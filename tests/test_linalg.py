@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+import conekit
 from conekit.linalg import (
-    DimensionMismatch,
     as_sym_matrix,
     congruence,
     eigen_decompose,
@@ -25,6 +25,20 @@ def test_as_sym_matrix_rejects_asymmetry():
 def test_as_sym_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_sym_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_entry_points_reject_bad_input():
+    # the entry points are the only place input is validated
+    for bad in ([[1.0, 2.0], [3.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+        for call in (
+            lambda: conekit.membership_report(bad),
+            lambda: conekit.check_membership(bad, "N"),
+            lambda: conekit.test_copositive(bad),
+            lambda: conekit.qp_optimum(bad),
+            lambda: conekit.std_qp_matrix(bad, 0.0),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_eigen_identity():
@@ -79,7 +93,7 @@ def test_eigen_random_residuals():
         a = (a + a.T) / 2
         ep = eigen_decompose(a)
         assert ep.reconstruction_residual(a) <= 1e-9
-        assert ep.orthogonality_residual() <= 1e-9
+        assert np.max(np.abs(ep.P.T @ ep.P - np.eye(n))) <= 1e-9
 
 
 def test_eigen_larger_matrices():
@@ -125,7 +139,7 @@ def test_congruence_examples():
 
 
 def test_congruence_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError):
         congruence(np.eye(2), np.eye(3))
 
 

@@ -113,7 +113,7 @@ def test_known_feasible_lps_stay_feasible():
             else:
                 rows.append((a, lp.GE, float(a @ x0) - margin))
         prog = _lp(rng.normal(size=n), rows, [(0.0, 4.0)] * n)
-        sol = lp.solve(prog, feas_tol=1e-8)
+        sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
         assert prog.constraint_violation(sol.x) <= 1e-8
 
@@ -152,6 +152,25 @@ def test_weak_duality_and_stationarity():
         assert np.max(np.abs(stat)) <= 1e-7
         assert np.all(sol.dual[prog.senses == lp.LE] >= -1e-9)
         assert np.all(sol.dual[prog.senses == lp.GE] <= 1e-9)
+
+
+def test_folded_singleton_dual_goes_to_the_last_tight_row():
+    # x <= 1 twice around x <= 3; y <= 1 as a >= row and as a <= row
+    rows = [
+        ([1.0, 0.0], lp.LE, 1.0),
+        ([1.0, 0.0], lp.LE, 3.0),
+        ([1.0, 0.0], lp.LE, 1.0),
+        ([0.0, 1.0], lp.GE, -2.0),
+        ([0.0, -1.0], lp.GE, -1.0),
+        ([0.0, 1.0], lp.LE, 1.0),
+        ([1.0, 1.0], lp.LE, 5.0),
+    ]
+    sol = _solve([1.0, 1.0], rows)
+    assert sol.status == lp.OPTIMAL
+    assert np.array_equal(sol.x, [1.0, 1.0])
+    # ties go to the last row in standard-form order: the <= rows, then the
+    # >= rows, so the >= form of y <= 1 carries y's multiplier
+    assert np.array_equal(sol.dual, [0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0])
 
 
 def test_determinism():

@@ -1,0 +1,218 @@
+"""Output fingerprint of conekit: one sha256 digest and a count per section.
+
+Runs a fixed suite through the public entry points of whichever conekit is on
+PYTHONPATH and hashes every output bit that a refactor must keep:
+
+- partition: test_copositive on 25 matrices x N/H/G/F+/F+- x alg 1/2
+  (outcome, certificate, every stats field but wall_time);
+- report:    membership_report on 40 gen_random_spn(12) draws x 7 cones
+  (status, alpha*, S, N, n_candidate, note);
+- bracket:   qp_optimum on 10 planted QPs (n=8);
+- clique:    clique_number on 6 random graphs;
+- lp:        lp.solve on 64 mixed LPs full of singleton rows, ties included
+  (status, x, duals, pivots).
+
+Compare a change with its parent by running this file against both source
+trees and diffing the output (the run time goes to stderr):
+
+    PYTHONPATH=src python tools/fingerprint.py > after.txt
+    PYTHONPATH=../parent/src python tools/fingerprint.py > before.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import time
+from collections import Counter
+
+import numpy as np
+
+from conekit import cones, instances, lp
+from conekit.copositivity import CopoConfig
+from conekit.copositivity import test_copositive as run_copositive
+
+FAMILIES = ("N", "H", "G", "Fplus", "Fpm")
+
+
+def _feed(h, value) -> None:
+    """Hash a value with its type, shape and exact bits."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _feed(h, key)
+            _feed(h, value[key])
+    elif isinstance(value, (list, tuple)):
+        h.update(b"[%d" % len(value))
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, np.ndarray):
+        h.update(repr((value.dtype.str, value.shape)).encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, (float, np.floating)):
+        h.update(np.float64(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+    h.update(b";")
+
+
+def _partition_matrices() -> list:
+    mats = []
+    for k in (3, 4, 5):
+        g = instances.complete_graph(k)
+        mats += [instances.max_clique_matrix(g, k + 0.5),
+                 instances.max_clique_matrix(g, k - 0.5)]
+    # 3(E - A_K3) - E: the N family closes in on a zero of the form
+    mats.append(instances.max_clique_matrix(instances.complete_graph(3), 3.0))
+    path = instances.path_graph(4)
+    mats += [instances.max_clique_matrix(path, 2.5),
+             instances.max_clique_matrix(path, 1.5)]
+    for seed in range(4):
+        qp = instances.gen_planted_qp(5, 2, -1.0, seed=seed)
+        mats += [instances.std_qp_matrix(qp.Q, qp.t - 0.3),
+                 instances.std_qp_matrix(qp.Q, qp.t + 0.3)]
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 4, 5):
+        a = rng.normal(size=(n, n))
+        mats.append((a + a.T) / 2 + n * np.eye(n))
+    mats += [instances.gen_random_spn(4, 7)[0], instances.gen_random_spn(5, 8)[0]]
+    # the Horn matrix: copositive, outside PSD + N, zeros inside the simplex
+    mats.append(np.array([
+        [1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
+        [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1],
+    ], dtype=float))
+    mats.append(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    return mats
+
+
+def partition_section():
+    h = hashlib.sha256()
+    tally: Counter = Counter()
+    runs = 0
+    for a in _partition_matrices():
+        for family in FAMILIES:
+            for alg2 in (False, True):
+                cfg = CopoConfig(cone_family=family, use_alg2=alg2,
+                                 max_iterations=1500)
+                res = run_copositive(a, cfg)
+                stats = {k: v for k, v in res.stats.items() if k != "wall_time"}
+                _feed(h, [res.outcome, res.certificate, stats])
+                tally[res.stats["reason"] or res.outcome] += 1
+                runs += 1
+    detail = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
+    return runs, h.hexdigest(), detail
+
+
+def report_section():
+    h = hashlib.sha256()
+    count = 0
+    for seed in range(40):
+        a = instances.gen_random_spn(12, seed)[0]
+        for v in cones.membership_report(a):
+            _feed(h, [v.status, v.cone, v.alpha_star, v.s_part, v.n_part,
+                      v.n_candidate, v.note])
+            count += 1
+    return count, h.hexdigest(), ""
+
+
+def bracket_section():
+    h = hashlib.sha256()
+    cfg = CopoConfig(max_iterations=20000)
+    for seed in range(10):
+        qp = instances.gen_planted_qp(8, 4, -10.0, seed=seed)
+        b = instances.qp_optimum(qp.Q, cfg, eta=0.1)
+        _feed(h, [b.lo, b.hi, b.converged])
+    return 10, h.hexdigest(), ""
+
+
+def clique_section():
+    h = hashlib.sha256()
+    cfg = CopoConfig(max_iterations=20000)
+    for seed in range(6):
+        g = instances.gen_gnp_graph(6 + seed % 3, 0.5, seed=seed)
+        _feed(h, instances.clique_number(g, cfg))
+    return 6, h.hexdigest(), ""
+
+
+def _singleton_lp(rng):
+    """A random LP around x0 whose rows are mostly singletons: repeated
+    bounds (exact ties, also through scaled copies), == singletons that fold
+    on both sides, negative coefficients, signed zeros and plain rows; now
+    and then one singleton bound that x0 breaks."""
+    n = int(rng.integers(2, 6))
+    x0 = np.round(rng.normal(size=n), 1)
+    rows, senses, rhs = [], [], []
+
+    def add(a, sense, b):
+        rows.append(a)
+        senses.append(sense)
+        rhs.append(b)
+
+    for _ in range(int(rng.integers(n + 2, 3 * n + 4))):
+        u = rng.uniform()
+        a = np.zeros(n)
+        j = int(rng.integers(0, n))
+        if u < 0.7:
+            a[j] = float(rng.choice([1.0, -1.0, 2.0, -0.5]))
+            if u < 0.1:
+                add(a, lp.EQ, float(a @ x0))
+            else:
+                sense = lp.LE if rng.uniform() < 0.5 else lp.GE
+                step = float(rng.choice([0.0, 0.5, 1.0]))
+                b = float(a @ x0) + (step if sense == lp.LE else -step)
+                add(a, sense, b)
+                if rng.uniform() < 0.4:  # a tie: the same bound again
+                    scale = float(rng.choice([1.0, 2.0]))
+                    add(scale * a, sense, scale * b)
+            if u < 0.15:  # a zero bound that x0 meets, either sign of zero
+                add(a, lp.LE if a @ x0 <= 0 else lp.GE, -0.0 if u < 0.12 else 0.0)
+        else:
+            a = rng.normal(size=n)
+            sense = lp.LE if rng.uniform() < 0.5 else lp.GE
+            add(a, sense, float(a @ x0) + (1.0 if sense == lp.LE else -1.0))
+    if rng.uniform() < 0.15:  # a singleton bound that x0 breaks
+        a = np.zeros(n)
+        a[0] = 1.0
+        add(a, lp.LE, x0[0] - 0.5)
+    lo = np.where(rng.uniform(size=n) < 0.3, x0 - 1.0, -np.inf)
+    hi = np.where(rng.uniform(size=n) < 0.3, x0 + 1.0, np.inf)
+    return lp.LinearProgram(rng.normal(size=n), np.array(rows), senses, rhs, lo, hi)
+
+
+def lp_section():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(31)
+    progs = [_singleton_lp(rng) for _ in range(63)]
+    # the fold's tie rule: x <= 1 twice around x <= 3, y fenced on both sides
+    progs.append(lp.LinearProgram(
+        [1.0, 1.0],
+        [[1, 0], [1, 0], [1, 0], [0, 1], [0, -1], [0, 1], [1, 1]],
+        [lp.LE, lp.LE, lp.LE, lp.GE, lp.GE, lp.LE, lp.LE],
+        [1, 3, 1, -2, -1, 1, 5],
+    ))
+    statuses: Counter = Counter()
+    for prog in progs:
+        sol = lp.solve(prog)
+        _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual,
+                  sol.iterations])
+        statuses[sol.status] += 1
+    detail = " ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
+    return len(progs), h.hexdigest(), detail
+
+
+def main() -> None:
+    started = time.monotonic()
+    for name, section in (
+        ("partition", partition_section),
+        ("report", report_section),
+        ("bracket", bracket_section),
+        ("clique", clique_section),
+        ("lp", lp_section),
+    ):
+        count, digest, detail = section()
+        print(f"{name:<10} {count:>4} {digest} {detail}".rstrip())
+    print(f"fingerprint: {time.monotonic() - started:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
