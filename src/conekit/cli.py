@@ -2,8 +2,8 @@
 
 Subcommands: membership, copositive, clique, qpbound, gen, bench.  Exit
 codes follow a decidedness contract: 0 for a decided outcome, 2 for
-inconclusive / not-identified, 1 for errors, so shell pipelines can branch
-on whether a run settled its question.
+inconclusive / not-identified, 1 for errors (usage errors included), so shell
+pipelines can branch on whether a run settled its question.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ EXIT_DECIDED = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
-# user-facing cone flags and their internal family names
+# user-facing cone flags and their library names, in cones.CONE_ORDER
 CONE_FLAGS = {
     "N": "N",
     "DD": "DD",
@@ -48,7 +48,8 @@ CONE_FLAGS = {
     "F+-": "Fpm",
     "L": "L",
 }
-_FLAG_OF_FAMILY = {v: k for k, v in CONE_FLAGS.items()}
+# the flags a partition (copositive, clique, qpbound, bench rows) accepts
+PARTITION_FLAGS = {k: v for k, v in CONE_FLAGS.items() if v in copositivity.FAMILIES}
 
 @dataclass
 class RunRecord:
@@ -109,15 +110,17 @@ def write_records(records, fmt: str, out) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _parse_cones(arg: str) -> list:
+def _parse_cones(arg: str, accepted=CONE_FLAGS, many=True) -> list:
+    """Library names of the cone flags in arg, comma-separated when many;
+    a flag outside accepted is an error that names the accepted ones."""
     families = []
-    for tok in arg.split(","):
+    for tok in arg.split(",") if many else [arg]:
         tok = tok.strip()
-        if tok not in CONE_FLAGS:
+        if tok not in accepted:
             raise ValueError(
-                f"unknown cone {tok!r}; choose from {','.join(CONE_FLAGS)}"
+                f"unknown cone {tok!r}; choose from {','.join(accepted)}"
             )
-        families.append(CONE_FLAGS[tok])
+        families.append(accepted[tok])
     return families
 
 
@@ -131,11 +134,11 @@ def _emit(records, args) -> None:
 
 
 def _membership_record(
-    a, family: str, eps: float, command: str, config: dict, seed: str = ""
+    a, family: str, command: str, config: dict, seed: str = ""
 ) -> RunRecord:
     """One cone's membership test on its own clock."""
     started = time.monotonic()
-    v = cones.membership_report(a, cones=[family], eps_alpha=eps)[0]
+    v = cones.membership_report(a, cones=[family])[0]
     return RunRecord(
         command=command,
         input_digest=matrix_digest(a),
@@ -152,14 +155,8 @@ def cmd_membership(args) -> int:
     a = load_matrix(args.matrix)
     families = _parse_cones(args.cone)
     records = [
-        _membership_record(
-            a,
-            family,
-            args.eps,
-            "membership",
-            {"cone": _FLAG_OF_FAMILY[family], "eps": args.eps},
-        )
-        for family in cones.CONE_ORDER
+        _membership_record(a, family, "membership", {"cone": flag})
+        for flag, family in CONE_FLAGS.items()
         if family in families
     ]
     _emit(records, args)
@@ -170,11 +167,10 @@ def cmd_membership(args) -> int:
 def _copo_config(args) -> CopoConfig:
     """The partition settings shared by every subcommand that runs one."""
     return CopoConfig(
-        cone_family=CONE_FLAGS[args.cone],
+        cone_family=_parse_cones(args.cone, PARTITION_FLAGS, many=False)[0],
         use_alg2=(args.alg == 2),
         max_iterations=args.max_iter,
         time_limit=args.time_limit,
-        eps_alpha=args.eps,
     )
 
 
@@ -202,7 +198,6 @@ def cmd_copositive(args) -> int:
         "alg": args.alg,
         "max_iter": args.max_iter,
         "time_limit": args.time_limit,
-        "eps": args.eps,
     }
     rec = _copositive_record(a, _copo_config(args), "copositive", config)
     _emit([rec], args)
@@ -275,7 +270,8 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
     a = _bench_instance(row["instance"], seed_seq)
     task = row.get("task", "membership")
     cone_flag = row.get("cone", "F+-")
-    family = CONE_FLAGS[cone_flag]
+    accepted = CONE_FLAGS if task == "membership" else PARTITION_FLAGS
+    family = _parse_cones(cone_flag, accepted, many=False)[0]
     config = {
         "row": index,
         "task": task,
@@ -284,7 +280,7 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
     }
     seed = f"{master}/{index}"
     if task == "membership":
-        return _membership_record(a, family, cones.EPS_ALPHA, "bench", config, seed)
+        return _membership_record(a, family, "bench", config, seed)
     if task == "copositive":
         alg = int(row.get("alg", 2))
         max_iter = int(row.get("max_iter", CopoConfig.max_iterations))
@@ -352,18 +348,23 @@ def cmd_bench(args) -> int:
     return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_DECIDED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's 2 means "inconclusive" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conekit",
         description="Cone membership tests and copositivity runs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def cone_flags(p, default):
-        p.add_argument("--cone", default=default)
-        p.add_argument("--eps", type=float, default=cones.EPS_ALPHA)
-
     def partition_flags(p):
+        p.add_argument("--cone", default="F+-")
         p.add_argument("--alg", type=int, choices=(1, 2), default=2)
         p.add_argument("--max-iter", type=int, default=CopoConfig.max_iterations)
         p.add_argument("--time-limit", type=float, default=CopoConfig.time_limit)
@@ -376,26 +377,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("membership", help="per-cone membership report")
     p.add_argument("matrix")
-    cone_flags(p, "N,DD,H,G,F+,F+-,L")
+    p.add_argument("--cone", default="N,DD,H,G,F+,F+-,L")
     record_flags(p, "table")
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("copositive", help="simplicial-partition copositivity test")
     p.add_argument("matrix")
-    cone_flags(p, "F+-")
     partition_flags(p)
     record_flags(p, "table")
     p.set_defaults(func=cmd_copositive)
 
     p = sub.add_parser("clique", help="clique number by simplicial partition")
     p.add_argument("graph")
-    cone_flags(p, "F+-")
     partition_flags(p)
     p.set_defaults(func=cmd_clique)
 
     p = sub.add_parser("qpbound", help="bracket the simplex-QP optimum")
     p.add_argument("matrix")
-    cone_flags(p, "F+-")
     partition_flags(p)
     p.add_argument("--eta", type=float, default=0.1)
     p.set_defaults(func=cmd_qpbound)

@@ -22,12 +22,9 @@ from .linalg import (
 MEMBER = "member"
 NOT_IDENTIFIED = "not_identified"
 
-FAMILY_G = "G"
-FAMILY_FPLUS = "Fplus"
-FAMILY_FPM = "Fpm"
-LP_FAMILIES = (FAMILY_G, FAMILY_FPLUS, FAMILY_FPM)
+LP_FAMILIES = ("G", "Fplus", "Fpm")
 
-CONE_ORDER = ("N", "DD", "H", FAMILY_G, FAMILY_FPLUS, FAMILY_FPM, "L")
+CONE_ORDER = ("N", "DD", "H", *LP_FAMILIES, "L")
 
 EPS_ALPHA = 1e-9  # membership threshold on the LP optimum
 
@@ -93,13 +90,13 @@ def _lp_layout(ep: EigenPair, family: str):
     vectors[:, k] vectors[:, k]^T and is capped above by caps[k] (lambda_i
     on the diagonal terms, 0 on the rest).
     """
-    if family == FAMILY_G:
+    if family == "G":
         return ep.P, ep.lam
     iu, ju, plus = sd_basis(ep.P, "plus")
     caps = np.where(iu == ju, ep.lam[iu], 0.0)
-    if family == FAMILY_FPLUS:
+    if family == "Fplus":
         return plus, caps
-    if family == FAMILY_FPM:
+    if family == "Fpm":
         off = iu != ju
         minus = sd_basis(ep.P, "minus")[2][:, off]
         caps = np.concatenate([caps, np.zeros(minus.shape[1])])
@@ -132,13 +129,7 @@ def build_lp(ep: EigenPair, family: str) -> lpmod.LinearProgram:
     return lpmod.LinearProgram(objective, a, senses, rhs)
 
 
-def check_membership_lp(
-    a: np.ndarray,
-    ep: EigenPair,
-    family: str,
-    eps_alpha: float = EPS_ALPHA,
-    max_iters: int | None = None,
-) -> MembershipVerdict:
+def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> MembershipVerdict:
     """Solve the family LP for a given factorization of A and assemble the
     witness decomposition on success.  A caller may pass any factorization,
     so the pair is checked against A before its LP is trusted."""
@@ -146,7 +137,7 @@ def check_membership_lp(
         raise ValueError("eigen pair does not reconstruct the input matrix")
     tag = family if ep.orthogonal else family + "_hat"
     prog = build_lp(ep, family)
-    sol = lpmod.solve(prog, max_iters=max_iters)
+    sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
     alpha = float(sol.objective_value)
@@ -157,7 +148,7 @@ def check_membership_lp(
     n_cand = np.empty_like(a)
     n_cand[iu, ju] = prog.A[k:, :k] @ sol.x[:k]
     n_cand[ju, iu] = n_cand[iu, ju]
-    if alpha < -eps_alpha:
+    if alpha < -EPS_ALPHA:
         return MembershipVerdict(
             NOT_IDENTIFIED, tag, alpha_star=alpha, n_candidate=n_cand
         )
@@ -210,10 +201,7 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
 
 
 def check_membership(
-    a: np.ndarray,
-    cone: str,
-    ep: EigenPair | None = None,
-    eps_alpha: float = EPS_ALPHA,
+    a: np.ndarray, cone: str, ep: EigenPair | None = None
 ) -> MembershipVerdict:
     """Test A against one cone of CONE_ORDER.
 
@@ -221,7 +209,11 @@ def check_membership(
     non-orthogonal pair for the hat variants), else from an orthogonal
     decomposition of A; the other cones ignore it.
     """
-    a = as_sym_matrix(a)
+    return _dispatch(as_sym_matrix(a), cone, ep)
+
+
+def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdict:
+    """check_membership on a matrix that as_sym_matrix already returned."""
     if cone == "N":
         if np.min(a) >= 0.0:
             return MembershipVerdict(
@@ -238,12 +230,10 @@ def check_membership(
         return in_H(a)
     if cone == "L":
         return in_L_bomze(a)
-    return check_membership_lp(a, ep or eigen_decompose(a), cone, eps_alpha=eps_alpha)
+    return check_membership_lp(a, ep or eigen_decompose(a), cone)
 
 
-def membership_report(
-    a: np.ndarray, cones=CONE_ORDER, eps_alpha: float = EPS_ALPHA
-) -> list[MembershipVerdict]:
+def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
     """Run the selected cone tests in canonical order.
 
     The LP families share one orthogonal decomposition.  Per-test failures
@@ -259,7 +249,7 @@ def membership_report(
         try:
             if ep is None and cone in LP_FAMILIES:
                 ep = eigen_decompose(a)
-            v = check_membership(a, cone, ep, eps_alpha)
+            v = _dispatch(a, cone, ep)
         except Exception as exc:  # aggregate, never abort the other tests
             v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
         verdicts.append(v)

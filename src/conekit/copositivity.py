@@ -25,10 +25,9 @@ COPOSITIVE = "copositive"
 NOT_COPOSITIVE = "not_copositive"
 INCONCLUSIVE = "inconclusive"
 
-FAMILIES = ("N", "H", cones.FAMILY_G, cones.FAMILY_FPLUS, cones.FAMILY_FPM)
+FAMILIES = ("N", "H", *cones.LP_FAMILIES)
 
 _SCREEN_TOL = 1e-11  # entrywise nonnegativity slack for witness screening
-AUDIT_CAP = 200  # audit records kept per run
 
 
 class DegenerateEdge(ValueError):
@@ -68,12 +67,10 @@ def bisect(v: np.ndarray):
 
 @dataclass
 class CopoConfig:
-    cone_family: str = cones.FAMILY_FPM
+    cone_family: str = "Fpm"
     use_alg2: bool = True
     max_iterations: int = 1_000_000
     time_limit: float = 300.0
-    eps_alpha: float = cones.EPS_ALPHA
-    audit: bool = False
 
     def __post_init__(self):
         if self.cone_family not in FAMILIES:
@@ -87,7 +84,6 @@ class CopoResult:
     outcome: str
     certificate: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
-    audit_records: list = field(default_factory=list)
 
 
 def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
@@ -133,7 +129,6 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
     iterations = lp_calls = 0
     removals = {"member": 0, "member_hat": 0, "screen": 0}
     errors: dict = {}  # exception type name -> failed cell tests
-    audit: list = []
     started = time.monotonic()
 
     def finish(outcome, reason="", certificate=None):
@@ -147,16 +142,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
             "reason": reason,
             "errors": dict(errors),
         }
-        return CopoResult(outcome, certificate, stats, audit), best
-
-    def record_removal(kind, cell, verdict):
-        removals[kind] += 1
-        if cfg.audit and len(audit) < AUDIT_CAP:
-            audit.append({
-                "kind": kind,
-                "vertices": cell.copy(),
-                "verdict": verdict,
-            })
+        return CopoResult(outcome, certificate, stats), best
 
     while worklist:
         if iterations >= cfg.max_iterations:
@@ -189,7 +175,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
                         hat_shift, hat_ep = shift, eigen_decompose(a - shift)
                     ep = EigenPair(cell.T @ hat_ep.P, hat_ep.lam, orthogonal=False)
                 lp_calls += family in cones.LP_FAMILIES
-                verdict = cones.check_membership(vtav, family, ep, cfg.eps_alpha)
+                verdict = cones._dispatch(vtav, family, ep)
                 if verdict.is_member:
                     removed = "member_hat" if step == "hat" else "member"
                     break
@@ -202,7 +188,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
             screen_witness = None
 
         if removed:
-            record_removal(removed, cell, verdict)
+            removals[removed] += 1
             continue
         try:
             v_i, v_j, t_i, t_j = bisect(cell)
@@ -213,7 +199,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
             if screen_witness is not None:
                 n_child = t.T @ screen_witness @ t
                 if np.min(n_child) >= -_SCREEN_TOL * max(1.0, np.max(np.abs(screen_witness))):
-                    record_removal("screen", child, None)
+                    removals["screen"] += 1
                     continue
             worklist.append(child)
 

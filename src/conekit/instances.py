@@ -216,13 +216,7 @@ class PlantedQp:
     t: float
 
 
-def gen_planted_qp(
-    n: int,
-    support_size: int,
-    t: float,
-    noise_scale: float = 1.0,
-    seed=None,
-) -> PlantedQp:
+def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
     """Simplex QP with a planted minimizer.
 
     Draws x_star uniformly on a random face of the simplex, then builds
@@ -241,9 +235,9 @@ def gen_planted_qp(
     e = np.ones(n)
     r = np.eye(n) - np.outer(x_star, e)
     g = rng.standard_normal((n, n))
-    h = noise_scale * (g @ g.T) / n
+    h = (g @ g.T) / n
     f = rng.uniform(0.0, 1.0, size=(n, n))
-    n0 = noise_scale * ((f + f.T) / 2.0)
+    n0 = (f + f.T) / 2.0
     n0[np.ix_(support, support)] = 0.0
     q = t * np.outer(e, e) + r.T @ h @ r + n0
     q = (q + q.T) / 2.0

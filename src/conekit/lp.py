@@ -98,7 +98,6 @@ class LpSolution:
     objective_value: float | None = None
     dual: np.ndarray | None = None  # multipliers per original row, when optimal
     iterations: int = 0
-    note: str = ""
 
 
 @dataclass
@@ -365,7 +364,7 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
         max_iters = 50 * (lp.n_rows + lp.n_vars + 2)
     sf, infeasible = _to_standard_form(lp)
     if infeasible:
-        return LpSolution(status=INFEASIBLE, note="bound presolve")
+        return LpSolution(status=INFEASIBLE)
 
     spx = _Simplex(sf.A, sf.b, sf.c)
     status = spx.solve(max_iters)

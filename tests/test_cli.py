@@ -10,7 +10,6 @@ import pytest
 from conekit import instances
 from conekit.cli import (
     RunRecord,
-    _copo_config,
     build_parser,
     main,
     write_records,
@@ -66,8 +65,28 @@ def test_membership_exit_codes_subprocess(m1_path, m2_path, tmp_path):
     assert "error" in r.stderr
 
 
-def test_membership_unknown_cone_errors(m1_path):
-    assert main(["membership", m1_path, "--cone", "ZZ"]) == 1
+def test_membership_unknown_cone_errors(m1_path, tmp_path, capsys):
+    every, partition = "N,DD,H,G,F+,F+-,L", "N,H,G,F+,F+-"
+    graph = tmp_path / "k3.col"
+    instances.save_dimacs(instances.complete_graph(3), graph)
+    cases = [
+        (["membership", m1_path, "--cone", "ZZ"], every),
+        (["membership", m1_path, "--cone", "H,ZZ"], every),
+        (["copositive", m1_path, "--cone", "X"], partition),
+        (["copositive", m1_path, "--cone", "DD"], partition),
+        (["copositive", m1_path, "--cone", "F+-,G"], partition),
+        (["qpbound", m1_path, "--cone", "L"], partition),
+        (["clique", str(graph), "--cone", "X"], partition),
+    ]
+    for task, accepted in (("membership", every), ("copositive", partition)):
+        p = tmp_path / f"{task}.json"
+        row = {"instance": {"kind": "spn", "n": 4}, "task": task, "cone": "X"}
+        p.write_text(json.dumps({"rows": [row]}))
+        cases.append((["bench", str(p)], accepted))
+    for argv, accepted in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "unknown cone" in err and f"choose from {accepted}" in err, argv
 
 
 def test_membership_records_one_lp_per_lp_cone(m1_path, capsys):
@@ -142,15 +161,32 @@ def test_flags_a_subcommand_does_not_read_are_rejected():
         ["qpbound", "Q.txt", "--out", "x.json"],
         ["clique", "g.col", "--format", "json"],
         ["qpbound", "Q.txt", "--budget", "5"],
+        ["membership", "A.txt", "--eps", "0.5"],
+        ["copositive", "A.txt", "--eps", "0.5"],
+        ["clique", "g.col", "--eps", "0.5"],
+        ["qpbound", "Q.txt", "--eps", "0.5"],
     ):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
 
-def test_eps_reaches_the_partition_config():
-    for argv in (["qpbound", "Q.txt"], ["clique", "g.col"]):
-        args = build_parser().parse_args(argv + ["--eps", "1e-6"])
-        assert _copo_config(args).eps_alpha == 1e-6
+def test_usage_errors_exit_1_and_help_exits_0(m1_path):
+    # 2 means "inconclusive", so a typo must not read as an undecided run
+    for args in (
+        ("copositive", m1_path, "--bogus"),
+        ("copositive", m1_path, "--eps", "0.5"),
+        ("copositive", m1_path, "--alg", "3"),
+        ("copositive",),
+        ("frobnicate",),
+        (),
+    ):
+        r = run_cli(*args)
+        assert r.returncode == 1, args
+        assert "usage:" in r.stderr and "error:" in r.stderr
+    for args in (("--help",), ("copositive", "--help")):
+        r = run_cli(*args)
+        assert r.returncode == 0
+        assert "usage:" in r.stdout
 
 
 def test_gen_roundtrip(tmp_path):

@@ -268,11 +268,14 @@ def test_check_membership_rejects_wrong_pair():
         cones.check_membership_lp(M2, ep, "G")
 
 
-def test_lp_iteration_limit_is_not_member():
-    ep = eigen_decompose(M1)
-    v = cones.check_membership_lp(M1, ep, "Fpm", max_iters=1)
+def test_lp_iteration_limit_is_not_member(monkeypatch):
+    def limit(prog):
+        return lp.LpSolution(status=lp.ITERATION_LIMIT, iterations=1)
+
+    monkeypatch.setattr(lp, "solve", limit)
+    v = cones.check_membership_lp(M1, eigen_decompose(M1), "Fpm")
     assert not v.is_member
-    assert "lp-" in v.note
+    assert v.note == "lp-iteration_limit"
 
 
 def test_psd_split_examples():

@@ -225,11 +225,6 @@ def test_planted_qp_invariants():
             assert float(x @ inst.Q @ x) >= inst.t - 1e-9
 
 
-def test_planted_qp_zero_noise():
-    inst = gen_planted_qp(4, 2, -3.0, noise_scale=0.0, seed=1)
-    assert np.allclose(inst.Q, -3.0 * np.ones((4, 4)))
-
-
 def test_planted_qp_validates_support():
     with pytest.raises(ValueError):
         gen_planted_qp(4, 0, -1.0)

@@ -10,7 +10,10 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - bracket:   qp_optimum on 10 planted QPs (n=8);
 - clique:    clique_number on 6 random graphs;
 - lp:        lp.solve on 64 mixed LPs full of singleton rows, ties included
-  (status, x, duals, pivots).
+  (status, x, duals, pivots);
+- cli:       cli.main on fixed files for membership, copositive, qpbound,
+  clique and a small bench suite (exit code, and every record field but
+  wall_time and config, or the printed line).
 
 Compare a change with its parent by running this file against both source
 trees and diffing the output (the run time goes to stderr):
@@ -22,16 +25,22 @@ trees and diffing the output (the run time goes to stderr):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from conekit import cones, instances, lp
+from conekit import cli, cones, instances, lp
 from conekit.copositivity import CopoConfig
 from conekit.copositivity import test_copositive as run_copositive
+from conekit.linalg import format_matrix
 
 FAMILIES = ("N", "H", "G", "Fplus", "Fpm")
 
@@ -200,6 +209,74 @@ def lp_section():
     return len(progs), h.hexdigest(), detail
 
 
+def _cli_runs(tmp: Path) -> list:
+    """Subcommand argument lists over input files written into tmp."""
+
+    def matrix(name, a):
+        path = tmp / name
+        path.write_text(format_matrix(a))
+        return str(path)
+
+    def k_gamma(n, gamma):
+        return instances.max_clique_matrix(instances.complete_graph(n), gamma)
+
+    spn = matrix("spn.txt", instances.gen_random_spn(6, 3)[0])
+    m2 = matrix("m2.txt", [[1, 5, -2], [5, 1, -2], [-2, -2, 4]])
+    k55, k45 = matrix("k55.txt", k_gamma(5, 5.5)), matrix("k45.txt", k_gamma(5, 4.5))
+    k50 = matrix("k50.txt", k_gamma(5, 5.0))
+    qp = matrix("qp.txt", instances.gen_planted_qp(6, 3, -10.0, seed=2).Q)
+    graph = tmp / "g.col"
+    instances.save_dimacs(instances.gen_gnp_graph(7, 0.5, seed=4), graph)
+    spn5 = {"kind": "spn", "n": 5}
+    suite = tmp / "suite.json"
+    suite.write_text(json.dumps({"seed": 3, "rows": [
+        {"instance": spn5, "task": "membership", "cone": c, "repeat": 2}
+        for c in ("H", "F+-", "L")
+    ] + [
+        {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},
+         "task": "copositive", "cone": "F+-", "alg": 1},
+        {"instance": {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0,
+                      "gamma": -1.2}, "task": "copositive", "cone": "F+"},
+        {"instance": spn5, "task": "copositive", "cone": "N", "max_iter": 3},
+    ]}))
+    js = ["--format", "json"]
+    return [
+        ["membership", spn, *js],
+        ["membership", m2, "--cone", "H,G,F+-", *js],
+        ["copositive", k55, *js],
+        ["copositive", k45, "--alg", "1", *js],
+        ["copositive", k50, "--cone", "N", "--max-iter", "20", *js],
+        ["copositive", spn, "--cone", "G", "--alg", "1", *js],
+        ["qpbound", qp, "--eta", "0.1"],
+        ["qpbound", qp, "--cone", "F+", "--max-iter", "3"],
+        ["clique", str(graph)],
+        ["clique", str(graph), "--cone", "G", "--alg", "1", "--max-iter", "5"],
+        ["bench", str(suite), *js],
+    ]
+
+
+def cli_section():
+    h = hashlib.sha256()
+    exits: Counter = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = _cli_runs(Path(tmp))
+        for argv in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            text = out.getvalue()
+            if text.startswith("{"):  # JSON records
+                text = [
+                    {k: v for k, v in json.loads(line).items()
+                     if k not in ("wall_time", "config")}
+                    for line in text.splitlines()
+                ]
+            _feed(h, [argv[0], code, text])
+            exits[f"exit{code}"] += 1
+    detail = " ".join(f"{k}={v}" for k, v in sorted(exits.items()))
+    return len(runs), h.hexdigest(), detail
+
+
 def main() -> None:
     started = time.monotonic()
     for name, section in (
@@ -208,6 +285,7 @@ def main() -> None:
         ("bracket", bracket_section),
         ("clique", clique_section),
         ("lp", lp_section),
+        ("cli", cli_section),
     ):
         count, digest, detail = section()
         print(f"{name:<10} {count:>4} {digest} {detail}".rstrip())
