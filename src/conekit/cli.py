@@ -164,13 +164,16 @@ def cmd_membership(args) -> int:
     return EXIT_DECIDED if any_member else EXIT_INCONCLUSIVE
 
 
-def _copo_config(args) -> CopoConfig:
-    """The partition settings shared by every subcommand that runs one."""
+def _copo_config(cone: str, alg: int, max_iter: int, time_limit: float) -> CopoConfig:
+    """The partition settings of a subcommand or a bench row; a cone flag or
+    alg outside the choices is an error that names them."""
+    if alg not in (1, 2):
+        raise ValueError(f"unknown alg {alg!r}; choose from 1,2")
     return CopoConfig(
-        cone_family=_parse_cones(args.cone, PARTITION_FLAGS, many=False)[0],
-        use_alg2=(args.alg == 2),
-        max_iterations=args.max_iter,
-        time_limit=args.time_limit,
+        cone_family=_parse_cones(cone, PARTITION_FLAGS, many=False)[0],
+        use_alg2=alg == 2,
+        max_iterations=max_iter,
+        time_limit=time_limit,
     )
 
 
@@ -199,7 +202,8 @@ def cmd_copositive(args) -> int:
         "max_iter": args.max_iter,
         "time_limit": args.time_limit,
     }
-    rec = _copositive_record(a, _copo_config(args), "copositive", config)
+    cfg = _copo_config(args.cone, args.alg, args.max_iter, args.time_limit)
+    rec = _copositive_record(a, cfg, "copositive", config)
     _emit([rec], args)
     if rec.outcome == copositivity.INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
@@ -208,7 +212,8 @@ def cmd_copositive(args) -> int:
 
 def cmd_clique(args) -> int:
     g = load_dimacs(args.graph)
-    omega = instances.clique_number(g, _copo_config(args))
+    cfg = _copo_config(args.cone, args.alg, args.max_iter, args.time_limit)
+    omega = instances.clique_number(g, cfg)
     if omega is None:
         print("inconclusive: partition budget exhausted")
         return EXIT_INCONCLUSIVE
@@ -218,7 +223,8 @@ def cmd_clique(args) -> int:
 
 def cmd_qpbound(args) -> int:
     q = load_matrix(args.matrix)
-    bound = instances.qp_optimum(q, _copo_config(args), eta=args.eta)
+    cfg = _copo_config(args.cone, args.alg, args.max_iter, args.time_limit)
+    bound = instances.qp_optimum(q, cfg, eta=args.eta)
     print(f"interval [{bound.lo!r}, {bound.hi!r}] converged={bound.converged}")
     return EXIT_DECIDED if bound.converged else EXIT_INCONCLUSIVE
 
@@ -270,8 +276,6 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
     a = _bench_instance(row["instance"], seed_seq)
     task = row.get("task", "membership")
     cone_flag = row.get("cone", "F+-")
-    accepted = CONE_FLAGS if task == "membership" else PARTITION_FLAGS
-    family = _parse_cones(cone_flag, accepted, many=False)[0]
     config = {
         "row": index,
         "task": task,
@@ -280,18 +284,14 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
     }
     seed = f"{master}/{index}"
     if task == "membership":
+        family = _parse_cones(cone_flag, many=False)[0]
         return _membership_record(a, family, "bench", config, seed)
     if task == "copositive":
         alg = int(row.get("alg", 2))
         max_iter = int(row.get("max_iter", CopoConfig.max_iterations))
         time_limit = float(row.get("time_limit", CopoConfig.time_limit))
+        cfg = _copo_config(cone_flag, alg, max_iter, time_limit)
         config.update(alg=alg, max_iter=max_iter, time_limit=time_limit)
-        cfg = CopoConfig(
-            cone_family=family,
-            use_alg2=alg == 2,
-            max_iterations=max_iter,
-            time_limit=time_limit,
-        )
         return _copositive_record(a, cfg, "bench", config, seed)
     raise ValueError(f"unknown task {task!r}")
 

@@ -108,25 +108,20 @@ def build_lp(ep: EigenPair, family: str) -> lpmod.LinearProgram:
     """Detection LP for one family: maximize the entrywise floor alpha of the
     candidate nonnegative part, subject to the PSD-part caps.
 
-    Variables are the basis weights omega, then alpha.  Rows are the caps
-    omega_k <= caps[k], then one row per pair i <= j saying that entry (i, j)
-    of sum_k omega_k E_k is at least alpha.
+    Variables are the k basis weights omega, each capped by the bound
+    omega_k <= caps[k], then the free alpha.  Rows are one per pair i <= j,
+    saying that entry (i, j) of sum_k omega_k E_k is at least alpha.
 
-    Sizes: G has n+1 variables and n(n+3)/2 constraints; Fplus has
-    n(n+1)/2+1 and n(n+1); Fpm has n^2+1 and n(3n+1)/2.
+    Sizes: n(n+1)/2 rows plus k capped variables, with k = n for G, n(n+1)/2
+    for Fplus and n^2 for Fpm; counting each cap as a constraint, as the
+    paper does, gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints.
     """
     vectors, caps = _lp_layout(ep, family)
     iu, ju = np.triu_indices(ep.n)
-    k, npair = caps.size, iu.size
-    a = np.block([
-        [np.eye(k), np.zeros((k, 1))],
-        [vectors[iu] * vectors[ju], -np.ones((npair, 1))],
-    ])
-    senses = np.repeat([lpmod.LE, lpmod.GE], [k, npair])
-    rhs = np.concatenate([caps, np.zeros(npair)])
-    objective = np.zeros(k + 1)
-    objective[k] = 1.0
-    return lpmod.LinearProgram(objective, a, senses, rhs)
+    a = np.column_stack([vectors[iu] * vectors[ju], -np.ones(iu.size)])
+    objective = np.zeros(caps.size + 1)
+    objective[-1] = 1.0
+    return lpmod.LinearProgram(objective, a, lpmod.GE, 0.0, hi=np.append(caps, np.inf))
 
 
 def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> MembershipVerdict:
@@ -146,7 +141,7 @@ def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> Membership
     k = prog.n_vars - 1
     iu, ju = np.triu_indices(ep.n)
     n_cand = np.empty_like(a)
-    n_cand[iu, ju] = prog.A[k:, :k] @ sol.x[:k]
+    n_cand[iu, ju] = prog.A[:, :k] @ sol.x[:k]
     n_cand[ju, iu] = n_cand[iu, ju]
     if alpha < -EPS_ALPHA:
         return MembershipVerdict(

@@ -32,7 +32,9 @@ class LinearProgram:
 
     A is m x n; senses holds "<=", ">=" or "==" per row, and senses, rhs,
     lo and hi broadcast from scalars.  Bounds default to free and either side
-    may be infinite.  Malformed input raises at construction.
+    may be infinite.  Every row is solved as a row, so give a limit on a
+    single variable as lo/hi rather than as a one-entry row.  Malformed input
+    raises at construction.
     """
 
     objective: np.ndarray
@@ -111,23 +113,19 @@ class _StandardForm:
     col_var: np.ndarray
     col_sgn: np.ndarray
     offset: np.ndarray
-    # standard-form row r carries row_scale[r] times the multiplier of
-    # original row row_of[r] (-1: a bound row with no original row)
-    row_of: np.ndarray
-    row_scale: np.ndarray
-    # singleton rows folded into the upper (index 0) and lower (index 1)
-    # bound of each variable, kept so their duals can be recovered from
-    # reduced costs; -1 where no row was folded
-    fold_row: np.ndarray
-    fold_scale: np.ndarray
+    # standard-form row r < origin.size carries sign[r] times the multiplier
+    # of original row origin[r]; the caps of boxed variables come after
+    origin: np.ndarray
+    sign: np.ndarray
 
 
 def _to_standard_form(lp: LinearProgram):
     """Normalize to  max c.y, A y <= b, y >= 0.
 
-    Equality rows become a <= / >= pair; singleton rows are folded into
-    variable bounds; bounded variables are shifted or flipped, free ones
-    split.  Returns (_StandardForm, infeasible_flag).
+    Equality rows become a <= / >= pair and empty rows are dropped; bounded
+    variables are shifted or flipped, free ones split.  Returns
+    (_StandardForm, infeasible_flag), the flag set by an empty row whose rhs
+    no point meets.
     """
     nvar = lp.n_vars
     # sense-normalized rows: the <= halves, then the negated >= halves
@@ -137,39 +135,15 @@ def _to_standard_form(lp: LinearProgram):
     sign = np.repeat([1.0, -1.0], [le_part.size, ge_part.size])
     a_le = lp.A[origin] * sign[:, None]
     b_le = lp.rhs[origin] * sign
-
-    # singleton rows tighten the bound of their one variable
-    lo = lp.lo.copy()
-    hi = lp.hi.copy()
-    nnz = np.count_nonzero(a_le, axis=1)
-    single = np.flatnonzero(nnz == 1)
-    col = np.argmax(a_le[single] != 0, axis=1)
-    coef = a_le[single, col]
-    bound = b_le[single] / coef
-    upper = coef > 0
-    np.minimum.at(hi, col[upper], bound[upper])
-    np.maximum.at(lo, col[~upper], bound[~upper])
-    # of the rows at a tightened bound, the last in standard-form order
-    # carries its dual: picked by index, since a fancy assignment with
-    # repeated indices leaves the winning write unspecified
-    side = np.where(upper, 0, 1)
-    tight = bound == np.where(upper, hi[col], lo[col])
-    last = np.full((2, nvar), -1)
-    np.maximum.at(last, (side[tight], col[tight]), np.flatnonzero(tight))
-    folded = last >= 0
-    fold_row = np.full((2, nvar), -1)
-    fold_row[folded] = origin[single[last[folded]]]
-    fold_scale = np.zeros((2, nvar))
-    fold_scale[folded] = (sign[single] / coef)[last[folded]]
-    if np.any(b_le[nnz == 0] < -DEFAULT_FEAS_TOL):
+    kept = a_le.any(axis=1)
+    if np.any(b_le[~kept] < -DEFAULT_FEAS_TOL):
         return None, True
-    if np.any(lo > hi + DEFAULT_FEAS_TOL):
-        return None, True
-    kept = nnz > 1
+    origin, sign, a_le, b_le = origin[kept], sign[kept], a_le[kept], b_le[kept]
 
     # variable transform: a variable with a finite lower bound is shifted
     # (x = lo + y), one with only an upper bound flipped (x = hi - y), and a
     # free one split into two columns, the negative one appended at the end
+    lo, hi = lp.lo, lp.hi
     has_lo = np.isfinite(lo)
     has_hi = np.isfinite(hi)
     free = ~has_lo & ~has_hi
@@ -181,11 +155,8 @@ def _to_standard_form(lp: LinearProgram):
     cap_rows = np.zeros((boxed.size, col_var.size))
     cap_rows[np.arange(boxed.size), boxed] = 1.0
 
-    A = np.vstack([a_le[kept][:, col_var] * col_sgn, cap_rows])
-    b = np.concatenate([b_le[kept] - a_le[kept] @ offset, hi[boxed] - lo[boxed]])
-    # a cap that is really a folded singleton row routes its dual back there
-    row_of = np.concatenate([origin[kept], fold_row[0, boxed]])
-    row_scale = np.concatenate([sign[kept], fold_scale[0, boxed]])
+    A = np.vstack([a_le[:, col_var] * col_sgn, cap_rows])
+    b = np.concatenate([b_le - a_le @ offset, hi[boxed] - lo[boxed]])
     sf = _StandardForm(
         A=A,
         b=b,
@@ -193,10 +164,8 @@ def _to_standard_form(lp: LinearProgram):
         col_var=col_var,
         col_sgn=col_sgn,
         offset=offset,
-        row_of=row_of,
-        row_scale=row_scale,
-        fold_row=fold_row,
-        fold_scale=fold_scale,
+        origin=origin,
+        sign=sign,
     )
     return sf, False
 
@@ -377,15 +346,8 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
         spx._refactorize()
         x = _primal(sf, spx.primal())
 
-    dual = np.zeros(lp.n_rows)
-    has_row = sf.row_of >= 0
-    np.add.at(dual, sf.row_of[has_row], (sf.row_scale * spx.duals())[has_row])
-    # singleton rows folded into bounds carry their multipliers in the
-    # reduced costs; attribute the stationarity residual back to them
-    z = lp.objective - dual @ lp.A
-    zscale = max(1.0, float(np.max(np.abs(lp.objective))))
-    hit = (sf.fold_row >= 0) & (np.stack([z, -z]) > 1e-12 * zscale)
-    np.add.at(dual, sf.fold_row[hit], (sf.fold_scale * z)[hit])
+    y = spx.duals()[: sf.origin.size]
+    dual = np.bincount(sf.origin, weights=sf.sign * y, minlength=lp.n_rows)
 
     return LpSolution(
         status=OPTIMAL,

@@ -313,6 +313,16 @@ def test_bench_bad_suite_errors(tmp_path):
     assert main(["bench", str(p)]) == 1
 
 
+def test_bench_unknown_alg_errors(tmp_path, capsys):
+    for alg in (0, 3):
+        row = {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},
+               "task": "copositive", "cone": "F+-", "alg": alg}
+        assert main(["bench", _suite(tmp_path, [row]), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown alg {alg}; choose from 1,2" in captured.err
+
+
 def test_bench_summary_per_task_and_alg(tmp_path):
     spn = {"kind": "spn", "n": 4}
     suite = _suite(

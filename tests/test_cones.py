@@ -105,7 +105,10 @@ def test_build_lp_sizes():
         ):
             prog = cones.build_lp(ep, family)
             assert prog.n_vars == nvars
-            assert prog.n_rows == nrows
+            assert prog.n_rows == n * (n + 1) // 2
+            # each cap is one constraint, as the paper counts them
+            bounds = np.isfinite(prog.lo).sum() + np.isfinite(prog.hi).sum()
+            assert prog.n_rows + bounds == nrows
 
 
 def _family_bases(p):
@@ -132,9 +135,15 @@ def test_build_lp_pair_rows_are_the_sd_basis():
             k = len(mats)
             assert prog.n_vars == k + 1
             expect = np.column_stack([m[iu, ju] for m in mats])
-            assert np.array_equal(prog.A[k:, :k], expect)
-            assert np.all(prog.A[k:, k] == -1.0)
-            assert np.all(prog.senses[k:] == lp.GE)
+            assert np.array_equal(prog.A[:, :k], expect)
+            assert np.all(prog.A[:, k] == -1.0)
+            assert np.all(prog.senses == lp.GE)
+            # omega is capped by lambda_i on the (i, i) terms, by 0 on the rest
+            diag = np.arange(n) if family == "G" else np.flatnonzero(iu == ju)
+            caps = np.zeros(k)
+            caps[diag] = ep.lam
+            assert np.array_equal(prog.hi, np.append(caps, np.inf))
+            assert np.all(prog.lo == -np.inf)
 
 
 def test_n_candidate_is_the_weighted_basis_sum():

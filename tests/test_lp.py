@@ -154,7 +154,7 @@ def test_weak_duality_and_stationarity():
         assert np.all(sol.dual[prog.senses == lp.GE] <= 1e-9)
 
 
-def test_folded_singleton_dual_goes_to_the_last_tight_row():
+def test_singleton_rows_get_valid_duals():
     # x <= 1 twice around x <= 3; y <= 1 as a >= row and as a <= row
     rows = [
         ([1.0, 0.0], lp.LE, 1.0),
@@ -165,12 +165,16 @@ def test_folded_singleton_dual_goes_to_the_last_tight_row():
         ([0.0, 1.0], lp.LE, 1.0),
         ([1.0, 1.0], lp.LE, 5.0),
     ]
-    sol = _solve([1.0, 1.0], rows)
+    prog = _lp([1.0, 1.0], rows)
+    sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert np.array_equal(sol.x, [1.0, 1.0])
-    # ties go to the last row in standard-form order: the <= rows, then the
-    # >= rows, so the >= form of y <= 1 carries y's multiplier
-    assert np.array_equal(sol.dual, [0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0])
+    assert float(sol.dual @ prog.rhs) == pytest.approx(sol.objective_value, abs=1e-12)
+    assert np.max(np.abs(prog.objective - sol.dual @ prog.A)) <= 1e-12
+    assert np.all(sol.dual[prog.senses == lp.LE] >= 0.0)
+    assert np.all(sol.dual[prog.senses == lp.GE] <= 0.0)
+    # rows 1, 3 and 6 are slack at x
+    assert np.all(sol.dual[[1, 3, 6]] == 0.0)
 
 
 def test_determinism():

@@ -9,8 +9,8 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   (status, alpha*, S, N, n_candidate, note);
 - bracket:   qp_optimum on 10 planted QPs (n=8);
 - clique:    clique_number on 6 random graphs;
-- lp:        lp.solve on 64 mixed LPs full of singleton rows, ties included
-  (status, x, duals, pivots);
+- lp:        lp.solve on 64 mixed LPs full of singleton rows, == rows and
+  tied rows, all solved as ordinary rows (status, x, duals, pivots);
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time and config, or the printed line).
@@ -145,9 +145,11 @@ def clique_section():
 
 def _singleton_lp(rng):
     """A random LP around x0 whose rows are mostly singletons: repeated
-    bounds (exact ties, also through scaled copies), == singletons that fold
-    on both sides, negative coefficients, signed zeros and plain rows; now
-    and then one singleton bound that x0 breaks."""
+    bounds (exact ties, also through scaled copies), == singletons, negative
+    coefficients, signed zeros and plain rows; now and then one singleton
+    bound that x0 breaks.  The solver keeps each of them as a row (the
+    detection LPs give their caps as bounds instead), so these LPs exercise
+    degenerate and tied rows."""
     n = int(rng.integers(2, 6))
     x0 = np.round(rng.normal(size=n), 1)
     rows, senses, rhs = [], [], []
@@ -192,7 +194,7 @@ def lp_section():
     h = hashlib.sha256()
     rng = np.random.default_rng(31)
     progs = [_singleton_lp(rng) for _ in range(63)]
-    # the fold's tie rule: x <= 1 twice around x <= 3, y fenced on both sides
+    # tied rows: x <= 1 twice around x <= 3, y fenced on both sides
     progs.append(lp.LinearProgram(
         [1.0, 1.0],
         [[1, 0], [1, 0], [1, 0], [0, 1], [0, -1], [0, 1], [1, 1]],
