@@ -254,17 +254,26 @@ def _row_seed(master: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([master, index])
 
 
+def _suite_int(spec: dict, field: str, default: int | None = None) -> int:
+    """An integer field of a bench suite; any other value, a bool or 1.5 say,
+    is an error that names the field."""
+    value = spec[field] if default is None else spec.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"bench field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _bench_instance(spec: dict, seed_seq) -> np.ndarray:
     kind = spec["kind"]
     if kind == "spn":
-        a, _, _ = gen_random_spn(int(spec["n"]), seed_seq)
+        a, _, _ = gen_random_spn(_suite_int(spec, "n"), seed_seq)
         return a
     if kind == "kgamma":
-        return max_clique_matrix(complete_graph(int(spec["n"])), float(spec["gamma"]))
+        n = _suite_int(spec, "n")
+        return max_clique_matrix(complete_graph(n), float(spec["gamma"]))
     if kind == "plantedqp":
-        inst = gen_planted_qp(
-            int(spec["n"]), int(spec["support"]), float(spec["t"]), seed=seed_seq
-        )
+        n, support = _suite_int(spec, "n"), _suite_int(spec, "support")
+        inst = gen_planted_qp(n, support, float(spec["t"]), seed=seed_seq)
         return std_qp_matrix(inst.Q, float(spec.get("gamma", 0.0)))
     if kind == "file":
         return load_matrix(spec["path"])
@@ -287,8 +296,8 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
         family = _parse_cones(cone_flag, many=False)[0]
         return _membership_record(a, family, "bench", config, seed)
     if task == "copositive":
-        alg = int(row.get("alg", 2))
-        max_iter = int(row.get("max_iter", CopoConfig.max_iterations))
+        alg = _suite_int(row, "alg", 2)
+        max_iter = _suite_int(row, "max_iter", CopoConfig.max_iterations)
         time_limit = float(row.get("time_limit", CopoConfig.time_limit))
         cfg = _copo_config(cone_flag, alg, max_iter, time_limit)
         config.update(alg=alg, max_iter=max_iter, time_limit=time_limit)
@@ -299,7 +308,7 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
 def _expand_suite(suite: dict) -> list:
     rows = []
     for row in suite["rows"]:
-        repeat = int(row.get("repeat", 1))
+        repeat = _suite_int(row, "repeat", 1)
         base = {k: v for k, v in row.items() if k != "repeat"}
         rows.extend(dict(base) for _ in range(repeat))
     return rows
@@ -334,7 +343,7 @@ def _summary_records(records: list) -> list:
 def cmd_bench(args) -> int:
     with open(args.suite) as fh:
         suite = json.load(fh)
-    master = int(args.seed if args.seed is not None else suite.get("seed", 0))
+    master = args.seed if args.seed is not None else _suite_int(suite, "seed", 0)
     rows = _expand_suite(suite)
     records = [_bench_row(i, row, master) for i, row in enumerate(rows)]
     records = records + _summary_records(records)

@@ -121,7 +121,7 @@ def build_lp(ep: EigenPair, family: str) -> lpmod.LinearProgram:
     a = np.column_stack([vectors[iu] * vectors[ju], -np.ones(iu.size)])
     objective = np.zeros(caps.size + 1)
     objective[-1] = 1.0
-    return lpmod.LinearProgram(objective, a, lpmod.GE, 0.0, hi=np.append(caps, np.inf))
+    return lpmod.LinearProgram(objective, a, 0.0, hi=np.append(caps, np.inf))
 
 
 def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> MembershipVerdict:
@@ -175,7 +175,7 @@ def in_L_bomze(a: np.ndarray) -> MembershipVerdict:
     witness is claimed.  LP infeasibility means the test cannot identify A.
     """
     a_plus, a_minus = psd_split(a)
-    prog = lpmod.LinearProgram(-np.ones(len(a)), a_plus, lpmod.GE, 1.0, lo=0.0)
+    prog = lpmod.LinearProgram(-np.ones(len(a)), a_plus, 1.0, lo=0.0)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, "L", note=f"lp-{sol.status}")

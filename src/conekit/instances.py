@@ -58,10 +58,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def path_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
-
-
 def load_dimacs(path) -> Graph:
     """Parse a DIMACS edge-list file ("p edge n m" header, "e i j" lines)."""
     n = None
@@ -114,11 +110,6 @@ def load_dimacs(path) -> Graph:
 def format_dimacs(g: Graph) -> str:
     edges = "".join(f"e {i + 1} {j + 1}\n" for i, j in sorted(g.edges))
     return f"p edge {g.n} {g.m}\n" + edges
-
-
-def save_dimacs(g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_dimacs(g))
 
 
 def max_clique_matrix(g: Graph, gamma: float) -> np.ndarray:

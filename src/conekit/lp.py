@@ -1,8 +1,9 @@
 """Self-contained dense LP solver (two-phase revised simplex).
 
-Solves  maximize c^T x  subject to row constraints with senses <=, >=, ==
-and per-variable bounds.  Sized for the small structured LPs produced by the
-cone membership tests (a few thousand rows at most), not for sparse work.
+Solves  maximize c^T x  subject to  A x >= rhs  and per-variable bounds; a
+<= row is written negated and an == row as two rows.  Sized for the small
+structured LPs produced by the cone membership tests (a few thousand rows at
+most), not for sparse work.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-LE, GE, EQ = "<=", ">=", "=="
-_SENSES = (LE, GE, EQ)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -28,23 +26,22 @@ _REFACTOR_EVERY = 100
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to  A x (senses) rhs  and  lo <= x <= hi.
+    """maximize objective . x  subject to  A x >= rhs  and  lo <= x <= hi.
 
-    A is m x n; senses holds "<=", ">=" or "==" per row, and senses, rhs,
-    lo and hi broadcast from scalars.  Bounds default to free and either side
-    may be infinite.  Every row is solved as a row, so give a limit on a
+    A is m x n, and rhs, lo and hi broadcast from scalars.  Write a <= row
+    negated and an == row as two rows.  Bounds default to free and either
+    side may be infinite.  Every row is solved as a row, so give a limit on a
     single variable as lo/hi rather than as a one-entry row.  Malformed input
     raises at construction.
     """
 
     objective: np.ndarray
     A: np.ndarray
-    senses: np.ndarray
     rhs: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
-    def __init__(self, objective, A, senses, rhs, lo=-math.inf, hi=math.inf):
+    def __init__(self, objective, A, rhs, lo=-math.inf, hi=math.inf):
         c = np.asarray(objective, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("objective must be a nonempty vector")
@@ -57,13 +54,9 @@ class LinearProgram:
         if a.ndim != 2 or a.shape[1] != nvar:
             raise ValueError(f"constraint matrix must be m x {nvar}, got {a.shape}")
         m = a.shape[0]
-        sense = np.broadcast_to(np.asarray(senses, dtype=str), (m,))
         b = np.broadcast_to(np.asarray(rhs, dtype=float), (m,))
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("constraint coefficients and rhs must be finite")
-        bad = ~np.isin(sense, _SENSES)
-        if np.any(bad):
-            raise ValueError(f"row {np.argmax(bad)}: unknown sense {sense[bad][0]!r}")
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (nvar,))
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (nvar,))
         bad = np.isnan(lo) | np.isnan(hi) | (lo > hi)
@@ -72,7 +65,6 @@ class LinearProgram:
             raise ValueError(f"variable {j}: invalid bounds ({lo[j]}, {hi[j]})")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "A", a)
-        object.__setattr__(self, "senses", sense)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -87,8 +79,7 @@ class LinearProgram:
 
     def constraint_violation(self, x: np.ndarray) -> float:
         """Largest violation of rows and bounds at x (0 when feasible)."""
-        v = self.A @ x - self.rhs
-        v = np.where(self.senses == LE, v, np.where(self.senses == GE, -v, abs(v)))
+        v = self.rhs - self.A @ x
         bounds = max(np.max(self.lo - x), np.max(x - self.hi))
         return float(max(0.0, v.max(initial=0.0), bounds))
 
@@ -98,7 +89,7 @@ class LpSolution:
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
-    dual: np.ndarray | None = None  # multipliers per original row, when optimal
+    dual: np.ndarray | None = None  # multiplier (<= 0) per row, when optimal
     iterations: int = 0
 
 
@@ -113,32 +104,25 @@ class _StandardForm:
     col_var: np.ndarray
     col_sgn: np.ndarray
     offset: np.ndarray
-    # standard-form row r < origin.size carries sign[r] times the multiplier
-    # of original row origin[r]; the caps of boxed variables come after
+    # standard-form row r < origin.size is original row origin[r] negated;
+    # the caps of boxed variables come after
     origin: np.ndarray
-    sign: np.ndarray
 
 
 def _to_standard_form(lp: LinearProgram):
     """Normalize to  max c.y, A y <= b, y >= 0.
 
-    Equality rows become a <= / >= pair and empty rows are dropped; bounded
-    variables are shifted or flipped, free ones split.  Returns
-    (_StandardForm, infeasible_flag), the flag set by an empty row whose rhs
-    no point meets.
+    Rows are negated and empty rows dropped; bounded variables are shifted
+    or flipped, free ones split.  Returns (_StandardForm, infeasible_flag),
+    the flag set by an empty row whose rhs no point meets.
     """
     nvar = lp.n_vars
-    # sense-normalized rows: the <= halves, then the negated >= halves
-    le_part = np.flatnonzero(lp.senses != GE)
-    ge_part = np.flatnonzero(lp.senses != LE)
-    origin = np.concatenate([le_part, ge_part])
-    sign = np.repeat([1.0, -1.0], [le_part.size, ge_part.size])
-    a_le = lp.A[origin] * sign[:, None]
-    b_le = lp.rhs[origin] * sign
-    kept = a_le.any(axis=1)
-    if np.any(b_le[~kept] < -DEFAULT_FEAS_TOL):
+    kept = lp.A.any(axis=1)
+    if np.any(lp.rhs[~kept] > DEFAULT_FEAS_TOL):
         return None, True
-    origin, sign, a_le, b_le = origin[kept], sign[kept], a_le[kept], b_le[kept]
+    origin = np.flatnonzero(kept)
+    a_le = -lp.A[origin]
+    b_le = -lp.rhs[origin]
 
     # variable transform: a variable with a finite lower bound is shifted
     # (x = lo + y), one with only an upper bound flipped (x = hi - y), and a
@@ -165,7 +149,6 @@ def _to_standard_form(lp: LinearProgram):
         col_sgn=col_sgn,
         offset=offset,
         origin=origin,
-        sign=sign,
     )
     return sf, False
 
@@ -346,8 +329,8 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
         spx._refactorize()
         x = _primal(sf, spx.primal())
 
-    y = spx.duals()[: sf.origin.size]
-    dual = np.bincount(sf.origin, weights=sf.sign * y, minlength=lp.n_rows)
+    dual = np.zeros(lp.n_rows)
+    dual[sf.origin] = -spx.duals()[: sf.origin.size]
 
     return LpSolution(
         status=OPTIMAL,

@@ -198,7 +198,7 @@ def test_criterion_07_clique_numbers():
         base = instances.gen_gnp_graph(n, 0.3, seed=n)
         graphs.append(instances.plant_clique(base, k, seed=n))
     graphs.append(instances.complete_graph(4))
-    graphs.append(instances.path_graph(3))
+    graphs.append(instances.Graph(3, frozenset({(0, 1), (1, 2)})))
     assert len(graphs) == 20
     cfg = CopoConfig(cone_family="Fpm", max_iterations=200_000)
     ok = True

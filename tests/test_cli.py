@@ -68,7 +68,7 @@ def test_membership_exit_codes_subprocess(m1_path, m2_path, tmp_path):
 def test_membership_unknown_cone_errors(m1_path, tmp_path, capsys):
     every, partition = "N,DD,H,G,F+,F+-,L", "N,H,G,F+,F+-"
     graph = tmp_path / "k3.col"
-    instances.save_dimacs(instances.complete_graph(3), graph)
+    graph.write_text(instances.format_dimacs(instances.complete_graph(3)))
     cases = [
         (["membership", m1_path, "--cone", "ZZ"], every),
         (["membership", m1_path, "--cone", "H,ZZ"], every),
@@ -127,7 +127,7 @@ def test_copositive_exit_codes(tmp_path):
 
 def test_clique_subcommand(tmp_path, capsys):
     p = tmp_path / "k4.col"
-    instances.save_dimacs(instances.complete_graph(4), p)
+    p.write_text(instances.format_dimacs(instances.complete_graph(4)))
     assert main(["clique", str(p)]) == 0
     assert "clique_number 4" in capsys.readouterr().out
 
@@ -145,7 +145,7 @@ def test_qpbound_subcommand(tmp_path, capsys):
 def test_reductions_honour_max_iter(tmp_path):
     # one partition cell settles neither instance; the default budget does
     g = tmp_path / "g.col"
-    instances.save_dimacs(instances.gen_gnp_graph(8, 0.5, seed=1), g)
+    g.write_text(instances.format_dimacs(instances.gen_gnp_graph(8, 0.5, seed=1)))
     assert main(["clique", str(g), "--max-iter", "1"]) == 2
     assert main(["clique", str(g)]) == 0
     q = tmp_path / "q.txt"
@@ -321,6 +321,34 @@ def test_bench_unknown_alg_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unknown alg {alg}; choose from 1,2" in captured.err
+
+
+def test_bench_integer_fields_reject_other_values(tmp_path, capsys):
+    k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
+    qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
+    row = {"instance": k4, "task": "copositive", "alg": 1, "max_iter": 20}
+    cases = [("seed", 1.5, {"seed": 1.5, "rows": [row]})]
+    for field in ("alg", "max_iter", "repeat"):
+        for value in (1.9, True):
+            cases.append((field, value, {"rows": [{**row, field: value}]}))
+    for field, inst in (("n", k4), ("n", qp), ("support", qp)):
+        for value in (4.7, False):
+            bad = {**row, "instance": {**inst, field: value}}
+            cases.append((field, value, {"rows": [bad]}))
+    p = tmp_path / "suite.json"
+    for field, value, suite in cases:
+        p.write_text(json.dumps(suite))
+        assert main(["bench", str(p), "--format", "json"]) == 1, suite
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        msg = f"bench field {field!r} must be an integer, got {value!r}"
+        assert msg in captured.err, suite
+    # a suite with several bad fields names the first one read
+    p.write_text(json.dumps({"seed": 1.5, "rows": [
+        {"instance": {"kind": "kgamma", "n": 4.7, "gamma": 4.5},
+         "task": "copositive", "alg": 1.9, "max_iter": 2.5, "repeat": 1.9}]}))
+    assert main(["bench", str(p)]) == 1
+    assert "bench field 'seed' must be an integer" in capsys.readouterr().err
 
 
 def test_bench_summary_per_task_and_alg(tmp_path):

@@ -137,7 +137,6 @@ def test_build_lp_pair_rows_are_the_sd_basis():
             expect = np.column_stack([m[iu, ju] for m in mats])
             assert np.array_equal(prog.A[:, :k], expect)
             assert np.all(prog.A[:, k] == -1.0)
-            assert np.all(prog.senses == lp.GE)
             # omega is capped by lambda_i on the (i, i) terms, by 0 on the rest
             diag = np.arange(n) if family == "G" else np.flatnonzero(iu == ju)
             caps = np.zeros(k)
@@ -272,9 +271,20 @@ def test_conic_closure_of_witnesses():
 
 
 def test_check_membership_rejects_wrong_pair():
+    # a given pair is trusted only when it reconstructs A within 1e-6 of
+    # max(1, max |A|); M1 has max |A| = 6
     ep = eigen_decompose(M1)
     with pytest.raises(ValueError):
         cones.check_membership_lp(M2, ep, "G")
+    near, far = M1.copy(), M1.copy()
+    near[0, 0] += 6e-8
+    far[0, 0] += 6e-5
+    for family in cones.LP_FAMILIES:
+        for a in (M2, far):
+            with pytest.raises(ValueError, match="does not reconstruct"):
+                cones.check_membership(a, family, ep)
+        v = cones.check_membership(near, family, ep)
+        assert v.status in (cones.MEMBER, cones.NOT_IDENTIFIED)
 
 
 def test_lp_iteration_limit_is_not_member(monkeypatch):

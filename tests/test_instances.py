@@ -12,20 +12,21 @@ from conekit.instances import (
     InconsistentHeader,
     ParseError,
     complete_graph,
+    format_dimacs,
     gen_gnp_graph,
     gen_planted_qp,
     gen_random_spn,
     load_dimacs,
     max_clique_matrix,
-    path_graph,
     plant_clique,
-    save_dimacs,
     std_qp_matrix,
 )
 from conekit.linalg import is_psd_cholesky
 
 # frozen fixture: gen_random_spn(5, 12345), first matrix, sha256 of raw bytes
 SPN_FIXTURE_DIGEST = "8e6bb30e100b883d384d7ab3283b901af53fc4588b908b083dd0c5f2fa1df364"
+
+P3 = Graph(3, frozenset({(0, 1), (1, 2)}))  # the path on 3 nodes
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -60,7 +61,7 @@ def test_load_dimacs_path(tmp_path):
     p = tmp_path / "p3.col"
     p.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
     g = load_dimacs(p)
-    assert g.edges == path_graph(3).edges
+    assert g.edges == P3.edges
 
 
 def test_load_dimacs_self_loop(tmp_path):
@@ -88,7 +89,7 @@ def test_load_dimacs_edge_before_header(tmp_path):
 def test_dimacs_roundtrip(tmp_path):
     g = gen_gnp_graph(8, 0.4, seed=5)
     p = tmp_path / "g.col"
-    save_dimacs(g, p)
+    p.write_text(format_dimacs(g))
     assert load_dimacs(p).edges == g.edges
 
 
@@ -99,7 +100,7 @@ def test_max_clique_matrix_examples():
     )
     empty = Graph(2, frozenset())
     assert np.array_equal(max_clique_matrix(empty, 1.0), np.zeros((2, 2)))
-    b = max_clique_matrix(path_graph(3), 2.0)
+    b = max_clique_matrix(P3, 2.0)
     assert np.allclose(np.diag(b), 1.0)
     assert b[0, 1] == -1.0 and b[0, 2] == 1.0
 
@@ -121,7 +122,7 @@ def test_clique_uniform_vector_value():
 
 def test_clique_number_examples():
     assert instances.clique_number(complete_graph(4), fast_cfg()) == 4
-    assert instances.clique_number(path_graph(3), fast_cfg()) == 2
+    assert instances.clique_number(P3, fast_cfg()) == 2
     tri_plus_iso = Graph(4, frozenset({(0, 1), (0, 2), (1, 2)}))
     assert instances.clique_number(tri_plus_iso, fast_cfg()) == 3
 

@@ -3,14 +3,34 @@ import pytest
 
 from conekit import lp
 
+LE, GE, EQ = "<=", ">=", "=="  # tags of the (coefficients, tag, rhs) rows below
+
+
+def _ge_rows(rows, nvar):
+    """Tagged rows as >= rows: the <= and == rows negated, then the >= and
+    == rows.  Returns (A, rhs, origin, sign), row r of A being sign[r] times
+    input row origin[r]."""
+    tags = np.array([r[1] for r in rows], dtype=str)
+    le = np.flatnonzero(tags != GE)
+    ge = np.flatnonzero(tags != LE)
+    origin = np.concatenate([le, ge])
+    sign = np.repeat([-1.0, 1.0], [le.size, ge.size])
+    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), nvar)
+    b = np.array([r[2] for r in rows], dtype=float)
+    return a[origin] * sign[:, None], b[origin] * sign, origin, sign
+
 
 def _lp(objective, rows, bounds=None):
-    """Matrix-form LP from (coefficients, sense, rhs) rows and (lo, hi) bounds."""
-    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), len(objective))
+    """Matrix-form LP from (coefficients, tag, rhs) rows and (lo, hi) bounds."""
+    a, b, _, _ = _ge_rows(rows, len(objective))
     lo, hi = (-np.inf, np.inf) if bounds is None else np.array(bounds, dtype=float).T
-    return lp.LinearProgram(
-        objective, a, [r[1] for r in rows], [r[2] for r in rows], lo, hi
-    )
+    return lp.LinearProgram(objective, a, b, lo, hi)
+
+
+def _row_duals(rows, nvar, dual):
+    """The multiplier of each tagged row, read back through _ge_rows."""
+    _, _, origin, sign = _ge_rows(rows, nvar)
+    return np.bincount(origin, weights=sign * dual, minlength=len(rows))
 
 
 def _solve(objective, rows, bounds=None, **kw):
@@ -18,23 +38,23 @@ def _solve(objective, rows, bounds=None, **kw):
 
 
 def test_single_variable_box():
-    sol = _solve([1.0], [([1.0], lp.LE, 3.0)], [(0.0, np.inf)])
+    sol = _solve([1.0], [([1.0], LE, 3.0)], [(0.0, np.inf)])
     assert sol.status == lp.OPTIMAL
     assert sol.x[0] == pytest.approx(3.0)
     assert sol.objective_value == pytest.approx(3.0)
 
 
 def test_infeasible_box():
-    sol = _solve([1.0], [([1.0], lp.GE, 1.0), ([1.0], lp.LE, 0.0)])
+    sol = _solve([1.0], [([1.0], GE, 1.0), ([1.0], LE, 0.0)])
     assert sol.status == lp.INFEASIBLE
 
 
 def test_duplicated_row():
     # maximize alpha s.t. omega <= 2, omega >= alpha (twice)
     rows = [
-        ([1.0, 0.0], lp.LE, 2.0),
-        ([1.0, -1.0], lp.GE, 0.0),
-        ([1.0, -1.0], lp.GE, 0.0),
+        ([1.0, 0.0], LE, 2.0),
+        ([1.0, -1.0], GE, 0.0),
+        ([1.0, -1.0], GE, 0.0),
     ]
     sol = _solve([0.0, 1.0], rows)
     assert sol.status == lp.OPTIMAL
@@ -47,7 +67,7 @@ def test_unbounded():
 
 
 def test_equality_row():
-    rows = [([1.0, 1.0], lp.EQ, 1.0)]
+    rows = [([1.0, 1.0], EQ, 1.0)]
     sol = _solve([1.0, 2.0], rows, [(0.0, np.inf), (0.0, np.inf)])
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(2.0)
@@ -59,7 +79,7 @@ def test_iteration_limit_status():
     n, m = 8, 16
     x0 = np.abs(rng.normal(size=n))
     rows = [
-        (a, lp.LE, float(a @ x0) + 0.5)
+        (a, LE, float(a @ x0) + 0.5)
         for a in rng.normal(size=(m, n))
     ]
     sol = _solve(rng.normal(size=n), rows, [(0.0, 10.0)] * n, max_iters=1)
@@ -68,17 +88,15 @@ def test_iteration_limit_status():
 
 def test_malformed_rejected_at_construction():
     with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [[1.0, 2.0]], [lp.LE], [1.0])
+        lp.LinearProgram([1.0], [[1.0, 2.0]], [1.0])
     with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [[1.0]], ["<"], [1.0])
+        lp.LinearProgram([np.inf], [], [])
     with pytest.raises(ValueError):
-        lp.LinearProgram([np.inf], [], [], [])
+        lp.LinearProgram([1.0], [], [], lo=2.0, hi=1.0)
     with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [], [], [], lo=2.0, hi=1.0)
+        lp.LinearProgram([1.0], [[1.0]], [np.nan])
     with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [[1.0]], [lp.LE], [np.nan])
-    with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [[1.0], [2.0]], [lp.LE] * 3, [1.0, 1.0])
+        lp.LinearProgram([1.0], [[1.0], [2.0]], [1.0, 1.0, 1.0])
 
 
 def test_objective_matches_solution_vector():
@@ -88,7 +106,7 @@ def test_objective_matches_solution_vector():
         c = rng.normal(size=n)
         x0 = rng.normal(size=n)
         rows = [
-            (a, lp.LE, float(a @ x0) + rng.uniform(0.1, 1.0))
+            (a, LE, float(a @ x0) + rng.uniform(0.1, 1.0))
             for a in rng.normal(size=(n + 2, n))
         ]
         sol = _solve(c, rows, [(-5.0, 5.0)] * n)
@@ -109,9 +127,9 @@ def test_known_feasible_lps_stay_feasible():
             a = rng.normal(size=n)
             margin = rng.uniform(0.05, 1.0)
             if rng.uniform() < 0.5:
-                rows.append((a, lp.LE, float(a @ x0) + margin))
+                rows.append((a, LE, float(a @ x0) + margin))
             else:
-                rows.append((a, lp.GE, float(a @ x0) - margin))
+                rows.append((a, GE, float(a @ x0) - margin))
         prog = _lp(rng.normal(size=n), rows, [(0.0, 4.0)] * n)
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
@@ -134,14 +152,14 @@ def test_weak_duality_and_stationarity():
                 a = rng.normal(size=n)
             margin = rng.uniform(0.0, 2.0)
             if rng.uniform() < 0.5:
-                rows.append((a, lp.LE, float(a @ x0) + margin))
+                rows.append((a, LE, float(a @ x0) + margin))
             else:
-                rows.append((a, lp.GE, float(a @ x0) - margin))
+                rows.append((a, GE, float(a @ x0) - margin))
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            rows.append((e, lp.LE, float(x0[j]) + 5.0))
-            rows.append((e, lp.GE, float(x0[j]) - 5.0))
+            rows.append((e, LE, float(x0[j]) + 5.0))
+            rows.append((e, GE, float(x0[j]) - 5.0))
         c = rng.normal(size=n)
         prog = _lp(c, rows)
         sol = lp.solve(prog)
@@ -150,20 +168,22 @@ def test_weak_duality_and_stationarity():
         assert abs(by - sol.objective_value) <= 1e-7 * max(1.0, abs(by))
         stat = c - sol.dual @ prog.A
         assert np.max(np.abs(stat)) <= 1e-7
-        assert np.all(sol.dual[prog.senses == lp.LE] >= -1e-9)
-        assert np.all(sol.dual[prog.senses == lp.GE] <= 1e-9)
+        tags = np.array([r[1] for r in rows])
+        dual = _row_duals(rows, n, sol.dual)
+        assert np.all(dual[tags == LE] >= -1e-9)
+        assert np.all(dual[tags == GE] <= 1e-9)
 
 
 def test_singleton_rows_get_valid_duals():
     # x <= 1 twice around x <= 3; y <= 1 as a >= row and as a <= row
     rows = [
-        ([1.0, 0.0], lp.LE, 1.0),
-        ([1.0, 0.0], lp.LE, 3.0),
-        ([1.0, 0.0], lp.LE, 1.0),
-        ([0.0, 1.0], lp.GE, -2.0),
-        ([0.0, -1.0], lp.GE, -1.0),
-        ([0.0, 1.0], lp.LE, 1.0),
-        ([1.0, 1.0], lp.LE, 5.0),
+        ([1.0, 0.0], LE, 1.0),
+        ([1.0, 0.0], LE, 3.0),
+        ([1.0, 0.0], LE, 1.0),
+        ([0.0, 1.0], GE, -2.0),
+        ([0.0, -1.0], GE, -1.0),
+        ([0.0, 1.0], LE, 1.0),
+        ([1.0, 1.0], LE, 5.0),
     ]
     prog = _lp([1.0, 1.0], rows)
     sol = lp.solve(prog)
@@ -171,17 +191,19 @@ def test_singleton_rows_get_valid_duals():
     assert np.array_equal(sol.x, [1.0, 1.0])
     assert float(sol.dual @ prog.rhs) == pytest.approx(sol.objective_value, abs=1e-12)
     assert np.max(np.abs(prog.objective - sol.dual @ prog.A)) <= 1e-12
-    assert np.all(sol.dual[prog.senses == lp.LE] >= 0.0)
-    assert np.all(sol.dual[prog.senses == lp.GE] <= 0.0)
+    tags = np.array([r[1] for r in rows])
+    dual = _row_duals(rows, 2, sol.dual)
+    assert np.all(dual[tags == LE] >= 0.0)
+    assert np.all(dual[tags == GE] <= 0.0)
     # rows 1, 3 and 6 are slack at x
-    assert np.all(sol.dual[[1, 3, 6]] == 0.0)
+    assert np.all(dual[[1, 3, 6]] == 0.0)
 
 
 def test_determinism():
     rng = np.random.default_rng(9)
     n = 5
     c = rng.normal(size=n)
-    rows = [(a, lp.LE, 1.0) for a in rng.normal(size=(8, n))]
+    rows = [(a, LE, 1.0) for a in rng.normal(size=(8, n))]
     prog = _lp(c, rows, [(0.0, 2.0)] * n)
     s1 = lp.solve(prog)
     s2 = lp.solve(prog)
@@ -205,14 +227,14 @@ def _random_mixed_lp(rng):
         else:
             a = rng.normal(size=n)
         if u > 0.85:
-            rows.append((a, lp.EQ, float(a @ x0)))
+            rows.append((a, EQ, float(a @ x0)))
         elif rng.uniform() < 0.5:
-            rows.append((a, lp.LE, float(a @ x0) + rng.uniform(0.0, 2.0)))
+            rows.append((a, LE, float(a @ x0) + rng.uniform(0.0, 2.0)))
         else:
-            rows.append((a, lp.GE, float(a @ x0) - rng.uniform(0.0, 2.0)))
+            rows.append((a, GE, float(a @ x0) - rng.uniform(0.0, 2.0)))
     if rng.uniform() < 0.1:  # a row far from x0, often out of reach
         a = rng.normal(size=n)
-        rows.append((a, lp.GE, float(a @ x0) + 4.0 * np.sum(np.abs(a)) + 1.0))
+        rows.append((a, GE, float(a @ x0) + 4.0 * np.sum(np.abs(a)) + 1.0))
     bounds = []
     for j in range(n):
         kind = rng.integers(0, 3)
@@ -233,15 +255,10 @@ def test_matches_highs_on_random_mixed_lps():
     seen = set()
     for _ in range(300):
         prog = _random_mixed_lp(rng)
-        le = prog.senses == lp.LE
-        ge = prog.senses == lp.GE
-        eq = prog.senses == lp.EQ
         ref = optimize.linprog(
             -prog.objective,
-            A_ub=np.vstack([prog.A[le], -prog.A[ge]]),
-            b_ub=np.concatenate([prog.rhs[le], -prog.rhs[ge]]),
-            A_eq=prog.A[eq] if eq.any() else None,
-            b_eq=prog.rhs[eq] if eq.any() else None,
+            A_ub=-prog.A,
+            b_ub=-prog.rhs,
             bounds=[
                 (None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
                 for lo, hi in zip(prog.lo, prog.hi)

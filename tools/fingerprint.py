@@ -10,7 +10,8 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - bracket:   qp_optimum on 10 planted QPs (n=8);
 - clique:    clique_number on 6 random graphs;
 - lp:        lp.solve on 64 mixed LPs full of singleton rows, == rows and
-  tied rows, all solved as ordinary rows (status, x, duals, pivots);
+  tied rows, all solved as ordinary rows (status, x, duals per original
+  row, pivots);
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time and config, or the printed line).
@@ -43,6 +44,7 @@ from conekit.copositivity import test_copositive as run_copositive
 from conekit.linalg import format_matrix
 
 FAMILIES = ("N", "H", "G", "Fplus", "Fpm")
+LE, GE, EQ = "<=", ">=", "=="  # row tags of the mixed LPs
 
 
 def _feed(h, value) -> None:
@@ -73,7 +75,7 @@ def _partition_matrices() -> list:
                  instances.max_clique_matrix(g, k - 0.5)]
     # 3(E - A_K3) - E: the N family closes in on a zero of the form
     mats.append(instances.max_clique_matrix(instances.complete_graph(3), 3.0))
-    path = instances.path_graph(4)
+    path = instances.Graph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
     mats += [instances.max_clique_matrix(path, 2.5),
              instances.max_clique_matrix(path, 1.5)]
     for seed in range(4):
@@ -149,7 +151,8 @@ def _singleton_lp(rng):
     coefficients, signed zeros and plain rows; now and then one singleton
     bound that x0 breaks.  The solver keeps each of them as a row (the
     detection LPs give their caps as bounds instead), so these LPs exercise
-    degenerate and tied rows."""
+    degenerate and tied rows.  Returns (objective, rows, senses, rhs, lo,
+    hi) with a tag from LE, GE and EQ per row."""
     n = int(rng.integers(2, 6))
     x0 = np.round(rng.normal(size=n), 1)
     rows, senses, rhs = [], [], []
@@ -166,28 +169,41 @@ def _singleton_lp(rng):
         if u < 0.7:
             a[j] = float(rng.choice([1.0, -1.0, 2.0, -0.5]))
             if u < 0.1:
-                add(a, lp.EQ, float(a @ x0))
+                add(a, EQ, float(a @ x0))
             else:
-                sense = lp.LE if rng.uniform() < 0.5 else lp.GE
+                sense = LE if rng.uniform() < 0.5 else GE
                 step = float(rng.choice([0.0, 0.5, 1.0]))
-                b = float(a @ x0) + (step if sense == lp.LE else -step)
+                b = float(a @ x0) + (step if sense == LE else -step)
                 add(a, sense, b)
                 if rng.uniform() < 0.4:  # a tie: the same bound again
                     scale = float(rng.choice([1.0, 2.0]))
                     add(scale * a, sense, scale * b)
             if u < 0.15:  # a zero bound that x0 meets, either sign of zero
-                add(a, lp.LE if a @ x0 <= 0 else lp.GE, -0.0 if u < 0.12 else 0.0)
+                add(a, LE if a @ x0 <= 0 else GE, -0.0 if u < 0.12 else 0.0)
         else:
             a = rng.normal(size=n)
-            sense = lp.LE if rng.uniform() < 0.5 else lp.GE
-            add(a, sense, float(a @ x0) + (1.0 if sense == lp.LE else -1.0))
+            sense = LE if rng.uniform() < 0.5 else GE
+            add(a, sense, float(a @ x0) + (1.0 if sense == LE else -1.0))
     if rng.uniform() < 0.15:  # a singleton bound that x0 breaks
         a = np.zeros(n)
         a[0] = 1.0
-        add(a, lp.LE, x0[0] - 0.5)
+        add(a, LE, x0[0] - 0.5)
     lo = np.where(rng.uniform(size=n) < 0.3, x0 - 1.0, -np.inf)
     hi = np.where(rng.uniform(size=n) < 0.3, x0 + 1.0, np.inf)
-    return lp.LinearProgram(rng.normal(size=n), np.array(rows), senses, rhs, lo, hi)
+    return rng.normal(size=n), rows, senses, rhs, lo, hi
+
+
+def _ge_rows(rows, senses, rhs):
+    """Tagged rows as >= rows: the <= and == rows negated, then the >= and
+    == rows.  Returns (A, rhs, origin, sign), row r of A being sign[r] times
+    original row origin[r]."""
+    senses = np.asarray(senses)
+    le = np.flatnonzero(senses != GE)
+    ge = np.flatnonzero(senses != LE)
+    origin = np.concatenate([le, ge])
+    sign = np.repeat([-1.0, 1.0], [le.size, ge.size])
+    a = np.asarray(rows, dtype=float)[origin] * sign[:, None]
+    return a, np.asarray(rhs, dtype=float)[origin] * sign, origin, sign
 
 
 def lp_section():
@@ -195,17 +211,21 @@ def lp_section():
     rng = np.random.default_rng(31)
     progs = [_singleton_lp(rng) for _ in range(63)]
     # tied rows: x <= 1 twice around x <= 3, y fenced on both sides
-    progs.append(lp.LinearProgram(
+    progs.append((
         [1.0, 1.0],
         [[1, 0], [1, 0], [1, 0], [0, 1], [0, -1], [0, 1], [1, 1]],
-        [lp.LE, lp.LE, lp.LE, lp.GE, lp.GE, lp.LE, lp.LE],
+        [LE, LE, LE, GE, GE, LE, LE],
         [1, 3, 1, -2, -1, 1, 5],
+        -np.inf,
+        np.inf,
     ))
     statuses: Counter = Counter()
-    for prog in progs:
-        sol = lp.solve(prog)
-        _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual,
-                  sol.iterations])
+    for objective, rows, senses, rhs, lo, hi in progs:
+        a, b, origin, sign = _ge_rows(rows, senses, rhs)
+        sol = lp.solve(lp.LinearProgram(objective, a, b, lo, hi))
+        dual = None if sol.dual is None else np.bincount(
+            origin, weights=sign * sol.dual, minlength=len(rows))
+        _feed(h, [sol.status, sol.x, sol.objective_value, dual, sol.iterations])
         statuses[sol.status] += 1
     detail = " ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
     return len(progs), h.hexdigest(), detail
@@ -228,7 +248,7 @@ def _cli_runs(tmp: Path) -> list:
     k50 = matrix("k50.txt", k_gamma(5, 5.0))
     qp = matrix("qp.txt", instances.gen_planted_qp(6, 3, -10.0, seed=2).Q)
     graph = tmp / "g.col"
-    instances.save_dimacs(instances.gen_gnp_graph(7, 0.5, seed=4), graph)
+    graph.write_text(instances.format_dimacs(instances.gen_gnp_graph(7, 0.5, seed=4)))
     spn5 = {"kind": "spn", "n": 5}
     suite = tmp / "suite.json"
     suite.write_text(json.dumps({"seed": 3, "rows": [
