@@ -306,9 +306,13 @@ def _bench_row(index: int, row: dict, master: int) -> RunRecord:
 
 
 def _expand_suite(suite: dict) -> list:
+    if not isinstance(suite["rows"], list) or not suite["rows"]:
+        raise ValueError("bench field 'rows' must list at least one row")
     rows = []
     for row in suite["rows"]:
         repeat = _suite_int(row, "repeat", 1)
+        if repeat < 1:
+            raise ValueError(f"bench field 'repeat' must be at least 1, got {repeat}")
         base = {k: v for k, v in row.items() if k != "repeat"}
         rows.extend(dict(base) for _ in range(repeat))
     return rows

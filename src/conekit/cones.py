@@ -109,8 +109,10 @@ def build_lp(ep: EigenPair, family: str) -> lpmod.LinearProgram:
     candidate nonnegative part, subject to the PSD-part caps.
 
     Variables are the k basis weights omega, each capped by the bound
-    omega_k <= caps[k], then the free alpha.  Rows are one per pair i <= j,
-    saying that entry (i, j) of sum_k omega_k E_k is at least alpha.
+    omega_k <= caps[k], then the free beta.  Rows are one per pair i <= j,
+    saying that entry (i, j) of sum_k omega_k E_k minus beta is at least
+    alpha0 = min N(caps).  The floor is alpha0 + beta, and the bound point
+    omega = caps, beta = 0, where lp.solve starts, is feasible.
 
     Sizes: n(n+1)/2 rows plus k capped variables, with k = n for G, n(n+1)/2
     for Fplus and n^2 for Fpm; counting each cap as a constraint, as the
@@ -118,10 +120,12 @@ def build_lp(ep: EigenPair, family: str) -> lpmod.LinearProgram:
     """
     vectors, caps = _lp_layout(ep, family)
     iu, ju = np.triu_indices(ep.n)
-    a = np.column_stack([vectors[iu] * vectors[ju], -np.ones(iu.size)])
+    pairs = vectors[iu] * vectors[ju]
+    alpha0 = float(np.min(pairs @ caps))
+    a = np.column_stack([pairs, -np.ones(iu.size)])
     objective = np.zeros(caps.size + 1)
     objective[-1] = 1.0
-    return lpmod.LinearProgram(objective, a, 0.0, hi=np.append(caps, np.inf))
+    return lpmod.LinearProgram(objective, a, alpha0, hi=np.append(caps, np.inf))
 
 
 def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> MembershipVerdict:
@@ -135,7 +139,7 @@ def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> Membership
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
-    alpha = float(sol.objective_value)
+    alpha = float(prog.rhs[0]) + sol.objective_value  # alpha0 + beta
     # the pair rows hold the basis entries, so they map omega to the upper
     # triangle of N = sum_k omega_k E_k
     k = prog.n_vars - 1
@@ -170,16 +174,19 @@ def psd_split(a: np.ndarray):
 def in_L_bomze(a: np.ndarray) -> MembershipVerdict:
     """Copositivity certificate via the eigenvalue-clip split.
 
-    Finds a nonnegative x with A_plus x >= e by LP; when the per-coordinate
-    curvature inequalities hold at x, A is certified copositive.  No S + N
-    witness is claimed.  LP infeasibility means the test cannot identify A.
+    Finds a nonnegative x with A_plus x >= e as the row multipliers of the
+    dual LP  max e.y  s.t.  A_plus y <= e, y >= 0, which is feasible at
+    y = 0; when the per-coordinate curvature inequalities hold at x, A is
+    certified copositive.  No S + N witness is claimed.  An unbounded dual
+    means no such x exists, and the test cannot identify A.
     """
     a_plus, a_minus = psd_split(a)
-    prog = lpmod.LinearProgram(-np.ones(len(a)), a_plus, 1.0, lo=0.0)
+    prog = lpmod.LinearProgram(np.ones(len(a)), -a_plus, -1.0, lo=0.0)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
-        return MembershipVerdict(NOT_IDENTIFIED, "L", note=f"lp-{sol.status}")
-    x = sol.x
+        note = "infeasible" if sol.status == lpmod.UNBOUNDED else sol.status
+        return MembershipVerdict(NOT_IDENTIFIED, "L", note=f"lp-{note}")
+    x = -sol.dual
     quad = float(x @ a_plus @ x)
     lhs = quad * np.diag(a_minus)
     rhs = (a_plus @ x) ** 2

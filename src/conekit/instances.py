@@ -237,6 +237,10 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
 
 def gen_gnp_graph(n: int, p: float, seed=None) -> Graph:
     """Erdos-Renyi graph with edge probability p."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     edges = set()
     for i in range(n):

@@ -1,9 +1,12 @@
-"""Self-contained dense LP solver (two-phase revised simplex).
+"""Self-contained dense LP solver (revised simplex from the slack basis).
 
 Solves  maximize c^T x  subject to  A x >= rhs  and per-variable bounds; a
-<= row is written negated and an == row as two rows.  Sized for the small
-structured LPs produced by the cone membership tests (a few thousand rows at
-most), not for sparse work.
+<= row is written negated and an == row as two rows.  The LP must be
+feasible at its bound point: each variable at its finite lower bound, else
+at its finite upper bound, else at 0.  Every LP conekit poses is, so the
+simplex starts there and needs no phase 1.  Sized for the small structured
+LPs produced by the cone membership tests (a few thousand rows at most), not
+for sparse work.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
@@ -32,7 +34,8 @@ class LinearProgram:
     negated and an == row as two rows.  Bounds default to free and either
     side may be infinite.  Every row is solved as a row, so give a limit on a
     single variable as lo/hi rather than as a one-entry row.  Malformed input
-    raises at construction.
+    raises at construction; solve() also raises on an LP whose bound point
+    violates a row.
     """
 
     objective: np.ndarray
@@ -110,20 +113,16 @@ class _StandardForm:
 
 
 def _to_standard_form(lp: LinearProgram):
-    """Normalize to  max c.y, A y <= b, y >= 0.
+    """Normalize to  max c.y, A y <= b, y >= 0  with the bound point at y = 0.
 
     Rows are negated and empty rows dropped; bounded variables are shifted
     or flipped, free ones split.  Returns (_StandardForm, infeasible_flag),
-    the flag set by an empty row whose rhs no point meets.
+    the flag set when the bound point violates a row (an empty row with a
+    positive rhs included) by more than DEFAULT_FEAS_TOL times the largest
+    |A x| + |rhs| there.  A smaller violation is rounding and is clamped to
+    0, so b >= 0.
     """
     nvar = lp.n_vars
-    kept = lp.A.any(axis=1)
-    if np.any(lp.rhs[~kept] > DEFAULT_FEAS_TOL):
-        return None, True
-    origin = np.flatnonzero(kept)
-    a_le = -lp.A[origin]
-    b_le = -lp.rhs[origin]
-
     # variable transform: a variable with a finite lower bound is shifted
     # (x = lo + y), one with only an upper bound flipped (x = hi - y), and a
     # free one split into two columns, the negative one appended at the end
@@ -132,6 +131,13 @@ def _to_standard_form(lp: LinearProgram):
     has_hi = np.isfinite(hi)
     free = ~has_lo & ~has_hi
     offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    at_offset = lp.A @ offset
+    slack = at_offset - lp.rhs  # row slack at the bound point
+    scale = max(1.0, float(np.max(np.abs(at_offset) + np.abs(lp.rhs), initial=0.0)))
+    if np.any(slack < -DEFAULT_FEAS_TOL * scale):
+        return None, True
+
+    origin = np.flatnonzero(lp.A.any(axis=1))
     col_var = np.concatenate([np.arange(nvar), np.flatnonzero(free)])
     col_sgn = np.concatenate([np.where(has_lo | free, 1.0, -1.0), -np.ones(free.sum())])
     # doubly bounded variables get their upper bound back as a row y <= hi - lo
@@ -139,8 +145,8 @@ def _to_standard_form(lp: LinearProgram):
     cap_rows = np.zeros((boxed.size, col_var.size))
     cap_rows[np.arange(boxed.size), boxed] = 1.0
 
-    A = np.vstack([a_le[:, col_var] * col_sgn, cap_rows])
-    b = np.concatenate([b_le - a_le @ offset, hi[boxed] - lo[boxed]])
+    A = np.vstack([-lp.A[origin][:, col_var] * col_sgn, cap_rows])
+    b = np.concatenate([np.maximum(slack[origin], 0.0), hi[boxed] - lo[boxed]])
     sf = _StandardForm(
         A=A,
         b=b,
@@ -154,37 +160,25 @@ def _to_standard_form(lp: LinearProgram):
 
 
 class _Simplex:
-    """Revised simplex over  max c.y, W y = b, y >= 0  with b >= 0 arranged
-    via slacks and artificials."""
+    """Revised simplex over  max c.y, W y = b, y >= 0  with W = [A | I] and
+    b >= 0, started from the slack basis."""
 
     def __init__(self, A, b, c):
         m, n = A.shape
         self.m = m
         self.n_struct = n
-        flip = b < 0
-        self.flip = flip
-        sgn = np.where(flip, -1.0, 1.0)
-        A = A * sgn[:, None]
-        b = b * sgn
-        art_rows = np.flatnonzero(flip)
-        self.W = np.hstack([A, np.diag(sgn), np.eye(m)[:, art_rows]])
+        self.W = np.hstack([A, np.eye(m)])
         # a deterministic strictly positive jitter on the rhs breaks the
         # pivot stalling that degenerate systems (many zero rhs rows) cause;
         # the true rhs is restored once an optimal basis is found
         self.b_true = b
-        scale = max(1.0, float(np.max(np.abs(b)))) if m else 1.0
+        scale = max(1.0, float(np.max(b, initial=0.0)))
         jitter = 1e-9 * scale * (
             1.0 + (np.arange(m, dtype=np.int64) * 2654435761 % 1024) / 1024.0
         )
         self.b = b + jitter
-        self.ncols = self.W.shape[1]
-        self.n_art = art_rows.size
-        self.art_start = n + m
-        self.c = np.concatenate([c, np.zeros(m + self.n_art)])
-        # start from the slack/artificial basis
-        basis = n + np.arange(m)
-        basis[art_rows] = self.art_start + np.arange(self.n_art)
-        self.basis = basis.tolist()
+        self.c = np.concatenate([c, np.zeros(m)])
+        self.basis = (n + np.arange(m)).tolist()
         self.Binv = np.eye(m)
         self.xB = self.b.copy()
         self.iterations = 0
@@ -198,9 +192,9 @@ class _Simplex:
         self.xB = self.Binv @ self.b
         np.maximum(self.xB, 0.0, out=self.xB)
 
-    def run(self, cost, max_iters, allow_cols):
-        """Maximize `cost` over columns marked allowed; returns a status."""
-        m = self.m
+    def solve(self, max_iters):
+        """Run the simplex to a status; at OPTIMAL, xB is on the true rhs."""
+        m, cost = self.m, self.c
         stall = 0
         bland = False
         last_obj = -math.inf
@@ -209,17 +203,16 @@ class _Simplex:
                 return ITERATION_LIMIT
             y = cost[self.basis] @ self.Binv
             d = cost - y @ self.W
-            d[~allow_cols] = -math.inf
             d[self.basis] = -math.inf
             if bland:
                 cand = np.flatnonzero(d > _PIVOT_TOL)
                 if cand.size == 0:
-                    return OPTIMAL
+                    break
                 e = int(cand[0])
             else:
                 e = int(np.argmax(d))
                 if d[e] <= _PIVOT_TOL:
-                    return OPTIMAL
+                    break
             u = self.Binv @ self.W[:, e]
             pos = u > _PIVOT_TOL
             if not np.any(pos):
@@ -253,55 +246,19 @@ class _Simplex:
                 stall = 0
                 bland = False
             last_obj = obj
-
-    def solve(self, max_iters):
-        allow = np.ones(self.ncols, dtype=bool)
-        if self.n_art:
-            phase1 = np.zeros(self.ncols)
-            phase1[self.art_start:] = -1.0
-            status = self.run(phase1, max_iters, allow)
-            if status == ITERATION_LIMIT:
-                return status
-            art_sum = -float(phase1[self.basis] @ self.xB)
-            if art_sum > DEFAULT_FEAS_TOL * max(1.0, float(np.max(np.abs(self.b)))):
-                return INFEASIBLE
-            self._drive_out_artificials()
-            allow[self.art_start:] = False
-        status = self.run(self.c, max_iters, allow)
-        if status == OPTIMAL:
-            # drop the jitter: evaluate the optimal basis on the true rhs
-            self.b = self.b_true
-            self.xB = self.Binv @ self.b
-            np.maximum(self.xB, 0.0, out=self.xB)
-        return status
-
-    def _drive_out_artificials(self):
-        for r in range(self.m):
-            if self.basis[r] < self.art_start:
-                continue
-            row = self.Binv[r] @ self.W[:, : self.art_start]
-            cand = np.flatnonzero(np.abs(row) > 1e-9)
-            cand = [j for j in cand if j not in self.basis]
-            if not cand:
-                continue  # redundant row; artificial stays basic at zero
-            e = int(cand[0])
-            u = self.Binv @ self.W[:, e]
-            piv = u[r]
-            new_row = self.Binv[r] / piv
-            self.Binv -= np.outer(u, new_row)
-            self.Binv[r] = new_row
-            self.basis[r] = e
-            self.xB = self.Binv @ self.b
-            np.maximum(self.xB, 0.0, out=self.xB)
+        # drop the jitter: evaluate the optimal basis on the true rhs
+        self.b = self.b_true
+        self.xB = self.Binv @ self.b
+        np.maximum(self.xB, 0.0, out=self.xB)
+        return OPTIMAL
 
     def primal(self):
-        y = np.zeros(self.ncols)
+        y = np.zeros(self.W.shape[1])
         y[self.basis] = self.xB
         return y[: self.n_struct]
 
     def duals(self):
-        y = self.c[self.basis] @ self.Binv
-        return np.where(self.flip, -y, y)
+        return self.c[self.basis] @ self.Binv
 
 
 def _primal(sf: _StandardForm, y: np.ndarray) -> np.ndarray:
@@ -311,12 +268,14 @@ def _primal(sf: _StandardForm, y: np.ndarray) -> np.ndarray:
 
 
 def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
-    """Solve the LP; deterministic for a fixed input."""
+    """Solve the LP; deterministic for a fixed input.  Raises ValueError
+    when the bound point violates a row."""
     if max_iters is None:
         max_iters = 50 * (lp.n_rows + lp.n_vars + 2)
     sf, infeasible = _to_standard_form(lp)
     if infeasible:
-        return LpSolution(status=INFEASIBLE)
+        raise ValueError("the LP's bound point violates a row; lp.solve "
+                         "starts there and needs it feasible")
 
     spx = _Simplex(sf.A, sf.b, sf.c)
     status = spx.solve(max_iters)

@@ -313,6 +313,30 @@ def test_bench_bad_suite_errors(tmp_path):
     assert main(["bench", str(p)]) == 1
 
 
+def test_bench_empty_suite_errors(tmp_path, capsys):
+    spn = {"kind": "spn", "n": 4}
+    cases = [
+        ("'rows'", []),
+        ("'repeat'", [{"instance": spn, "repeat": 0}]),
+        ("'repeat'", [{"instance": spn}, {"instance": spn, "repeat": -2}]),
+    ]
+    for field, rows in cases:
+        for fmt in ("json", "csv"):
+            assert main(["bench", _suite(tmp_path, rows), "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"bench field {field}" in captured.err
+
+
+def test_gen_gnp_rejects_bad_n_and_p(tmp_path, capsys):
+    out = tmp_path / "g.col"
+    for flags in (["--n", "0"], ["--n", "-3"], ["--n", "5", "--p", "1.7"],
+                  ["--n", "5", "--p", "-0.1"], ["--n", "5", "--p", "nan"]):
+        assert main(["gen", "gnp", *flags, "--out", str(out)]) == 1, flags
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bench_unknown_alg_errors(tmp_path, capsys):
     for alg in (0, 3):
         row = {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conekit import cones, lp
+from conekit import cones, instances, lp
 from conekit.linalg import EigenPair, eigen_decompose, is_psd_cholesky
 
 M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
@@ -143,6 +143,56 @@ def test_build_lp_pair_rows_are_the_sd_basis():
             caps[diag] = ep.lam
             assert np.array_equal(prog.hi, np.append(caps, np.inf))
             assert np.all(prog.lo == -np.inf)
+            # every row measures the floor from alpha0, the least entry at
+            # omega = caps, so the bound point (caps, beta = 0) is feasible
+            alpha0 = np.min(expect @ caps)
+            assert np.allclose(prog.rhs, alpha0, rtol=0.0, atol=1e-12)
+            assert prog.constraint_violation(np.append(caps, 0.0)) <= 1e-12
+
+
+def _paper_lp_alpha(optimize, ep, family):
+    """alpha* of the paper's unshifted detection LP, solved by HiGHS:
+    max alpha  s.t.  sum_k omega_k E_k >= alpha entrywise (i <= j),
+    omega_k <= lambda_i on the (i, i) terms and <= 0 on the rest."""
+    n = ep.n
+    mats = _family_bases(ep.P)[family]
+    iu, ju = np.triu_indices(n)
+    caps = np.zeros(len(mats))
+    caps[np.arange(n) if family == "G" else np.flatnonzero(iu == ju)] = ep.lam
+    rows = np.column_stack([m[iu, ju] for m in mats] + [-np.ones(iu.size)])
+    ref = optimize.linprog(
+        np.append(np.zeros(len(mats)), -1.0),
+        A_ub=-rows,
+        b_ub=np.zeros(iu.size),
+        bounds=[(None, c) for c in caps] + [(None, None)],
+        method="highs",
+    )
+    assert ref.status == 0, ref.message
+    return -ref.fun
+
+
+def test_detection_lp_alpha_matches_highs():
+    # 216 LPs: n = 3..8, six matrices each (half of them PSD + N members),
+    # the three families on the orthogonal pair and on a hat pair
+    # (P = V^T eigvecs for V^T A V)
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(4242)
+    checked = 0
+    for n in range(3, 9):
+        for k in range(6):
+            a = rng.normal(size=(n, n))
+            a = instances.gen_random_spn(n, k)[0] if k % 2 else (a + a.T) / 2
+            ep = eigen_decompose(a)
+            v = rng.uniform(0.0, 1.0, size=(n, n)) + np.eye(n)
+            hat = EigenPair(v.T @ ep.P, ep.lam, orthogonal=False)
+            for mat, pair in ((a, ep), (v.T @ a @ v, hat)):
+                mat = (mat + mat.T) / 2
+                for family in cones.LP_FAMILIES:
+                    verdict = cones.check_membership_lp(mat, pair, family)
+                    ref = _paper_lp_alpha(optimize, pair, family)
+                    assert abs(verdict.alpha_star - ref) <= 1e-7 * max(1.0, abs(ref))
+                    checked += 1
+    assert checked == 216
 
 
 def test_n_candidate_is_the_weighted_basis_sum():
@@ -324,6 +374,12 @@ def test_in_l_examples():
         assert cones.in_L_bomze(np.eye(n)).is_member
 
     assert cones.in_L_bomze(2.0 * np.ones((2, 2))).is_member
+
+    # A_plus = diag(1, 0) has a zero row, so no x has A_plus x >= e: the
+    # dual LP is unbounded
+    v = cones.in_L_bomze(np.diag([1.0, -1.0]))
+    assert v.status == cones.NOT_IDENTIFIED
+    assert "infeasible" in v.note
 
 
 def test_diag_dominance_examples():

@@ -93,6 +93,17 @@ def test_dimacs_roundtrip(tmp_path):
     assert load_dimacs(p).edges == g.edges
 
 
+def test_gen_gnp_graph_validation():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            gen_gnp_graph(n, 0.5, seed=0)
+    for p in (-0.1, 1.7, float("nan")):
+        with pytest.raises(ValueError, match="edge probability"):
+            gen_gnp_graph(5, p, seed=0)
+    assert gen_gnp_graph(1, 0.5, seed=0).edges == frozenset()
+    assert len(gen_gnp_graph(5, 1.0, seed=0).edges) == 10
+
+
 def test_max_clique_matrix_examples():
     assert np.array_equal(
         max_clique_matrix(complete_graph(3), 2.0),

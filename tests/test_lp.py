@@ -45,8 +45,26 @@ def test_single_variable_box():
 
 
 def test_infeasible_box():
-    sol = _solve([1.0], [([1.0], GE, 1.0), ([1.0], LE, 0.0)])
-    assert sol.status == lp.INFEASIBLE
+    # no point meets x >= 1 and x <= 0, so the bound point x = 0 cannot
+    with pytest.raises(ValueError, match="bound point"):
+        _solve([1.0], [([1.0], GE, 1.0), ([1.0], LE, 0.0)])
+
+
+def test_bound_point_violation_raises():
+    # feasible at x = 1, but not at the bound point x = 0 of a free x
+    with pytest.raises(ValueError, match="bound point"):
+        _solve([1.0], [([1.0], GE, 1.0)])
+    # an empty row with a positive rhs holds nowhere
+    with pytest.raises(ValueError, match="bound point"):
+        lp.solve(lp.LinearProgram([1.0], [[0.0]], [1e-3], lo=0.0, hi=1.0))
+    # an empty row with rhs <= 0 holds everywhere and is dropped
+    sol = lp.solve(lp.LinearProgram([1.0], [[0.0]], [-1.0], lo=0.0, hi=1.0))
+    assert sol.status == lp.OPTIMAL and sol.x[0] == 1.0
+    assert sol.dual[0] == 0.0
+    # a violation of rounding size is clamped: the start is x = 0
+    sol = _solve([-1.0], [([1.0], GE, 1e-12)], [(0.0, 1.0)])
+    assert sol.status == lp.OPTIMAL
+    assert sol.x[0] == 0.0 and sol.iterations == 0
 
 
 def test_duplicated_row():
@@ -67,23 +85,24 @@ def test_unbounded():
 
 
 def test_equality_row():
+    # x + y == 1 through the bound point (0, 1); the optimum moves along it
     rows = [([1.0, 1.0], EQ, 1.0)]
-    sol = _solve([1.0, 2.0], rows, [(0.0, np.inf), (0.0, np.inf)])
+    sol = _solve([2.0, 1.0], rows, [(0.0, 3.0), (-np.inf, 1.0)])
     assert sol.status == lp.OPTIMAL
-    assert sol.objective_value == pytest.approx(2.0)
-    assert np.allclose(sol.x, [0.0, 1.0])
+    assert sol.objective_value == pytest.approx(4.0)
+    assert np.allclose(sol.x, [3.0, -2.0])
 
 
 def test_iteration_limit_status():
     rng = np.random.default_rng(1)
     n, m = 8, 16
-    x0 = np.abs(rng.normal(size=n))
-    rows = [
-        (a, LE, float(a @ x0) + 0.5)
-        for a in rng.normal(size=(m, n))
-    ]
-    sol = _solve(rng.normal(size=n), rows, [(0.0, 10.0)] * n, max_iters=1)
+    # rows around the bound point x = 0
+    rows = [(a, LE, 0.5) for a in rng.normal(size=(m, n))]
+    c = rng.normal(size=n)
+    assert _solve(c, rows, [(0.0, 10.0)] * n).iterations > 1
+    sol = _solve(c, rows, [(0.0, 10.0)] * n, max_iters=1)
     assert sol.status == lp.ITERATION_LIMIT
+    assert sol.iterations == 1
 
 
 def test_malformed_rejected_at_construction():
@@ -104,9 +123,9 @@ def test_objective_matches_solution_vector():
     for _ in range(50):
         n = int(rng.integers(2, 6))
         c = rng.normal(size=n)
-        x0 = rng.normal(size=n)
+        x_b = np.full(n, -5.0)  # the bound point
         rows = [
-            (a, LE, float(a @ x0) + rng.uniform(0.1, 1.0))
+            (a, LE, float(a @ x_b) + rng.uniform(0.1, 1.0))
             for a in rng.normal(size=(n + 2, n))
         ]
         sol = _solve(c, rows, [(-5.0, 5.0)] * n)
@@ -116,20 +135,20 @@ def test_objective_matches_solution_vector():
 
 
 def test_known_feasible_lps_stay_feasible():
-    # 1000 random LPs built around a known interior point
+    # 1000 random LPs whose rows all hold strictly at a known point, the
+    # box corner x = 0 that the solver starts from
     rng = np.random.default_rng(42)
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 2 * n + 1))
-        x0 = rng.uniform(0.0, 3.0, size=n)
         rows = []
         for _ in range(m):
             a = rng.normal(size=n)
             margin = rng.uniform(0.05, 1.0)
             if rng.uniform() < 0.5:
-                rows.append((a, LE, float(a @ x0) + margin))
+                rows.append((a, LE, margin))
             else:
-                rows.append((a, GE, float(a @ x0) - margin))
+                rows.append((a, GE, -margin))
         prog = _lp(rng.normal(size=n), rows, [(0.0, 4.0)] * n)
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
@@ -137,12 +156,14 @@ def test_known_feasible_lps_stay_feasible():
 
 
 def test_weak_duality_and_stationarity():
-    # free variables, mixed senses, deliberate singleton rows
+    # free variables, mixed senses, deliberate singleton rows, all holding
+    # at the bound point x = 0; each variable is fenced in by two rows
+    # around a centre within 4 of it
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(n, 2 * n + 3))
-        x0 = rng.normal(size=n)
+        centre = rng.uniform(-4.0, 4.0, size=n)
         rows = []
         for _ in range(m):
             if rng.uniform() < 0.3:
@@ -152,14 +173,14 @@ def test_weak_duality_and_stationarity():
                 a = rng.normal(size=n)
             margin = rng.uniform(0.0, 2.0)
             if rng.uniform() < 0.5:
-                rows.append((a, LE, float(a @ x0) + margin))
+                rows.append((a, LE, margin))
             else:
-                rows.append((a, GE, float(a @ x0) - margin))
+                rows.append((a, GE, -margin))
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            rows.append((e, LE, float(x0[j]) + 5.0))
-            rows.append((e, GE, float(x0[j]) - 5.0))
+            rows.append((e, LE, float(centre[j]) + 5.0))
+            rows.append((e, GE, float(centre[j]) - 5.0))
         c = rng.normal(size=n)
         prog = _lp(c, rows)
         sol = lp.solve(prog)
@@ -213,11 +234,16 @@ def test_determinism():
 
 
 def _random_mixed_lp(rng):
-    """A random LP around a known point x0 that mixes <=, >= and == rows,
-    singleton rows, and free, lower-bounded and boxed variables; one extra
-    row far from x0 makes some of them infeasible."""
+    """A random LP around its bound point x_b that mixes <=, >= and == rows,
+    singleton rows, and free, lower-bounded, upper-bounded and boxed
+    variables.  Every row holds at x_b, some of them tightly."""
     n = int(rng.integers(2, 7))
-    x0 = rng.normal(size=n)
+    kind = rng.integers(0, 4, size=n)  # free, lower, upper, boxed
+    base = rng.normal(size=n)
+    top = base + rng.uniform(0.0, 3.0, size=n)
+    lo = np.where((kind == 1) | (kind == 3), base, -np.inf)
+    hi = np.where(kind == 2, base, np.where(kind == 3, top, np.inf))
+    x_b = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     rows = []
     for _ in range(int(rng.integers(n, 2 * n + 3))):
         u = rng.uniform()
@@ -227,31 +253,18 @@ def _random_mixed_lp(rng):
         else:
             a = rng.normal(size=n)
         if u > 0.85:
-            rows.append((a, EQ, float(a @ x0)))
+            rows.append((a, EQ, float(a @ x_b)))
         elif rng.uniform() < 0.5:
-            rows.append((a, LE, float(a @ x0) + rng.uniform(0.0, 2.0)))
+            rows.append((a, LE, float(a @ x_b) + rng.uniform(0.0, 2.0)))
         else:
-            rows.append((a, GE, float(a @ x0) - rng.uniform(0.0, 2.0)))
-    if rng.uniform() < 0.1:  # a row far from x0, often out of reach
-        a = rng.normal(size=n)
-        rows.append((a, GE, float(a @ x0) + 4.0 * np.sum(np.abs(a)) + 1.0))
-    bounds = []
-    for j in range(n):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            bounds.append((-np.inf, np.inf))
-        elif kind == 1:
-            bounds.append((x0[j] - rng.uniform(0.0, 3.0), np.inf))
-        else:
-            width = rng.uniform(0.0, 3.0, size=2)
-            bounds.append((x0[j] - width[0], x0[j] + width[1]))
-    return _lp(rng.normal(size=n), rows, bounds)
+            rows.append((a, GE, float(a @ x_b) - rng.uniform(0.0, 2.0)))
+    return _lp(rng.normal(size=n), rows, list(zip(lo, hi)))
 
 
 def test_matches_highs_on_random_mixed_lps():
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2718)
-    statuses = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
+    statuses = {0: lp.OPTIMAL, 3: lp.UNBOUNDED}
     seen = set()
     for _ in range(300):
         prog = _random_mixed_lp(rng)
@@ -264,6 +277,8 @@ def test_matches_highs_on_random_mixed_lps():
                 for lo, hi in zip(prog.lo, prog.hi)
             ],
             method="highs",
+            # HiGHS's presolve calls some of these unbounded LPs infeasible
+            options={"presolve": False},
         )
         sol = lp.solve(prog)
         assert sol.status == statuses[ref.status]
@@ -273,4 +288,4 @@ def test_matches_highs_on_random_mixed_lps():
             tol = 1e-7 * max(1.0, abs(ref_value))
             assert abs(sol.objective_value - ref_value) <= tol
             assert prog.constraint_violation(sol.x) <= 1e-7
-    assert seen == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+    assert seen == {lp.OPTIMAL, lp.UNBOUNDED}

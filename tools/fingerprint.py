@@ -10,8 +10,8 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - bracket:   qp_optimum on 10 planted QPs (n=8);
 - clique:    clique_number on 6 random graphs;
 - lp:        lp.solve on 64 mixed LPs full of singleton rows, == rows and
-  tied rows, all solved as ordinary rows (status, x, duals per original
-  row, pivots);
+  tied rows, all solved as ordinary rows and all feasible at their bound
+  point, where lp.solve starts (status, x, duals per original row, pivots);
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time and config, or the printed line).
@@ -146,15 +146,18 @@ def clique_section():
 
 
 def _singleton_lp(rng):
-    """A random LP around x0 whose rows are mostly singletons: repeated
-    bounds (exact ties, also through scaled copies), == singletons, negative
-    coefficients, signed zeros and plain rows; now and then one singleton
-    bound that x0 breaks.  The solver keeps each of them as a row (the
-    detection LPs give their caps as bounds instead), so these LPs exercise
-    degenerate and tied rows.  Returns (objective, rows, senses, rhs, lo,
-    hi) with a tag from LE, GE and EQ per row."""
+    """A random LP around its bound point x_b whose rows are mostly
+    singletons: repeated bounds (exact ties, also through scaled copies), ==
+    singletons, negative coefficients, signed zeros and plain rows, each
+    holding at x_b, many of them tightly.  The solver keeps each of them as a
+    row (the detection LPs give their caps as bounds instead), so these LPs
+    exercise degenerate and tied rows.  Returns (objective, rows, senses,
+    rhs, lo, hi) with a tag from LE, GE and EQ per row."""
     n = int(rng.integers(2, 6))
     x0 = np.round(rng.normal(size=n), 1)
+    lo = np.where(rng.uniform(size=n) < 0.3, x0 - 1.0, -np.inf)
+    hi = np.where(rng.uniform(size=n) < 0.3, x0 + 1.0, np.inf)
+    x_b = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     rows, senses, rhs = [], [], []
 
     def add(a, sense, b):
@@ -169,27 +172,21 @@ def _singleton_lp(rng):
         if u < 0.7:
             a[j] = float(rng.choice([1.0, -1.0, 2.0, -0.5]))
             if u < 0.1:
-                add(a, EQ, float(a @ x0))
+                add(a, EQ, float(a @ x_b))
             else:
                 sense = LE if rng.uniform() < 0.5 else GE
                 step = float(rng.choice([0.0, 0.5, 1.0]))
-                b = float(a @ x0) + (step if sense == LE else -step)
+                b = float(a @ x_b) + (step if sense == LE else -step)
                 add(a, sense, b)
                 if rng.uniform() < 0.4:  # a tie: the same bound again
                     scale = float(rng.choice([1.0, 2.0]))
                     add(scale * a, sense, scale * b)
-            if u < 0.15:  # a zero bound that x0 meets, either sign of zero
-                add(a, LE if a @ x0 <= 0 else GE, -0.0 if u < 0.12 else 0.0)
+            if u < 0.15:  # a zero bound that x_b meets, either sign of zero
+                add(a, LE if a @ x_b <= 0 else GE, -0.0 if u < 0.12 else 0.0)
         else:
             a = rng.normal(size=n)
             sense = LE if rng.uniform() < 0.5 else GE
-            add(a, sense, float(a @ x0) + (1.0 if sense == LE else -1.0))
-    if rng.uniform() < 0.15:  # a singleton bound that x0 breaks
-        a = np.zeros(n)
-        a[0] = 1.0
-        add(a, LE, x0[0] - 0.5)
-    lo = np.where(rng.uniform(size=n) < 0.3, x0 - 1.0, -np.inf)
-    hi = np.where(rng.uniform(size=n) < 0.3, x0 + 1.0, np.inf)
+            add(a, sense, float(a @ x_b) + (1.0 if sense == LE else -1.0))
     return rng.normal(size=n), rows, senses, rhs, lo, hi
 
 
