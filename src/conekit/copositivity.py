@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class CopoConfig:
     def __post_init__(self):
         if self.cone_family not in FAMILIES:
             raise ValueError(f"unknown cone family {self.cone_family!r}")
-        if self.max_iterations <= 0 or self.time_limit <= 0:
-            raise ValueError("budgets must be positive")
+        if self.max_iterations <= 0 or not 0 < self.time_limit < np.inf:
+            raise ValueError("budgets must be positive and finite")
 
 
 @dataclass
@@ -100,16 +101,16 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
 def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
     """Certify x^T A x >= level(best) on the standard simplex.
 
-    best is the lowest raw vertex value seen: `start` first, when given, then
-    one vertex of each cell, picked off the congruence diagonal (the first
-    below the cell's shift, else the lowest) and re-evaluated.  Cell columns
-    lie on the simplex, so V^T (A - s E) V = V^T A V - s 11^T, and each cell
-    is tested at the scalar shift s = level(best).  The run stops with
-    "not_copositive" and the best vertex once best < s.  A cell removed at
-    shift s certifies x^T A x >= s on it; level never rises as best falls, so
-    every removal, screened children included, still holds at the final
-    shift, and the LIFO worklist needs no reordering.  Returns
-    (CopoResult, best).
+    best is the lowest raw value seen: at `start` first, when given (see
+    _form_above), then at one vertex of each cell, picked off the congruence
+    diagonal (the first below the cell's shift, else the lowest) and
+    re-evaluated.  Cell columns lie on the simplex, so V^T (A - s E) V =
+    V^T A V - s 11^T, and each cell is tested at the scalar shift
+    s = level(best).  The run stops with "not_copositive" and the best point
+    once best < s.  A cell removed at shift s certifies x^T A x >= s on it;
+    level never rises as best falls, so every removal, screened children
+    included, still holds at the final shift, and the LIFO worklist needs no
+    reordering.  Returns (CopoResult, best).
     """
     a = as_sym_matrix(a)
     n = a.shape[0]
@@ -120,9 +121,8 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
     # the per-cell membership sequence: the hat LP (alg 2 only), then the
     # exact-family test
     steps = ("hat", "exact") if alg2 else ("exact",)
-    best, best_v = np.inf, start
-    if start is not None:
-        best = float(start @ a @ start)
+    best = np.inf if start is None else _form_above(a, start)
+    best_v = start
     hat_shift = hat_ep = None  # the global eigen pair of A - hat_shift * E
 
     worklist = [np.eye(n)]  # vertex matrices, LIFO
@@ -204,3 +204,20 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
             worklist.append(child)
 
     return finish(COPOSITIVE)
+
+
+def _form_above(a: np.ndarray, x: np.ndarray) -> float:
+    """x^T A x / (sum x)^2 on the floats' exact values, rounded up, so never
+    below the form at the simplex point x / sum x, as a float sum can be."""
+    (xs, _), (an, den) = _dyadic(x), _dyadic(a)  # x's denominator cancels
+    exact = Fraction(int(xs @ an @ xs), den * int(xs.sum()) ** 2)
+    value = float(exact)  # the nearest float, so at most one step below
+    return float(np.nextafter(value, np.inf)) if value < exact else value
+
+
+def _dyadic(v: np.ndarray):
+    """Python integers k (an object array) and a power of two d: v = k / d."""
+    pairs = [t.as_integer_ratio() for t in v.ravel().tolist()]
+    den = max(q for _, q in pairs)
+    k = np.array([p * (den // q) for p, q in pairs], dtype=object)
+    return k.reshape(v.shape), den

@@ -143,15 +143,31 @@ def test_qpbound_subcommand(tmp_path, capsys):
 
 
 def test_reductions_honour_max_iter(tmp_path):
-    # one partition cell settles neither instance; the default budget does
+    # one partition cell settles neither instance; the default budget does.
+    # The QP is E - A of the 5-cycle: its start, the barycentre, is a fixed
+    # point of the replicator dynamics and sits above the minimum 1/2, so the
+    # root cell cannot certify the level
     g = tmp_path / "g.col"
     g.write_text(instances.format_dimacs(instances.gen_gnp_graph(8, 0.5, seed=1)))
     assert main(["clique", str(g), "--max-iter", "1"]) == 2
     assert main(["clique", str(g)]) == 0
+    c5 = instances.Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
     q = tmp_path / "q.txt"
-    q.write_text(format_matrix(instances.gen_planted_qp(6, 3, -10.0, seed=2).Q))
+    q.write_text(format_matrix(1.0 - c5.adjacency()))
     assert main(["qpbound", str(q), "--max-iter", "1"]) == 2
     assert main(["qpbound", str(q)]) == 0
+
+
+def test_non_finite_time_limit_is_an_error(m1_path, tmp_path, capsys):
+    # NaN would never meet the budget and prints as NaN, which is not JSON
+    assert main(["copositive", m1_path, "--time-limit", "nan", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budgets must be positive and finite" in captured.err
+    row = {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},
+           "task": "copositive", "cone": "F+-", "time_limit": "nan"}
+    assert main(["bench", _suite(tmp_path, [row]), "--format", "json"]) == 1
+    assert "budgets must be positive and finite" in capsys.readouterr().err
 
 
 def test_flags_a_subcommand_does_not_read_are_rejected():

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from conekit.copositivity import (
     NOT_COPOSITIVE,
     CopoConfig,
     DegenerateEdge,
+    _form_above,
     bisect,
     longest_edge,
 )
@@ -206,6 +210,41 @@ def test_config_validation():
         CopoConfig(cone_family="nope")
     with pytest.raises(ValueError):
         CopoConfig(max_iterations=0)
+    # NaN passes a `<= 0` check, and a budget that never fires is no budget
+    for limit in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budgets must be positive and finite"):
+            CopoConfig(time_limit=limit)
+
+
+def _form_exact(a, x):
+    # the loop reference: every product on the floats' exact rational values
+    xs = [Fraction(v) for v in x.tolist()]
+    n = len(xs)
+    num = sum(Fraction(a[i, j]) * xs[i] * xs[j] for i in range(n) for j in range(n))
+    return num / sum(xs) ** 2
+
+
+def test_form_above_is_the_exact_value_rounded_up():
+    rng = np.random.default_rng(4)
+    cases = []
+    for n in (2, 5, 8, 12):
+        for scale in (1e-200, 1.0, 1e200):
+            a = rng.normal(size=(n, n))
+            x = rng.dirichlet(np.ones(n)) * scale
+            x[rng.integers(n)] = 0.0
+            cases.append(((a + a.T) * scale, x))
+    # E - A of a hub with 6 leaves plus a K4, whose minimum on the simplex is
+    # 1/4: at the replicator start, a float x^T A x gives 0.24999999999999997
+    star = {(0, leaf) for leaf in range(1, 7)}
+    k4 = set(itertools.combinations(range(7, 11), 2))
+    clique_form = 1.0 - instances.Graph(11, frozenset(star | k4)).adjacency()
+    start = instances._replicator_start(clique_form)
+    cases.append((clique_form, start))
+    for a, x in cases:
+        value, exact = _form_above(a, x), _form_exact(a, x)
+        assert Fraction(value) >= exact
+        assert Fraction(np.nextafter(value, -np.inf)) < exact
+    assert _form_above(clique_form, start) >= 0.25
 
 
 def test_needs_dimension_two():

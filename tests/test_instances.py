@@ -152,13 +152,65 @@ def test_clique_number_inconclusive_budget():
 
 
 def test_clique_number_when_greedy_misses():
-    # a hub joined to 6 leaves, plus a disjoint K4: the degree-greedy clique
-    # is the hub and one leaf, the clique number is 4
+    # a hub joined to 6 leaves, plus a disjoint K4: a clique grown greedily by
+    # degree is the hub and one leaf, the clique number is 4
     star = {(0, leaf) for leaf in range(1, 7)}
     k4 = set(itertools.combinations(range(7, 11), 2))
     g = Graph(11, frozenset(star | k4))
     assert brute_clique_number(g) == 4
     assert instances.clique_number(g, fast_cfg()) == 4
+
+
+def test_clique_number_of_the_5_cycle():
+    # C5 is regular, so the barycentre is a fixed point of the start's dynamics
+    # and the partition alone must find the minimum 1/2 at an edge's midpoint
+    c5 = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
+    assert np.allclose(instances._replicator_start(1.0 - c5.adjacency()), 0.2)
+    assert instances.clique_number(c5, fast_cfg()) == 2
+
+
+def _start_matrices():
+    qs = [gen_planted_qp(8, 4, -10.0, seed=seed).Q for seed in range(3)]
+    qs += [gen_random_spn(6, seed)[0] - 4.0 for seed in range(3)]
+    g = plant_clique(gen_gnp_graph(9, 0.4, seed=1), 4, seed=2)
+    return qs + [1.0 - g.adjacency()]
+
+
+def test_replicator_start_is_deterministic_and_on_the_simplex():
+    for q in _start_matrices():
+        x = instances._replicator_start(q)
+        assert np.array_equal(x, instances._replicator_start(q.copy()))
+        assert np.all(x >= 0.0)
+        assert abs(float(np.sum(x)) - 1.0) <= 1e-12
+
+
+def test_replicator_steps_never_raise_the_form(monkeypatch):
+    # each step raises x^T B x, B = max Q + 1 - Q > 0 (Baum-Eagon), which on
+    # the simplex lowers x^T Q x; the slack covers float rounding only
+    for q in _start_matrices():
+        values = []
+        for steps in range(40):
+            monkeypatch.setattr(instances, "_REPLICATOR_STEPS", steps)
+            x = instances._replicator_start(q)
+            values.append(float(x @ q @ x) / float(np.sum(x)) ** 2)
+        slack = 1e-12 * float(np.max(np.abs(q)))
+        assert all(b <= a + slack for a, b in zip(values, values[1:]))
+        assert values[-1] < values[0]
+
+
+def test_qp_bracket_contains_the_planted_optimum_exactly(monkeypatch):
+    # hi is the start's value when no vertex beats it, so that value is
+    # computed exactly and rounded up.  The replicator start stays above t on
+    # these draws; started at the planted minimizer itself, a float x^T Q x
+    # lands a few ulps below t on 9 of them, and hi would miss t
+    draws = [gen_planted_qp(8, 4, -10.0, seed) for seed in range(40)]
+    for qp in draws:
+        b = instances.qp_optimum(qp.Q, fast_cfg(), eta=0.1)
+        assert b.converged and b.lo <= qp.t <= b.hi
+    for qp in draws:
+        monkeypatch.setattr(instances, "_replicator_start", lambda q: qp.x_star)
+        b = instances.qp_optimum(qp.Q, fast_cfg(), eta=0.1)
+        assert b.converged and b.lo <= qp.t <= b.hi
 
 
 def test_std_qp_matrix_examples():
@@ -177,6 +229,14 @@ def test_qp_optimum_zero_matrix():
     b = instances.qp_optimum(np.zeros((3, 3)), fast_cfg(), eta=0.1)
     assert b.converged
     assert b.lo - 1e-9 <= 0.0 <= b.hi + 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the cell LPs overflow
+def test_qp_optimum_near_the_float_range():
+    # max Q + 1 - Q would overflow here; the start must stay finite
+    q = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    b = instances.qp_optimum(q, fast_cfg(), eta=0.1)
+    assert b.lo <= 0.0 <= b.hi
 
 
 def test_qp_optimum_upper_end_is_attained():

@@ -7,7 +7,8 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   (outcome, certificate, every stats field but wall_time);
 - report:    membership_report on 40 gen_random_spn(12) draws x 7 cones
   (status, alpha*, S, N, n_candidate, note);
-- bracket:   qp_optimum on 10 planted QPs (n=8);
+- bracket:   qp_optimum on 10 planted QPs (n=8), with a count of the
+  brackets that hold the planted optimum t;
 - clique:    clique_number on 6 random graphs;
 - lp:        lp.solve on 64 mixed LPs full of singleton rows, == rows and
   tied rows, all solved as ordinary rows and all feasible at their bound
@@ -129,11 +130,13 @@ def report_section():
 def bracket_section():
     h = hashlib.sha256()
     cfg = CopoConfig(max_iterations=20000)
+    hits = 0  # brackets holding the planted optimum, with no tolerance
     for seed in range(10):
         qp = instances.gen_planted_qp(8, 4, -10.0, seed=seed)
         b = instances.qp_optimum(qp.Q, cfg, eta=0.1)
         _feed(h, [b.lo, b.hi, b.converged])
-    return 10, h.hexdigest(), ""
+        hits += b.lo <= qp.t <= b.hi
+    return 10, h.hexdigest(), f"t in [lo, hi]: {hits}/10"
 
 
 def clique_section():
