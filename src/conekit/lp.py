@@ -4,9 +4,12 @@ Solves  maximize c^T x  subject to  A x >= rhs  and per-variable bounds; a
 <= row is written negated and an == row as two rows.  The LP must be
 feasible at its bound point: each variable at its finite lower bound, else
 at its finite upper bound, else at 0.  Every LP conekit poses is, so the
-simplex starts there and needs no phase 1.  Sized for the small structured
-LPs produced by the cone membership tests (a few thousand rows at most), not
-for sparse work.
+simplex starts there and needs no phase 1.  Pricing is exact steepest edge
+(Forrest & Goldfarb, Math. Program. 1992): the entering column maximizes
+d_j^2 / gamma_j, gamma_j = 1 + |B^-1 w_j|^2, the weights exact at the slack
+basis and carried by their update recurrence.  Sized for the small
+structured LPs produced by the cone membership tests (a few thousand rows at
+most), not for sparse work.
 """
 
 from __future__ import annotations
@@ -93,7 +96,9 @@ class LpSolution:
     x: np.ndarray | None = None
     objective_value: float | None = None
     dual: np.ndarray | None = None  # multiplier (<= 0) per row, when optimal
-    iterations: int = 0
+    iterations: int = 0  # pivots
+    bland_pivots: int = 0  # pivots taken under Bland's anti-stalling rule
+    refactorizations: int = 0  # times B^-1 was formed afresh
 
 
 @dataclass
@@ -178,10 +183,12 @@ class _Simplex:
         )
         self.b = b + jitter
         self.c = np.concatenate([c, np.zeros(m)])
-        self.basis = (n + np.arange(m)).tolist()
+        self.basis = n + np.arange(m)
         self.Binv = np.eye(m)
         self.xB = self.b.copy()
-        self.iterations = 0
+        # steepest-edge weights 1 + |B^-1 w_j|^2, exact at the slack basis
+        self.gamma = 1.0 + np.einsum("ij,ij->j", self.W, self.W)
+        self.iterations = self.bland_pivots = self.refactorizations = 0
 
     def _refactorize(self):
         B = self.W[:, self.basis]
@@ -191,52 +198,68 @@ class _Simplex:
             self.Binv = np.linalg.pinv(B)
         self.xB = self.Binv @ self.b
         np.maximum(self.xB, 0.0, out=self.xB)
+        self.refactorizations += 1
+
+    def _reduced_costs(self):
+        return self.c - (self.c[self.basis] @ self.Binv) @ self.W
 
     def solve(self, max_iters):
-        """Run the simplex to a status; at OPTIMAL, xB is on the true rhs."""
+        """Run the simplex to a status; at OPTIMAL, xB is on the true rhs.
+        The reduced costs d are updated along the pivot row and recomputed
+        at every refactorization and once more before OPTIMAL."""
         m, cost = self.m, self.c
         stall = 0
         bland = False
         last_obj = -math.inf
+        d, fresh = self._reduced_costs(), True
         while True:
             if self.iterations >= max_iters:
                 return ITERATION_LIMIT
-            y = cost[self.basis] @ self.Binv
-            d = cost - y @ self.W
-            d[self.basis] = -math.inf
-            if bland:
-                cand = np.flatnonzero(d > _PIVOT_TOL)
-                if cand.size == 0:
+            score = np.where(d > _PIVOT_TOL, d * d / self.gamma, -1.0)
+            score[self.basis] = -1.0
+            e = int((score > 0.0).argmax() if bland else score.argmax())
+            if score[e] <= 0.0:
+                if fresh:
                     break
-                e = int(cand[0])
-            else:
-                e = int(np.argmax(d))
-                if d[e] <= _PIVOT_TOL:
-                    break
+                d, fresh = self._reduced_costs(), True
+                continue
             u = self.Binv @ self.W[:, e]
             pos = u > _PIVOT_TOL
-            if not np.any(pos):
+            if not pos.any():
                 return UNBOUNDED
             ratios = np.full(m, math.inf)
             ratios[pos] = self.xB[pos] / u[pos]
-            theta = float(np.min(ratios))
-            ties = np.flatnonzero(ratios <= theta + 1e-12)
+            theta = float(ratios.min())
+            ties = (ratios <= theta + 1e-12).nonzero()[0]
             if bland:
-                leave = int(ties[np.argmin([self.basis[t] for t in ties])])
+                leave = int(ties[np.argmin(self.basis[ties])])
             else:
-                leave = int(ties[np.argmax(u[ties])])
-            # pivot
+                leave = int(ties[u[ties].argmax()])
+            # pivot row alpha = e_leave^T B^-1 W over u[leave], and tau^T W
+            # with tau = B^-T u, both on the old basis
+            piv = u[leave]
+            alpha, tau_w = np.array([self.Binv[leave], u @ self.Binv]) @ self.W
+            alpha /= piv
+            gamma_e = 1.0 + u @ u
+            self.gamma = np.maximum(
+                self.gamma - alpha * (2.0 * tau_w - gamma_e * alpha),
+                1.0 + alpha * alpha,
+            )
+            self.gamma[self.basis[leave]] = max(gamma_e / (piv * piv), 1.0)
+            d = d - d[e] * alpha
+            fresh = False
             self.xB = self.xB - theta * u
             self.xB[leave] = theta
             np.maximum(self.xB, 0.0, out=self.xB)
-            piv = u[leave]
             row = self.Binv[leave] / piv
             self.Binv -= np.outer(u, row)
             self.Binv[leave] = row
             self.basis[leave] = e
             self.iterations += 1
+            self.bland_pivots += bland
             if self.iterations % _REFACTOR_EVERY == 0:
                 self._refactorize()
+                d, fresh = self._reduced_costs(), True
             obj = float(cost[self.basis] @ self.xB)
             if obj <= last_obj + 1e-12 * max(1.0, abs(last_obj)):
                 stall += 1
@@ -278,23 +301,17 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
                          "starts there and needs it feasible")
 
     spx = _Simplex(sf.A, sf.b, sf.c)
-    status = spx.solve(max_iters)
-    if status != OPTIMAL:
-        return LpSolution(status=status, iterations=spx.iterations)
-
-    x = _primal(sf, spx.primal())
-    # refine once if rounding pushed the point slightly outside
-    if lp.constraint_violation(x) > DEFAULT_FEAS_TOL:
-        spx._refactorize()
-        x = _primal(sf, spx.primal())
-
-    dual = np.zeros(lp.n_rows)
-    dual[sf.origin] = -spx.duals()[: sf.origin.size]
-
-    return LpSolution(
-        status=OPTIMAL,
-        x=x,
-        objective_value=float(lp.objective @ x),
-        dual=dual,
-        iterations=spx.iterations,
-    )
+    sol = LpSolution(spx.solve(max_iters))
+    if sol.status == OPTIMAL:
+        sol.x = _primal(sf, spx.primal())
+        # refine once if rounding pushed the point slightly outside
+        if lp.constraint_violation(sol.x) > DEFAULT_FEAS_TOL:
+            spx._refactorize()
+            sol.x = _primal(sf, spx.primal())
+        sol.objective_value = float(lp.objective @ sol.x)
+        sol.dual = np.zeros(lp.n_rows)
+        sol.dual[sf.origin] = -spx.duals()[: sf.origin.size]
+    sol.iterations = spx.iterations
+    sol.bland_pivots = spx.bland_pivots
+    sol.refactorizations = spx.refactorizations
+    return sol

@@ -347,6 +347,30 @@ def test_lp_iteration_limit_is_not_member(monkeypatch):
     assert v.note == "lp-iteration_limit"
 
 
+def test_fpm_lp_pivot_budget():
+    # the F+- LP at n = 20 (210 rows, 401 variables): steepest-edge pricing
+    # takes 319-492 pivots on these draws, Dantzig pricing 1839-2524
+    for seed in range(3):
+        a = instances.gen_random_spn(20, seed)[0]
+        sol = lp.solve(cones.build_lp(eigen_decompose(a), "Fpm"))
+        assert sol.status == lp.OPTIMAL
+        assert sol.iterations <= 800
+
+
+def test_detection_lps_report_their_pivot_counts():
+    ep = eigen_decompose(instances.gen_random_spn(16, 3)[0])
+    long_runs = 0
+    for family in cones.LP_FAMILIES:
+        sol = lp.solve(cones.build_lp(ep, family))
+        assert sol.status == lp.OPTIMAL
+        assert sol.bland_pivots == 0
+        # one refactorization per _REFACTOR_EVERY pivots, plus at most the refine
+        base = sol.iterations // lp._REFACTOR_EVERY
+        assert base <= sol.refactorizations <= base + 1
+        long_runs += base > 0
+    assert long_runs > 0
+
+
 def test_psd_split_examples():
     rng = np.random.default_rng(2)
     b = rng.normal(size=(3, 3))

@@ -105,6 +105,36 @@ def test_iteration_limit_status():
     assert sol.iterations == 1
 
 
+def test_klee_minty_cube_takes_few_pivots():
+    # max sum_j 2^(n-j) x_j  s.t.  2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i,
+    # x >= 0 (1-based): Dantzig's rule visits all 2^n vertices, 255 pivots
+    # at n = 8, where steepest edge heads for the optimum (0, ..., 0, 5^n)
+    n = 8
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, :i] = 2.0 ** (i - np.arange(i) + 1)
+        a[i, i] = 1.0
+    c = 2.0 ** (n - 1 - np.arange(n))
+    sol = lp.solve(lp.LinearProgram(c, -a, -(5.0 ** np.arange(1, n + 1)), lo=0.0))
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective_value == pytest.approx(5.0**n, rel=1e-12)
+    assert sol.iterations <= n
+
+
+def test_beale_cycling_lp():
+    # Beale's example (1955), on which Dantzig's rule with a lowest-index
+    # tie-break cycles; the optimum -1/20 of its min form is at x = (1/25, 0, 1, 0)
+    rows = [
+        ([0.25, -60.0, -0.04, 9.0], LE, 0.0),
+        ([0.5, -90.0, -0.02, 3.0], LE, 0.0),
+        ([0.0, 0.0, 1.0, 0.0], LE, 1.0),
+    ]
+    sol = _solve([0.75, -150.0, 0.02, -6.0], rows, [(0.0, np.inf)] * 4)
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective_value == pytest.approx(0.05, rel=1e-12)
+    assert np.allclose(sol.x, [0.04, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
+
+
 def test_malformed_rejected_at_construction():
     with pytest.raises(ValueError):
         lp.LinearProgram([1.0], [[1.0, 2.0]], [1.0])

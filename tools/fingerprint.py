@@ -9,7 +9,8 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   (status, alpha*, S, N, n_candidate, note);
 - bracket:   qp_optimum on 10 planted QPs (n=8), with a count of the
   brackets that hold the planted optimum t;
-- clique:    clique_number on 6 random graphs;
+- clique:    clique_number on 6 random graphs (the clique number, and the
+  stats of its partition run but wall_time);
 - lp:        lp.solve on 64 mixed LPs full of singleton rows, == rows and
   tied rows, all solved as ordinary rows and all feasible at their bound
   point, where lp.solve starts (status, x, duals per original row, pivots);
@@ -142,10 +143,23 @@ def bracket_section():
 def clique_section():
     h = hashlib.sha256()
     cfg = CopoConfig(max_iterations=20000)
-    for seed in range(6):
-        g = instances.gen_gnp_graph(6 + seed % 3, 0.5, seed=seed)
-        _feed(h, instances.clique_number(g, cfg))
-    return 6, h.hexdigest(), ""
+    partition = instances._partition
+    runs = []  # stats of each partition run clique_number makes, but wall_time
+
+    def recorded(*args):
+        res, best = partition(*args)
+        runs.append({k: v for k, v in res.stats.items() if k != "wall_time"})
+        return res, best
+
+    instances._partition = recorded
+    try:
+        for seed in range(6):
+            g = instances.gen_gnp_graph(6 + seed % 3, 0.5, seed=seed)
+            _feed(h, instances.clique_number(g, cfg))
+    finally:
+        instances._partition = partition
+    _feed(h, runs)
+    return 6, h.hexdigest(), f"cells={sum(r['iterations'] for r in runs)}"
 
 
 def _singleton_lp(rng):
