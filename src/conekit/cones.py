@@ -36,9 +36,6 @@ class MembershipVerdict:
     alpha_star: float | None = None
     s_part: np.ndarray | None = None
     n_part: np.ndarray | None = None
-    # optimal nonnegative-part candidate, kept even when alpha_star < 0 so
-    # partition algorithms can reuse it for child screening
-    n_candidate: np.ndarray | None = None
     note: str = ""
 
     @property
@@ -140,24 +137,17 @@ def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> Membership
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
     alpha = float(prog.rhs[0]) + sol.objective_value  # alpha0 + beta
+    if alpha < -EPS_ALPHA:
+        return MembershipVerdict(NOT_IDENTIFIED, tag, alpha_star=alpha)
     # the pair rows hold the basis entries, so they map omega to the upper
     # triangle of N = sum_k omega_k E_k
     k = prog.n_vars - 1
     iu, ju = np.triu_indices(ep.n)
-    n_cand = np.empty_like(a)
-    n_cand[iu, ju] = prog.A[:, :k] @ sol.x[:k]
-    n_cand[ju, iu] = n_cand[iu, ju]
-    if alpha < -EPS_ALPHA:
-        return MembershipVerdict(
-            NOT_IDENTIFIED, tag, alpha_star=alpha, n_candidate=n_cand
-        )
+    n_part = np.empty_like(a)
+    n_part[iu, ju] = prog.A[:, :k] @ sol.x[:k]
+    n_part[ju, iu] = n_part[iu, ju]
     return MembershipVerdict(
-        MEMBER,
-        tag,
-        alpha_star=alpha,
-        s_part=a - n_cand,
-        n_part=n_cand,
-        n_candidate=n_cand,
+        MEMBER, tag, alpha_star=alpha, s_part=a - n_part, n_part=n_part
     )
 
 
@@ -238,8 +228,9 @@ def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdi
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
     """Run the selected cone tests in canonical order.
 
-    The LP families share one orthogonal decomposition.  Per-test failures
-    are recorded, not raised.
+    The LP families share one orthogonal decomposition.  A test that raises
+    an ArithmeticError or ValueError (numpy's LinAlgError is one) is recorded
+    as NOT_IDENTIFIED with an "error:" note; other exceptions propagate.
     """
     a = as_sym_matrix(a)
     unknown = set(cones) - set(CONE_ORDER)
@@ -252,7 +243,7 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
             if ep is None and cone in LP_FAMILIES:
                 ep = eigen_decompose(a)
             v = _dispatch(a, cone, ep)
-        except Exception as exc:  # aggregate, never abort the other tests
+        except (ArithmeticError, ValueError) as exc:  # record, keep testing
             v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
         verdicts.append(v)
     return verdicts

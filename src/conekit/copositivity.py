@@ -5,10 +5,10 @@ simplex.  The worklist algorithm removes a simplex once the congruence
 V^T A V is certified to lie in a tractable subcone of the copositive cone,
 bisects otherwise, and stops with a negative-vertex certificate as soon as
 one appears.  The improved variant reuses a single global eigen pair to test
-the hat (non-orthogonal) family first and screens bisection children against
-the parent's LP witness without solving new LPs.  The same partition, tested
-at a level that follows the best vertex found, bounds the simplex QP and the
-clique number (see instances).
+each cell with the hat (non-orthogonal) family before the exact per-cell
+test.  Every removal rests on its own cell's membership verdict.  The same
+partition, tested at a level that follows the best vertex found, bounds the
+simplex QP and the clique number (see instances).
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ NOT_COPOSITIVE = "not_copositive"
 INCONCLUSIVE = "inconclusive"
 
 FAMILIES = ("N", "H", *cones.LP_FAMILIES)
-
-_SCREEN_TOL = 1e-11  # entrywise nonnegativity slack for witness screening
 
 
 class DegenerateEdge(ValueError):
@@ -50,20 +48,15 @@ def longest_edge(v: np.ndarray):
 
 def bisect(v: np.ndarray):
     """Split the simplex with (n, k) vertex matrix v at the midpoint of its
-    longest edge.
-
-    Returns (v_i, v_j, T_i, T_j) where each T maps parent vertex coordinates
-    to child coordinates (v_child = v @ T), which is what witness screening
-    needs.
-    """
+    longest edge (i, j).  Returns the two children: v with column i, resp.
+    column j, replaced by the midpoint."""
     i, j, length = longest_edge(v)
     if length < 1e-14:
         raise DegenerateEdge(f"edge ({i}, {j}) has length {length:.3e}")
-    # T_i moves vertex i to the midpoint, T_j moves vertex j there
-    t_i = np.eye(v.shape[1])
-    t_j = t_i.copy()
-    t_i[[i, j], i] = t_j[[i, j], j] = 0.5
-    return v @ t_i, v @ t_j, t_i, t_j
+    mid = (v[:, i] + v[:, j]) / 2.0
+    v_i, v_j = v.copy(), v.copy()
+    v_i[:, i] = v_j[:, j] = mid
+    return v_i, v_j
 
 
 @dataclass
@@ -76,7 +69,10 @@ class CopoConfig:
     def __post_init__(self):
         if self.cone_family not in FAMILIES:
             raise ValueError(f"unknown cone family {self.cone_family!r}")
-        if self.max_iterations <= 0 or not 0 < self.time_limit < np.inf:
+        it = self.max_iterations
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it <= 0:
+            raise ValueError(f"max_iterations must be a positive integer, got {it!r}")
+        if not 0 < self.time_limit < np.inf:
             raise ValueError("budgets must be positive and finite")
 
 
@@ -108,9 +104,10 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
     V^T A V - s 11^T, and each cell is tested at the scalar shift
     s = level(best).  The run stops with "not_copositive" and the best point
     once best < s.  A cell removed at shift s certifies x^T A x >= s on it;
-    level never rises as best falls, so every removal, screened children
-    included, still holds at the final shift, and the LIFO worklist needs no
-    reordering.  Returns (CopoResult, best).
+    level never rises as best falls, so every removal still holds at the
+    final shift, and the LIFO worklist needs no reordering.  A cell test
+    that raises an ArithmeticError or ValueError is counted in
+    stats["errors"] and the cell is bisected.  Returns (CopoResult, best).
     """
     a = as_sym_matrix(a)
     n = a.shape[0]
@@ -127,7 +124,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
 
     worklist = [np.eye(n)]  # vertex matrices, LIFO
     iterations = lp_calls = 0
-    removals = {"member": 0, "member_hat": 0, "screen": 0}
+    removals = {"member": 0, "member_hat": 0}
     errors: dict = {}  # exception type name -> failed cell tests
     started = time.monotonic()
 
@@ -166,7 +163,6 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
         vtav = vtav - shift
 
         removed = None  # removal kind once a test certifies the cell
-        screen_witness = None  # local-frame nonnegative part for children
         try:
             for step in steps:
                 ep = None  # the exact step lets the cone test decompose vtav
@@ -179,29 +175,19 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
                 if verdict.is_member:
                     removed = "member_hat" if step == "hat" else "member"
                     break
-                if alg2 and verdict.n_candidate is not None:
-                    screen_witness = verdict.n_candidate
-        except Exception as exc:
+        except (ArithmeticError, ValueError) as exc:
             # solver trouble is never grounds for removal; count it and refine
             name = type(exc).__name__
             errors[name] = errors.get(name, 0) + 1
-            screen_witness = None
 
         if removed:
             removals[removed] += 1
             continue
         try:
-            v_i, v_j, t_i, t_j = bisect(cell)
+            worklist.extend(bisect(cell))
         except DegenerateEdge:
             worklist.append(cell)
             return finish(INCONCLUSIVE, "degenerate-edge")
-        for child, t in ((v_i, t_i), (v_j, t_j)):
-            if screen_witness is not None:
-                n_child = t.T @ screen_witness @ t
-                if np.min(n_child) >= -_SCREEN_TOL * max(1.0, np.max(np.abs(screen_witness))):
-                    removals["screen"] += 1
-                    continue
-            worklist.append(child)
 
     return finish(COPOSITIVE)
 

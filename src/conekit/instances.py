@@ -169,8 +169,8 @@ def qp_optimum(
     at _replicator_start(Q) and the cell vertices, so on completion the
     minimum lies in [best - eta, best]; inconclusive, it lies in [min Q, best].
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     q = as_sym_matrix(q)
     res, best = _partition(
         q, cfg or CopoConfig(), lambda best: best - eta, _replicator_start(q)

@@ -195,18 +195,21 @@ def test_detection_lp_alpha_matches_highs():
     assert checked == 216
 
 
-def test_n_candidate_is_the_weighted_basis_sum():
+def test_n_part_is_the_weighted_basis_sum():
+    # PSD inputs are members of every LP family (omega = 0 is feasible)
     rng = np.random.default_rng(13)
     for n in (3, 5, 8):
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
+        b = rng.normal(size=(n, n))
+        a = b @ b.T
         ep = eigen_decompose(a)
         for family, mats in _family_bases(ep.P).items():
             v = cones.check_membership_lp(a, ep, family)
+            assert v.is_member
             omega = lp.solve(cones.build_lp(ep, family)).x[: len(mats)]
             expect = sum(w * m for w, m in zip(omega, mats))
             scale = max(1.0, float(np.max(np.abs(expect))))
-            assert np.max(np.abs(v.n_candidate - expect)) <= 1e-12 * scale
+            assert np.max(np.abs(v.n_part - expect)) <= 1e-12 * scale
+            assert np.array_equal(v.s_part, a - v.n_part)
 
 
 def test_membership_diag_nonneg_is_g_member():
@@ -437,3 +440,21 @@ def test_membership_report_rejects_unknown_cone():
 def test_membership_report_canonical_order():
     verdicts = cones.membership_report(M1, cones=("L", "N", "H"))
     assert [v.cone for v in verdicts] == ["N", "H", "L"]
+
+
+def test_membership_report_records_numerical_errors_only(monkeypatch):
+    def fail_with(exc_type):
+        def fail(*args, **kwargs):
+            raise exc_type("injected")
+
+        return fail
+
+    monkeypatch.setattr(cones, "check_membership_lp", fail_with(FloatingPointError))
+    verdicts = cones.membership_report(M1)
+    failed = [v for v in verdicts if v.note == "error: injected"]
+    assert [v.cone for v in failed] == list(cones.LP_FAMILIES)
+    assert not any(v.is_member for v in failed)
+    # a TypeError is a bug in the program, not a verdict
+    monkeypatch.setattr(cones, "check_membership_lp", fail_with(TypeError))
+    with pytest.raises(TypeError, match="injected"):
+        cones.membership_report(M1)

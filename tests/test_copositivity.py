@@ -23,14 +23,23 @@ def k_gamma(n, gamma):
 
 
 def test_bisect_two_dim():
-    cell = np.eye(2)
-    ci, cj, ti, tj = bisect(cell)
-    mid = np.array([0.5, 0.5])
-    assert np.allclose(ci[:, 0], mid) or np.allclose(ci[:, 1], mid)
-    assert np.allclose(cj[:, 0], mid) or np.allclose(cj[:, 1], mid)
-    # the transfer matrices reproduce the children from the parent
-    assert np.allclose(cell @ ti, ci)
-    assert np.allclose(cell @ tj, cj)
+    ci, cj = bisect(np.eye(2))
+    assert np.array_equal(ci, [[0.5, 0.0], [0.5, 1.0]])
+    assert np.array_equal(cj, [[1.0, 0.5], [0.0, 0.5]])
+
+
+def test_bisect_children_replace_one_column_by_the_midpoint():
+    rng = np.random.default_rng(3)
+    for n in (3, 4, 6):
+        cell = rng.dirichlet(np.ones(n), size=n).T  # columns on the simplex
+        i, j, _ = longest_edge(cell)
+        mid = (cell[:, i] + cell[:, j]) / 2
+        children = bisect(cell)
+        assert len(children) == 2
+        for child, col in zip(children, (i, j)):
+            expect = cell.copy()
+            expect[:, col] = mid
+            assert child.tobytes() == expect.tobytes()
 
 
 def test_bisect_tie_break_deterministic():
@@ -44,8 +53,7 @@ def test_bisect_fineness_halves():
     for _ in range(10):
         nxt = []
         for c in cells:
-            a, b, _, _ = bisect(c)
-            nxt.extend([a, b])
+            nxt.extend(bisect(c))
         cells = nxt
     fineness = max(longest_edge(c)[2] for c in cells)
     assert fineness == pytest.approx(np.sqrt(2.0) / 2**10, rel=1e-12)
@@ -69,16 +77,23 @@ def test_degenerate_edge_is_inconclusive():
 
 
 def test_cell_test_errors_are_counted(monkeypatch):
-    def fail(*args, **kwargs):
-        raise FloatingPointError("injected")
+    def fail_with(exc_type):
+        def fail(*args, **kwargs):
+            raise exc_type("injected")
 
-    monkeypatch.setattr(cones, "check_membership_lp", fail)
+        return fail
+
+    monkeypatch.setattr(cones, "check_membership_lp", fail_with(FloatingPointError))
     a, _, _ = instances.gen_random_spn(4, 0)
     cfg = CopoConfig(cone_family="Fpm", use_alg2=False, max_iterations=5)
     res = run_copositive(a, cfg)
     assert res.outcome == INCONCLUSIVE
     assert res.stats["reason"] == "iteration-limit"
     assert res.stats["errors"] == {"FloatingPointError": 5}
+    # only numerical failures are counted; a TypeError is a bug, not a cell
+    monkeypatch.setattr(cones, "check_membership_lp", fail_with(TypeError))
+    with pytest.raises(TypeError, match="injected"):
+        run_copositive(a, cfg)
 
 
 def test_all_ones_copositive_one_iteration():
@@ -120,25 +135,34 @@ def test_time_limit_inconclusive():
 
 
 def test_audit_witnesses_reconstruct(monkeypatch):
-    # every member removal rests on an S + N witness of its cell's matrix
-    residuals = []
+    # every removal rests on an S + N witness of its own cell's matrix
+    cases = [
+        (instances.gen_random_spn(5, 99)[0], "Fpm", COPOSITIVE),
+        (k_gamma(5, 4.5), "G", NOT_COPOSITIVE),  # bisects many cells first
+    ]
     cell_test = cones._dispatch
+    for a, family, outcome in cases:
+        members = {"member": [], "member_hat": []}
 
-    def spy(vtav, cone, ep):
-        verdict = cell_test(vtav, cone, ep)
-        if verdict.is_member:
-            residuals.append(verdict.witness_residuals(vtav))
-        return verdict
+        def spy(vtav, cone, ep):
+            verdict = cell_test(vtav, cone, ep)
+            if verdict.is_member:
+                hat = ep is not None and not ep.orthogonal
+                kind = "member_hat" if hat else "member"
+                members[kind].append(verdict.witness_residuals(vtav))
+            return verdict
 
-    monkeypatch.setattr(cones, "_dispatch", spy)
-    a, _, _ = instances.gen_random_spn(5, 99)
-    res = run_copositive(a, CopoConfig(cone_family="Fpm"))
-    assert res.outcome == COPOSITIVE
-    removals = res.stats["removals"]
-    assert len(residuals) == removals["member"] + removals["member_hat"] > 0
-    for w in residuals:
-        assert w["split"] <= 1e-7
-        assert w["n_min"] >= -1e-9
+        monkeypatch.setattr(cones, "_dispatch", spy)
+        res = run_copositive(a, CopoConfig(cone_family=family, use_alg2=True))
+        assert res.outcome == outcome
+        assert res.stats["errors"] == {}
+        removals = res.stats["removals"]
+        assert set(removals) == {"member", "member_hat"}
+        assert {k: len(w) for k, w in members.items()} == removals
+        assert sum(removals.values()) > 0
+        for w in members["member"] + members["member_hat"]:
+            assert w["split"] <= 1e-7
+            assert w["n_min"] >= -1e-9
 
 
 def test_negative_certificate_on_indefinite():
@@ -196,20 +220,14 @@ def test_alg2_matches_alg1_outcomes():
         assert r2.stats["iterations"] <= r1.stats["iterations"]
 
 
-def test_warm_start_screening_counted():
-    # a matrix that needs refinement gives the screen rule a chance to fire
-    a = k_gamma(5, 4.5)
-    res = run_copositive(a, CopoConfig(cone_family="G", use_alg2=True))
-    assert res.outcome == NOT_COPOSITIVE
-    assert res.stats["removals"]["screen"] > 0
-    assert res.stats["errors"] == {}
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         CopoConfig(cone_family="nope")
-    with pytest.raises(ValueError):
-        CopoConfig(max_iterations=0)
+    # the iteration budget counts cells: NaN never fires, inf is no budget
+    for limit in (0, -3, float("nan"), float("inf"), 2.5, 10.0, True, "5"):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            CopoConfig(max_iterations=limit)
+    assert CopoConfig(max_iterations=np.int64(7)).max_iterations == 7
     # NaN passes a `<= 0` check, and a budget that never fires is no budget
     for limit in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="budgets must be positive and finite"):

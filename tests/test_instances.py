@@ -225,6 +225,13 @@ def test_qp_optimum_identity():
     assert b.lo - 1e-9 <= 0.5 <= b.hi + 1e-9
 
 
+def test_qp_optimum_rejects_eta_that_is_not_positive_and_finite():
+    # a NaN or infinite eta gave an unconverged bracket instead of an error
+    for eta in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            instances.qp_optimum(np.eye(2), fast_cfg(), eta=eta)
+
+
 def test_qp_optimum_zero_matrix():
     b = instances.qp_optimum(np.zeros((3, 3)), fast_cfg(), eta=0.1)
     assert b.converged

@@ -6,7 +6,7 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - partition: test_copositive on 25 matrices x N/H/G/F+/F+- x alg 1/2
   (outcome, certificate, every stats field but wall_time);
 - report:    membership_report on 40 gen_random_spn(12) draws x 7 cones
-  (status, alpha*, S, N, n_candidate, note);
+  (status, alpha*, S, N, note);
 - bracket:   qp_optimum on 10 planted QPs (n=8), with a count of the
   brackets that hold the planted optimum t;
 - clique:    clique_number on 6 random graphs (the clique number, and the
@@ -122,8 +122,7 @@ def report_section():
     for seed in range(40):
         a = instances.gen_random_spn(12, seed)[0]
         for v in cones.membership_report(a):
-            _feed(h, [v.status, v.cone, v.alpha_star, v.s_part, v.n_part,
-                      v.n_candidate, v.note])
+            _feed(h, [v.status, v.cone, v.alpha_star, v.s_part, v.n_part, v.note])
             count += 1
     return count, h.hexdigest(), ""
 
