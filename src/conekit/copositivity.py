@@ -91,11 +91,15 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
     which the quadratic form is strictly negative; "inconclusive" names its
     reason (a budget, or an edge too short to bisect) in the stats.
     """
+    a = as_sym_matrix(a)
+    if a.shape[0] < 2:
+        raise ValueError("copositivity test needs dimension >= 2")
     return _partition(a, cfg or CopoConfig(), lambda best: 0.0)[0]
 
 
 def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
-    """Certify x^T A x >= level(best) on the standard simplex.
+    """Certify x^T A x >= level(best) on the standard simplex, for a matrix
+    that as_sym_matrix already returned.
 
     best is the lowest raw value seen: at `start` first, when given (see
     _form_above), then at one vertex of each cell, picked off the congruence
@@ -109,10 +113,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
     that raises an ArithmeticError or ValueError is counted in
     stats["errors"] and the cell is bisected.  Returns (CopoResult, best).
     """
-    a = as_sym_matrix(a)
     n = a.shape[0]
-    if n < 2:
-        raise ValueError("copositivity test needs dimension >= 2")
     family = cfg.cone_family
     alg2 = cfg.use_alg2 and family in cones.LP_FAMILIES
     # the per-cell membership sequence: the hat LP (alg 2 only), then the

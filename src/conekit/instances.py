@@ -140,12 +140,12 @@ def clique_number(g: Graph, cfg: CopoConfig | None = None) -> int | None:
         raise ValueError("graph must be nonempty")
     if g.n == 1:
         return 1
-    adj = g.adjacency()
+    form = 1.0 - g.adjacency()
     res, best = _partition(
-        1.0 - adj,
+        form,
         cfg or CopoConfig(),
         lambda best: 1.0 / (round(1.0 / best) + 0.5),
-        _replicator_start(1.0 - adj),
+        _replicator_start(form),
     )
     return None if res.outcome == INCONCLUSIVE else round(1.0 / best)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PSD_PIVOT_TOL = 1e-9
+PSD_TOL = 1e-9
 ASYM_TOL = 1e-12  # relative asymmetry that as_sym_matrix repairs
 
 
@@ -80,32 +80,18 @@ def eigen_decompose(a: np.ndarray) -> EigenPair:
     return EigenPair(v, lam, True)
 
 
-def is_psd_cholesky(a: np.ndarray, tol: float = PSD_PIVOT_TOL) -> bool:
-    """Numerical PSD test via diagonally pivoted Cholesky elimination.
-
-    True iff elimination completes with every pivot >= -tol * scale, where
-    scale = max(1, max diagonal entry).  Total function: never raises for a
-    symmetric float input.
-    """
-    m = a.copy()
-    n = m.shape[0]
-    scale = max(1.0, float(np.max(np.diag(m))))
-    active = list(range(n))
-    for _ in range(n):
-        diag = m[active, active]
-        j = int(np.argmax(diag))
-        d = float(diag[j])
-        if d < -tol * scale:
-            return False
-        if d <= tol * scale:
-            # no usable pivot left: PSD iff the remaining block is negligible
-            rem = m[np.ix_(active, active)]
-            return bool(np.all(np.abs(rem) <= 10.0 * tol * scale))
-        piv = active.pop(j)
-        if active:
-            col = m[active, piv]
-            m[np.ix_(active, active)] -= np.outer(col, col) / d
-    return True
+def is_psd_cholesky(a: np.ndarray, tol: float = PSD_TOL) -> bool:
+    """PSD test by one LAPACK Cholesky factorization of A + tol * scale * I,
+    scale = max(1, max diagonal entry): True iff it succeeds with a finite
+    factor, that is iff no eigenvalue of A lies below -tol * scale, up to
+    rounding; a NaN or infinite entry fails.  Never raises for a symmetric
+    float input."""
+    scale = max(1.0, float(np.max(np.diag(a))))
+    try:
+        factor = np.linalg.cholesky(a + tol * scale * np.eye(a.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(factor)))  # LAPACK lets NaN through
 
 
 def congruence(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -103,7 +103,7 @@ class LpSolution:
 
 @dataclass
 class _StandardForm:
-    """max c.y, A y <= b, y >= 0, plus bookkeeping to map back to the input."""
+    """max c.y, A y <= b, y >= 0: the input's rows negated, then its caps."""
 
     A: np.ndarray
     b: np.ndarray
@@ -112,15 +112,12 @@ class _StandardForm:
     col_var: np.ndarray
     col_sgn: np.ndarray
     offset: np.ndarray
-    # standard-form row r < origin.size is original row origin[r] negated;
-    # the caps of boxed variables come after
-    origin: np.ndarray
 
 
 def _to_standard_form(lp: LinearProgram):
     """Normalize to  max c.y, A y <= b, y >= 0  with the bound point at y = 0.
 
-    Rows are negated and empty rows dropped; bounded variables are shifted
+    Rows are negated, and every row is kept; bounded variables are shifted
     or flipped, free ones split.  Returns (_StandardForm, infeasible_flag),
     the flag set when the bound point violates a row (an empty row with a
     positive rhs included) by more than DEFAULT_FEAS_TOL times the largest
@@ -142,7 +139,6 @@ def _to_standard_form(lp: LinearProgram):
     if np.any(slack < -DEFAULT_FEAS_TOL * scale):
         return None, True
 
-    origin = np.flatnonzero(lp.A.any(axis=1))
     col_var = np.concatenate([np.arange(nvar), np.flatnonzero(free)])
     col_sgn = np.concatenate([np.where(has_lo | free, 1.0, -1.0), -np.ones(free.sum())])
     # doubly bounded variables get their upper bound back as a row y <= hi - lo
@@ -150,8 +146,8 @@ def _to_standard_form(lp: LinearProgram):
     cap_rows = np.zeros((boxed.size, col_var.size))
     cap_rows[np.arange(boxed.size), boxed] = 1.0
 
-    A = np.vstack([-lp.A[origin][:, col_var] * col_sgn, cap_rows])
-    b = np.concatenate([np.maximum(slack[origin], 0.0), hi[boxed] - lo[boxed]])
+    A = np.vstack([-lp.A[:, col_var] * col_sgn, cap_rows])
+    b = np.concatenate([np.maximum(slack, 0.0), hi[boxed] - lo[boxed]])
     sf = _StandardForm(
         A=A,
         b=b,
@@ -159,7 +155,6 @@ def _to_standard_form(lp: LinearProgram):
         col_var=col_var,
         col_sgn=col_sgn,
         offset=offset,
-        origin=origin,
     )
     return sf, False
 
@@ -309,8 +304,7 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
             spx._refactorize()
             sol.x = _primal(sf, spx.primal())
         sol.objective_value = float(lp.objective @ sol.x)
-        sol.dual = np.zeros(lp.n_rows)
-        sol.dual[sf.origin] = -spx.duals()[: sf.origin.size]
+        sol.dual = -spx.duals()[: lp.n_rows]
     sol.iterations = spx.iterations
     sol.bland_pivots = spx.bland_pivots
     sol.refactorizations = spx.refactorizations

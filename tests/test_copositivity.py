@@ -173,6 +173,16 @@ def test_negative_certificate_on_indefinite():
     assert float(v @ a @ v) < 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the congruence overflows
+def test_overflowed_cell_is_not_removed_by_h():
+    # x^T A x < 0 at x = (1/2, 1/2); V^T A V overflows to +-inf at the root,
+    # and S = [[inf, -inf], [-inf, inf]] must not pass as PSD
+    a = np.array([[1e308, -1.5e308], [-1.5e308, 1e308]])
+    res = run_copositive(a, CopoConfig(cone_family="H"))
+    assert res.outcome == NOT_COPOSITIVE
+    assert res.stats["removals"]["member"] == 0
+
+
 def test_refutation_names_the_first_negative_vertex():
     # e_1 and e_2 are both negative; the certificate is the first of them,
     # not the lowest

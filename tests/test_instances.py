@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conekit import instances
+from conekit import cones, copositivity, instances
 from conekit.copositivity import CopoConfig
 from conekit.instances import (
     Graph,
@@ -21,7 +21,7 @@ from conekit.instances import (
     plant_clique,
     std_qp_matrix,
 )
-from conekit.linalg import is_psd_cholesky
+from conekit.linalg import as_sym_matrix, is_psd_cholesky
 
 # frozen fixture: gen_random_spn(5, 12345), first matrix, sha256 of raw bytes
 SPN_FIXTURE_DIGEST = "8e6bb30e100b883d384d7ab3283b901af53fc4588b908b083dd0c5f2fa1df364"
@@ -253,6 +253,28 @@ def test_qp_optimum_upper_end_is_attained():
     assert b.converged
     assert b.hi == 1.0
     assert b.lo == 0.9
+
+
+def test_qp_optimum_of_a_single_variable():
+    # the simplex is the point x = 1, so the minimum is Q itself
+    b = instances.qp_optimum([[3.0]], fast_cfg(), eta=0.1)
+    assert b.converged
+    assert (b.lo, b.hi) == (2.9, 3.0)
+
+
+def test_qp_optimum_validates_its_matrix_once(monkeypatch):
+    calls = []
+
+    def counted(entries):
+        calls.append(1)
+        return as_sym_matrix(entries)
+
+    monkeypatch.setattr(instances, "as_sym_matrix", counted)
+    monkeypatch.setattr(copositivity, "as_sym_matrix", counted)
+    monkeypatch.setattr(cones, "as_sym_matrix", counted)
+    q = gen_planted_qp(5, 2, -1.0, seed=0).Q
+    assert instances.qp_optimum(q, fast_cfg(), eta=0.1).converged
+    assert len(calls) == 1
 
 
 def test_qp_optimum_planted():

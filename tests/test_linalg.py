@@ -6,6 +6,7 @@ import pytest
 
 import conekit
 from conekit.linalg import (
+    PSD_TOL,
     as_sym_matrix,
     congruence,
     eigen_decompose,
@@ -112,6 +113,10 @@ def test_psd_examples():
     assert not is_psd_cholesky(s_m2)
     assert not is_psd_cholesky(-np.eye(2))
     assert is_psd_cholesky(np.zeros((3, 3)))
+    # LAPACK passes NaN through a factorization, so it is caught on the factor
+    assert not is_psd_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the shift
+        assert not is_psd_cholesky(np.array([[np.inf, -np.inf], [-np.inf, np.inf]]))
 
 
 def test_psd_agrees_with_min_eigenvalue():
@@ -128,6 +133,25 @@ def test_psd_agrees_with_min_eigenvalue():
         checked += 1
         assert is_psd_cholesky(a, tol) == (lam_min > 0)
     assert checked > 200
+
+
+def test_psd_rule_is_no_eigenvalue_below_minus_tol_scale():
+    # B B^T with B of size n x (n - 1) is PSD and singular; shifted down by
+    # c * tol * scale, its smallest eigenvalue is -c * tol * scale up to
+    # rounding, so the documented rule accepts it for c < 1 and not for c > 1
+    tol = PSD_TOL
+
+    def draws(c):
+        rng = np.random.default_rng(2006)
+        for _ in range(200):
+            n = int(rng.integers(3, 13))
+            b = rng.normal(size=(n, n - 1)) * 10.0 ** rng.uniform(-1, 2)
+            a = b @ b.T
+            scale = max(1.0, float(np.max(np.diag(a))))
+            yield a - c * tol * scale * np.eye(n)
+
+    assert all(is_psd_cholesky(a, tol) for a in draws(0.5))
+    assert not any(is_psd_cholesky(a, tol) for a in draws(2.0))
 
 
 def test_congruence_examples():

@@ -18,21 +18,28 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   clique and a small bench suite (exit code, and every record field but
   wall_time and config, or the printed line).
 
-Compare a change with its parent by running this file against both source
-trees and diffing the output (the run time goes to stderr):
+Run it from the repository root (the run time goes to stderr):
 
-    PYTHONPATH=src python tools/fingerprint.py > after.txt
-    PYTHONPATH=../parent/src python tools/fingerprint.py > before.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python tools/fingerprint.py
+
+With --parent REV it extracts REV's src/ with git archive, runs the sections
+against that tree and against this checkout's src/ in two subprocesses,
+prints both digests per section, and exits 1 if any section differs:
+
+    PYTHONPATH=src python tools/fingerprint.py --parent HEAD~1
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from collections import Counter
@@ -45,6 +52,7 @@ from conekit.copositivity import CopoConfig
 from conekit.copositivity import test_copositive as run_copositive
 from conekit.linalg import format_matrix
 
+ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("N", "H", "G", "Fplus", "Fpm")
 LE, GE, EQ = "<=", ">=", "=="  # row tags of the mixed LPs
 
@@ -312,20 +320,64 @@ def cli_section():
     return len(runs), h.hexdigest(), detail
 
 
-def main() -> None:
+SECTIONS = {
+    "partition": partition_section,
+    "report": report_section,
+    "bracket": bracket_section,
+    "clique": clique_section,
+    "lp": lp_section,
+    "cli": cli_section,
+}
+
+
+def compare(rev: str) -> int:
+    """Print the digests of rev's src/ and of this checkout's src/ per
+    section; 1 if any section differs, 2 if a tree could not be run."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True
+    )
+    if archive.returncode:
+        print(f"git archive {rev} failed: {archive.stderr.decode().strip()}",
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        runs = [
+            subprocess.Popen(
+                [sys.executable, __file__], stdout=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            for src in (Path(tmp) / "src", ROOT / "src")
+        ]
+        outputs = [run.communicate()[0] for run in runs]
+    if any(run.returncode for run in runs):
+        return 2
+    parent, tree = ({line.split()[0]: line for line in out.splitlines()}
+                    for out in outputs)
+    differs = False
+    for name in SECTIONS:
+        same = parent[name] == tree[name]
+        differs |= not same
+        print(f"{name:<10} parent {parent[name].split()[2]} "
+              f"tree {tree[name].split()[2]} {'same' if same else 'DIFFERS'}")
+    return int(differs)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", metavar="REV",
+                        help="compare with the src/ of this git revision")
+    args = parser.parse_args()
+    if args.parent:
+        return compare(args.parent)
     started = time.monotonic()
-    for name, section in (
-        ("partition", partition_section),
-        ("report", report_section),
-        ("bracket", bracket_section),
-        ("clique", clique_section),
-        ("lp", lp_section),
-        ("cli", cli_section),
-    ):
+    for name, section in SECTIONS.items():
         count, digest, detail = section()
         print(f"{name:<10} {count:>4} {digest} {detail}".rstrip())
     print(f"fingerprint: {time.monotonic() - started:.1f} s", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
