@@ -8,6 +8,7 @@ Every test is one-sided: a "member" verdict carries a certificate, while
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,13 +70,21 @@ def in_H(a: np.ndarray) -> MembershipVerdict:
     return MembershipVerdict(NOT_IDENTIFIED, "H")
 
 
+@lru_cache(maxsize=64)
+def _pairs(n: int):
+    """np.triu_indices(n), computed once per n and read-only."""
+    iu, ju = np.triu_indices(n)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def sd_basis(p: np.ndarray, kind: str):
     """Semidefinite basis E_ij = v v^T built from the columns of p, over the
     pairs i <= j in row-major upper-triangle order: v = (p_i + p_j) / 2, or
     for kind "minus" v = (p_i - p_j) / 2 off the diagonal.  Returns (i, j, v)
     with one column of v per pair; for nonsingular p the n(n+1)/2 matrices
     span the symmetric matrices."""
-    iu, ju = np.triu_indices(p.shape[0])
+    iu, ju = _pairs(p.shape[0])
     sign = np.where((kind == "minus") & (iu != ju), -1.0, 1.0)
     return iu, ju, (p[:, iu] + sign * p[:, ju]) / 2.0
 
@@ -116,7 +125,7 @@ def build_lp(ep: EigenPair, family: str) -> lpmod.LinearProgram:
     paper does, gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints.
     """
     vectors, caps = _lp_layout(ep, family)
-    iu, ju = np.triu_indices(ep.n)
+    iu, ju = _pairs(ep.n)
     pairs = vectors[iu] * vectors[ju]
     alpha0 = float(np.min(pairs @ caps))
     a = np.column_stack([pairs, -np.ones(iu.size)])
@@ -142,7 +151,7 @@ def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> Membership
     # the pair rows hold the basis entries, so they map omega to the upper
     # triangle of N = sum_k omega_k E_k
     k = prog.n_vars - 1
-    iu, ju = np.triu_indices(ep.n)
+    iu, ju = _pairs(ep.n)
     n_part = np.empty_like(a)
     n_part[iu, ju] = prog.A[:, :k] @ sol.x[:k]
     n_part[ju, iu] = n_part[iu, ju]
@@ -151,26 +160,28 @@ def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> Membership
     )
 
 
-def psd_split(a: np.ndarray):
+def psd_split(a: np.ndarray, ep: EigenPair | None = None):
     """Split A = A_plus - A_minus, both PSD, by clipping negative
-    eigenvalues.  Returns (A_plus, A_minus)."""
-    ep = eigen_decompose(a)
+    eigenvalues of ep, an orthogonal decomposition of A (computed when not
+    given).  Returns (A_plus, A_minus)."""
+    ep = ep or eigen_decompose(a)
     lam_plus = np.maximum(ep.lam, 0.0)
     a_plus = (ep.P * lam_plus) @ ep.P.T
     a_plus = (a_plus + a_plus.T) / 2.0
     return a_plus, a_plus - a
 
 
-def in_L_bomze(a: np.ndarray) -> MembershipVerdict:
+def in_L_bomze(a: np.ndarray, ep: EigenPair | None = None) -> MembershipVerdict:
     """Copositivity certificate via the eigenvalue-clip split.
 
     Finds a nonnegative x with A_plus x >= e as the row multipliers of the
     dual LP  max e.y  s.t.  A_plus y <= e, y >= 0, which is feasible at
     y = 0; when the per-coordinate curvature inequalities hold at x, A is
     certified copositive.  No S + N witness is claimed.  An unbounded dual
-    means no such x exists, and the test cannot identify A.
+    means no such x exists, and the test cannot identify A.  ep, when given,
+    is an orthogonal decomposition of A, as psd_split takes it.
     """
-    a_plus, a_minus = psd_split(a)
+    a_plus, a_minus = psd_split(a, ep)
     prog = lpmod.LinearProgram(np.ones(len(a)), -a_plus, -1.0, lo=0.0)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
@@ -228,9 +239,10 @@ def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdi
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
     """Run the selected cone tests in canonical order.
 
-    The LP families share one orthogonal decomposition.  A test that raises
-    an ArithmeticError or ValueError (numpy's LinAlgError is one) is recorded
-    as NOT_IDENTIFIED with an "error:" note; other exceptions propagate.
+    The LP families and the L test share one orthogonal decomposition.  A
+    test that raises an ArithmeticError or ValueError (numpy's LinAlgError
+    is one) is recorded as NOT_IDENTIFIED with an "error:" note; other
+    exceptions propagate.
     """
     a = as_sym_matrix(a)
     unknown = set(cones) - set(CONE_ORDER)
@@ -240,9 +252,9 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
     ep = None
     for cone in (c for c in CONE_ORDER if c in set(cones)):
         try:
-            if ep is None and cone in LP_FAMILIES:
+            if ep is None and cone in (*LP_FAMILIES, "L"):
                 ep = eigen_decompose(a)
-            v = _dispatch(a, cone, ep)
+            v = in_L_bomze(a, ep) if cone == "L" else _dispatch(a, cone, ep)
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
             v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
         verdicts.append(v)

@@ -117,7 +117,8 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
     family = cfg.cone_family
     alg2 = cfg.use_alg2 and family in cones.LP_FAMILIES
     # the per-cell membership sequence: the hat LP (alg 2 only), then the
-    # exact-family test
+    # exact-family test; the root cell V = I takes the first step only, as
+    # there V^T A V - shift is A - shift and the exact LP is the hat LP
     steps = ("hat", "exact") if alg2 else ("exact",)
     best = np.inf if start is None else _form_above(a, start)
     best_v = start
@@ -165,7 +166,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
 
         removed = None  # removal kind once a test certifies the cell
         try:
-            for step in steps:
+            for step in steps[: 1 if iterations == 1 else None]:
                 ep = None  # the exact step lets the cone test decompose vtav
                 if step == "hat":
                     if shift != hat_shift:

@@ -7,9 +7,13 @@ at its finite upper bound, else at 0.  Every LP conekit poses is, so the
 simplex starts there and needs no phase 1.  Pricing is exact steepest edge
 (Forrest & Goldfarb, Math. Program. 1992): the entering column maximizes
 d_j^2 / gamma_j, gamma_j = 1 + |B^-1 w_j|^2, the weights exact at the slack
-basis and carried by their update recurrence.  Sized for the small
-structured LPs produced by the cone membership tests (a few thousand rows at
-most), not for sparse work.
+basis and carried by their update recurrence.  Only A is stored, not the
+slack identity.  B^-1 is dense, kept as Binv - U V^T: each pivot's rank-1
+update is deferred into thin U, V and folded into Binv by one matrix product
+every 20 pivots (every pivot below 64 rows), a delayed Sherman-Morrison update
+(McDaniel et al., J. Chem. Phys. 2017).  Sized for the small structured LPs
+produced by the cone membership tests (a few thousand rows at most), not for
+sparse work.
 """
 
 from __future__ import annotations
@@ -161,13 +165,15 @@ def _to_standard_form(lp: LinearProgram):
 
 class _Simplex:
     """Revised simplex over  max c.y, W y = b, y >= 0  with W = [A | I] and
-    b >= 0, started from the slack basis."""
+    b >= 0, started from the slack basis.  Only A is stored, as r W = [r A, r]
+    and a slack's column of B^-1 W is a column of B^-1; B^-1 = Binv - U[:t]^T
+    V[:t], folded when U is full and before OPTIMAL."""
 
     def __init__(self, A, b, c):
         m, n = A.shape
         self.m = m
         self.n_struct = n
-        self.W = np.hstack([A, np.eye(m)])
+        self.A = A
         # a deterministic strictly positive jitter on the rhs breaks the
         # pivot stalling that degenerate systems (many zero rhs rows) cause;
         # the true rhs is restored once an optimal basis is found
@@ -180,29 +186,53 @@ class _Simplex:
         self.c = np.concatenate([c, np.zeros(m)])
         self.basis = n + np.arange(m)
         self.Binv = np.eye(m)
+        # pending rank-1 updates: 1 below 64 rows, where the thin corrections
+        # cost more numpy calls than the m x m update they defer, else 20
+        self.U = np.empty((1 if m < 64 else 20, m))
+        self.V = np.empty_like(self.U)
+        self.t = 0  # updates held in U and V
         self.xB = self.b.copy()
         # steepest-edge weights 1 + |B^-1 w_j|^2, exact at the slack basis
-        self.gamma = 1.0 + np.einsum("ij,ij->j", self.W, self.W)
+        self.gamma = np.append(1.0 + np.einsum("ij,ij->j", A, A), np.full(m, 2.0))
         self.iterations = self.bland_pivots = self.refactorizations = 0
 
     def _refactorize(self):
-        B = self.W[:, self.basis]
+        struct = self.basis < self.n_struct
+        B = np.eye(self.m)[:, np.where(struct, 0, self.basis - self.n_struct)]
+        B[:, struct] = self.A[:, self.basis[struct]]
         try:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             self.Binv = np.linalg.pinv(B)
+        self.t = 0
         self.xB = self.Binv @ self.b
         np.maximum(self.xB, 0.0, out=self.xB)
         self.refactorizations += 1
 
+    def _fold(self):
+        if self.t:  # np.dot: @ took 2x as long on the t = 1 outer product
+            self.Binv -= np.dot(self.U[: self.t].T, self.V[: self.t])
+            self.t = 0
+
+    def _ftran(self, e):
+        """B^-1 w_e; a slack's is a column of B^-1."""
+        t, k = self.t, e - self.n_struct
+        u = self.Binv @ self.A[:, e] if k < 0 else self.Binv[:, k].copy()
+        if t:
+            u -= (self.V[:t] @ self.A[:, e] if k < 0 else self.V[:t, k]) @ self.U[:t]
+        return u
+
     def _reduced_costs(self):
-        return self.c - (self.c[self.basis] @ self.Binv) @ self.W
+        y = self.c[self.basis] @ self.Binv
+        if self.t:
+            y -= (self.U[: self.t] @ self.c[self.basis]) @ self.V[: self.t]
+        return self.c - np.concatenate([y @ self.A, y])
 
     def solve(self, max_iters):
         """Run the simplex to a status; at OPTIMAL, xB is on the true rhs.
         The reduced costs d are updated along the pivot row and recomputed
         at every refactorization and once more before OPTIMAL."""
-        m, cost = self.m, self.c
+        m, n, cost = self.m, self.n_struct, self.c
         stall = 0
         bland = False
         last_obj = -math.inf
@@ -218,7 +248,7 @@ class _Simplex:
                     break
                 d, fresh = self._reduced_costs(), True
                 continue
-            u = self.Binv @ self.W[:, e]
+            u = self._ftran(e)
             pos = u > _PIVOT_TOL
             if not pos.any():
                 return UNBOUNDED
@@ -232,8 +262,11 @@ class _Simplex:
                 leave = int(ties[u[ties].argmax()])
             # pivot row alpha = e_leave^T B^-1 W over u[leave], and tau^T W
             # with tau = B^-T u, both on the old basis
-            piv = u[leave]
-            alpha, tau_w = np.array([self.Binv[leave], u @ self.Binv]) @ self.W
+            piv, t = u[leave], self.t
+            rows = np.array([self.Binv[leave], u @ self.Binv])
+            if t:
+                rows -= np.array([self.U[:t, leave], self.U[:t] @ u]) @ self.V[:t]
+            alpha, tau_w = np.concatenate([rows @ self.A, rows], axis=1)
             alpha /= piv
             gamma_e = 1.0 + u @ u
             self.gamma = np.maximum(
@@ -246,15 +279,19 @@ class _Simplex:
             self.xB = self.xB - theta * u
             self.xB[leave] = theta
             np.maximum(self.xB, 0.0, out=self.xB)
-            row = self.Binv[leave] / piv
-            self.Binv -= np.outer(u, row)
-            self.Binv[leave] = row
+            # B^-1 -= (u - e_leave) (e_leave^T B^-1 / piv), alpha's slack part
+            self.U[t] = u
+            self.U[t, leave] -= 1.0
+            self.V[t] = alpha[n:]
+            self.t += 1
             self.basis[leave] = e
             self.iterations += 1
             self.bland_pivots += bland
             if self.iterations % _REFACTOR_EVERY == 0:
                 self._refactorize()
                 d, fresh = self._reduced_costs(), True
+            elif self.t == len(self.U):
+                self._fold()
             obj = float(cost[self.basis] @ self.xB)
             if obj <= last_obj + 1e-12 * max(1.0, abs(last_obj)):
                 stall += 1
@@ -266,17 +303,18 @@ class _Simplex:
             last_obj = obj
         # drop the jitter: evaluate the optimal basis on the true rhs
         self.b = self.b_true
+        self._fold()
         self.xB = self.Binv @ self.b
         np.maximum(self.xB, 0.0, out=self.xB)
         return OPTIMAL
 
     def primal(self):
-        y = np.zeros(self.W.shape[1])
+        y = np.zeros(self.n_struct + self.m)
         y[self.basis] = self.xB
         return y[: self.n_struct]
 
     def duals(self):
-        return self.c[self.basis] @ self.Binv
+        return self.c[self.basis] @ self.Binv  # t = 0 at OPTIMAL
 
 
 def _primal(sf: _StandardForm, y: np.ndarray) -> np.ndarray:

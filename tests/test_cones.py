@@ -172,13 +172,14 @@ def _paper_lp_alpha(optimize, ep, family):
 
 
 def test_detection_lp_alpha_matches_highs():
-    # 216 LPs: n = 3..8, six matrices each (half of them PSD + N members),
-    # the three families on the orthogonal pair and on a hat pair
-    # (P = V^T eigvecs for V^T A V)
+    # 288 LPs: n = 3..8, 12 and 16, six matrices each (half of them PSD + N
+    # members), the three families on the orthogonal pair and on a hat pair
+    # (P = V^T eigvecs for V^T A V); at n = 12 and 16 (78 and 136 rows) the
+    # simplex defers its basis updates, and some LPs pass a refactorization
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(4242)
-    checked = 0
-    for n in range(3, 9):
+    checked = refactorized = 0
+    for n in (*range(3, 9), 12, 16):
         for k in range(6):
             a = rng.normal(size=(n, n))
             a = instances.gen_random_spn(n, k)[0] if k % 2 else (a + a.T) / 2
@@ -192,7 +193,11 @@ def test_detection_lp_alpha_matches_highs():
                     ref = _paper_lp_alpha(optimize, pair, family)
                     assert abs(verdict.alpha_star - ref) <= 1e-7 * max(1.0, abs(ref))
                     checked += 1
-    assert checked == 216
+                    if n == 16:
+                        sol = lp.solve(cones.build_lp(pair, family))
+                        refactorized += sol.refactorizations > 0
+    assert checked == 288
+    assert refactorized > 0
 
 
 def test_n_part_is_the_weighted_basis_sum():
@@ -407,6 +412,44 @@ def test_in_l_examples():
     v = cones.in_L_bomze(np.diag([1.0, -1.0]))
     assert v.status == cones.NOT_IDENTIFIED
     assert "infeasible" in v.note
+
+
+def test_membership_report_decomposes_once_for_lp_and_l_tests(monkeypatch):
+    # the L test clips the eigenvalues of the report's own orthogonal pair,
+    # so its verdict is bitwise the one it reaches on its own
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return eigen_decompose(a)
+
+    monkeypatch.setattr(cones, "eigen_decompose", counted)
+    rng = np.random.default_rng(3)
+    notes = set()
+    for k in range(6):
+        b = rng.normal(size=(5, 5))
+        a = (b + b.T) / 2 + k * np.eye(5)  # every outcome of the L test
+        for selection in (cones.CONE_ORDER, ("L",)):
+            calls.clear()
+            l_test = cones.membership_report(a, cones=selection)[-1]
+            assert len(calls) == 1
+            assert l_test.cone == "L"
+            calls.clear()
+            alone = cones.in_L_bomze(a)
+            assert (l_test.status, l_test.note) == (alone.status, alone.note)
+            assert len(calls) == 1  # in_L_bomze without a pair decomposes A
+            notes.add(alone.note)
+    assert len(notes) == 3
+
+
+def test_pair_indices_are_cached_and_read_only():
+    iu, ju = cones._pairs(7)
+    assert cones._pairs(7)[0] is iu
+    expect = np.triu_indices(7)
+    assert np.array_equal(iu, expect[0]) and np.array_equal(ju, expect[1])
+    with pytest.raises(ValueError):
+        iu[0] = 1
+    assert cones.sd_basis(np.eye(7), "plus")[0] is iu
 
 
 def test_diag_dominance_examples():

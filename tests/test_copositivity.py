@@ -16,6 +16,7 @@ from conekit.copositivity import (
     longest_edge,
 )
 from conekit.copositivity import test_copositive as run_copositive
+from conekit.linalg import EigenPair, congruence, eigen_decompose
 
 
 def k_gamma(n, gamma):
@@ -163,6 +164,30 @@ def test_audit_witnesses_reconstruct(monkeypatch):
         for w in members["member"] + members["member_hat"]:
             assert w["split"] <= 1e-7
             assert w["n_min"] >= -1e-9
+
+
+def test_alg2_tests_the_root_cell_with_the_hat_lp_only():
+    # at the root V = I, so V^T A V is A and the exact LP is the hat LP:
+    # both reach the same verdict and alpha*, and alg 2 solves it once
+    horn = np.array([
+        [1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
+        [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1],
+    ], dtype=float)
+    cases = [horn] + [instances.gen_random_spn(6, seed)[0] for seed in range(4)]
+    for a in cases:
+        ep = eigen_decompose(a)
+        hat = EigenPair(np.eye(len(a)).T @ ep.P, ep.lam, orthogonal=False)
+        for family in cones.LP_FAMILIES:
+            by_hat = cones.check_membership_lp(a, hat, family)
+            exact = cones.check_membership(congruence(a, np.eye(len(a))), family)
+            assert by_hat.status == exact.status
+            assert by_hat.alpha_star == exact.alpha_star
+            for alg2 in (False, True):
+                cfg = CopoConfig(cone_family=family, use_alg2=alg2, max_iterations=1)
+                res = run_copositive(a, cfg)
+                assert res.stats["lp_calls"] == 1
+                removed = res.stats["removals"]["member_hat" if alg2 else "member"]
+                assert removed == by_hat.is_member
 
 
 def test_negative_certificate_on_indefinite():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conekit import cones, lp
-from conekit.instances import complete_graph, max_clique_matrix
+from conekit.instances import complete_graph, gen_random_spn, max_clique_matrix
 from conekit.linalg import eigen_decompose
 
 LE, GE, EQ = "<=", ">=", "=="  # tags of the (coefficients, tag, rhs) rows below
@@ -335,3 +335,26 @@ def test_matches_highs_on_random_mixed_lps():
             assert abs(sol.objective_value - ref_value) <= tol
             assert prog.constraint_violation(sol.x) <= 1e-7
     assert seen == {lp.OPTIMAL, lp.UNBOUNDED}
+
+
+def test_deferred_updates_keep_an_inverse_across_folds():
+    # B^-1 = Binv - U[:t]^T V[:t]; at 136 rows up to 20 updates wait to be
+    # folded, and the 202 pivots pass two refactorizations
+    a = gen_random_spn(16, 0)[0]
+    sf, infeasible = lp._to_standard_form(cones.build_lp(eigen_decompose(a), "Fpm"))
+    assert not infeasible
+    spx = lp._Simplex(sf.A, sf.b, sf.c)
+    w = np.hstack([sf.A, np.eye(spx.m)])
+    held = set()
+    while spx.solve(spx.iterations + 1) == lp.ITERATION_LIMIT:
+        held.add(spx.t)
+        binv = spx.Binv - spx.U[: spx.t].T @ spx.V[: spx.t]
+        assert np.max(np.abs(binv @ w[:, spx.basis] - np.eye(spx.m))) <= 1e-9
+    assert held == set(range(20))
+    assert spx.refactorizations >= 2
+    # below 64 rows every pivot folds at once
+    small = lp._to_standard_form(cones.build_lp(eigen_decompose(a[:8, :8]), "Fpm"))[0]
+    spx = lp._Simplex(small.A, small.b, small.c)
+    while spx.solve(spx.iterations + 1) == lp.ITERATION_LIMIT:
+        assert spx.t == 0
+    assert spx.iterations > 1

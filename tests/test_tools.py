@@ -1,3 +1,4 @@
+import importlib.util
 import re
 import subprocess
 import sys
@@ -46,3 +47,40 @@ def test_fingerprint_compares_with_a_git_revision():
         assert (m[2] == m[3]) == (m[4] == "same")
     # uncommitted changes to src/ may move digests; the exit code says so
     assert r.returncode == int(any(m[4] == "DIFFERS" for m in rows))
+
+
+def _load_tool(name):
+    path = FINGERPRINT.parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_counts_wins_in_each_metrics_direction():
+    tool = _load_tool("bench_pairs")
+
+    def run(p50, rate):
+        return {"metrics": {"instance_p50_s": p50, "instances_per_s": rate}}
+
+    pairs = [
+        {"parent": run(1.0, 10.0), "change": run(0.8, 12.0)},
+        {"parent": run(1.2, 9.0), "change": run(0.9, 8.0)},
+        {"parent": run(1.1, 11.0), "change": run(1.3, 13.0)},
+    ]
+    better = {"instances_per_s": "higher"}
+    summary = tool.summarize(pairs, better)
+    p50 = summary["instance_p50_s"]
+    assert p50["change_wins"] == "2/3"
+    assert p50["parent"]["median"] == 1.1 and p50["change"]["median"] == 0.9
+    assert p50["parent"]["runs"] == [1.0, 1.2, 1.1]
+    assert p50["median_change_over_parent"] == 0.9 / 1.1
+    assert summary["instances_per_s"]["change_wins"] == "2/3"
+    assert tool.summarize(pairs[:1], better)["instance_p50_s"]["parent"]["q1"] == 1.0
+
+
+def test_bench_pairs_rejects_a_run_without_pairs(capsys):
+    tool = _load_tool("bench_pairs")
+    with pytest.raises(SystemExit):
+        tool.main(["--parent", "HEAD", "--workload", "detect", "--pairs", "0"])
+    assert "--pairs must be at least 1" in capsys.readouterr().err
