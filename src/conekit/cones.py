@@ -162,9 +162,13 @@ def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> Membership
 
 def psd_split(a: np.ndarray, ep: EigenPair | None = None):
     """Split A = A_plus - A_minus, both PSD, by clipping negative
-    eigenvalues of ep, an orthogonal decomposition of A (computed when not
-    given).  Returns (A_plus, A_minus)."""
-    ep = ep or eigen_decompose(a)
+    eigenvalues of ep, a decomposition P diag(lam) P^T of A (an orthogonal
+    one is computed when not given).  Returns (A_plus, A_minus).  A_minus is
+    PSD only if ep reconstructs A, so a given pair is checked against A."""
+    if ep is None:
+        ep = eigen_decompose(a)
+    elif ep.reconstruction_residual(a) > 1e-6:
+        raise ValueError("eigen pair does not reconstruct the input matrix")
     lam_plus = np.maximum(ep.lam, 0.0)
     a_plus = (ep.P * lam_plus) @ ep.P.T
     a_plus = (a_plus + a_plus.T) / 2.0
@@ -179,7 +183,7 @@ def in_L_bomze(a: np.ndarray, ep: EigenPair | None = None) -> MembershipVerdict:
     y = 0; when the per-coordinate curvature inequalities hold at x, A is
     certified copositive.  No S + N witness is claimed.  An unbounded dual
     means no such x exists, and the test cannot identify A.  ep, when given,
-    is an orthogonal decomposition of A, as psd_split takes it.
+    is a decomposition of A, as psd_split takes and checks it.
     """
     a_plus, a_minus = psd_split(a, ep)
     prog = lpmod.LinearProgram(np.ones(len(a)), -a_plus, -1.0, lo=0.0)
@@ -210,7 +214,9 @@ def check_membership(
 
     The LP families build their basis from ep when it is given (e.g. a
     non-orthogonal pair for the hat variants), else from an orthogonal
-    decomposition of A; the other cones ignore it.
+    decomposition of A.  The L test clips the eigenvalues of ep when it is
+    orthogonal, else of its own orthogonal decomposition; either pair is
+    checked against A.  The other cones ignore ep.
     """
     return _dispatch(as_sym_matrix(a), cone, ep)
 
@@ -232,7 +238,7 @@ def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdi
     if cone == "H":
         return in_H(a)
     if cone == "L":
-        return in_L_bomze(a)
+        return in_L_bomze(a, ep if ep is not None and ep.orthogonal else None)
     return check_membership_lp(a, ep or eigen_decompose(a), cone)
 
 
@@ -254,7 +260,7 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
         try:
             if ep is None and cone in (*LP_FAMILIES, "L"):
                 ep = eigen_decompose(a)
-            v = in_L_bomze(a, ep) if cone == "L" else _dispatch(a, cone, ep)
+            v = _dispatch(a, cone, ep)
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
             v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
         verdicts.append(v)

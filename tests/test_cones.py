@@ -442,6 +442,30 @@ def test_membership_report_decomposes_once_for_lp_and_l_tests(monkeypatch):
     assert len(notes) == 3
 
 
+def test_l_test_checks_the_pair_it_is_given(monkeypatch):
+    # the clip split is PSD + PSD only for a pair that reconstructs A, so a
+    # pair of another matrix is refused rather than clipped
+    a = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    other = eigen_decompose(np.eye(2))
+    with pytest.raises(ValueError, match="does not reconstruct"):
+        cones.psd_split(a, other)
+    with pytest.raises(ValueError, match="does not reconstruct"):
+        cones.check_membership(a, "L", other)
+
+    # check_membership's L test clips an orthogonal pair it is given, and
+    # decomposes A itself for a non-orthogonal one
+    b = np.array([[2.0, -1.0, 0.5], [-1.0, 1.0, 0.0], [0.5, 0.0, 1.5]])
+    ep = eigen_decompose(b)
+    calls = []
+    monkeypatch.setattr(cones, "eigen_decompose",
+                        lambda m: calls.append(m) or eigen_decompose(m))
+    given = cones.check_membership(b, "L", ep)
+    assert calls == []
+    hat = EigenPair(ep.P, ep.lam, orthogonal=False)
+    assert cones.check_membership(b, "L", hat).status == given.status
+    assert len(calls) == 1
+
+
 def test_pair_indices_are_cached_and_read_only():
     iu, ju = cones._pairs(7)
     assert cones._pairs(7)[0] is iu

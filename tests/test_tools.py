@@ -49,7 +49,9 @@ def test_fingerprint_compares_with_a_git_revision():
     assert r.returncode == int(any(m[4] == "DIFFERS" for m in rows))
 
 
-def _load_tool(name):
+def _load_tool(name, monkeypatch):
+    # a tool run as a script finds its sibling modules on its own directory
+    monkeypatch.syspath_prepend(str(FINGERPRINT.parent))
     path = FINGERPRINT.parent / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -57,8 +59,8 @@ def _load_tool(name):
     return module
 
 
-def test_bench_pairs_summary_counts_wins_in_each_metrics_direction():
-    tool = _load_tool("bench_pairs")
+def test_bench_pairs_summary_counts_wins_in_each_metrics_direction(monkeypatch):
+    tool = _load_tool("bench_pairs", monkeypatch)
 
     def run(p50, rate):
         return {"metrics": {"instance_p50_s": p50, "instances_per_s": rate}}
@@ -79,8 +81,23 @@ def test_bench_pairs_summary_counts_wins_in_each_metrics_direction():
     assert tool.summarize(pairs[:1], better)["instance_p50_s"]["parent"]["q1"] == 1.0
 
 
-def test_bench_pairs_rejects_a_run_without_pairs(capsys):
-    tool = _load_tool("bench_pairs")
+def test_bench_pairs_rejects_a_run_without_pairs(capsys, monkeypatch):
+    tool = _load_tool("bench_pairs", monkeypatch)
     with pytest.raises(SystemExit):
         tool.main(["--parent", "HEAD", "--workload", "detect", "--pairs", "0"])
     assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+def test_gitrev_extracts_a_revision_and_refuses_an_unknown_one(monkeypatch):
+    gitrev = _load_tool("gitrev", monkeypatch)
+    head = subprocess.run(["git", "-C", str(gitrev.ROOT), "rev-parse", "HEAD"],
+                          capture_output=True)
+    if head.returncode:
+        pytest.skip("the source tree is not a git checkout")
+    with gitrev.extracted("HEAD", "tools") as tree:
+        assert (tree / "tools" / "fingerprint.py").is_file()
+        assert not (tree / "src").exists()
+    assert not tree.exists()
+    with pytest.raises(RuntimeError, match="git archive no-such-rev failed"):
+        with gitrev.extracted("no-such-rev"):
+            pass

@@ -8,33 +8,31 @@ quartiles on each side and the number of pairs the checkout won, and the
 whole record goes to --out (or stdout):
 
     python tools/bench_pairs.py --parent HEAD~1 --workload detect --pairs 5 \\
-        --seconds 15 --out pairs.json
+        --out pairs.json
 
 Run it from anywhere; each run gets its own tree as working directory, as
-the benchmark expects.  --trace 1 runs the traced mode and records the
+the benchmark expects, and runs for perfbench/run.py's own length.  --trace 1 runs the traced mode and records the
 per-layer metrics instead of the end-to-end ones.  Runs go one at a time.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from gitrev import ROOT, extracted
+
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench/run.py run in tree; its final JSON object."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+               "--seed", str(seed), "--trace", str(trace)]
     r = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if r.returncode:
         raise RuntimeError(f"{' '.join(command)} in {tree} failed:\n{r.stderr[-2000:]}")
@@ -77,42 +75,36 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="write the JSON record here, not to stdout")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
-                             capture_output=True)
-    if archive.returncode:
-        print(f"git archive {args.parent} failed: {archive.stderr.decode().strip()}",
-              file=sys.stderr)
-        return 2
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     pairs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        trees = {"parent": Path(tmp), "change": ROOT}
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "order": list(order)}
-            for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed,
-                                      args.seconds, args.trace)
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: failed "
-                      f"{pair[side]['failed']}/{pair[side]['attempted']}",
-                      file=sys.stderr)
-            pairs.append(pair)
+    try:
+        with extracted(args.parent) as tmp:
+            trees = {"parent": tmp, "change": ROOT}
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "order": list(order)}
+                for side in order:
+                    pair[side] = run_once(trees[side], args.workload, seed, args.trace)
+                    print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: failed "
+                          f"{pair[side]['failed']}/{pair[side]['attempted']}",
+                          file=sys.stderr)
+                pairs.append(pair)
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     record = {
         "parent": args.parent,
         "workload": args.workload,
         "command": f"perfbench/run.py --workload {args.workload} --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace {args.trace}",
+                   f"--trace {args.trace}",
         "pairs": pairs,
         "failed": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
         "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES},

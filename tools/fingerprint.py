@@ -39,7 +39,6 @@ import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from collections import Counter
@@ -51,8 +50,8 @@ from conekit import cli, cones, instances, lp
 from conekit.copositivity import CopoConfig
 from conekit.copositivity import test_copositive as run_copositive
 from conekit.linalg import format_matrix
+from gitrev import ROOT, extracted
 
-ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("N", "H", "G", "Fplus", "Fpm")
 LE, GE, EQ = "<=", ">=", "=="  # row tags of the mixed LPs
 
@@ -333,24 +332,19 @@ SECTIONS = {
 def compare(rev: str) -> int:
     """Print the digests of rev's src/ and of this checkout's src/ per
     section; 1 if any section differs, 2 if a tree could not be run."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True
-    )
-    if archive.returncode:
-        print(f"git archive {rev} failed: {archive.stderr.decode().strip()}",
-              file=sys.stderr)
+    try:
+        with extracted(rev, "src") as tmp:
+            runs = [
+                subprocess.Popen(
+                    [sys.executable, __file__], stdout=subprocess.PIPE, text=True,
+                    env={**os.environ, "PYTHONPATH": str(src)},
+                )
+                for src in (tmp / "src", ROOT / "src")
+            ]
+            outputs = [run.communicate()[0] for run in runs]
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        runs = [
-            subprocess.Popen(
-                [sys.executable, __file__], stdout=subprocess.PIPE, text=True,
-                env={**os.environ, "PYTHONPATH": str(src)},
-            )
-            for src in (Path(tmp) / "src", ROOT / "src")
-        ]
-        outputs = [run.communicate()[0] for run in runs]
     if any(run.returncode for run in runs):
         return 2
     parent, tree = ({line.split()[0]: line for line in out.splitlines()}
