@@ -11,9 +11,12 @@ basis and carried by their update recurrence.  Only A is stored, not the
 slack identity.  B^-1 is dense, kept as Binv - U V^T: each pivot's rank-1
 update is deferred into thin U, V and folded into Binv by one matrix product
 every 20 pivots (every pivot below 64 rows), a delayed Sherman-Morrison update
-(McDaniel et al., J. Chem. Phys. 2017).  Sized for the small structured LPs
-produced by the cone membership tests (a few thousand rows at most), not for
-sparse work.
+(McDaniel et al., J. Chem. Phys. 2017).  Every 100 pivots Binv is formed
+afresh by inverting only the basis kernel, the basic structural columns on
+the rows whose slack is nonbasic (Bisschop & Meeraus, Math. Program. 1977);
+the basic slacks' rows of B^-1 follow from it.  Sized for the small
+structured LPs produced by the cone membership tests (a few thousand rows at
+most), not for sparse work.
 """
 
 from __future__ import annotations
@@ -103,6 +106,7 @@ class LpSolution:
     iterations: int = 0  # pivots
     bland_pivots: int = 0  # pivots taken under Bland's anti-stalling rule
     refactorizations: int = 0  # times B^-1 was formed afresh
+    pinv_fallbacks: int = 0  # refactorizations whose singular kernel took pinv
 
 
 @dataclass
@@ -195,15 +199,28 @@ class _Simplex:
         # steepest-edge weights 1 + |B^-1 w_j|^2, exact at the slack basis
         self.gamma = np.append(1.0 + np.einsum("ij,ij->j", A, A), np.full(m, 2.0))
         self.iterations = self.bland_pivots = self.refactorizations = 0
+        self.pinv_fallbacks = 0
 
     def _refactorize(self):
+        # B is [[B11, 0], [B21, I]] up to permutation: the k basic structural
+        # columns S on the k tight rows R1 (slack nonbasic) form the kernel
+        # B11, and each basic slack is the unit vector of its row r in R2.
+        # So B^-1 is X = B11^-1 on (S, R1), and -A[r, S] X on R1 plus 1 at r
+        # for the slack of r; only the k x k kernel is inverted.
         struct = self.basis < self.n_struct
-        B = np.eye(self.m)[:, np.where(struct, 0, self.basis - self.n_struct)]
-        B[:, struct] = self.A[:, self.basis[struct]]
+        cols, slack_rows = self.basis[struct], self.basis[~struct] - self.n_struct
+        tight = np.ones(self.m, dtype=bool)
+        tight[slack_rows] = False
+        kernel = self.A[np.ix_(tight, cols)]
         try:
-            self.Binv = np.linalg.inv(B)
+            X = np.linalg.inv(kernel)
         except np.linalg.LinAlgError:
-            self.Binv = np.linalg.pinv(B)
+            X = np.linalg.pinv(kernel)
+            self.pinv_fallbacks += 1
+        self.Binv = np.zeros((self.m, self.m))
+        self.Binv[np.ix_(struct, tight)] = X
+        self.Binv[np.ix_(~struct, tight)] = -self.A[np.ix_(slack_rows, cols)] @ X
+        self.Binv[np.flatnonzero(~struct), slack_rows] = 1.0
         self.t = 0
         self.xB = self.Binv @ self.b
         np.maximum(self.xB, 0.0, out=self.xB)
@@ -346,4 +363,5 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
     sol.iterations = spx.iterations
     sol.bland_pivots = spx.bland_pivots
     sol.refactorizations = spx.refactorizations
+    sol.pinv_fallbacks = spx.pinv_fallbacks
     return sol

@@ -358,3 +358,77 @@ def test_deferred_updates_keep_an_inverse_across_folds():
     while spx.solve(spx.iterations + 1) == lp.ITERATION_LIMIT:
         assert spx.t == 0
     assert spx.iterations > 1
+
+
+def _fpm_simplex(n):
+    a = gen_random_spn(n, 0)[0]
+    sf, infeasible = lp._to_standard_form(cones.build_lp(eigen_decompose(a), "Fpm"))
+    assert not infeasible
+    return lp._Simplex(sf.A, sf.b, sf.c)
+
+
+def test_refactorization_inverts_only_the_kernel(monkeypatch):
+    # B^-1 is assembled from the inverse of the k x k block of the basic
+    # structural columns on the tight rows, k < m once a slack is basic
+    shapes, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda x: shapes.append(x.shape) or inv(x))
+    refactorize = lp._Simplex._refactorize
+
+    def checked(spx):
+        refactorize(spx)
+        k = int(np.sum(spx.basis < spx.n_struct))
+        assert shapes[-1] == (k, k) and k < spx.m
+        b = np.hstack([spx.A, np.eye(spx.m)])[:, spx.basis]
+        assert np.max(np.abs(spx.Binv @ b - np.eye(spx.m))) <= 1e-9
+
+    monkeypatch.setattr(lp._Simplex, "_refactorize", checked)
+    spx = _fpm_simplex(16)
+    assert spx.solve(10_000) == lp.OPTIMAL
+    assert spx.refactorizations >= 2 and len(shapes) == spx.refactorizations
+    assert spx.pinv_fallbacks == 0
+
+
+def test_refactorization_of_the_slack_and_the_all_structural_basis():
+    # k = 0: no kernel, and B^-1 is the identity exactly
+    spx = _fpm_simplex(6)
+    spx._refactorize()
+    assert np.array_equal(spx.Binv, np.eye(spx.m))
+    # k = m: y1 + 2 y2 <= 4, 2 y1 + y2 <= 4 is tight in both rows at the optimum
+    a = np.array([[1.0, 2.0], [2.0, 1.0]])
+    spx = lp._Simplex(a, np.array([4.0, 4.0]), np.array([1.0, 1.0]))
+    assert spx.solve(10) == lp.OPTIMAL
+    assert sorted(spx.basis) == [0, 1]
+    spx._refactorize()
+    assert np.allclose(spx.Binv @ a[:, spx.basis], np.eye(2), rtol=0, atol=1e-15)
+    assert np.allclose(spx.primal(), [4 / 3, 4 / 3], rtol=0, atol=1e-12)
+
+
+def test_singular_kernel_falls_back_to_pinv_and_is_counted():
+    # columns 0 and 1 are equal, so the kernel on tight rows 0 and 1 is
+    # singular; row 2's slack stays basic and its row of B^-1 stays exact
+    a = np.array([[1.0, 1.0, 0.5], [2.0, 2.0, 0.0], [3.0, 3.0, 1.0]])
+    spx = lp._Simplex(a, np.ones(3), np.ones(3))
+    spx.basis = np.array([0, 1, 3 + 2])
+    spx._refactorize()
+    assert spx.pinv_fallbacks == 1
+    x = np.linalg.pinv(a[:2, :2])
+    assert np.allclose(spx.Binv[:2, :2], x, rtol=0, atol=1e-15)
+    assert np.array_equal(spx.Binv[:2, 2], [0.0, 0.0])
+    assert spx.Binv[2, 2] == 1.0
+    assert np.allclose(spx.Binv[2, :2], -a[2, :2] @ x, rtol=0, atol=1e-15)
+
+
+def test_solution_reports_pinv_fallbacks(monkeypatch):
+    a = gen_random_spn(16, 0)[0]
+    prog = cones.build_lp(eigen_decompose(a), "Fpm")
+    clean = lp.solve(prog)
+    assert clean.pinv_fallbacks == 0 and clean.refactorizations >= 2
+
+    def singular(x):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    sol = lp.solve(prog)
+    assert sol.status == lp.OPTIMAL
+    assert sol.pinv_fallbacks == sol.refactorizations >= 2
+    assert abs(sol.objective_value - clean.objective_value) <= 1e-9

@@ -101,3 +101,11 @@ def test_gitrev_extracts_a_revision_and_refuses_an_unknown_one(monkeypatch):
     with pytest.raises(RuntimeError, match="git archive no-such-rev failed"):
         with gitrev.extracted("no-such-rev"):
             pass
+
+
+def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
+    tool = _load_tool("bench_pairs", monkeypatch)
+    metrics = tool.fpm_once(FINGERPRINT.parents[1], sizes=(6,))
+    assert set(metrics) == {f"fpm.n6.{k}" for k in
+                            ("wall_s", "cpu_s", "pivots", "refactorizations")}
+    assert metrics["fpm.n6.pivots"] > 0 and metrics["fpm.n6.wall_s"] > 0

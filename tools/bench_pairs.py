@@ -11,14 +11,19 @@ whole record goes to --out (or stdout):
         --out pairs.json
 
 Run it from anywhere; each run gets its own tree as working directory, as
-the benchmark expects, and runs for perfbench/run.py's own length.  --trace 1 runs the traced mode and records the
-per-layer metrics instead of the end-to-end ones.  Runs go one at a time.
+the benchmark expects, and runs for perfbench/run.py's own length.  --trace
+1 runs the traced mode and records the per-layer metrics instead of the
+end-to-end ones.  After each run, the same tree also solves the F+-
+membership LP of gen_random_spn(n, 0) for n in FPM_SIZES in a fresh process,
+and the pair keeps its wall and cpu seconds, pivots and refactorizations as
+metrics fpm.n<n>.*.  Runs go one at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -27,10 +32,42 @@ from pathlib import Path
 from gitrev import ROOT, extracted
 
 SIDES = ("parent", "change")
+FPM_SIZES = (10, 20, 30)
+# run in a tree's src/: time the one lp.solve that the F+- membership test
+# of gen_random_spn(n, 0) makes, for each n in argv
+FPM_SCRIPT = """
+import json, sys, time
+from conekit import cones, instances, lp
+out, solve = {}, lp.solve
+def timed(prog, *args, **kwargs):
+    w, c = time.perf_counter(), time.process_time()
+    sol = solve(prog, *args, **kwargs)
+    w, c = time.perf_counter() - w, time.process_time() - c
+    out.update(wall_s=w, cpu_s=c, pivots=sol.iterations,
+               refactorizations=sol.refactorizations)
+    return sol
+lp.solve = timed
+record = {}
+for n in map(int, sys.argv[1:]):
+    cones.check_membership(instances.gen_random_spn(n, 0)[0], "Fpm")
+    record.update({f"fpm.n{n}.{k}": v for k, v in out.items()})
+print(json.dumps(record))
+"""
+
+
+def fpm_once(tree: Path, sizes=FPM_SIZES) -> dict:
+    """The fpm.n<n>.* metrics of tree's F+- membership LPs, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    command = [sys.executable, "-c", FPM_SCRIPT, *map(str, sizes)]
+    r = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    if r.returncode:
+        raise RuntimeError(f"F+- timing in {tree} failed:\n{r.stderr[-2000:]}")
+    return json.loads(r.stdout)
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench/run.py run in tree; its final JSON object."""
+    """One perfbench/run.py run in tree, then its F+- timing; the run's final
+    JSON object with the fpm.* metrics added."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", str(trace)]
     r = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -41,7 +78,8 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
         "attempted": final["attempted"],
         "failed": final["failed"],
         "correct": final["correct"],
-        "metrics": {k: v["value"] for k, v in final["metrics"].items()},
+        "metrics": {**{k: v["value"] for k, v in final["metrics"].items()},
+                    **fpm_once(tree)},
     }
 
 
