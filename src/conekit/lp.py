@@ -14,9 +14,11 @@ every 20 pivots (every pivot below 64 rows), a delayed Sherman-Morrison update
 (McDaniel et al., J. Chem. Phys. 2017).  Every 100 pivots Binv is formed
 afresh by inverting only the basis kernel, the basic structural columns on
 the rows whose slack is nonbasic (Bisschop & Meeraus, Math. Program. 1977);
-the basic slacks' rows of B^-1 follow from it.  Sized for the small
-structured LPs produced by the cone membership tests (a few thousand rows at
-most), not for sparse work.
+the basic slacks' rows of B^-1 follow from it.  Each solve() allocates its
+pivot-row, pricing and ratio buffers once and updates the weights, reduced
+costs and basic values in place: on the small structured LPs of the cone
+membership tests (a few thousand rows at most; not for sparse work) a pivot
+costs numpy calls more than arithmetic.
 """
 
 from __future__ import annotations
@@ -211,15 +213,17 @@ class _Simplex:
         cols, slack_rows = self.basis[struct], self.basis[~struct] - self.n_struct
         tight = np.ones(self.m, dtype=bool)
         tight[slack_rows] = False
-        kernel = self.A[np.ix_(tight, cols)]
+        a_s = self.A[:, cols]
         try:
-            X = np.linalg.inv(kernel)
+            X = np.linalg.inv(a_s[tight])
         except np.linalg.LinAlgError:
-            X = np.linalg.pinv(kernel)
+            X = np.linalg.pinv(a_s[tight])
             self.pinv_fallbacks += 1
+        block = np.empty((self.m, cols.size))  # Binv[:, tight] in basis order
+        block[struct] = X
+        block[~struct] = -a_s[slack_rows] @ X
         self.Binv = np.zeros((self.m, self.m))
-        self.Binv[np.ix_(struct, tight)] = X
-        self.Binv[np.ix_(~struct, tight)] = -self.A[np.ix_(slack_rows, cols)] @ X
+        self.Binv[:, tight] = block
         self.Binv[np.flatnonzero(~struct), slack_rows] = 1.0
         self.t = 0
         self.xB = self.Binv @ self.b
@@ -249,15 +253,23 @@ class _Simplex:
         """Run the simplex to a status; at OPTIMAL, xB is on the true rhs.
         The reduced costs d are updated along the pivot row and recomputed
         at every refactorization and once more before OPTIMAL."""
-        m, n, cost = self.m, self.n_struct, self.c
-        stall = 0
-        bland = False
-        last_obj = -math.inf
+        m, n, cost, gamma = self.m, self.n_struct, self.c, self.gamma
+        # per-solve workspace: alpha and tau^T W (structural part, then slack
+        # part), and the scores and ratios, scratch once e and leave are set
+        rows = np.empty((2, n + m))
+        (alpha, tau_w), slack = rows, rows[:, n:]
+        score, priced = np.empty(n + m), np.empty(n + m, dtype=bool)
+        ratios, pos = np.empty(m), np.empty(m, dtype=bool)
+        cB = cost[self.basis]
+        stall, bland, last_obj = 0, False, -math.inf
         d, fresh = self._reduced_costs(), True
         while True:
             if self.iterations >= max_iters:
                 return ITERATION_LIMIT
-            score = np.where(d > _PIVOT_TOL, d * d / self.gamma, -1.0)
+            np.greater(d, _PIVOT_TOL, out=priced)
+            np.multiply(d, d, out=score)
+            score /= gamma
+            score[~priced] = -1.0
             score[self.basis] = -1.0
             e = int((score > 0.0).argmax() if bland else score.argmax())
             if score[e] <= 0.0:
@@ -266,34 +278,42 @@ class _Simplex:
                 d, fresh = self._reduced_costs(), True
                 continue
             u = self._ftran(e)
-            pos = u > _PIVOT_TOL
+            np.greater(u, _PIVOT_TOL, out=pos)
             if not pos.any():
                 return UNBOUNDED
-            ratios = np.full(m, math.inf)
-            ratios[pos] = self.xB[pos] / u[pos]
+            ratios.fill(math.inf)
+            np.divide(self.xB, u, out=ratios, where=pos)
             theta = float(ratios.min())
+            # of tied rows the largest u leaves, under Bland the lowest index
             ties = (ratios <= theta + 1e-12).nonzero()[0]
-            if bland:
-                leave = int(ties[np.argmin(self.basis[ties])])
-            else:
-                leave = int(ties[u[ties].argmax()])
+            leave = int(ties[0])
+            if ties.size > 1:
+                leave = int(ties[np.argmin(self.basis[ties] if bland else -u[ties])])
             # pivot row alpha = e_leave^T B^-1 W over u[leave], and tau^T W
             # with tau = B^-T u, both on the old basis
-            piv, t = u[leave], self.t
-            rows = np.array([self.Binv[leave], u @ self.Binv])
+            piv, t = float(u[leave]), self.t
+            slack[0] = self.Binv[leave]
+            np.matmul(u, self.Binv, out=slack[1])
             if t:
-                rows -= np.array([self.U[:t, leave], self.U[:t] @ u]) @ self.V[:t]
-            alpha, tau_w = np.concatenate([rows @ self.A, rows], axis=1)
+                slack -= np.array([self.U[:t, leave], self.U[:t] @ u]) @ self.V[:t]
+            np.matmul(slack, self.A, out=rows[:, :n])
             alpha /= piv
-            gamma_e = 1.0 + u @ u
-            self.gamma = np.maximum(
-                self.gamma - alpha * (2.0 * tau_w - gamma_e * alpha),
-                1.0 + alpha * alpha,
-            )
-            self.gamma[self.basis[leave]] = max(gamma_e / (piv * piv), 1.0)
-            d = d - d[e] * alpha
+            gamma_e = 1.0 + float(u @ u)
+            # gamma = max(gamma - alpha (2 tau_w - gamma_e alpha), 1 + alpha^2)
+            np.multiply(alpha, gamma_e, out=score)
+            tau_w *= 2.0
+            tau_w -= score
+            tau_w *= alpha
+            gamma -= tau_w
+            np.multiply(alpha, alpha, out=score)
+            score += 1.0
+            np.maximum(gamma, score, out=gamma)
+            gamma[self.basis[leave]] = max(gamma_e / (piv * piv), 1.0)
+            np.multiply(alpha, d[e], out=score)
+            d -= score
             fresh = False
-            self.xB = self.xB - theta * u
+            np.multiply(u, theta, out=ratios)
+            self.xB -= ratios
             self.xB[leave] = theta
             np.maximum(self.xB, 0.0, out=self.xB)
             # B^-1 -= (u - e_leave) (e_leave^T B^-1 / piv), alpha's slack part
@@ -302,6 +322,7 @@ class _Simplex:
             self.V[t] = alpha[n:]
             self.t += 1
             self.basis[leave] = e
+            cB[leave] = cost[e]
             self.iterations += 1
             self.bland_pivots += bland
             if self.iterations % _REFACTOR_EVERY == 0:
@@ -309,15 +330,10 @@ class _Simplex:
                 d, fresh = self._reduced_costs(), True
             elif self.t == len(self.U):
                 self._fold()
-            obj = float(cost[self.basis] @ self.xB)
-            if obj <= last_obj + 1e-12 * max(1.0, abs(last_obj)):
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            last_obj = obj
+            obj = float(cB @ self.xB)
+            stalled = obj <= last_obj + 1e-12 * max(1.0, abs(last_obj))
+            stall = stall + 1 if stalled else 0
+            bland, last_obj = stall >= _STALL_LIMIT, obj
         # drop the jitter: evaluate the optimal basis on the true rhs
         self.b = self.b_true
         self._fold()

@@ -279,6 +279,31 @@ def test_determinism():
     assert s1.iterations == s2.iterations
 
 
+def test_repeated_136_row_solves_are_identical_and_leave_the_lp_alone():
+    # the F+- LP of a detect-size matrix runs folds of up to 20 pending
+    # updates and two refactorizations in the per-solve workspace
+    prog = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
+    assert prog.n_rows == 136
+    before = {k: getattr(prog, k).tobytes() for k in ("A", "rhs", "lo", "hi")}
+    s1, s2 = lp.solve(prog), lp.solve(prog)
+    assert s1.status == s2.status == lp.OPTIMAL
+    assert s1.refactorizations == s2.refactorizations >= 2
+    assert s1.iterations == s2.iterations
+    assert s1.x.tobytes() == s2.x.tobytes()
+    assert s1.dual.tobytes() == s2.dual.tobytes()
+    assert {k: getattr(prog, k).tobytes() for k in before} == before
+
+
+def test_ratio_tie_goes_to_the_row_with_the_larger_pivot():
+    # rows 0 and 1 have rhs 0 and jitters 1e-9 and 1.4228515625e-9, so with
+    # those coefficients both ratios are 1e-9: the larger entry, row 1, leaves
+    a = np.array([[1.0], [1.4228515625], [1.0]])
+    spx = lp._Simplex(a, np.array([0.0, 0.0, 1.0]), np.array([1.0]))
+    assert np.isclose(spx.b[0] / a[0, 0], spx.b[1] / a[1, 0], rtol=0, atol=1e-12)
+    assert spx.solve(1) == lp.ITERATION_LIMIT
+    assert spx.basis.tolist() == [1, 0, 3]
+
+
 def _random_mixed_lp(rng):
     """A random LP around its bound point x_b that mixes <=, >= and == rows,
     singleton rows, and free, lower-bounded, upper-bounded and boxed

@@ -81,6 +81,31 @@ def test_bench_pairs_summary_counts_wins_in_each_metrics_direction(monkeypatch):
     assert tool.summarize(pairs[:1], better)["instance_p50_s"]["parent"]["q1"] == 1.0
 
 
+def test_bench_pairs_resolves_a_metric_by_wins_and_the_parents_spread(monkeypatch):
+    # parent quartiles 0.98 and 1.02: a gap of 0.1 resolves, 0.01 does not
+    tool = _load_tool("bench_pairs", monkeypatch)
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    cases = {
+        # 9 wins and a loss, medians 0.1 apart
+        "resolved": [p - 0.1 for p in parent[:9]] + [parent[9] + 0.01],
+        # 10 wins, but the medians are only 0.01 apart
+        "spread": [p - 0.01 for p in parent],
+        # 8 wins and 2 ties, which count for neither side
+        "wins": [p - 0.1 for p in parent[:8]] + parent[8:],
+    }
+    pairs = [
+        {"parent": {"metrics": {k: p for k in cases}},
+         "change": {"metrics": {k: v[i] for k, v in cases.items()}}}
+        for i, p in enumerate(parent)
+    ]
+    summary = tool.summarize(pairs, {})
+    assert summary["resolved"]["change_wins"] == "9/10"
+    assert summary["spread"]["change_wins"] == "10/10"
+    assert summary["wins"]["change_wins"] == "8/10"
+    assert {k: row["resolved"] for k, row in summary.items()} == {
+        "resolved": True, "spread": False, "wins": False}
+
+
 def test_bench_pairs_rejects_a_run_without_pairs(capsys, monkeypatch):
     tool = _load_tool("bench_pairs", monkeypatch)
     with pytest.raises(SystemExit):
@@ -109,3 +134,12 @@ def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
     assert set(metrics) == {f"fpm.n6.{k}" for k in
                             ("wall_s", "cpu_s", "pivots", "refactorizations")}
     assert metrics["fpm.n6.pivots"] > 0 and metrics["fpm.n6.wall_s"] > 0
+
+
+def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):
+    tool = _load_tool("bench_pairs", monkeypatch)
+    assert tool.ACCEPT_CRITERIA == (2, 7, 8)
+    metrics = tool.accept_once(FINGERPRINT.parents[1], criteria=(8,))
+    assert set(metrics) == {"accept.c08_s"} and metrics["accept.c08_s"] > 0
+    with pytest.raises(RuntimeError, match="acceptance timing in .* failed"):
+        tool.accept_once(FINGERPRINT.parents[1], criteria=(99,))

@@ -16,7 +16,12 @@ the benchmark expects, and runs for perfbench/run.py's own length.  --trace
 end-to-end ones.  After each run, the same tree also solves the F+-
 membership LP of gen_random_spn(n, 0) for n in FPM_SIZES in a fresh process,
 and the pair keeps its wall and cpu seconds, pivots and refactorizations as
-metrics fpm.n<n>.*.  Runs go one at a time.
+metrics fpm.n<n>.*; then, in another fresh process, it runs the acceptance
+criteria ACCEPT_CRITERIA of its tests/test_acceptance.py and keeps their wall
+seconds as accept.c<nn>_s.  Runs go one at a time.  A metric is "resolved"
+when the change won at least nine tenths of the pairs (ties count for
+neither side) and the medians differ by more than the parent's quartile
+spread, the rule for claiming a gain.
 """
 
 from __future__ import annotations
@@ -53,21 +58,50 @@ for n in map(int, sys.argv[1:]):
     record.update({f"fpm.n{n}.{k}": v for k, v in out.items()})
 print(json.dumps(record))
 """
+ACCEPT_CRITERIA = (2, 7, 8)
+# run in a tree: time each named criterion of its acceptance tests, which
+# raise when the criterion fails; the tests' own report lines are dropped
+ACCEPT_SCRIPT = """
+import contextlib, importlib.util, io, json, sys, time
+spec = importlib.util.spec_from_file_location("acceptance", "tests/test_acceptance.py")
+tests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tests)
+record = {}
+for num in map(int, sys.argv[1:]):
+    name, = (k for k in dir(tests) if k.startswith(f"test_criterion_{num:02d}_"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        started = time.perf_counter()
+        getattr(tests, name)()
+    record[f"accept.c{num:02d}_s"] = time.perf_counter() - started
+print(json.dumps(record))
+"""
+
+
+def _in_tree(tree: Path, what: str, script: str, args) -> dict:
+    """The JSON record that script prints, run with args in a fresh process
+    on tree's src/, tree as working directory."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    command = [sys.executable, "-c", script, *map(str, args)]
+    r = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    if r.returncode:
+        raise RuntimeError(f"{what} in {tree} failed:\n{r.stderr[-2000:]}")
+    return json.loads(r.stdout.strip().splitlines()[-1])
 
 
 def fpm_once(tree: Path, sizes=FPM_SIZES) -> dict:
     """The fpm.n<n>.* metrics of tree's F+- membership LPs, in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    command = [sys.executable, "-c", FPM_SCRIPT, *map(str, sizes)]
-    r = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
-    if r.returncode:
-        raise RuntimeError(f"F+- timing in {tree} failed:\n{r.stderr[-2000:]}")
-    return json.loads(r.stdout)
+    return _in_tree(tree, "F+- timing", FPM_SCRIPT, sizes)
+
+
+def accept_once(tree: Path, criteria=ACCEPT_CRITERIA) -> dict:
+    """The accept.c<nn>_s wall seconds of tree's acceptance criteria, in a
+    fresh process; a failing criterion raises RuntimeError."""
+    return _in_tree(tree, "acceptance timing", ACCEPT_SCRIPT, criteria)
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench/run.py run in tree, then its F+- timing; the run's final
-    JSON object with the fpm.* metrics added."""
+    """One perfbench/run.py run in tree, then its F+- and acceptance timings;
+    the run's final JSON object with the fpm.* and accept.* metrics added."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", str(trace)]
     r = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -79,14 +113,14 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
         "failed": final["failed"],
         "correct": final["correct"],
         "metrics": {**{k: v["value"] for k, v in final["metrics"].items()},
-                    **fpm_once(tree)},
+                    **fpm_once(tree), **accept_once(tree)},
     }
 
 
 def summarize(pairs: list, better: dict) -> dict:
-    """Median and quartiles of every metric on each side, and the pairs the
-    change won; better maps a metric to "lower" or "higher" (lower when
-    missing)."""
+    """Median and quartiles of every metric on each side, the pairs the
+    change won and whether that resolves a difference; better maps a metric
+    to "lower" or "higher" (lower when missing)."""
     names = [k for k in pairs[0]["parent"]["metrics"] if k in pairs[0]["change"]["metrics"]]
     out = {}
     for name in names:
@@ -99,6 +133,9 @@ def summarize(pairs: list, better: dict) -> dict:
             q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else (v[0],) * 3
             row[side] = {"median": statistics.median(v), "q1": q1, "q3": q3, "runs": v}
         row["change_wins"] = f"{wins}/{len(pairs)}"
+        spread = row["parent"]["q3"] - row["parent"]["q1"]
+        gap = abs(row["change"]["median"] - row["parent"]["median"])
+        row["resolved"] = 10 * wins >= 9 * len(pairs) and gap > spread
         row["median_change_over_parent"] = (
             row["change"]["median"] / row["parent"]["median"]
             if row["parent"]["median"] else None
