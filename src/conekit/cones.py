@@ -110,28 +110,46 @@ def _lp_layout(ep: EigenPair, family: str):
     raise ValueError(f"unknown LP family {family!r}")
 
 
-def build_lp(ep: EigenPair, family: str) -> lpmod.LinearProgram:
+@dataclass(frozen=True)
+class DetectionLp(lpmod.LinearProgram):
+    """A detection LP with the offsets that map its solution y back to the
+    paper's variables: omega = caps - y[:-1] and alpha = alpha0 + y[-1]."""
+
+    caps: np.ndarray
+    alpha0: float
+
+    def __init__(self, c, A, b, caps, alpha0):
+        super().__init__(c, A, b)
+        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "alpha0", alpha0)
+
+
+def build_lp(ep: EigenPair, family: str) -> DetectionLp:
     """Detection LP for one family: maximize the entrywise floor alpha of the
-    candidate nonnegative part, subject to the PSD-part caps.
+    candidate nonnegative part N(omega) = sum_k omega_k E_k, subject to the
+    PSD-part caps omega_k <= caps[k].
 
-    Variables are the k basis weights omega, each capped by the bound
-    omega_k <= caps[k], then the free beta.  Rows are one per pair i <= j,
-    saying that entry (i, j) of sum_k omega_k E_k minus beta is at least
-    alpha0 = min N(caps).  The floor is alpha0 + beta, and the bound point
-    omega = caps, beta = 0, where lp.solve starts, is feasible.
+    Posed as lp.solve takes it, in y_k = caps[k] - omega_k >= 0 and
+    beta >= 0, with one row per pair i <= j:
+        sum_k y_k E_k[i, j] + beta <= N(caps)[i, j] - alpha0,
+    alpha0 = min N(caps).  The rhs is >= 0 exactly, since alpha0 is the least
+    of those same floats, and the floor is alpha0 + beta.  beta >= 0 loses
+    nothing: y = 0, beta = 0 is feasible, so beta* >= 0.
 
-    Sizes: n(n+1)/2 rows plus k capped variables, with k = n for G, n(n+1)/2
-    for Fplus and n^2 for Fpm; counting each cap as a constraint, as the
-    paper does, gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints.
+    Sizes: n(n+1)/2 rows and k + 1 variables, with k = n for G, n(n+1)/2
+    for Fplus and n^2 for Fpm.  Counting each cap omega_k <= caps[k], here
+    y_k >= 0, as one constraint, as the paper does (beta >= 0 is not one of
+    its constraints), gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints.
     """
     vectors, caps = _lp_layout(ep, family)
     iu, ju = _pairs(ep.n)
     pairs = vectors[iu] * vectors[ju]
-    alpha0 = float(np.min(pairs @ caps))
-    a = np.column_stack([pairs, -np.ones(iu.size)])
-    objective = np.zeros(caps.size + 1)
-    objective[-1] = 1.0
-    return lpmod.LinearProgram(objective, a, alpha0, hi=np.append(caps, np.inf))
+    at_caps = pairs @ caps
+    alpha0 = float(np.min(at_caps))
+    a = np.column_stack([pairs, np.ones(iu.size)])
+    c = np.zeros(caps.size + 1)
+    c[-1] = 1.0
+    return DetectionLp(c, a, at_caps - alpha0, caps, alpha0)
 
 
 def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> MembershipVerdict:
@@ -145,15 +163,15 @@ def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> Membership
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
-    alpha = float(prog.rhs[0]) + sol.objective_value  # alpha0 + beta
+    alpha = prog.alpha0 + sol.objective_value
     if alpha < -EPS_ALPHA:
         return MembershipVerdict(NOT_IDENTIFIED, tag, alpha_star=alpha)
     # the pair rows hold the basis entries, so they map omega to the upper
     # triangle of N = sum_k omega_k E_k
-    k = prog.n_vars - 1
+    k = prog.caps.size
     iu, ju = _pairs(ep.n)
     n_part = np.empty_like(a)
-    n_part[iu, ju] = prog.A[:, :k] @ sol.x[:k]
+    n_part[iu, ju] = prog.A[:, :k] @ (prog.caps - sol.x[:k])
     n_part[ju, iu] = n_part[iu, ju]
     return MembershipVerdict(
         MEMBER, tag, alpha_star=alpha, s_part=a - n_part, n_part=n_part
@@ -186,12 +204,12 @@ def in_L_bomze(a: np.ndarray, ep: EigenPair | None = None) -> MembershipVerdict:
     is a decomposition of A, as psd_split takes and checks it.
     """
     a_plus, a_minus = psd_split(a, ep)
-    prog = lpmod.LinearProgram(np.ones(len(a)), -a_plus, -1.0, lo=0.0)
+    prog = lpmod.LinearProgram(np.ones(len(a)), a_plus, 1.0)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         note = "infeasible" if sol.status == lpmod.UNBOUNDED else sol.status
         return MembershipVerdict(NOT_IDENTIFIED, "L", note=f"lp-{note}")
-    x = -sol.dual
+    x = sol.dual
     quad = float(x @ a_plus @ x)
     lhs = quad * np.diag(a_minus)
     rhs = (a_plus @ x) ** 2

@@ -1,10 +1,8 @@
 """Self-contained dense LP solver (revised simplex from the slack basis).
 
-Solves  maximize c^T x  subject to  A x >= rhs  and per-variable bounds; a
-<= row is written negated and an == row as two rows.  The LP must be
-feasible at its bound point: each variable at its finite lower bound, else
-at its finite upper bound, else at 0.  Every LP conekit poses is, so the
-simplex starts there and needs no phase 1.  Pricing is exact steepest edge
+Solves  maximize c^T y  subject to  A y <= b,  y >= 0  with b >= 0, the
+form the simplex runs, with no translation: b >= 0 makes the slack basis at
+y = 0 feasible, so there is no phase 1.  Pricing is exact steepest edge
 (Forrest & Goldfarb, Math. Program. 1992): the entering column maximizes
 d_j^2 / gamma_j, gamma_j = 1 + |B^-1 w_j|^2, the weights exact at the slack
 basis and carried by their update recurrence.  Only A is stored, not the
@@ -40,63 +38,46 @@ _REFACTOR_EVERY = 100
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to  A x >= rhs  and  lo <= x <= hi.
+    """maximize c . y  subject to  A y <= b  and  y >= 0.
 
-    A is m x n, and rhs, lo and hi broadcast from scalars.  Write a <= row
-    negated and an == row as two rows.  Bounds default to free and either
-    side may be infinite.  Every row is solved as a row, so give a limit on a
-    single variable as lo/hi rather than as a one-entry row.  Malformed input
-    raises at construction; solve() also raises on an LP whose bound point
-    violates a row.
+    A is m x n and b broadcasts from a scalar.  Malformed input raises at
+    construction; solve() also raises when an entry of b is negative, since
+    it starts at y = 0.
     """
 
-    objective: np.ndarray
+    c: np.ndarray
     A: np.ndarray
-    rhs: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    b: np.ndarray
 
-    def __init__(self, objective, A, rhs, lo=-math.inf, hi=math.inf):
-        c = np.asarray(objective, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("objective must be a nonempty vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("objective coefficients must be finite")
-        nvar = c.size
+    def __init__(self, c, A, b):
+        c = np.asarray(c, dtype=float)
+        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+            raise ValueError("objective must be a nonempty finite vector")
         a = np.asarray(A, dtype=float)
         if a.size == 0:
-            a = a.reshape(0, nvar)
-        if a.ndim != 2 or a.shape[1] != nvar:
-            raise ValueError(f"constraint matrix must be m x {nvar}, got {a.shape}")
-        m = a.shape[0]
-        b = np.broadcast_to(np.asarray(rhs, dtype=float), (m,))
+            a = a.reshape(0, c.size)
+        if a.ndim != 2 or a.shape[1] != c.size:
+            raise ValueError(f"constraint matrix must be m x {c.size}, got {a.shape}")
+        # a contiguous copy: products with a stride-0 broadcast round differently
+        b = np.broadcast_to(np.asarray(b, dtype=float), (a.shape[0],)).copy()
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("constraint coefficients and rhs must be finite")
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (nvar,))
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (nvar,))
-        bad = np.isnan(lo) | np.isnan(hi) | (lo > hi)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise ValueError(f"variable {j}: invalid bounds ({lo[j]}, {hi[j]})")
-        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", a)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "b", b)
 
     @property
     def n_vars(self) -> int:
-        return self.objective.size
+        return self.c.size
 
     @property
     def n_rows(self) -> int:
         return self.A.shape[0]
 
-    def constraint_violation(self, x: np.ndarray) -> float:
-        """Largest violation of rows and bounds at x (0 when feasible)."""
-        v = self.rhs - self.A @ x
-        bounds = max(np.max(self.lo - x), np.max(x - self.hi))
-        return float(max(0.0, v.max(initial=0.0), bounds))
+    def constraint_violation(self, y: np.ndarray) -> float:
+        """Largest violation of the rows and of y >= 0 at y (0 when feasible)."""
+        v = self.A @ y - self.b
+        return float(max(0.0, v.max(initial=0.0), -np.min(y)))
 
 
 @dataclass
@@ -104,69 +85,18 @@ class LpSolution:
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
-    dual: np.ndarray | None = None  # multiplier (<= 0) per row, when optimal
+    dual: np.ndarray | None = None  # multiplier (>= 0) per row, when optimal
     iterations: int = 0  # pivots
     bland_pivots: int = 0  # pivots taken under Bland's anti-stalling rule
     refactorizations: int = 0  # times B^-1 was formed afresh
     pinv_fallbacks: int = 0  # refactorizations whose singular kernel took pinv
 
 
-@dataclass
-class _StandardForm:
-    """max c.y, A y <= b, y >= 0: the input's rows negated, then its caps."""
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    # x = offset, plus col_sgn[j] * y[j] added to x[col_var[j]] for each column j
-    col_var: np.ndarray
-    col_sgn: np.ndarray
-    offset: np.ndarray
-
-
 def _to_standard_form(lp: LinearProgram):
-    """Normalize to  max c.y, A y <= b, y >= 0  with the bound point at y = 0.
-
-    Rows are negated, and every row is kept; bounded variables are shifted
-    or flipped, free ones split.  Returns (_StandardForm, infeasible_flag),
-    the flag set when the bound point violates a row (an empty row with a
-    positive rhs included) by more than DEFAULT_FEAS_TOL times the largest
-    |A x| + |rhs| there.  A smaller violation is rounding and is clamped to
-    0, so b >= 0.
-    """
-    nvar = lp.n_vars
-    # variable transform: a variable with a finite lower bound is shifted
-    # (x = lo + y), one with only an upper bound flipped (x = hi - y), and a
-    # free one split into two columns, the negative one appended at the end
-    lo, hi = lp.lo, lp.hi
-    has_lo = np.isfinite(lo)
-    has_hi = np.isfinite(hi)
-    free = ~has_lo & ~has_hi
-    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    at_offset = lp.A @ offset
-    slack = at_offset - lp.rhs  # row slack at the bound point
-    scale = max(1.0, float(np.max(np.abs(at_offset) + np.abs(lp.rhs), initial=0.0)))
-    if np.any(slack < -DEFAULT_FEAS_TOL * scale):
-        return None, True
-
-    col_var = np.concatenate([np.arange(nvar), np.flatnonzero(free)])
-    col_sgn = np.concatenate([np.where(has_lo | free, 1.0, -1.0), -np.ones(free.sum())])
-    # doubly bounded variables get their upper bound back as a row y <= hi - lo
-    boxed = np.flatnonzero(has_lo & has_hi)
-    cap_rows = np.zeros((boxed.size, col_var.size))
-    cap_rows[np.arange(boxed.size), boxed] = 1.0
-
-    A = np.vstack([-lp.A[:, col_var] * col_sgn, cap_rows])
-    b = np.concatenate([np.maximum(slack, 0.0), hi[boxed] - lo[boxed]])
-    sf = _StandardForm(
-        A=A,
-        b=b,
-        c=lp.objective[col_var] * col_sgn,
-        col_var=col_var,
-        col_sgn=col_sgn,
-        offset=offset,
-    )
-    return sf, False
+    """(lp, flag), the flag set when some b_i < 0 makes the simplex's start
+    y = 0 infeasible.  perfbench/layertrace.py wraps this name to count the
+    rows of each solve, until ROADMAP item 2a moves that hook."""
+    return lp, bool(np.any(lp.b < 0))
 
 
 class _Simplex:
@@ -350,32 +280,24 @@ class _Simplex:
         return self.c[self.basis] @ self.Binv  # t = 0 at OPTIMAL
 
 
-def _primal(sf: _StandardForm, y: np.ndarray) -> np.ndarray:
-    """Map a standard-form point back to the original variables."""
-    moves = np.bincount(sf.col_var, weights=sf.col_sgn * y, minlength=sf.offset.size)
-    return sf.offset + moves
-
-
 def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
     """Solve the LP; deterministic for a fixed input.  Raises ValueError
-    when the bound point violates a row."""
+    when an entry of b is negative."""
     if max_iters is None:
         max_iters = 50 * (lp.n_rows + lp.n_vars + 2)
-    sf, infeasible = _to_standard_form(lp)
+    lp, infeasible = _to_standard_form(lp)
     if infeasible:
-        raise ValueError("the LP's bound point violates a row; lp.solve "
-                         "starts there and needs it feasible")
-
-    spx = _Simplex(sf.A, sf.b, sf.c)
+        raise ValueError("b has a negative entry, so y = 0 is infeasible")
+    spx = _Simplex(lp.A, lp.b, lp.c)
     sol = LpSolution(spx.solve(max_iters))
     if sol.status == OPTIMAL:
-        sol.x = _primal(sf, spx.primal())
+        sol.x = spx.primal()
         # refine once if rounding pushed the point slightly outside
         if lp.constraint_violation(sol.x) > DEFAULT_FEAS_TOL:
             spx._refactorize()
-            sol.x = _primal(sf, spx.primal())
-        sol.objective_value = float(lp.objective @ sol.x)
-        sol.dual = -spx.duals()[: lp.n_rows]
+            sol.x = spx.primal()
+        sol.objective_value = float(lp.c @ sol.x)
+        sol.dual = spx.duals()
     sol.iterations = spx.iterations
     sol.bland_pivots = spx.bland_pivots
     sol.refactorizations = spx.refactorizations

@@ -106,9 +106,9 @@ def test_build_lp_sizes():
             prog = cones.build_lp(ep, family)
             assert prog.n_vars == nvars
             assert prog.n_rows == n * (n + 1) // 2
-            # each cap is one constraint, as the paper counts them
-            bounds = np.isfinite(prog.lo).sum() + np.isfinite(prog.hi).sum()
-            assert prog.n_rows + bounds == nrows
+            # each cap is one constraint, as the paper counts them, here the
+            # y >= 0 of each omega column; beta >= 0 is not one of them
+            assert prog.n_rows + (prog.n_vars - 1) == nrows
 
 
 def _family_bases(p):
@@ -128,26 +128,30 @@ def test_build_lp_pair_rows_are_the_sd_basis():
     rng = np.random.default_rng(12)
     for n in (2, 3, 6):
         p = rng.normal(size=(n, n))
-        ep = EigenPair(p, rng.normal(size=n), orthogonal=False)
-        iu, ju = np.triu_indices(n)
-        for family, mats in _family_bases(p).items():
-            prog = cones.build_lp(ep, family)
-            k = len(mats)
-            assert prog.n_vars == k + 1
-            expect = np.column_stack([m[iu, ju] for m in mats])
-            assert np.array_equal(prog.A[:, :k], expect)
-            assert np.all(prog.A[:, k] == -1.0)
-            # omega is capped by lambda_i on the (i, i) terms, by 0 on the rest
-            diag = np.arange(n) if family == "G" else np.flatnonzero(iu == ju)
-            caps = np.zeros(k)
-            caps[diag] = ep.lam
-            assert np.array_equal(prog.hi, np.append(caps, np.inf))
-            assert np.all(prog.lo == -np.inf)
-            # every row measures the floor from alpha0, the least entry at
-            # omega = caps, so the bound point (caps, beta = 0) is feasible
-            alpha0 = np.min(expect @ caps)
-            assert np.allclose(prog.rhs, alpha0, rtol=0.0, atol=1e-12)
-            assert prog.constraint_violation(np.append(caps, 0.0)) <= 1e-12
+        a = rng.normal(size=(n, n))
+        for ep in (
+            EigenPair(p, rng.normal(size=n), orthogonal=False),
+            eigen_decompose((a + a.T) / 2),
+        ):
+            iu, ju = np.triu_indices(n)
+            for family, mats in _family_bases(ep.P).items():
+                prog = cones.build_lp(ep, family)
+                k = len(mats)
+                assert prog.n_vars == k + 1
+                pairs = np.column_stack([m[iu, ju] for m in mats])
+                assert np.array_equal(prog.A[:, :k], pairs)
+                assert np.all(prog.A[:, k] == 1.0)
+                assert np.array_equal(prog.c, np.append(np.zeros(k), 1.0))
+                # omega is capped by lambda_i on the (i, i) terms, by 0 on the rest
+                diag = np.arange(n) if family == "G" else np.flatnonzero(iu == ju)
+                caps = np.zeros(k)
+                caps[diag] = ep.lam
+                assert np.array_equal(prog.caps, caps)
+                # y = caps - omega, and every row measures the floor from
+                # alpha0, the least entry at omega = caps, so b >= 0 exactly
+                assert prog.alpha0 == np.min(pairs @ caps)
+                assert np.array_equal(prog.b, pairs @ caps - prog.alpha0)
+                assert np.min(prog.b) == 0.0
 
 
 def _paper_lp_alpha(optimize, ep, family):
@@ -210,7 +214,8 @@ def test_n_part_is_the_weighted_basis_sum():
         for family, mats in _family_bases(ep.P).items():
             v = cones.check_membership_lp(a, ep, family)
             assert v.is_member
-            omega = lp.solve(cones.build_lp(ep, family)).x[: len(mats)]
+            prog = cones.build_lp(ep, family)
+            omega = prog.caps - lp.solve(prog).x[: len(mats)]
             expect = sum(w * m for w, m in zip(omega, mats))
             scale = max(1.0, float(np.max(np.abs(expect))))
             assert np.max(np.abs(v.n_part - expect)) <= 1e-12 * scale

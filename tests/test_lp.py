@@ -5,76 +5,47 @@ from conekit import cones, lp
 from conekit.instances import complete_graph, gen_random_spn, max_clique_matrix
 from conekit.linalg import eigen_decompose
 
-LE, GE, EQ = "<=", ">=", "=="  # tags of the (coefficients, tag, rhs) rows below
+
+def _solve(c, rows, **kw):
+    """Solve max c.y, a y <= b, y >= 0 over (a, b) rows."""
+    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), len(c))
+    return lp.solve(lp.LinearProgram(c, a, [r[1] for r in rows]), **kw)
 
 
-def _ge_rows(rows, nvar):
-    """Tagged rows as >= rows: the <= and == rows negated, then the >= and
-    == rows.  Returns (A, rhs, origin, sign), row r of A being sign[r] times
-    input row origin[r]."""
-    tags = np.array([r[1] for r in rows], dtype=str)
-    le = np.flatnonzero(tags != GE)
-    ge = np.flatnonzero(tags != LE)
-    origin = np.concatenate([le, ge])
-    sign = np.repeat([-1.0, 1.0], [le.size, ge.size])
-    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), nvar)
-    b = np.array([r[2] for r in rows], dtype=float)
-    return a[origin] * sign[:, None], b[origin] * sign, origin, sign
-
-
-def _lp(objective, rows, bounds=None):
-    """Matrix-form LP from (coefficients, tag, rhs) rows and (lo, hi) bounds."""
-    a, b, _, _ = _ge_rows(rows, len(objective))
-    lo, hi = (-np.inf, np.inf) if bounds is None else np.array(bounds, dtype=float).T
-    return lp.LinearProgram(objective, a, b, lo, hi)
-
-
-def _row_duals(rows, nvar, dual):
-    """The multiplier of each tagged row, read back through _ge_rows."""
-    _, _, origin, sign = _ge_rows(rows, nvar)
-    return np.bincount(origin, weights=sign * dual, minlength=len(rows))
-
-
-def _solve(objective, rows, bounds=None, **kw):
-    return lp.solve(_lp(objective, rows, bounds), **kw)
+def _capped(c, a, b, cap):
+    """max c.y over rows a y <= b, then y_j <= cap (or cap[j]) for each j."""
+    n = a.shape[1]
+    return lp.LinearProgram(
+        c, np.vstack([a, np.eye(n)]), np.concatenate([b, np.broadcast_to(cap, n)])
+    )
 
 
 def test_single_variable_box():
-    sol = _solve([1.0], [([1.0], LE, 3.0)], [(0.0, np.inf)])
+    sol = _solve([1.0], [([1.0], 3.0)])
     assert sol.status == lp.OPTIMAL
     assert sol.x[0] == pytest.approx(3.0)
     assert sol.objective_value == pytest.approx(3.0)
 
 
-def test_infeasible_box():
-    # no point meets x >= 1 and x <= 0, so the bound point x = 0 cannot
-    with pytest.raises(ValueError, match="bound point"):
-        _solve([1.0], [([1.0], GE, 1.0), ([1.0], LE, 0.0)])
-
-
-def test_bound_point_violation_raises():
-    # feasible at x = 1, but not at the bound point x = 0 of a free x
-    with pytest.raises(ValueError, match="bound point"):
-        _solve([1.0], [([1.0], GE, 1.0)])
-    # an empty row with a positive rhs holds nowhere
-    with pytest.raises(ValueError, match="bound point"):
-        lp.solve(lp.LinearProgram([1.0], [[0.0]], [1e-3], lo=0.0, hi=1.0))
-    # an empty row with rhs <= 0 holds everywhere; its slack stays basic
-    sol = lp.solve(lp.LinearProgram([1.0], [[0.0]], [-1.0], lo=0.0, hi=1.0))
-    assert sol.status == lp.OPTIMAL and sol.x[0] == 1.0
-    assert sol.dual[0] == 0.0
-    # a violation of rounding size is clamped: the start is x = 0
-    sol = _solve([-1.0], [([1.0], GE, 1e-12)], [(0.0, 1.0)])
-    assert sol.status == lp.OPTIMAL
-    assert sol.x[0] == 0.0 and sol.iterations == 0
+def test_negative_b_raises():
+    # y = 0, where the simplex starts, must be feasible; a zero row holds
+    # there exactly when its b_i >= 0
+    cases = (([[1.0]], [-1.0]), ([[-1.0], [1.0]], [-1e-300, 2.0]), ([[0.0]], [-1.0]))
+    for a, b in cases:
+        with pytest.raises(ValueError, match="negative"):
+            lp.solve(lp.LinearProgram([1.0], a, b))
+    # a zero row with b >= 0 holds everywhere, -0.0 too; its slack stays basic
+    sol = lp.solve(lp.LinearProgram([1.0], [[0.0], [1.0], [0.0]], [1.0, 2.0, -0.0]))
+    assert sol.status == lp.OPTIMAL and sol.x[0] == 2.0
+    assert sol.dual[0] == sol.dual[2] == 0.0
 
 
 def test_duplicated_row():
-    # maximize alpha s.t. omega <= 2, omega >= alpha (twice)
+    # maximize alpha s.t. omega <= 2, alpha <= omega (twice)
     rows = [
-        ([1.0, 0.0], LE, 2.0),
-        ([1.0, -1.0], GE, 0.0),
-        ([1.0, -1.0], GE, 0.0),
+        ([1.0, 0.0], 2.0),
+        ([-1.0, 1.0], 0.0),
+        ([-1.0, 1.0], 0.0),
     ]
     sol = _solve([0.0, 1.0], rows)
     assert sol.status == lp.OPTIMAL
@@ -82,27 +53,16 @@ def test_duplicated_row():
 
 
 def test_unbounded():
-    sol = _solve([1.0], [], [(0.0, np.inf)])
+    sol = _solve([1.0], [])
     assert sol.status == lp.UNBOUNDED
-
-
-def test_equality_row():
-    # x + y == 1 through the bound point (0, 1); the optimum moves along it
-    rows = [([1.0, 1.0], EQ, 1.0)]
-    sol = _solve([2.0, 1.0], rows, [(0.0, 3.0), (-np.inf, 1.0)])
-    assert sol.status == lp.OPTIMAL
-    assert sol.objective_value == pytest.approx(4.0)
-    assert np.allclose(sol.x, [3.0, -2.0])
 
 
 def test_iteration_limit_status():
     rng = np.random.default_rng(1)
     n, m = 8, 16
-    # rows around the bound point x = 0
-    rows = [(a, LE, 0.5) for a in rng.normal(size=(m, n))]
-    c = rng.normal(size=n)
-    assert _solve(c, rows, [(0.0, 10.0)] * n).iterations > 1
-    sol = _solve(c, rows, [(0.0, 10.0)] * n, max_iters=1)
+    prog = _capped(rng.normal(size=n), rng.normal(size=(m, n)), np.full(m, 0.5), 10.0)
+    assert lp.solve(prog).iterations > 1
+    sol = lp.solve(prog, max_iters=1)
     assert sol.status == lp.ITERATION_LIMIT
     assert sol.iterations == 1
 
@@ -117,7 +77,7 @@ def test_klee_minty_cube_takes_few_pivots():
         a[i, :i] = 2.0 ** (i - np.arange(i) + 1)
         a[i, i] = 1.0
     c = 2.0 ** (n - 1 - np.arange(n))
-    sol = lp.solve(lp.LinearProgram(c, -a, -(5.0 ** np.arange(1, n + 1)), lo=0.0))
+    sol = lp.solve(lp.LinearProgram(c, a, 5.0 ** np.arange(1, n + 1)))
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(5.0**n, rel=1e-12)
     assert sol.iterations <= n
@@ -141,11 +101,11 @@ def test_beale_cycling_lp():
     # Beale's example (1955), on which Dantzig's rule with a lowest-index
     # tie-break cycles; the optimum -1/20 of its min form is at x = (1/25, 0, 1, 0)
     rows = [
-        ([0.25, -60.0, -0.04, 9.0], LE, 0.0),
-        ([0.5, -90.0, -0.02, 3.0], LE, 0.0),
-        ([0.0, 0.0, 1.0, 0.0], LE, 1.0),
+        ([0.25, -60.0, -0.04, 9.0], 0.0),
+        ([0.5, -90.0, -0.02, 3.0], 0.0),
+        ([0.0, 0.0, 1.0, 0.0], 1.0),
     ]
-    sol = _solve([0.75, -150.0, 0.02, -6.0], rows, [(0.0, np.inf)] * 4)
+    sol = _solve([0.75, -150.0, 0.02, -6.0], rows)
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(0.05, rel=1e-12)
     assert np.allclose(sol.x, [0.04, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
@@ -157,8 +117,6 @@ def test_malformed_rejected_at_construction():
     with pytest.raises(ValueError):
         lp.LinearProgram([np.inf], [], [])
     with pytest.raises(ValueError):
-        lp.LinearProgram([1.0], [], [], lo=2.0, hi=1.0)
-    with pytest.raises(ValueError):
         lp.LinearProgram([1.0], [[1.0]], [np.nan])
     with pytest.raises(ValueError):
         lp.LinearProgram([1.0], [[1.0], [2.0]], [1.0, 1.0, 1.0])
@@ -169,109 +127,90 @@ def test_objective_matches_solution_vector():
     for _ in range(50):
         n = int(rng.integers(2, 6))
         c = rng.normal(size=n)
-        x_b = np.full(n, -5.0)  # the bound point
-        rows = [
-            (a, LE, float(a @ x_b) + rng.uniform(0.1, 1.0))
-            for a in rng.normal(size=(n + 2, n))
-        ]
-        sol = _solve(c, rows, [(-5.0, 5.0)] * n)
+        a = rng.normal(size=(n + 2, n))
+        prog = _capped(c, a, rng.uniform(0.1, 1.0, size=n + 2), 10.0)
+        sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
         scale = max(1.0, abs(sol.objective_value))
         assert abs(sol.objective_value - float(c @ sol.x)) <= 1e-9 * scale
 
 
 def test_known_feasible_lps_stay_feasible():
-    # 1000 random LPs whose rows all hold strictly at a known point, the
-    # box corner x = 0 that the solver starts from
+    # 1000 random LPs whose rows all hold strictly at y = 0, where the
+    # solver starts, each variable capped at 4
     rng = np.random.default_rng(42)
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 2 * n + 1))
-        rows = []
-        for _ in range(m):
-            a = rng.normal(size=n)
-            margin = rng.uniform(0.05, 1.0)
-            if rng.uniform() < 0.5:
-                rows.append((a, LE, margin))
-            else:
-                rows.append((a, GE, -margin))
-        prog = _lp(rng.normal(size=n), rows, [(0.0, 4.0)] * n)
+        a = rng.normal(size=(m, n))
+        prog = _capped(rng.normal(size=n), a, rng.uniform(0.05, 1.0, size=m), 4.0)
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
         assert prog.constraint_violation(sol.x) <= 1e-8
 
 
+def _check_duality(prog, sol, tol):
+    """Dual feasibility (y >= 0, c - A^T y <= 0), equal objectives and
+    complementary slackness in the variables, within tol."""
+    assert np.all(sol.dual >= 0.0)
+    reduced = prog.c - sol.dual @ prog.A
+    assert np.max(reduced) <= tol
+    assert abs(float(sol.x @ reduced)) <= tol * max(1.0, abs(sol.objective_value))
+    by = float(sol.dual @ prog.b)
+    assert abs(by - sol.objective_value) <= tol * max(1.0, abs(sol.objective_value))
+
+
 def test_weak_duality_and_stationarity():
-    # free variables, mixed senses, deliberate singleton rows, all holding
-    # at the bound point x = 0; each variable is fenced in by two rows
-    # around a centre within 4 of it
+    # deliberate singleton rows and zero-rhs rows, all holding at y = 0;
+    # each variable is capped within 9 of 0
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(n, 2 * n + 3))
-        centre = rng.uniform(-4.0, 4.0, size=n)
-        rows = []
-        for _ in range(m):
-            if rng.uniform() < 0.3:
-                a = np.zeros(n)
-                a[rng.integers(0, n)] = rng.normal() or 1.0
-            else:
-                a = rng.normal(size=n)
-            margin = rng.uniform(0.0, 2.0)
-            if rng.uniform() < 0.5:
-                rows.append((a, LE, margin))
-            else:
-                rows.append((a, GE, -margin))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append((e, LE, float(centre[j]) + 5.0))
-            rows.append((e, GE, float(centre[j]) - 5.0))
-        c = rng.normal(size=n)
-        prog = _lp(c, rows)
+        a = rng.normal(size=(m, n))
+        for r in np.flatnonzero(rng.uniform(size=m) < 0.3):
+            a[r] = 0.0
+            a[r, rng.integers(0, n)] = rng.normal() or 1.0
+        b = rng.uniform(0.0, 2.0, size=m) * (rng.uniform(size=m) < 0.8)
+        prog = _capped(rng.normal(size=n), a, b, rng.uniform(1.0, 9.0, size=n))
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
-        by = float(sol.dual @ prog.rhs)
-        assert abs(by - sol.objective_value) <= 1e-7 * max(1.0, abs(by))
-        stat = c - sol.dual @ prog.A
-        assert np.max(np.abs(stat)) <= 1e-7
-        tags = np.array([r[1] for r in rows])
-        dual = _row_duals(rows, n, sol.dual)
-        assert np.all(dual[tags == LE] >= -1e-9)
-        assert np.all(dual[tags == GE] <= 1e-9)
+        _check_duality(prog, sol, 1e-7)
 
 
 def test_singleton_rows_get_valid_duals():
-    # x <= 1 twice around x <= 3; y <= 1 as a >= row and as a <= row
-    rows = [
-        ([1.0, 0.0], LE, 1.0),
-        ([1.0, 0.0], LE, 3.0),
-        ([1.0, 0.0], LE, 1.0),
-        ([0.0, 1.0], GE, -2.0),
-        ([0.0, -1.0], GE, -1.0),
-        ([0.0, 1.0], LE, 1.0),
-        ([1.0, 1.0], LE, 5.0),
-    ]
-    prog = _lp([1.0, 1.0], rows)
+    # x <= 1 twice around x <= 3; y <= 1 twice around -y <= 2
+    prog = lp.LinearProgram(
+        [1.0, 1.0],
+        [[1, 0], [1, 0], [1, 0], [0, -1], [0, 1], [0, 1], [1, 1]],
+        [1, 3, 1, 2, 1, 1, 5],
+    )
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert np.array_equal(sol.x, [1.0, 1.0])
-    assert float(sol.dual @ prog.rhs) == pytest.approx(sol.objective_value, abs=1e-12)
-    assert np.max(np.abs(prog.objective - sol.dual @ prog.A)) <= 1e-12
-    tags = np.array([r[1] for r in rows])
-    dual = _row_duals(rows, 2, sol.dual)
-    assert np.all(dual[tags == LE] >= 0.0)
-    assert np.all(dual[tags == GE] <= 0.0)
+    _check_duality(prog, sol, 1e-12)
     # rows 1, 3 and 6 are slack at x
-    assert np.all(dual[[1, 3, 6]] == 0.0)
+    assert np.all(sol.dual[[1, 3, 6]] == 0.0)
+
+
+def test_dual_certifies_the_136_row_detection_lp():
+    # the F+- LP of a detect-size matrix, solved through two refactorizations
+    # and folds of deferred updates
+    prog = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
+    assert prog.n_rows == 136
+    sol = lp.solve(prog)
+    assert sol.status == lp.OPTIMAL and sol.refactorizations >= 2
+    assert np.all(sol.dual >= 0.0)
+    assert np.max(prog.c - sol.dual @ prog.A) <= 1e-9
+    cx = sol.objective_value
+    assert abs(float(prog.b @ sol.dual) - cx) <= 1e-9 * max(1.0, abs(cx))
 
 
 def test_determinism():
     rng = np.random.default_rng(9)
     n = 5
     c = rng.normal(size=n)
-    rows = [(a, LE, 1.0) for a in rng.normal(size=(8, n))]
-    prog = _lp(c, rows, [(0.0, 2.0)] * n)
+    prog = _capped(c, rng.normal(size=(8, n)), np.ones(8), 2.0)
     s1 = lp.solve(prog)
     s2 = lp.solve(prog)
     assert s1.status == s2.status == lp.OPTIMAL
@@ -284,7 +223,7 @@ def test_repeated_136_row_solves_are_identical_and_leave_the_lp_alone():
     # updates and two refactorizations in the per-solve workspace
     prog = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
     assert prog.n_rows == 136
-    before = {k: getattr(prog, k).tobytes() for k in ("A", "rhs", "lo", "hi")}
+    before = {k: getattr(prog, k).tobytes() for k in ("c", "A", "b", "caps")}
     s1, s2 = lp.solve(prog), lp.solve(prog)
     assert s1.status == s2.status == lp.OPTIMAL
     assert s1.refactorizations == s2.refactorizations >= 2
@@ -305,17 +244,12 @@ def test_ratio_tie_goes_to_the_row_with_the_larger_pivot():
 
 
 def _random_mixed_lp(rng):
-    """A random LP around its bound point x_b that mixes <=, >= and == rows,
-    singleton rows, and free, lower-bounded, upper-bounded and boxed
-    variables.  Every row holds at x_b, some of them tightly."""
+    """A random LP  max c.y, A y <= b, y >= 0  that mixes dense rows and
+    singleton rows of either sign, tied rows (a row again, or scaled) and
+    zero-rhs rows, which hold tightly at y = 0.  Some directions are capped
+    by no row, so some of these LPs are unbounded."""
     n = int(rng.integers(2, 7))
-    kind = rng.integers(0, 4, size=n)  # free, lower, upper, boxed
-    base = rng.normal(size=n)
-    top = base + rng.uniform(0.0, 3.0, size=n)
-    lo = np.where((kind == 1) | (kind == 3), base, -np.inf)
-    hi = np.where(kind == 2, base, np.where(kind == 3, top, np.inf))
-    x_b = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    rows = []
+    rows, rhs = [], []
     for _ in range(int(rng.integers(n, 2 * n + 3))):
         u = rng.uniform()
         if u < 0.25:
@@ -323,13 +257,14 @@ def _random_mixed_lp(rng):
             a[rng.integers(0, n)] = rng.normal() or 1.0
         else:
             a = rng.normal(size=n)
-        if u > 0.85:
-            rows.append((a, EQ, float(a @ x_b)))
-        elif rng.uniform() < 0.5:
-            rows.append((a, LE, float(a @ x_b) + rng.uniform(0.0, 2.0)))
-        else:
-            rows.append((a, GE, float(a @ x_b) - rng.uniform(0.0, 2.0)))
-    return _lp(rng.normal(size=n), rows, list(zip(lo, hi)))
+        b = 0.0 if u > 0.85 else rng.uniform(0.0, 2.0)
+        rows.append(a)
+        rhs.append(b)
+        if rng.uniform() < 0.15:
+            scale = float(rng.choice([1.0, 2.0]))
+            rows.append(scale * a)
+            rhs.append(scale * b)
+    return lp.LinearProgram(rng.normal(size=n), rows, rhs)
 
 
 def test_matches_highs_on_random_mixed_lps():
@@ -340,15 +275,12 @@ def test_matches_highs_on_random_mixed_lps():
     for _ in range(300):
         prog = _random_mixed_lp(rng)
         ref = optimize.linprog(
-            -prog.objective,
-            A_ub=-prog.A,
-            b_ub=-prog.rhs,
-            bounds=[
-                (None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
-                for lo, hi in zip(prog.lo, prog.hi)
-            ],
+            -prog.c,
+            A_ub=prog.A,
+            b_ub=prog.b,
+            bounds=(0, None),
             method="highs",
-            # HiGHS's presolve calls some of these unbounded LPs infeasible
+            # HiGHS's presolve calls some unbounded LPs infeasible
             options={"presolve": False},
         )
         sol = lp.solve(prog)
@@ -366,10 +298,9 @@ def test_deferred_updates_keep_an_inverse_across_folds():
     # B^-1 = Binv - U[:t]^T V[:t]; at 136 rows up to 20 updates wait to be
     # folded, and the 202 pivots pass two refactorizations
     a = gen_random_spn(16, 0)[0]
-    sf, infeasible = lp._to_standard_form(cones.build_lp(eigen_decompose(a), "Fpm"))
-    assert not infeasible
-    spx = lp._Simplex(sf.A, sf.b, sf.c)
-    w = np.hstack([sf.A, np.eye(spx.m)])
+    prog = cones.build_lp(eigen_decompose(a), "Fpm")
+    spx = lp._Simplex(prog.A, prog.b, prog.c)
+    w = np.hstack([prog.A, np.eye(spx.m)])
     held = set()
     while spx.solve(spx.iterations + 1) == lp.ITERATION_LIMIT:
         held.add(spx.t)
@@ -378,7 +309,7 @@ def test_deferred_updates_keep_an_inverse_across_folds():
     assert held == set(range(20))
     assert spx.refactorizations >= 2
     # below 64 rows every pivot folds at once
-    small = lp._to_standard_form(cones.build_lp(eigen_decompose(a[:8, :8]), "Fpm"))[0]
+    small = cones.build_lp(eigen_decompose(a[:8, :8]), "Fpm")
     spx = lp._Simplex(small.A, small.b, small.c)
     while spx.solve(spx.iterations + 1) == lp.ITERATION_LIMIT:
         assert spx.t == 0
@@ -386,10 +317,8 @@ def test_deferred_updates_keep_an_inverse_across_folds():
 
 
 def _fpm_simplex(n):
-    a = gen_random_spn(n, 0)[0]
-    sf, infeasible = lp._to_standard_form(cones.build_lp(eigen_decompose(a), "Fpm"))
-    assert not infeasible
-    return lp._Simplex(sf.A, sf.b, sf.c)
+    prog = cones.build_lp(eigen_decompose(gen_random_spn(n, 0)[0]), "Fpm")
+    return lp._Simplex(prog.A, prog.b, prog.c)
 
 
 def test_refactorization_inverts_only_the_kernel(monkeypatch):

@@ -1,12 +1,17 @@
 import importlib.util
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conekit.cones import membership_report
+from conekit.instances import gen_random_spn
+
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+LAYERTRACE = FINGERPRINT.parents[1] / "perfbench" / "layertrace.py"
 
 
 def test_fingerprint_prints_its_six_sections():
@@ -126,6 +131,47 @@ def test_gitrev_extracts_a_revision_and_refuses_an_unknown_one(monkeypatch):
     with pytest.raises(RuntimeError, match="git archive no-such-rev failed"):
         with gitrev.extracted("no-such-rev"):
             pass
+
+
+def test_gitrev_removes_the_tree_when_sigterm_ends_the_process():
+    root = FINGERPRINT.parents[1]
+    head = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                          capture_output=True)
+    if head.returncode:
+        pytest.skip("the source tree is not a git checkout")
+    script = (
+        "import sys, time\n"
+        f"sys.path.insert(0, {str(FINGERPRINT.parent)!r})\n"
+        "import gitrev\n"
+        "with gitrev.extracted('HEAD', 'tools') as tree:\n"
+        "    print(tree, flush=True)\n"
+        "    time.sleep(60)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            text=True)
+    try:
+        tree = Path(proc.stdout.readline().strip())
+        assert (tree / "tools" / "gitrev.py").is_file()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert not tree.exists()
+
+
+def test_tracer_counts_the_rows_of_each_lp_solve():
+    # the benchmark's tracer wraps lp.solve and lp._to_standard_form by name:
+    # a detect-style report at n = 6 solves three 21-row detection LPs and
+    # the 6-row L test LP
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    with layertrace.Tracer() as tracer:
+        tracer.run_instance(0, membership_report, gen_random_spn(6, 0)[0])
+    metrics = layertrace.layer_metrics(tracer.spans)
+    assert metrics["lp.solve.calls"] == 4
+    assert metrics["lp.rows_per_solve"] == (3 * 21 + 6) / 4
 
 
 def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):

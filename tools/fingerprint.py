@@ -11,9 +11,13 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   brackets that hold the planted optimum t;
 - clique:    clique_number on 6 random graphs (the clique number, and the
   stats of its partition run but wall_time);
-- lp:        lp.solve on 64 mixed LPs full of singleton rows, == rows and
-  tied rows, all solved as ordinary rows and all feasible at their bound
-  point, where lp.solve starts (status, x, duals per original row, pivots);
+- lp:        lp.solve on 64 LPs  max c.y, A y <= b, y >= 0  full of
+  singleton rows, tied rows and zero-rhs rows, all feasible at y = 0, where
+  lp.solve starts (status, y, objective, row duals, pivots).  The section
+  was re-posed in this form when LinearProgram lost its lo/hi bounds, so
+  its digest differs from every earlier revision: there (c, A, b) reads
+  as A x >= b with x free, and an LP that solve() rejects feeds its
+  ValueError message, so a comparison with such a revision still runs;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time and config, or the printed line).
@@ -53,7 +57,6 @@ from conekit.linalg import format_matrix
 from gitrev import ROOT, extracted
 
 FAMILIES = ("N", "H", "G", "Fplus", "Fpm")
-LE, GE, EQ = "<=", ">=", "=="  # row tags of the mixed LPs
 
 
 def _feed(h, value) -> None:
@@ -169,83 +172,53 @@ def clique_section():
 
 
 def _singleton_lp(rng):
-    """A random LP around its bound point x_b whose rows are mostly
-    singletons: repeated bounds (exact ties, also through scaled copies), ==
-    singletons, negative coefficients, signed zeros and plain rows, each
-    holding at x_b, many of them tightly.  The solver keeps each of them as a
-    row (the detection LPs give their caps as bounds instead), so these LPs
-    exercise degenerate and tied rows.  Returns (objective, rows, senses,
-    rhs, lo, hi) with a tag from LE, GE and EQ per row."""
+    """A random LP  max c.y, A y <= b, y >= 0  whose rows are mostly
+    singletons: repeated bounds (exact ties, also through scaled copies),
+    negative coefficients, zero rhs of either sign, and plain dense rows.
+    Every row holds at y = 0, where lp.solve starts, many of them tightly,
+    so these LPs exercise degenerate and tied rows.  Returns (c, A, b)."""
     n = int(rng.integers(2, 6))
-    x0 = np.round(rng.normal(size=n), 1)
-    lo = np.where(rng.uniform(size=n) < 0.3, x0 - 1.0, -np.inf)
-    hi = np.where(rng.uniform(size=n) < 0.3, x0 + 1.0, np.inf)
-    x_b = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    rows, senses, rhs = [], [], []
-
-    def add(a, sense, b):
-        rows.append(a)
-        senses.append(sense)
-        rhs.append(b)
-
+    rows, rhs = [], []
     for _ in range(int(rng.integers(n + 2, 3 * n + 4))):
         u = rng.uniform()
-        a = np.zeros(n)
-        j = int(rng.integers(0, n))
         if u < 0.7:
-            a[j] = float(rng.choice([1.0, -1.0, 2.0, -0.5]))
-            if u < 0.1:
-                add(a, EQ, float(a @ x_b))
+            a = np.zeros(n)
+            a[int(rng.integers(0, n))] = float(rng.choice([1.0, -1.0, 2.0, -0.5]))
+            if u < 0.15:  # a zero bound that y = 0 meets, either sign of zero
+                b = -0.0 if u < 0.05 else 0.0
             else:
-                sense = LE if rng.uniform() < 0.5 else GE
-                step = float(rng.choice([0.0, 0.5, 1.0]))
-                b = float(a @ x_b) + (step if sense == LE else -step)
-                add(a, sense, b)
-                if rng.uniform() < 0.4:  # a tie: the same bound again
-                    scale = float(rng.choice([1.0, 2.0]))
-                    add(scale * a, sense, scale * b)
-            if u < 0.15:  # a zero bound that x_b meets, either sign of zero
-                add(a, LE if a @ x_b <= 0 else GE, -0.0 if u < 0.12 else 0.0)
+                b = float(rng.choice([0.5, 1.0]))
+            rows.append(a)
+            rhs.append(b)
+            if rng.uniform() < 0.4:  # a tie: the same bound again
+                scale = float(rng.choice([1.0, 2.0]))
+                rows.append(scale * a)
+                rhs.append(scale * b)
         else:
-            a = rng.normal(size=n)
-            sense = LE if rng.uniform() < 0.5 else GE
-            add(a, sense, float(a @ x_b) + (1.0 if sense == LE else -1.0))
-    return rng.normal(size=n), rows, senses, rhs, lo, hi
-
-
-def _ge_rows(rows, senses, rhs):
-    """Tagged rows as >= rows: the <= and == rows negated, then the >= and
-    == rows.  Returns (A, rhs, origin, sign), row r of A being sign[r] times
-    original row origin[r]."""
-    senses = np.asarray(senses)
-    le = np.flatnonzero(senses != GE)
-    ge = np.flatnonzero(senses != LE)
-    origin = np.concatenate([le, ge])
-    sign = np.repeat([-1.0, 1.0], [le.size, ge.size])
-    a = np.asarray(rows, dtype=float)[origin] * sign[:, None]
-    return a, np.asarray(rhs, dtype=float)[origin] * sign, origin, sign
+            rows.append(rng.normal(size=n))
+            rhs.append(1.0)
+    return rng.normal(size=n), np.array(rows), np.array(rhs)
 
 
 def lp_section():
     h = hashlib.sha256()
     rng = np.random.default_rng(31)
     progs = [_singleton_lp(rng) for _ in range(63)]
-    # tied rows: x <= 1 twice around x <= 3, y fenced on both sides
+    # tied rows: x <= 1 twice around x <= 3, y <= 1 twice around -y <= 2
     progs.append((
         [1.0, 1.0],
-        [[1, 0], [1, 0], [1, 0], [0, 1], [0, -1], [0, 1], [1, 1]],
-        [LE, LE, LE, GE, GE, LE, LE],
-        [1, 3, 1, -2, -1, 1, 5],
-        -np.inf,
-        np.inf,
+        [[1, 0], [1, 0], [1, 0], [0, -1], [0, 1], [0, 1], [1, 1]],
+        [1, 3, 1, 2, 1, 1, 5],
     ))
     statuses: Counter = Counter()
-    for objective, rows, senses, rhs, lo, hi in progs:
-        a, b, origin, sign = _ge_rows(rows, senses, rhs)
-        sol = lp.solve(lp.LinearProgram(objective, a, b, lo, hi))
-        dual = None if sol.dual is None else np.bincount(
-            origin, weights=sign * sol.dual, minlength=len(rows))
-        _feed(h, [sol.status, sol.x, sol.objective_value, dual, sol.iterations])
+    for c, a, b in progs:
+        try:
+            sol = lp.solve(lp.LinearProgram(c, a, b))
+        except ValueError as exc:  # see the module docstring
+            _feed(h, ["error", str(exc)])
+            statuses["error"] += 1
+            continue
+        _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual, sol.iterations])
         statuses[sol.status] += 1
     detail = " ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
     return len(progs), h.hexdigest(), detail
