@@ -12,11 +12,13 @@ every 20 pivots (every pivot below 64 rows), a delayed Sherman-Morrison update
 (McDaniel et al., J. Chem. Phys. 2017).  Every 100 pivots Binv is formed
 afresh by inverting only the basis kernel, the basic structural columns on
 the rows whose slack is nonbasic (Bisschop & Meeraus, Math. Program. 1977);
-the basic slacks' rows of B^-1 follow from it.  Each solve() allocates its
-pivot-row, pricing and ratio buffers once and updates the weights, reduced
-costs and basic values in place: on the small structured LPs of the cone
-membership tests (a few thousand rows at most; not for sparse work) a pivot
-costs numpy calls more than arithmetic.
+the basic slacks' rows of B^-1 follow from it.  On the small structured
+LPs of the cone membership tests (a few thousand rows at most; not for
+sparse work) a pivot costs numpy calls more than arithmetic, so solve()
+keeps them few: it works in buffers allocated once per call, steps the
+stacked reduced costs and weights by one subtraction, divides the whole
+ratio column and masks it after, and tracks the objective by each pivot's
+gain for the stall check.
 """
 
 from __future__ import annotations
@@ -128,8 +130,11 @@ class _Simplex:
         self.V = np.empty_like(self.U)
         self.t = 0  # updates held in U and V
         self.xB = self.b.copy()
-        # steepest-edge weights 1 + |B^-1 w_j|^2, exact at the slack basis
-        self.gamma = np.append(1.0 + np.einsum("ij,ij->j", A, A), np.full(m, 2.0))
+        # the reduced costs d over the steepest-edge weights gamma_j =
+        # 1 + |B^-1 w_j|^2, stacked so one subtraction updates both; gamma
+        # is exact at the slack basis and kept across solve() calls
+        self.dg = np.full((2, n + m), 2.0)
+        self.dg[1, :n] = 1.0 + np.einsum("ij,ij->j", A, A)
         self.iterations = self.bland_pivots = self.refactorizations = 0
         self.pinv_fallbacks = 0
 
@@ -165,14 +170,6 @@ class _Simplex:
             self.Binv -= np.dot(self.U[: self.t].T, self.V[: self.t])
             self.t = 0
 
-    def _ftran(self, e):
-        """B^-1 w_e; a slack's is a column of B^-1."""
-        t, k = self.t, e - self.n_struct
-        u = self.Binv @ self.A[:, e] if k < 0 else self.Binv[:, k].copy()
-        if t:
-            u -= (self.V[:t] @ self.A[:, e] if k < 0 else self.V[:t, k]) @ self.U[:t]
-        return u
-
     def _reduced_costs(self):
         y = self.c[self.basis] @ self.Binv
         if self.t:
@@ -183,93 +180,106 @@ class _Simplex:
         """Run the simplex to a status; at OPTIMAL, xB is on the true rhs.
         The reduced costs d are updated along the pivot row and recomputed
         at every refactorization and once more before OPTIMAL."""
-        m, n, cost, gamma = self.m, self.n_struct, self.c, self.gamma
+        m, n, A, basis, U, V = self.m, self.n_struct, self.A, self.basis, self.U, self.V
+        d, gamma = dg = self.dg
         # per-solve workspace: alpha and tau^T W (structural part, then slack
-        # part), and the scores and ratios, scratch once e and leave are set
-        rows = np.empty((2, n + m))
-        (alpha, tau_w), slack = rows, rows[:, n:]
-        score, priced = np.empty(n + m), np.empty(n + m, dtype=bool)
-        ratios, pos = np.empty(m), np.empty(m, dtype=bool)
-        cB = cost[self.basis]
-        stall, bland, last_obj = 0, False, -math.inf
-        d, fresh = self._reduced_costs(), True
-        while True:
-            if self.iterations >= max_iters:
-                return ITERATION_LIMIT
-            np.greater(d, _PIVOT_TOL, out=priced)
-            np.multiply(d, d, out=score)
-            score /= gamma
-            score[~priced] = -1.0
-            score[self.basis] = -1.0
-            e = int((score > 0.0).argmax() if bland else score.argmax())
-            if score[e] <= 0.0:
-                if fresh:
-                    break
-                d, fresh = self._reduced_costs(), True
-                continue
-            u = self._ftran(e)
-            np.greater(u, _PIVOT_TOL, out=pos)
-            if not pos.any():
-                return UNBOUNDED
-            ratios.fill(math.inf)
-            np.divide(self.xB, u, out=ratios, where=pos)
-            theta = float(ratios.min())
-            # of tied rows the largest u leaves, under Bland the lowest index
-            ties = (ratios <= theta + 1e-12).nonzero()[0]
-            leave = int(ties[0])
-            if ties.size > 1:
-                leave = int(ties[np.argmin(self.basis[ties] if bland else -u[ties])])
-            # pivot row alpha = e_leave^T B^-1 W over u[leave], and tau^T W
-            # with tau = B^-T u, both on the old basis
-            piv, t = float(u[leave]), self.t
-            slack[0] = self.Binv[leave]
-            np.matmul(u, self.Binv, out=slack[1])
-            if t:
-                slack -= np.array([self.U[:t, leave], self.U[:t] @ u]) @ self.V[:t]
-            np.matmul(slack, self.A, out=rows[:, :n])
-            alpha /= piv
-            gamma_e = 1.0 + float(u @ u)
-            # gamma = max(gamma - alpha (2 tau_w - gamma_e alpha), 1 + alpha^2)
-            np.multiply(alpha, gamma_e, out=score)
-            tau_w *= 2.0
-            tau_w -= score
-            tau_w *= alpha
-            gamma -= tau_w
-            np.multiply(alpha, alpha, out=score)
-            score += 1.0
-            np.maximum(gamma, score, out=gamma)
-            gamma[self.basis[leave]] = max(gamma_e / (piv * piv), 1.0)
-            np.multiply(alpha, d[e], out=score)
-            d -= score
-            fresh = False
-            np.multiply(u, theta, out=ratios)
-            self.xB -= ratios
-            self.xB[leave] = theta
-            np.maximum(self.xB, 0.0, out=self.xB)
-            # B^-1 -= (u - e_leave) (e_leave^T B^-1 / piv), alpha's slack part
-            self.U[t] = u
-            self.U[t, leave] -= 1.0
-            self.V[t] = alpha[n:]
-            self.t += 1
-            self.basis[leave] = e
-            cB[leave] = cost[e]
-            self.iterations += 1
-            self.bland_pivots += bland
-            if self.iterations % _REFACTOR_EVERY == 0:
-                self._refactorize()
-                d, fresh = self._reduced_costs(), True
-            elif self.t == len(self.U):
-                self._fold()
-            obj = float(cB @ self.xB)
-            stalled = obj <= last_obj + 1e-12 * max(1.0, abs(last_obj))
-            stall = stall + 1 if stalled else 0
-            bland, last_obj = stall >= _STALL_LIMIT, obj
-        # drop the jitter: evaluate the optimal basis on the true rhs
-        self.b = self.b_true
-        self._fold()
-        self.xB = self.Binv @ self.b
-        np.maximum(self.xB, 0.0, out=self.xB)
-        return OPTIMAL
+        # part), the step dg takes, the pivot-row correction's coefficients,
+        # and u, the scores, ratios and masks, scratch once e and leave are set
+        rows, step = np.empty((2, n + m)), np.empty((2, n + m))
+        (alpha, tau_w), slack, s1 = rows, rows[:, n:], step[1]
+        coef, factors = np.empty((2, len(U))), np.empty((2, 1))
+        score, unpriced = np.empty(n + m), np.empty(n + m, dtype=bool)
+        u, ratios, mask = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+        stall, bland, obj = 0, _STALL_LIMIT <= 0, float(self.c[basis] @ self.xB)
+        d[:], fresh = self._reduced_costs(), True
+        # the ratio test divides by every u_i and masks out u_i <= tol after
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while self.iterations < max_iters:
+                np.less_equal(d, _PIVOT_TOL, out=unpriced)
+                np.multiply(d, d, out=score)
+                score /= gamma
+                np.putmask(score, unpriced, -1.0)
+                score[basis] = -1.0
+                e = int((score > 0.0).argmax() if bland else score.argmax())
+                if score[e] <= 0.0:
+                    if fresh:  # drop the jitter: the basis on the true rhs
+                        self.b = self.b_true
+                        self._fold()
+                        self.xB = self.Binv @ self.b
+                        np.maximum(self.xB, 0.0, out=self.xB)
+                        return OPTIMAL
+                    d[:], fresh = self._reduced_costs(), True
+                    continue
+                if not m:  # no row bounds y_e
+                    return UNBOUNDED
+                # FTRAN u = B^-1 w_e; a slack's is a column of B^-1
+                t, k, binv, xB = self.t, e - n, self.Binv, self.xB
+                if k < 0:
+                    col = A[:, e]
+                    np.matmul(binv, col, out=u)
+                else:
+                    u[:] = binv[:, k]
+                if t:
+                    u -= (V[:t] @ col if k < 0 else V[:t, k]) @ U[:t]
+                np.divide(xB, u, out=ratios)
+                np.less_equal(u, _PIVOT_TOL, out=mask)
+                np.putmask(ratios, mask, math.inf)
+                leave = int(ratios.argmin())
+                theta = float(ratios[leave])
+                if theta == math.inf:
+                    return UNBOUNDED
+                # of tied rows the largest u leaves, under Bland the lowest index
+                np.less_equal(ratios, theta + 1e-12, out=mask)
+                if np.count_nonzero(mask) > 1:
+                    ties = mask.nonzero()[0]
+                    leave = int(ties[np.argmin(basis[ties] if bland else -u[ties])])
+                # pivot row alpha = e_leave^T B^-1 W over u[leave], and tau^T W
+                # with tau = B^-T u, both on the old basis
+                piv = float(u[leave])
+                slack[0] = binv[leave]
+                np.matmul(u, binv, out=slack[1])
+                if t:
+                    coef[0, :t] = U[:t, leave]
+                    np.matmul(U[:t], u, out=coef[1, :t])
+                    slack -= coef[:, :t] @ V[:t]
+                np.matmul(slack, A, out=rows[:, :n])
+                alpha /= piv
+                gamma_e, d_e = 1.0 + float(u @ u), float(d[e])
+                # dg -= [alpha d_e; alpha (2 tau_w - gamma_e alpha)], then
+                # gamma = max(gamma, 1 + alpha^2)
+                factors[0, 0], factors[1, 0] = d_e, gamma_e
+                np.multiply(alpha, factors, out=step)
+                tau_w *= 2.0
+                np.subtract(tau_w, s1, out=s1)
+                s1 *= alpha
+                dg -= step
+                np.multiply(alpha, alpha, out=score)
+                score += 1.0
+                np.maximum(gamma, score, out=gamma)
+                gamma[basis[leave]] = max(gamma_e / (piv * piv), 1.0)
+                fresh = False
+                np.multiply(u, theta, out=ratios)
+                xB -= ratios
+                xB[leave] = theta
+                np.maximum(xB, 0.0, out=xB)
+                # B^-1 -= (u - e_leave) (e_leave^T B^-1 / piv), alpha's slack part
+                U[t] = u
+                U[t, leave] -= 1.0
+                V[t] = alpha[n:]
+                self.t = t + 1
+                basis[leave] = e
+                self.iterations += 1
+                self.bland_pivots += bland
+                if self.iterations % _REFACTOR_EVERY == 0:
+                    self._refactorize()
+                    d[:], fresh = self._reduced_costs(), True
+                elif self.t == len(U):
+                    self._fold()
+                # the pivot gains theta d_e on the jittered rhs
+                gain = theta * d_e
+                stall = stall + 1 if gain <= 1e-12 * max(1.0, abs(obj)) else 0
+                bland, obj = stall >= _STALL_LIMIT, obj + gain
+        return ITERATION_LIMIT
 
     def primal(self):
         y = np.zeros(self.n_struct + self.m)

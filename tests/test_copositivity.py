@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from conekit.copositivity import (
     CopoConfig,
     DegenerateEdge,
     _form_above,
+    _partition,
     bisect,
     longest_edge,
 )
@@ -201,11 +203,44 @@ def test_negative_certificate_on_indefinite():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the congruence overflows
 def test_overflowed_cell_is_not_removed_by_h():
     # x^T A x < 0 at x = (1/2, 1/2); V^T A V overflows to +-inf at the root,
-    # and S = [[inf, -inf], [-inf, inf]] must not pass as PSD
+    # and S = [[inf, -inf], [-inf, inf]] must not pass as PSD.  The partition
+    # itself, since test_copositive scales A down to max|A| in [1, 2) first
     a = np.array([[1e308, -1.5e308], [-1.5e308, 1e308]])
-    res = run_copositive(a, CopoConfig(cone_family="H"))
+    res, _ = _partition(a, CopoConfig(cone_family="H"), lambda best: 0.0)
     assert res.outcome == NOT_COPOSITIVE
     assert res.stats["removals"]["member"] == 0
+
+
+def test_entries_near_the_float_range_are_decided():
+    # scaled to max|A| in [1, 2), nothing overflows: the PSD pair is
+    # copositive at once, and the indefinite one is refuted at (1/2, 1/2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_copositive(np.array([[1e308, -1e308], [-1e308, 1e308]]))
+        assert res.outcome == COPOSITIVE and res.stats["errors"] == {}
+        res = run_copositive(np.array([[1e308, -1.5e308], [-1.5e308, 1e308]]))
+    assert res.outcome == NOT_COPOSITIVE
+    assert np.array_equal(res.certificate, [0.5, 0.5])
+
+
+def test_tiny_matrices_are_refuted_in_every_family():
+    # x = (1/2, 1/2) gives -5e-11, within the absolute tolerances of the
+    # cell tests: unscaled, H, G, F+ and F+- removed the root cell
+    a = 1e-10 * np.array([[1.0, -2.0], [-2.0, 1.0]])
+    for family in ("N", "H", "G", "Fplus", "Fpm"):
+        for alg2 in (False, True):
+            res = run_copositive(a, CopoConfig(cone_family=family, use_alg2=alg2))
+            assert res.outcome == NOT_COPOSITIVE, (family, alg2)
+            assert np.array_equal(res.certificate, [0.5, 0.5])
+
+
+def test_scaling_that_flushes_an_entry_to_zero_raises():
+    # 1e-300 / 1e300 is below the smallest subnormal: its sign would be lost
+    a = np.array([[1e300, -1e-300], [-1e-300, 1.0]])
+    with pytest.raises(ValueError, match="flushes"):
+        run_copositive(a)
+    # entries that stay nonzero are scaled and decided
+    assert run_copositive(np.array([[1e300, -1e-10], [-1e-10, 1.0]])).outcome == COPOSITIVE
 
 
 def test_refutation_names_the_first_negative_vertex():

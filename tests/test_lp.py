@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,20 @@ def test_unbounded():
     assert sol.status == lp.UNBOUNDED
 
 
+def test_ratio_test_raises_no_numpy_warning():
+    # the ratio test divides by every entry of u, zeros and negatives too,
+    # and masks those out after; no warning may leave solve()
+    detect = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
+    # y_0 enters, and its column is <= 0 in every row: 0 twice, then -1
+    ray = lp.LinearProgram([1.0, 0.0], [[0.0, 1.0], [0.0, 1.0], [-1.0, 1.0]], [0.0, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lp.solve(detect).status == lp.OPTIMAL
+        assert lp.solve(lp.LinearProgram([1.0], np.empty((0, 1)), [])).status == lp.UNBOUNDED
+        sol = lp.solve(ray)
+    assert sol.status == lp.UNBOUNDED and sol.iterations == 0
+
+
 def test_iteration_limit_status():
     rng = np.random.default_rng(1)
     n, m = 8, 16
@@ -67,17 +83,21 @@ def test_iteration_limit_status():
     assert sol.iterations == 1
 
 
-def test_klee_minty_cube_takes_few_pivots():
+def _klee_minty(n):
     # max sum_j 2^(n-j) x_j  s.t.  2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i,
-    # x >= 0 (1-based): Dantzig's rule visits all 2^n vertices, 255 pivots
-    # at n = 8, where steepest edge heads for the optimum (0, ..., 0, 5^n)
-    n = 8
+    # x >= 0 (1-based), with its optimum at (0, ..., 0, 5^n)
     a = np.zeros((n, n))
     for i in range(n):
         a[i, :i] = 2.0 ** (i - np.arange(i) + 1)
         a[i, i] = 1.0
-    c = 2.0 ** (n - 1 - np.arange(n))
-    sol = lp.solve(lp.LinearProgram(c, a, 5.0 ** np.arange(1, n + 1)))
+    return lp.LinearProgram(2.0 ** (n - 1 - np.arange(n)), a, 5.0 ** np.arange(1, n + 1))
+
+
+def test_klee_minty_cube_takes_few_pivots():
+    # Dantzig's rule visits all 2^n vertices, 255 pivots at n = 8, where
+    # steepest edge heads for the optimum
+    n = 8
+    sol = lp.solve(_klee_minty(n))
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(5.0**n, rel=1e-12)
     assert sol.iterations <= n
@@ -97,18 +117,36 @@ def test_rhs_jitter_keeps_degenerate_detection_lps_off_blands_rule():
                 assert sol.iterations <= 500, (n, gamma, family, sol.iterations)
 
 
-def test_beale_cycling_lp():
+def _beale():
     # Beale's example (1955), on which Dantzig's rule with a lowest-index
     # tie-break cycles; the optimum -1/20 of its min form is at x = (1/25, 0, 1, 0)
-    rows = [
-        ([0.25, -60.0, -0.04, 9.0], 0.0),
-        ([0.5, -90.0, -0.02, 3.0], 0.0),
-        ([0.0, 0.0, 1.0, 0.0], 1.0),
-    ]
-    sol = _solve([0.75, -150.0, 0.02, -6.0], rows)
+    a = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    return lp.LinearProgram([0.75, -150.0, 0.02, -6.0], a, [0.0, 0.0, 1.0])
+
+
+def test_beale_cycling_lp():
+    sol = lp.solve(_beale())
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(0.05, rel=1e-12)
     assert np.allclose(sol.x, [0.04, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+def test_blands_rule_reaches_the_optimum(monkeypatch):
+    # no LP elsewhere in the tests stalls long enough for Bland's rule; with
+    # no stall allowed, every pivot is a Bland pivot (lowest entering index,
+    # lowest basic index among tied rows), and it must reach the optimum
+    # that steepest edge reaches
+    detect = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
+    assert detect.n_rows == 136
+    for prog in (_beale(), _klee_minty(8), detect):
+        normal = lp.solve(prog)
+        monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
+        sol = lp.solve(prog)
+        monkeypatch.undo()
+        assert normal.status == sol.status == lp.OPTIMAL
+        assert normal.bland_pivots == 0 < sol.bland_pivots
+        assert sol.objective_value == pytest.approx(normal.objective_value, rel=1e-9)
+        assert prog.constraint_violation(sol.x) <= lp.DEFAULT_FEAS_TOL
 
 
 def test_malformed_rejected_at_construction():

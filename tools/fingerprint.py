@@ -11,13 +11,18 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   brackets that hold the planted optimum t;
 - clique:    clique_number on 6 random graphs (the clique number, and the
   stats of its partition run but wall_time);
-- lp:        lp.solve on 64 LPs  max c.y, A y <= b, y >= 0  full of
-  singleton rows, tied rows and zero-rhs rows, all feasible at y = 0, where
-  lp.solve starts (status, y, objective, row duals, pivots).  The section
-  was re-posed in this form when LinearProgram lost its lo/hi bounds, so
-  its digest differs from every earlier revision: there (c, A, b) reads
-  as A x >= b with x free, and an LP that solve() rejects feeds its
-  ValueError message, so a comparison with such a revision still runs;
+- lp:        lp.solve on 80 LPs  max c.y, A y <= b, y >= 0: 64 small ones
+  full of singleton rows, tied rows and zero-rhs rows, all feasible at
+  y = 0, where lp.solve starts (status, y, objective, row duals, pivots),
+  and the 16 that membership_report solves on gen_random_spn(16, s) for
+  s = 0..3, the G, F+, F+- and L LPs, 12 of them with 136 rows, where the
+  simplex holds up to 20 deferred updates and refactorizes (the same, and
+  refactorizations).  The small LPs were re-posed in this form when
+  LinearProgram lost its lo/hi bounds, so the digest differs from every
+  revision before that: there (c, A, b) reads as A x >= b with x free, and
+  an LP that solve() rejects feeds its ValueError message, so a comparison
+  with such a revision still runs.  The 16 detect-size LPs joined later,
+  and moved the digest again;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time and config, or the printed line).
@@ -200,6 +205,24 @@ def _singleton_lp(rng):
     return rng.normal(size=n), np.array(rows), np.array(rhs)
 
 
+def _report_lps(seeds) -> list:
+    """The LPs that membership_report solves on gen_random_spn(16, s) for
+    each s in seeds, caught on their way into lp.solve."""
+    progs, solve = [], lp.solve
+
+    def recorded(prog, *args, **kwargs):
+        progs.append(prog)
+        return solve(prog, *args, **kwargs)
+
+    lp.solve = recorded
+    try:
+        for seed in seeds:
+            cones.membership_report(instances.gen_random_spn(16, seed)[0])
+    finally:
+        lp.solve = solve
+    return progs
+
+
 def lp_section():
     h = hashlib.sha256()
     rng = np.random.default_rng(31)
@@ -220,8 +243,14 @@ def lp_section():
             continue
         _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual, sol.iterations])
         statuses[sol.status] += 1
+    detect = _report_lps(range(4))
+    for prog in detect:
+        sol = lp.solve(prog)
+        _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual, sol.iterations,
+                  sol.refactorizations])
+        statuses[sol.status] += 1
     detail = " ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
-    return len(progs), h.hexdigest(), detail
+    return len(progs) + len(detect), h.hexdigest(), detail
 
 
 def _cli_runs(tmp: Path) -> list:
