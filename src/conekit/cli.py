@@ -50,6 +50,8 @@ CONE_FLAGS = {
 }
 # the flags a partition (copositive, clique, qpbound, bench rows) accepts
 PARTITION_FLAGS = {k: v for k, v in CONE_FLAGS.items() if v in copositivity.FAMILIES}
+# the outcomes that settle a request's question
+DECIDED = (cones.MEMBER, copositivity.COPOSITIVE, copositivity.NOT_COPOSITIVE)
 
 @dataclass
 class RunRecord:
@@ -110,18 +112,45 @@ def write_records(records, fmt: str, out) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _parse_cones(arg: str, accepted=CONE_FLAGS, many=True) -> list:
-    """Library names of the cone flags in arg, comma-separated when many;
-    a flag outside accepted is an error that names the accepted ones."""
-    families = []
-    for tok in arg.split(",") if many else [arg]:
-        tok = tok.strip()
-        if tok not in accepted:
-            raise ValueError(
-                f"unknown cone {tok!r}; choose from {','.join(accepted)}"
-            )
-        families.append(accepted[tok])
-    return families
+def _cone(flag, accepted=CONE_FLAGS) -> str:
+    """The library name of a cone flag; a flag outside accepted is an error
+    that names the accepted ones."""
+    flag = str(flag).strip()
+    if flag not in accepted:
+        raise ValueError(f"unknown cone {flag!r}; choose from {','.join(accepted)}")
+    return accepted[flag]
+
+
+def _copo_config(config: dict) -> CopoConfig:
+    """The partition settings of a request config, read from its cone, alg,
+    max_iter and time_limit (the argparse dests); a cone flag or alg outside
+    the choices is an error that names them."""
+    if config["alg"] not in (1, 2):
+        raise ValueError(f"unknown alg {config['alg']!r}; choose from 1,2")
+    return CopoConfig(
+        cone_family=_cone(config["cone"], PARTITION_FLAGS),
+        use_alg2=config["alg"] == 2,
+        max_iterations=config["max_iter"],
+        time_limit=config["time_limit"],
+    )
+
+
+def _record(command: str, a, task, config: dict, seed: str = "") -> RunRecord:
+    """Run one validated request on its own clock: a membership test when
+    task is a cone family, a copositivity test when it is a CopoConfig."""
+    started = time.monotonic()
+    rec = RunRecord(command, matrix_digest(a), config, seed=seed)
+    if isinstance(task, CopoConfig):
+        res = test_copositive(a, task)
+        rec.outcome, rec.wall_time = res.outcome, res.stats["wall_time"]
+        rec.certificate = None if res.certificate is None else list(res.certificate)
+        rec.iterations, rec.lp_calls = res.stats["iterations"], res.stats["lp_calls"]
+    else:
+        v = cones.membership_report(a, cones=[task])[0]
+        rec.outcome, rec.alpha_star = v.status, v.alpha_star
+        rec.lp_calls = int(task in cones.LP_FAMILIES)
+        rec.wall_time = time.monotonic() - started
+    return rec
 
 
 def _emit(records, args) -> None:
@@ -133,87 +162,33 @@ def _emit(records, args) -> None:
         write_records(records, args.format, out)
 
 
-def _membership_record(
-    a, family: str, command: str, config: dict, seed: str = ""
-) -> RunRecord:
-    """One cone's membership test on its own clock."""
-    started = time.monotonic()
-    v = cones.membership_report(a, cones=[family])[0]
-    return RunRecord(
-        command=command,
-        input_digest=matrix_digest(a),
-        config=config,
-        outcome=v.status,
-        alpha_star=v.alpha_star,
-        lp_calls=1 if family in cones.LP_FAMILIES else 0,
-        wall_time=time.monotonic() - started,
-        seed=seed,
-    )
+def _exit_code(decided: bool) -> int:
+    return EXIT_DECIDED if decided else EXIT_INCONCLUSIVE
 
 
 def cmd_membership(args) -> int:
     a = load_matrix(args.matrix)
-    families = _parse_cones(args.cone)
+    families = {_cone(flag) for flag in args.cone.split(",")}
     records = [
-        _membership_record(a, family, "membership", {"cone": flag})
+        _record("membership", a, family, {"cone": flag})
         for flag, family in CONE_FLAGS.items()
         if family in families
     ]
     _emit(records, args)
-    any_member = any(r.outcome == cones.MEMBER for r in records)
-    return EXIT_DECIDED if any_member else EXIT_INCONCLUSIVE
-
-
-def _copo_config(cone: str, alg: int, max_iter: int, time_limit: float) -> CopoConfig:
-    """The partition settings of a subcommand or a bench row; a cone flag or
-    alg outside the choices is an error that names them."""
-    if alg not in (1, 2):
-        raise ValueError(f"unknown alg {alg!r}; choose from 1,2")
-    return CopoConfig(
-        cone_family=_parse_cones(cone, PARTITION_FLAGS, many=False)[0],
-        use_alg2=alg == 2,
-        max_iterations=max_iter,
-        time_limit=time_limit,
-    )
-
-
-def _copositive_record(
-    a, cfg: CopoConfig, command: str, config: dict, seed: str = ""
-) -> RunRecord:
-    res = test_copositive(a, cfg)
-    return RunRecord(
-        command=command,
-        input_digest=matrix_digest(a),
-        config=config,
-        outcome=res.outcome,
-        certificate=None if res.certificate is None else list(res.certificate),
-        iterations=res.stats["iterations"],
-        lp_calls=res.stats["lp_calls"],
-        wall_time=res.stats["wall_time"],
-        seed=seed,
-    )
+    return _exit_code(any(r.outcome in DECIDED for r in records))
 
 
 def cmd_copositive(args) -> int:
     a = load_matrix(args.matrix)
-    config = {
-        "cone": args.cone,
-        "alg": args.alg,
-        "max_iter": args.max_iter,
-        "time_limit": args.time_limit,
-    }
-    cfg = _copo_config(args.cone, args.alg, args.max_iter, args.time_limit)
-    rec = _copositive_record(a, cfg, "copositive", config)
+    config = {k: getattr(args, k) for k in ("cone", "alg", "max_iter", "time_limit")}
+    rec = _record("copositive", a, _copo_config(config), config)
     _emit([rec], args)
-    if rec.outcome == copositivity.INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_DECIDED
+    return _exit_code(rec.outcome in DECIDED)
 
 
 def cmd_clique(args) -> int:
     g = load_dimacs(args.graph)
-    cfg = _copo_config(args.cone, args.alg, args.max_iter, args.time_limit)
-    omega = instances.clique_number(g, cfg)
+    omega = instances.clique_number(g, _copo_config(vars(args)))
     if omega is None:
         print("inconclusive: partition budget exhausted")
         return EXIT_INCONCLUSIVE
@@ -223,10 +198,9 @@ def cmd_clique(args) -> int:
 
 def cmd_qpbound(args) -> int:
     q = load_matrix(args.matrix)
-    cfg = _copo_config(args.cone, args.alg, args.max_iter, args.time_limit)
-    bound = instances.qp_optimum(q, cfg, eta=args.eta)
+    bound = instances.qp_optimum(q, _copo_config(vars(args)), eta=args.eta)
     print(f"interval [{bound.lo!r}, {bound.hi!r}] converged={bound.converged}")
-    return EXIT_DECIDED if bound.converged else EXIT_INCONCLUSIVE
+    return _exit_code(bound.converged)
 
 
 def cmd_gen(args) -> int:
@@ -248,10 +222,11 @@ def cmd_gen(args) -> int:
     return EXIT_DECIDED
 
 
-def _row_seed(master: int, index: int) -> np.random.SeedSequence:
-    # per-row stream: master entropy extended by the row index, so any row
-    # can be regenerated in isolation
-    return np.random.SeedSequence([master, index])
+def _suite_object(value, what: str) -> dict:
+    """A suite, a row or an instance; any other JSON value is an error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"bench {what} must be a JSON object, got {value!r}")
+    return value
 
 
 def _suite_int(spec: dict, field: str, default: int | None = None) -> int:
@@ -264,7 +239,7 @@ def _suite_int(spec: dict, field: str, default: int | None = None) -> int:
 
 
 def _bench_instance(spec: dict, seed_seq) -> np.ndarray:
-    kind = spec["kind"]
+    kind = _suite_object(spec, "field 'instance'")["kind"]
     if kind == "spn":
         a, _, _ = gen_random_spn(_suite_int(spec, "n"), seed_seq)
         return a
@@ -280,29 +255,23 @@ def _bench_instance(spec: dict, seed_seq) -> np.ndarray:
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def _bench_row(index: int, row: dict, master: int) -> RunRecord:
-    seed_seq = _row_seed(master, index)
-    a = _bench_instance(row["instance"], seed_seq)
-    task = row.get("task", "membership")
-    cone_flag = row.get("cone", "F+-")
-    config = {
-        "row": index,
-        "task": task,
-        "cone": cone_flag,
-        "instance": row["instance"],
-    }
-    seed = f"{master}/{index}"
-    if task == "membership":
-        family = _parse_cones(cone_flag, many=False)[0]
-        return _membership_record(a, family, "bench", config, seed)
-    if task == "copositive":
-        alg = _suite_int(row, "alg", 2)
-        max_iter = _suite_int(row, "max_iter", CopoConfig.max_iterations)
-        time_limit = float(row.get("time_limit", CopoConfig.time_limit))
-        cfg = _copo_config(cone_flag, alg, max_iter, time_limit)
-        config.update(alg=alg, max_iter=max_iter, time_limit=time_limit)
-        return _copositive_record(a, cfg, "bench", config, seed)
-    raise ValueError(f"unknown task {task!r}")
+def _bench_request(index: int, row: dict, master: int) -> tuple:
+    """A bench row's validated (matrix, task, config) for _record.  Its
+    instance draws from the stream of master extended by the row index, so
+    any row can be regenerated in isolation."""
+    a = _bench_instance(row["instance"], np.random.SeedSequence([master, index]))
+    config = {"row": index, "task": row.get("task", "membership"),
+              "cone": row.get("cone", "F+-"), "instance": row["instance"]}
+    if config["task"] == "membership":
+        return a, _cone(config["cone"]), config
+    if config["task"] == "copositive":
+        config.update(
+            alg=_suite_int(row, "alg", 2),
+            max_iter=_suite_int(row, "max_iter", CopoConfig.max_iterations),
+            time_limit=float(row.get("time_limit", CopoConfig.time_limit)),
+        )
+        return a, _copo_config(config), config
+    raise ValueError(f"unknown task {config['task']!r}")
 
 
 def _expand_suite(suite: dict) -> list:
@@ -310,7 +279,7 @@ def _expand_suite(suite: dict) -> list:
         raise ValueError("bench field 'rows' must list at least one row")
     rows = []
     for row in suite["rows"]:
-        repeat = _suite_int(row, "repeat", 1)
+        repeat = _suite_int(_suite_object(row, "row"), "repeat", 1)
         if repeat < 1:
             raise ValueError(f"bench field 'repeat' must be at least 1, got {repeat}")
         base = {k: v for k, v in row.items() if k != "repeat"}
@@ -326,9 +295,7 @@ def _summary_records(records: list) -> list:
         bucket = groups.setdefault(key, {"runs": 0, "decided": 0, "time": 0.0})
         bucket["runs"] += 1
         bucket["time"] += r.wall_time
-        if r.outcome in (cones.MEMBER, copositivity.COPOSITIVE,
-                         copositivity.NOT_COPOSITIVE):
-            bucket["decided"] += 1
+        bucket["decided"] += r.outcome in DECIDED
     out = []
     for (task, cone, alg), b in sorted(groups.items(), key=lambda kv: str(kv[0])):
         out.append(
@@ -346,19 +313,17 @@ def _summary_records(records: list) -> list:
 
 def cmd_bench(args) -> int:
     with open(args.suite) as fh:
-        suite = json.load(fh)
+        suite = _suite_object(json.load(fh), "suite")
     master = args.seed if args.seed is not None else _suite_int(suite, "seed", 0)
     rows = _expand_suite(suite)
-    records = [_bench_row(i, row, master) for i, row in enumerate(rows)]
-    records = records + _summary_records(records)
-    _emit(records, args)
-    any_inconclusive = any(
-        r.outcome
-        in (copositivity.INCONCLUSIVE, cones.NOT_IDENTIFIED)
-        for r in records
-        if r.command == "bench"
-    )
-    return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_DECIDED
+    # every row is validated, its instance too, before the first one runs
+    requests = [_bench_request(i, row, master) for i, row in enumerate(rows)]
+    records = [
+        _record("bench", a, task, config, f"{master}/{i}")
+        for i, (a, task, config) in enumerate(requests)
+    ]
+    _emit(records + _summary_records(records), args)
+    return _exit_code(all(r.outcome in DECIDED for r in records))
 
 
 class _Parser(argparse.ArgumentParser):

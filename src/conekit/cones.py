@@ -236,7 +236,15 @@ def check_membership(
     orthogonal, else of its own orthogonal decomposition; either pair is
     checked against A.  The other cones ignore ep.
     """
+    _check_cones([cone])
     return _dispatch(as_sym_matrix(a), cone, ep)
+
+
+def _check_cones(cones) -> None:
+    """Reject any name outside CONE_ORDER before any work is done."""
+    unknown = set(cones) - set(CONE_ORDER)
+    if unknown:
+        raise ValueError(f"unknown cones: {sorted(unknown)}")
 
 
 def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdict:
@@ -269,9 +277,7 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
     exceptions propagate.
     """
     a = as_sym_matrix(a)
-    unknown = set(cones) - set(CONE_ORDER)
-    if unknown:
-        raise ValueError(f"unknown cones: {sorted(unknown)}")
+    _check_cones(cones)
     verdicts = []
     ep = None
     for cone in (c for c in CONE_ORDER if c in set(cones)):

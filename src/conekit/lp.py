@@ -291,8 +291,8 @@ class _Simplex:
 
 
 def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
-    """Solve the LP; deterministic for a fixed input.  Raises ValueError
-    when an entry of b is negative."""
+    """Solve the LP; deterministic for a fixed input and a fixed OpenBLAS
+    thread count.  Raises ValueError when an entry of b is negative."""
     if max_iters is None:
         max_iters = 50 * (lp.n_rows + lp.n_vars + 2)
     lp, infeasible = _to_standard_form(lp)

@@ -1,13 +1,15 @@
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conekit import instances
+from conekit import cli, cones, instances
 from conekit.cli import (
     RunRecord,
     build_parser,
@@ -389,6 +391,55 @@ def test_bench_integer_fields_reject_other_values(tmp_path, capsys):
          "task": "copositive", "alg": 1.9, "max_iter": 2.5, "repeat": 1.9}]}))
     assert main(["bench", str(p)]) == 1
     assert "bench field 'seed' must be an integer" in capsys.readouterr().err
+
+
+def test_bench_malformed_shapes_error(tmp_path, capsys):
+    # a suite, a row or an instance that is not a JSON object
+    p = tmp_path / "suite.json"
+    for suite in ([1], {"rows": [5]}, {"rows": [{"instance": 5}]}):
+        p.write_text(json.dumps(suite))
+        assert main(["bench", str(p)]) == 1, suite
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bench ")
+        assert len(captured.err.splitlines()) == 1
+        assert "must be a JSON object" in captured.err
+
+
+def test_bench_validates_every_row_before_running(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(name, run):
+        return lambda *args, **kwargs: calls.append(name) or run(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "membership_report",
+                        counted("membership", cones.membership_report))
+    monkeypatch.setattr(cli, "test_copositive",
+                        counted("copositive", cli.test_copositive))
+    k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
+    rows = [
+        {"instance": {"kind": "spn", "n": 4}, "task": "membership", "cone": "H"},
+        {"instance": k4, "task": "copositive", "cone": "F+-", "alg": 1},
+    ]
+    bad_last = [*rows, {"instance": k4, "task": "copositive", "alg": 3}]
+    assert main(["bench", _suite(tmp_path, bad_last), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown alg 3" in captured.err
+    assert calls == []
+    # the counters see the runs of a valid suite
+    assert main(["bench", _suite(tmp_path, rows), "--format", "json"]) == 0
+    assert calls == ["membership", "copositive"]
+
+
+def test_readme_cli_lines_parse():
+    # every command of README's CLI block is one the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("conekit ")]
+    assert len(lines) == 7
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.func.__name__ == f"cmd_{args.subcommand}"
 
 
 def test_bench_summary_per_task_and_alg(tmp_path):

@@ -350,6 +350,24 @@ def test_check_membership_rejects_wrong_pair():
         assert v.status in (cones.MEMBER, cones.NOT_IDENTIFIED)
 
 
+def test_check_membership_rejects_unknown_cone_before_any_work(monkeypatch):
+    # "F+-" is the CLI's flag, not a library name: check_membership rejects it
+    # with membership_report's message before it validates or decomposes A
+    messages = {}
+    for name in ("F+-", "Fminus"):
+        with pytest.raises(ValueError) as exc:
+            cones.membership_report(M1, cones=[name])
+        messages[name] = str(exc.value)
+    calls = []
+    monkeypatch.setattr(cones, "as_sym_matrix", calls.append)
+    monkeypatch.setattr(cones, "eigen_decompose", calls.append)
+    for name, message in messages.items():
+        with pytest.raises(ValueError) as exc:
+            cones.check_membership(M1, name)
+        assert str(exc.value) == message == f"unknown cones: {[name]}"
+    assert calls == []
+
+
 def test_lp_iteration_limit_is_not_member(monkeypatch):
     def limit(prog):
         return lp.LpSolution(status=lp.ITERATION_LIMIT, iterations=1)
