@@ -238,6 +238,14 @@ def _suite_int(spec: dict, field: str, default: int | None = None) -> int:
     return value
 
 
+def _suite_float(spec: dict, field: str, default: float | None = None) -> float:
+    """A number field of a bench suite, checked as _suite_int checks its own."""
+    value = spec[field] if default is None else spec.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"bench field {field!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _bench_instance(spec: dict, seed_seq) -> np.ndarray:
     kind = _suite_object(spec, "field 'instance'")["kind"]
     if kind == "spn":
@@ -245,11 +253,11 @@ def _bench_instance(spec: dict, seed_seq) -> np.ndarray:
         return a
     if kind == "kgamma":
         n = _suite_int(spec, "n")
-        return max_clique_matrix(complete_graph(n), float(spec["gamma"]))
+        return max_clique_matrix(complete_graph(n), _suite_float(spec, "gamma"))
     if kind == "plantedqp":
         n, support = _suite_int(spec, "n"), _suite_int(spec, "support")
-        inst = gen_planted_qp(n, support, float(spec["t"]), seed=seed_seq)
-        return std_qp_matrix(inst.Q, float(spec.get("gamma", 0.0)))
+        inst = gen_planted_qp(n, support, _suite_float(spec, "t"), seed=seed_seq)
+        return std_qp_matrix(inst.Q, _suite_float(spec, "gamma", 0.0))
     if kind == "file":
         return load_matrix(spec["path"])
     raise ValueError(f"unknown instance kind {kind!r}")
@@ -268,7 +276,7 @@ def _bench_request(index: int, row: dict, master: int) -> tuple:
         config.update(
             alg=_suite_int(row, "alg", 2),
             max_iter=_suite_int(row, "max_iter", CopoConfig.max_iterations),
-            time_limit=float(row.get("time_limit", CopoConfig.time_limit)),
+            time_limit=_suite_float(row, "time_limit", CopoConfig.time_limit),
         )
         return a, _copo_config(config), config
     raise ValueError(f"unknown task {config['task']!r}")

@@ -89,92 +89,81 @@ def sd_basis(p: np.ndarray, kind: str):
     return iu, ju, (p[:, iu] + sign * p[:, ju]) / 2.0
 
 
-def _lp_layout(ep: EigenPair, family: str):
-    """Basis vectors and caps of one detection LP.
-
-    Returns (vectors, caps): omega variable k pairs with the basis element
-    vectors[:, k] vectors[:, k]^T and is capped above by caps[k] (lambda_i
-    on the diagonal terms, 0 on the rest).
-    """
+def _lp_layout(ep: EigenPair, family: str) -> np.ndarray:
+    """Basis vectors of one detection LP: variable k pairs with the basis
+    element vectors[:, k] vectors[:, k]^T."""
     if family == "G":
-        return ep.P, ep.lam
+        return ep.P
     iu, ju, plus = sd_basis(ep.P, "plus")
-    caps = np.where(iu == ju, ep.lam[iu], 0.0)
     if family == "Fplus":
-        return plus, caps
+        return plus
     if family == "Fpm":
-        off = iu != ju
-        minus = sd_basis(ep.P, "minus")[2][:, off]
-        caps = np.concatenate([caps, np.zeros(minus.shape[1])])
-        return np.hstack([plus, minus]), caps
+        return np.hstack([plus, sd_basis(ep.P, "minus")[2][:, iu != ju]])
     raise ValueError(f"unknown LP family {family!r}")
 
 
 @dataclass(frozen=True)
 class DetectionLp(lpmod.LinearProgram):
-    """A detection LP with the offsets that map its solution y back to the
-    paper's variables: omega = caps - y[:-1] and alpha = alpha0 + y[-1]."""
+    """A detection LP with what maps its solution y back to the witness:
+    S = sum_k y_k v_k v_k^T over the columns v_k of vectors, and the floor
+    alpha = alpha0 + y[-1] of N = A - S."""
 
-    caps: np.ndarray
+    vectors: np.ndarray
     alpha0: float
 
-    def __init__(self, c, A, b, caps, alpha0):
+    def __init__(self, c, A, b, vectors, alpha0):
         super().__init__(c, A, b)
-        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "alpha0", alpha0)
 
 
-def build_lp(ep: EigenPair, family: str) -> DetectionLp:
-    """Detection LP for one family: maximize the entrywise floor alpha of the
-    candidate nonnegative part N(omega) = sum_k omega_k E_k, subject to the
-    PSD-part caps omega_k <= caps[k].
+def build_lp(a: np.ndarray, ep: EigenPair, family: str) -> DetectionLp:
+    """Detection LP for one family: maximize the entrywise floor alpha of
+    N = A - S, S = sum_k y_k v_k v_k^T with y >= 0 over the family's basis
+    vectors v_k (for Fpm, DD in the basis P).  For a pair that reconstructs
+    A it is the paper's LP in y_k = cap_k - omega_k.
 
-    Posed as lp.solve takes it, in y_k = caps[k] - omega_k >= 0 and
-    beta >= 0, with one row per pair i <= j:
-        sum_k y_k E_k[i, j] + beta <= N(caps)[i, j] - alpha0,
-    alpha0 = min N(caps).  The rhs is >= 0 exactly, since alpha0 is the least
-    of those same floats, and the floor is alpha0 + beta.  beta >= 0 loses
-    nothing: y = 0, beta = 0 is feasible, so beta* >= 0.
+    Posed as lp.solve takes it, in y >= 0 and beta >= 0, with one row per
+    pair i <= j:
+        sum_k y_k v_k[i] v_k[j] + beta <= A[i, j] - alpha0,
+    alpha0 = min A[i, j] over those pairs.  The rhs is >= 0 exactly, since
+    alpha0 is the least of those same floats, and the floor is alpha0 +
+    beta.  beta >= 0 loses nothing: y = 0, beta = 0 is feasible.
 
     Sizes: n(n+1)/2 rows and k + 1 variables, with k = n for G, n(n+1)/2
-    for Fplus and n^2 for Fpm.  Counting each cap omega_k <= caps[k], here
-    y_k >= 0, as one constraint, as the paper does (beta >= 0 is not one of
+    for Fplus and n^2 for Fpm.  Counting each y_k >= 0, the paper's cap on
+    omega_k, as one constraint, as the paper does (beta >= 0 is not one of
     its constraints), gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints.
     """
-    vectors, caps = _lp_layout(ep, family)
-    iu, ju = _pairs(ep.n)
-    pairs = vectors[iu] * vectors[ju]
-    at_caps = pairs @ caps
-    alpha0 = float(np.min(at_caps))
-    a = np.column_stack([pairs, np.ones(iu.size)])
-    c = np.zeros(caps.size + 1)
+    vectors = _lp_layout(ep, family)
+    iu, ju = _pairs(len(a))
+    entries = a[iu, ju]
+    alpha0 = float(np.min(entries))
+    lhs = np.column_stack([vectors[iu] * vectors[ju], np.ones(iu.size)])
+    c = np.zeros(vectors.shape[1] + 1)
     c[-1] = 1.0
-    return DetectionLp(c, a, at_caps - alpha0, caps, alpha0)
+    return DetectionLp(c, lhs, entries - alpha0, vectors, alpha0)
 
 
 def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> MembershipVerdict:
     """Solve the family LP for a given factorization of A and assemble the
-    witness decomposition on success.  A caller may pass any factorization,
-    so the pair is checked against A before its LP is trusted."""
+    witness on success: S = R R^T with R = V sqrt(y), PSD by construction,
+    and N = A - S.  The witness holds for any pair; the pair is checked
+    against A so that the LP is the paper's G, F+ or F+- test of A."""
     if ep.reconstruction_residual(a) > 1e-6:
         raise ValueError("eigen pair does not reconstruct the input matrix")
     tag = family if ep.orthogonal else family + "_hat"
-    prog = build_lp(ep, family)
+    prog = build_lp(a, ep, family)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
     alpha = prog.alpha0 + sol.objective_value
     if alpha < -EPS_ALPHA:
         return MembershipVerdict(NOT_IDENTIFIED, tag, alpha_star=alpha)
-    # the pair rows hold the basis entries, so they map omega to the upper
-    # triangle of N = sum_k omega_k E_k
-    k = prog.caps.size
-    iu, ju = _pairs(ep.n)
-    n_part = np.empty_like(a)
-    n_part[iu, ju] = prog.A[:, :k] @ (prog.caps - sol.x[:k])
-    n_part[ju, iu] = n_part[iu, ju]
+    r = prog.vectors * np.sqrt(sol.x[:-1])
+    s_part = r @ r.T  # numpy forms R R^T as one syrk, exactly symmetric
     return MembershipVerdict(
-        MEMBER, tag, alpha_star=alpha, s_part=a - n_part, n_part=n_part
+        MEMBER, tag, alpha_star=alpha, s_part=s_part, n_part=a - s_part
     )
 
 

@@ -93,14 +93,15 @@ def test_criterion_03_lp_sizes():
     for n in (3, 10, 50):
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, n))
-        ep = eigen_decompose((a + a.T) / 2)
+        a = (a + a.T) / 2
+        ep = eigen_decompose(a)
         sizes = {
             "G": (n + 1, n * (n + 3) // 2),
             "Fplus": (n * (n + 1) // 2 + 1, n * (n + 1)),
             "Fpm": (n * n + 1, n * (3 * n + 1) // 2),
         }
         for fam, (nvars, nrows) in sizes.items():
-            prog = cones.build_lp(ep, fam)
+            prog = cones.build_lp(a, ep, fam)
             # each cap is one constraint, as the paper counts them, here the
             # y >= 0 of each omega column; beta >= 0 is not one of them
             ok = (ok and prog.n_vars == nvars

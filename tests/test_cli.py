@@ -167,7 +167,7 @@ def test_non_finite_time_limit_is_an_error(m1_path, tmp_path, capsys):
     assert captured.out == ""
     assert "budgets must be positive and finite" in captured.err
     row = {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},
-           "task": "copositive", "cone": "F+-", "time_limit": "nan"}
+           "task": "copositive", "cone": "F+-", "time_limit": float("nan")}
     assert main(["bench", _suite(tmp_path, [row]), "--format", "json"]) == 1
     assert "budgets must be positive and finite" in capsys.readouterr().err
 
@@ -391,6 +391,29 @@ def test_bench_integer_fields_reject_other_values(tmp_path, capsys):
          "task": "copositive", "alg": 1.9, "max_iter": 2.5, "repeat": 1.9}]}))
     assert main(["bench", str(p)]) == 1
     assert "bench field 'seed' must be an integer" in capsys.readouterr().err
+
+
+def test_bench_float_fields_reject_other_values(tmp_path, capsys):
+    k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
+    qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
+    row = {"instance": k4, "task": "copositive", "alg": 1, "max_iter": 20}
+    cases = []
+    for value in (None, True, "1.5", [1.5]):
+        cases.append(("time_limit", value, {**row, "time_limit": value}))
+        for field, inst in (("gamma", k4), ("gamma", qp), ("t", qp)):
+            cases.append((field, value, {**row, "instance": {**inst, field: value}}))
+    p = tmp_path / "suite.json"
+    for field, value, bad in cases:
+        p.write_text(json.dumps({"rows": [bad]}))
+        assert main(["bench", str(p), "--format", "json"]) == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        msg = f"bench field {field!r} must be a number, got {value!r}"
+        assert captured.err == f"error: {msg}\n"
+    # a whole number is a number
+    p.write_text(json.dumps({"rows": [{**row, "instance": {**k4, "gamma": 5}}]}))
+    assert main(["bench", str(p), "--format", "json"]) == 0
+    assert '"gamma": 5' in capsys.readouterr().out
 
 
 def test_bench_malformed_shapes_error(tmp_path, capsys):

@@ -97,13 +97,14 @@ def test_build_lp_sizes():
     for n in (3, 10, 50):
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, n))
-        ep = eigen_decompose((a + a.T) / 2)
+        a = (a + a.T) / 2
+        ep = eigen_decompose(a)
         for family, nvars, nrows in (
             ("G", n + 1, n * (n + 3) // 2),
             ("Fplus", n * (n + 1) // 2 + 1, n * (n + 1)),
             ("Fpm", n * n + 1, n * (3 * n + 1) // 2),
         ):
-            prog = cones.build_lp(ep, family)
+            prog = cones.build_lp(a, ep, family)
             assert prog.n_vars == nvars
             assert prog.n_rows == n * (n + 1) // 2
             # each cap is one constraint, as the paper counts them, here the
@@ -129,28 +130,24 @@ def test_build_lp_pair_rows_are_the_sd_basis():
     for n in (2, 3, 6):
         p = rng.normal(size=(n, n))
         a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2
         for ep in (
             EigenPair(p, rng.normal(size=n), orthogonal=False),
-            eigen_decompose((a + a.T) / 2),
+            eigen_decompose(a),
         ):
             iu, ju = np.triu_indices(n)
             for family, mats in _family_bases(ep.P).items():
-                prog = cones.build_lp(ep, family)
+                prog = cones.build_lp(a, ep, family)
                 k = len(mats)
                 assert prog.n_vars == k + 1
                 pairs = np.column_stack([m[iu, ju] for m in mats])
                 assert np.array_equal(prog.A[:, :k], pairs)
                 assert np.all(prog.A[:, k] == 1.0)
                 assert np.array_equal(prog.c, np.append(np.zeros(k), 1.0))
-                # omega is capped by lambda_i on the (i, i) terms, by 0 on the rest
-                diag = np.arange(n) if family == "G" else np.flatnonzero(iu == ju)
-                caps = np.zeros(k)
-                caps[diag] = ep.lam
-                assert np.array_equal(prog.caps, caps)
-                # y = caps - omega, and every row measures the floor from
-                # alpha0, the least entry at omega = caps, so b >= 0 exactly
-                assert prog.alpha0 == np.min(pairs @ caps)
-                assert np.array_equal(prog.b, pairs @ caps - prog.alpha0)
+                # the rhs is A's own upper triangle, whatever the pair, measured
+                # from alpha0, its least entry, so b >= 0 exactly
+                assert prog.alpha0 == np.min(a[iu, ju])
+                assert np.array_equal(prog.b, a[iu, ju] - prog.alpha0)
                 assert np.min(prog.b) == 0.0
 
 
@@ -198,14 +195,15 @@ def test_detection_lp_alpha_matches_highs():
                     assert abs(verdict.alpha_star - ref) <= 1e-7 * max(1.0, abs(ref))
                     checked += 1
                     if n == 16:
-                        sol = lp.solve(cones.build_lp(pair, family))
+                        sol = lp.solve(cones.build_lp(mat, pair, family))
                         refactorized += sol.refactorizations > 0
     assert checked == 288
     assert refactorized > 0
 
 
 def test_n_part_is_the_weighted_basis_sum():
-    # PSD inputs are members of every LP family (omega = 0 is feasible)
+    # PSD inputs are members of every LP family (S = A, N = 0 is feasible);
+    # S is the y-weighted basis sum and N the rest of A
     rng = np.random.default_rng(13)
     for n in (3, 5, 8):
         b = rng.normal(size=(n, n))
@@ -214,12 +212,11 @@ def test_n_part_is_the_weighted_basis_sum():
         for family, mats in _family_bases(ep.P).items():
             v = cones.check_membership_lp(a, ep, family)
             assert v.is_member
-            prog = cones.build_lp(ep, family)
-            omega = prog.caps - lp.solve(prog).x[: len(mats)]
-            expect = sum(w * m for w, m in zip(omega, mats))
+            y = lp.solve(cones.build_lp(a, ep, family)).x[: len(mats)]
+            expect = sum(w * m for w, m in zip(y, mats))
             scale = max(1.0, float(np.max(np.abs(expect))))
-            assert np.max(np.abs(v.n_part - expect)) <= 1e-12 * scale
-            assert np.array_equal(v.s_part, a - v.n_part)
+            assert np.max(np.abs(v.s_part - expect)) <= 1e-12 * scale
+            assert np.array_equal(v.n_part, a - v.s_part)
 
 
 def test_membership_diag_nonneg_is_g_member():
@@ -274,10 +271,18 @@ def test_alpha_star_nesting():
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
         ep = eigen_decompose(a)
-        alphas = {
-            fam: cones.check_membership_lp(a, ep, fam).alpha_star
-            for fam in ("G", "Fplus", "Fpm")
+        verdicts = {
+            fam: cones.check_membership_lp(a, ep, fam) for fam in ("G", "Fplus", "Fpm")
         }
+        alphas = {fam: v.alpha_star for fam, v in verdicts.items()}
+        # every member's witness passes a check that does not trust the LP
+        scale = float(np.max(np.abs(a)))
+        for v in verdicts.values():
+            if v.is_member:
+                assert np.array_equal(v.s_part, v.s_part.T)
+                assert np.array_equal(v.n_part, v.n_part.T)
+                assert np.min(np.linalg.eigvalsh(v.s_part)) >= -1e-12 * scale
+                assert np.min(v.n_part) >= v.alpha_star - 1e-9 * scale
         assert alphas["G"] <= alphas["Fplus"] + 1e-7
         assert alphas["Fplus"] <= alphas["Fpm"] + 1e-7
 
@@ -350,6 +355,27 @@ def test_check_membership_rejects_wrong_pair():
         assert v.status in (cones.MEMBER, cones.NOT_IDENTIFIED)
 
 
+def test_witness_is_sound_for_a_pair_inside_the_tolerance():
+    # a pair with every lambda moved by 4e-7 max|A| passes the 1e-6 pair
+    # check; S = R R^T is built from the LP's y alone, so it stays PSD, and
+    # N is the rest of A bit for bit
+    members = 0
+    for seed in range(20):
+        a = instances.gen_random_spn(8, seed)[0]
+        scale = float(np.max(np.abs(a)))
+        ep = eigen_decompose(a)
+        for sign in (1.0, -1.0):
+            pair = EigenPair(ep.P, ep.lam + sign * 4e-7 * scale)
+            assert pair.reconstruction_residual(a) <= 1e-6
+            for family in cones.LP_FAMILIES:
+                v = cones.check_membership_lp(a, pair, family)
+                if v.is_member:
+                    members += 1
+                    assert np.min(np.linalg.eigvalsh(v.s_part)) >= -1e-12 * scale
+                    assert np.array_equal(v.n_part, a - v.s_part)
+    assert members > 0
+
+
 def test_check_membership_rejects_unknown_cone_before_any_work(monkeypatch):
     # "F+-" is the CLI's flag, not a library name: check_membership rejects it
     # with membership_report's message before it validates or decomposes A
@@ -383,16 +409,17 @@ def test_fpm_lp_pivot_budget():
     # takes 319-492 pivots on these draws, Dantzig pricing 1839-2524
     for seed in range(3):
         a = instances.gen_random_spn(20, seed)[0]
-        sol = lp.solve(cones.build_lp(eigen_decompose(a), "Fpm"))
+        sol = lp.solve(cones.build_lp(a, eigen_decompose(a), "Fpm"))
         assert sol.status == lp.OPTIMAL
         assert sol.iterations <= 800
 
 
 def test_detection_lps_report_their_pivot_counts():
-    ep = eigen_decompose(instances.gen_random_spn(16, 3)[0])
+    a = instances.gen_random_spn(16, 3)[0]
+    ep = eigen_decompose(a)
     long_runs = 0
     for family in cones.LP_FAMILIES:
-        sol = lp.solve(cones.build_lp(ep, family))
+        sol = lp.solve(cones.build_lp(a, ep, family))
         assert sol.status == lp.OPTIMAL
         assert sol.bland_pivots == 0
         # one refactorization per _REFACTOR_EVERY pivots, plus at most the refine

@@ -22,6 +22,11 @@ def _capped(c, a, b, cap):
     )
 
 
+def _detect_lp(a, family="Fpm"):
+    """The detection LP of one family, posed on A's orthogonal pair."""
+    return cones.build_lp(a, eigen_decompose(a), family)
+
+
 def test_single_variable_box():
     sol = _solve([1.0], [([1.0], 3.0)])
     assert sol.status == lp.OPTIMAL
@@ -62,7 +67,7 @@ def test_unbounded():
 def test_ratio_test_raises_no_numpy_warning():
     # the ratio test divides by every entry of u, zeros and negatives too,
     # and masks those out after; no warning may leave solve()
-    detect = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
+    detect = _detect_lp(gen_random_spn(16, 0)[0])
     # y_0 enters, and its column is <= 0 in every row: 0 twice, then -1
     ray = lp.LinearProgram([1.0, 0.0], [[0.0, 1.0], [0.0, 1.0], [-1.0, 1.0]], [0.0, 1.0, 2.0])
     with warnings.catch_warnings():
@@ -109,9 +114,9 @@ def test_rhs_jitter_keeps_degenerate_detection_lps_off_blands_rule():
     # them under Bland's rule, where with it they take 62 to 234
     for n in (12, 16):
         for gamma in (n - 0.5, n + 0.5):
-            ep = eigen_decompose(max_clique_matrix(complete_graph(n), gamma))
+            a = max_clique_matrix(complete_graph(n), gamma)
             for family in ("Fplus", "Fpm"):
-                sol = lp.solve(cones.build_lp(ep, family))
+                sol = lp.solve(_detect_lp(a, family))
                 assert sol.status == lp.OPTIMAL
                 assert sol.bland_pivots == 0
                 assert sol.iterations <= 500, (n, gamma, family, sol.iterations)
@@ -136,7 +141,7 @@ def test_blands_rule_reaches_the_optimum(monkeypatch):
     # no stall allowed, every pivot is a Bland pivot (lowest entering index,
     # lowest basic index among tied rows), and it must reach the optimum
     # that steepest edge reaches
-    detect = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
+    detect = _detect_lp(gen_random_spn(16, 0)[0])
     assert detect.n_rows == 136
     for prog in (_beale(), _klee_minty(8), detect):
         normal = lp.solve(prog)
@@ -234,7 +239,7 @@ def test_singleton_rows_get_valid_duals():
 def test_dual_certifies_the_136_row_detection_lp():
     # the F+- LP of a detect-size matrix, solved through two refactorizations
     # and folds of deferred updates
-    prog = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
+    prog = _detect_lp(gen_random_spn(16, 0)[0])
     assert prog.n_rows == 136
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL and sol.refactorizations >= 2
@@ -259,9 +264,9 @@ def test_determinism():
 def test_repeated_136_row_solves_are_identical_and_leave_the_lp_alone():
     # the F+- LP of a detect-size matrix runs folds of up to 20 pending
     # updates and two refactorizations in the per-solve workspace
-    prog = cones.build_lp(eigen_decompose(gen_random_spn(16, 0)[0]), "Fpm")
+    prog = _detect_lp(gen_random_spn(16, 0)[0])
     assert prog.n_rows == 136
-    before = {k: getattr(prog, k).tobytes() for k in ("c", "A", "b", "caps")}
+    before = {k: getattr(prog, k).tobytes() for k in ("c", "A", "b", "vectors")}
     s1, s2 = lp.solve(prog), lp.solve(prog)
     assert s1.status == s2.status == lp.OPTIMAL
     assert s1.refactorizations == s2.refactorizations >= 2
@@ -336,7 +341,7 @@ def test_deferred_updates_keep_an_inverse_across_folds():
     # B^-1 = Binv - U[:t]^T V[:t]; at 136 rows up to 20 updates wait to be
     # folded, and the 202 pivots pass two refactorizations
     a = gen_random_spn(16, 0)[0]
-    prog = cones.build_lp(eigen_decompose(a), "Fpm")
+    prog = _detect_lp(a)
     spx = lp._Simplex(prog.A, prog.b, prog.c)
     w = np.hstack([prog.A, np.eye(spx.m)])
     held = set()
@@ -347,7 +352,7 @@ def test_deferred_updates_keep_an_inverse_across_folds():
     assert held == set(range(20))
     assert spx.refactorizations >= 2
     # below 64 rows every pivot folds at once
-    small = cones.build_lp(eigen_decompose(a[:8, :8]), "Fpm")
+    small = _detect_lp(a[:8, :8])
     spx = lp._Simplex(small.A, small.b, small.c)
     while spx.solve(spx.iterations + 1) == lp.ITERATION_LIMIT:
         assert spx.t == 0
@@ -355,7 +360,7 @@ def test_deferred_updates_keep_an_inverse_across_folds():
 
 
 def _fpm_simplex(n):
-    prog = cones.build_lp(eigen_decompose(gen_random_spn(n, 0)[0]), "Fpm")
+    prog = _detect_lp(gen_random_spn(n, 0)[0])
     return lp._Simplex(prog.A, prog.b, prog.c)
 
 
@@ -412,7 +417,7 @@ def test_singular_kernel_falls_back_to_pinv_and_is_counted():
 
 def test_solution_reports_pinv_fallbacks(monkeypatch):
     a = gen_random_spn(16, 0)[0]
-    prog = cones.build_lp(eigen_decompose(a), "Fpm")
+    prog = _detect_lp(a)
     clean = lp.solve(prog)
     assert clean.pinv_fallbacks == 0 and clean.refactorizations >= 2
 

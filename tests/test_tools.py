@@ -43,13 +43,15 @@ def test_fingerprint_compares_with_a_git_revision():
         capture_output=True, text=True,
     )
     lines = r.stdout.splitlines()
+    # a section that differs also prints the details of both trees
     rows = [re.fullmatch(r"(\w+) +parent ([0-9a-f]{64}) tree ([0-9a-f]{64}) "
-                         r"(same|DIFFERS)", line) for line in lines]
+                         r"(same|DIFFERS) ?(\(parent: .+; tree: .+\))?", line)
+            for line in lines]
     assert all(rows), (lines, r.stderr)
     assert [m[1] for m in rows] == [
         "partition", "report", "bracket", "clique", "lp", "cli"]
     for m in rows:
-        assert (m[2] == m[3]) == (m[4] == "same")
+        assert (m[2] == m[3]) == (m[4] == "same") == (m[5] is None)
     # uncommitted changes to src/ may move digests; the exit code says so
     assert r.returncode == int(any(m[4] == "DIFFERS" for m in rows))
 

@@ -6,7 +6,9 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - partition: test_copositive on 25 matrices x N/H/G/F+/F+- x alg 1/2
   (outcome, certificate, every stats field but wall_time);
 - report:    membership_report on 40 gen_random_spn(12) draws x 7 cones
-  (status, alpha*, S, N, note);
+  (status, alpha*, S, N, note), with a count of the G/F+/F+- member
+  witnesses that pass a check which does not trust the LP (S and N exactly
+  symmetric, S PSD, N at least alpha*);
 - bracket:   qp_optimum on 10 planted QPs (n=8), with a count of the
   brackets that hold the planted optimum t;
 - clique:    clique_number on 6 random graphs (the clique number, and the
@@ -22,7 +24,10 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   revision before that: there (c, A, b) reads as A x >= b with x free, and
   an LP that solve() rejects feeds its ValueError message, so a comparison
   with such a revision still runs.  The 16 detect-size LPs joined later,
-  and moved the digest again;
+  and moved the digest again.  They take b from A's own entries since the
+  detection LP was posed from A and its basis vectors, not from the
+  pair's reconstruction of A, so the digest differs from every revision
+  before that too;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time, or the printed line).  The record config joined later, and
@@ -35,7 +40,9 @@ Run it from the repository root (the run time goes to stderr):
 
 With --parent REV it extracts REV's src/ with git archive, runs the sections
 against that tree and against this checkout's src/ in two subprocesses,
-prints both digests per section, and exits 1 if any section differs:
+prints both digests per section, and exits 1 if any section differs.  A
+section that differs also prints both trees' details, so a witness that
+fails its check shows even where rounding alone moved the digest:
 
     PYTHONPATH=src python tools/fingerprint.py --parent HEAD~1
 """
@@ -133,15 +140,31 @@ def partition_section():
     return runs, h.hexdigest(), detail
 
 
+def _witness_ok(a, v) -> bool:
+    """An LP-family member's witness checked without trusting the LP: S and
+    N exactly symmetric, S PSD and N above the floor alpha*, both up to
+    rounding relative to max |A|."""
+    scale = float(np.max(np.abs(a)))
+    return bool(
+        np.array_equal(v.s_part, v.s_part.T)
+        and np.array_equal(v.n_part, v.n_part.T)
+        and np.min(np.linalg.eigvalsh(v.s_part)) >= -1e-12 * scale
+        and np.min(v.n_part) >= v.alpha_star - 1e-9 * scale
+    )
+
+
 def report_section():
     h = hashlib.sha256()
     count = 0
+    witnesses = []
     for seed in range(40):
         a = instances.gen_random_spn(12, seed)[0]
         for v in cones.membership_report(a):
             _feed(h, [v.status, v.cone, v.alpha_star, v.s_part, v.n_part, v.note])
             count += 1
-    return count, h.hexdigest(), ""
+            if v.is_member and v.cone in cones.LP_FAMILIES:
+                witnesses.append(_witness_ok(a, v))
+    return count, h.hexdigest(), f"witness ok: {sum(witnesses)}/{len(witnesses)}"
 
 
 def bracket_section():
@@ -350,14 +373,17 @@ def compare(rev: str) -> int:
         return 2
     if any(run.returncode for run in runs):
         return 2
-    parent, tree = ({line.split()[0]: line for line in out.splitlines()}
-                    for out in outputs)
+    parent, tree = ({line.split()[0]: line.split(maxsplit=3)
+                     for line in out.splitlines()} for out in outputs)
     differs = False
     for name in SECTIONS:
         same = parent[name] == tree[name]
         differs |= not same
-        print(f"{name:<10} parent {parent[name].split()[2]} "
-              f"tree {tree[name].split()[2]} {'same' if same else 'DIFFERS'}")
+        line = f"{name:<10} parent {parent[name][2]} tree {tree[name][2]} "
+        if same:
+            print(line + "same")
+        else:  # the details tell a rounding change from a broken output
+            print(line + f"DIFFERS (parent: {parent[name][3]}; tree: {tree[name][3]})")
     return int(differs)
 
 
