@@ -44,13 +44,14 @@ class MembershipVerdict:
         return self.status == MEMBER
 
     def witness_residuals(self, a: np.ndarray) -> dict:
-        """Numerical quality of the witness: split residual and N negativity."""
+        """Witness quality: split residual, N's least entry, S's least eigenvalue."""
         if self.s_part is None or self.n_part is None:
             return {}
         scale = max(1.0, float(np.max(np.abs(a))))
         return {
             "split": float(np.max(np.abs(self.s_part + self.n_part - a))) / scale,
             "n_min": float(np.min(self.n_part)),
+            "s_min": float(np.linalg.eigvalsh(self.s_part)[0]) / scale,
         }
 
 
@@ -117,7 +118,7 @@ class DetectionLp(lpmod.LinearProgram):
         object.__setattr__(self, "alpha0", alpha0)
 
 
-def build_lp(a: np.ndarray, ep: EigenPair, family: str) -> DetectionLp:
+def build_lp(a: np.ndarray, ep: EigenPair, family: str, capped=False) -> DetectionLp:
     """Detection LP for one family: maximize the entrywise floor alpha of
     N = A - S, S = sum_k y_k v_k v_k^T with y >= 0 over the family's basis
     vectors v_k (for Fpm, DD in the basis P).  For a pair that reconstructs
@@ -134,6 +135,9 @@ def build_lp(a: np.ndarray, ep: EigenPair, family: str) -> DetectionLp:
     for Fplus and n^2 for Fpm.  Counting each y_k >= 0, the paper's cap on
     omega_k, as one constraint, as the paper does (beta >= 0 is not one of
     its constraints), gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints.
+
+    capped appends the objective row beta <= max(0, -alpha0) as row
+    n(n+1)/2 + 1, so the optimum floor is min(alpha*, max(alpha0, 0)).
     """
     vectors = _lp_layout(ep, family)
     iu, ju = _pairs(len(a))
@@ -142,18 +146,25 @@ def build_lp(a: np.ndarray, ep: EigenPair, family: str) -> DetectionLp:
     lhs = np.column_stack([vectors[iu] * vectors[ju], np.ones(iu.size)])
     c = np.zeros(vectors.shape[1] + 1)
     c[-1] = 1.0
-    return DetectionLp(c, lhs, entries - alpha0, vectors, alpha0)
+    b = entries - alpha0
+    if capped:  # the cap row is the objective row itself
+        lhs, b = np.vstack([lhs, c]), np.append(b, max(0.0, -alpha0))
+    return DetectionLp(c, lhs, b, vectors, alpha0)
 
 
-def check_membership_lp(a: np.ndarray, ep: EigenPair, family: str) -> MembershipVerdict:
+def check_membership_lp(
+    a: np.ndarray, ep: EigenPair, family: str, capped=False
+) -> MembershipVerdict:
     """Solve the family LP for a given factorization of A and assemble the
     witness on success: S = R R^T with R = V sqrt(y), PSD by construction,
     and N = A - S.  The witness holds for any pair; the pair is checked
-    against A so that the LP is the paper's G, F+ or F+- test of A."""
+    against A so that the LP is the paper's G, F+ or F+- test of A.  A
+    capped LP (see build_lp) gives the same verdict, and its alpha_star is
+    min(alpha*, max(alpha0, 0))."""
     if ep.reconstruction_residual(a) > 1e-6:
         raise ValueError("eigen pair does not reconstruct the input matrix")
     tag = family if ep.orthogonal else family + "_hat"
-    prog = build_lp(a, ep, family)
+    prog = build_lp(a, ep, family, capped=capped)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
@@ -236,7 +247,9 @@ def _check_cones(cones) -> None:
         raise ValueError(f"unknown cones: {sorted(unknown)}")
 
 
-def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdict:
+def _dispatch(
+    a: np.ndarray, cone: str, ep: EigenPair | None, capped=False
+) -> MembershipVerdict:
     """check_membership on a matrix that as_sym_matrix already returned."""
     if cone == "N":
         if np.min(a) >= 0.0:
@@ -254,7 +267,7 @@ def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdi
         return in_H(a)
     if cone == "L":
         return in_L_bomze(a, ep if ep is not None and ep.orthogonal else None)
-    return check_membership_lp(a, ep or eigen_decompose(a), cone)
+    return check_membership_lp(a, ep or eigen_decompose(a), cone, capped=capped)
 
 
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -72,7 +73,8 @@ class CopoConfig:
         it = self.max_iterations
         if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it <= 0:
             raise ValueError(f"max_iterations must be a positive integer, got {it!r}")
-        if not 0 < self.time_limit < np.inf:
+        t = self.time_limit
+        if isinstance(t, bool) or not isinstance(t, Real) or not 0 < t < np.inf:
             raise ValueError("budgets must be positive and finite")
 
 
@@ -185,7 +187,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
                         hat_shift, hat_ep = shift, eigen_decompose(a - shift)
                     ep = EigenPair(cell.T @ hat_ep.P, hat_ep.lam, orthogonal=False)
                 lp_calls += family in cones.LP_FAMILIES
-                verdict = cones._dispatch(vtav, family, ep)
+                verdict = cones._dispatch(vtav, family, ep, capped=True)
                 if verdict.is_member:
                     removed = "member_hat" if step == "hat" else "member"
                     break

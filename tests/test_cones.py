@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conekit import cones, instances, lp
-from conekit.linalg import EigenPair, eigen_decompose, is_psd_cholesky
+from conekit.copositivity import bisect
+from conekit.linalg import EigenPair, congruence, eigen_decompose, is_psd_cholesky
 
 M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
 M2 = np.array([[1.0, 5.0, -2.0], [5.0, 1.0, -2.0], [-2.0, -2.0, 4.0]])
@@ -239,6 +240,7 @@ def test_m1_fpm_member_with_witness():
     res = v.witness_residuals(M1)
     assert res["split"] <= 1e-7
     assert res["n_min"] >= -1e-9
+    assert res["s_min"] >= -1e-12
     assert is_psd_cholesky(v.s_part)
 
 
@@ -261,6 +263,7 @@ def test_m2_hat_pair_fpm_member():
     res = v.witness_residuals(M2)
     assert res["split"] <= 1e-7
     assert res["n_min"] >= -1e-9
+    assert res["s_min"] >= -1e-12
     assert is_psd_cholesky(v.s_part)
 
 
@@ -427,6 +430,66 @@ def test_detection_lps_report_their_pivot_counts():
         assert base <= sol.refactorizations <= base + 1
         long_runs += base > 0
     assert long_runs > 0
+
+
+def _partition_cells(a, level, depth):
+    """(V^T A V - level, hat pair) for every cell that bisecting the simplex
+    reaches within depth, as copositivity._partition poses its cell tests."""
+    hat = eigen_decompose(a - level)
+    cells, out = [np.eye(len(a))], []
+    for _ in range(depth + 1):
+        for v in cells:
+            pair = EigenPair(v.T @ hat.P, hat.lam, orthogonal=False)
+            out.append((congruence(a, v) - level, pair))
+        cells = [child for v in cells for child in bisect(v)]
+    return out
+
+
+def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
+    # the cap row beta <= max(0, -alpha0) stops the LP once alpha reaches 0:
+    # the same verdict, min(alpha*, max(alpha0, 0)) as alpha, no more pivots
+    pivots = []
+    solve = lp.solve
+
+    def counted(prog):
+        sol = solve(prog)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", counted)
+    cells = []
+    for seed in range(3):
+        cells += _partition_cells(instances.gen_random_spn(6, seed)[0], 0.0, 2)
+    for seed in range(2):
+        qp = instances.gen_planted_qp(8, 4, -10.0, seed)
+        cells += _partition_cells(qp.Q, qp.t - 0.1, 2)  # qp_optimum's level
+        g = instances.gen_gnp_graph(7, 0.5, seed)
+        omega = instances.clique_number(g)
+        cells += _partition_cells(1.0 - g.adjacency(), 1.0 / (omega + 0.5), 2)
+    seen = set()
+    for a, hat in cells:
+        n, scale = len(a), max(1.0, float(np.max(np.abs(a))))
+        for ep in (eigen_decompose(a), hat):
+            for family in cones.LP_FAMILIES:
+                full = cones.check_membership_lp(a, ep, family)
+                capped = cones.check_membership_lp(a, ep, family, capped=True)
+                assert capped.is_member == full.is_member
+                assert capped.cone == full.cone
+                assert pivots[-1] <= pivots[-2]
+                prog = cones.build_lp(a, ep, family, capped=True)
+                cap = max(prog.alpha0, 0.0)
+                assert abs(capped.alpha_star - min(full.alpha_star, cap)) <= 1e-12 * scale
+                assert prog.n_rows == n * (n + 1) // 2 + 1
+                assert prog.A[-1].tolist() == prog.c.tolist() == [0.0] * (prog.n_vars - 1) + [1.0]
+                assert prog.b[-1] == max(0.0, -prog.alpha0)
+                seen.add(full.is_member)
+    assert seen == {True, False}
+    # an entrywise nonnegative cell is certified at its alpha0 in one pivot
+    a = instances.gen_random_spn(5, 0)[2] + 0.25
+    for family in cones.LP_FAMILIES:
+        v = cones.check_membership_lp(a, eigen_decompose(a), family, capped=True)
+        assert v.is_member and pivots[-1] <= 1
+        assert abs(v.alpha_star - float(np.min(a))) <= 1e-12
 
 
 def test_psd_split_examples():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conekit import cones, instances
+from conekit import cones, instances, lp
 from conekit.copositivity import (
     COPOSITIVE,
     INCONCLUSIVE,
@@ -147,8 +147,8 @@ def test_audit_witnesses_reconstruct(monkeypatch):
     for a, family, outcome in cases:
         members = {"member": [], "member_hat": []}
 
-        def spy(vtav, cone, ep):
-            verdict = cell_test(vtav, cone, ep)
+        def spy(vtav, cone, ep, **kw):
+            verdict = cell_test(vtav, cone, ep, **kw)
             if verdict.is_member:
                 hat = ep is not None and not ep.orthogonal
                 kind = "member_hat" if hat else "member"
@@ -166,6 +166,48 @@ def test_audit_witnesses_reconstruct(monkeypatch):
         for w in members["member"] + members["member_hat"]:
             assert w["split"] <= 1e-7
             assert w["n_min"] >= -1e-9
+            assert w["s_min"] >= -1e-12
+
+
+def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
+    # a cell only needs alpha* >= 0, a membership test reports alpha* itself
+    posed = []
+    build = cones.build_lp
+
+    def spy(a, ep, family, capped=False):
+        posed.append(capped)
+        return build(a, ep, family, capped=capped)
+
+    monkeypatch.setattr(cones, "build_lp", spy)
+    a = instances.gen_random_spn(6, 0)[0]
+    qp = instances.gen_planted_qp(6, 3, -5.0, 0)
+    g = instances.gen_gnp_graph(6, 0.5, 0)
+    for run in (
+        lambda: run_copositive(a, CopoConfig(cone_family="G")),
+        lambda: run_copositive(k_gamma(5, 4.5), CopoConfig(cone_family="Fpm")),
+        lambda: instances.qp_optimum(qp.Q),
+        lambda: instances.clique_number(g),
+    ):
+        posed.clear()
+        run()
+        assert posed and all(posed)
+    for run in (
+        lambda: cones.check_membership(a, "Fpm"),
+        lambda: cones.membership_report(a),
+    ):
+        posed.clear()
+        run()
+        assert posed and not any(posed)
+    # an interior member still reports its alpha* > 0 bit for bit
+    ep = eigen_decompose(a)
+    prog = build(a, ep, "Fpm")
+    alpha = prog.alpha0 + lp.solve(prog).objective_value
+    assert alpha > 0
+    assert cones.check_membership(a, "Fpm").alpha_star == alpha
+    fpm = [v for v in cones.membership_report(a) if v.cone == "Fpm"]
+    assert [v.alpha_star for v in fpm] == [alpha]
+    capped = cones.check_membership_lp(a, ep, "Fpm", capped=True)
+    assert capped.is_member and capped.alpha_star == max(prog.alpha0, 0.0)
 
 
 def test_alg2_tests_the_root_cell_with_the_hat_lp_only():
@@ -298,8 +340,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must be a positive integer"):
             CopoConfig(max_iterations=limit)
     assert CopoConfig(max_iterations=np.int64(7)).max_iterations == 7
-    # NaN passes a `<= 0` check, and a budget that never fires is no budget
-    for limit in (0.0, -1.0, float("nan"), float("inf")):
+    # NaN passes a `<= 0` check, and a budget that never fires is no budget;
+    # True would pass as 1 s, and "5" would raise a TypeError from the check
+    for limit in (0.0, -1.0, float("nan"), float("inf"), True, "5"):
         with pytest.raises(ValueError, match="budgets must be positive and finite"):
             CopoConfig(time_limit=limit)
 

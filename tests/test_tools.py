@@ -186,7 +186,7 @@ def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
 
 def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):
     tool = _load_tool("bench_pairs", monkeypatch)
-    assert tool.ACCEPT_CRITERIA == (2, 7, 8)
+    assert tool.ACCEPT_CRITERIA == (2, 6, 7, 8, 9)
     metrics = tool.accept_once(FINGERPRINT.parents[1], criteria=(8,))
     assert set(metrics) == {"accept.c08_s"} and metrics["accept.c08_s"] > 0
     with pytest.raises(RuntimeError, match="acceptance timing in .* failed"):
