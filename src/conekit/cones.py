@@ -79,28 +79,41 @@ def _pairs(n: int):
     return iu, ju
 
 
+@lru_cache(maxsize=64)
+def _sd_index(n: int, family: str):
+    """Read-only (i, j, sign) per basis vector (p_i + sign p_j) / 2: "Fplus" and
+    "minus" (sd_basis's kinds) over the pairs of _pairs, sign -1 off the diagonal
+    for "minus"; "Fpm" is Fplus, then minus's off-diagonal columns."""
+    iu, ju = _pairs(n)
+    off = iu != ju
+    sign = np.where((family == "minus") & off, -1.0, 1.0)
+    if family == "Fpm":
+        iu, ju, sign = np.r_[iu, iu[off]], np.r_[ju, ju[off]], np.r_[sign, -sign[off]]
+    for t in (iu, ju, sign):
+        t.flags.writeable = False
+    return iu, ju, sign
+
+
 def sd_basis(p: np.ndarray, kind: str):
     """Semidefinite basis E_ij = v v^T built from the columns of p, over the
     pairs i <= j in row-major upper-triangle order: v = (p_i + p_j) / 2, or
     for kind "minus" v = (p_i - p_j) / 2 off the diagonal.  Returns (i, j, v)
     with one column of v per pair; for nonsingular p the n(n+1)/2 matrices
     span the symmetric matrices."""
-    iu, ju = _pairs(p.shape[0])
-    sign = np.where((kind == "minus") & (iu != ju), -1.0, 1.0)
-    return iu, ju, (p[:, iu] + sign * p[:, ju]) / 2.0
+    i, j, sign = _sd_index(p.shape[0], "minus" if kind == "minus" else "Fplus")
+    return i, j, (p[:, i] + sign * p[:, j]) / 2.0
 
 
 def _lp_layout(ep: EigenPair, family: str) -> np.ndarray:
     """Basis vectors of one detection LP: variable k pairs with the basis
-    element vectors[:, k] vectors[:, k]^T."""
+    element vectors[:, k] vectors[:, k]^T: P's columns for G, else one gather
+    of sd_basis's columns through the cached _sd_index table of (n, family)."""
     if family == "G":
         return ep.P
-    iu, ju, plus = sd_basis(ep.P, "plus")
-    if family == "Fplus":
-        return plus
-    if family == "Fpm":
-        return np.hstack([plus, sd_basis(ep.P, "minus")[2][:, iu != ju]])
-    raise ValueError(f"unknown LP family {family!r}")
+    if family not in ("Fplus", "Fpm"):
+        raise ValueError(f"unknown LP family {family!r}")
+    i, j, sign = _sd_index(ep.n, family)
+    return (ep.P[:, i] + sign * ep.P[:, j]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -138,17 +151,21 @@ def build_lp(a: np.ndarray, ep: EigenPair, family: str, capped=False) -> Detecti
 
     capped appends the objective row beta <= max(0, -alpha0) as row
     n(n+1)/2 + 1, so the optimum floor is min(alpha*, max(alpha0, 0)).
+    All rows are written into one preallocated constraint matrix and rhs.
     """
     vectors = _lp_layout(ep, family)
     iu, ju = _pairs(len(a))
+    m, k = iu.size, vectors.shape[1]
     entries = a[iu, ju]
     alpha0 = float(np.min(entries))
-    lhs = np.column_stack([vectors[iu] * vectors[ju], np.ones(iu.size)])
-    c = np.zeros(vectors.shape[1] + 1)
+    c = np.zeros(k + 1)
     c[-1] = 1.0
-    b = entries - alpha0
+    lhs, b = np.empty((m + capped, k + 1)), np.empty(m + capped)
+    np.multiply(vectors[iu], vectors[ju], out=lhs[:m, :k])
+    lhs[:m, k] = 1.0
+    np.subtract(entries, alpha0, out=b[:m])
     if capped:  # the cap row is the objective row itself
-        lhs, b = np.vstack([lhs, c]), np.append(b, max(0.0, -alpha0))
+        lhs[m], b[m] = c, max(0.0, -alpha0)
     return DetectionLp(c, lhs, b, vectors, alpha0)
 
 

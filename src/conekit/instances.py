@@ -9,6 +9,7 @@ emitted metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def qp_optimum(
     at _replicator_start(Q) and the cell vertices, so on completion the
     minimum lies in [best - eta, best]; inconclusive, it lies in [min Q, best].
     """
-    if not 0 < eta < np.inf:
+    if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
     q = as_sym_matrix(q)
     res, best = _partition(
@@ -264,7 +265,10 @@ def _replicator_start(q: np.ndarray) -> np.ndarray:
     from the barycentre (Bomze 1997): x stays on the simplex, x^T Q x never rises."""
     b = np.max(q) / 2 - q / 2 + 0.5  # B / 2 exactly, and it cannot overflow
     x = np.full(q.shape[0], 1.0 / q.shape[0])
-    for _ in range(_REPLICATOR_STEPS):
-        bx = b @ x
-        x = x * bx / (x @ bx)
+    bx, bdot, xdot = np.empty_like(x), b.dot, x.dot
+    for _ in range(_REPLICATOR_STEPS):  # in place, the bits of x * bx / (x @ bx)
+        bdot(x, bx)
+        s = xdot(bx)
+        x *= bx
+        x /= s
     return x

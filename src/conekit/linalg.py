@@ -68,16 +68,15 @@ def eigen_decompose(a: np.ndarray) -> EigenPair:
     eigenvector's sign is fixed by a parity bit of its own bytes, which keeps
     the output deterministic for a fixed input without aligning the signs
     coherently (coherent alignments measurably weaken the pairwise-sum
-    detection basis built from the eigenvectors downstream).
+    detection basis built from the eigenvectors downstream).  They are hashed
+    and flipped as rows of one copy, so P, its transpose, is Fortran-ordered.
     """
     lam, v = np.linalg.eigh(a)
     order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
-    for j in range(v.shape[1]):
-        if hashlib.sha256(v[:, j].tobytes()).digest()[0] & 1:
-            v[:, j] = -v[:, j]
-    return EigenPair(v, lam, True)
+    rows = v.T[order]  # row k is the k-th eigenvector
+    flip = [hashlib.sha256(row).digest()[0] & 1 for row in rows]
+    np.negative(rows, out=rows, where=np.array(flip, dtype=bool)[:, None])
+    return EigenPair(rows.T, lam[order], True)
 
 
 def is_psd_cholesky(a: np.ndarray, tol: float = PSD_TOL) -> bool:

@@ -152,6 +152,51 @@ def test_build_lp_pair_rows_are_the_sd_basis():
                 assert np.min(prog.b) == 0.0
 
 
+def _reference_bases(p):
+    """sd_basis's plus and minus vectors, and each LP family's basis vectors
+    composed from them, computed over np.triu_indices as the formulas read."""
+    iu, ju = np.triu_indices(p.shape[0])
+    plus = (p[:, iu] + p[:, ju]) / 2.0
+    minus = (p[:, iu] + np.where(iu != ju, -1.0, 1.0) * p[:, ju]) / 2.0
+    fpm = np.hstack([plus, minus[:, iu != ju]])
+    return {"plus": plus, "minus": minus}, {"G": p, "Fplus": plus, "Fpm": fpm}
+
+
+def test_lp_layout_matches_the_sd_basis():
+    # the cached index table and the preallocated LP give the bits, and the
+    # memory order, of the plus/minus composition and of column_stack/vstack
+    rng = np.random.default_rng(23)
+    for n in range(1, 17):
+        a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2
+        ep = eigen_decompose(a)
+        hat = EigenPair(np.ascontiguousarray(rng.normal(size=(n, n))), ep.lam,
+                        orthogonal=False)
+        iu, ju = np.triu_indices(n)
+        alpha0 = float(np.min(a[iu, ju]))
+        for pair in (ep, hat):
+            kinds, layouts = _reference_bases(pair.P)
+            for kind, ref in kinds.items():
+                assert np.array_equal(cones.sd_basis(pair.P, kind)[2], ref)
+            for family, ref in layouts.items():
+                vectors = cones._lp_layout(pair, family)
+                assert np.array_equal(vectors, ref)
+                assert vectors.flags.f_contiguous == ref.flags.f_contiguous
+                c = np.append(np.zeros(ref.shape[1]), 1.0)
+                lhs = np.column_stack([ref[iu] * ref[ju], np.ones(iu.size)])
+                b = a[iu, ju] - alpha0
+                for capped in (False, True):
+                    if capped:
+                        lhs, b = np.vstack([lhs, c]), np.append(b, max(0.0, -alpha0))
+                    prog = cones.build_lp(a, pair, family, capped=capped)
+                    assert np.array_equal(prog.A, lhs) and prog.A.flags.c_contiguous
+                    assert np.array_equal(prog.b, b) and np.array_equal(prog.c, c)
+                    assert prog.alpha0 == alpha0
+                    assert np.array_equal(prog.vectors, ref)
+    with pytest.raises(ValueError, match="unknown LP family"):
+        cones._lp_layout(ep, "minus")
+
+
 def _paper_lp_alpha(optimize, ep, family):
     """alpha* of the paper's unshifted detection LP, solved by HiGHS:
     max alpha  s.t.  sum_k omega_k E_k >= alpha entrywise (i <= j),

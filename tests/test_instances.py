@@ -198,6 +198,31 @@ def test_replicator_steps_never_raise_the_form(monkeypatch):
         assert values[-1] < values[0]
 
 
+def _reference_start(q, steps):
+    """The replicator start as x = x * bx / (x @ bx), a new array per step."""
+    b = np.max(q) / 2 - q / 2 + 0.5
+    x = np.full(q.shape[0], 1.0 / q.shape[0])
+    for _ in range(steps):
+        bx = b @ x
+        x = x * bx / (x @ bx)
+    return x
+
+
+def test_replicator_start_matches_the_reference_steps(monkeypatch):
+    # the in-place steps must give the reference's bits, not merely its values
+    qs = [gen_planted_qp(8, 4, -10.0, seed=s).Q for s in range(50)]
+    qs += [1.0 - gen_gnp_graph(5 + s, 0.2 + 0.05 * s, seed=s).adjacency()
+           for s in range(10)]
+    for q in qs:
+        assert np.array_equal(instances._replicator_start(q),
+                              _reference_start(q, instances._REPLICATOR_STEPS))
+    for steps in (0, 1, 7):
+        monkeypatch.setattr(instances, "_REPLICATOR_STEPS", steps)
+        for q in qs[::5]:
+            assert np.array_equal(instances._replicator_start(q),
+                                  _reference_start(q, steps))
+
+
 def test_qp_bracket_contains_the_planted_optimum_exactly(monkeypatch):
     # hi is the start's value when no vertex beats it, so that value is
     # computed exactly and rounded up.  The replicator start stays above t on
@@ -226,8 +251,9 @@ def test_qp_optimum_identity():
 
 
 def test_qp_optimum_rejects_eta_that_is_not_positive_and_finite():
-    # a NaN or infinite eta gave an unconverged bracket instead of an error
-    for eta in (0.0, -0.1, float("nan"), float("inf")):
+    # a NaN or infinite eta gave an unconverged bracket instead of an error;
+    # True ran as eta = 1 and "0.1" raised a TypeError from the comparison
+    for eta in (0.0, -0.1, float("nan"), float("inf"), True, "0.1"):
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             instances.qp_optimum(np.eye(2), fast_cfg(), eta=eta)
 

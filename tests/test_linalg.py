@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -84,6 +85,28 @@ def test_eigen_deterministic_across_many_matrices():
         e2 = eigen_decompose(a.copy())
         assert np.array_equal(e1.P, e2.P)
         assert np.array_equal(e1.lam, e2.lam)
+
+
+def test_eigen_signs_follow_the_column_hash():
+    # each eigenvector is eigh's column, negated iff the first byte of the
+    # sha256 of that column's bytes is odd; P keeps the Fortran order of the
+    # column gather v[:, order], the memory order later BLAS calls see
+    rng = np.random.default_rng(29)
+    flipped = kept = 0
+    for n in range(1, 13):
+        a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2
+        lam, v = np.linalg.eigh(a)
+        order = np.argsort(-lam, kind="stable")
+        ep = eigen_decompose(a)
+        assert np.array_equal(ep.lam, lam[order])
+        assert ep.P.flags.f_contiguous
+        for k, j in enumerate(order):
+            col = v[:, j]
+            odd = hashlib.sha256(col.tobytes()).digest()[0] & 1
+            assert np.array_equal(ep.P[:, k], -col if odd else col)
+            flipped, kept = flipped + odd, kept + (not odd)
+    assert flipped and kept
 
 
 def test_eigen_random_residuals():

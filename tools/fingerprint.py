@@ -10,9 +10,13 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   witnesses that pass a check which does not trust the LP (S and N exactly
   symmetric, S PSD, N at least alpha*);
 - bracket:   qp_optimum on 10 planted QPs (n=8), with a count of the
-  brackets that hold the planted optimum t;
+  brackets that hold the planted optimum t, and each QP's replicator start
+  and that start's value _form_above(Q, start), so a start that moves shows
+  even where the bracket stays put;
 - clique:    clique_number on 6 random graphs (the clique number, and the
-  stats of its partition run but wall_time);
+  replicator start, its _form_above value and the stats but wall_time of
+  its partition run).  The starts joined both sections later, and moved
+  both digests;
 - lp:        lp.solve on 80 LPs  max c.y, A y <= b, y >= 0: 64 small ones
   full of singleton rows, tied rows and zero-rhs rows, all feasible at
   y = 0, where lp.solve starts (status, y, objective, row duals, pivots),
@@ -65,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from conekit import cli, cones, instances, lp
-from conekit.copositivity import CopoConfig
+from conekit.copositivity import CopoConfig, _form_above
 from conekit.copositivity import test_copositive as run_copositive
 from conekit.linalg import format_matrix
 from gitrev import ROOT, extracted
@@ -167,38 +171,50 @@ def report_section():
     return count, h.hexdigest(), f"witness ok: {sum(witnesses)}/{len(witnesses)}"
 
 
+@contextlib.contextmanager
+def _partition_runs():
+    """Record each partition run that instances makes, as a dict: its start
+    point, the start's value _form_above(form, start), and its stats but
+    wall_time."""
+    partition, runs = instances._partition, []
+
+    def recorded(a, cfg, level, start=None):
+        res, best = partition(a, cfg, level, start)
+        stats = {k: v for k, v in res.stats.items() if k != "wall_time"}
+        runs.append({"start": start, "start_value": _form_above(a, start),
+                     "stats": stats})
+        return res, best
+
+    instances._partition = recorded
+    try:
+        yield runs
+    finally:
+        instances._partition = partition
+
+
 def bracket_section():
     h = hashlib.sha256()
     cfg = CopoConfig(max_iterations=20000)
     hits = 0  # brackets holding the planted optimum, with no tolerance
-    for seed in range(10):
-        qp = instances.gen_planted_qp(8, 4, -10.0, seed=seed)
-        b = instances.qp_optimum(qp.Q, cfg, eta=0.1)
-        _feed(h, [b.lo, b.hi, b.converged])
-        hits += b.lo <= qp.t <= b.hi
+    with _partition_runs() as runs:
+        for seed in range(10):
+            qp = instances.gen_planted_qp(8, 4, -10.0, seed=seed)
+            b = instances.qp_optimum(qp.Q, cfg, eta=0.1)
+            _feed(h, [b.lo, b.hi, b.converged])
+            hits += b.lo <= qp.t <= b.hi
+    _feed(h, [[r["start"], r["start_value"]] for r in runs])
     return 10, h.hexdigest(), f"t in [lo, hi]: {hits}/10"
 
 
 def clique_section():
     h = hashlib.sha256()
     cfg = CopoConfig(max_iterations=20000)
-    partition = instances._partition
-    runs = []  # stats of each partition run clique_number makes, but wall_time
-
-    def recorded(*args):
-        res, best = partition(*args)
-        runs.append({k: v for k, v in res.stats.items() if k != "wall_time"})
-        return res, best
-
-    instances._partition = recorded
-    try:
+    with _partition_runs() as runs:
         for seed in range(6):
             g = instances.gen_gnp_graph(6 + seed % 3, 0.5, seed=seed)
             _feed(h, instances.clique_number(g, cfg))
-    finally:
-        instances._partition = partition
     _feed(h, runs)
-    return 6, h.hexdigest(), f"cells={sum(r['iterations'] for r in runs)}"
+    return 6, h.hexdigest(), f"cells={sum(r['stats']['iterations'] for r in runs)}"
 
 
 def _singleton_lp(rng):
