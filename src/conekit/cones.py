@@ -18,6 +18,7 @@ from .linalg import (
     as_sym_matrix,
     eigen_decompose,
     is_psd_cholesky,
+    unit_scale,
 )
 
 MEMBER = "member"
@@ -47,7 +48,7 @@ class MembershipVerdict:
         """Witness quality: split residual, N's least entry, S's least eigenvalue."""
         if self.s_part is None or self.n_part is None:
             return {}
-        scale = max(1.0, float(np.max(np.abs(a))))
+        scale = float(np.max(np.abs(a))) or 1.0
         return {
             "split": float(np.max(np.abs(self.s_part + self.n_part - a))) / scale,
             "n_min": float(np.min(self.n_part)),
@@ -251,10 +252,23 @@ def check_membership(
     non-orthogonal pair for the hat variants), else from an orthogonal
     decomposition of A.  The L test clips the eigenvalues of ep when it is
     orthogonal, else of its own orthogonal decomposition; either pair is
-    checked against A.  The other cones ignore ep.
+    checked against A.  The other cones ignore ep.  A is decided at
+    linalg.unit_scale's scale.
     """
     _check_cones([cone])
-    return _dispatch(as_sym_matrix(a), cone, ep)
+    a, k = unit_scale(as_sym_matrix(a))
+    if ep is not None:
+        ep = EigenPair(ep.P, np.ldexp(ep.lam, k), ep.orthogonal)
+    return _unscale(_dispatch(a, cone, ep), k)
+
+
+def _unscale(v: MembershipVerdict, k: int) -> MembershipVerdict:
+    """Map a verdict on 2^k A back to A: alpha*, S and N times 2^-k, exactly."""
+    if v.alpha_star is not None:
+        v.alpha_star = float(np.ldexp(v.alpha_star, -k))
+    if v.s_part is not None:
+        v.s_part, v.n_part = np.ldexp(v.s_part, -k), np.ldexp(v.n_part, -k)
+    return v
 
 
 def _check_cones(cones) -> None:
@@ -290,12 +304,12 @@ def _dispatch(
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
     """Run the selected cone tests in canonical order.
 
-    The LP families and the L test share one orthogonal decomposition.  A
-    test that raises an ArithmeticError or ValueError (numpy's LinAlgError
-    is one) is recorded as NOT_IDENTIFIED with an "error:" note; other
-    exceptions propagate.
+    The LP families and the L test share one orthogonal decomposition, and
+    A is decided at linalg.unit_scale's scale.  A test that raises an
+    ArithmeticError or ValueError (numpy's LinAlgError is one) is recorded
+    as NOT_IDENTIFIED with an "error:" note; other exceptions propagate.
     """
-    a = as_sym_matrix(a)
+    a, k = unit_scale(as_sym_matrix(a))
     _check_cones(cones)
     verdicts = []
     ep = None
@@ -306,5 +320,5 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
             v = _dispatch(a, cone, ep)
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
             v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
-        verdicts.append(v)
+        verdicts.append(_unscale(v, k))
     return verdicts

@@ -21,7 +21,7 @@ from numbers import Real
 import numpy as np
 
 from . import cones
-from .linalg import EigenPair, as_sym_matrix, congruence, eigen_decompose
+from .linalg import EigenPair, as_sym_matrix, congruence, eigen_decompose, unit_scale
 
 COPOSITIVE = "copositive"
 NOT_COPOSITIVE = "not_copositive"
@@ -91,24 +91,13 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
     "copositive" requires the worklist to empty with every simplex removed by
     a sound certificate; "not_copositive" always carries a simplex vertex at
     which the quadratic form is strictly negative; "inconclusive" names its
-    reason (a budget, or an edge too short to bisect) in the stats.
-
-    A is first scaled by the power of two that brings max|A| into [1, 2),
-    so the tolerances, which are absolute, meet it at one scale whatever
-    the input's; copositivity does not depend on a positive scale, and this
-    one is exact unless it flushes a nonzero entry to zero, which raises
-    ValueError.
+    reason (a budget, or an edge too short to bisect) in the stats.  A is
+    decided at linalg.unit_scale's scale.
     """
     a = as_sym_matrix(a)
     if a.shape[0] < 2:
         raise ValueError("copositivity test needs dimension >= 2")
-    peak = float(np.max(np.abs(a)))
-    if peak:
-        scaled = np.ldexp(a, 1 - np.frexp(peak)[1])
-        if np.any((scaled == 0.0) & (a != 0.0)):
-            raise ValueError("scaling max|A| to [1, 2) flushes an entry to zero")
-        a = scaled
-    return _partition(a, cfg or CopoConfig(), lambda best: 0.0)[0]
+    return _partition(unit_scale(a)[0], cfg or CopoConfig(), lambda best: 0.0)[0]
 
 
 def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):

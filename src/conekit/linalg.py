@@ -16,7 +16,7 @@ def as_sym_matrix(entries) -> np.ndarray:
     """Validate and return an exactly symmetric dense float matrix.
 
     Accepts anything array-like.  Rejects non-square shapes, non-finite
-    entries, and asymmetry beyond ``ASYM_TOL * scale``; mild asymmetry is
+    entries, and asymmetry beyond ``ASYM_TOL * max|A|``; mild asymmetry is
     repaired by mirroring the upper triangle.  The package's entry points
     call it once; the helpers behind them take its output as trusted.
     """
@@ -27,12 +27,23 @@ def as_sym_matrix(entries) -> np.ndarray:
         raise ValueError("matrix dimension must be at least 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(a))))
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > ASYM_TOL * scale:
+    if asym > ASYM_TOL * float(np.max(np.abs(a))):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     upper = np.triu(a)
     return upper + np.triu(a, 1).T
+
+
+def unit_scale(a: np.ndarray):
+    """(2^k A, k), k = 0 for A = 0, else max|2^k A| in [1, 4) with k even, so
+    sqrt(2^k y) is 2^(k/2) sqrt(y) bit for bit: the one scale the entry points
+    decide A at.  Exact, or a ValueError where it would flush an entry to 0."""
+    peak = float(np.max(np.abs(a)))
+    k = 2 * ((2 - int(np.frexp(peak)[1])) // 2) if peak else 0
+    scaled = np.ldexp(a, k)
+    if np.any((scaled == 0.0) & (a != 0.0)):
+        raise ValueError("scaling max|A| to [1, 4) flushes an entry to zero")
+    return scaled, k
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,7 @@ def load_matrix(path) -> np.ndarray:
     """Load a symmetric matrix from the shared text format.
 
     Line 1 holds n; the next n lines hold n whitespace-separated values each.
-    The loader symmetrizes inputs whose asymmetry is at most 1e-12 * scale
+    The loader symmetrizes inputs whose asymmetry is at most 1e-12 * max|A|
     and rejects anything worse.
     """
     with open(path) as fh:

@@ -112,12 +112,11 @@ class _Simplex:
         self.m = m
         self.n_struct = n
         self.A = A
-        # a deterministic strictly positive jitter on the rhs breaks the
-        # pivot stalling that degenerate systems (many zero rhs rows) cause;
-        # the true rhs is restored once an optimal basis is found
+        # a deterministic jitter of 1e-9 to 2e-9 times max b on each rhs entry
+        # breaks the pivot stalling that degenerate systems (many zero rhs
+        # rows) cause; the true rhs is restored once an optimal basis is found
         self.b_true = b
-        scale = max(1.0, float(np.max(b, initial=0.0)))
-        jitter = 1e-9 * scale * (
+        jitter = 1e-9 * float(np.max(b, initial=0.0)) * (
             1.0 + (np.arange(m, dtype=np.int64) * 2654435761 % 1024) / 1024.0
         )
         self.b = b + jitter

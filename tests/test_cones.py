@@ -287,6 +287,11 @@ def test_m1_fpm_member_with_witness():
     assert res["n_min"] >= -1e-9
     assert res["s_min"] >= -1e-12
     assert is_psd_cholesky(v.s_part)
+    # the residuals are relative to max|A|, at any scale; N's floor scales
+    tiny = 2.0**-40 * M1
+    full = cones.check_membership(M1, "Fpm").witness_residuals(M1)
+    res = cones.check_membership(tiny, "Fpm").witness_residuals(tiny)
+    assert res == {**full, "n_min": 2.0**-40 * full["n_min"]}
 
 
 def test_m2_orthogonal_pair_values():
@@ -683,3 +688,56 @@ def test_membership_report_records_numerical_errors_only(monkeypatch):
     monkeypatch.setattr(cones, "check_membership_lp", fail_with(TypeError))
     with pytest.raises(TypeError, match="injected"):
         cones.membership_report(M1)
+
+
+T = np.array([[1.0, -2.0], [-2.0, 1.0]])  # x = (1/2, 1/2) gives -1/2
+
+
+def test_no_scale_of_a_non_copositive_matrix_is_a_member():
+    # at 1e-10 the absolute tolerances made T a member of H, G, F+ and F+-
+    for s in (1e-300, 1e-10, 1e10, 1e300):
+        verdicts = cones.membership_report(s * T)
+        assert not any(v.is_member for v in verdicts), s
+
+
+def test_verdicts_do_not_depend_on_a_power_of_two_scale():
+    # the entry points decide 2^k A and A at the same scale: an even k
+    # keeps every bit, an odd one moves S and N by rounding in sqrt(y)
+    for seed in range(6):
+        a = instances.gen_random_spn(8, seed)[0]
+        base = cones.membership_report(a)
+        for k in [*range(-60, 61, 7), -1, 1]:
+            ak = np.ldexp(a, k)
+            for v0, v in zip(base, cones.membership_report(ak)):
+                assert (v.status, v.note) == (v0.status, v0.note), (seed, k, v.cone)
+                if v0.alpha_star is not None:
+                    assert v.alpha_star == np.ldexp(v0.alpha_star, k)
+                if v0.s_part is None:
+                    continue
+                for p0, p in ((v0.s_part, v.s_part), (v0.n_part, v.n_part)):
+                    if k % 2 == 0:
+                        assert np.array_equal(p, np.ldexp(p0, k))
+                    else:
+                        dev = np.max(np.abs(p - np.ldexp(p0, k)))
+                        assert dev <= 1e-15 * np.max(np.abs(ak))
+    # a given pair is scaled with A
+    ep, s = m2_hat_pair(), 2.0**-41
+    v0 = cones.check_membership(M2, "Fpm", ep)
+    v = cones.check_membership(s * M2, "Fpm", EigenPair(ep.P, s * ep.lam, False))
+    assert v.is_member and v.alpha_star == s * v0.alpha_star
+
+
+def test_l_test_is_sound_at_every_scale():
+    # random indefinite matrices with a negative simplex point are never
+    # copositive; at 1e10 the unscaled L test certified some of them
+    rng = np.random.default_rng(0)
+    mats = []
+    while len(mats) < 200:
+        n = int(rng.integers(2, 7))
+        g = rng.normal(size=(n, n))
+        a = (g + g.T) / 2
+        x = rng.dirichlet(np.ones(n), size=200)
+        if np.min(np.einsum("ki,ij,kj->k", x, a, x)) < 0:
+            mats.append(a)
+    for s in (1e-10, 1.0, 1e10):
+        assert not any(cones.check_membership(s * a, "L").is_member for a in mats), s

@@ -246,7 +246,7 @@ def test_negative_certificate_on_indefinite():
 def test_overflowed_cell_is_not_removed_by_h():
     # x^T A x < 0 at x = (1/2, 1/2); V^T A V overflows to +-inf at the root,
     # and S = [[inf, -inf], [-inf, inf]] must not pass as PSD.  The partition
-    # itself, since test_copositive scales A down to max|A| in [1, 2) first
+    # itself, since test_copositive scales A down to max|A| in [1, 4) first
     a = np.array([[1e308, -1.5e308], [-1.5e308, 1e308]])
     res, _ = _partition(a, CopoConfig(cone_family="H"), lambda best: 0.0)
     assert res.outcome == NOT_COPOSITIVE
@@ -254,7 +254,7 @@ def test_overflowed_cell_is_not_removed_by_h():
 
 
 def test_entries_near_the_float_range_are_decided():
-    # scaled to max|A| in [1, 2), nothing overflows: the PSD pair is
+    # scaled to max|A| in [1, 4), nothing overflows: the PSD pair is
     # copositive at once, and the indefinite one is refuted at (1/2, 1/2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

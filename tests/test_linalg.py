@@ -14,6 +14,7 @@ from conekit.linalg import (
     format_matrix,
     is_psd_cholesky,
     load_matrix,
+    unit_scale,
 )
 
 M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
@@ -22,6 +23,19 @@ M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
 def test_as_sym_matrix_rejects_asymmetry():
     with pytest.raises(ValueError):
         as_sym_matrix(np.array([[1.0, 2.0], [3.0, 1.0]]))
+    # the tolerance is relative to max|A| at every scale: 0.5% is rejected
+    with pytest.raises(ValueError):
+        as_sym_matrix(1e-10 * np.array([[1.0, 2.0], [2.01, 1.0]]))
+    assert np.array_equal(as_sym_matrix(np.zeros((2, 2))), np.zeros((2, 2)))
+
+
+def test_unit_scale_is_an_even_power_into_one_to_four():
+    for peak in (1e-310, 1e-10, 0.3, 1.0, 2.0, 3.99, 4.0, 1e10, 1e308):
+        a = np.array([[peak, -peak / 3], [-peak / 3, 0.0]])
+        scaled, k = unit_scale(a)
+        assert k % 2 == 0 and 1.0 <= np.max(np.abs(scaled)) < 4.0, peak
+        assert np.array_equal(scaled, np.ldexp(a, k))
+    assert unit_scale(np.zeros((2, 2)))[1] == 0
 
 
 def test_as_sym_matrix_rejects_nonfinite():

@@ -25,7 +25,7 @@ def test_fingerprint_prints_its_six_sections():
     assert all(sections), lines
     counts = {m[1]: int(m[2]) for m in sections}
     assert counts == {
-        "partition": 250, "report": 280, "bracket": 10,
+        "partition": 250, "report": 322, "bracket": 10,
         "clique": 6, "lp": 80, "cli": 11,
     }
     assert "t in [lo, hi]: 10/10" in lines[2]

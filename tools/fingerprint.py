@@ -5,10 +5,12 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 
 - partition: test_copositive on 25 matrices x N/H/G/F+/F+- x alg 1/2
   (outcome, certificate, every stats field but wall_time);
-- report:    membership_report on 40 gen_random_spn(12) draws x 7 cones
-  (status, alpha*, S, N, note), with a count of the G/F+/F+- member
-  witnesses that pass a check which does not trust the LP (S and N exactly
-  symmetric, S PSD, N at least alpha*);
+- report:    membership_report on 46 matrices x 7 cones (status, alpha*,
+  S, N, note): 40 gen_random_spn(12) draws, a non-copositive 2 x 2 matrix
+  at 1e-10 and 1e10, and two draws at 2^-41 and 2^40, with a count of the
+  G/F+/F+- member witnesses that pass a check which does not trust the LP
+  (S and N exactly symmetric, S PSD, N at least alpha*).  The scaled
+  matrices joined later, and moved the digest;
 - bracket:   qp_optimum on 10 planted QPs (n=8), with a count of the
   brackets that hold the planted optimum t, and each QP's replicator start
   and that start's value _form_above(Q, start), so a start that moves shows
@@ -157,12 +159,20 @@ def _witness_ok(a, v) -> bool:
     )
 
 
+def _report_matrices() -> list:
+    """40 gen_random_spn(12) draws, then T = [[1, -2], [-2, 1]], which is not
+    copositive, at 1e-10 and 1e10, and the first two draws at 2^-41 and 2^40."""
+    draws = [instances.gen_random_spn(12, seed)[0] for seed in range(40)]
+    t = np.array([[1.0, -2.0], [-2.0, 1.0]])
+    return [*draws, 1e-10 * t, 1e10 * t,
+            *(np.ldexp(a, k) for a in draws[:2] for k in (-41, 40))]
+
+
 def report_section():
     h = hashlib.sha256()
     count = 0
     witnesses = []
-    for seed in range(40):
-        a = instances.gen_random_spn(12, seed)[0]
+    for a in _report_matrices():
         for v in cones.membership_report(a):
             _feed(h, [v.status, v.cone, v.alpha_star, v.s_part, v.n_part, v.note])
             count += 1
