@@ -2,9 +2,9 @@
 PSD-plus-nonnegative cone, and simplicial-partition copositivity testing.
 
 The names exported here are the entry points: they validate their input
-matrices, and the membership and copositivity tests decide them at one scale
-(linalg.unit_scale).  The helpers inside the modules expect the symmetric
-float arrays those entry points produce."""
+matrices and a given eigen pair, and the membership and copositivity tests
+decide them at one scale (linalg.unit_scale).  The helpers inside the
+modules trust the symmetric float arrays and pairs those entry points make."""
 
 from .cones import (
     MEMBER,

@@ -259,7 +259,10 @@ def _bench_instance(spec: dict, seed_seq) -> np.ndarray:
         inst = gen_planted_qp(n, support, _suite_float(spec, "t"), seed=seed_seq)
         return std_qp_matrix(inst.Q, _suite_float(spec, "gamma", 0.0))
     if kind == "file":
-        return load_matrix(spec["path"])
+        path = spec["path"]
+        if not isinstance(path, str):  # open() takes an int as a descriptor
+            raise ValueError(f"bench field 'path' must be a string, got {path!r}")
+        return load_matrix(path)
     raise ValueError(f"unknown instance kind {kind!r}")
 
 

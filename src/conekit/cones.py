@@ -173,14 +173,12 @@ def build_lp(a: np.ndarray, ep: EigenPair, family: str, capped=False) -> Detecti
 def check_membership_lp(
     a: np.ndarray, ep: EigenPair, family: str, capped=False
 ) -> MembershipVerdict:
-    """Solve the family LP for a given factorization of A and assemble the
+    """Solve the family LP for a factorization ep of A and assemble the
     witness on success: S = R R^T with R = V sqrt(y), PSD by construction,
-    and N = A - S.  The witness holds for any pair; the pair is checked
-    against A so that the LP is the paper's G, F+ or F+- test of A.  A
-    capped LP (see build_lp) gives the same verdict, and its alpha_star is
-    min(alpha*, max(alpha0, 0))."""
-    if ep.reconstruction_residual(a) > 1e-6:
-        raise ValueError("eigen pair does not reconstruct the input matrix")
+    and N = A - S.  The witness holds for any basis, so ep is not checked
+    here: the pairs the package builds are A's by construction, and
+    check_membership checks a caller's.  A capped LP (see build_lp) gives
+    the same verdict, and its alpha_star is min(alpha*, max(alpha0, 0))."""
     tag = family if ep.orthogonal else family + "_hat"
     prog = build_lp(a, ep, family, capped=capped)
     sol = lpmod.solve(prog)
@@ -196,18 +194,11 @@ def check_membership_lp(
     )
 
 
-def psd_split(a: np.ndarray, ep: EigenPair | None = None):
-    """Split A = A_plus - A_minus, both PSD, by clipping negative
-    eigenvalues of ep, a decomposition P diag(lam) P^T of A (an orthogonal
-    one is computed when not given).  Returns (A_plus, A_minus).  A_minus is
-    PSD only if ep reconstructs A, so a given pair is checked against A."""
-    if ep is None:
-        ep = eigen_decompose(a)
-    elif ep.reconstruction_residual(a) > 1e-6:
-        raise ValueError("eigen pair does not reconstruct the input matrix")
-    lam_plus = np.maximum(ep.lam, 0.0)
-    a_plus = (ep.P * lam_plus) @ ep.P.T
-    a_plus = (a_plus + a_plus.T) / 2.0
+def psd_split(a: np.ndarray, ep: EigenPair):
+    """Split A = A_plus - A_minus by clipping the negative eigenvalues of ep,
+    a decomposition P diag(lam) P^T of A.  Returns (A_plus, A_minus), both
+    PSD when ep reconstructs A, as the callers' pairs do."""
+    a_plus = EigenPair(ep.P, np.maximum(ep.lam, 0.0)).reconstruct()
     return a_plus, a_plus - a
 
 
@@ -219,9 +210,9 @@ def in_L_bomze(a: np.ndarray, ep: EigenPair | None = None) -> MembershipVerdict:
     y = 0; when the per-coordinate curvature inequalities hold at x, A is
     certified copositive.  No S + N witness is claimed.  An unbounded dual
     means no such x exists, and the test cannot identify A.  ep, when given,
-    is a decomposition of A, as psd_split takes and checks it.
+    is an orthogonal decomposition of A, else A is decomposed here.
     """
-    a_plus, a_minus = psd_split(a, ep)
+    a_plus, a_minus = psd_split(a, ep or eigen_decompose(a))
     prog = lpmod.LinearProgram(np.ones(len(a)), a_plus, 1.0)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
@@ -246,19 +237,23 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
 def check_membership(
     a: np.ndarray, cone: str, ep: EigenPair | None = None
 ) -> MembershipVerdict:
-    """Test A against one cone of CONE_ORDER.
+    """Test A against one cone of CONE_ORDER, at linalg.unit_scale's scale.
 
-    The LP families build their basis from ep when it is given (e.g. a
-    non-orthogonal pair for the hat variants), else from an orthogonal
-    decomposition of A.  The L test clips the eigenvalues of ep when it is
-    orthogonal, else of its own orthogonal decomposition; either pair is
-    checked against A.  The other cones ignore ep.  A is decided at
-    linalg.unit_scale's scale.
+    A given pair ep is checked here, the one place a caller's pair enters,
+    for every cone: P must be n x n with n eigenvalues, and P diag(lam) P^T
+    must reconstruct A within 1e-6 max|A|, or ValueError.  The LP families
+    build their basis from ep (a non-orthogonal one gives the hat variants),
+    else from an orthogonal decomposition of A, as the L test does unless ep
+    is orthogonal; the other cones ignore ep.
     """
     _check_cones([cone])
     a, k = unit_scale(as_sym_matrix(a))
     if ep is not None:
+        if np.shape(ep.P) != a.shape or np.shape(ep.lam) != a.shape[:1]:
+            raise ValueError(f"eigen pair needs a {a.shape} P and {len(a)} eigenvalues")
         ep = EigenPair(ep.P, np.ldexp(ep.lam, k), ep.orthogonal)
+        if not ep.reconstruction_residual(a) <= 1e-6:  # NaN fails too
+            raise ValueError("eigen pair does not reconstruct the input matrix")
     return _unscale(_dispatch(a, cone, ep), k)
 
 

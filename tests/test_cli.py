@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import shlex
 import subprocess
@@ -16,7 +17,7 @@ from conekit.cli import (
     main,
     write_records,
 )
-from conekit.linalg import format_matrix
+from conekit.linalg import format_matrix, load_matrix
 
 M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
 M2 = np.array([[1.0, 5.0, -2.0], [5.0, 1.0, -2.0], [-2.0, -2.0, 4.0]])
@@ -207,11 +208,9 @@ def test_usage_errors_exit_1_and_help_exits_0(m1_path):
         assert "usage:" in r.stdout
 
 
-def test_gen_roundtrip(tmp_path):
+def test_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "a.txt"
     assert main(["gen", "spn", "--n", "6", "--seed", "9", "--out", str(out)]) == 0
-    from conekit.linalg import load_matrix
-
     a = load_matrix(out)
     b, _, _ = instances.gen_random_spn(6, 9)
     assert np.allclose(a, b)
@@ -222,6 +221,23 @@ def test_gen_roundtrip(tmp_path):
     ) == 0
     g = instances.load_dimacs(gout)
     assert g.n == 8
+
+    argv = ["gen", "plantedqp", "--n", "6", "--support", "3", "--t", "-2.5",
+            "--seed", "4", "--out", str(out)]
+    assert main(argv) == 0
+    q = instances.gen_planted_qp(6, 3, -2.5, seed=4).Q
+    assert np.array_equal(load_matrix(out), q)  # bit for bit
+
+    argv = ["gen", "gnp", "--n", "9", "--p", "0.2", "--clique", "5",
+            "--seed", "7", "--out", str(gout)]
+    assert main(argv) == 0
+    adj = instances.load_dimacs(gout).adjacency()
+    assert any(all(adj[i, j] for i, j in itertools.combinations(nodes, 2))
+               for nodes in itertools.combinations(range(9), 5))
+
+    capsys.readouterr()
+    assert main(["gen", "spn", "--n", "4", "--seed", "2"]) == 0  # no --out
+    assert capsys.readouterr().out == format_matrix(instances.gen_random_spn(4, 2)[0])
 
 
 def test_runrecord_roundtrip_json_and_csv():
@@ -349,10 +365,37 @@ def test_bench_empty_suite_errors(tmp_path, capsys):
 def test_gen_gnp_rejects_bad_n_and_p(tmp_path, capsys):
     out = tmp_path / "g.col"
     for flags in (["--n", "0"], ["--n", "-3"], ["--n", "5", "--p", "1.7"],
-                  ["--n", "5", "--p", "-0.1"], ["--n", "5", "--p", "nan"]):
+                  ["--n", "5", "--p", "-0.1"], ["--n", "5", "--p", "nan"],
+                  ["--n", "8", "--clique", "20"]):
         assert main(["gen", "gnp", *flags, "--out", str(out)]) == 1, flags
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert ("clique size must lie in [1, n]" in err) == ("--clique" in flags)
         assert not out.exists()
+
+
+def test_bench_file_path_must_be_a_string(tmp_path, m1_path, monkeypatch, capsys):
+    # open() would take 0 or True as a file descriptor, and a list is a
+    # TypeError: the row is refused before any row runs
+    calls = []
+    monkeypatch.setattr(cones, "membership_report",
+                        lambda *args, **kw: calls.append(args) or [])
+    first = {"instance": {"kind": "spn", "n": 4}, "task": "membership", "cone": "H"}
+    for path in (0, True, ["a"]):
+        row = {"instance": {"kind": "file", "path": path}, "cone": "H"}
+        assert main(["bench", _suite(tmp_path, [first, row])]) == 1, path
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        msg = f"bench field 'path' must be a string, got {path!r}"
+        assert captured.err == f"error: {msg}\n"
+    assert calls == []
+    monkeypatch.undo()
+    row = {"instance": {"kind": "file", "path": m1_path}, "cone": "H"}
+    suite = _suite(tmp_path, [row])
+    assert main(["bench", suite, "--format", "json"]) == 0
+    record = json_records(capsys.readouterr().out)[0]
+    assert record["outcome"] == "member"
+    assert record["input_digest"] == cli.matrix_digest(M1)
 
 
 def test_bench_unknown_alg_errors(tmp_path, capsys):

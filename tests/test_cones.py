@@ -395,8 +395,6 @@ def test_check_membership_rejects_wrong_pair():
     # a given pair is trusted only when it reconstructs A within 1e-6 of
     # max(1, max |A|); M1 has max |A| = 6
     ep = eigen_decompose(M1)
-    with pytest.raises(ValueError):
-        cones.check_membership_lp(M2, ep, "G")
     near, far = M1.copy(), M1.copy()
     near[0, 0] += 6e-8
     far[0, 0] += 6e-5
@@ -406,6 +404,30 @@ def test_check_membership_rejects_wrong_pair():
                 cones.check_membership(a, family, ep)
         v = cones.check_membership(near, family, ep)
         assert v.status in (cones.MEMBER, cones.NOT_IDENTIFIED)
+
+
+def test_check_membership_checks_a_given_pair_for_every_cone():
+    # one check at the entry point, whatever the cone: a pair of another
+    # matrix, NaN eigenvalues and a pair with too few columns are refused,
+    # even where the 3 x 2 pair reconstructs its rank-2 matrix
+    hat = m2_hat_pair()
+    all_nan = EigenPair(hat.P, np.full(3, np.nan), orthogonal=False)
+    one_nan = EigenPair(hat.P, np.array([1.0, np.nan, -4.0]), orthogonal=False)
+    hat2 = EigenPair(hat.P[:, :2], hat.lam[:2], orthogonal=False)
+    rank2 = hat2.reconstruct()
+    lam, q = np.linalg.eigh(rank2)
+    orth2 = EigenPair(q[:, 1:], lam[1:])  # eigh's lam[0] is the zero
+    assert max(hat2.reconstruction_residual(rank2),
+               orth2.reconstruction_residual(rank2)) <= 1e-12
+    bad = [(M2, eigen_decompose(M1)), (M2, all_nan), (M2, one_nan),
+           (rank2, hat2), (rank2, orth2)]
+    for cone in cones.CONE_ORDER:
+        for a, pair in bad:
+            with pytest.raises(ValueError, match="eigen pair"):
+                cones.check_membership(a, cone, pair)
+        for pair in (hat, eigen_decompose(M2)):
+            v = cones.check_membership(M2, cone, pair)
+            assert v.status in (cones.MEMBER, cones.NOT_IDENTIFIED)
 
 
 def test_witness_is_sound_for_a_pair_inside_the_tolerance():
@@ -546,16 +568,17 @@ def test_psd_split_examples():
     rng = np.random.default_rng(2)
     b = rng.normal(size=(3, 3))
     psd = b @ b.T
-    a_plus, a_minus = cones.psd_split(psd)
+    a_plus, a_minus = cones.psd_split(psd, eigen_decompose(psd))
     assert np.allclose(a_plus, psd, atol=1e-9)
     assert np.allclose(a_minus, 0.0, atol=1e-9)
 
-    a_plus, a_minus = cones.psd_split(np.diag([1.0, -2.0]))
+    d = np.diag([1.0, -2.0])
+    a_plus, a_minus = cones.psd_split(d, eigen_decompose(d))
     assert np.allclose(a_plus, np.diag([1.0, 0.0]), atol=1e-12)
     assert np.allclose(a_minus, np.diag([0.0, 2.0]), atol=1e-12)
 
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    a_plus, _ = cones.psd_split(a)
+    a_plus, _ = cones.psd_split(a, eigen_decompose(a))
     assert np.allclose(a_plus, a, atol=1e-9)
 
 
@@ -610,8 +633,6 @@ def test_l_test_checks_the_pair_it_is_given(monkeypatch):
     # pair of another matrix is refused rather than clipped
     a = np.array([[0.0, -1.0], [-1.0, 0.0]])
     other = eigen_decompose(np.eye(2))
-    with pytest.raises(ValueError, match="does not reconstruct"):
-        cones.psd_split(a, other)
     with pytest.raises(ValueError, match="does not reconstruct"):
         cones.check_membership(a, "L", other)
 

@@ -246,11 +246,19 @@ def test_negative_certificate_on_indefinite():
 def test_overflowed_cell_is_not_removed_by_h():
     # x^T A x < 0 at x = (1/2, 1/2); V^T A V overflows to +-inf at the root,
     # and S = [[inf, -inf], [-inf, inf]] must not pass as PSD.  The partition
-    # itself, since test_copositive scales A down to max|A| in [1, 4) first
+    # itself, since test_copositive scales A down to max|A| in [1, 4) first.
+    # No cell test checks its pair against the cell: an LP family's root
+    # cell fails LinearProgram's finiteness check, once, and is not removed
     a = np.array([[1e308, -1.5e308], [-1.5e308, 1e308]])
-    res, _ = _partition(a, CopoConfig(cone_family="H"), lambda best: 0.0)
-    assert res.outcome == NOT_COPOSITIVE
-    assert res.stats["removals"]["member"] == 0
+    for family in ("N", "H", *cones.LP_FAMILIES):
+        for alg2 in (False, True):
+            cfg = CopoConfig(cone_family=family, use_alg2=alg2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                res, _ = _partition(a, cfg, lambda best: 0.0)
+            assert res.outcome == NOT_COPOSITIVE, (family, alg2)
+            assert res.stats["removals"] == {"member": 0, "member_hat": 0}
+            lp_family = family in cones.LP_FAMILIES
+            assert res.stats["errors"] == ({"ValueError": 1} if lp_family else {})
 
 
 def test_entries_near_the_float_range_are_decided():

@@ -86,6 +86,30 @@ def test_load_dimacs_edge_before_header(tmp_path):
         load_dimacs(p)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("p edge 2 0\np edge 2 0\n", 2, "duplicate problem line"),
+    ("c header\np edge 3\n", 2, "malformed problem line"),
+    ("p graph 3 0\n", 1, "malformed problem line"),
+    ("p edge three 0\n", 1, "non-integer header fields"),
+    ("p edge 0 0\n", 1, "invalid header counts"),
+    ("p edge 3 -1\n", 1, "invalid header counts"),
+    ("p edge 3 1\ne 1 2 3\n", 2, "malformed edge line"),
+    ("p edge 3 1\n\ne 1 x\n", 3, "non-integer endpoints"),
+    ("p edge 3 1\ne 1 4\n", 2, "endpoint out of range (1, 4)"),
+    ("p edge 3 1\ne 0 2\n", 2, "endpoint out of range (0, 2)"),
+    ("p edge 3 0\nx 1 2\n", 2, "unknown record 'x'"),
+    ("c only a comment\n", 0, "missing problem line"),
+    ("", 0, "missing problem line"),
+])
+def test_load_dimacs_names_the_bad_line(tmp_path, text, line, message):
+    p = tmp_path / "bad.col"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_dimacs(p)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_dimacs_roundtrip(tmp_path):
     g = gen_gnp_graph(8, 0.4, seed=5)
     p = tmp_path / "g.col"
@@ -132,6 +156,9 @@ def test_clique_uniform_vector_value():
 
 
 def test_clique_number_examples():
+    assert instances.clique_number(Graph(1, frozenset())) == 1
+    with pytest.raises(ValueError, match="graph must be nonempty"):
+        instances.clique_number(Graph(0, frozenset()))
     assert instances.clique_number(complete_graph(4), fast_cfg()) == 4
     assert instances.clique_number(P3, fast_cfg()) == 2
     tri_plus_iso = Graph(4, frozenset({(0, 1), (0, 2), (1, 2)}))
@@ -270,6 +297,19 @@ def test_qp_optimum_near_the_float_range():
     q = np.array([[1e308, -1e308], [-1e308, 1e308]])
     b = instances.qp_optimum(q, fast_cfg(), eta=0.1)
     assert b.lo <= 0.0 <= b.hi
+
+
+def test_qp_optimum_of_an_offset_qp_converges():
+    # Q + c has the optimum t + c.  Through rounding the hat pair misses a
+    # cell's V^T (A - l E) V by more than 1e-6 at c = 1e10; the pair is not
+    # checked there, so those cells are tested rather than bisected
+    cfg = CopoConfig(max_iterations=3000)
+    for seed in (1, 3):
+        qp = gen_planted_qp(8, 4, -10.0, seed=seed)
+        for c in (1e10, 1e12):
+            b = instances.qp_optimum(qp.Q + c, cfg, eta=0.001)
+            assert b.converged, (seed, c)
+            assert b.lo <= c + qp.t <= b.hi
 
 
 def test_qp_optimum_upper_end_is_attained():

@@ -236,6 +236,16 @@ def test_matrix_text_rejects_malformed(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError):
         load_matrix(p)
+    for text, message in (
+        ("2.5\n1 0\n0 1\n", "first token must be the dimension"),
+        ("0\n", "dimension must be positive, got 0"),
+        ("-1\n1\n", "dimension must be positive, got -1"),
+        ("2\n1 x\nx 1\n", "non-numeric matrix entry"),
+    ):
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_matrix(p)
+        assert str(err.value) == f"{p}: {message}", text
 
 
 def test_runtime_imports_no_scipy():

@@ -25,10 +25,11 @@ def test_fingerprint_prints_its_six_sections():
     assert all(sections), lines
     counts = {m[1]: int(m[2]) for m in sections}
     assert counts == {
-        "partition": 250, "report": 322, "bracket": 10,
+        "partition": 250, "report": 364, "bracket": 12,
         "clique": 6, "lp": 80, "cli": 11,
     }
-    assert "t in [lo, hi]: 10/10" in lines[2]
+    assert lines[1].endswith("refused: 35")  # 5 bad pairs x 7 cones
+    assert "t in [lo, hi]: 12/12" in lines[2]
     assert re.match(r"fingerprint: [\d.]+ s$", r.stderr.strip())
 
 
