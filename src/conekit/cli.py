@@ -115,7 +115,7 @@ def write_records(records, fmt: str, out) -> None:
 def _cone(flag, accepted=CONE_FLAGS) -> str:
     """The library name of a cone flag; a flag outside accepted is an error
     that names the accepted ones."""
-    flag = str(flag).strip()
+    flag = flag.strip()
     if flag not in accepted:
         raise ValueError(f"unknown cone {flag!r}; choose from {','.join(accepted)}")
     return accepted[flag]
@@ -222,47 +222,43 @@ def cmd_gen(args) -> int:
     return EXIT_DECIDED
 
 
-def _suite_object(value, what: str) -> dict:
-    """A suite, a row or an instance; any other JSON value is an error."""
-    if not isinstance(value, dict):
-        raise ValueError(f"bench {what} must be a JSON object, got {value!r}")
-    return value
+# what each kind of bench value must be; a bool is never a number
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          dict: "a JSON object", list: "a JSON list"}
 
 
-def _suite_int(spec: dict, field: str, default: int | None = None) -> int:
-    """An integer field of a bench suite; any other value, a bool or 1.5 say,
-    is an error that names the field."""
-    value = spec[field] if default is None else spec.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"bench field {field!r} must be an integer, got {value!r}")
-    return value
+def _typed(value, kind: type, what: str):
+    """value as kind, a whole number as a float; any other value, a bool or
+    1.5 for an integer say, is an error that names what was read."""
+    whole = kind is float and isinstance(value, int)
+    if isinstance(value, bool) or not (whole or isinstance(value, kind)):
+        raise ValueError(f"bench {what} must be {_KINDS[kind]}, got {value!r}")
+    return float(value) if whole else value
 
 
-def _suite_float(spec: dict, field: str, default: float | None = None) -> float:
-    """A number field of a bench suite, checked as _suite_int checks its own."""
-    value = spec[field] if default is None else spec.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"bench field {field!r} must be a number, got {value!r}")
-    return float(value)
+def _field(spec: dict, name: str, kind: type, default=None):
+    """The field name of a bench suite, row or instance, read by _typed; an
+    absent field is its default, and an error when it has none (None)."""
+    if name in spec:
+        return _typed(spec[name], kind, f"field {name!r}")
+    if default is None:
+        raise ValueError(f"bench field {name!r} is missing")
+    return default
 
 
 def _bench_instance(spec: dict, seed_seq) -> np.ndarray:
-    kind = _suite_object(spec, "field 'instance'")["kind"]
+    kind = _field(spec, "kind", str)
     if kind == "spn":
-        a, _, _ = gen_random_spn(_suite_int(spec, "n"), seed_seq)
-        return a
+        return gen_random_spn(_field(spec, "n", int), seed_seq)[0]
     if kind == "kgamma":
-        n = _suite_int(spec, "n")
-        return max_clique_matrix(complete_graph(n), _suite_float(spec, "gamma"))
+        n = _field(spec, "n", int)
+        return max_clique_matrix(complete_graph(n), _field(spec, "gamma", float))
     if kind == "plantedqp":
-        n, support = _suite_int(spec, "n"), _suite_int(spec, "support")
-        inst = gen_planted_qp(n, support, _suite_float(spec, "t"), seed=seed_seq)
-        return std_qp_matrix(inst.Q, _suite_float(spec, "gamma", 0.0))
+        n, support = _field(spec, "n", int), _field(spec, "support", int)
+        inst = gen_planted_qp(n, support, _field(spec, "t", float), seed=seed_seq)
+        return std_qp_matrix(inst.Q, _field(spec, "gamma", float, 0.0))
     if kind == "file":
-        path = spec["path"]
-        if not isinstance(path, str):  # open() takes an int as a descriptor
-            raise ValueError(f"bench field 'path' must be a string, got {path!r}")
-        return load_matrix(path)
+        return load_matrix(_field(spec, "path", str))
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
@@ -270,32 +266,40 @@ def _bench_request(index: int, row: dict, master: int) -> tuple:
     """A bench row's validated (matrix, task, config) for _record.  Its
     instance draws from the stream of master extended by the row index, so
     any row can be regenerated in isolation."""
-    a = _bench_instance(row["instance"], np.random.SeedSequence([master, index]))
-    config = {"row": index, "task": row.get("task", "membership"),
-              "cone": row.get("cone", "F+-"), "instance": row["instance"]}
+    instance = _field(row, "instance", dict)
+    a = _bench_instance(instance, np.random.SeedSequence([master, index]))
+    config = {"row": index, "task": _field(row, "task", str, "membership"),
+              "cone": _field(row, "cone", str, "F+-"), "instance": instance}
     if config["task"] == "membership":
         return a, _cone(config["cone"]), config
     if config["task"] == "copositive":
         config.update(
-            alg=_suite_int(row, "alg", 2),
-            max_iter=_suite_int(row, "max_iter", CopoConfig.max_iterations),
-            time_limit=_suite_float(row, "time_limit", CopoConfig.time_limit),
+            alg=_field(row, "alg", int, 2),
+            max_iter=_field(row, "max_iter", int, CopoConfig.max_iterations),
+            time_limit=_field(row, "time_limit", float, CopoConfig.time_limit),
         )
         return a, _copo_config(config), config
     raise ValueError(f"unknown task {config['task']!r}")
 
 
-def _expand_suite(suite: dict) -> list:
-    if not isinstance(suite["rows"], list) or not suite["rows"]:
+def _bench_requests(suite: dict, master: int) -> list:
+    """The requests of every row, each row repeat times, indexed in that
+    order; an error names the row by its place in the suite's rows."""
+    rows = _field(suite, "rows", list)
+    if not rows:
         raise ValueError("bench field 'rows' must list at least one row")
-    rows = []
-    for row in suite["rows"]:
-        repeat = _suite_int(_suite_object(row, "row"), "repeat", 1)
-        if repeat < 1:
-            raise ValueError(f"bench field 'repeat' must be at least 1, got {repeat}")
-        base = {k: v for k, v in row.items() if k != "repeat"}
-        rows.extend(dict(base) for _ in range(repeat))
-    return rows
+    requests = []
+    for written, row in enumerate(rows):
+        try:
+            repeat = _field(_typed(row, dict, "row"), "repeat", int, 1)
+            if repeat < 1:
+                raise ValueError(
+                    f"bench field 'repeat' must be at least 1, got {repeat}")
+            for _ in range(repeat):
+                requests.append(_bench_request(len(requests), row, master))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{exc} (row {written})") from exc
+    return requests
 
 
 def _summary_records(records: list) -> list:
@@ -309,26 +313,18 @@ def _summary_records(records: list) -> list:
         bucket["decided"] += r.outcome in DECIDED
     out = []
     for (task, cone, alg), b in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        out.append(
-            RunRecord(
-                command="summary",
-                input_digest="",
-                config={"task": task, "cone": cone, "alg": alg, "runs": b["runs"]},
-                outcome=f"decided={b['decided']}/{b['runs']}",
-                wall_time=b["time"] / b["runs"],
-                seed="",
-            )
-        )
+        config = {"task": task, "cone": cone, "alg": alg, "runs": b["runs"]}
+        out.append(RunRecord("summary", "", config, wall_time=b["time"] / b["runs"],
+                             outcome=f"decided={b['decided']}/{b['runs']}"))
     return out
 
 
 def cmd_bench(args) -> int:
     with open(args.suite) as fh:
-        suite = _suite_object(json.load(fh), "suite")
-    master = args.seed if args.seed is not None else _suite_int(suite, "seed", 0)
-    rows = _expand_suite(suite)
+        suite = _typed(json.load(fh), dict, "suite")
+    master = args.seed if args.seed is not None else _field(suite, "seed", int, 0)
     # every row is validated, its instance too, before the first one runs
-    requests = [_bench_request(i, row, master) for i, row in enumerate(rows)]
+    requests = _bench_requests(suite, master)
     records = [
         _record("bench", a, task, config, f"{master}/{i}")
         for i, (a, task, config) in enumerate(requests)
@@ -414,7 +410,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_ERROR
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

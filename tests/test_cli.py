@@ -386,7 +386,7 @@ def test_bench_file_path_must_be_a_string(tmp_path, m1_path, monkeypatch, capsys
         assert main(["bench", _suite(tmp_path, [first, row])]) == 1, path
         captured = capsys.readouterr()
         assert captured.out == ""
-        msg = f"bench field 'path' must be a string, got {path!r}"
+        msg = f"bench field 'path' must be a string, got {path!r} (row 1)"
         assert captured.err == f"error: {msg}\n"
     assert calls == []
     monkeypatch.undo()
@@ -451,12 +451,64 @@ def test_bench_float_fields_reject_other_values(tmp_path, capsys):
         assert main(["bench", str(p), "--format", "json"]) == 1, bad
         captured = capsys.readouterr()
         assert captured.out == ""
-        msg = f"bench field {field!r} must be a number, got {value!r}"
+        msg = f"bench field {field!r} must be a number, got {value!r} (row 0)"
         assert captured.err == f"error: {msg}\n"
     # a whole number is a number
     p.write_text(json.dumps({"rows": [{**row, "instance": {**k4, "gamma": 5}}]}))
     assert main(["bench", str(p), "--format", "json"]) == 0
     assert '"gamma": 5' in capsys.readouterr().out
+
+
+def test_bench_missing_fields_are_named_with_their_row(
+        tmp_path, m1_path, monkeypatch, capsys):
+    # each required field dropped in turn; a row is named by its place in
+    # rows as written, not by its place after the repeat of the row before
+    calls = []
+    monkeypatch.setattr(cones, "membership_report",
+                        lambda *args, **kw: calls.append(args) or [])
+    first = {"instance": {"kind": "spn", "n": 4}, "cone": "H", "repeat": 3}
+    cases = [("rows", {"seed": 2}, ""),
+             ("instance", {"rows": [first, {"cone": "H"}]}, " (row 1)")]
+    for inst in ({"kind": "spn", "n": 4},
+                 {"kind": "kgamma", "n": 4, "gamma": 4.5},
+                 {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0},
+                 {"kind": "file", "path": m1_path}):
+        for name in inst:
+            dropped = {k: v for k, v in inst.items() if k != name}
+            row = {"instance": dropped, "cone": "H"}
+            cases.append((name, {"rows": [first, row]}, " (row 1)"))
+    p = tmp_path / "suite.json"
+    for name, suite, row in cases:
+        p.write_text(json.dumps(suite))
+        assert main(["bench", str(p), "--format", "json"]) == 1, suite
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bench field {name!r} is missing{row}\n"
+    assert calls == []
+
+
+def test_bench_string_fields_reject_other_values(tmp_path, capsys):
+    spn = {"kind": "spn", "n": 4}
+    for value in (7, None, ["F+-"]):
+        for field, row in (("task", {"instance": spn, "task": value}),
+                           ("cone", {"instance": spn, "cone": value}),
+                           ("kind", {"instance": {**spn, "kind": value}})):
+            assert main(["bench", _suite(tmp_path, [row])]) == 1, row
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            msg = f"bench field {field!r} must be a string, got {value!r} (row 0)"
+            assert captured.err == f"error: {msg}\n"
+
+
+def test_a_key_error_inside_a_command_propagates(m1_path, monkeypatch):
+    # no suite read raises KeyError, so one that escapes a command is a bug
+    # whose traceback should show, not an error line
+    def broken(path):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "load_matrix", broken)
+    with pytest.raises(KeyError):
+        main(["membership", m1_path])
 
 
 def test_bench_malformed_shapes_error(tmp_path, capsys):

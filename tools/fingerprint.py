@@ -42,9 +42,12 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   before that too;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
-  wall_time, or the printed line).  The record config joined later, and
-  moved the digest; it is deterministic here, since no bench row reads a
-  file instance, whose path would differ between runs.
+  wall_time, or the printed line), and on two suites that each miss a
+  required field (exit code and stderr), so a change to the error texts
+  of the bench reader shows.  The record config joined later, and moved
+  the digest, as did the two suites and the stderr of every run; it is
+  deterministic here, since no bench row reads a file instance, whose
+  path would differ between runs.
 
 Run it from the repository root (the run time goes to stderr):
 
@@ -381,6 +384,11 @@ def _cli_runs(tmp: Path) -> list:
                       "gamma": -1.2}, "task": "copositive", "cone": "F+"},
         {"instance": spn5, "task": "copositive", "cone": "N", "max_iter": 3},
     ]}))
+    missing = []
+    for k, instance in enumerate(({"kind": "file"}, {"n": 4})):
+        path = tmp / f"missing{k}.json"
+        path.write_text(json.dumps({"rows": [{"instance": instance}]}))
+        missing.append(["bench", str(path)])
     js = ["--format", "json"]
     return [
         ["membership", spn, *js],
@@ -394,7 +402,7 @@ def _cli_runs(tmp: Path) -> list:
         ["clique", str(graph)],
         ["clique", str(graph), "--cone", "G", "--alg", "1", "--max-iter", "5"],
         ["bench", str(suite), *js],
-    ]
+    ] + missing
 
 
 def cli_section():
@@ -403,8 +411,8 @@ def cli_section():
     with tempfile.TemporaryDirectory() as tmp:
         runs = _cli_runs(Path(tmp))
         for argv in runs:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             text = out.getvalue()
             if text.startswith("{"):  # JSON records
@@ -412,7 +420,7 @@ def cli_section():
                     {k: v for k, v in json.loads(line).items() if k != "wall_time"}
                     for line in text.splitlines()
                 ]
-            _feed(h, [argv[0], code, text])
+            _feed(h, [argv[0], code, text, err.getvalue()])
             exits[f"exit{code}"] += 1
     detail = " ".join(f"{k}={v}" for k, v in sorted(exits.items()))
     return len(runs), h.hexdigest(), detail
