@@ -323,6 +323,8 @@ def cmd_bench(args) -> int:
     with open(args.suite) as fh:
         suite = _typed(json.load(fh), dict, "suite")
     master = args.seed if args.seed is not None else _field(suite, "seed", int, 0)
+    if master < 0:  # SeedSequence's own error would blame row 0
+        raise ValueError(f"bench seed must be at least 0, got {master}")
     # every row is validated, its instance too, before the first one runs
     requests = _bench_requests(suite, master)
     records = [

@@ -73,19 +73,14 @@ def in_H(a: np.ndarray) -> MembershipVerdict:
 
 
 @lru_cache(maxsize=64)
-def _pairs(n: int):
-    """np.triu_indices(n), computed once per n and read-only."""
-    iu, ju = np.triu_indices(n)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
-
-
-@lru_cache(maxsize=64)
 def _sd_index(n: int, family: str):
-    """Read-only (i, j, sign) per basis vector (p_i + sign p_j) / 2: "Fplus" and
-    "minus" (sd_basis's kinds) over the pairs of _pairs, sign -1 off the diagonal
-    for "minus"; "Fpm" is Fplus, then minus's off-diagonal columns."""
-    iu, ju = _pairs(n)
+    """Read-only (i, j, sign) per basis vector (p_i + sign p_j) / 2: "Fplus"
+    and "minus" over the pairs i <= j of np.triu_indices(n), sign -1 off the
+    diagonal for "minus"; "Fpm" is Fplus, then minus's off-diagonal columns.
+    Fplus's i and j are also the detection LP's pair rows."""
+    if family not in ("Fplus", "minus", "Fpm"):
+        raise ValueError(f"unknown LP family {family!r}")
+    iu, ju = np.triu_indices(n)
     off = iu != ju
     sign = np.where((family == "minus") & off, -1.0, 1.0)
     if family == "Fpm":
@@ -95,26 +90,15 @@ def _sd_index(n: int, family: str):
     return iu, ju, sign
 
 
-def sd_basis(p: np.ndarray, kind: str):
-    """Semidefinite basis E_ij = v v^T built from the columns of p, over the
-    pairs i <= j in row-major upper-triangle order: v = (p_i + p_j) / 2, or
-    for kind "minus" v = (p_i - p_j) / 2 off the diagonal.  Returns (i, j, v)
-    with one column of v per pair; for nonsingular p the n(n+1)/2 matrices
-    span the symmetric matrices."""
-    i, j, sign = _sd_index(p.shape[0], "minus" if kind == "minus" else "Fplus")
-    return i, j, (p[:, i] + sign * p[:, j]) / 2.0
-
-
-def _lp_layout(ep: EigenPair, family: str) -> np.ndarray:
-    """Basis vectors of one detection LP: variable k pairs with the basis
-    element vectors[:, k] vectors[:, k]^T: P's columns for G, else one gather
-    of sd_basis's columns through the cached _sd_index table of (n, family)."""
+def sd_basis(p: np.ndarray, family: str) -> np.ndarray:
+    """Semidefinite basis vectors from the columns of p, one column v per LP
+    variable of family, whose basis element is v v^T: p itself for "G", else
+    v = (p_i + sign p_j) / 2 through _sd_index's table.  For nonsingular p the
+    n(n+1)/2 elements of "Fplus" (or of "minus") span the symmetric matrices."""
     if family == "G":
-        return ep.P
-    if family not in ("Fplus", "Fpm"):
-        raise ValueError(f"unknown LP family {family!r}")
-    i, j, sign = _sd_index(ep.n, family)
-    return (ep.P[:, i] + sign * ep.P[:, j]) / 2.0
+        return p
+    i, j, sign = _sd_index(p.shape[0], family)
+    return (p[:, i] + sign * p[:, j]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -154,8 +138,8 @@ def build_lp(a: np.ndarray, ep: EigenPair, family: str, capped=False) -> Detecti
     n(n+1)/2 + 1, so the optimum floor is min(alpha*, max(alpha0, 0)).
     All rows are written into one preallocated constraint matrix and rhs.
     """
-    vectors = _lp_layout(ep, family)
-    iu, ju = _pairs(len(a))
+    vectors = sd_basis(ep.P, family)
+    iu, ju, _ = _sd_index(len(a), "Fplus")
     m, k = iu.size, vectors.shape[1]
     entries = a[iu, ju]
     alpha0 = float(np.min(entries))

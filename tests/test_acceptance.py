@@ -263,8 +263,8 @@ def test_criterion_11_sd_basis_rank():
     ok = True
     for n in range(3, 21):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        for kind in ("plus", "minus"):
-            v = cones.sd_basis(q, kind)[2]
+        for kind in ("Fplus", "minus"):
+            v = cones.sd_basis(q, kind)
             vec = np.array([np.outer(v[:, k], v[:, k]).ravel()
                             for k in range(v.shape[1])])
             ok = ok and np.linalg.matrix_rank(vec) == n * (n + 1) // 2

@@ -487,6 +487,23 @@ def test_bench_missing_fields_are_named_with_their_row(
     assert calls == []
 
 
+def test_bench_seed_must_not_be_negative(tmp_path, monkeypatch, capsys):
+    # the suite's seed and --seed alike are refused before any row is built
+    built = []
+    monkeypatch.setattr(cli, "gen_random_spn",
+                        lambda *args: built.append(args) or (M1,))
+    row = {"instance": {"kind": "spn", "n": 4}, "cone": "H"}
+    p = tmp_path / "suite.json"
+    for seed, suite, flags in ((-1, {"seed": -1, "rows": [row]}, []),
+                               (-5, {"rows": [row]}, ["--seed", "-5"])):
+        p.write_text(json.dumps(suite))
+        assert main(["bench", str(p), *flags]) == 1, seed
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bench seed must be at least 0, got {seed}\n"
+    assert built == []
+
+
 def test_bench_string_fields_reject_other_values(tmp_path, capsys):
     spn = {"kind": "spn", "n": 4}
     for value in (7, None, ["F+-"]):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit import cones, instances, lp
 from conekit.copositivity import bisect
@@ -54,12 +56,12 @@ def test_in_h_examples():
 
 def _basis_matrices(p, kind):
     """The matrices E = v v^T of cones.sd_basis(p, kind), in pair order."""
-    v = cones.sd_basis(p, kind)[2]
+    v = cones.sd_basis(p, kind)
     return [np.outer(v[:, k], v[:, k]) for k in range(v.shape[1])]
 
 
 def test_sd_basis_plus_example():
-    mats = _basis_matrices(np.eye(2), "plus")
+    mats = _basis_matrices(np.eye(2), "Fplus")
     assert len(mats) == 3
     assert np.allclose(mats[0], [[1, 0], [0, 0]])
     assert np.allclose(mats[1], [[0.25, 0.25], [0.25, 0.25]])
@@ -77,7 +79,7 @@ def test_sd_basis_rank():
     rng = np.random.default_rng(4)
     for n in (3, 6, 10):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        for kind in ("plus", "minus"):
+        for kind in ("Fplus", "minus"):
             mats = _basis_matrices(q, kind)
             assert len(mats) == n * (n + 1) // 2
             vec = np.array([m.ravel() for m in mats])
@@ -87,7 +89,7 @@ def test_sd_basis_rank():
 def test_sd_basis_elements_are_psd_rank_one():
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    for kind in ("plus", "minus"):
+    for kind in ("Fplus", "minus"):
         for m in _basis_matrices(q, kind):
             assert np.allclose(m, m.T)
             assert is_psd_cholesky(m)
@@ -116,7 +118,7 @@ def test_build_lp_sizes():
 def _family_bases(p):
     """The semidefinite basis matrices of each LP family, in variable order."""
     n = p.shape[0]
-    plus = _basis_matrices(p, "plus")
+    plus = _basis_matrices(p, "Fplus")
     pairs = zip(*np.triu_indices(n), _basis_matrices(p, "minus"))
     minus = [m for i, j, m in pairs if i < j]
     return {
@@ -153,13 +155,13 @@ def test_build_lp_pair_rows_are_the_sd_basis():
 
 
 def _reference_bases(p):
-    """sd_basis's plus and minus vectors, and each LP family's basis vectors
-    composed from them, computed over np.triu_indices as the formulas read."""
+    """The basis vectors sd_basis should give for G, Fplus, minus and Fpm,
+    computed over np.triu_indices as the formulas read."""
     iu, ju = np.triu_indices(p.shape[0])
     plus = (p[:, iu] + p[:, ju]) / 2.0
     minus = (p[:, iu] + np.where(iu != ju, -1.0, 1.0) * p[:, ju]) / 2.0
     fpm = np.hstack([plus, minus[:, iu != ju]])
-    return {"plus": plus, "minus": minus}, {"G": p, "Fplus": plus, "Fpm": fpm}
+    return {"G": p, "Fplus": plus, "minus": minus, "Fpm": fpm}
 
 
 def test_lp_layout_matches_the_sd_basis():
@@ -175,13 +177,18 @@ def test_lp_layout_matches_the_sd_basis():
         iu, ju = np.triu_indices(n)
         alpha0 = float(np.min(a[iu, ju]))
         for pair in (ep, hat):
-            kinds, layouts = _reference_bases(pair.P)
-            for kind, ref in kinds.items():
-                assert np.array_equal(cones.sd_basis(pair.P, kind)[2], ref)
-            for family, ref in layouts.items():
-                vectors = cones._lp_layout(pair, family)
+            refs = _reference_bases(pair.P)
+            for family, ref in refs.items():
+                vectors = cones.sd_basis(pair.P, family)
                 assert np.array_equal(vectors, ref)
                 assert vectors.flags.f_contiguous == ref.flags.f_contiguous
+            # G <= Fplus <= Fpm by construction: Fplus's diagonal columns are
+            # p's, and Fpm's first n(n+1)/2 columns are Fplus's, bit for bit
+            plus = cones.sd_basis(pair.P, "Fplus")
+            assert np.array_equal(plus[:, iu == ju], pair.P)
+            assert np.array_equal(cones.sd_basis(pair.P, "Fpm")[:, :iu.size], plus)
+            for family in cones.LP_FAMILIES:
+                ref = refs[family]
                 c = np.append(np.zeros(ref.shape[1]), 1.0)
                 lhs = np.column_stack([ref[iu] * ref[ju], np.ones(iu.size)])
                 b = a[iu, ju] - alpha0
@@ -194,7 +201,7 @@ def test_lp_layout_matches_the_sd_basis():
                     assert prog.alpha0 == alpha0
                     assert np.array_equal(prog.vectors, ref)
     with pytest.raises(ValueError, match="unknown LP family"):
-        cones._lp_layout(ep, "minus")
+        cones.sd_basis(ep.P, "F+")
 
 
 def _paper_lp_alpha(optimize, ep, family):
@@ -263,6 +270,39 @@ def test_n_part_is_the_weighted_basis_sum():
             scale = max(1.0, float(np.max(np.abs(expect))))
             assert np.max(np.abs(v.s_part - expect)) <= 1e-12 * scale
             assert np.array_equal(v.n_part, a - v.s_part)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), spn=st.booleans(),
+       flips=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_g_and_fpm_do_not_depend_on_the_eigenvector_signs(n, seed, spn, flips):
+    # G's elements p_i p_i^T do not see a sign, and flipping p_j swaps F+-'s
+    # p_i + p_j and p_i - p_j columns, so any subset of flipped columns keeps
+    # alpha* and the verdict (F+ does not: see the next test)
+    a = instances.gen_random_spn(n, seed)[0] if spn else (
+        np.random.default_rng(seed).normal(size=(n, n)))
+    a = (a + a.T) / 2
+    ep = eigen_decompose(a)
+    flipped = EigenPair(ep.P * np.where(flips[:n], -1.0, 1.0), ep.lam)
+    for family in ("G", "Fpm"):
+        v, w = (cones.check_membership_lp(a, pair, family) for pair in (ep, flipped))
+        assert v.status == w.status
+        assert abs(v.alpha_star - w.alpha_star) <= 1e-9 * np.max(np.abs(a))
+
+
+def test_fplus_depends_on_the_eigenvector_signs():
+    # at n = 2, F+ with one eigenvector flipped pairs p_0 - p_1 in place of
+    # p_0 + p_1: one sign gives G's alpha*, the other F+-'s.  That is why
+    # eigen_decompose fixes each sign, so that one input gets one answer
+    a = np.array([[2.0, -1.0], [-1.0, 6.0]])
+    ep = eigen_decompose(a)
+    alphas = sorted(
+        cones.check_membership_lp(a, EigenPair(ep.P * s, ep.lam), "Fplus").alpha_star
+        for s in ([1.0, 1.0], [1.0, -1.0])
+    )
+    g, fpm = (cones.check_membership_lp(a, ep, f).alpha_star for f in ("G", "Fpm"))
+    assert alphas == pytest.approx([g, fpm], abs=1e-12)
+    assert fpm - g > 0.4
 
 
 def test_membership_diag_nonneg_is_g_member():
@@ -651,13 +691,19 @@ def test_l_test_checks_the_pair_it_is_given(monkeypatch):
 
 
 def test_pair_indices_are_cached_and_read_only():
-    iu, ju = cones._pairs(7)
-    assert cones._pairs(7)[0] is iu
+    iu, ju, _ = cones._sd_index(7, "Fplus")
+    assert cones._sd_index(7, "Fplus")[0] is iu
     expect = np.triu_indices(7)
     assert np.array_equal(iu, expect[0]) and np.array_equal(ju, expect[1])
     with pytest.raises(ValueError):
         iu[0] = 1
-    assert cones.sd_basis(np.eye(7), "plus")[0] is iu
+    for table in cones._sd_index(7, "Fpm"):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    # sd_basis gathers through the same cached table
+    hits = cones._sd_index.cache_info().hits
+    cones.sd_basis(np.eye(7), "Fplus")
+    assert cones._sd_index.cache_info().hits == hits + 1
 
 
 def test_diag_dominance_examples():
