@@ -32,24 +32,24 @@ from .instances import (
     plant_clique,
     std_qp_matrix,
 )
-from .linalg import format_matrix, load_matrix
+from .linalg import as_sym_matrix, format_matrix, load_matrix
 
 EXIT_DECIDED = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 # user-facing cone flags and their library names, in cones.CONE_ORDER
-CONE_FLAGS = {
-    "N": "N",
-    "DD": "DD",
-    "H": "H",
-    "G": "G",
-    "F+": "Fplus",
-    "F+-": "Fpm",
-    "L": "L",
-}
+_SPELLINGS = {"Fplus": "F+", "Fpm": "F+-"}  # the two flags that differ
+CONE_FLAGS = {_SPELLINGS.get(c, c): c for c in cones.CONE_ORDER}
 # the flags a partition (copositive, clique, qpbound, bench rows) accepts
 PARTITION_FLAGS = {k: v for k, v in CONE_FLAGS.items() if v in copositivity.FAMILIES}
+# CopoConfig's defaults under a request config's names (the argparse dests)
+PARTITION_DEFAULTS = {
+    "cone": _SPELLINGS.get(CopoConfig.cone_family, CopoConfig.cone_family),
+    "alg": 2 if CopoConfig.use_alg2 else 1,
+    "max_iter": CopoConfig.max_iterations,
+    "time_limit": CopoConfig.time_limit,
+}
 # the outcomes that settle a request's question
 DECIDED = (cones.MEMBER, copositivity.COPOSITIVE, copositivity.NOT_COPOSITIVE)
 
@@ -267,17 +267,16 @@ def _bench_request(index: int, row: dict, master: int) -> tuple:
     instance draws from the stream of master extended by the row index, so
     any row can be regenerated in isolation."""
     instance = _field(row, "instance", dict)
-    a = _bench_instance(instance, np.random.SeedSequence([master, index]))
+    seeds = np.random.SeedSequence([master, index])
+    a = as_sym_matrix(_bench_instance(instance, seeds))
     config = {"row": index, "task": _field(row, "task", str, "membership"),
-              "cone": _field(row, "cone", str, "F+-"), "instance": instance}
+              "cone": _field(row, "cone", str, PARTITION_DEFAULTS["cone"]),
+              "instance": instance}
     if config["task"] == "membership":
         return a, _cone(config["cone"]), config
     if config["task"] == "copositive":
-        config.update(
-            alg=_field(row, "alg", int, 2),
-            max_iter=_field(row, "max_iter", int, CopoConfig.max_iterations),
-            time_limit=_field(row, "time_limit", float, CopoConfig.time_limit),
-        )
+        for name, kind in (("alg", int), ("max_iter", int), ("time_limit", float)):
+            config[name] = _field(row, name, kind, PARTITION_DEFAULTS[name])
         return a, _copo_config(config), config
     raise ValueError(f"unknown task {config['task']!r}")
 
@@ -351,10 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def partition_flags(p):
-        p.add_argument("--cone", default="F+-")
-        p.add_argument("--alg", type=int, choices=(1, 2), default=2)
-        p.add_argument("--max-iter", type=int, default=CopoConfig.max_iterations)
-        p.add_argument("--time-limit", type=float, default=CopoConfig.time_limit)
+        p.add_argument("--cone")
+        p.add_argument("--alg", type=int, choices=(1, 2))
+        p.add_argument("--max-iter", type=int)
+        p.add_argument("--time-limit", type=float)
+        p.set_defaults(**PARTITION_DEFAULTS)
 
     def record_flags(p, default_format):
         p.add_argument(
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("membership", help="per-cone membership report")
     p.add_argument("matrix")
-    p.add_argument("--cone", default="N,DD,H,G,F+,F+-,L")
+    p.add_argument("--cone", default=",".join(CONE_FLAGS))
     record_flags(p, "table")
     p.set_defaults(func=cmd_membership)
 

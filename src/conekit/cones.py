@@ -224,18 +224,19 @@ def check_membership(
     """Test A against one cone of CONE_ORDER, at linalg.unit_scale's scale.
 
     A given pair ep is checked here, the one place a caller's pair enters,
-    for every cone: P must be n x n with n eigenvalues, and P diag(lam) P^T
-    must reconstruct A within 1e-6 max|A|, or ValueError.  The LP families
-    build their basis from ep (a non-orthogonal one gives the hat variants),
-    else from an orthogonal decomposition of A, as the L test does unless ep
-    is orthogonal; the other cones ignore ep.
+    for every cone: P and lam must read as an n x n and an n-long float array,
+    and P diag(lam) P^T must reconstruct A within 1e-6 max|A|, or ValueError.
+    The LP families build their basis from ep (a non-orthogonal one gives the
+    hat variants), else from an orthogonal decomposition of A, as the L test
+    does unless ep is orthogonal; the other cones ignore ep.
     """
     _check_cones([cone])
     a, k = unit_scale(as_sym_matrix(a))
     if ep is not None:
-        if np.shape(ep.P) != a.shape or np.shape(ep.lam) != a.shape[:1]:
+        p, lam = np.asarray(ep.P, dtype=float), np.asarray(ep.lam, dtype=float)
+        if p.shape != a.shape or lam.shape != a.shape[:1]:
             raise ValueError(f"eigen pair needs a {a.shape} P and {len(a)} eigenvalues")
-        ep = EigenPair(ep.P, np.ldexp(ep.lam, k), ep.orthogonal)
+        ep = EigenPair(p, np.ldexp(lam, k), ep.orthogonal)
         if not ep.reconstruction_residual(a) <= 1e-6:  # NaN fails too
             raise ValueError("eigen pair does not reconstruct the input matrix")
     return _unscale(_dispatch(a, cone, ep), k)
@@ -252,6 +253,8 @@ def _unscale(v: MembershipVerdict, k: int) -> MembershipVerdict:
 
 def _check_cones(cones) -> None:
     """Reject any name outside CONE_ORDER before any work is done."""
+    if isinstance(cones, str):
+        raise ValueError(f"cones must be a list of cone names, got {cones!r}")
     unknown = set(cones) - set(CONE_ORDER)
     if unknown:
         raise ValueError(f"unknown cones: {sorted(unknown)}")

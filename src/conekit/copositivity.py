@@ -95,8 +95,6 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
     decided at linalg.unit_scale's scale.
     """
     a = as_sym_matrix(a)
-    if a.shape[0] < 2:
-        raise ValueError("copositivity test needs dimension >= 2")
     return _partition(unit_scale(a)[0], cfg or CopoConfig(), lambda best: 0.0)[0]
 
 

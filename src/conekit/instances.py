@@ -139,8 +139,6 @@ def clique_number(g: Graph, cfg: CopoConfig | None = None) -> int | None:
     """
     if g.n < 1:
         raise ValueError("graph must be nonempty")
-    if g.n == 1:
-        return 1
     form = 1.0 - g.adjacency()
     res, best = _partition(
         form,

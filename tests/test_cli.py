@@ -398,6 +398,36 @@ def test_bench_file_path_must_be_a_string(tmp_path, m1_path, monkeypatch, capsys
     assert record["input_digest"] == cli.matrix_digest(M1)
 
 
+def test_bench_unknown_kind_and_task_error(tmp_path, capsys):
+    spn = {"kind": "spn", "n": 4}
+    for row, msg in (({"instance": {"kind": "grid", "n": 4}},
+                      "unknown instance kind 'grid'"),
+                     ({"instance": spn, "task": "solve"}, "unknown task 'solve'")):
+        assert main(["bench", _suite(tmp_path, [row])]) == 1, row
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {msg} (row 0)\n"
+
+
+def test_bench_non_finite_instance_is_refused_before_any_row_runs(
+        tmp_path, monkeypatch, capsys):
+    # json reads NaN and Infinity; std_qp_matrix checks Q, not Q - gamma E
+    calls = []
+    monkeypatch.setattr(cones, "membership_report",
+                        lambda *args, **kw: calls.append(args) or [])
+    first = {"instance": {"kind": "spn", "n": 4}, "cone": "H"}
+    qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
+    for inst in ({"kind": "kgamma", "n": 4, "gamma": float("nan")},
+                 *({**qp, "gamma": g} for g in (float("nan"), float("inf"),
+                                                -float("inf")))):
+        row = {"instance": inst, "cone": "H"}
+        assert main(["bench", _suite(tmp_path, [first, row])]) == 1, inst
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix entries must be finite (row 1)\n"
+    assert calls == []
+
+
 def test_bench_unknown_alg_errors(tmp_path, capsys):
     for alg in (0, 3):
         row = {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},

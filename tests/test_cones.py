@@ -470,6 +470,26 @@ def test_check_membership_checks_a_given_pair_for_every_cone():
             assert v.status in (cones.MEMBER, cones.NOT_IDENTIFIED)
 
 
+def test_check_membership_takes_a_pair_given_as_lists():
+    # a pair of lists gives the array pair's verdicts bit for bit; a ragged
+    # or non-numeric pair is a ValueError, not an AttributeError
+    def fields(v):
+        return (v.status, v.cone, v.alpha_star, v.note,
+                None if v.s_part is None else (v.s_part.tobytes(), v.n_part.tobytes()))
+
+    for pair in (m2_hat_pair(), eigen_decompose(M2)):
+        listed = EigenPair(pair.P.tolist(), pair.lam.tolist(), pair.orthogonal)
+        for cone in cones.CONE_ORDER:
+            assert fields(cones.check_membership(M2, cone, listed)) == fields(
+                cones.check_membership(M2, cone, pair)), cone
+    ragged = EigenPair([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0])
+    text = EigenPair([["a", "b", "c"]] * 3, [1.0, 1.0, 1.0])
+    for cone in cones.CONE_ORDER:
+        for pair in (ragged, text):
+            with pytest.raises(ValueError):
+                cones.check_membership(M2, cone, pair)
+
+
 def test_witness_is_sound_for_a_pair_inside_the_tolerance():
     # a pair with every lambda moved by 4e-7 max|A| passes the 1e-6 pair
     # check; S = R R^T is built from the LP's y alone, so it stays PSD, and
@@ -507,6 +527,14 @@ def test_check_membership_rejects_unknown_cone_before_any_work(monkeypatch):
             cones.check_membership(M1, name)
         assert str(exc.value) == message == f"unknown cones: {[name]}"
     assert calls == []
+
+
+def test_membership_report_rejects_a_string_of_cones():
+    # a string would be read letter by letter: "H" would pass by accident
+    for name in ("Fpm", "DD", "H"):
+        with pytest.raises(ValueError) as exc:
+            cones.membership_report(M2, name)
+        assert str(exc.value) == f"cones must be a list of cone names, got {name!r}"
 
 
 def test_lp_iteration_limit_is_not_member(monkeypatch):

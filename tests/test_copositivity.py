@@ -8,6 +8,7 @@ import pytest
 from conekit import cones, instances, lp
 from conekit.copositivity import (
     COPOSITIVE,
+    FAMILIES,
     INCONCLUSIVE,
     NOT_COPOSITIVE,
     CopoConfig,
@@ -386,6 +387,19 @@ def test_form_above_is_the_exact_value_rounded_up():
     assert _form_above(clique_form, start) >= 0.25
 
 
-def test_needs_dimension_two():
-    with pytest.raises(ValueError):
-        run_copositive(np.array([[1.0]]))
+def test_one_by_one_is_decided_at_the_root():
+    # the partition serves n = 1 too: its root cell decides, with no error
+    for entry, outcome in ((1.0, COPOSITIVE), (0.0, COPOSITIVE),
+                           (1e308, COPOSITIVE), (-1.0, NOT_COPOSITIVE),
+                           (-1e-300, NOT_COPOSITIVE)):
+        for family in FAMILIES:
+            for alg2 in (False, True):
+                cfg = CopoConfig(cone_family=family, use_alg2=alg2)
+                res = run_copositive(np.array([[entry]]), cfg)
+                assert res.outcome == outcome, (entry, family, alg2)
+                assert res.stats["iterations"] == 1
+                assert res.stats["errors"] == {}
+                if outcome == NOT_COPOSITIVE:
+                    assert res.certificate.tolist() == [1.0]
+                else:
+                    assert res.certificate is None

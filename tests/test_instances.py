@@ -343,6 +343,24 @@ def test_qp_optimum_validates_its_matrix_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_entry_points_reject_a_matrix_of_bad_shape():
+    entry_points = [
+        cones.membership_report,
+        lambda a: cones.check_membership(a, "Fpm"),
+        copositivity.test_copositive,
+        lambda a: instances.qp_optimum(a, fast_cfg()),
+        lambda a: std_qp_matrix(a, 0.0),
+    ]
+    cases = [(np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+             (np.ones(2), "expected a square matrix, got shape (2,)"),
+             (np.zeros((0, 0)), "matrix dimension must be at least 1")]
+    for run in entry_points:
+        for a, message in cases:
+            with pytest.raises(ValueError) as exc:
+                run(a)
+            assert str(exc.value) == message
+
+
 def test_qp_optimum_planted():
     for seed in range(3):
         inst = gen_planted_qp(6, 3, -10.0, seed=seed)

@@ -80,12 +80,11 @@ from pathlib import Path
 import numpy as np
 
 from conekit import cli, cones, instances, lp
-from conekit.copositivity import CopoConfig, _form_above
+from conekit.copositivity import FAMILIES, CopoConfig, _form_above
 from conekit.copositivity import test_copositive as run_copositive
 from conekit.linalg import EigenPair, format_matrix
 from gitrev import ROOT, extracted
 
-FAMILIES = ("N", "H", "G", "Fplus", "Fpm")
 M2 = np.array([[1.0, 5.0, -2.0], [5.0, 1.0, -2.0], [-2.0, -2.0, 4.0]])
 
 
