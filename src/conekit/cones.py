@@ -94,51 +94,35 @@ def sd_basis(p: np.ndarray, family: str) -> np.ndarray:
     """Semidefinite basis vectors from the columns of p, one column v per LP
     variable of family, whose basis element is v v^T: p itself for "G", else
     v = (p_i + sign p_j) / 2 through _sd_index's table.  For nonsingular p the
-    n(n+1)/2 elements of "Fplus" (or of "minus") span the symmetric matrices."""
+    n(n+1)/2 elements of "Fplus" (or of "minus") span the symmetric matrices.
+
+    Sizes: n columns for G, n(n+1)/2 for Fplus and n^2 for Fpm (DD in the
+    basis p).  Counting each y_k >= 0 of build_lp, the paper's cap on
+    omega_k, as one constraint, as the paper does (beta >= 0 is not one of
+    its constraints), gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints."""
     if family == "G":
         return p
     i, j, sign = _sd_index(p.shape[0], family)
     return (p[:, i] + sign * p[:, j]) / 2.0
 
 
-@dataclass(frozen=True)
-class DetectionLp(lpmod.LinearProgram):
-    """A detection LP with what maps its solution y back to the witness:
-    S = sum_k y_k v_k v_k^T over the columns v_k of vectors, and the floor
-    alpha = alpha0 + y[-1] of N = A - S."""
-
-    vectors: np.ndarray
-    alpha0: float
-
-    def __init__(self, c, A, b, vectors, alpha0):
-        super().__init__(c, A, b)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "alpha0", alpha0)
-
-
-def build_lp(a: np.ndarray, ep: EigenPair, family: str, capped=False) -> DetectionLp:
-    """Detection LP for one family: maximize the entrywise floor alpha of
-    N = A - S, S = sum_k y_k v_k v_k^T with y >= 0 over the family's basis
-    vectors v_k (for Fpm, DD in the basis P).  For a pair that reconstructs
-    A it is the paper's LP in y_k = cap_k - omega_k.
+def build_lp(a: np.ndarray, vectors: np.ndarray, capped=False):
+    """Detection LP over the columns v_k of vectors: maximize the entrywise
+    floor alpha of N = A - S, S = sum_k y_k v_k v_k^T with y >= 0.  Over
+    sd_basis of a pair that reconstructs A it is the paper's LP in
+    y_k = cap_k - omega_k.  Returns (LinearProgram, alpha0).
 
     Posed as lp.solve takes it, in y >= 0 and beta >= 0, with one row per
-    pair i <= j:
+    pair i <= j, n(n+1)/2 rows and k + 1 variables:
         sum_k y_k v_k[i] v_k[j] + beta <= A[i, j] - alpha0,
     alpha0 = min A[i, j] over those pairs.  The rhs is >= 0 exactly, since
     alpha0 is the least of those same floats, and the floor is alpha0 +
     beta.  beta >= 0 loses nothing: y = 0, beta = 0 is feasible.
 
-    Sizes: n(n+1)/2 rows and k + 1 variables, with k = n for G, n(n+1)/2
-    for Fplus and n^2 for Fpm.  Counting each y_k >= 0, the paper's cap on
-    omega_k, as one constraint, as the paper does (beta >= 0 is not one of
-    its constraints), gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints.
-
     capped appends the objective row beta <= max(0, -alpha0) as row
     n(n+1)/2 + 1, so the optimum floor is min(alpha*, max(alpha0, 0)).
     All rows are written into one preallocated constraint matrix and rhs.
     """
-    vectors = sd_basis(ep.P, family)
     iu, ju, _ = _sd_index(len(a), "Fplus")
     m, k = iu.size, vectors.shape[1]
     entries = a[iu, ju]
@@ -151,27 +135,28 @@ def build_lp(a: np.ndarray, ep: EigenPair, family: str, capped=False) -> Detecti
     np.subtract(entries, alpha0, out=b[:m])
     if capped:  # the cap row is the objective row itself
         lhs[m], b[m] = c, max(0.0, -alpha0)
-    return DetectionLp(c, lhs, b, vectors, alpha0)
+    return lpmod.LinearProgram(c, lhs, b), alpha0
 
 
 def check_membership_lp(
     a: np.ndarray, ep: EigenPair, family: str, capped=False
 ) -> MembershipVerdict:
-    """Solve the family LP for a factorization ep of A and assemble the
-    witness on success: S = R R^T with R = V sqrt(y), PSD by construction,
-    and N = A - S.  The witness holds for any basis, so ep is not checked
-    here: the pairs the package builds are A's by construction, and
-    check_membership checks a caller's.  A capped LP (see build_lp) gives
-    the same verdict, and its alpha_star is min(alpha*, max(alpha0, 0))."""
+    """Solve build_lp over sd_basis(ep.P, family) for a factorization ep of
+    A and assemble the witness on success: S = R R^T with R = V sqrt(y),
+    PSD by construction, and N = A - S.  The witness holds for any basis,
+    so ep is not checked here: the pairs the package builds are A's by
+    construction, and check_membership checks a caller's.  A capped LP
+    gives the same verdict, and its alpha_star is min(alpha*, max(alpha0, 0))."""
     tag = family if ep.orthogonal else family + "_hat"
-    prog = build_lp(a, ep, family, capped=capped)
+    vectors = sd_basis(ep.P, family)
+    prog, alpha0 = build_lp(a, vectors, capped=capped)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
-    alpha = prog.alpha0 + sol.objective_value
+    alpha = alpha0 + sol.objective_value
     if alpha < -EPS_ALPHA:
         return MembershipVerdict(NOT_IDENTIFIED, tag, alpha_star=alpha)
-    r = prog.vectors * np.sqrt(sol.x[:-1])
+    r = vectors * np.sqrt(sol.x[:-1])
     s_part = r @ r.T  # numpy forms R R^T as one syrk, exactly symmetric
     return MembershipVerdict(
         MEMBER, tag, alpha_star=alpha, s_part=s_part, n_part=a - s_part

@@ -115,7 +115,10 @@ def format_dimacs(g: Graph) -> str:
 
 
 def max_clique_matrix(g: Graph, gamma: float) -> np.ndarray:
-    """The clique-detection matrix gamma * (E - adjacency) - E."""
+    """The clique-detection matrix gamma * (E - adjacency) - E; a non-finite
+    gamma is refused before it meets the adjacency's zeros."""
+    if not np.isfinite(gamma):
+        raise ValueError("matrix entries must be finite")
     e = np.ones((g.n, g.n))
     return gamma * (e - g.adjacency()) - e
 

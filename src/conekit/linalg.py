@@ -90,15 +90,15 @@ def eigen_decompose(a: np.ndarray) -> EigenPair:
     return EigenPair(rows.T, lam[order], True)
 
 
-def is_psd_cholesky(a: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """PSD test by one LAPACK Cholesky factorization of A + tol * scale * I,
+def is_psd_cholesky(a: np.ndarray) -> bool:
+    """PSD test by one LAPACK Cholesky factorization of A + PSD_TOL * scale * I,
     scale = max(1, max diagonal entry): True iff it succeeds with a finite
-    factor, that is iff no eigenvalue of A lies below -tol * scale, up to
+    factor, that is iff no eigenvalue of A lies below -PSD_TOL * scale, up to
     rounding; a NaN or infinite entry fails.  Never raises for a symmetric
     float input."""
     scale = max(1.0, float(np.max(np.diag(a))))
     try:
-        factor = np.linalg.cholesky(a + tol * scale * np.eye(a.shape[0]))
+        factor = np.linalg.cholesky(a + PSD_TOL * scale * np.eye(a.shape[0]))
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(np.isfinite(factor)))  # LAPACK lets NaN through

@@ -428,6 +428,16 @@ def test_bench_non_finite_instance_is_refused_before_any_row_runs(
     assert calls == []
 
 
+def test_bench_infinite_kgamma_is_one_error_line(tmp_path, capsys):
+    # gamma * (E - adjacency) would multiply inf by zeros and warn
+    for gamma in (float("inf"), -float("inf")):
+        row = {"instance": {"kind": "kgamma", "n": 4, "gamma": gamma}}
+        assert main(["bench", _suite(tmp_path, [row])]) == 1, gamma
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix entries must be finite (row 0)\n"
+
+
 def test_bench_unknown_alg_errors(tmp_path, capsys):
     for alg in (0, 3):
         row = {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},

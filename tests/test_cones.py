@@ -107,7 +107,7 @@ def test_build_lp_sizes():
             ("Fplus", n * (n + 1) // 2 + 1, n * (n + 1)),
             ("Fpm", n * n + 1, n * (3 * n + 1) // 2),
         ):
-            prog = cones.build_lp(a, ep, family)
+            prog, _ = cones.build_lp(a, cones.sd_basis(ep.P, family))
             assert prog.n_vars == nvars
             assert prog.n_rows == n * (n + 1) // 2
             # each cap is one constraint, as the paper counts them, here the
@@ -134,13 +134,10 @@ def test_build_lp_pair_rows_are_the_sd_basis():
         p = rng.normal(size=(n, n))
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        for ep in (
-            EigenPair(p, rng.normal(size=n), orthogonal=False),
-            eigen_decompose(a),
-        ):
+        for basis in (p, eigen_decompose(a).P):
             iu, ju = np.triu_indices(n)
-            for family, mats in _family_bases(ep.P).items():
-                prog = cones.build_lp(a, ep, family)
+            for family, mats in _family_bases(basis).items():
+                prog, alpha0 = cones.build_lp(a, cones.sd_basis(basis, family))
                 k = len(mats)
                 assert prog.n_vars == k + 1
                 pairs = np.column_stack([m[iu, ju] for m in mats])
@@ -149,8 +146,8 @@ def test_build_lp_pair_rows_are_the_sd_basis():
                 assert np.array_equal(prog.c, np.append(np.zeros(k), 1.0))
                 # the rhs is A's own upper triangle, whatever the pair, measured
                 # from alpha0, its least entry, so b >= 0 exactly
-                assert prog.alpha0 == np.min(a[iu, ju])
-                assert np.array_equal(prog.b, a[iu, ju] - prog.alpha0)
+                assert alpha0 == np.min(a[iu, ju])
+                assert np.array_equal(prog.b, a[iu, ju] - alpha0)
                 assert np.min(prog.b) == 0.0
 
 
@@ -171,22 +168,20 @@ def test_lp_layout_matches_the_sd_basis():
     for n in range(1, 17):
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        ep = eigen_decompose(a)
-        hat = EigenPair(np.ascontiguousarray(rng.normal(size=(n, n))), ep.lam,
-                        orthogonal=False)
+        p = eigen_decompose(a).P
         iu, ju = np.triu_indices(n)
         alpha0 = float(np.min(a[iu, ju]))
-        for pair in (ep, hat):
-            refs = _reference_bases(pair.P)
+        for basis in (p, np.ascontiguousarray(rng.normal(size=(n, n)))):
+            refs = _reference_bases(basis)
             for family, ref in refs.items():
-                vectors = cones.sd_basis(pair.P, family)
+                vectors = cones.sd_basis(basis, family)
                 assert np.array_equal(vectors, ref)
                 assert vectors.flags.f_contiguous == ref.flags.f_contiguous
             # G <= Fplus <= Fpm by construction: Fplus's diagonal columns are
             # p's, and Fpm's first n(n+1)/2 columns are Fplus's, bit for bit
-            plus = cones.sd_basis(pair.P, "Fplus")
-            assert np.array_equal(plus[:, iu == ju], pair.P)
-            assert np.array_equal(cones.sd_basis(pair.P, "Fpm")[:, :iu.size], plus)
+            plus = cones.sd_basis(basis, "Fplus")
+            assert np.array_equal(plus[:, iu == ju], basis)
+            assert np.array_equal(cones.sd_basis(basis, "Fpm")[:, :iu.size], plus)
             for family in cones.LP_FAMILIES:
                 ref = refs[family]
                 c = np.append(np.zeros(ref.shape[1]), 1.0)
@@ -195,13 +190,14 @@ def test_lp_layout_matches_the_sd_basis():
                 for capped in (False, True):
                     if capped:
                         lhs, b = np.vstack([lhs, c]), np.append(b, max(0.0, -alpha0))
-                    prog = cones.build_lp(a, pair, family, capped=capped)
+                    prog, floor = cones.build_lp(
+                        a, cones.sd_basis(basis, family), capped=capped
+                    )
                     assert np.array_equal(prog.A, lhs) and prog.A.flags.c_contiguous
                     assert np.array_equal(prog.b, b) and np.array_equal(prog.c, c)
-                    assert prog.alpha0 == alpha0
-                    assert np.array_equal(prog.vectors, ref)
+                    assert floor == alpha0
     with pytest.raises(ValueError, match="unknown LP family"):
-        cones.sd_basis(ep.P, "F+")
+        cones.sd_basis(p, "F+")
 
 
 def _paper_lp_alpha(optimize, ep, family):
@@ -248,7 +244,8 @@ def test_detection_lp_alpha_matches_highs():
                     assert abs(verdict.alpha_star - ref) <= 1e-7 * max(1.0, abs(ref))
                     checked += 1
                     if n == 16:
-                        sol = lp.solve(cones.build_lp(mat, pair, family))
+                        vectors = cones.sd_basis(pair.P, family)
+                        sol = lp.solve(cones.build_lp(mat, vectors)[0])
                         refactorized += sol.refactorizations > 0
     assert checked == 288
     assert refactorized > 0
@@ -265,7 +262,8 @@ def test_n_part_is_the_weighted_basis_sum():
         for family, mats in _family_bases(ep.P).items():
             v = cones.check_membership_lp(a, ep, family)
             assert v.is_member
-            y = lp.solve(cones.build_lp(a, ep, family)).x[: len(mats)]
+            prog, _ = cones.build_lp(a, cones.sd_basis(ep.P, family))
+            y = lp.solve(prog).x[: len(mats)]
             expect = sum(w * m for w, m in zip(y, mats))
             scale = max(1.0, float(np.max(np.abs(expect))))
             assert np.max(np.abs(v.s_part - expect)) <= 1e-12 * scale
@@ -332,6 +330,11 @@ def test_m1_fpm_member_with_witness():
     full = cones.check_membership(M1, "Fpm").witness_residuals(M1)
     res = cones.check_membership(tiny, "Fpm").witness_residuals(tiny)
     assert res == {**full, "n_min": 2.0**-40 * full["n_min"]}
+
+
+def test_not_identified_verdict_has_no_witness_residuals():
+    v = cones.check_membership_lp(M1, eigen_decompose(M1), "G")
+    assert not v.is_member and v.witness_residuals(M1) == {}
 
 
 def test_m2_orthogonal_pair_values():
@@ -552,7 +555,8 @@ def test_fpm_lp_pivot_budget():
     # takes 319-492 pivots on these draws, Dantzig pricing 1839-2524
     for seed in range(3):
         a = instances.gen_random_spn(20, seed)[0]
-        sol = lp.solve(cones.build_lp(a, eigen_decompose(a), "Fpm"))
+        prog, _ = cones.build_lp(a, cones.sd_basis(eigen_decompose(a).P, "Fpm"))
+        sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
         assert sol.iterations <= 800
 
@@ -562,7 +566,7 @@ def test_detection_lps_report_their_pivot_counts():
     ep = eigen_decompose(a)
     long_runs = 0
     for family in cones.LP_FAMILIES:
-        sol = lp.solve(cones.build_lp(a, ep, family))
+        sol = lp.solve(cones.build_lp(a, cones.sd_basis(ep.P, family))[0])
         assert sol.status == lp.OPTIMAL
         assert sol.bland_pivots == 0
         # one refactorization per _REFACTOR_EVERY pivots, plus at most the refine
@@ -616,12 +620,14 @@ def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
                 assert capped.is_member == full.is_member
                 assert capped.cone == full.cone
                 assert pivots[-1] <= pivots[-2]
-                prog = cones.build_lp(a, ep, family, capped=True)
-                cap = max(prog.alpha0, 0.0)
+                prog, alpha0 = cones.build_lp(
+                    a, cones.sd_basis(ep.P, family), capped=True
+                )
+                cap = max(alpha0, 0.0)
                 assert abs(capped.alpha_star - min(full.alpha_star, cap)) <= 1e-12 * scale
                 assert prog.n_rows == n * (n + 1) // 2 + 1
                 assert prog.A[-1].tolist() == prog.c.tolist() == [0.0] * (prog.n_vars - 1) + [1.0]
-                assert prog.b[-1] == max(0.0, -prog.alpha0)
+                assert prog.b[-1] == max(0.0, -alpha0)
                 seen.add(full.is_member)
     assert seen == {True, False}
     # an entrywise nonnegative cell is certified at its alpha0 in one pivot

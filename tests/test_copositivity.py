@@ -175,9 +175,9 @@ def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
     posed = []
     build = cones.build_lp
 
-    def spy(a, ep, family, capped=False):
+    def spy(a, vectors, capped=False):
         posed.append(capped)
-        return build(a, ep, family, capped=capped)
+        return build(a, vectors, capped=capped)
 
     monkeypatch.setattr(cones, "build_lp", spy)
     a = instances.gen_random_spn(6, 0)[0]
@@ -201,14 +201,14 @@ def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
         assert posed and not any(posed)
     # an interior member still reports its alpha* > 0 bit for bit
     ep = eigen_decompose(a)
-    prog = build(a, ep, "Fpm")
-    alpha = prog.alpha0 + lp.solve(prog).objective_value
+    prog, alpha0 = build(a, cones.sd_basis(ep.P, "Fpm"))
+    alpha = alpha0 + lp.solve(prog).objective_value
     assert alpha > 0
     assert cones.check_membership(a, "Fpm").alpha_star == alpha
     fpm = [v for v in cones.membership_report(a) if v.cone == "Fpm"]
     assert [v.alpha_star for v in fpm] == [alpha]
     capped = cones.check_membership_lp(a, ep, "Fpm", capped=True)
-    assert capped.is_member and capped.alpha_star == max(prog.alpha0, 0.0)
+    assert capped.is_member and capped.alpha_star == max(alpha0, 0.0)
 
 
 def test_alg2_tests_the_root_cell_with_the_hat_lp_only():

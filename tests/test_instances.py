@@ -128,6 +128,17 @@ def test_gen_gnp_graph_validation():
     assert len(gen_gnp_graph(5, 1.0, seed=0).edges) == 10
 
 
+def test_gen_random_spn_needs_a_positive_n():
+    with pytest.raises(ValueError, match="n must be positive"):
+        gen_random_spn(0, 0)
+
+
+def test_has_edge_reads_either_order():
+    for i, j in ((0, 1), (1, 2)):
+        assert P3.has_edge(i, j) and P3.has_edge(j, i)
+    assert not P3.has_edge(0, 2) and not P3.has_edge(2, 0)
+
+
 def test_max_clique_matrix_examples():
     assert np.array_equal(
         max_clique_matrix(complete_graph(3), 2.0),
@@ -138,6 +149,13 @@ def test_max_clique_matrix_examples():
     b = max_clique_matrix(P3, 2.0)
     assert np.allclose(np.diag(b), 1.0)
     assert b[0, 1] == -1.0 and b[0, 2] == 1.0
+
+
+def test_max_clique_matrix_refuses_a_non_finite_gamma():
+    # inf would meet the adjacency's zeros as inf * 0, which numpy warns of
+    for gamma in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            max_clique_matrix(complete_graph(4), gamma)
 
 
 def test_clique_uniform_vector_value():

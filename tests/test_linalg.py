@@ -158,7 +158,7 @@ def test_psd_examples():
 
 def test_psd_agrees_with_min_eigenvalue():
     rng = np.random.default_rng(17)
-    tol = 1e-9
+    tol = PSD_TOL
     checked = 0
     for _ in range(300):
         n = int(rng.integers(2, 10))
@@ -168,7 +168,7 @@ def test_psd_agrees_with_min_eigenvalue():
         if abs(lam_min) <= 10 * tol:
             continue
         checked += 1
-        assert is_psd_cholesky(a, tol) == (lam_min > 0)
+        assert is_psd_cholesky(a) == (lam_min > 0)
     assert checked > 200
 
 
@@ -187,8 +187,8 @@ def test_psd_rule_is_no_eigenvalue_below_minus_tol_scale():
             scale = max(1.0, float(np.max(np.diag(a))))
             yield a - c * tol * scale * np.eye(n)
 
-    assert all(is_psd_cholesky(a, tol) for a in draws(0.5))
-    assert not any(is_psd_cholesky(a, tol) for a in draws(2.0))
+    assert all(is_psd_cholesky(a) for a in draws(0.5))
+    assert not any(is_psd_cholesky(a) for a in draws(2.0))
 
 
 def test_congruence_examples():

@@ -24,7 +24,7 @@ def _capped(c, a, b, cap):
 
 def _detect_lp(a, family="Fpm"):
     """The detection LP of one family, posed on A's orthogonal pair."""
-    return cones.build_lp(a, eigen_decompose(a), family)
+    return cones.build_lp(a, cones.sd_basis(eigen_decompose(a).P, family))[0]
 
 
 def test_single_variable_box():
@@ -249,6 +249,21 @@ def test_dual_certifies_the_136_row_detection_lp():
     assert abs(float(prog.b @ sol.dual) - cx) <= 1e-9 * max(1.0, abs(cx))
 
 
+def test_refine_once_keeps_an_optimal_point(monkeypatch):
+    # a negative tolerance makes every OPTIMAL point take the refine branch:
+    # one more refactorization, and x moves by rounding only
+    prog = _detect_lp(gen_random_spn(16, 0)[0])
+    plain = lp.solve(prog)
+    monkeypatch.setattr(lp, "DEFAULT_FEAS_TOL", -1.0)
+    refined = lp.solve(prog)
+    assert plain.status == refined.status == lp.OPTIMAL
+    assert refined.iterations == plain.iterations
+    assert refined.refactorizations == plain.refactorizations + 1
+    assert np.max(np.abs(refined.x - plain.x)) <= 1e-10
+    assert np.all(refined.x >= 0.0)
+    assert prog.constraint_violation(refined.x) <= 1e-8
+
+
 def test_determinism():
     rng = np.random.default_rng(9)
     n = 5
@@ -266,7 +281,7 @@ def test_repeated_136_row_solves_are_identical_and_leave_the_lp_alone():
     # updates and two refactorizations in the per-solve workspace
     prog = _detect_lp(gen_random_spn(16, 0)[0])
     assert prog.n_rows == 136
-    before = {k: getattr(prog, k).tobytes() for k in ("c", "A", "b", "vectors")}
+    before = {k: getattr(prog, k).tobytes() for k in ("c", "A", "b")}
     s1, s2 = lp.solve(prog), lp.solve(prog)
     assert s1.status == s2.status == lp.OPTIMAL
     assert s1.refactorizations == s2.refactorizations >= 2

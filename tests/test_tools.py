@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conekit.cones import membership_report
-from conekit.instances import gen_random_spn
+from conekit.instances import gen_planted_qp, gen_random_spn, qp_optimum
 
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 LAYERTRACE = FINGERPRINT.parents[1] / "perfbench" / "layertrace.py"
@@ -163,18 +163,37 @@ def test_gitrev_removes_the_tree_when_sigterm_ends_the_process():
     assert not tree.exists()
 
 
+def _layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    return layertrace
+
+
 def test_tracer_counts_the_rows_of_each_lp_solve():
     # the benchmark's tracer wraps lp.solve and lp._to_standard_form by name:
     # a detect-style report at n = 6 solves three 21-row detection LPs and
     # the 6-row L test LP
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
+    layertrace = _layertrace()
     with layertrace.Tracer() as tracer:
         tracer.run_instance(0, membership_report, gen_random_spn(6, 0)[0])
     metrics = layertrace.layer_metrics(tracer.spans)
     assert metrics["lp.solve.calls"] == 4
     assert metrics["lp.rows_per_solve"] == (3 * 21 + 6) / 4
+
+
+def test_tracer_reads_the_hat_pair_of_a_partition_cell():
+    # a qpbound-style bracket poses its cell LP through check_membership_lp
+    # on a hat pair, which the tracer reads as the call's second argument
+    layertrace = _layertrace()
+    with layertrace.Tracer() as tracer:
+        tracer.run_instance(0, qp_optimum, gen_planted_qp(8, 4, -10.0, seed=0).Q)
+    metrics = layertrace.layer_metrics(tracer.spans)
+    assert metrics["cones.build_lp.calls"] == metrics["cones.check_lp.calls"] == 1
+    assert metrics["lp.solve.calls"] == 1
+    name, attrs = layertrace.NAME, layertrace.ATTRS
+    checks = [s[attrs] for s in tracer.spans if s[name] == "cones.check_lp"]
+    assert checks == [{"member": True, "hat": True}]
 
 
 def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
