@@ -204,6 +204,8 @@ def cmd_qpbound(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.seed < 0:  # numpy's own error names no flag
+        raise ValueError(f"gen seed must be at least 0, got {args.seed}")
     if args.kind == "spn":
         payload = format_matrix(gen_random_spn(args.n, args.seed)[0])
     elif args.kind == "plantedqp":

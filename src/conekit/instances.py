@@ -218,6 +218,8 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
     """
     if not (1 <= support_size <= n):
         raise ValueError("support_size must lie in [1, n]")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(n, size=support_size, replace=False))
     x_star = np.zeros(n)

@@ -36,9 +36,9 @@ DEFAULT_FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 50  # degenerate pivots before switching to Bland's rule
 _REFACTOR_EVERY = 100
+_PIVOTS_PER_SIZE = 50  # the pivot budget is this times (rows + vars + 2)
 
 
-@dataclass(frozen=True)
 class LinearProgram:
     """maximize c . y  subject to  A y <= b  and  y >= 0.
 
@@ -46,10 +46,6 @@ class LinearProgram:
     construction; solve() also raises when an entry of b is negative, since
     it starts at y = 0.
     """
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
 
     def __init__(self, c, A, b):
         c = np.asarray(c, dtype=float)
@@ -64,9 +60,7 @@ class LinearProgram:
         b = np.broadcast_to(np.asarray(b, dtype=float), (a.shape[0],)).copy()
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("constraint coefficients and rhs must be finite")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "b", b)
+        self.c, self.A, self.b = c, a, b
 
     @property
     def n_vars(self) -> int:
@@ -289,16 +283,16 @@ class _Simplex:
         return self.c[self.basis] @ self.Binv  # t = 0 at OPTIMAL
 
 
-def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
-    """Solve the LP; deterministic for a fixed input and a fixed OpenBLAS
-    thread count.  Raises ValueError when an entry of b is negative."""
-    if max_iters is None:
-        max_iters = 50 * (lp.n_rows + lp.n_vars + 2)
+def solve(lp: LinearProgram) -> LpSolution:
+    """Solve the LP within _PIVOTS_PER_SIZE * (rows + vars + 2) pivots;
+    deterministic for a fixed input and a fixed OpenBLAS thread count.
+    Raises ValueError when an entry of b is negative."""
+    budget = _PIVOTS_PER_SIZE * (lp.n_rows + lp.n_vars + 2)
     lp, infeasible = _to_standard_form(lp)
     if infeasible:
         raise ValueError("b has a negative entry, so y = 0 is infeasible")
     spx = _Simplex(lp.A, lp.b, lp.c)
-    sol = LpSolution(spx.solve(max_iters))
+    sol = LpSolution(spx.solve(budget))
     if sol.status == OPTIMAL:
         sol.x = spx.primal()
         # refine once if rounding pushed the point slightly outside

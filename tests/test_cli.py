@@ -374,6 +374,34 @@ def test_gen_gnp_rejects_bad_n_and_p(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_plantedqp_refuses_a_non_finite_t(tmp_path, capsys):
+    # the file of a non-finite t would hold nan or inf rows, which
+    # load_matrix refuses; the generator refuses the t instead
+    out = tmp_path / "q.txt"
+    for t in ("nan", "inf", "-inf"):
+        for where in ([], ["--out", str(out)]):
+            assert main(["gen", "plantedqp", "--n", "3", f"--t={t}", *where]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: t must be finite, got {float(t)}\n"
+            assert not out.exists()
+
+
+def test_gen_seed_must_not_be_negative(tmp_path, monkeypatch, capsys):
+    # refused with the flag's name before any generator draws
+    drawn = []
+    for name in ("gen_random_spn", "gen_planted_qp", "gen_gnp_graph"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: drawn.append(args))
+    out = tmp_path / "a.txt"
+    for kind in ("spn", "plantedqp", "gnp"):
+        assert main(["gen", kind, "--n", "4", "--seed", "-1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gen seed must be at least 0, got -1\n"
+        assert not out.exists()
+    assert drawn == []
+
+
 def test_bench_file_path_must_be_a_string(tmp_path, m1_path, monkeypatch, capsys):
     # open() would take 0 or True as a file descriptor, and a list is a
     # TypeError: the row is refused before any row runs

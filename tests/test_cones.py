@@ -288,6 +288,23 @@ def test_g_and_fpm_do_not_depend_on_the_eigenvector_signs(n, seed, spn, flips):
         assert abs(v.alpha_star - w.alpha_star) <= 1e-9 * np.max(np.abs(a))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       order=st.permutations(range(8)))
+def test_verdicts_do_not_depend_on_the_order_of_the_rows(n, seed, order):
+    # a joint row-and-column permutation Q A Q^T leaves N, DD and H as they
+    # are, and moves the rows of G's and F+-'s eigenvectors, so their LPs
+    # keep alpha*; F+ is left out, since its verdict sees the signs
+    a = instances.gen_random_spn(n, seed)[0]
+    perm = [i for i in order if i < n]
+    b = a[np.ix_(perm, perm)]
+    for cone in ("N", "DD", "H", "G", "Fpm"):
+        v, w = cones.check_membership(a, cone), cones.check_membership(b, cone)
+        assert v.status == w.status, cone
+        if cone in ("G", "Fpm"):
+            assert abs(v.alpha_star - w.alpha_star) <= 1e-9 * np.max(np.abs(a))
+
+
 def test_fplus_depends_on_the_eigenvector_signs():
     # at n = 2, F+ with one eigenvector flipped pairs p_0 - p_1 in place of
     # p_0 + p_1: one sign gives G's alpha*, the other F+-'s.  That is why

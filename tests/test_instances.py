@@ -158,6 +158,13 @@ def test_max_clique_matrix_refuses_a_non_finite_gamma():
             max_clique_matrix(complete_graph(4), gamma)
 
 
+def test_gen_planted_qp_refuses_a_non_finite_t():
+    # t fills every entry of Q through t * E, so Q would be all nan or inf
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            gen_planted_qp(4, 2, t, seed=0)
+
+
 def test_clique_uniform_vector_value():
     # uniform weight on a k-clique evaluates to gamma/k - 1
     g = plant_clique(gen_gnp_graph(7, 0.3, seed=2), 4, seed=3)

@@ -8,10 +8,10 @@ from conekit.instances import complete_graph, gen_random_spn, max_clique_matrix
 from conekit.linalg import eigen_decompose
 
 
-def _solve(c, rows, **kw):
+def _solve(c, rows):
     """Solve max c.y, a y <= b, y >= 0 over (a, b) rows."""
     a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), len(c))
-    return lp.solve(lp.LinearProgram(c, a, [r[1] for r in rows]), **kw)
+    return lp.solve(lp.LinearProgram(c, a, [r[1] for r in rows]))
 
 
 def _capped(c, a, b, cap):
@@ -78,14 +78,16 @@ def test_ratio_test_raises_no_numpy_warning():
     assert sol.status == lp.UNBOUNDED and sol.iterations == 0
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
+    # a budget of 0 pivots per row and variable stops an LP that needs some
     rng = np.random.default_rng(1)
     n, m = 8, 16
     prog = _capped(rng.normal(size=n), rng.normal(size=(m, n)), np.full(m, 0.5), 10.0)
     assert lp.solve(prog).iterations > 1
-    sol = lp.solve(prog, max_iters=1)
+    monkeypatch.setattr(lp, "_PIVOTS_PER_SIZE", 0)
+    sol = lp.solve(prog)
     assert sol.status == lp.ITERATION_LIMIT
-    assert sol.iterations == 1
+    assert sol.iterations == 0 and sol.x is None
 
 
 def _klee_minty(n):

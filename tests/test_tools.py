@@ -26,7 +26,7 @@ def test_fingerprint_prints_its_six_sections():
     counts = {m[1]: int(m[2]) for m in sections}
     assert counts == {
         "partition": 250, "report": 364, "bracket": 12,
-        "clique": 6, "lp": 80, "cli": 13,
+        "clique": 6, "lp": 80, "cli": 15,
     }
     assert lines[1].endswith("refused: 35")  # 5 bad pairs x 7 cones
     assert "t in [lo, hi]: 12/12" in lines[2]

@@ -42,12 +42,13 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   before that too;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
-  wall_time, or the printed line), and on two suites that each miss a
-  required field (exit code and stderr), so a change to the error texts
-  of the bench reader shows.  The record config joined later, and moved
-  the digest, as did the two suites and the stderr of every run; it is
-  deterministic here, since no bench row reads a file instance, whose
-  path would differ between runs.
+  wall_time, or the printed line), on two suites that each miss a
+  required field, and on two gen calls to refuse, a NaN t and a negative
+  seed (exit code and stderr), so a change to the error texts of the
+  bench reader or of gen shows.  The record config joined later, and
+  moved the digest, as did the two suites, the stderr of every run and
+  the two gen calls; it is deterministic here, since no bench row reads a
+  file instance, whose path would differ between runs.
 
 Run it from the repository root (the run time goes to stderr):
 
@@ -310,9 +311,9 @@ def _report_lps(seeds) -> list:
     each s in seeds, caught on their way into lp.solve."""
     progs, solve = [], lp.solve
 
-    def recorded(prog, *args, **kwargs):
+    def recorded(prog):
         progs.append(prog)
-        return solve(prog, *args, **kwargs)
+        return solve(prog)
 
     lp.solve = recorded
     try:
@@ -401,7 +402,10 @@ def _cli_runs(tmp: Path) -> list:
         ["clique", str(graph)],
         ["clique", str(graph), "--cone", "G", "--alg", "1", "--max-iter", "5"],
         ["bench", str(suite), *js],
-    ] + missing
+        *missing,
+        ["gen", "plantedqp", "--n", "3", "--t", "nan"],
+        ["gen", "spn", "--n", "3", "--seed", "-1"],
+    ]
 
 
 def cli_section():
