@@ -69,9 +69,6 @@ class RunRecord:
     seed: str = ""
     generator_id: str = GENERATOR_ID
 
-    def to_obj(self) -> dict:
-        return asdict(self)
-
     # one rule per CSV cell: str fields verbatim, None as an empty cell,
     # everything else as JSON
     def to_csv_row(self) -> list:
@@ -99,7 +96,7 @@ def write_records(records, fmt: str, out) -> None:
             writer.writerow(r.to_csv_row())
     elif fmt == "json":
         for r in records:
-            out.write(json.dumps(r.to_obj(), sort_keys=True) + "\n")
+            out.write(json.dumps(asdict(r), sort_keys=True) + "\n")
     elif fmt == "table":
         for r in records:
             alpha = "" if r.alpha_star is None else f"{r.alpha_star:.6g}"
@@ -146,7 +143,7 @@ def _record(command: str, a, task, config: dict, seed: str = "") -> RunRecord:
         rec.certificate = None if res.certificate is None else list(res.certificate)
         rec.iterations, rec.lp_calls = res.stats["iterations"], res.stats["lp_calls"]
     else:
-        v = cones.membership_report(a, cones=[task])[0]
+        v = cones.check_membership(a, task)
         rec.outcome, rec.alpha_star = v.status, v.alpha_star
         rec.lp_calls = int(task in cones.LP_FAMILIES)
         rec.wall_time = time.monotonic() - started
@@ -323,7 +320,8 @@ def _summary_records(records: list) -> list:
 def cmd_bench(args) -> int:
     with open(args.suite) as fh:
         suite = _typed(json.load(fh), dict, "suite")
-    master = args.seed if args.seed is not None else _field(suite, "seed", int, 0)
+    seed = _field(suite, "seed", int, 0)  # checked even under --seed
+    master = seed if args.seed is None else args.seed
     if master < 0:  # SeedSequence's own error would blame row 0
         raise ValueError(f"bench seed must be at least 0, got {master}")
     # every row is validated, its instance too, before the first one runs

@@ -206,49 +206,15 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
 def check_membership(
     a: np.ndarray, cone: str, ep: EigenPair | None = None
 ) -> MembershipVerdict:
-    """Test A against one cone of CONE_ORDER, at linalg.unit_scale's scale.
-
-    A given pair ep is checked here, the one place a caller's pair enters,
-    for every cone: P and lam must read as an n x n and an n-long float array,
-    and P diag(lam) P^T must reconstruct A within 1e-6 max|A|, or ValueError.
-    The LP families build their basis from ep (a non-orthogonal one gives the
-    hat variants), else from an orthogonal decomposition of A, as the L test
-    does unless ep is orthogonal; the other cones ignore ep.
-    """
-    _check_cones([cone])
-    a, k = unit_scale(as_sym_matrix(a))
-    if ep is not None:
-        p, lam = np.asarray(ep.P, dtype=float), np.asarray(ep.lam, dtype=float)
-        if p.shape != a.shape or lam.shape != a.shape[:1]:
-            raise ValueError(f"eigen pair needs a {a.shape} P and {len(a)} eigenvalues")
-        ep = EigenPair(p, np.ldexp(lam, k), ep.orthogonal)
-        if not ep.reconstruction_residual(a) <= 1e-6:  # NaN fails too
-            raise ValueError("eigen pair does not reconstruct the input matrix")
-    return _unscale(_dispatch(a, cone, ep), k)
-
-
-def _unscale(v: MembershipVerdict, k: int) -> MembershipVerdict:
-    """Map a verdict on 2^k A back to A: alpha*, S and N times 2^-k, exactly."""
-    if v.alpha_star is not None:
-        v.alpha_star = float(np.ldexp(v.alpha_star, -k))
-    if v.s_part is not None:
-        v.s_part, v.n_part = np.ldexp(v.s_part, -k), np.ldexp(v.n_part, -k)
-    return v
-
-
-def _check_cones(cones) -> None:
-    """Reject any name outside CONE_ORDER before any work is done."""
-    if isinstance(cones, str):
-        raise ValueError(f"cones must be a list of cone names, got {cones!r}")
-    unknown = set(cones) - set(CONE_ORDER)
-    if unknown:
-        raise ValueError(f"unknown cones: {sorted(unknown)}")
+    """Test A against one cone of CONE_ORDER: membership_report's rule for
+    [cone], with ep, when given, as the pair (see _report)."""
+    return _report(a, [cone], ep)[0]
 
 
 def _dispatch(
     a: np.ndarray, cone: str, ep: EigenPair | None, capped=False
 ) -> MembershipVerdict:
-    """check_membership on a matrix that as_sym_matrix already returned."""
+    """One cone test on a matrix that as_sym_matrix already returned."""
     if cone == "N":
         if np.min(a) >= 0.0:
             return MembershipVerdict(
@@ -269,23 +235,49 @@ def _dispatch(
 
 
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
-    """Run the selected cone tests in canonical order.
+    """Run the selected cone tests in canonical order (see _report)."""
+    return _report(a, cones, None)
 
-    The LP families and the L test share one orthogonal decomposition, and
-    A is decided at linalg.unit_scale's scale.  A test that raises an
-    ArithmeticError or ValueError (numpy's LinAlgError is one) is recorded
-    as NOT_IDENTIFIED with an "error:" note; other exceptions propagate.
+
+def _report(a: np.ndarray, cones, ep: EigenPair | None) -> list[MembershipVerdict]:
+    """The one body of both entry points.  Cone names outside CONE_ORDER are
+    refused before any work, and A is decided at linalg.unit_scale's scale.
+
+    A given pair ep is checked here, the one place a caller's pair enters:
+    P and lam must read as an n x n and an n-long float array, and
+    P diag(lam) P^T must reconstruct A within 1e-6 max|A|, or ValueError.
+    The LP families and the L test share one pair: ep (a non-orthogonal one
+    gives the hat variants, and L decomposes A itself), else one orthogonal
+    decomposition of A.  A test that raises an ArithmeticError or ValueError
+    (numpy's LinAlgError is one) is recorded as NOT_IDENTIFIED with an
+    "error:" note; other exceptions propagate.  Each verdict is mapped back
+    to A exactly: alpha*, S and N times 2^-k.
     """
+    if isinstance(cones, str):
+        raise ValueError(f"cones must be a list of cone names, got {cones!r}")
+    wanted = set(cones)  # read once: cones may be an iterator
+    unknown = wanted - set(CONE_ORDER)
+    if unknown:
+        raise ValueError(f"unknown cones: {sorted(unknown)}")
     a, k = unit_scale(as_sym_matrix(a))
-    _check_cones(cones)
+    if ep is not None:
+        p, lam = np.asarray(ep.P, dtype=float), np.asarray(ep.lam, dtype=float)
+        if p.shape != a.shape or lam.shape != a.shape[:1]:
+            raise ValueError(f"eigen pair needs a {a.shape} P and {len(a)} eigenvalues")
+        ep = EigenPair(p, np.ldexp(lam, k), ep.orthogonal)
+        if not ep.reconstruction_residual(a) <= 1e-6:  # NaN fails too
+            raise ValueError("eigen pair does not reconstruct the input matrix")
     verdicts = []
-    ep = None
-    for cone in (c for c in CONE_ORDER if c in set(cones)):
+    for cone in (c for c in CONE_ORDER if c in wanted):
         try:
             if ep is None and cone in (*LP_FAMILIES, "L"):
                 ep = eigen_decompose(a)
             v = _dispatch(a, cone, ep)
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
             v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
-        verdicts.append(_unscale(v, k))
+        if v.alpha_star is not None:
+            v.alpha_star = float(np.ldexp(v.alpha_star, -k))
+        if v.s_part is not None:
+            v.s_part, v.n_part = np.ldexp(v.s_part, -k), np.ldexp(v.n_part, -k)
+        verdicts.append(v)
     return verdicts

@@ -38,6 +38,8 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"graph size n must be at least 1, got {self.n}")
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"invalid edge ({i}, {j}) for {self.n} nodes")
@@ -140,8 +142,6 @@ def clique_number(g: Graph, cfg: CopoConfig | None = None) -> int | None:
     itself would stall.  On completion 1/best <= omega <= k, so omega = k.
     Returns None if the partition ends inconclusive.
     """
-    if g.n < 1:
-        raise ValueError("graph must be nonempty")
     form = 1.0 - g.adjacency()
     res, best = _partition(
         form,

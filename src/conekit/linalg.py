@@ -58,10 +58,6 @@ class EigenPair:
     lam: np.ndarray
     orthogonal: bool = True
 
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         a = (self.P * self.lam) @ self.P.T
         return (a + a.T) / 2.0

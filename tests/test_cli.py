@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -265,7 +266,7 @@ def test_runrecord_roundtrip_json_and_csv():
         wall_time=0.5,
     )
     for r in (rec, empty):
-        assert RunRecord(**json.loads(json.dumps(r.to_obj()))) == r
+        assert RunRecord(**json.loads(json.dumps(asdict(r)))) == r
 
     buf = io.StringIO()
     write_records([rec, empty], "csv", buf)
@@ -406,8 +407,8 @@ def test_bench_file_path_must_be_a_string(tmp_path, m1_path, monkeypatch, capsys
     # open() would take 0 or True as a file descriptor, and a list is a
     # TypeError: the row is refused before any row runs
     calls = []
-    monkeypatch.setattr(cones, "membership_report",
-                        lambda *args, **kw: calls.append(args) or [])
+    monkeypatch.setattr(cones, "check_membership",
+                        lambda *args, **kw: calls.append(args))
     first = {"instance": {"kind": "spn", "n": 4}, "task": "membership", "cone": "H"}
     for path in (0, True, ["a"]):
         row = {"instance": {"kind": "file", "path": path}, "cone": "H"}
@@ -441,8 +442,8 @@ def test_bench_non_finite_instance_is_refused_before_any_row_runs(
         tmp_path, monkeypatch, capsys):
     # json reads NaN and Infinity; std_qp_matrix checks Q, not Q - gamma E
     calls = []
-    monkeypatch.setattr(cones, "membership_report",
-                        lambda *args, **kw: calls.append(args) or [])
+    monkeypatch.setattr(cones, "check_membership",
+                        lambda *args, **kw: calls.append(args))
     first = {"instance": {"kind": "spn", "n": 4}, "cone": "H"}
     qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
     for inst in ({"kind": "kgamma", "n": 4, "gamma": float("nan")},
@@ -464,6 +465,17 @@ def test_bench_infinite_kgamma_is_one_error_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: matrix entries must be finite (row 0)\n"
+
+
+def test_bench_kgamma_size_must_be_positive(tmp_path, capsys):
+    # the graph refuses its size before numpy or as_sym_matrix sees it
+    for n in (-1, 0):
+        row = {"instance": {"kind": "kgamma", "n": n, "gamma": 1.5}}
+        assert main(["bench", _suite(tmp_path, [row])]) == 1, n
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        msg = f"graph size n must be at least 1, got {n} (row 0)"
+        assert captured.err == f"error: {msg}\n"
 
 
 def test_bench_unknown_alg_errors(tmp_path, capsys):
@@ -532,8 +544,8 @@ def test_bench_missing_fields_are_named_with_their_row(
     # each required field dropped in turn; a row is named by its place in
     # rows as written, not by its place after the repeat of the row before
     calls = []
-    monkeypatch.setattr(cones, "membership_report",
-                        lambda *args, **kw: calls.append(args) or [])
+    monkeypatch.setattr(cones, "check_membership",
+                        lambda *args, **kw: calls.append(args))
     first = {"instance": {"kind": "spn", "n": 4}, "cone": "H", "repeat": 3}
     cases = [("rows", {"seed": 2}, ""),
              ("instance", {"rows": [first, {"cone": "H"}]}, " (row 1)")]
@@ -570,6 +582,19 @@ def test_bench_seed_must_not_be_negative(tmp_path, monkeypatch, capsys):
         assert captured.out == ""
         assert captured.err == f"error: bench seed must be at least 0, got {seed}\n"
     assert built == []
+
+
+def test_bench_suite_seed_is_checked_under_a_seed_flag(tmp_path, capsys):
+    # --seed replaces the suite's seed, but a seed of the wrong kind is
+    # still an error, as every other field of the wrong kind is
+    row = {"instance": {"kind": "spn", "n": 4}, "cone": "H"}
+    p = tmp_path / "suite.json"
+    p.write_text(json.dumps({"seed": "x", "rows": [row]}))
+    for flags in ([], ["--seed", "1"]):
+        assert main(["bench", str(p), *flags]) == 1, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bench field 'seed' must be an integer, got 'x'\n"
 
 
 def test_bench_string_fields_reject_other_values(tmp_path, capsys):
@@ -615,8 +640,8 @@ def test_bench_validates_every_row_before_running(tmp_path, monkeypatch, capsys)
     def counted(name, run):
         return lambda *args, **kwargs: calls.append(name) or run(*args, **kwargs)
 
-    monkeypatch.setattr(cones, "membership_report",
-                        counted("membership", cones.membership_report))
+    monkeypatch.setattr(cones, "check_membership",
+                        counted("membership", cones.check_membership))
     monkeypatch.setattr(cli, "test_copositive",
                         counted("copositive", cli.test_copositive))
     k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}

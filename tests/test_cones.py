@@ -204,7 +204,7 @@ def _paper_lp_alpha(optimize, ep, family):
     """alpha* of the paper's unshifted detection LP, solved by HiGHS:
     max alpha  s.t.  sum_k omega_k E_k >= alpha entrywise (i <= j),
     omega_k <= lambda_i on the (i, i) terms and <= 0 on the rest."""
-    n = ep.n
+    n = ep.P.shape[0]
     mats = _family_bases(ep.P)[family]
     iu, ju = np.triu_indices(n)
     caps = np.zeros(len(mats))
@@ -532,8 +532,8 @@ def test_witness_is_sound_for_a_pair_inside_the_tolerance():
 
 
 def test_check_membership_rejects_unknown_cone_before_any_work(monkeypatch):
-    # "F+-" is the CLI's flag, not a library name: check_membership rejects it
-    # with membership_report's message before it validates or decomposes A
+    # "F+-" is the CLI's flag, not a library name: both entry points reject
+    # it with one message before they validate or decompose A
     messages = {}
     for name in ("F+-", "Fminus"):
         with pytest.raises(ValueError) as exc:
@@ -546,6 +546,8 @@ def test_check_membership_rejects_unknown_cone_before_any_work(monkeypatch):
         with pytest.raises(ValueError) as exc:
             cones.check_membership(M1, name)
         assert str(exc.value) == message == f"unknown cones: {[name]}"
+        with pytest.raises(ValueError, match="unknown cones"):
+            cones.membership_report(M1, cones=["H", name])
     assert calls == []
 
 
@@ -555,6 +557,9 @@ def test_membership_report_rejects_a_string_of_cones():
         with pytest.raises(ValueError) as exc:
             cones.membership_report(M2, name)
         assert str(exc.value) == f"cones must be a list of cone names, got {name!r}"
+    # any other iterable of names is read once, a generator too
+    picked = cones.membership_report(M2, (c for c in ("H", "N")))
+    assert [v.cone for v in picked] == ["N", "H"]
 
 
 def test_lp_iteration_limit_is_not_member(monkeypatch):
@@ -797,15 +802,20 @@ def test_membership_report_records_numerical_errors_only(monkeypatch):
 
         return fail
 
+    # both entry points keep the one rule: check_membership too
+    entries = (cones.membership_report,
+               lambda a: [cones.check_membership(a, c) for c in cones.LP_FAMILIES])
     monkeypatch.setattr(cones, "check_membership_lp", fail_with(FloatingPointError))
-    verdicts = cones.membership_report(M1)
-    failed = [v for v in verdicts if v.note == "error: injected"]
-    assert [v.cone for v in failed] == list(cones.LP_FAMILIES)
-    assert not any(v.is_member for v in failed)
+    for entry in entries:
+        verdicts = entry(M1)
+        failed = [v for v in verdicts if v.note == "error: injected"]
+        assert [v.cone for v in failed] == list(cones.LP_FAMILIES)
+        assert all(v.status == cones.NOT_IDENTIFIED for v in failed)
     # a TypeError is a bug in the program, not a verdict
     monkeypatch.setattr(cones, "check_membership_lp", fail_with(TypeError))
-    with pytest.raises(TypeError, match="injected"):
-        cones.membership_report(M1)
+    for entry in entries:
+        with pytest.raises(TypeError, match="injected"):
+            entry(M1)
 
 
 T = np.array([[1.0, -2.0], [-2.0, 1.0]])  # x = (1/2, 1/2) gives -1/2

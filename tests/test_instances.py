@@ -182,8 +182,11 @@ def test_clique_uniform_vector_value():
 
 def test_clique_number_examples():
     assert instances.clique_number(Graph(1, frozenset())) == 1
-    with pytest.raises(ValueError, match="graph must be nonempty"):
-        instances.clique_number(Graph(0, frozenset()))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            Graph(n, frozenset())
+    with pytest.raises(ValueError, match="got -1"):
+        complete_graph(-1)
     assert instances.clique_number(complete_graph(4), fast_cfg()) == 4
     assert instances.clique_number(P3, fast_cfg()) == 2
     tri_plus_iso = Graph(4, frozenset({(0, 1), (0, 2), (1, 2)}))
