@@ -2,7 +2,7 @@
 PSD-plus-nonnegative cone, and simplicial-partition copositivity testing.
 
 The names exported here are the entry points: they validate their input
-matrices and a given eigen pair, and the membership and copositivity tests
+matrices and a given eigen pair, and the membership tests and the partition
 decide them at one scale (linalg.unit_scale).  The helpers inside the
 modules trust the symmetric float arrays and pairs those entry points make."""
 

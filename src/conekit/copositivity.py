@@ -13,6 +13,7 @@ simplex QP and the clique number (see instances).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,16 +92,14 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
     "copositive" requires the worklist to empty with every simplex removed by
     a sound certificate; "not_copositive" always carries a simplex vertex at
     which the quadratic form is strictly negative; "inconclusive" names its
-    reason (a budget, or an edge too short to bisect) in the stats.  A is
-    decided at linalg.unit_scale's scale.
+    reason (a budget, or an edge too short to bisect) in the stats.
     """
-    a = as_sym_matrix(a)
-    return _partition(unit_scale(a)[0], cfg or CopoConfig(), lambda best: 0.0)[0]
+    return _partition(as_sym_matrix(a), cfg or CopoConfig(), lambda best: 0.0)[0]
 
 
 def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
     """Certify x^T A x >= level(best) on the standard simplex, for a matrix
-    that as_sym_matrix already returned.
+    that as_sym_matrix already returned, decided at linalg.unit_scale's scale.
 
     best is the lowest raw value seen: at `start` first, when given (see
     _form_above), then at one vertex of each cell, picked off the congruence
@@ -114,6 +113,10 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
     that raises an ArithmeticError or ValueError is counted in
     stats["errors"] and the cell is bisected.  Returns (CopoResult, best).
     """
+    a, k = unit_scale(a)  # level and the returned best keep the caller's units
+    # x^T A x > -4 at the scale 2^k, so a level below -8 there is raised to -8
+    floor, caller_level = -8.0 * 2.0**-k, level  # -inf where that overflows
+    level = lambda best: math.ldexp(max(caller_level(math.ldexp(best, -k)), floor), k)
     n = a.shape[0]
     family = cfg.cone_family
     alg2 = cfg.use_alg2 and family in cones.LP_FAMILIES
@@ -142,7 +145,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
             "reason": reason,
             "errors": dict(errors),
         }
-        return CopoResult(outcome, certificate, stats), best
+        return CopoResult(outcome, certificate, stats), math.ldexp(best, -k)
 
     while worklist:
         if iterations >= cfg.max_iterations:

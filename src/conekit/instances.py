@@ -170,6 +170,7 @@ def qp_optimum(
     One partition certifies the level best - eta, best being the lowest value
     at _replicator_start(Q) and the cell vertices, so on completion the
     minimum lies in [best - eta, best]; inconclusive, it lies in [min Q, best].
+    The start is taken on the caller's Q, and eta and the bracket keep its units.
     """
     if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")

@@ -243,23 +243,30 @@ def test_negative_certificate_on_indefinite():
     assert float(v @ a @ v) < 0.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the congruence overflows
 def test_overflowed_cell_is_not_removed_by_h():
-    # x^T A x < 0 at x = (1/2, 1/2); V^T A V overflows to +-inf at the root,
-    # and S = [[inf, -inf], [-inf, inf]] must not pass as PSD.  The partition
-    # itself, since test_copositive scales A down to max|A| in [1, 4) first.
-    # No cell test checks its pair against the cell: an LP family's root
-    # cell fails LinearProgram's finiteness check, once, and is not removed
+    # x^T A x < 0 at x = (1/2, 1/2).  The partition decides A at max|A| in
+    # [1, 4), so it refutes with no failed cell test and no removal
     a = np.array([[1e308, -1.5e308], [-1.5e308, 1e308]])
     for family in ("N", "H", *cones.LP_FAMILIES):
         for alg2 in (False, True):
             cfg = CopoConfig(cone_family=family, use_alg2=alg2)
-            with np.errstate(over="ignore", invalid="ignore"):
-                res, _ = _partition(a, cfg, lambda best: 0.0)
+            res, _ = _partition(a, cfg, lambda best: 0.0)
             assert res.outcome == NOT_COPOSITIVE, (family, alg2)
             assert res.stats["removals"] == {"member": 0, "member_hat": 0}
-            lp_family = family in cones.LP_FAMILIES
-            assert res.stats["errors"] == ({"ValueError": 1} if lp_family else {})
+            assert res.stats["errors"] == {}
+    # unscaled, the root V^T A V overflows to +-inf: S = [[inf, -inf],
+    # [-inf, inf]] must not pass as PSD, and no LP may be posed on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = congruence(a, np.eye(2))
+        assert np.array_equal(root, [[np.inf, -np.inf], [-np.inf, np.inf]])
+        for family in ("N", "H"):
+            verdict = cones._dispatch(root, family, None, capped=True)
+            assert verdict.status == cones.NOT_IDENTIFIED, family
+        hat = eigen_decompose(a)
+        hat = EigenPair(hat.P, hat.lam, orthogonal=False)
+        for family in cones.LP_FAMILIES:
+            with pytest.raises(ValueError, match="coefficients and rhs must be finite"):
+                cones._dispatch(root, family, hat, capped=True)
 
 
 def test_entries_near_the_float_range_are_decided():

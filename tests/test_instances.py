@@ -319,12 +319,38 @@ def test_qp_optimum_zero_matrix():
     assert b.lo - 1e-9 <= 0.0 <= b.hi + 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the cell LPs overflow
 def test_qp_optimum_near_the_float_range():
-    # max Q + 1 - Q would overflow here; the start must stay finite
+    # max Q + 1 - Q would overflow here; the start must stay finite.  The
+    # partition decides Q at max|Q| in [1, 4), so no cell LP overflows and
+    # the root cell certifies the level 0 - eta
     q = np.array([[1e308, -1e308], [-1e308, 1e308]])
     b = instances.qp_optimum(q, fast_cfg(), eta=0.1)
-    assert b.lo <= 0.0 <= b.hi
+    assert (b.lo, b.hi, b.converged) == (-0.1, 0.0, True)
+
+
+def test_qp_optimum_is_sound_at_every_scale():
+    # eta scales with Q, so each bracket must close the same way at every
+    # scale.  Partitioned at the caller's scale, the cell tests' absolute
+    # tolerances certified levels above s t at small s
+    cfg = CopoConfig(max_iterations=3000)
+    scales = [4.0**j for j in range(-30, 31, 10)] + [1e-8, 1e-12]
+    for seed in range(10):
+        qp = gen_planted_qp(8, 4, -10.0, seed=seed)
+        for s in scales:
+            eta = 0.1 * s
+            b = instances.qp_optimum(s * qp.Q, cfg, eta=eta)
+            assert b.converged, (seed, s)
+            assert b.lo <= s * qp.t <= b.hi, (seed, s)
+            assert b.hi - b.lo <= eta * (1 + 1e-12), (seed, s)
+
+
+def test_qp_optimum_with_an_eta_beyond_the_scale_of_q():
+    # at Q's scale 2^994 the level best - 1e10 would overflow; it is raised
+    # to a level below every value of the form, and the root cell holds it
+    qp = gen_planted_qp(8, 4, -10.0, seed=0)
+    b = instances.qp_optimum(1e-300 * qp.Q, fast_cfg(), eta=1e10)
+    assert (b.lo, b.converged) == (-1e10, True)
+    assert 1e-300 * qp.t <= b.hi < 0.0
 
 
 def test_qp_optimum_of_an_offset_qp_converges():
