@@ -9,7 +9,7 @@ emitted metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,10 +38,12 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"graph size n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"graph size n must be at least 1, got {self.n}")
         for i, j in self.edges:
-            if not (0 <= i < j < self.n):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.n):
                 raise ValueError(f"invalid edge ({i}, {j}) for {self.n} nodes")
 
     @property
@@ -56,6 +58,11 @@ class Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
+
+
+def _is_int(v) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def complete_graph(n: int) -> Graph:
@@ -126,7 +133,10 @@ def max_clique_matrix(g: Graph, gamma: float) -> np.ndarray:
 
 
 def std_qp_matrix(q: np.ndarray, gamma: float) -> np.ndarray:
-    """The level-shift matrix Q - gamma * E for the simplex-constrained QP."""
+    """The level-shift matrix Q - gamma * E for the simplex-constrained QP;
+    a non-finite gamma is refused, as max_clique_matrix refuses it."""
+    if not np.isfinite(gamma):
+        raise ValueError("matrix entries must be finite")
     q = as_sym_matrix(q)
     return q - gamma * np.ones_like(q)
 
@@ -174,7 +184,7 @@ def qp_optimum(
     """
     if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
-    q = as_sym_matrix(q)
+    eta, q = float(eta), as_sym_matrix(q)
     res, best = _partition(
         q, cfg or CopoConfig(), lambda best: best - eta, _replicator_start(q)
     )

@@ -5,20 +5,22 @@ form the simplex runs, with no translation: b >= 0 makes the slack basis at
 y = 0 feasible, so there is no phase 1.  Pricing is exact steepest edge
 (Forrest & Goldfarb, Math. Program. 1992): the entering column maximizes
 d_j^2 / gamma_j, gamma_j = 1 + |B^-1 w_j|^2, the weights exact at the slack
-basis and carried by their update recurrence.  Only A is stored, not the
-slack identity.  B^-1 is dense, kept as Binv - U V^T: each pivot's rank-1
-update is deferred into thin U, V and folded into Binv by one matrix product
-every 20 pivots (every pivot below 64 rows), a delayed Sherman-Morrison update
-(McDaniel et al., J. Chem. Phys. 2017).  Every 100 pivots Binv is formed
+basis and carried by their update recurrence; a basic column's weight is
+inf, which keeps it out of pricing.  Only A is stored, not the slack
+identity.  B^-1 is dense, kept as Binv - U V^T: each pivot's rank-1 update
+is deferred into thin U, V and folded into Binv by one matrix product every
+20 pivots (every pivot below 64 rows), a delayed Sherman-Morrison update
+(McDaniel et al., J. Chem. Phys. 2017).  Every 400 pivots Binv is formed
 afresh by inverting only the basis kernel, the basic structural columns on
 the rows whose slack is nonbasic (Bisschop & Meeraus, Math. Program. 1977);
-the basic slacks' rows of B^-1 follow from it.  On the small structured
-LPs of the cone membership tests (a few thousand rows at most; not for
-sparse work) a pivot costs numpy calls more than arithmetic, so solve()
-keeps them few: it works in buffers allocated once per call, steps the
-stacked reduced costs and weights by one subtraction, divides the whole
-ratio column and masks it after, and tracks the objective by each pivot's
-gain for the stall check.
+the basic slacks' rows of B^-1 follow from it.  The detection LPs at n = 16
+end before the first refresh, and at n = 30-50 400 was no slower than 100.
+On the small structured LPs of the cone membership tests (a few thousand
+rows at most; not for sparse work) a pivot costs numpy calls more than
+arithmetic, so solve() keeps them few: it works in buffers allocated once
+per call, binds its numpy functions, steps the stacked reduced costs and
+weights by one subtraction, divides the whole ratio column and masks it
+after, and tracks the objective by each pivot's gain for the stall check.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ ITERATION_LIMIT = "iteration_limit"
 DEFAULT_FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 50  # degenerate pivots before switching to Bland's rule
-_REFACTOR_EVERY = 100
+_REFACTOR_EVERY = 400
 _PIVOTS_PER_SIZE = 50  # the pivot budget is this times (rows + vars + 2)
 
 
@@ -126,7 +128,7 @@ class _Simplex:
         # the reduced costs d over the steepest-edge weights gamma_j =
         # 1 + |B^-1 w_j|^2, stacked so one subtraction updates both; gamma
         # is exact at the slack basis and kept across solve() calls
-        self.dg = np.full((2, n + m), 2.0)
+        self.dg = np.full((2, n + m), math.inf)  # a basic column's gamma is inf
         self.dg[1, :n] = 1.0 + np.einsum("ij,ij->j", A, A)
         self.iterations = self.bland_pivots = self.refactorizations = 0
         self.pinv_fallbacks = 0
@@ -175,6 +177,8 @@ class _Simplex:
         at every refactorization and once more before OPTIMAL."""
         m, n, A, basis, U, V = self.m, self.n_struct, self.A, self.basis, self.U, self.V
         d, gamma = dg = self.dg
+        less_equal, multiply, putmask = np.less_equal, np.multiply, np.putmask
+        matmul, divide, maximum = np.matmul, np.divide, np.maximum
         # per-solve workspace: alpha and tau^T W (structural part, then slack
         # part), the step dg takes, the pivot-row correction's coefficients,
         # and u, the scores, ratios and masks, scratch once e and leave are set
@@ -188,18 +192,17 @@ class _Simplex:
         # the ratio test divides by every u_i and masks out u_i <= tol after
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             while self.iterations < max_iters:
-                np.less_equal(d, _PIVOT_TOL, out=unpriced)
-                np.multiply(d, d, out=score)
+                less_equal(d, _PIVOT_TOL, out=unpriced)
+                multiply(d, d, out=score)
                 score /= gamma
-                np.putmask(score, unpriced, -1.0)
-                score[basis] = -1.0
+                putmask(score, unpriced, -1.0)
                 e = int((score > 0.0).argmax() if bland else score.argmax())
                 if score[e] <= 0.0:
                     if fresh:  # drop the jitter: the basis on the true rhs
                         self.b = self.b_true
                         self._fold()
                         self.xB = self.Binv @ self.b
-                        np.maximum(self.xB, 0.0, out=self.xB)
+                        maximum(self.xB, 0.0, out=self.xB)
                         return OPTIMAL
                     d[:], fresh = self._reduced_costs(), True
                     continue
@@ -209,20 +212,20 @@ class _Simplex:
                 t, k, binv, xB = self.t, e - n, self.Binv, self.xB
                 if k < 0:
                     col = A[:, e]
-                    np.matmul(binv, col, out=u)
+                    matmul(binv, col, out=u)
                 else:
                     u[:] = binv[:, k]
                 if t:
                     u -= (V[:t] @ col if k < 0 else V[:t, k]) @ U[:t]
-                np.divide(xB, u, out=ratios)
-                np.less_equal(u, _PIVOT_TOL, out=mask)
-                np.putmask(ratios, mask, math.inf)
+                divide(xB, u, out=ratios)
+                less_equal(u, _PIVOT_TOL, out=mask)
+                putmask(ratios, mask, math.inf)
                 leave = int(ratios.argmin())
                 theta = float(ratios[leave])
                 if theta == math.inf:
                     return UNBOUNDED
                 # of tied rows the largest u leaves, under Bland the lowest index
-                np.less_equal(ratios, theta + 1e-12, out=mask)
+                less_equal(ratios, theta + 1e-12, out=mask)
                 if np.count_nonzero(mask) > 1:
                     ties = mask.nonzero()[0]
                     leave = int(ties[np.argmin(basis[ties] if bland else -u[ties])])
@@ -230,31 +233,32 @@ class _Simplex:
                 # with tau = B^-T u, both on the old basis
                 piv = float(u[leave])
                 slack[0] = binv[leave]
-                np.matmul(u, binv, out=slack[1])
+                matmul(u, binv, out=slack[1])
                 if t:
                     coef[0, :t] = U[:t, leave]
-                    np.matmul(U[:t], u, out=coef[1, :t])
+                    matmul(U[:t], u, out=coef[1, :t])
                     slack -= coef[:, :t] @ V[:t]
-                np.matmul(slack, A, out=rows[:, :n])
+                matmul(slack, A, out=rows[:, :n])
                 alpha /= piv
                 gamma_e, d_e = 1.0 + float(u @ u), float(d[e])
                 # dg -= [alpha d_e; alpha (2 tau_w - gamma_e alpha)], then
                 # gamma = max(gamma, 1 + alpha^2)
                 factors[0, 0], factors[1, 0] = d_e, gamma_e
-                np.multiply(alpha, factors, out=step)
+                multiply(alpha, factors, out=step)
                 tau_w *= 2.0
                 np.subtract(tau_w, s1, out=s1)
                 s1 *= alpha
                 dg -= step
-                np.multiply(alpha, alpha, out=score)
+                multiply(alpha, alpha, out=score)
                 score += 1.0
-                np.maximum(gamma, score, out=gamma)
+                maximum(gamma, score, out=gamma)
                 gamma[basis[leave]] = max(gamma_e / (piv * piv), 1.0)
+                gamma[e] = math.inf
                 fresh = False
-                np.multiply(u, theta, out=ratios)
+                multiply(u, theta, out=ratios)
                 xB -= ratios
                 xB[leave] = theta
-                np.maximum(xB, 0.0, out=xB)
+                maximum(xB, 0.0, out=xB)
                 # B^-1 -= (u - e_leave) (e_leave^T B^-1 / piv), alpha's slack part
                 U[t] = u
                 U[t, leave] -= 1.0

@@ -221,11 +221,12 @@ def _paper_lp_alpha(optimize, ep, family):
     return -ref.fun
 
 
-def test_detection_lp_alpha_matches_highs():
+def test_detection_lp_alpha_matches_highs(monkeypatch):
     # 288 LPs: n = 3..8, 12 and 16, six matrices each (half of them PSD + N
     # members), the three families on the orthogonal pair and on a hat pair
     # (P = V^T eigvecs for V^T A V); at n = 12 and 16 (78 and 136 rows) the
-    # simplex defers its basis updates, and some LPs pass a refactorization
+    # simplex defers its basis updates, and with the refactorization interval
+    # at 100 some n = 16 LPs pass a refactorization
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(4242)
     checked = refactorized = 0
@@ -245,7 +246,9 @@ def test_detection_lp_alpha_matches_highs():
                     checked += 1
                     if n == 16:
                         vectors = cones.sd_basis(pair.P, family)
-                        sol = lp.solve(cones.build_lp(mat, vectors)[0])
+                        with monkeypatch.context() as patched:
+                            patched.setattr(lp, "_REFACTOR_EVERY", 100)
+                            sol = lp.solve(cones.build_lp(mat, vectors)[0])
                         refactorized += sol.refactorizations > 0
     assert checked == 288
     assert refactorized > 0
@@ -583,7 +586,9 @@ def test_fpm_lp_pivot_budget():
         assert sol.iterations <= 800
 
 
-def test_detection_lps_report_their_pivot_counts():
+def test_detection_lps_report_their_pivot_counts(monkeypatch):
+    # an interval below the F+- LP's length, so the count is exercised
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 100)
     a = instances.gen_random_spn(16, 3)[0]
     ep = eigen_decompose(a)
     long_runs = 0

@@ -49,6 +49,20 @@ def test_graph_validation():
         Graph(3, frozenset({(0, 3)}))
 
 
+def test_graph_refuses_a_size_or_endpoint_that_is_not_an_integer():
+    # (0, 1.5) passed and .adjacency() raised numpy's IndexError; n = 2.5
+    # failed later with a TypeError.  A bool is not taken for 0 or 1
+    for n in (2.5, True, 3.0, "3"):
+        with pytest.raises(ValueError, match="graph size n must be an integer"):
+            Graph(n, frozenset())
+    for edge in ((0, 1.5), (0.0, 1), (False, 2), (0, np.float64(2.0))):
+        with pytest.raises(ValueError, match="invalid edge"):
+            Graph(3, frozenset({edge}))
+    # numpy integers, as plant_clique draws its nodes
+    g = Graph(np.int64(3), frozenset({(np.int64(0), np.intp(2))}))
+    assert g.adjacency().tolist() == [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
+
+
 def test_load_dimacs_k3(tmp_path):
     p = tmp_path / "k3.col"
     p.write_text("c comment\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
@@ -299,6 +313,13 @@ def test_std_qp_matrix_examples():
     assert np.array_equal(std_qp_matrix(np.eye(2), 1.0), [[0.0, -1.0], [-1.0, 0.0]])
 
 
+def test_std_qp_matrix_refuses_a_non_finite_gamma():
+    # inf gave [[-inf]] and NaN a NaN matrix, with no error
+    for gamma in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            std_qp_matrix([[1.0]], gamma)
+
+
 def test_qp_optimum_identity():
     b = instances.qp_optimum(np.eye(2), fast_cfg(), eta=0.01)
     assert b.converged
@@ -311,6 +332,14 @@ def test_qp_optimum_rejects_eta_that_is_not_positive_and_finite():
     for eta in (0.0, -0.1, float("nan"), float("inf"), True, "0.1"):
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             instances.qp_optimum(np.eye(2), fast_cfg(), eta=eta)
+
+
+def test_qp_optimum_returns_plain_floats():
+    # a numpy eta made lo a np.float64 while hi was a float
+    for eta in (np.float64(0.1), np.float32(0.25), 0.1):
+        b = instances.qp_optimum(np.eye(2), fast_cfg(), eta=eta)
+        assert type(b.lo) is float and type(b.hi) is float, eta
+        assert b.lo == b.hi - float(eta)
 
 
 def test_qp_optimum_zero_matrix():

@@ -238,9 +238,10 @@ def test_singleton_rows_get_valid_duals():
     assert np.all(sol.dual[[1, 3, 6]] == 0.0)
 
 
-def test_dual_certifies_the_136_row_detection_lp():
+def test_dual_certifies_the_136_row_detection_lp(monkeypatch):
     # the F+- LP of a detect-size matrix, solved through two refactorizations
     # and folds of deferred updates
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 100)  # below its 202 pivots
     prog = _detect_lp(gen_random_spn(16, 0)[0])
     assert prog.n_rows == 136
     sol = lp.solve(prog)
@@ -278,9 +279,10 @@ def test_determinism():
     assert s1.iterations == s2.iterations
 
 
-def test_repeated_136_row_solves_are_identical_and_leave_the_lp_alone():
+def test_repeated_136_row_solves_are_identical_and_leave_the_lp_alone(monkeypatch):
     # the F+- LP of a detect-size matrix runs folds of up to 20 pending
     # updates and two refactorizations in the per-solve workspace
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 100)  # below its 202 pivots
     prog = _detect_lp(gen_random_spn(16, 0)[0])
     assert prog.n_rows == 136
     before = {k: getattr(prog, k).tobytes() for k in ("c", "A", "b")}
@@ -354,9 +356,10 @@ def test_matches_highs_on_random_mixed_lps():
     assert seen == {lp.OPTIMAL, lp.UNBOUNDED}
 
 
-def test_deferred_updates_keep_an_inverse_across_folds():
+def test_deferred_updates_keep_an_inverse_across_folds(monkeypatch):
     # B^-1 = Binv - U[:t]^T V[:t]; at 136 rows up to 20 updates wait to be
     # folded, and the 202 pivots pass two refactorizations
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 100)  # below its 202 pivots
     a = gen_random_spn(16, 0)[0]
     prog = _detect_lp(a)
     spx = lp._Simplex(prog.A, prog.b, prog.c)
@@ -396,6 +399,7 @@ def test_refactorization_inverts_only_the_kernel(monkeypatch):
         assert np.max(np.abs(spx.Binv @ b - np.eye(spx.m))) <= 1e-9
 
     monkeypatch.setattr(lp._Simplex, "_refactorize", checked)
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 100)  # below its 202 pivots
     spx = _fpm_simplex(16)
     assert spx.solve(10_000) == lp.OPTIMAL
     assert spx.refactorizations >= 2 and len(shapes) == spx.refactorizations
@@ -433,6 +437,7 @@ def test_singular_kernel_falls_back_to_pinv_and_is_counted():
 
 
 def test_solution_reports_pinv_fallbacks(monkeypatch):
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 100)  # below its 202 pivots
     a = gen_random_spn(16, 0)[0]
     prog = _detect_lp(a)
     clean = lp.solve(prog)
@@ -446,3 +451,41 @@ def test_solution_reports_pinv_fallbacks(monkeypatch):
     assert sol.status == lp.OPTIMAL
     assert sol.pinv_fallbacks == sol.refactorizations >= 2
     assert abs(sol.objective_value - clean.objective_value) <= 1e-9
+
+
+def test_detect_size_lps_end_before_a_refactorization(monkeypatch):
+    # the G, F+ and F+- LPs at n = 16 (136 rows) finish within the interval,
+    # and refactorizing every 100 pivots takes the same pivots to the same optimum
+    for seed in range(10):
+        a = gen_random_spn(16, seed)[0]
+        for family in cones.LP_FAMILIES:
+            prog = _detect_lp(a, family)
+            sol = lp.solve(prog)
+            assert sol.status == lp.OPTIMAL and sol.refactorizations == 0
+            with monkeypatch.context() as patched:
+                patched.setattr(lp, "_REFACTOR_EVERY", 100)
+                often = lp.solve(prog)
+            assert often.iterations == sol.iterations, (seed, family)
+            obj = sol.objective_value
+            assert abs(often.objective_value - obj) <= 1e-12 * max(1.0, abs(obj))
+
+
+def test_basic_columns_weigh_inf(monkeypatch):
+    # a basic column's steepest-edge weight is inf, so pricing scores it 0;
+    # a nonbasic one's is finite and at least 1, after pivots and refactorizations
+    def check(spx):
+        basic = np.zeros(spx.n_struct + spx.m, dtype=bool)
+        basic[spx.basis] = True
+        assert np.all(spx.dg[1, basic] == np.inf)
+        assert np.all(np.isfinite(spx.dg[1, ~basic]) & (spx.dg[1, ~basic] >= 1.0))
+
+    spx = _fpm_simplex(16)
+    check(spx)
+    assert spx.solve(10_000) == lp.OPTIMAL
+    check(spx)
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 7)
+    spx = _fpm_simplex(16)
+    while spx.solve(spx.iterations + 1) == lp.ITERATION_LIMIT:
+        check(spx)
+    check(spx)
+    assert spx.refactorizations >= 20

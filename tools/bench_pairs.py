@@ -37,7 +37,7 @@ from pathlib import Path
 from gitrev import ROOT, extracted
 
 SIDES = ("parent", "change")
-FPM_SIZES = (10, 20, 30)
+FPM_SIZES = (10, 16, 20, 30)
 # run in a tree's src/: time the one lp.solve that the F+- membership test
 # of gen_random_spn(n, 0) makes, for each n in argv
 FPM_SCRIPT = """
