@@ -150,13 +150,30 @@ def check_membership_lp(
     tag = family if ep.orthogonal else family + "_hat"
     vectors = sd_basis(ep.P, family)
     prog, alpha0 = build_lp(a, vectors, capped=capped)
-    sol = lpmod.solve(prog)
+    return _lp_verdict(a, vectors, lpmod.solve(prog), alpha0, tag)
+
+
+def _fplus_and_fpm(a: np.ndarray, ep: EigenPair) -> list[MembershipVerdict]:
+    """The F+ and F+- verdicts from one simplex: F+'s basis is the first
+    n(n+1)/2 columns of F+-'s, so F+-'s LP with the rest held at 0 is F+'s
+    LP, and lp.solve continues from F+'s optimum to F+-'s."""
+    vectors = sd_basis(ep.P, "Fpm")
+    prog, alpha0 = build_lp(a, vectors)
+    m = len(a) * (len(a) + 1) // 2
+    sol = lpmod.solve(prog, held=range(m, vectors.shape[1]))
+    hat = "" if ep.orthogonal else "_hat"
+    return [_lp_verdict(a, vectors[:, :m], sol.first, alpha0, "Fplus" + hat),
+            _lp_verdict(a, vectors, sol, alpha0, "Fpm" + hat)]
+
+
+def _lp_verdict(a, vectors, sol, alpha0, tag) -> MembershipVerdict:
+    """The verdict of a solved detection LP over the columns of vectors."""
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
     alpha = alpha0 + sol.objective_value
     if alpha < -EPS_ALPHA:
         return MembershipVerdict(NOT_IDENTIFIED, tag, alpha_star=alpha)
-    r = vectors * np.sqrt(sol.x[:-1])
+    r = vectors * np.sqrt(sol.x[: vectors.shape[1]])
     s_part = r @ r.T  # numpy forms R R^T as one syrk, exactly symmetric
     return MembershipVerdict(
         MEMBER, tag, alpha_star=alpha, s_part=s_part, n_part=a - s_part
@@ -248,10 +265,12 @@ def _report(a: np.ndarray, cones, ep: EigenPair | None) -> list[MembershipVerdic
     P diag(lam) P^T must reconstruct A within 1e-6 max|A|, or ValueError.
     The LP families and the L test share one pair: ep (a non-orthogonal one
     gives the hat variants, and L decomposes A itself), else one orthogonal
-    decomposition of A.  A test that raises an ArithmeticError or ValueError
-    (numpy's LinAlgError is one) is recorded as NOT_IDENTIFIED with an
-    "error:" note; other exceptions propagate.  Each verdict is mapped back
-    to A exactly: alpha*, S and N times 2^-k.
+    decomposition of A.  With both Fplus and Fpm wanted, one simplex
+    decides the two (_fplus_and_fpm).  A test that raises an ArithmeticError
+    or ValueError (numpy's LinAlgError is one) is recorded as NOT_IDENTIFIED
+    with an "error:" note, for both cones of the shared simplex; other
+    exceptions propagate.  Each verdict is mapped back to A exactly:
+    alpha*, S and N times 2^-k.
     """
     if isinstance(cones, str):
         raise ValueError(f"cones must be a list of cone names, got {cones!r}")
@@ -267,17 +286,23 @@ def _report(a: np.ndarray, cones, ep: EigenPair | None) -> list[MembershipVerdic
         ep = EigenPair(p, np.ldexp(lam, k), ep.orthogonal)
         if not ep.reconstruction_residual(a) <= 1e-6:  # NaN fails too
             raise ValueError("eigen pair does not reconstruct the input matrix")
+    shared = {"Fplus", "Fpm"} <= wanted  # one simplex decides the two
+    steps = [["Fplus", "Fpm"] if shared and c == "Fplus" else [c]
+             for c in CONE_ORDER if c in wanted and not (shared and c == "Fpm")]
     verdicts = []
-    for cone in (c for c in CONE_ORDER if c in wanted):
+    for step in steps:
         try:
-            if ep is None and cone in (*LP_FAMILIES, "L"):
+            if ep is None and step[0] in (*LP_FAMILIES, "L"):
                 ep = eigen_decompose(a)
-            v = _dispatch(a, cone, ep)
+            found = (_fplus_and_fpm(a, ep) if len(step) == 2
+                     else [_dispatch(a, *step, ep)])
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
-            v = MembershipVerdict(NOT_IDENTIFIED, cone, note=f"error: {exc}")
-        if v.alpha_star is not None:
-            v.alpha_star = float(np.ldexp(v.alpha_star, -k))
-        if v.s_part is not None:
-            v.s_part, v.n_part = np.ldexp(v.s_part, -k), np.ldexp(v.n_part, -k)
-        verdicts.append(v)
+            note = f"error: {exc}"
+            found = [MembershipVerdict(NOT_IDENTIFIED, c, note=note) for c in step]
+        for v in found:
+            if v.alpha_star is not None:
+                v.alpha_star = float(np.ldexp(v.alpha_star, -k))
+            if v.s_part is not None:
+                v.s_part, v.n_part = np.ldexp(v.s_part, -k), np.ldexp(v.n_part, -k)
+        verdicts += found
     return verdicts

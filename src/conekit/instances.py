@@ -38,8 +38,7 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        if not _is_int(self.n):
-            raise ValueError(f"graph size n must be an integer, got {self.n!r}")
+        _check_size("graph size n", self.n)
         if self.n < 1:
             raise ValueError(f"graph size n must be at least 1, got {self.n}")
         for i, j in self.edges:
@@ -65,7 +64,14 @@ def _is_int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def _check_size(what: str, v) -> None:
+    """Refuse a size that _is_int does not accept, with a ValueError naming it."""
+    if not _is_int(v):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
 def complete_graph(n: int) -> Graph:
+    _check_size("graph size n", n)
     return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -197,6 +203,7 @@ def gen_random_spn(n: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random member of the PSD-plus-nonnegative cone: S is a Gaussian Gram
     matrix, N a symmetrized uniform matrix shifted so its smallest diagonal
     entry is zero.  Returns (A, S, N) with A = S + N."""
+    _check_size("n", n)
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
@@ -227,6 +234,8 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
     x^T Q x = t + (x - x_star)^T H (x - x_star) + x^T N0 x >= t on the
     simplex, with equality at x_star.
     """
+    _check_size("n", n)
+    _check_size("support_size", support_size)
     if not (1 <= support_size <= n):
         raise ValueError("support_size must lie in [1, n]")
     if not np.isfinite(t):
@@ -249,6 +258,7 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
 
 def gen_gnp_graph(n: int, p: float, seed=None) -> Graph:
     """Erdos-Renyi graph with edge probability p."""
+    _check_size("n", n)
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
@@ -264,6 +274,7 @@ def gen_gnp_graph(n: int, p: float, seed=None) -> Graph:
 
 def plant_clique(g: Graph, k: int, seed=None) -> Graph:
     """Add a k-clique on random nodes, guaranteeing clique number >= k."""
+    _check_size("clique size k", k)
     if not (1 <= k <= g.n):
         raise ValueError("clique size must lie in [1, n]")
     rng = np.random.default_rng(seed)

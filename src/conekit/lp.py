@@ -6,27 +6,31 @@ y = 0 feasible, so there is no phase 1.  Pricing is exact steepest edge
 (Forrest & Goldfarb, Math. Program. 1992): the entering column maximizes
 d_j^2 / gamma_j, gamma_j = 1 + |B^-1 w_j|^2, the weights exact at the slack
 basis and carried by their update recurrence; a basic column's weight is
-inf, which keeps it out of pricing.  Only A is stored, not the slack
-identity.  B^-1 is dense, kept as Binv - U V^T: each pivot's rank-1 update
-is deferred into thin U, V and folded into Binv by one matrix product every
-20 pivots (every pivot below 64 rows), a delayed Sherman-Morrison update
-(McDaniel et al., J. Chem. Phys. 2017).  Every 400 pivots Binv is formed
-afresh by inverting only the basis kernel, the basic structural columns on
-the rows whose slack is nonbasic (Bisschop & Meeraus, Math. Program. 1977);
-the basic slacks' rows of B^-1 follow from it.  The detection LPs at n = 16
-end before the first refresh, and at n = 30-50 400 was no slower than 100.
-On the small structured LPs of the cone membership tests (a few thousand
-rows at most; not for sparse work) a pivot costs numpy calls more than
-arithmetic, so solve() keeps them few: it works in buffers allocated once
-per call, binds its numpy functions, steps the stacked reduced costs and
-weights by one subtraction, divides the whole ratio column and masks it
-after, and tracks the objective by each pivot's gain for the stall check.
+inf, which keeps it out of pricing, and a held column's cost -inf (solve's
+held).  xB keeps the rhs jitter at OPTIMAL, for a continuation (on the true
+rhs it stalls), and primal() reads the true rhs; a continued optimum, as
+the report's F+- alpha*, can differ from a cold solve's in the last bits.
+Only A is stored, not the slack identity.  B^-1 is dense, kept as
+Binv - U V^T: each pivot's rank-1 update is deferred into thin U, V and
+folded into Binv by one matrix product every 20 pivots (every pivot below
+64 rows), a delayed Sherman-Morrison update (McDaniel et al., J. Chem.
+Phys. 2017).  Every 400 pivots Binv is formed afresh by inverting only the
+basis kernel, the basic structural columns on the rows whose slack is
+nonbasic (Bisschop & Meeraus, Math. Program. 1977); the basic slacks' rows
+of B^-1 follow from it: the detection LPs at n = 16 end before it, and at
+n = 30-50 400 was no slower than 100.  On the small structured LPs of the
+cone membership tests (a few thousand rows at most; not for sparse work) a
+pivot costs numpy calls more than arithmetic, so solve() keeps them few: it
+works in buffers allocated once per call, binds its numpy functions, steps
+the stacked reduced costs and weights by one subtraction, divides the whole
+ratio column and masks it after, and tracks the objective by each pivot's
+gain for the stall check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +92,7 @@ class LpSolution:
     bland_pivots: int = 0  # pivots taken under Bland's anti-stalling rule
     refactorizations: int = 0  # times B^-1 was formed afresh
     pinv_fallbacks: int = 0  # refactorizations whose singular kernel took pinv
+    first: LpSolution | None = None  # solve's first stage, the held columns at 0
 
 
 def _to_standard_form(lp: LinearProgram):
@@ -110,7 +115,7 @@ class _Simplex:
         self.A = A
         # a deterministic jitter of 1e-9 to 2e-9 times max b on each rhs entry
         # breaks the pivot stalling that degenerate systems (many zero rhs
-        # rows) cause; the true rhs is restored once an optimal basis is found
+        # rows) cause; primal() reads the optimal basis on the true rhs
         self.b_true = b
         jitter = 1e-9 * float(np.max(b, initial=0.0)) * (
             1.0 + (np.arange(m, dtype=np.int64) * 2654435761 % 1024) / 1024.0
@@ -172,7 +177,7 @@ class _Simplex:
         return self.c - np.concatenate([y @ self.A, y])
 
     def solve(self, max_iters):
-        """Run the simplex to a status; at OPTIMAL, xB is on the true rhs.
+        """Run the simplex to a status; at OPTIMAL xB is on the jittered rhs.
         The reduced costs d are updated along the pivot row and recomputed
         at every refactorization and once more before OPTIMAL."""
         m, n, A, basis, U, V = self.m, self.n_struct, self.A, self.basis, self.U, self.V
@@ -198,11 +203,8 @@ class _Simplex:
                 putmask(score, unpriced, -1.0)
                 e = int((score > 0.0).argmax() if bland else score.argmax())
                 if score[e] <= 0.0:
-                    if fresh:  # drop the jitter: the basis on the true rhs
-                        self.b = self.b_true
+                    if fresh:  # xB stays on the jittered rhs, for a continuation
                         self._fold()
-                        self.xB = self.Binv @ self.b
-                        maximum(self.xB, 0.0, out=self.xB)
                         return OPTIMAL
                     d[:], fresh = self._reduced_costs(), True
                     continue
@@ -279,25 +281,45 @@ class _Simplex:
         return ITERATION_LIMIT
 
     def primal(self):
+        """The basic solution on the true rhs, clipped at 0; t = 0 at OPTIMAL."""
         y = np.zeros(self.n_struct + self.m)
-        y[self.basis] = self.xB
+        y[self.basis] = np.maximum(self.Binv @ self.b_true, 0.0)
         return y[: self.n_struct]
 
     def duals(self):
         return self.c[self.basis] @ self.Binv  # t = 0 at OPTIMAL
 
 
-def solve(lp: LinearProgram) -> LpSolution:
+def solve(lp: LinearProgram, held=None) -> LpSolution:
     """Solve the LP within _PIVOTS_PER_SIZE * (rows + vars + 2) pivots;
     deterministic for a fixed input and a fixed OpenBLAS thread count.
-    Raises ValueError when an entry of b is negative."""
+    Raises ValueError when an entry of b is negative.
+
+    held, indices of columns, first solves with those columns held at 0 by
+    a cost of -inf (never priced in; the recurrence keeps their weights)
+    and returns that optimum as sol.first.  The same simplex then restores
+    their costs and continues, with a fresh budget, to the full optimum.
+    A first stage that is not optimal ends the solve: sol copies it."""
     budget = _PIVOTS_PER_SIZE * (lp.n_rows + lp.n_vars + 2)
     lp, infeasible = _to_standard_form(lp)
     if infeasible:
         raise ValueError("b has a negative entry, so y = 0 is infeasible")
-    spx = _Simplex(lp.A, lp.b, lp.c)
-    sol = LpSolution(spx.solve(budget))
-    if sol.status == OPTIMAL:
+    spx, first = _Simplex(lp.A, lp.b, lp.c), None
+    if held is not None:
+        held = np.arange(lp.n_vars)[held]  # IndexError outside the columns
+        spx.c[held] = -math.inf
+        first = _result(lp, spx, spx.solve(budget))
+        if first.status != OPTIMAL:
+            return replace(first, first=first)
+        spx.c[held] = lp.c[held]
+    sol = _result(lp, spx, spx.solve(spx.iterations + budget))
+    sol.first = first
+    return sol
+
+
+def _result(lp: LinearProgram, spx: _Simplex, status: str) -> LpSolution:
+    sol = LpSolution(status)
+    if status == OPTIMAL:
         sol.x = spx.primal()
         # refine once if rounding pushed the point slightly outside
         if lp.constraint_violation(sol.x) > DEFAULT_FEAS_TOL:
@@ -305,8 +327,6 @@ def solve(lp: LinearProgram) -> LpSolution:
             sol.x = spx.primal()
         sol.objective_value = float(lp.c @ sol.x)
         sol.dual = spx.duals()
-    sol.iterations = spx.iterations
-    sol.bland_pivots = spx.bland_pivots
-    sol.refactorizations = spx.refactorizations
-    sol.pinv_fallbacks = spx.pinv_fallbacks
+    for counter in ("iterations", "bland_pivots", "refactorizations", "pinv_fallbacks"):
+        setattr(sol, counter, getattr(spx, counter))  # read after the refine
     return sol

@@ -801,26 +801,70 @@ def test_membership_report_canonical_order():
 
 
 def test_membership_report_records_numerical_errors_only(monkeypatch):
-    def fail_with(exc_type):
+    solve = lp.solve
+
+    def fail_with(exc_type, shared_only=False):
         def fail(*args, **kwargs):
+            if shared_only and "held" not in kwargs:  # the G and L solves
+                return solve(*args, **kwargs)
             raise exc_type("injected")
 
         return fail
 
-    # both entry points keep the one rule: check_membership too
-    entries = (cones.membership_report,
-               lambda a: [cones.check_membership(a, c) for c in cones.LP_FAMILIES])
-    monkeypatch.setattr(cones, "check_membership_lp", fail_with(FloatingPointError))
-    for entry in entries:
-        verdicts = entry(M1)
-        failed = [v for v in verdicts if v.note == "error: injected"]
-        assert [v.cone for v in failed] == list(cones.LP_FAMILIES)
-        assert all(v.status == cones.NOT_IDENTIFIED for v in failed)
+    def failed(verdicts):
+        out = [v for v in verdicts if v.note == "error: injected"]
+        assert all(v.status == cones.NOT_IDENTIFIED for v in out)
+        return [v.cone for v in out]
+
+    # both entry points keep the one rule: check_membership too; the one
+    # simplex that the report shares between F+ and F+- fails for both
+    alone = lambda a: [cones.check_membership(a, c) for c in cones.LP_FAMILIES]
+    for exc_type in (FloatingPointError, ValueError):
+        with monkeypatch.context() as patched:
+            patched.setattr(cones, "check_membership_lp", fail_with(exc_type))
+            assert failed(alone(M1)) == list(cones.LP_FAMILIES)
+            patched.setattr(lp, "solve", fail_with(exc_type, shared_only=True))
+            assert failed(cones.membership_report(M1)) == list(cones.LP_FAMILIES)
+        with monkeypatch.context() as patched:
+            patched.setattr(lp, "solve", fail_with(exc_type, shared_only=True))
+            assert failed(cones.membership_report(M1)) == ["Fplus", "Fpm"]
+            assert failed(alone(M1)) == []
     # a TypeError is a bug in the program, not a verdict
-    monkeypatch.setattr(cones, "check_membership_lp", fail_with(TypeError))
-    for entry in entries:
-        with pytest.raises(TypeError, match="injected"):
-            entry(M1)
+    with monkeypatch.context() as patched:
+        patched.setattr(cones, "check_membership_lp", fail_with(TypeError))
+        for entry in (alone, cones.membership_report):
+            with pytest.raises(TypeError, match="injected"):
+                entry(M1)
+    monkeypatch.setattr(lp, "solve", fail_with(TypeError, shared_only=True))
+    with pytest.raises(TypeError, match="injected"):
+        cones.membership_report(M1, ["Fpm", "Fplus"])
+
+
+def _fields(v):
+    """A verdict's fields, arrays as bytes, for bit-for-bit comparison."""
+    parts = [None if p is None else p.tobytes() for p in (v.s_part, v.n_part)]
+    return (v.status, v.cone, v.alpha_star, v.note, *parts)
+
+
+def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
+    # G, F+ and L keep check_membership's verdicts bit for bit; F+- is the
+    # held solve's continuation, within 1e-12 of a lone F+- test
+    solves, solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda *a, **k: solves.append(k) or solve(*a, **k))
+    for seed in range(4):
+        a = instances.gen_random_spn(12, seed)[0]
+        solves.clear()
+        report = {v.cone: v for v in cones.membership_report(a)}
+        assert len(solves) == 3 and sum("held" in k for k in solves) == 1
+        for cone in ("G", "Fplus", "L"):
+            assert _fields(report[cone]) == _fields(cones.check_membership(a, cone))
+        ep = eigen_decompose(a)
+        prog, alpha0 = cones.build_lp(a, cones.sd_basis(ep.P, "Fpm"))
+        sol = solve(prog, held=range(78, 144))
+        fpm, alone = report["Fpm"], cones.check_membership(a, "Fpm")
+        assert fpm.alpha_star == alpha0 + sol.objective_value
+        assert fpm.status == alone.status
+        assert abs(fpm.alpha_star - alone.alpha_star) <= 1e-12
 
 
 T = np.array([[1.0, -2.0], [-2.0, 1.0]])  # x = (1/2, 1/2) gives -1/2

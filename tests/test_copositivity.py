@@ -199,14 +199,18 @@ def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
         posed.clear()
         run()
         assert posed and not any(posed)
-    # an interior member still reports its alpha* > 0 bit for bit
+    # an interior member still reports its alpha* > 0 bit for bit; the
+    # report reaches F+-'s optimum from F+'s, with the minus columns held
     ep = eigen_decompose(a)
     prog, alpha0 = build(a, cones.sd_basis(ep.P, "Fpm"))
     alpha = alpha0 + lp.solve(prog).objective_value
     assert alpha > 0
     assert cones.check_membership(a, "Fpm").alpha_star == alpha
+    held = range(len(a) * (len(a) + 1) // 2, len(a) ** 2)
+    continued = alpha0 + lp.solve(prog, held=held).objective_value
     fpm = [v for v in cones.membership_report(a) if v.cone == "Fpm"]
-    assert [v.alpha_star for v in fpm] == [alpha]
+    assert [v.alpha_star for v in fpm] == [continued]
+    assert abs(continued - alpha) <= 1e-12
     capped = cones.check_membership_lp(a, ep, "Fpm", capped=True)
     assert capped.is_member and capped.alpha_star == max(alpha0, 0.0)
 

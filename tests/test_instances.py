@@ -63,6 +63,24 @@ def test_graph_refuses_a_size_or_endpoint_that_is_not_an_integer():
     assert g.adjacency().tolist() == [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
 
 
+@pytest.mark.parametrize("call, what, size", [
+    (lambda v: plant_clique(P3, v), "clique size k", 2.5),
+    (lambda v: plant_clique(P3, v), "clique size k", True),
+    (lambda v: gen_planted_qp(8, v, -1.0, seed=0), "support_size", 2.5),
+    (lambda v: gen_planted_qp(v, 2, -1.0, seed=0), "n", 8.0),
+    (lambda v: gen_gnp_graph(v, 0.5), "n", 2.5),
+    (lambda v: gen_random_spn(v, 0), "n", 2.5),
+    (lambda v: gen_random_spn(v, 0), "n", False),
+    (lambda v: complete_graph(v), "graph size n", 2.5),
+])
+def test_generators_refuse_a_size_that_is_not_an_integer(call, what, size):
+    # these raised numpy's TypeError or ValueError, or Python's TypeError,
+    # none of which named the size; numpy integers are still sizes
+    with pytest.raises(ValueError, match=f"^{what} must be an integer, got {size!r}$"):
+        call(size)
+    assert call(np.int64(3)) is not None
+
+
 def test_load_dimacs_k3(tmp_path):
     p = tmp_path / "k3.col"
     p.write_text("c comment\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")

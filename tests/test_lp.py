@@ -489,3 +489,47 @@ def test_basic_columns_weigh_inf(monkeypatch):
         check(spx)
     check(spx)
     assert spx.refactorizations >= 20
+
+
+def test_held_columns_give_the_lp_without_them_first():
+    # G's basis is F+'s diagonal columns and F+'s the first n(n+1)/2 of
+    # F+-'s; holding the other columns of the larger LP solves the smaller
+    # one bit for bit, and the same simplex continues to the larger optimum
+    iu, ju, _ = cones._sd_index(16, "Fplus")
+    for seed in range(4):
+        a = gen_random_spn(16, seed)[0]
+        for family, held in (("Fplus", np.flatnonzero(iu != ju)),
+                             ("Fpm", np.arange(iu.size, 16 * 16))):
+            prog = _detect_lp(a, family)
+            keep = np.setdiff1d(np.arange(prog.n_vars), held)
+            # C order, as build_lp poses it: an F-ordered A rounds differently
+            a_keep = np.ascontiguousarray(prog.A[:, keep])
+            small = lp.LinearProgram(prog.c[keep], a_keep, prog.b)
+            cold, sol = lp.solve(small), lp.solve(prog, held=held)
+            first = sol.first
+            assert (first.status, first.iterations) == (cold.status, cold.iterations)
+            assert first.objective_value == cold.objective_value
+            assert np.array_equal(first.x[keep], cold.x) and not np.any(first.x[held])
+            assert np.array_equal(first.dual, cold.dual)
+            full = lp.solve(prog)
+            assert sol.status == full.status == lp.OPTIMAL
+            assert sol.iterations > first.iterations
+            obj = full.objective_value
+            tol = 1e-12 * max(1.0, abs(obj))
+            assert abs(sol.objective_value - obj) <= tol, (seed, family)
+            assert prog.constraint_violation(sol.x) <= lp.DEFAULT_FEAS_TOL
+            assert full.first is None
+
+
+def test_a_first_stage_that_is_not_optimal_ends_the_solve(monkeypatch):
+    # max y0 + y1 with y0 unbounded: holding y1, the first stage is unbounded
+    prog = lp.LinearProgram([1.0, 1.0], [[-1.0, 1.0]], [1.0])
+    sol = lp.solve(prog, held=[1])
+    assert sol.status == sol.first.status == lp.UNBOUNDED
+    assert sol is not sol.first and sol.first.first is None
+    monkeypatch.setattr(lp, "_PIVOTS_PER_SIZE", 0)
+    sol = lp.solve(prog, held=[0])
+    assert sol.status == sol.first.status == lp.ITERATION_LIMIT
+    # held indexes the columns as numpy does: past the end is refused
+    with pytest.raises(IndexError):
+        lp.solve(prog, held=[2])

@@ -172,14 +172,14 @@ def _layertrace():
 
 def test_tracer_counts_the_rows_of_each_lp_solve():
     # the benchmark's tracer wraps lp.solve and lp._to_standard_form by name:
-    # a detect-style report at n = 6 solves three 21-row detection LPs and
-    # the 6-row L test LP
+    # a detect-style report at n = 6 solves the 21-row G LP, one 21-row
+    # simplex for F+ and F+-, and the 6-row L test LP
     layertrace = _layertrace()
     with layertrace.Tracer() as tracer:
         tracer.run_instance(0, membership_report, gen_random_spn(6, 0)[0])
     metrics = layertrace.layer_metrics(tracer.spans)
-    assert metrics["lp.solve.calls"] == 4
-    assert metrics["lp.rows_per_solve"] == (3 * 21 + 6) / 4
+    assert metrics["lp.solve.calls"] == 3
+    assert metrics["lp.rows_per_solve"] == (2 * 21 + 6) / 3
 
 
 def test_tracer_reads_the_hat_pair_of_a_partition_cell():
@@ -202,6 +202,16 @@ def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
     assert set(metrics) == {f"fpm.n6.{k}" for k in
                             ("wall_s", "cpu_s", "pivots", "refactorizations")}
     assert metrics["fpm.n6.pivots"] > 0 and metrics["fpm.n6.wall_s"] > 0
+
+
+def test_bench_pairs_counts_the_pivots_of_a_report_in_a_tree(monkeypatch):
+    tool = _load_tool("bench_pairs", monkeypatch)
+    assert tool.REPORT_SEEDS == 40
+    metrics = tool.report_once(FINGERPRINT.parents[1], seeds=2)
+    assert set(metrics) == {f"report.n16.{k}" for k in ("pivots", "solves", "cpu_s")}
+    # G, F+ and F+- in two simplex runs, and L: per report means
+    assert metrics["report.n16.solves"] == 3
+    assert metrics["report.n16.pivots"] > 0 and metrics["report.n16.cpu_s"] > 0
 
 
 def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):

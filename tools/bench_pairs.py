@@ -16,12 +16,15 @@ the benchmark expects, and runs for perfbench/run.py's own length.  --trace
 end-to-end ones.  After each run, the same tree also solves the F+-
 membership LP of gen_random_spn(n, 0) for n in FPM_SIZES in a fresh process,
 and the pair keeps its wall and cpu seconds, pivots and refactorizations as
-metrics fpm.n<n>.*; then, in another fresh process, it runs the acceptance
-criteria ACCEPT_CRITERIA of its tests/test_acceptance.py and keeps their wall
-seconds as accept.c<nn>_s.  Runs go one at a time.  A metric is "resolved"
-when the change won at least nine tenths of the pairs (ties count for
-neither side) and the medians differ by more than the parent's quartile
-spread, the rule for claiming a gain.
+metrics fpm.n<n>.*; in another, it runs membership_report on
+gen_random_spn(16, s) for s < REPORT_SEEDS and keeps the pivots, lp.solve
+calls and cpu seconds per report as report.n16.*, which resolve a change
+that one n = 16 solve cannot; then, in another fresh process, it runs the
+acceptance criteria ACCEPT_CRITERIA of its tests/test_acceptance.py and
+keeps their wall seconds as accept.c<nn>_s.  Runs go one at a time.  A
+metric is "resolved" when the change won at least nine tenths of the pairs
+(ties count for neither side) and the medians differ by more than the
+parent's quartile spread, the rule for claiming a gain.
 """
 
 from __future__ import annotations
@@ -58,6 +61,26 @@ for n in map(int, sys.argv[1:]):
     record.update({f"fpm.n{n}.{k}": v for k, v in out.items()})
 print(json.dumps(record))
 """
+REPORT_SEEDS = 40
+# run in a tree's src/: membership_report on gen_random_spn(16, s) for s
+# below argv[1], with lp.solve wrapped as in FPM_SCRIPT; per report means
+REPORT_SCRIPT = """
+import json, sys, time
+from conekit import cones, instances, lp
+count, solve = {"pivots": 0, "solves": 0}, lp.solve
+def counted(prog, *args, **kwargs):
+    sol = solve(prog, *args, **kwargs)
+    count["pivots"] += sol.iterations
+    count["solves"] += 1
+    return sol
+lp.solve = counted
+mats = [instances.gen_random_spn(16, s)[0] for s in range(int(sys.argv[1]))]
+c = time.process_time()
+for a in mats:
+    cones.membership_report(a)
+count["cpu_s"] = time.process_time() - c
+print(json.dumps({f"report.n16.{k}": v / len(mats) for k, v in count.items()}))
+"""
 ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
 # run in a tree: time each named criterion of its acceptance tests, which
 # raise when the criterion fails; the tests' own report lines are dropped
@@ -93,6 +116,12 @@ def fpm_once(tree: Path, sizes=FPM_SIZES) -> dict:
     return _in_tree(tree, "F+- timing", FPM_SCRIPT, sizes)
 
 
+def report_once(tree: Path, seeds=REPORT_SEEDS) -> dict:
+    """The report.n16.* metrics of tree's membership reports, per report,
+    in a fresh process."""
+    return _in_tree(tree, "report timing", REPORT_SCRIPT, [seeds])
+
+
 def accept_once(tree: Path, criteria=ACCEPT_CRITERIA) -> dict:
     """The accept.c<nn>_s wall seconds of tree's acceptance criteria, in a
     fresh process; a failing criterion raises RuntimeError."""
@@ -100,8 +129,9 @@ def accept_once(tree: Path, criteria=ACCEPT_CRITERIA) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench/run.py run in tree, then its F+- and acceptance timings;
-    the run's final JSON object with the fpm.* and accept.* metrics added."""
+    """One perfbench/run.py run in tree, then its F+-, report and acceptance
+    timings; the run's final JSON object with the fpm.*, report.* and
+    accept.* metrics added."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", str(trace)]
     r = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -113,7 +143,7 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
         "failed": final["failed"],
         "correct": final["correct"],
         "metrics": {**{k: v["value"] for k, v in final["metrics"].items()},
-                    **fpm_once(tree), **accept_once(tree)},
+                    **fpm_once(tree), **report_once(tree), **accept_once(tree)},
     }
 
 

@@ -39,7 +39,10 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   and moved the digest again.  They take b from A's own entries since the
   detection LP was posed from A and its basis vectors, not from the
   pair's reconstruction of A, so the digest differs from every revision
-  before that too;
+  before that too.  A report that wants F+ and F+- solves both in one
+  simplex, the F+- LP with its minus columns held (lp.solve's held): the
+  F+ LP's entries then come from the first stage, with y on the held
+  columns dropped, so they keep their bits, and the F+- entries moved;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time, or the printed line), on two suites that each miss a
@@ -307,13 +310,13 @@ def _singleton_lp(rng):
 
 
 def _report_lps(seeds) -> list:
-    """The LPs that membership_report solves on gen_random_spn(16, s) for
-    each s in seeds, caught on their way into lp.solve."""
-    progs, solve = [], lp.solve
+    """The (LP, keyword arguments) pairs that membership_report passes to
+    lp.solve on gen_random_spn(16, s) for each s in seeds."""
+    calls, solve = [], lp.solve
 
-    def recorded(prog):
-        progs.append(prog)
-        return solve(prog)
+    def recorded(prog, **kwargs):
+        calls.append((prog, kwargs))
+        return solve(prog, **kwargs)
 
     lp.solve = recorded
     try:
@@ -321,7 +324,13 @@ def _report_lps(seeds) -> list:
             cones.membership_report(instances.gen_random_spn(16, seed)[0])
     finally:
         lp.solve = solve
-    return progs
+    return calls
+
+
+def _lp_fields(sol, held=()) -> list:
+    """The hashed fields of a detect-size solution, y without the held columns."""
+    return [sol.status, None if sol.x is None else np.delete(sol.x, held),
+            sol.objective_value, sol.dual, sol.iterations, sol.refactorizations]
 
 
 def lp_section():
@@ -344,14 +353,19 @@ def lp_section():
             continue
         _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual, sol.iterations])
         statuses[sol.status] += 1
-    detect = _report_lps(range(4))
-    for prog in detect:
-        sol = lp.solve(prog)
-        _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual, sol.iterations,
-                  sol.refactorizations])
-        statuses[sol.status] += 1
+    detect = 0
+    for prog, kwargs in _report_lps(range(4)):
+        sol = lp.solve(prog, **kwargs)
+        # a held solve answers two LPs, the first one without its held columns
+        answers = [(sol, ())]
+        if kwargs.get("held") is not None:
+            answers.insert(0, (sol.first, kwargs["held"]))
+        for one, held in answers:
+            _feed(h, _lp_fields(one, held))
+            statuses[one.status] += 1
+        detect += len(answers)
     detail = " ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
-    return len(progs) + len(detect), h.hexdigest(), detail
+    return len(progs) + detect, h.hexdigest(), detail
 
 
 def _cli_runs(tmp: Path) -> list:
