@@ -138,6 +138,7 @@ def _record(command: str, a, task, config: dict, seed: str = "") -> RunRecord:
     started = time.monotonic()
     rec = RunRecord(command, matrix_digest(a), config, seed=seed)
     if isinstance(task, CopoConfig):
+        rec.config = {**config, "alg": task.alg}  # the algorithm that runs
         res = test_copositive(a, task)
         rec.outcome, rec.wall_time = res.outcome, res.stats["wall_time"]
         rec.certificate = None if res.certificate is None else list(res.certificate)

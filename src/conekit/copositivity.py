@@ -3,12 +3,13 @@
 A matrix is copositive iff its quadratic form is nonnegative on the standard
 simplex.  The worklist algorithm removes a simplex once the congruence
 V^T A V is certified to lie in a tractable subcone of the copositive cone,
-bisects otherwise, and stops with a negative-vertex certificate as soon as
-one appears.  The improved variant reuses a single global eigen pair to test
-each cell with the hat (non-orthogonal) family before the exact per-cell
-test.  Every removal rests on its own cell's membership verdict.  The same
-partition, tested at a level that follows the best vertex found, bounds the
-simplex QP and the clique number (see instances).
+bisects otherwise, and stops with a negative certificate, the lowest point
+found from a replicator start on, as soon as one appears.  The improved
+variant reuses a single global eigen pair to test each cell with the hat
+(non-orthogonal) family before the exact per-cell test.  Every removal rests
+on its own cell's membership verdict.  The same partition, tested at a level
+that follows the best point found, bounds the simplex QP and the clique
+number (see instances).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ NOT_COPOSITIVE = "not_copositive"
 INCONCLUSIVE = "inconclusive"
 
 FAMILIES = ("N", "H", *cones.LP_FAMILIES)
+_REPLICATOR_STEPS = 100  # fixed; on planted QPs 50 give as few cells, 25 more
 
 
 class DegenerateEdge(ValueError):
@@ -68,6 +70,11 @@ class CopoConfig:
     max_iterations: int = 1_000_000
     time_limit: float = 300.0
 
+    @property
+    def alg(self) -> int:
+        """The algorithm that runs: alg 2 needs an LP family, so N and H run alg 1."""
+        return 2 if self.use_alg2 and self.cone_family in cones.LP_FAMILIES else 1
+
     def __post_init__(self):
         if self.cone_family not in FAMILIES:
             raise ValueError(f"unknown cone family {self.cone_family!r}")
@@ -90,42 +97,44 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
     """Decide copositivity within the configured budgets.
 
     "copositive" requires the worklist to empty with every simplex removed by
-    a sound certificate; "not_copositive" always carries a simplex vertex at
-    which the quadratic form is strictly negative; "inconclusive" names its
-    reason (a budget, or an edge too short to bisect) in the stats.
+    a sound certificate; "not_copositive" always carries a point of the
+    simplex at which the quadratic form is strictly negative, the lowest one
+    found: the replicator start (see _partition), whose value is exact, or a
+    cell vertex; "inconclusive" names its reason (a budget, or an edge too
+    short to bisect) in the stats.
     """
     return _partition(as_sym_matrix(a), cfg or CopoConfig(), lambda best: 0.0)[0]
 
 
-def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
+def _partition(a: np.ndarray, cfg: CopoConfig, level):
     """Certify x^T A x >= level(best) on the standard simplex, for a matrix
     that as_sym_matrix already returned, decided at linalg.unit_scale's scale.
 
-    best is the lowest raw value seen: at `start` first, when given (see
-    _form_above), then at one vertex of each cell, picked off the congruence
-    diagonal (the first below the cell's shift, else the lowest) and
-    re-evaluated.  Cell columns lie on the simplex, so V^T (A - s E) V =
-    V^T A V - s 11^T, and each cell is tested at the scalar shift
-    s = level(best).  The run stops with "not_copositive" and the best point
-    once best < s.  A cell removed at shift s certifies x^T A x >= s on it;
-    level never rises as best falls, so every removal still holds at the
-    final shift, and the LIFO worklist needs no reordering.  A cell test
-    that raises an ArithmeticError or ValueError is counted in
-    stats["errors"] and the cell is bisected.  Returns (CopoResult, best).
+    best is the lowest raw value seen: first at _replicator_start(a), taken
+    on the caller's matrix so that its bits do not depend on the scale, and
+    valued by _form_above; then at the lowest vertex of each cell, picked
+    off the congruence diagonal and re-evaluated.  Cell columns lie on the
+    simplex, so V^T (A - s E) V = V^T A V - s 11^T, and each cell is tested
+    at the scalar shift s = level(best).  The run stops with
+    "not_copositive" and the best point once best < s.  A cell removed at
+    shift s certifies x^T A x >= s on it; level never rises as best falls,
+    so every removal still holds at the final shift, and the LIFO worklist
+    needs no reordering.  A cell test that raises an ArithmeticError or
+    ValueError is counted in stats["errors"] and the cell is bisected.
+    Returns (CopoResult, best).
     """
+    start = _replicator_start(a)
     a, k = unit_scale(a)  # level and the returned best keep the caller's units
     # x^T A x > -4 at the scale 2^k, so a level below -8 there is raised to -8
     floor, caller_level = -8.0 * 2.0**-k, level  # -inf where that overflows
     level = lambda best: math.ldexp(max(caller_level(math.ldexp(best, -k)), floor), k)
     n = a.shape[0]
     family = cfg.cone_family
-    alg2 = cfg.use_alg2 and family in cones.LP_FAMILIES
     # the per-cell membership sequence: the hat LP (alg 2 only), then the
     # exact-family test; the root cell V = I takes the first step only, as
     # there V^T A V - shift is A - shift and the exact LP is the hat LP
-    steps = ("hat", "exact") if alg2 else ("exact",)
-    best = np.inf if start is None else _form_above(a, start)
-    best_v = start
+    steps = ("hat", "exact") if cfg.alg == 2 else ("exact",)
+    best, best_v = _form_above(a, start), start
     hat_shift = hat_ep = None  # the global eigen pair of A - hat_shift * E
 
     worklist = [np.eye(n)]  # vertex matrices, LIFO
@@ -156,10 +165,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level, start=None):
         iterations += 1
 
         vtav = congruence(a, cell)
-        vals = np.diag(vtav)  # the vertex values
-        # refute with the first vertex below the cell's shift, else take the lowest
-        below = np.flatnonzero(vals < level(min(best, vals.min())))
-        v = cell[:, below[0] if below.size else np.argmin(vals)]
+        v = cell[:, np.argmin(np.diag(vtav))]  # the lowest vertex
         value = float(v @ a @ v)
         if value < best:
             best, best_v = value, v.copy()
@@ -213,3 +219,17 @@ def _dyadic(v: np.ndarray):
     den = max(q for _, q in pairs)
     k = np.array([p * (den // q) for p, q in pairs], dtype=object)
     return k.reshape(v.shape), den
+
+
+def _replicator_start(q: np.ndarray) -> np.ndarray:
+    """_REPLICATOR_STEPS replicator steps x <- x (Bx) / x^T B x, B = max Q + 1 - Q,
+    from the barycentre (Bomze 1997): x stays on the simplex, x^T Q x never rises."""
+    b = np.max(q) / 2 - q / 2 + 0.5  # B / 2 exactly, and it cannot overflow
+    x = np.full(q.shape[0], 1.0 / q.shape[0])
+    bx, bdot, xdot = np.empty_like(x), b.dot, x.dot
+    for _ in range(_REPLICATOR_STEPS):  # in place, the bits of x * bx / (x @ bx)
+        bdot(x, bx)
+        s = xdot(bx)
+        x *= bx
+        x /= s
+    return x

@@ -17,7 +17,6 @@ from .copositivity import INCONCLUSIVE, CopoConfig, _partition
 from .linalg import as_sym_matrix
 
 GENERATOR_ID = "numpy-pcg64"
-_REPLICATOR_STEPS = 100  # fixed; on planted QPs 50 give as few cells, 25 more
 
 
 class ParseError(ValueError):
@@ -151,20 +150,15 @@ def clique_number(g: Graph, cfg: CopoConfig | None = None) -> int | None:
     """Clique number by one simplicial partition on E - A_G.
 
     By Motzkin-Straus the minimum of x^T (E - A_G) x over the simplex is
-    1/omega, attained at the barycentre of a largest clique.  The partition
-    starts from _replicator_start(E - A_G) and certifies the level
-    1/(k + 1/2), k = round(1/best): the half-integer margin keeps every
-    cell test strictly inside the copositive cone, where a level at 1/omega
-    itself would stall.  On completion 1/best <= omega <= k, so omega = k.
+    1/omega, attained at the barycentre of a largest clique.  The partition,
+    from its replicator start, certifies the level 1/(k + 1/2),
+    k = round(1/best): the half-integer margin keeps every cell test
+    strictly inside the copositive cone, where a level at 1/omega itself
+    would stall.  On completion 1/best <= omega <= k, so omega = k.
     Returns None if the partition ends inconclusive.
     """
-    form = 1.0 - g.adjacency()
-    res, best = _partition(
-        form,
-        cfg or CopoConfig(),
-        lambda best: 1.0 / (round(1.0 / best) + 0.5),
-        _replicator_start(form),
-    )
+    level = lambda best: 1.0 / (round(1.0 / best) + 0.5)
+    res, best = _partition(1.0 - g.adjacency(), cfg or CopoConfig(), level)
     return None if res.outcome == INCONCLUSIVE else round(1.0 / best)
 
 
@@ -184,16 +178,14 @@ def qp_optimum(
     """Bracket the minimum of x^T Q x over the standard simplex.
 
     One partition certifies the level best - eta, best being the lowest value
-    at _replicator_start(Q) and the cell vertices, so on completion the
-    minimum lies in [best - eta, best]; inconclusive, it lies in [min Q, best].
-    The start is taken on the caller's Q, and eta and the bracket keep its units.
+    at the partition's replicator start and the cell vertices, so on
+    completion the minimum lies in [best - eta, best]; inconclusive, it lies
+    in [min Q, best].  eta and the bracket keep the caller's units.
     """
     if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
     eta, q = float(eta), as_sym_matrix(q)
-    res, best = _partition(
-        q, cfg or CopoConfig(), lambda best: best - eta, _replicator_start(q)
-    )
+    res, best = _partition(q, cfg or CopoConfig(), lambda best: best - eta)
     if res.outcome == INCONCLUSIVE:
         return QpBound(float(np.min(q)), best, converged=False)
     return QpBound(best - eta, best, converged=True)
@@ -284,16 +276,3 @@ def plant_clique(g: Graph, k: int, seed=None) -> Graph:
     }
     return Graph(g.n, frozenset(set(g.edges) | extra))
 
-
-def _replicator_start(q: np.ndarray) -> np.ndarray:
-    """_REPLICATOR_STEPS replicator steps x <- x (Bx) / x^T B x, B = max Q + 1 - Q,
-    from the barycentre (Bomze 1997): x stays on the simplex, x^T Q x never rises."""
-    b = np.max(q) / 2 - q / 2 + 0.5  # B / 2 exactly, and it cannot overflow
-    x = np.full(q.shape[0], 1.0 / q.shape[0])
-    bx, bdot, xdot = np.empty_like(x), b.dot, x.dot
-    for _ in range(_REPLICATOR_STEPS):  # in place, the bits of x * bx / (x @ bx)
-        bdot(x, bx)
-        s = xdot(bx)
-        x *= bx
-        x /= s
-    return x

@@ -57,7 +57,7 @@ class LinearProgram:
         c = np.asarray(c, dtype=float)
         if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
             raise ValueError("objective must be a nonempty finite vector")
-        a = np.asarray(A, dtype=float)
+        a = np.ascontiguousarray(A, dtype=float)  # F order rounds differently
         if a.size == 0:
             a = a.reshape(0, c.size)
         if a.ndim != 2 or a.shape[1] != c.size:

@@ -690,3 +690,37 @@ def test_bench_summary_per_task_and_alg(tmp_path):
                   for r in summary) == [
         ("copositive", 1, 2), ("copositive", 2, 2), ("membership", None, 3)
     ]
+
+
+def test_records_name_the_algorithm_that_ran(tmp_path, m1_path, capsys):
+    # alg 2 needs an LP family: an N row runs alg 1 whatever it asks for,
+    # so two N rows make one summary, not an alg-1 and an alg-2 one
+    spn = {"kind": "spn", "n": 4}
+    suite = _suite(tmp_path, [
+        {"instance": spn, "task": "copositive", "cone": "N", "alg": alg}
+        for alg in (1, 2)
+    ])
+    out = tmp_path / "bench.json"
+    assert main(["bench", suite, "--format", "json", "--out", str(out)]) == 0
+    records = json_records(out.read_text())
+    assert [r["config"]["alg"] for r in records] == [1, 1, 1]
+    assert [r["config"]["runs"] for r in records if r["command"] == "summary"] == [2]
+    for cone, alg in (("N", 1), ("H", 1), ("G", 2)):
+        main(["copositive", m1_path, "--cone", cone, "--format", "json"])
+        assert json_records(capsys.readouterr().out)[0]["config"]["alg"] == alg
+
+
+def test_write_records_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        write_records([], "xml", io.StringIO())
+
+
+def test_a_closed_pipe_exits_1_without_a_message(monkeypatch, capsys):
+    # `conekit gen ... | head -c1` closes stdout under the writer
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["gen", "spn", "--n", "3"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == ""

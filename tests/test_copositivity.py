@@ -15,6 +15,7 @@ from conekit.copositivity import (
     DegenerateEdge,
     _form_above,
     _partition,
+    _replicator_start,
     bisect,
     longest_edge,
 )
@@ -24,6 +25,13 @@ from conekit.linalg import EigenPair, congruence, eigen_decompose
 
 def k_gamma(n, gamma):
     return instances.max_clique_matrix(instances.complete_graph(n), gamma)
+
+
+def missed_refutation():
+    # not copositive (omega = 3 > 2.5), but the replicator start stays at a
+    # nonnegative point, so the partition must bisect to refute it
+    g = instances.gen_gnp_graph(7, 0.5, seed=43)
+    return instances.max_clique_matrix(g, 2.5)
 
 
 def test_bisect_two_dim():
@@ -142,7 +150,7 @@ def test_audit_witnesses_reconstruct(monkeypatch):
     # every removal rests on an S + N witness of its own cell's matrix
     cases = [
         (instances.gen_random_spn(5, 99)[0], "Fpm", COPOSITIVE),
-        (k_gamma(5, 4.5), "G", NOT_COPOSITIVE),  # bisects many cells first
+        (missed_refutation(), "G", NOT_COPOSITIVE),  # bisects many cells first
     ]
     cell_test = cones._dispatch
     for a, family, outcome in cases:
@@ -185,7 +193,7 @@ def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
     g = instances.gen_gnp_graph(6, 0.5, 0)
     for run in (
         lambda: run_copositive(a, CopoConfig(cone_family="G")),
-        lambda: run_copositive(k_gamma(5, 4.5), CopoConfig(cone_family="Fpm")),
+        lambda: run_copositive(missed_refutation(), CopoConfig(cone_family="Fpm")),
         lambda: instances.qp_optimum(qp.Q),
         lambda: instances.clique_number(g),
     ):
@@ -305,14 +313,33 @@ def test_scaling_that_flushes_an_entry_to_zero_raises():
     assert run_copositive(np.array([[1e300, -1e-10], [-1e-10, 1.0]])).outcome == COPOSITIVE
 
 
-def test_refutation_names_the_first_negative_vertex():
-    # e_1 and e_2 are both negative; the certificate is the first of them,
-    # not the lowest
+def test_refutation_names_the_lowest_point_found():
+    # the second and third vertices are both negative; the certificate is
+    # the lowest point found, the third, below the replicator start that
+    # heads for it, and its exact form is negative
     a = np.diag([1.0, -1.0, -2.0]) + 0.1
     for fam in ("N", "Fpm"):
         res = run_copositive(a, CopoConfig(cone_family=fam))
         assert res.outcome == NOT_COPOSITIVE
-        assert np.array_equal(res.certificate, [0.0, 1.0, 0.0])
+        assert res.stats["iterations"] == 1
+        assert np.array_equal(res.certificate, [0.0, 0.0, 1.0])
+        assert _form_exact(a, res.certificate) < 0
+
+
+def test_a_negative_start_refutes_in_one_cell():
+    # the barycentre, a fixed point of the start's dynamics, has value
+    # (5 * 3.5 - 20) / 25 < 0, while every vertex has value 3.5: the start
+    # itself is the certificate, and its form is exactly negative
+    a = k_gamma(5, 4.5)
+    start = _replicator_start(a)
+    assert np.min(np.diag(a)) > 0 and _form_exact(a, start) < 0
+    for family in FAMILIES:
+        for alg2 in (False, True):
+            res = run_copositive(a, CopoConfig(cone_family=family, use_alg2=alg2))
+            assert res.outcome == NOT_COPOSITIVE
+            assert res.stats["iterations"] == 1 and res.stats["lp_calls"] == 0
+            assert np.array_equal(res.certificate, start)
+            assert _form_exact(a, res.certificate) < 0
 
 
 def test_strictly_copositive_terminates():
@@ -389,7 +416,7 @@ def test_form_above_is_the_exact_value_rounded_up():
     star = {(0, leaf) for leaf in range(1, 7)}
     k4 = set(itertools.combinations(range(7, 11), 2))
     clique_form = 1.0 - instances.Graph(11, frozenset(star | k4)).adjacency()
-    start = instances._replicator_start(clique_form)
+    start = _replicator_start(clique_form)
     cases.append((clique_form, start))
     for a, x in cases:
         value, exact = _form_above(a, x), _form_exact(a, x)

@@ -252,7 +252,7 @@ def test_clique_number_of_the_5_cycle():
     # C5 is regular, so the barycentre is a fixed point of the start's dynamics
     # and the partition alone must find the minimum 1/2 at an edge's midpoint
     c5 = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
-    assert np.allclose(instances._replicator_start(1.0 - c5.adjacency()), 0.2)
+    assert np.allclose(copositivity._replicator_start(1.0 - c5.adjacency()), 0.2)
     assert instances.clique_number(c5, fast_cfg()) == 2
 
 
@@ -265,8 +265,8 @@ def _start_matrices():
 
 def test_replicator_start_is_deterministic_and_on_the_simplex():
     for q in _start_matrices():
-        x = instances._replicator_start(q)
-        assert np.array_equal(x, instances._replicator_start(q.copy()))
+        x = copositivity._replicator_start(q)
+        assert np.array_equal(x, copositivity._replicator_start(q.copy()))
         assert np.all(x >= 0.0)
         assert abs(float(np.sum(x)) - 1.0) <= 1e-12
 
@@ -277,8 +277,8 @@ def test_replicator_steps_never_raise_the_form(monkeypatch):
     for q in _start_matrices():
         values = []
         for steps in range(40):
-            monkeypatch.setattr(instances, "_REPLICATOR_STEPS", steps)
-            x = instances._replicator_start(q)
+            monkeypatch.setattr(copositivity, "_REPLICATOR_STEPS", steps)
+            x = copositivity._replicator_start(q)
             values.append(float(x @ q @ x) / float(np.sum(x)) ** 2)
         slack = 1e-12 * float(np.max(np.abs(q)))
         assert all(b <= a + slack for a, b in zip(values, values[1:]))
@@ -301,12 +301,12 @@ def test_replicator_start_matches_the_reference_steps(monkeypatch):
     qs += [1.0 - gen_gnp_graph(5 + s, 0.2 + 0.05 * s, seed=s).adjacency()
            for s in range(10)]
     for q in qs:
-        assert np.array_equal(instances._replicator_start(q),
-                              _reference_start(q, instances._REPLICATOR_STEPS))
+        assert np.array_equal(copositivity._replicator_start(q),
+                              _reference_start(q, copositivity._REPLICATOR_STEPS))
     for steps in (0, 1, 7):
-        monkeypatch.setattr(instances, "_REPLICATOR_STEPS", steps)
+        monkeypatch.setattr(copositivity, "_REPLICATOR_STEPS", steps)
         for q in qs[::5]:
-            assert np.array_equal(instances._replicator_start(q),
+            assert np.array_equal(copositivity._replicator_start(q),
                                   _reference_start(q, steps))
 
 
@@ -320,9 +320,33 @@ def test_qp_bracket_contains_the_planted_optimum_exactly(monkeypatch):
         b = instances.qp_optimum(qp.Q, fast_cfg(), eta=0.1)
         assert b.converged and b.lo <= qp.t <= b.hi
     for qp in draws:
-        monkeypatch.setattr(instances, "_replicator_start", lambda q: qp.x_star)
+        monkeypatch.setattr(copositivity, "_replicator_start", lambda q: qp.x_star)
         b = instances.qp_optimum(qp.Q, fast_cfg(), eta=0.1)
         assert b.converged and b.lo <= qp.t <= b.hi
+
+
+def test_every_partition_entry_takes_one_start_on_the_callers_matrix(monkeypatch):
+    # the start is taken on the symmetrized caller's matrix, before the
+    # partition scales it, so its bits do not depend on that scale
+    seen = []
+    start = copositivity._replicator_start
+
+    def spy(q):
+        seen.append(q.copy())
+        return start(q)
+
+    monkeypatch.setattr(copositivity, "_replicator_start", spy)
+    a = 1e3 * gen_random_spn(5, 0)[0]
+    q = 1e-3 * gen_planted_qp(6, 3, -5.0, seed=0).Q
+    g = gen_gnp_graph(6, 0.5, seed=0)
+    for run, caller in (
+        (lambda: copositivity.test_copositive(a, fast_cfg()), as_sym_matrix(a)),
+        (lambda: instances.qp_optimum(q, fast_cfg()), as_sym_matrix(q)),
+        (lambda: instances.clique_number(g, fast_cfg()), 1.0 - g.adjacency()),
+    ):
+        seen.clear()
+        run()
+        assert len(seen) == 1 and np.array_equal(seen[0], caller)
 
 
 def test_std_qp_matrix_examples():

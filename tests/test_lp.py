@@ -502,9 +502,7 @@ def test_held_columns_give_the_lp_without_them_first():
                              ("Fpm", np.arange(iu.size, 16 * 16))):
             prog = _detect_lp(a, family)
             keep = np.setdiff1d(np.arange(prog.n_vars), held)
-            # C order, as build_lp poses it: an F-ordered A rounds differently
-            a_keep = np.ascontiguousarray(prog.A[:, keep])
-            small = lp.LinearProgram(prog.c[keep], a_keep, prog.b)
+            small = lp.LinearProgram(prog.c[keep], prog.A[:, keep], prog.b)
             cold, sol = lp.solve(small), lp.solve(prog, held=held)
             first = sol.first
             assert (first.status, first.iterations) == (cold.status, cold.iterations)
@@ -519,6 +517,25 @@ def test_held_columns_give_the_lp_without_them_first():
             assert abs(sol.objective_value - obj) <= tol, (seed, family)
             assert prog.constraint_violation(sol.x) <= lp.DEFAULT_FEAS_TOL
             assert full.first is None
+
+
+def test_an_f_ordered_constraint_matrix_solves_to_its_c_copy_bits():
+    # prog.A[:, cols] comes back in F order, whose products round differently;
+    # LinearProgram stores A in C order, so the F+ LPs cut from F+-'s solve
+    # to the bits of their C copies
+    for seed in range(8):
+        prog = _detect_lp(gen_random_spn(16, seed)[0])
+        cols = np.setdiff1d(np.arange(prog.n_vars), np.arange(136, 256))
+        f_ordered = prog.A[:, cols]
+        assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
+        small = lp.LinearProgram(prog.c[cols], f_ordered, prog.b)
+        assert small.A.flags.c_contiguous
+        sol = lp.solve(small)
+        ref = lp.solve(lp.LinearProgram(prog.c[cols], np.ascontiguousarray(f_ordered),
+                                        prog.b))
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        assert sol.objective_value == ref.objective_value
+        assert np.array_equal(sol.x, ref.x) and np.array_equal(sol.dual, ref.dual)
 
 
 def test_a_first_stage_that_is_not_optimal_ends_the_solve(monkeypatch):

@@ -4,7 +4,9 @@ Runs a fixed suite through the public entry points of whichever conekit is on
 PYTHONPATH and hashes every output bit that a refactor must keep:
 
 - partition: test_copositive on 25 matrices x N/H/G/F+/F+- x alg 1/2
-  (outcome, certificate, every stats field but wall_time);
+  (outcome, certificate, every stats field but wall_time).  The digest
+  moved when test_copositive took the replicator start: a refutation's
+  certificate became the lowest point found, often the start itself;
 - report:    membership_report on 46 matrices x 7 cones (status, alpha*,
   S, N, note): 40 gen_random_spn(12) draws, a non-copositive 2 x 2 matrix
   at 1e-10 and 1e10, and two draws at 2^-41 and 2^40, with a count of the
@@ -83,7 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conekit import cli, cones, instances, lp
+from conekit import cli, cones, copositivity, instances, lp
 from conekit.copositivity import FAMILIES, CopoConfig, _form_above
 from conekit.copositivity import test_copositive as run_copositive
 from conekit.linalg import EigenPair, format_matrix
@@ -232,11 +234,14 @@ def report_section():
 def _partition_runs():
     """Record each partition run that instances makes, as a dict: its start
     point, the start's value _form_above(form, start), and its stats but
-    wall_time."""
+    wall_time.  A tree whose _partition takes its own start is given none,
+    and the start it takes is recomputed here, so both kinds of tree hash
+    the same fields."""
     partition, runs = instances._partition, []
 
-    def recorded(a, cfg, level, start=None):
-        res, best = partition(a, cfg, level, start)
+    def recorded(a, cfg, level, *given):
+        res, best = partition(a, cfg, level, *given)
+        start = given[0] if given else copositivity._replicator_start(a)
         stats = {k: v for k, v in res.stats.items() if k != "wall_time"}
         runs.append({"start": start, "start_value": _form_above(a, start),
                      "stats": stats})
