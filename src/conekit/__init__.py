@@ -10,7 +10,6 @@ from .cones import (
     MEMBER,
     NOT_IDENTIFIED,
     MembershipVerdict,
-    check_membership,
     membership_report,
 )
 from .copositivity import (
@@ -46,7 +45,6 @@ __all__ = [
     "MEMBER",
     "NOT_IDENTIFIED",
     "MembershipVerdict",
-    "check_membership",
     "membership_report",
     "COPOSITIVE",
     "INCONCLUSIVE",

@@ -144,7 +144,7 @@ def _record(command: str, a, task, config: dict, seed: str = "") -> RunRecord:
         rec.certificate = None if res.certificate is None else list(res.certificate)
         rec.iterations, rec.lp_calls = res.stats["iterations"], res.stats["lp_calls"]
     else:
-        v = cones.check_membership(a, task)
+        v = cones.membership_report(a, [task])[0]
         rec.outcome, rec.alpha_star = v.status, v.alpha_star
         rec.lp_calls = int(task in cones.LP_FAMILIES)
         rec.wall_time = time.monotonic() - started

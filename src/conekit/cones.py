@@ -145,7 +145,7 @@ def check_membership_lp(
     A and assemble the witness on success: S = R R^T with R = V sqrt(y),
     PSD by construction, and N = A - S.  The witness holds for any basis,
     so ep is not checked here: the pairs the package builds are A's by
-    construction, and check_membership checks a caller's.  A capped LP
+    construction, and membership_report checks a caller's.  A capped LP
     gives the same verdict, and its alpha_star is min(alpha*, max(alpha0, 0))."""
     tag = family if ep.orthogonal else family + "_hat"
     vectors = sd_basis(ep.P, family)
@@ -220,14 +220,6 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
     return bool(np.all(np.diag(a) >= off))
 
 
-def check_membership(
-    a: np.ndarray, cone: str, ep: EigenPair | None = None
-) -> MembershipVerdict:
-    """Test A against one cone of CONE_ORDER: membership_report's rule for
-    [cone], with ep, when given, as the pair (see _report)."""
-    return _report(a, [cone], ep)[0]
-
-
 def _dispatch(
     a: np.ndarray, cone: str, ep: EigenPair | None, capped=False
 ) -> MembershipVerdict:
@@ -251,14 +243,12 @@ def _dispatch(
     return check_membership_lp(a, ep or eigen_decompose(a), cone, capped=capped)
 
 
-def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
-    """Run the selected cone tests in canonical order (see _report)."""
-    return _report(a, cones, None)
-
-
-def _report(a: np.ndarray, cones, ep: EigenPair | None) -> list[MembershipVerdict]:
-    """The one body of both entry points.  Cone names outside CONE_ORDER are
-    refused before any work, and A is decided at linalg.unit_scale's scale.
+def membership_report(
+    a: np.ndarray, cones=CONE_ORDER, ep: EigenPair | None = None
+) -> list[MembershipVerdict]:
+    """A's verdicts for the named cones, in CONE_ORDER's order; [cone] asks
+    for one.  Names outside CONE_ORDER are refused before any work, and A is
+    decided at linalg.unit_scale's scale.
 
     A given pair ep is checked here, the one place a caller's pair enters:
     P and lam must read as an n x n and an n-long float array, and

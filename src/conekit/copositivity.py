@@ -78,6 +78,8 @@ class CopoConfig:
     def __post_init__(self):
         if self.cone_family not in FAMILIES:
             raise ValueError(f"unknown cone family {self.cone_family!r}")
+        if not isinstance(self.use_alg2, (bool, np.bool_)):
+            raise ValueError(f"use_alg2 must be a bool, got {self.use_alg2!r}")
         it = self.max_iterations
         if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it <= 0:
             raise ValueError(f"max_iterations must be a positive integer, got {it!r}")
@@ -99,8 +101,8 @@ def test_copositive(a: np.ndarray, cfg: CopoConfig | None = None) -> CopoResult:
     "copositive" requires the worklist to empty with every simplex removed by
     a sound certificate; "not_copositive" always carries a point of the
     simplex at which the quadratic form is strictly negative, the lowest one
-    found: the replicator start (see _partition), whose value is exact, or a
-    cell vertex; "inconclusive" names its reason (a budget, or an edge too
+    found: the replicator start (see _partition) or a cell vertex, whose
+    values are exact; "inconclusive" names its reason (a budget, or an edge too
     short to bisect) in the stats.
     """
     return _partition(as_sym_matrix(a), cfg or CopoConfig(), lambda best: 0.0)[0]
@@ -110,10 +112,11 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
     """Certify x^T A x >= level(best) on the standard simplex, for a matrix
     that as_sym_matrix already returned, decided at linalg.unit_scale's scale.
 
-    best is the lowest raw value seen: first at _replicator_start(a), taken
-    on the caller's matrix so that its bits do not depend on the scale, and
-    valued by _form_above; then at the lowest vertex of each cell, picked
-    off the congruence diagonal and re-evaluated.  Cell columns lie on the
+    best is the lowest value seen, each one _form_above's, so never below
+    the form at its point: first at _replicator_start(a), taken on the
+    caller's matrix so that its bits do not depend on the scale; then at
+    the lowest vertex of each cell, picked off the congruence diagonal and
+    valued when that diagonal entry is below best.  Cell columns lie on the
     simplex, so V^T (A - s E) V = V^T A V - s 11^T, and each cell is tested
     at the scalar shift s = level(best).  The run stops with
     "not_copositive" and the best point once best < s.  A cell removed at
@@ -165,10 +168,11 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
         iterations += 1
 
         vtav = congruence(a, cell)
-        v = cell[:, np.argmin(np.diag(vtav))]  # the lowest vertex
-        value = float(v @ a @ v)
-        if value < best:
-            best, best_v = value, v.copy()
+        i = int(np.argmin(np.diag(vtav)))  # the lowest vertex
+        if vtav[i, i] < best:  # valued exactly: a float v^T A v can read low
+            value = _form_above(a, cell[:, i])
+            if value < best:
+                best, best_v = value, cell[:, i].copy()
         shift = level(best)
         if best < shift:
             return finish(NOT_COPOSITIVE, certificate=best_v)

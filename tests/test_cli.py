@@ -407,7 +407,7 @@ def test_bench_file_path_must_be_a_string(tmp_path, m1_path, monkeypatch, capsys
     # open() would take 0 or True as a file descriptor, and a list is a
     # TypeError: the row is refused before any row runs
     calls = []
-    monkeypatch.setattr(cones, "check_membership",
+    monkeypatch.setattr(cones, "membership_report",
                         lambda *args, **kw: calls.append(args))
     first = {"instance": {"kind": "spn", "n": 4}, "task": "membership", "cone": "H"}
     for path in (0, True, ["a"]):
@@ -442,7 +442,7 @@ def test_bench_non_finite_instance_is_refused_before_any_row_runs(
         tmp_path, monkeypatch, capsys):
     # json reads NaN and Infinity; std_qp_matrix checks Q, not Q - gamma E
     calls = []
-    monkeypatch.setattr(cones, "check_membership",
+    monkeypatch.setattr(cones, "membership_report",
                         lambda *args, **kw: calls.append(args))
     first = {"instance": {"kind": "spn", "n": 4}, "cone": "H"}
     qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
@@ -544,7 +544,7 @@ def test_bench_missing_fields_are_named_with_their_row(
     # each required field dropped in turn; a row is named by its place in
     # rows as written, not by its place after the repeat of the row before
     calls = []
-    monkeypatch.setattr(cones, "check_membership",
+    monkeypatch.setattr(cones, "membership_report",
                         lambda *args, **kw: calls.append(args))
     first = {"instance": {"kind": "spn", "n": 4}, "cone": "H", "repeat": 3}
     cases = [("rows", {"seed": 2}, ""),
@@ -640,8 +640,8 @@ def test_bench_validates_every_row_before_running(tmp_path, monkeypatch, capsys)
     def counted(name, run):
         return lambda *args, **kwargs: calls.append(name) or run(*args, **kwargs)
 
-    monkeypatch.setattr(cones, "check_membership",
-                        counted("membership", cones.check_membership))
+    monkeypatch.setattr(cones, "membership_report",
+                        counted("membership", cones.membership_report))
     monkeypatch.setattr(cli, "test_copositive",
                         counted("copositive", cli.test_copositive))
     k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}

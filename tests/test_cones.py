@@ -302,7 +302,7 @@ def test_verdicts_do_not_depend_on_the_order_of_the_rows(n, seed, order):
     perm = [i for i in order if i < n]
     b = a[np.ix_(perm, perm)]
     for cone in ("N", "DD", "H", "G", "Fpm"):
-        v, w = cones.check_membership(a, cone), cones.check_membership(b, cone)
+        v, w = (cones.membership_report(m, [cone])[0] for m in (a, b))
         assert v.status == w.status, cone
         if cone in ("G", "Fpm"):
             assert abs(v.alpha_star - w.alpha_star) <= 1e-9 * np.max(np.abs(a))
@@ -347,8 +347,8 @@ def test_m1_fpm_member_with_witness():
     assert is_psd_cholesky(v.s_part)
     # the residuals are relative to max|A|, at any scale; N's floor scales
     tiny = 2.0**-40 * M1
-    full = cones.check_membership(M1, "Fpm").witness_residuals(M1)
-    res = cones.check_membership(tiny, "Fpm").witness_residuals(tiny)
+    full = cones.membership_report(M1, ["Fpm"])[0].witness_residuals(M1)
+    res = cones.membership_report(tiny, ["Fpm"])[0].witness_residuals(tiny)
     assert res == {**full, "n_min": 2.0**-40 * full["n_min"]}
 
 
@@ -464,8 +464,8 @@ def test_check_membership_rejects_wrong_pair():
     for family in cones.LP_FAMILIES:
         for a in (M2, far):
             with pytest.raises(ValueError, match="does not reconstruct"):
-                cones.check_membership(a, family, ep)
-        v = cones.check_membership(near, family, ep)
+                cones.membership_report(a, [family], ep)
+        v = cones.membership_report(near, [family], ep)[0]
         assert v.status in (cones.MEMBER, cones.NOT_IDENTIFIED)
 
 
@@ -487,9 +487,9 @@ def test_check_membership_checks_a_given_pair_for_every_cone():
     for cone in cones.CONE_ORDER:
         for a, pair in bad:
             with pytest.raises(ValueError, match="eigen pair"):
-                cones.check_membership(a, cone, pair)
+                cones.membership_report(a, [cone], pair)
         for pair in (hat, eigen_decompose(M2)):
-            v = cones.check_membership(M2, cone, pair)
+            v = cones.membership_report(M2, [cone], pair)[0]
             assert v.status in (cones.MEMBER, cones.NOT_IDENTIFIED)
 
 
@@ -503,14 +503,14 @@ def test_check_membership_takes_a_pair_given_as_lists():
     for pair in (m2_hat_pair(), eigen_decompose(M2)):
         listed = EigenPair(pair.P.tolist(), pair.lam.tolist(), pair.orthogonal)
         for cone in cones.CONE_ORDER:
-            assert fields(cones.check_membership(M2, cone, listed)) == fields(
-                cones.check_membership(M2, cone, pair)), cone
+            assert fields(cones.membership_report(M2, [cone], listed)[0]) == fields(
+                cones.membership_report(M2, [cone], pair)[0]), cone
     ragged = EigenPair([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0])
     text = EigenPair([["a", "b", "c"]] * 3, [1.0, 1.0, 1.0])
     for cone in cones.CONE_ORDER:
         for pair in (ragged, text):
             with pytest.raises(ValueError):
-                cones.check_membership(M2, cone, pair)
+                cones.membership_report(M2, [cone], pair)
 
 
 def test_witness_is_sound_for_a_pair_inside_the_tolerance():
@@ -535,20 +535,15 @@ def test_witness_is_sound_for_a_pair_inside_the_tolerance():
 
 
 def test_check_membership_rejects_unknown_cone_before_any_work(monkeypatch):
-    # "F+-" is the CLI's flag, not a library name: both entry points reject
-    # it with one message before they validate or decompose A
-    messages = {}
-    for name in ("F+-", "Fminus"):
-        with pytest.raises(ValueError) as exc:
-            cones.membership_report(M1, cones=[name])
-        messages[name] = str(exc.value)
+    # "F+-" is the CLI's flag, not a library name: the entry point rejects
+    # it with one message before it validates or decomposes A
     calls = []
     monkeypatch.setattr(cones, "as_sym_matrix", calls.append)
     monkeypatch.setattr(cones, "eigen_decompose", calls.append)
-    for name, message in messages.items():
+    for name in ("F+-", "Fminus"):
         with pytest.raises(ValueError) as exc:
-            cones.check_membership(M1, name)
-        assert str(exc.value) == message == f"unknown cones: {[name]}"
+            cones.membership_report(M1, cones=[name])
+        assert str(exc.value) == f"unknown cones: {[name]}"
         with pytest.raises(ValueError, match="unknown cones"):
             cones.membership_report(M1, cones=["H", name])
     assert calls == []
@@ -735,19 +730,19 @@ def test_l_test_checks_the_pair_it_is_given(monkeypatch):
     a = np.array([[0.0, -1.0], [-1.0, 0.0]])
     other = eigen_decompose(np.eye(2))
     with pytest.raises(ValueError, match="does not reconstruct"):
-        cones.check_membership(a, "L", other)
+        cones.membership_report(a, ["L"], other)
 
-    # check_membership's L test clips an orthogonal pair it is given, and
-    # decomposes A itself for a non-orthogonal one
+    # the L test clips an orthogonal pair it is given, and decomposes A
+    # itself for a non-orthogonal one
     b = np.array([[2.0, -1.0, 0.5], [-1.0, 1.0, 0.0], [0.5, 0.0, 1.5]])
     ep = eigen_decompose(b)
     calls = []
     monkeypatch.setattr(cones, "eigen_decompose",
                         lambda m: calls.append(m) or eigen_decompose(m))
-    given = cones.check_membership(b, "L", ep)
+    given = cones.membership_report(b, ["L"], ep)[0]
     assert calls == []
     hat = EigenPair(ep.P, ep.lam, orthogonal=False)
-    assert cones.check_membership(b, "L", hat).status == given.status
+    assert cones.membership_report(b, ["L"], hat)[0].status == given.status
     assert len(calls) == 1
 
 
@@ -786,8 +781,8 @@ def test_membership_report_all_ones():
 
 
 def test_membership_report_m2_with_hat_pair():
-    assert not cones.check_membership(M2, "H", m2_hat_pair()).is_member
-    assert cones.check_membership(M2, "Fpm", m2_hat_pair()).is_member
+    assert not cones.membership_report(M2, ["H"], m2_hat_pair())[0].is_member
+    assert cones.membership_report(M2, ["Fpm"], m2_hat_pair())[0].is_member
 
 
 def test_membership_report_rejects_unknown_cone():
@@ -816,9 +811,9 @@ def test_membership_report_records_numerical_errors_only(monkeypatch):
         assert all(v.status == cones.NOT_IDENTIFIED for v in out)
         return [v.cone for v in out]
 
-    # both entry points keep the one rule: check_membership too; the one
-    # simplex that the report shares between F+ and F+- fails for both
-    alone = lambda a: [cones.check_membership(a, c) for c in cones.LP_FAMILIES]
+    # a one-cone report keeps the one rule too; the one simplex that the
+    # report shares between F+ and F+- fails for both
+    alone = lambda a: [cones.membership_report(a, [c])[0] for c in cones.LP_FAMILIES]
     for exc_type in (FloatingPointError, ValueError):
         with monkeypatch.context() as patched:
             patched.setattr(cones, "check_membership_lp", fail_with(exc_type))
@@ -847,7 +842,7 @@ def _fields(v):
 
 
 def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
-    # G, F+ and L keep check_membership's verdicts bit for bit; F+- is the
+    # G, F+ and L keep their one-cone verdicts bit for bit; F+- is the
     # held solve's continuation, within 1e-12 of a lone F+- test
     solves, solve = [], lp.solve
     monkeypatch.setattr(lp, "solve", lambda *a, **k: solves.append(k) or solve(*a, **k))
@@ -857,11 +852,12 @@ def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
         report = {v.cone: v for v in cones.membership_report(a)}
         assert len(solves) == 3 and sum("held" in k for k in solves) == 1
         for cone in ("G", "Fplus", "L"):
-            assert _fields(report[cone]) == _fields(cones.check_membership(a, cone))
+            (alone,) = cones.membership_report(a, [cone])
+            assert _fields(report[cone]) == _fields(alone)
         ep = eigen_decompose(a)
         prog, alpha0 = cones.build_lp(a, cones.sd_basis(ep.P, "Fpm"))
         sol = solve(prog, held=range(78, 144))
-        fpm, alone = report["Fpm"], cones.check_membership(a, "Fpm")
+        fpm, alone = report["Fpm"], cones.membership_report(a, ["Fpm"])[0]
         assert fpm.alpha_star == alpha0 + sol.objective_value
         assert fpm.status == alone.status
         assert abs(fpm.alpha_star - alone.alpha_star) <= 1e-12
@@ -899,8 +895,8 @@ def test_verdicts_do_not_depend_on_a_power_of_two_scale():
                         assert dev <= 1e-15 * np.max(np.abs(ak))
     # a given pair is scaled with A
     ep, s = m2_hat_pair(), 2.0**-41
-    v0 = cones.check_membership(M2, "Fpm", ep)
-    v = cones.check_membership(s * M2, "Fpm", EigenPair(ep.P, s * ep.lam, False))
+    v0 = cones.membership_report(M2, ["Fpm"], ep)[0]
+    (v,) = cones.membership_report(s * M2, ["Fpm"], EigenPair(ep.P, s * ep.lam, False))
     assert v.is_member and v.alpha_star == s * v0.alpha_star
 
 
@@ -917,4 +913,5 @@ def test_l_test_is_sound_at_every_scale():
         if np.min(np.einsum("ki,ij,kj->k", x, a, x)) < 0:
             mats.append(a)
     for s in (1e-10, 1.0, 1e10):
-        assert not any(cones.check_membership(s * a, "L").is_member for a in mats), s
+        verdicts = [cones.membership_report(s * a, ["L"])[0] for a in mats]
+        assert not any(v.is_member for v in verdicts), s

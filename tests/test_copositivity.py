@@ -201,7 +201,7 @@ def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
         run()
         assert posed and all(posed)
     for run in (
-        lambda: cones.check_membership(a, "Fpm"),
+        lambda: cones.membership_report(a, ["Fpm"])[0],
         lambda: cones.membership_report(a),
     ):
         posed.clear()
@@ -213,7 +213,7 @@ def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
     prog, alpha0 = build(a, cones.sd_basis(ep.P, "Fpm"))
     alpha = alpha0 + lp.solve(prog).objective_value
     assert alpha > 0
-    assert cones.check_membership(a, "Fpm").alpha_star == alpha
+    assert cones.membership_report(a, ["Fpm"])[0].alpha_star == alpha
     held = range(len(a) * (len(a) + 1) // 2, len(a) ** 2)
     continued = alpha0 + lp.solve(prog, held=held).objective_value
     fpm = [v for v in cones.membership_report(a) if v.cone == "Fpm"]
@@ -236,7 +236,7 @@ def test_alg2_tests_the_root_cell_with_the_hat_lp_only():
         hat = EigenPair(np.eye(len(a)).T @ ep.P, ep.lam, orthogonal=False)
         for family in cones.LP_FAMILIES:
             by_hat = cones.check_membership_lp(a, hat, family)
-            exact = cones.check_membership(congruence(a, np.eye(len(a))), family)
+            (exact,) = cones.membership_report(congruence(a, np.eye(len(a))), [family])
             assert by_hat.status == exact.status
             assert by_hat.alpha_star == exact.alpha_star
             for alg2 in (False, True):
@@ -342,6 +342,26 @@ def test_a_negative_start_refutes_in_one_cell():
             assert _form_exact(a, res.certificate) < 0
 
 
+def test_a_vertex_whose_float_form_reads_low_refutes_nothing():
+    # A = u u^T with A[2, 2] = 1, u = (r, -7r, 0), is exactly PSD: its 2 x 2
+    # block's determinant is +7.2e-15.  A float v^T A v at the vertex
+    # (0.875, 0.125, 3.7e-9) read below 0, where the exact form is
+    # +1.08e-16, and N returned not_copositive after 59 cells
+    r = 1.2391833100190313
+    a = np.outer([r, -7 * r, 0.0], [r, -7 * r, 0.0])
+    a[2, 2] = 1.0
+    assert a[0, 0] > 0 and Fraction(a[0, 0]) * Fraction(a[1, 1]) > Fraction(a[0, 1]) ** 2
+    for family in FAMILIES:
+        for alg2 in (False, True):
+            res = run_copositive(a, CopoConfig(cone_family=family, use_alg2=alg2))
+            if family == "N":  # its cells close in on the form's near-zero
+                assert res.outcome == INCONCLUSIVE, alg2
+                assert res.stats["reason"] == "degenerate-edge", alg2
+            else:
+                assert res.outcome == COPOSITIVE, (family, alg2)
+                assert res.stats["iterations"] == 1, (family, alg2)
+
+
 def test_strictly_copositive_terminates():
     rng = np.random.default_rng(12)
     for seed in range(5):
@@ -392,6 +412,17 @@ def test_config_validation():
     for limit in (0.0, -1.0, float("nan"), float("inf"), True, "5"):
         with pytest.raises(ValueError, match="budgets must be positive and finite"):
             CopoConfig(time_limit=limit)
+
+
+def test_use_alg2_must_be_a_bool():
+    # truthiness would pick the algorithm: "no", [1] and 2 ran alg 2, and
+    # 0.0 and None ran alg 1
+    for flag in ("no", [1], 2, 0.0, None, 1, 0):
+        with pytest.raises(ValueError) as exc:
+            CopoConfig(use_alg2=flag)
+        assert str(exc.value) == f"use_alg2 must be a bool, got {flag!r}"
+    for flag in (True, False, np.True_, np.False_):
+        assert CopoConfig(cone_family="G", use_alg2=flag).alg == (2 if flag else 1)
 
 
 def _form_exact(a, x):

@@ -471,7 +471,6 @@ def test_qp_optimum_validates_its_matrix_once(monkeypatch):
 def test_entry_points_reject_a_matrix_of_bad_shape():
     entry_points = [
         cones.membership_report,
-        lambda a: cones.check_membership(a, "Fpm"),
         copositivity.test_copositive,
         lambda a: instances.qp_optimum(a, fast_cfg()),
         lambda a: std_qp_matrix(a, 0.0),

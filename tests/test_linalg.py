@@ -48,7 +48,6 @@ def test_entry_points_reject_bad_input():
     for bad in ([[1.0, 2.0], [3.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
         for call in (
             lambda: conekit.membership_report(bad),
-            lambda: conekit.check_membership(bad, "N"),
             lambda: conekit.test_copositive(bad),
             lambda: conekit.qp_optimum(bad),
             lambda: conekit.std_qp_matrix(bad, 0.0),

@@ -25,9 +25,10 @@ def test_fingerprint_prints_its_six_sections():
     assert all(sections), lines
     counts = {m[1]: int(m[2]) for m in sections}
     assert counts == {
-        "partition": 250, "report": 364, "bracket": 12,
+        "partition": 260, "report": 364, "bracket": 12,
         "clique": 6, "lp": 80, "cli": 15,
     }
+    assert lines[0].endswith("certificates exact: 80/80")
     assert lines[1].endswith("refused: 35")  # 5 bad pairs x 7 cones
     assert "t in [lo, hi]: 12/12" in lines[2]
     assert re.match(r"fingerprint: [\d.]+ s$", r.stderr.strip())

@@ -57,7 +57,7 @@ def timed(prog, *args, **kwargs):
 lp.solve = timed
 record = {}
 for n in map(int, sys.argv[1:]):
-    cones.check_membership(instances.gen_random_spn(n, 0)[0], "Fpm")
+    cones.membership_report(instances.gen_random_spn(n, 0)[0], ["Fpm"])
     record.update({f"fpm.n{n}.{k}": v for k, v in out.items()})
 print(json.dumps(record))
 """

@@ -3,16 +3,20 @@
 Runs a fixed suite through the public entry points of whichever conekit is on
 PYTHONPATH and hashes every output bit that a refactor must keep:
 
-- partition: test_copositive on 25 matrices x N/H/G/F+/F+- x alg 1/2
-  (outcome, certificate, every stats field but wall_time).  The digest
-  moved when test_copositive took the replicator start: a refutation's
-  certificate became the lowest point found, often the start itself;
+- partition: test_copositive on 26 matrices x N/H/G/F+/F+- x alg 1/2
+  (outcome, certificate, every stats field but wall_time), with a count of
+  the not_copositive certificates whose form is negative in fractions.
+  The digest moved when test_copositive took the replicator start: a
+  refutation's certificate became the lowest point found, often the start
+  itself.  It moved again when the 26th matrix joined, a PSD one that
+  the N family refuted by a vertex's float form, below its exact one;
 - report:    membership_report on 46 matrices x 7 cones (status, alpha*,
   S, N, note): 40 gen_random_spn(12) draws, a non-copositive 2 x 2 matrix
   at 1e-10 and 1e10, and two draws at 2^-41 and 2^40, with a count of the
   G/F+/F+- member witnesses that pass a check which does not trust the LP
   (S and N exactly symmetric, S PSD, N at least alpha*).  Then
-  check_membership on 6 given pairs x 7 cones: M2's hat pair (the same
+  membership_report(a, [cone], pair) on 6 given pairs x 7 cones (a tree
+  from before that call has check_membership): M2's hat pair (the same
   fields), and five pairs that the entry check must refuse (the error's
   type and message, with a count of the ValueErrors), so a tree that raises
   something else, or nothing, still runs.  The scaled matrices joined
@@ -81,6 +85,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -140,13 +145,25 @@ def _partition_matrices() -> list:
         [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1],
     ], dtype=float))
     mats.append(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    # u u^T with a unit third diagonal entry, u = (r, -7r, 0): PSD, with a
+    # float form at a cell vertex that reads below the exact one
+    r = 1.2391833100190313
+    mats.append(np.outer([r, -7 * r, 0.0], [r, -7 * r, 0.0]))
+    mats[-1][2, 2] = 1.0
     return mats
+
+
+def _exact_form(a, x) -> Fraction:
+    """x^T A x on the floats' exact values, with no conekit code."""
+    xs, rows = [Fraction(v) for v in x.tolist()], a.tolist()
+    return sum(Fraction(rows[i][j]) * xs[i] * xs[j]
+               for i in range(len(xs)) for j in range(len(xs)))
 
 
 def partition_section():
     h = hashlib.sha256()
     tally: Counter = Counter()
-    runs = 0
+    runs = exact = 0
     for a in _partition_matrices():
         for family in FAMILIES:
             for alg2 in (False, True):
@@ -157,8 +174,11 @@ def partition_section():
                 _feed(h, [res.outcome, res.certificate, stats])
                 tally[res.stats["reason"] or res.outcome] += 1
                 runs += 1
+                if res.outcome == "not_copositive":
+                    exact += _exact_form(a, res.certificate) < 0
     detail = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
-    return runs, h.hexdigest(), detail
+    refuted = tally["not_copositive"]
+    return runs, h.hexdigest(), f"{detail} certificates exact: {exact}/{refuted}"
 
 
 def _witness_ok(a, v) -> bool:
@@ -184,7 +204,7 @@ def _report_matrices() -> list:
 
 
 def _given_pairs() -> list:
-    """(matrix, pair) for check_membership: M2 with its hat pair, built from
+    """(matrix, pair) for a one-cone report: M2 with its hat pair, built from
     M2 = v v^T + N, then five pairs to refuse: an orthogonal pair of another
     matrix, all of lam NaN, one of it NaN, and a 3 x 2 hat pair and a 3 x 2
     orthogonal pair of the rank-2 matrix that both reconstruct."""
@@ -215,10 +235,13 @@ def report_section():
             if v.is_member and v.cone in cones.LP_FAMILIES:
                 witnesses.append(_witness_ok(a, v))
     refused = 0
+    # a tree from before membership_report took a pair has check_membership
+    one = getattr(cones, "check_membership", None) or (
+        lambda a, cone, pair: cones.membership_report(a, [cone], pair)[0])
     for a, pair in _given_pairs():
         for cone in cones.CONE_ORDER:
             try:
-                v = cones.check_membership(a, cone, pair)
+                v = one(a, cone, pair)
             except Exception as exc:  # any error, so that every tree runs
                 _feed(h, [cone, type(exc).__name__, str(exc)])
                 refused += isinstance(exc, ValueError)
