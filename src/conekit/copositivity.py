@@ -227,13 +227,16 @@ def _dyadic(v: np.ndarray):
 
 def _replicator_start(q: np.ndarray) -> np.ndarray:
     """_REPLICATOR_STEPS replicator steps x <- x (Bx) / x^T B x, B = max Q + 1 - Q,
-    from the barycentre (Bomze 1997): x stays on the simplex, x^T Q x never rises."""
+    from the barycentre (Bomze 1997): x stays on the simplex, x^T Q x never rises.
+    Each step writes into x with a positional out and divides by a 0-d array,
+    since a ufunc converts a scalar operand on every call."""
     b = np.max(q) / 2 - q / 2 + 0.5  # B / 2 exactly, and it cannot overflow
     x = np.full(q.shape[0], 1.0 / q.shape[0])
-    bx, bdot, xdot = np.empty_like(x), b.dot, x.dot
+    bx, s, bdot, xdot = np.empty_like(x), np.empty(()), b.dot, x.dot
+    multiply, divide = np.multiply, np.divide
     for _ in range(_REPLICATOR_STEPS):  # in place, the bits of x * bx / (x @ bx)
         bdot(x, bx)
-        s = xdot(bx)
-        x *= bx
-        x /= s
+        xdot(bx, s)
+        multiply(x, bx, x)
+        divide(x, s, x)
     return x

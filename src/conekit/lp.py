@@ -24,7 +24,11 @@ pivot costs numpy calls more than arithmetic, so solve() keeps them few: it
 works in buffers allocated once per call, binds its numpy functions, steps
 the stacked reduced costs and weights by one subtraction, divides the whole
 ratio column and masks it after, and tracks the objective by each pivot's
-gain for the stall check.
+gain for the stall check.  Each call is cheap too: a ufunc converts a
+Python float operand on every call (a compare of 393 entries took 1.2 us,
+0.85 us with a 0-d array), so every scalar operand is a 0-d float64 array,
+and every view is bound once per solve; pricing scores d clipped at the
+tolerance and masks only when a clipped column wins.
 """
 
 from __future__ import annotations
@@ -184,87 +188,102 @@ class _Simplex:
         d, gamma = dg = self.dg
         less_equal, multiply, putmask = np.less_equal, np.multiply, np.putmask
         matmul, divide, maximum = np.matmul, np.divide, np.maximum
+        add, subtract = np.add, np.subtract
+        # a ufunc converts a Python float operand on every call, not a 0-d array
+        consts = (_PIVOT_TOL, -1.0, math.inf, 1.0, 0.0)
+        tol, masked, inf, one, zero = map(np.array, consts)
         # per-solve workspace: alpha and tau^T W (structural part, then slack
         # part), the step dg takes, the pivot-row correction's coefficients,
-        # and u, the scores, ratios and masks, scratch once e and leave are set
+        # u, the scores, ratios and masks, scratch once e and leave are set,
+        # and 0-d cells for the pivot's scalars; every view is bound here
         rows, step = np.empty((2, n + m)), np.empty((2, n + m))
-        (alpha, tau_w), slack, s1 = rows, rows[:, n:], step[1]
+        (alpha, tau_w), slack, s1, struct = rows, rows[:, n:], step[1], rows[:, :n]
+        (row, tau), alpha_slack = slack, alpha[n:]
         coef, factors = np.empty((2, len(U))), np.empty((2, 1))
+        pending = [(U[:t], V[:t], coef[:, :t]) for t in range(len(U) + 1)]
         score, unpriced = np.empty(n + m), np.empty(n + m, dtype=bool)
         u, ratios, mask = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+        tie, piv, theta = np.empty(()), np.empty(()), np.empty(())
         stall, bland, obj = 0, _STALL_LIMIT <= 0, float(self.c[basis] @ self.xB)
         d[:], fresh = self._reduced_costs(), True
         # the ratio test divides by every u_i and masks out u_i <= tol after
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             while self.iterations < max_iters:
-                less_equal(d, _PIVOT_TOL, out=unpriced)
-                multiply(d, d, out=score)
-                score /= gamma
-                putmask(score, unpriced, -1.0)
-                e = int((score > 0.0).argmax() if bland else score.argmax())
-                if score[e] <= 0.0:
-                    if fresh:  # xB stays on the jittered rhs, for a continuation
-                        self._fold()
-                        return OPTIMAL
-                    d[:], fresh = self._reduced_costs(), True
-                    continue
+                # d clipped at tol scores d^2 / gamma where d > tol, so a
+                # winner above tol with a positive score wins the masked scores
+                maximum(d, tol, out=score)
+                multiply(score, score, out=score)
+                divide(score, gamma, out=score)
+                e = int(score.argmax())
+                if bland or d[e] <= _PIVOT_TOL or score[e] <= 0.0:
+                    less_equal(d, tol, out=unpriced)
+                    putmask(score, unpriced, masked)
+                    e = int((score > 0.0).argmax() if bland else score.argmax())
+                    if score[e] <= 0.0:
+                        if fresh:  # xB stays on the jittered rhs, for a continuation
+                            self._fold()
+                            return OPTIMAL
+                        d[:], fresh = self._reduced_costs(), True
+                        continue
                 if not m:  # no row bounds y_e
                     return UNBOUNDED
                 # FTRAN u = B^-1 w_e; a slack's is a column of B^-1
                 t, k, binv, xB = self.t, e - n, self.Binv, self.xB
+                Ut, Vt, coef_t = pending[t]
                 if k < 0:
                     col = A[:, e]
                     matmul(binv, col, out=u)
                 else:
                     u[:] = binv[:, k]
                 if t:
-                    u -= (V[:t] @ col if k < 0 else V[:t, k]) @ U[:t]
+                    u -= (Vt @ col if k < 0 else Vt[:, k]) @ Ut
                 divide(xB, u, out=ratios)
-                less_equal(u, _PIVOT_TOL, out=mask)
-                putmask(ratios, mask, math.inf)
+                less_equal(u, tol, out=mask)
+                putmask(ratios, mask, inf)
                 leave = int(ratios.argmin())
-                theta = float(ratios[leave])
-                if theta == math.inf:
+                theta[()] = theta_f = float(ratios[leave])
+                if theta_f == math.inf:
                     return UNBOUNDED
                 # of tied rows the largest u leaves, under Bland the lowest index
-                less_equal(ratios, theta + 1e-12, out=mask)
+                tie[()] = theta_f + 1e-12
+                less_equal(ratios, tie, out=mask)
                 if np.count_nonzero(mask) > 1:
                     ties = mask.nonzero()[0]
                     leave = int(ties[np.argmin(basis[ties] if bland else -u[ties])])
                 # pivot row alpha = e_leave^T B^-1 W over u[leave], and tau^T W
                 # with tau = B^-T u, both on the old basis
-                piv = float(u[leave])
-                slack[0] = binv[leave]
-                matmul(u, binv, out=slack[1])
+                piv[()] = piv_f = float(u[leave])
+                row[:] = binv[leave]
+                matmul(u, binv, out=tau)
                 if t:
-                    coef[0, :t] = U[:t, leave]
-                    matmul(U[:t], u, out=coef[1, :t])
-                    slack -= coef[:, :t] @ V[:t]
-                matmul(slack, A, out=rows[:, :n])
-                alpha /= piv
+                    coef_t[0] = Ut[:, leave]
+                    matmul(Ut, u, out=coef_t[1])
+                    slack -= coef_t @ Vt
+                matmul(slack, A, out=struct)
+                divide(alpha, piv, out=alpha)
                 gamma_e, d_e = 1.0 + float(u @ u), float(d[e])
                 # dg -= [alpha d_e; alpha (2 tau_w - gamma_e alpha)], then
                 # gamma = max(gamma, 1 + alpha^2)
                 factors[0, 0], factors[1, 0] = d_e, gamma_e
                 multiply(alpha, factors, out=step)
-                tau_w *= 2.0
-                np.subtract(tau_w, s1, out=s1)
+                add(tau_w, tau_w, out=tau_w)  # 2 tau_w, exactly
+                subtract(tau_w, s1, out=s1)
                 s1 *= alpha
                 dg -= step
                 multiply(alpha, alpha, out=score)
-                score += 1.0
+                add(score, one, out=score)
                 maximum(gamma, score, out=gamma)
-                gamma[basis[leave]] = max(gamma_e / (piv * piv), 1.0)
+                gamma[basis[leave]] = max(gamma_e / (piv_f * piv_f), 1.0)
                 gamma[e] = math.inf
                 fresh = False
                 multiply(u, theta, out=ratios)
                 xB -= ratios
-                xB[leave] = theta
-                maximum(xB, 0.0, out=xB)
+                xB[leave] = theta_f
+                maximum(xB, zero, out=xB)
                 # B^-1 -= (u - e_leave) (e_leave^T B^-1 / piv), alpha's slack part
                 U[t] = u
                 U[t, leave] -= 1.0
-                V[t] = alpha[n:]
+                V[t] = alpha_slack
                 self.t = t + 1
                 basis[leave] = e
                 self.iterations += 1
@@ -275,7 +294,7 @@ class _Simplex:
                 elif self.t == len(U):
                     self._fold()
                 # the pivot gains theta d_e on the jittered rhs
-                gain = theta * d_e
+                gain = theta_f * d_e
                 stall = stall + 1 if gain <= 1e-12 * max(1.0, abs(obj)) else 0
                 bland, obj = stall >= _STALL_LIMIT, obj + gain
         return ITERATION_LIMIT

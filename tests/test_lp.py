@@ -491,6 +491,18 @@ def test_basic_columns_weigh_inf(monkeypatch):
     assert spx.refactorizations >= 20
 
 
+def test_a_reduced_cost_at_or_below_the_pivot_tol_never_enters():
+    # pricing clips d at _PIVOT_TOL: column 0 (d = 5e-11) scores 1e-20 and
+    # beats column 1's 1e-18 / 10001, so the masked pick must take column 1
+    sol = lp.solve(lp.LinearProgram([5e-11, 1e-9], [[1e-6, 100.0]], [1.0]))
+    assert sol.status == lp.OPTIMAL and sol.iterations == 1
+    assert sol.x[0] == 0.0 and sol.x[1] == pytest.approx(0.01, rel=1e-14)
+    # a lone column below the tol wins the clipped scores and is refused
+    sol = lp.solve(lp.LinearProgram([5e-11], [[1.0]], [1.0]))
+    assert sol.status == lp.OPTIMAL and sol.iterations == 0
+    assert sol.x.tolist() == [0.0]
+
+
 def test_held_columns_give_the_lp_without_them_first():
     # G's basis is F+'s diagonal columns and F+'s the first n(n+1)/2 of
     # F+-'s; holding the other columns of the larger LP solves the smaller

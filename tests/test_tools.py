@@ -209,10 +209,13 @@ def test_bench_pairs_counts_the_pivots_of_a_report_in_a_tree(monkeypatch):
     tool = _load_tool("bench_pairs", monkeypatch)
     assert tool.REPORT_SEEDS == 40
     metrics = tool.report_once(FINGERPRINT.parents[1], seeds=2)
-    assert set(metrics) == {f"report.n16.{k}" for k in ("pivots", "solves", "cpu_s")}
+    assert set(metrics) == {f"report.n16.{k}" for k in
+                            ("pivots", "solves", "cpu_s", "us_per_pivot")}
     # G, F+ and F+- in two simplex runs, and L: per report means
     assert metrics["report.n16.solves"] == 3
     assert metrics["report.n16.pivots"] > 0 and metrics["report.n16.cpu_s"] > 0
+    assert metrics["report.n16.us_per_pivot"] == pytest.approx(
+        1e6 * metrics["report.n16.cpu_s"] / metrics["report.n16.pivots"])
 
 
 def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):

@@ -19,12 +19,14 @@ and the pair keeps its wall and cpu seconds, pivots and refactorizations as
 metrics fpm.n<n>.*; in another, it runs membership_report on
 gen_random_spn(16, s) for s < REPORT_SEEDS and keeps the pivots, lp.solve
 calls and cpu seconds per report as report.n16.*, which resolve a change
-that one n = 16 solve cannot; then, in another fresh process, it runs the
-acceptance criteria ACCEPT_CRITERIA of its tests/test_acceptance.py and
-keeps their wall seconds as accept.c<nn>_s.  Runs go one at a time.  A
-metric is "resolved" when the change won at least nine tenths of the pairs
-(ties count for neither side) and the medians differ by more than the
-parent's quartile spread, the rule for claiming a gain.
+that one n = 16 solve cannot, and the report's cpu microseconds per pivot
+as report.n16.us_per_pivot, the cost of the simplex's pivot loop; then, in
+another fresh process, it runs the acceptance criteria ACCEPT_CRITERIA of
+its tests/test_acceptance.py and keeps their wall seconds as accept.c<nn>_s.
+Runs go one at a time.  A metric is "resolved" when the change won at least
+nine tenths of the pairs (ties count for neither side) and the medians
+differ by more than the parent's quartile spread, the rule for claiming a
+gain.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ print(json.dumps(record))
 """
 REPORT_SEEDS = 40
 # run in a tree's src/: membership_report on gen_random_spn(16, s) for s
-# below argv[1], with lp.solve wrapped as in FPM_SCRIPT; per report means
+# below argv[1], with lp.solve wrapped as in FPM_SCRIPT; per report means,
+# and the cpu microseconds per pivot
 REPORT_SCRIPT = """
 import json, sys, time
 from conekit import cones, instances, lp
@@ -79,7 +82,9 @@ c = time.process_time()
 for a in mats:
     cones.membership_report(a)
 count["cpu_s"] = time.process_time() - c
-print(json.dumps({f"report.n16.{k}": v / len(mats) for k, v in count.items()}))
+record = {f"report.n16.{k}": v / len(mats) for k, v in count.items()}
+record["report.n16.us_per_pivot"] = 1e6 * count["cpu_s"] / count["pivots"]
+print(json.dumps(record))
 """
 ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
 # run in a tree: time each named criterion of its acceptance tests, which
