@@ -63,8 +63,12 @@ def bisect(v: np.ndarray):
     return v_i, v_j
 
 
-@dataclass
+@dataclass(frozen=True)
 class CopoConfig:
+    """Budgets and cone family of a copositivity test, checked once at
+    construction; frozen, so no later assignment skips the checks (a changed
+    config comes from dataclasses.replace, which checks it again)."""
+
     cone_family: str = "Fpm"
     use_alg2: bool = True
     max_iterations: int = 1_000_000

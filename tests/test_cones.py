@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conekit import cones, instances, lp
 from conekit.copositivity import bisect
-from conekit.linalg import EigenPair, congruence, eigen_decompose, is_psd_cholesky
+from conekit.linalg import PSD_TOL, EigenPair, congruence, eigen_decompose, is_psd_cholesky
 
 M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
 M2 = np.array([[1.0, 5.0, -2.0], [5.0, 1.0, -2.0], [-2.0, -2.0, 4.0]])
@@ -898,6 +898,93 @@ def test_verdicts_do_not_depend_on_a_power_of_two_scale():
     v0 = cones.membership_report(M2, ["Fpm"], ep)[0]
     (v,) = cones.membership_report(s * M2, ["Fpm"], EigenPair(ep.P, s * ep.lam, False))
     assert v.is_member and v.alpha_star == s * v0.alpha_star
+
+
+def _dad(a, k):
+    """D A D for D = diag(2^k), exact away from under- and overflow."""
+    return np.ldexp(np.ldexp(a, k[:, None]), k[None, :])
+
+
+def _diagonal_scaling_draws(count):
+    """(A, k): gen_random_spn(n) for n = 3-7, every other one moved along -E
+    to between halfway and all the way to its F+- floor, so that its N part
+    ends near 0, and k in [-6, 6]."""
+    rng = np.random.default_rng(16)
+    for i in range(count):
+        n = int(rng.integers(3, 8))
+        a = instances.gen_random_spn(n, int(rng.integers(10**6)))[0]
+        if i % 2:
+            (fpm,) = cones.membership_report(a, ["Fpm"])
+            a = a - rng.uniform(0.5, 1.0) * max(fpm.alpha_star, 0.0) * np.ones((n, n))
+        yield a, rng.integers(-6, 7, size=n)
+
+
+def test_diagonal_scaling_keeps_n_and_h_and_maps_witnesses_back(monkeypatch):
+    solve, solved = lp.solve, []
+
+    def recording(prog, *args, **kwargs):
+        solved.append((prog, solve(prog, *args, **kwargs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(lp, "solve", recording)
+    wanted = ["N", "H", "G", "Fplus", "Fpm"]
+    h_checked, members, beyond = 0, 0, []
+    for a, k in _diagonal_scaling_draws(900):
+        da = _dad(a, k)
+        base = {v.cone: v for v in cones.membership_report(a, ["N", "H"])}
+        solved.clear()
+        scaled = {v.cone: v for v in cones.membership_report(da, wanted)}
+        (g_lp, g), (f_lp, fpm) = solved
+        lps = {"G": (g_lp, g), "Fplus": (f_lp, fpm.first), "Fpm": (f_lp, fpm)}
+        # (a) D keeps every sign, and N looks at signs only
+        assert scaled["N"].status == base["N"].status
+        # (b) H factors S + PSD_TOL * max(1, max S_ii) * I, and that shift
+        # does not scale with D: a verdict may flip only near the boundary
+        s = cones.split_nonneg(a)[0]
+        margin = np.linalg.eigvalsh(s)[0] / max(1.0, np.max(np.diag(s)))
+        if abs(margin) > 1e-6:
+            h_checked += 1
+            assert scaled["H"].status == base["H"].status, (a, k)
+        # (c) D^-1 S' D^-1 and D^-1 N' D^-1 are exact, so DAD's witness is
+        # one of A with DAD's slack divided by d_i d_j, which is up to
+        # spread = (max d / min d)^2 = 2^24 times larger relative to A's scale
+        peak, over_min_d2 = np.max(np.abs(da)), 4.0 ** -k.min()
+        for cone in wanted[1:]:
+            v = scaled[cone]
+            if not v.is_member:
+                continue
+            members += 1
+            s_part, n_part = _dad(v.s_part, -k), _dad(v.n_part, -k)
+            # N' = DAD - S' is rounded once: no spread
+            assert np.all(np.abs(s_part + n_part - a) <= 2.0**-52 * (np.abs(n_part) + np.abs(a)))
+            least = np.linalg.eigvalsh(s_part)[0]
+            if cone == "H":
+                # S' passed Cholesky with a shift of at most 4 PSD_TOL max|DAD|
+                # at DAD's unit scale; D^-1 scales it by up to 1 / min d^2
+                assert least >= -5 * PSD_TOL * peak * over_min_d2
+                assert np.all(n_part >= 0.0)
+                continue
+            # S' = R R^T, and D^-1 S' D^-1 is the same rounded Gram matrix
+            # of D^-1 R: no spread
+            assert least >= -1e-13 * np.max(np.diag(s_part))
+            # N' >= alpha* up to the row violation of the LP's x at DAD's
+            # unit scale, at most that times max|DAD|, over d_i d_j
+            prog, sol = lps[cone]
+            violation = prog.constraint_violation(sol.x)
+            if violation > lp.DEFAULT_FEAS_TOL:
+                beyond.append(violation)
+            slack = 2 * max(violation, lp.DEFAULT_FEAS_TOL) * peak
+            assert np.all(n_part >= _dad(np.full(a.shape, v.alpha_star - slack), -k))
+    assert h_checked >= 850 and members >= 2500, (h_checked, members)
+    # lp.solve does not check its OPTIMAL after the one refine (ROADMAP item
+    # 9): 23 of these LPs (G 11, F+ 10, F+- 2), all at spreads of 2^20 to
+    # 2^24, end with rows violated by 1.0e-8 to 3.3e-6 at DAD's unit scale,
+    # beyond DEFAULT_FEAS_TOL, and their witnesses' N fall as far below alpha*
+    assert len(beyond) <= 23, beyond
+    # (d) DD is not invariant: DAD = [[4, -3], [-3, 4]] is DD, A is not
+    a, k = np.array([[1.0, -1.5], [-1.5, 4.0]]), np.array([1, 0])
+    assert [v.is_member for v in cones.membership_report(a, ["DD"])] == [False]
+    assert [v.is_member for v in cones.membership_report(_dad(a, k), ["DD"])] == [True]
 
 
 def test_l_test_is_sound_at_every_scale():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from fractions import Fraction
@@ -412,6 +413,21 @@ def test_config_validation():
     for limit in (0.0, -1.0, float("nan"), float("inf"), True, "5"):
         with pytest.raises(ValueError, match="budgets must be positive and finite"):
             CopoConfig(time_limit=limit)
+
+
+def test_config_is_frozen_so_every_value_passes_its_checks():
+    # an assignment would skip __post_init__: cone_family "XX" failed every
+    # cell test, use_alg2 "no" ran alg 2 and a NaN time limit was no limit
+    cfg = CopoConfig(max_iterations=50)
+    for name, value in (("cone_family", "XX"), ("use_alg2", "no"),
+                        ("max_iterations", 0), ("time_limit", float("nan"))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == CopoConfig(max_iterations=50)
+    # a changed config is a new one, checked again
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        dataclasses.replace(cfg, max_iterations=0)
+    assert dataclasses.replace(cfg, cone_family="G").alg == 2
 
 
 def test_use_alg2_must_be_a_bool():

@@ -197,9 +197,14 @@ def test_tracer_reads_the_hat_pair_of_a_partition_cell():
     assert checks == [{"member": True, "hat": True}]
 
 
+def _probe(tool, sizes=(), seeds=0, criteria=()):
+    # one set at a time; the others are empty and add no metric
+    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria)
+
+
 def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
     tool = _load_tool("bench_pairs", monkeypatch)
-    metrics = tool.fpm_once(FINGERPRINT.parents[1], sizes=(6,))
+    metrics = _probe(tool, sizes=(6,))
     assert set(metrics) == {f"fpm.n6.{k}" for k in
                             ("wall_s", "cpu_s", "pivots", "refactorizations")}
     assert metrics["fpm.n6.pivots"] > 0 and metrics["fpm.n6.wall_s"] > 0
@@ -208,7 +213,7 @@ def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
 def test_bench_pairs_counts_the_pivots_of_a_report_in_a_tree(monkeypatch):
     tool = _load_tool("bench_pairs", monkeypatch)
     assert tool.REPORT_SEEDS == 40
-    metrics = tool.report_once(FINGERPRINT.parents[1], seeds=2)
+    metrics = _probe(tool, seeds=2)
     assert set(metrics) == {f"report.n16.{k}" for k in
                             ("pivots", "solves", "cpu_s", "us_per_pivot")}
     # G, F+ and F+- in two simplex runs, and L: per report means
@@ -218,10 +223,27 @@ def test_bench_pairs_counts_the_pivots_of_a_report_in_a_tree(monkeypatch):
         1e6 * metrics["report.n16.cpu_s"] / metrics["report.n16.pivots"])
 
 
+def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
+    # a tree whose one criterion makes one more report on each call
+    tool = _load_tool("bench_pairs", monkeypatch)
+    (tmp_path / "src").symlink_to(FINGERPRINT.parents[1] / "src")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text(
+        "from conekit import cones, instances\n"
+        "calls = []\n"
+        "def test_criterion_01_moves():\n"
+        "    calls.append(1)\n"
+        "    for _ in calls:\n"
+        "        cones.membership_report(instances.gen_random_spn(4, 0)[0], ['Fpm'])\n"
+    )
+    with pytest.raises(RuntimeError, match="accept.c01: counts .* differ from the warm-up's"):
+        tool.probe_once(tmp_path, (), 0, (1,))
+
+
 def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):
     tool = _load_tool("bench_pairs", monkeypatch)
     assert tool.ACCEPT_CRITERIA == (2, 6, 7, 8, 9)
-    metrics = tool.accept_once(FINGERPRINT.parents[1], criteria=(8,))
+    metrics = _probe(tool, criteria=(8,))
     assert set(metrics) == {"accept.c08_s"} and metrics["accept.c08_s"] > 0
-    with pytest.raises(RuntimeError, match="acceptance timing in .* failed"):
-        tool.accept_once(FINGERPRINT.parents[1], criteria=(99,))
+    with pytest.raises(RuntimeError, match="probe in .* failed:\n.*no acceptance criterion 99"):
+        _probe(tool, sizes=(6,), criteria=(99,))

@@ -13,20 +13,23 @@ whole record goes to --out (or stdout):
 Run it from anywhere; each run gets its own tree as working directory, as
 the benchmark expects, and runs for perfbench/run.py's own length.  --trace
 1 runs the traced mode and records the per-layer metrics instead of the
-end-to-end ones.  After each run, the same tree also solves the F+-
-membership LP of gen_random_spn(n, 0) for n in FPM_SIZES in a fresh process,
-and the pair keeps its wall and cpu seconds, pivots and refactorizations as
-metrics fpm.n<n>.*; in another, it runs membership_report on
-gen_random_spn(16, s) for s < REPORT_SEEDS and keeps the pivots, lp.solve
-calls and cpu seconds per report as report.n16.*, which resolve a change
-that one n = 16 solve cannot, and the report's cpu microseconds per pivot
-as report.n16.us_per_pivot, the cost of the simplex's pivot loop; then, in
-another fresh process, it runs the acceptance criteria ACCEPT_CRITERIA of
-its tests/test_acceptance.py and keeps their wall seconds as accept.c<nn>_s.
-Runs go one at a time.  A metric is "resolved" when the change won at least
-nine tenths of the pairs (ties count for neither side) and the medians
-differ by more than the parent's quartile spread, the rule for claiming a
-gain.
+end-to-end ones.  After each run, one fresh process in the same tree probes
+three sets: the F+- LP that membership_report(a, ["Fpm"]) poses for
+a = gen_random_spn(n, 0), n in FPM_SIZES (fpm.n<n>.*: wall and cpu seconds,
+pivots, refactorizations); membership_report on gen_random_spn(16, s) for
+s < REPORT_SEEDS (report.n16.*: pivots, lp.solve calls and cpu seconds per
+report, which resolve a change that one n = 16 solve cannot, and the cpu
+microseconds per pivot, the cost of the simplex's pivot loop); and the
+acceptance criteria ACCEPT_CRITERIA of its tests/test_acceptance.py
+(accept.c<nn>_s, wall seconds).  Each set runs once to warm up, then each
+of its calls (one LP, one report, one criterion) is timed by QuietTimer from
+this checkout's perfbench/timing.py, the same file for both trees, with one
+attempt per criterion; the times are at the host's quiet speed, as
+perfbench's own are.  A timed pass whose pivot, solve or refactorization
+counts differ from the warm-up's fails the run.  Runs go one at a time.  A
+metric is "resolved" when the change won at least nine tenths of the pairs
+(ties count for neither side) and the medians differ by more than the
+parent's quartile spread, the rule for claiming a gain.
 """
 
 from __future__ import annotations
@@ -43,100 +46,92 @@ from gitrev import ROOT, extracted
 
 SIDES = ("parent", "change")
 FPM_SIZES = (10, 16, 20, 30)
-# run in a tree's src/: time the one lp.solve that the F+- membership test
-# of gen_random_spn(n, 0) makes, for each n in argv
-FPM_SCRIPT = """
-import json, sys, time
-from conekit import cones, instances, lp
-out, solve = {}, lp.solve
-def timed(prog, *args, **kwargs):
-    w, c = time.perf_counter(), time.process_time()
-    sol = solve(prog, *args, **kwargs)
-    w, c = time.perf_counter() - w, time.process_time() - c
-    out.update(wall_s=w, cpu_s=c, pivots=sol.iterations,
-               refactorizations=sol.refactorizations)
-    return sol
-lp.solve = timed
-record = {}
-for n in map(int, sys.argv[1:]):
-    cones.membership_report(instances.gen_random_spn(n, 0)[0], ["Fpm"])
-    record.update({f"fpm.n{n}.{k}": v for k, v in out.items()})
-print(json.dumps(record))
-"""
 REPORT_SEEDS = 40
-# run in a tree's src/: membership_report on gen_random_spn(16, s) for s
-# below argv[1], with lp.solve wrapped as in FPM_SCRIPT; per report means,
-# and the cpu microseconds per pivot
-REPORT_SCRIPT = """
-import json, sys, time
+ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
+# run in a tree, its src/ on the path, with argv: the timing.py to time with,
+# and [sizes, seeds, criteria] as JSON; see the module docstring
+PROBE_SCRIPT = """
+import functools, importlib.util, json, sys
 from conekit import cones, instances, lp
-count, solve = {"pivots": 0, "solves": 0}, lp.solve
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+timing, tests = load("timing", sys.argv[1]), load("acceptance", "tests/test_acceptance.py")
+sizes, seeds, criteria = json.loads(sys.argv[2])
+tested = {}
+for num in criteria:
+    names = [k for k in dir(tests) if k.startswith(f"test_criterion_{num:02d}_")]
+    if len(names) != 1:
+        sys.exit(f"no acceptance criterion {num}")
+    tested[num] = getattr(tests, names[0])
+count, posed, solve = {}, [], lp.solve
 def counted(prog, *args, **kwargs):
+    posed[:] = [functools.partial(lp.solve, prog, *args, **kwargs)]
     sol = solve(prog, *args, **kwargs)
     count["pivots"] += sol.iterations
     count["solves"] += 1
+    count["refactorizations"] += sol.refactorizations
     return sol
 lp.solve = counted
-mats = [instances.gen_random_spn(16, s)[0] for s in range(int(sys.argv[1]))]
-c = time.process_time()
-for a in mats:
-    cones.membership_report(a)
-count["cpu_s"] = time.process_time() - c
-record = {f"report.n16.{k}": v / len(mats) for k, v in count.items()}
-record["report.n16.us_per_pivot"] = 1e6 * count["cpu_s"] / count["pivots"]
-print(json.dumps(record))
-"""
-ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
-# run in a tree: time each named criterion of its acceptance tests, which
-# raise when the criterion fails; the tests' own report lines are dropped
-ACCEPT_SCRIPT = """
-import contextlib, importlib.util, io, json, sys, time
-spec = importlib.util.spec_from_file_location("acceptance", "tests/test_acceptance.py")
-tests = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tests)
-record = {}
-for num in map(int, sys.argv[1:]):
-    name, = (k for k in dir(tests) if k.startswith(f"test_criterion_{num:02d}_"))
-    with contextlib.redirect_stdout(io.StringIO()):
-        started = time.perf_counter()
-        getattr(tests, name)()
-    record[f"accept.c{num:02d}_s"] = time.perf_counter() - started
+def counts(fn):
+    count.update(pivots=0, solves=0, refactorizations=0)
+    fn()
+    return dict(count)
+sets = {}  # set: its calls, each with the counts of its warm-up run
+for n in sizes:
+    a = instances.gen_random_spn(n, 0)[0]
+    warm = counts(functools.partial(cones.membership_report, a, ["Fpm"]))
+    sets[f"fpm.n{n}"] = [(posed[0], warm)]
+if seeds:
+    reports = [functools.partial(cones.membership_report, instances.gen_random_spn(16, s)[0])
+               for s in range(seeds)]
+    sets["report.n16"] = [(fn, counts(fn)) for fn in reports]
+for num, test in tested.items():  # its report lines go before the record
+    sets[f"accept.c{num:02d}"] = [(test, counts(test))]
+timer, record = timing.QuietTimer(), {}
+for name, calls in sets.items():
+    # each call is measured on its own: a short call seldom spans a change
+    # of the host's speed, so the references around it describe it
+    wall = cpu = 0.0
+    for fn, warm in calls:
+        def repeat():
+            if counts(fn) != warm:
+                sys.exit(f"{name}: counts {count} differ from the warm-up's {warm}")
+        _, w, c = timer.measure(repeat, attempts=1 if name.startswith("accept.") else timing.ATTEMPTS)
+        wall, cpu = wall + w, cpu + c
+    total = {k: sum(warm[k] for _, warm in calls) for k in count}
+    if name.startswith("fpm."):
+        record.update({f"{name}.wall_s": wall, f"{name}.cpu_s": cpu, f"{name}.pivots": total["pivots"],
+                       f"{name}.refactorizations": total["refactorizations"]})
+    elif name == "report.n16":
+        per_report = dict(pivots=total["pivots"], solves=total["solves"], cpu_s=cpu)
+        record.update({f"{name}.{k}": v / seeds for k, v in per_report.items()})
+        record[f"{name}.us_per_pivot"] = 1e6 * cpu / total["pivots"]
+    else:
+        record[f"{name}_s"] = wall
 print(json.dumps(record))
 """
 
 
-def _in_tree(tree: Path, what: str, script: str, args) -> dict:
-    """The JSON record that script prints, run with args in a fresh process
-    on tree's src/, tree as working directory."""
+def probe_once(tree: Path, sizes=FPM_SIZES, seeds=REPORT_SEEDS, criteria=ACCEPT_CRITERIA) -> dict:
+    """The fpm.n<n>.*, report.n16.* and accept.c<nn>_s metrics of tree, from
+    one fresh process on its src/, tree as working directory, timed by this
+    checkout's perfbench/timing.py; RuntimeError when the process fails: a
+    criterion is missing or fails, or a timed pass's counts move."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    command = [sys.executable, "-c", script, *map(str, args)]
+    sets = json.dumps([list(sizes), seeds, list(criteria)])
+    command = [sys.executable, "-c", PROBE_SCRIPT, str(ROOT / "perfbench" / "timing.py"), sets]
     r = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     if r.returncode:
-        raise RuntimeError(f"{what} in {tree} failed:\n{r.stderr[-2000:]}")
+        raise RuntimeError(f"probe in {tree} failed:\n{r.stderr[-2000:]}")
     return json.loads(r.stdout.strip().splitlines()[-1])
 
 
-def fpm_once(tree: Path, sizes=FPM_SIZES) -> dict:
-    """The fpm.n<n>.* metrics of tree's F+- membership LPs, in a fresh process."""
-    return _in_tree(tree, "F+- timing", FPM_SCRIPT, sizes)
-
-
-def report_once(tree: Path, seeds=REPORT_SEEDS) -> dict:
-    """The report.n16.* metrics of tree's membership reports, per report,
-    in a fresh process."""
-    return _in_tree(tree, "report timing", REPORT_SCRIPT, [seeds])
-
-
-def accept_once(tree: Path, criteria=ACCEPT_CRITERIA) -> dict:
-    """The accept.c<nn>_s wall seconds of tree's acceptance criteria, in a
-    fresh process; a failing criterion raises RuntimeError."""
-    return _in_tree(tree, "acceptance timing", ACCEPT_SCRIPT, criteria)
-
-
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench/run.py run in tree, then its F+-, report and acceptance
-    timings; the run's final JSON object with the fpm.*, report.* and
-    accept.* metrics added."""
+    """One perfbench/run.py run in tree, then its probe; the run's final JSON
+    object with the probe's metrics added."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", str(trace)]
     r = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -148,7 +143,7 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
         "failed": final["failed"],
         "correct": final["correct"],
         "metrics": {**{k: v["value"] for k, v in final["metrics"].items()},
-                    **fpm_once(tree), **report_once(tree), **accept_once(tree)},
+                    **probe_once(tree)},
     }
 
 
