@@ -147,10 +147,9 @@ def check_membership_lp(
     so ep is not checked here: the pairs the package builds are A's by
     construction, and membership_report checks a caller's.  A capped LP
     gives the same verdict, and its alpha_star is min(alpha*, max(alpha0, 0))."""
-    tag = family if ep.orthogonal else family + "_hat"
     vectors = sd_basis(ep.P, family)
     prog, alpha0 = build_lp(a, vectors, capped=capped)
-    return _lp_verdict(a, vectors, lpmod.solve(prog), alpha0, tag)
+    return _lp_verdict(a, vectors, lpmod.solve(prog), alpha0, family, ep)
 
 
 def _fplus_and_fpm(a: np.ndarray, ep: EigenPair) -> list[MembershipVerdict]:
@@ -161,13 +160,14 @@ def _fplus_and_fpm(a: np.ndarray, ep: EigenPair) -> list[MembershipVerdict]:
     prog, alpha0 = build_lp(a, vectors)
     m = len(a) * (len(a) + 1) // 2
     sol = lpmod.solve(prog, held=range(m, vectors.shape[1]))
-    hat = "" if ep.orthogonal else "_hat"
-    return [_lp_verdict(a, vectors[:, :m], sol.first, alpha0, "Fplus" + hat),
-            _lp_verdict(a, vectors, sol, alpha0, "Fpm" + hat)]
+    return [_lp_verdict(a, vectors[:, :m], sol.first, alpha0, "Fplus", ep),
+            _lp_verdict(a, vectors, sol, alpha0, "Fpm", ep)]
 
 
-def _lp_verdict(a, vectors, sol, alpha0, tag) -> MembershipVerdict:
-    """The verdict of a solved detection LP over the columns of vectors."""
+def _lp_verdict(a, vectors, sol, alpha0, family, ep) -> MembershipVerdict:
+    """The verdict of a solved detection LP over the columns of vectors,
+    sd_basis(ep.P, family)'s; a non-orthogonal pair tags it family + "_hat"."""
+    tag = family if ep.orthogonal else family + "_hat"
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
     alpha = alpha0 + sol.objective_value
@@ -246,9 +246,9 @@ def _dispatch(
 def membership_report(
     a: np.ndarray, cones=CONE_ORDER, ep: EigenPair | None = None
 ) -> list[MembershipVerdict]:
-    """A's verdicts for the named cones, in CONE_ORDER's order; [cone] asks
-    for one.  Names outside CONE_ORDER are refused before any work, and A is
-    decided at linalg.unit_scale's scale.
+    """A's verdicts for the named cones, one per distinct name, in
+    CONE_ORDER's order; [cone] asks for one.  Names outside CONE_ORDER are
+    refused before any work, and A is decided at linalg.unit_scale's scale.
 
     A given pair ep is checked here, the one place a caller's pair enters:
     P and lam must read as an n x n and an n-long float array, and

@@ -33,10 +33,6 @@ FAMILIES = ("N", "H", *cones.LP_FAMILIES)
 _REPLICATOR_STEPS = 100  # fixed; on planted QPs 50 give as few cells, 25 more
 
 
-class DegenerateEdge(ValueError):
-    """The edge chosen for bisection is numerically a point."""
-
-
 def longest_edge(v: np.ndarray):
     """(i, j, length) of the longest edge of the simplex with vertex columns
     v, lexicographic tie-break."""
@@ -53,10 +49,11 @@ def longest_edge(v: np.ndarray):
 def bisect(v: np.ndarray):
     """Split the simplex with (n, k) vertex matrix v at the midpoint of its
     longest edge (i, j).  Returns the two children: v with column i, resp.
-    column j, replaced by the midpoint."""
+    column j, replaced by the midpoint; None if that edge is numerically a
+    point (shorter than 1e-14)."""
     i, j, length = longest_edge(v)
     if length < 1e-14:
-        raise DegenerateEdge(f"edge ({i}, {j}) has length {length:.3e}")
+        return None
     mid = (v[:, i] + v[:, j]) / 2.0
     v_i, v_j = v.copy(), v.copy()
     v_i[:, i] = v_j[:, j] = mid
@@ -203,11 +200,11 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
         if removed:
             removals[removed] += 1
             continue
-        try:
-            worklist.extend(bisect(cell))
-        except DegenerateEdge:
+        children = bisect(cell)
+        if children is None:
             worklist.append(cell)
             return finish(INCONCLUSIVE, "degenerate-edge")
+        worklist.extend(children)
 
     return finish(COPOSITIVE)
 

@@ -25,10 +25,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-class InconsistentHeader(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph; edges are 0-indexed pairs (i, j) with i < j."""
@@ -76,8 +72,7 @@ def complete_graph(n: int) -> Graph:
 
 def load_dimacs(path) -> Graph:
     """Parse a DIMACS edge-list file ("p edge n m" header, "e i j" lines)."""
-    n = None
-    declared_m = None
+    n = declared_m = header_line = None
     edges = set()
     edge_lines = 0
     with open(path) as fh:
@@ -92,7 +87,7 @@ def load_dimacs(path) -> Graph:
                 if len(parts) != 4 or parts[1] not in ("edge", "col"):
                     raise ParseError("malformed problem line", lineno)
                 try:
-                    n, declared_m = int(parts[2]), int(parts[3])
+                    n, declared_m, header_line = int(parts[2]), int(parts[3]), lineno
                 except ValueError:
                     raise ParseError("non-integer header fields", lineno) from None
                 if n < 1 or declared_m < 0:
@@ -117,8 +112,8 @@ def load_dimacs(path) -> Graph:
     if n is None:
         raise ParseError("missing problem line", 0)
     if edge_lines != declared_m:
-        raise InconsistentHeader(
-            f"header declares {declared_m} edges, file has {edge_lines}"
+        raise ParseError(
+            f"header declares {declared_m} edges, file has {edge_lines}", header_line
         )
     return Graph(n, frozenset(edges))
 
@@ -244,7 +239,7 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
     n0 = (f + f.T) / 2.0
     n0[np.ix_(support, support)] = 0.0
     q = t * np.outer(e, e) + r.T @ h @ r + n0
-    q = (q + q.T) / 2.0
+    q = q / 2.0 + q.T / 2.0  # halving is exact, and a sum near the range overflows
     return PlantedQp(Q=q, x_star=x_star, t=float(t))
 
 

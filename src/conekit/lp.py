@@ -17,10 +17,12 @@ folded into Binv by one matrix product every 20 pivots (every pivot below
 Phys. 2017).  Every 400 pivots Binv is formed afresh by inverting only the
 basis kernel, the basic structural columns on the rows whose slack is
 nonbasic (Bisschop & Meeraus, Math. Program. 1977); the basic slacks' rows
-of B^-1 follow from it: the detection LPs at n = 16 end before it, and at
-n = 30-50 400 was no slower than 100.  On the small structured LPs of the
-cone membership tests (a few thousand rows at most; not for sparse work) a
-pivot costs numpy calls more than arithmetic, so solve() keeps them few: it
+of B^-1 follow from it: the cold detection LPs at n = 16 end before it
+(the report's held F+/F+- solve counts both stages, and refactorized once
+in 16 of detect's 150 catalogue reports), and at n = 30-50 400 was no
+slower than 100.  On the small structured LPs of the cone membership tests
+(a few thousand rows at most; not for sparse work) a pivot costs numpy
+calls more than arithmetic, so solve() keeps them few: it
 works in buffers allocated once per call, binds its numpy functions, steps
 the stacked reduced costs and weights by one subtraction, divides the whole
 ratio column and masks it after, and tracks the objective by each pivot's

@@ -795,6 +795,11 @@ def test_membership_report_canonical_order():
     assert [v.cone for v in verdicts] == ["N", "H", "L"]
 
 
+def test_membership_report_gives_one_verdict_per_distinct_name():
+    verdicts = cones.membership_report(M1, cones=["N", "H", "N"])
+    assert [v.cone for v in verdicts] == ["N", "H"]
+
+
 def test_membership_report_records_numerical_errors_only(monkeypatch):
     solve = lp.solve
 

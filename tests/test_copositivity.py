@@ -13,7 +13,6 @@ from conekit.copositivity import (
     INCONCLUSIVE,
     NOT_COPOSITIVE,
     CopoConfig,
-    DegenerateEdge,
     _form_above,
     _partition,
     _replicator_start,
@@ -73,9 +72,12 @@ def test_bisect_fineness_halves():
 
 
 def test_bisect_degenerate_edge():
+    # a cell whose longest edge is shorter than 1e-14 has no children
     cell = np.column_stack([np.ones(2) / 2, np.ones(2) / 2])
-    with pytest.raises(DegenerateEdge):
-        bisect(cell)
+    assert bisect(cell) is None
+    cell[0, 1] += 5e-15
+    assert longest_edge(cell)[2] < 1e-14
+    assert bisect(cell) is None
 
 
 def test_degenerate_edge_is_inconclusive():

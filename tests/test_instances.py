@@ -9,7 +9,6 @@ from conekit import cones, copositivity, instances
 from conekit.copositivity import CopoConfig
 from conekit.instances import (
     Graph,
-    InconsistentHeader,
     ParseError,
     complete_graph,
     format_dimacs,
@@ -106,9 +105,11 @@ def test_load_dimacs_self_loop(tmp_path):
 
 def test_load_dimacs_header_mismatch(tmp_path):
     p = tmp_path / "bad.col"
-    p.write_text("p edge 3 5\ne 1 2\n")
-    with pytest.raises(InconsistentHeader):
+    p.write_text("c three nodes\np edge 3 5\ne 1 2\n")
+    with pytest.raises(ParseError) as err:
         load_dimacs(p)
+    assert err.value.line == 2  # the header's line
+    assert str(err.value) == "line 2: header declares 5 edges, file has 1"
 
 
 def test_load_dimacs_edge_before_header(tmp_path):
@@ -195,6 +196,14 @@ def test_gen_planted_qp_refuses_a_non_finite_t():
     for t in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
             gen_planted_qp(4, 2, t, seed=0)
+
+
+def test_gen_planted_qp_near_the_float_range():
+    # a finite t is accepted, so symmetrizing Q must not overflow near it
+    for t in (1e308, -1e308):
+        q = gen_planted_qp(4, 2, t, seed=0).Q
+        assert np.all(np.isfinite(q))
+        assert np.array_equal(q, q.T)
 
 
 def test_clique_uniform_vector_value():
