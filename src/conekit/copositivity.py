@@ -152,7 +152,6 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
             "iterations": iterations,
             "lp_calls": lp_calls,
             "removals": dict(removals),
-            "fineness": max((longest_edge(c)[2] for c in worklist), default=0.0),
             "worklist": len(worklist),
             "wall_time": time.monotonic() - started,
             "reason": reason,

@@ -65,6 +65,13 @@ def _check_size(what: str, v) -> None:
         raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
+def _check_real(what: str, v) -> None:
+    """Refuse a bool or a value that is not a real number, with a ValueError
+    naming it, before a range or finiteness check compares it."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise ValueError(f"{what} must be a real number, got {v!r}")
+
+
 def complete_graph(n: int) -> Graph:
     _check_size("graph size n", n)
     return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
@@ -124,8 +131,9 @@ def format_dimacs(g: Graph) -> str:
 
 
 def max_clique_matrix(g: Graph, gamma: float) -> np.ndarray:
-    """The clique-detection matrix gamma * (E - adjacency) - E; a non-finite
-    gamma is refused before it meets the adjacency's zeros."""
+    """The clique-detection matrix gamma * (E - adjacency) - E; a gamma not
+    finite and real is refused before it meets the adjacency's zeros."""
+    _check_real("gamma", gamma)
     if not np.isfinite(gamma):
         raise ValueError("matrix entries must be finite")
     e = np.ones((g.n, g.n))
@@ -134,7 +142,8 @@ def max_clique_matrix(g: Graph, gamma: float) -> np.ndarray:
 
 def std_qp_matrix(q: np.ndarray, gamma: float) -> np.ndarray:
     """The level-shift matrix Q - gamma * E for the simplex-constrained QP;
-    a non-finite gamma is refused, as max_clique_matrix refuses it."""
+    a gamma not finite and real is refused, as max_clique_matrix refuses it."""
+    _check_real("gamma", gamma)
     if not np.isfinite(gamma):
         raise ValueError("matrix entries must be finite")
     q = as_sym_matrix(q)
@@ -211,7 +220,7 @@ class PlantedQp:
     t: float
 
 
-def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
+def gen_planted_qp(n: int, support_size: int, t: float, seed) -> PlantedQp:
     """Simplex QP with a planted minimizer.
 
     Draws x_star uniformly on a random face of the simplex, then builds
@@ -225,6 +234,7 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
     _check_size("support_size", support_size)
     if not (1 <= support_size <= n):
         raise ValueError("support_size must lie in [1, n]")
+    _check_real("t", t)
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     rng = np.random.default_rng(seed)
@@ -243,11 +253,12 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed=None) -> PlantedQp:
     return PlantedQp(Q=q, x_star=x_star, t=float(t))
 
 
-def gen_gnp_graph(n: int, p: float, seed=None) -> Graph:
+def gen_gnp_graph(n: int, p: float, seed) -> Graph:
     """Erdos-Renyi graph with edge probability p."""
     _check_size("n", n)
     if n < 1:
         raise ValueError("n must be positive")
+    _check_real("edge probability p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -259,7 +270,7 @@ def gen_gnp_graph(n: int, p: float, seed=None) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def plant_clique(g: Graph, k: int, seed=None) -> Graph:
+def plant_clique(g: Graph, k: int, seed) -> Graph:
     """Add a k-clique on random nodes, guaranteeing clique number >= k."""
     _check_size("clique size k", k)
     if not (1 <= k <= g.n):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -63,11 +64,11 @@ def test_graph_refuses_a_size_or_endpoint_that_is_not_an_integer():
 
 
 @pytest.mark.parametrize("call, what, size", [
-    (lambda v: plant_clique(P3, v), "clique size k", 2.5),
-    (lambda v: plant_clique(P3, v), "clique size k", True),
+    (lambda v: plant_clique(P3, v, seed=0), "clique size k", 2.5),
+    (lambda v: plant_clique(P3, v, seed=0), "clique size k", True),
     (lambda v: gen_planted_qp(8, v, -1.0, seed=0), "support_size", 2.5),
     (lambda v: gen_planted_qp(v, 2, -1.0, seed=0), "n", 8.0),
-    (lambda v: gen_gnp_graph(v, 0.5), "n", 2.5),
+    (lambda v: gen_gnp_graph(v, 0.5, seed=0), "n", 2.5),
     (lambda v: gen_random_spn(v, 0), "n", 2.5),
     (lambda v: gen_random_spn(v, 0), "n", False),
     (lambda v: complete_graph(v), "graph size n", 2.5),
@@ -196,6 +197,23 @@ def test_gen_planted_qp_refuses_a_non_finite_t():
     for t in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
             gen_planted_qp(4, 2, t, seed=0)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda v: max_clique_matrix(P3, v), "gamma"),
+    (lambda v: std_qp_matrix(np.eye(2), v), "gamma"),
+    (lambda v: gen_planted_qp(3, 2, v, seed=0), "t"),
+    (lambda v: gen_gnp_graph(3, v, seed=0), "edge probability p"),
+], ids=["max_clique_matrix", "std_qp_matrix", "gen_planted_qp", "gen_gnp_graph"])
+def test_gamma_t_and_p_refuse_a_bool_or_a_value_that_is_not_real(call, what):
+    # True ran as 1, and "1" raised a TypeError from np.isfinite or from a
+    # comparison, which named no value; numpy numbers are still numbers
+    for value in (True, np.bool_(False), "1", None, 1j):
+        msg = f"^{what} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=msg):
+            call(value)
+    for value in (1, np.int64(0), np.float64(0.5)):
+        assert call(value) is not None
 
 
 def test_gen_planted_qp_near_the_float_range():
@@ -356,6 +374,28 @@ def test_every_partition_entry_takes_one_start_on_the_callers_matrix(monkeypatch
         seen.clear()
         run()
         assert len(seen) == 1 and np.array_equal(seen[0], caller)
+
+
+def test_every_partition_entry_returns_the_same_stats_keys(monkeypatch):
+    # the stats that README lists, and no other: each one has a reader
+    keys = {"iterations", "lp_calls", "removals", "worklist", "wall_time",
+            "reason", "errors"}
+    runs = []
+    partition = instances._partition
+
+    def spy(*args):
+        res, best = partition(*args)
+        runs.append(res)
+        return res, best
+
+    monkeypatch.setattr(instances, "_partition", spy)
+    instances.qp_optimum(gen_planted_qp(6, 3, -5.0, seed=0).Q, fast_cfg())
+    instances.clique_number(gen_gnp_graph(6, 0.5, seed=0), fast_cfg())
+    a = gen_random_spn(5, 0)[0]
+    runs += [copositivity.test_copositive(b, fast_cfg()) for b in (a, -a)]
+    assert [res.outcome for res in runs[2:]] == ["copositive", "not_copositive"]
+    for res in runs:
+        assert set(res.stats) == keys
 
 
 def test_std_qp_matrix_examples():
@@ -545,9 +585,9 @@ def test_planted_qp_invariants():
 
 def test_planted_qp_validates_support():
     with pytest.raises(ValueError):
-        gen_planted_qp(4, 0, -1.0)
+        gen_planted_qp(4, 0, -1.0, seed=0)
     with pytest.raises(ValueError):
-        gen_planted_qp(4, 5, -1.0)
+        gen_planted_qp(4, 5, -1.0, seed=0)
 
 
 def test_plant_clique_guarantee():

@@ -9,18 +9,20 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   The digest moved when test_copositive took the replicator start: a
   refutation's certificate became the lowest point found, often the start
   itself.  It moved again when the 26th matrix joined, a PSD one that
-  the N family refuted by a vertex's float form, below its exact one;
+  the N family refuted by a vertex's float form, below its exact one, and
+  when the stats lost the longest edge left in the worklist, as the
+  clique digest did;
 - report:    membership_report on 46 matrices x 7 cones (status, alpha*,
   S, N, note): 40 gen_random_spn(12) draws, a non-copositive 2 x 2 matrix
   at 1e-10 and 1e10, and two draws at 2^-41 and 2^40, with a count of the
   G/F+/F+- member witnesses that pass a check which does not trust the LP
   (S and N exactly symmetric, S PSD, N at least alpha*).  Then
-  membership_report(a, [cone], pair) on 6 given pairs x 7 cones (a tree
-  from before that call has check_membership): M2's hat pair (the same
-  fields), and five pairs that the entry check must refuse (the error's
-  type and message, with a count of the ValueErrors), so a tree that raises
-  something else, or nothing, still runs.  The scaled matrices joined
-  later, and moved the digest; the given pairs joined later still;
+  membership_report(a, [cone], pair) on 6 given pairs x 7 cones: M2's hat
+  pair (the same fields), and five pairs that the entry check must refuse
+  (the error's type and message, with a count of the ValueErrors), so a
+  tree that raises something else, or nothing, still runs.  The scaled
+  matrices joined later, and moved the digest; the given pairs joined
+  later still;
 - bracket:   qp_optimum on 12 planted QPs (n=8): 10 at eta = 0.1, and two
   offset by 1e10 at eta = 0.001, where rounding moves a cell's hat pair off
   its matrix by more than 1e-6; with a count of the brackets that hold the
@@ -39,10 +41,8 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   simplex holds up to 20 deferred updates and refactorizes (the same, and
   refactorizations).  The small LPs were re-posed in this form when
   LinearProgram lost its lo/hi bounds, so the digest differs from every
-  revision before that: there (c, A, b) reads as A x >= b with x free, and
-  an LP that solve() rejects feeds its ValueError message, so a comparison
-  with such a revision still runs.  The 16 detect-size LPs joined later,
-  and moved the digest again.  They take b from A's own entries since the
+  revision before that.  The 16 detect-size LPs joined later, and moved
+  the digest again.  They take b from A's own entries since the
   detection LP was posed from A and its basis vectors, not from the
   pair's reconstruction of A, so the digest differs from every revision
   before that too.  A report that wants F+ and F+- solves both in one
@@ -235,13 +235,10 @@ def report_section():
             if v.is_member and v.cone in cones.LP_FAMILIES:
                 witnesses.append(_witness_ok(a, v))
     refused = 0
-    # a tree from before membership_report took a pair has check_membership
-    one = getattr(cones, "check_membership", None) or (
-        lambda a, cone, pair: cones.membership_report(a, [cone], pair)[0])
     for a, pair in _given_pairs():
         for cone in cones.CONE_ORDER:
             try:
-                v = one(a, cone, pair)
+                (v,) = cones.membership_report(a, [cone], pair)
             except Exception as exc:  # any error, so that every tree runs
                 _feed(h, [cone, type(exc).__name__, str(exc)])
                 refused += isinstance(exc, ValueError)
@@ -257,14 +254,12 @@ def report_section():
 def _partition_runs():
     """Record each partition run that instances makes, as a dict: its start
     point, the start's value _form_above(form, start), and its stats but
-    wall_time.  A tree whose _partition takes its own start is given none,
-    and the start it takes is recomputed here, so both kinds of tree hash
-    the same fields."""
+    wall_time."""
     partition, runs = instances._partition, []
 
-    def recorded(a, cfg, level, *given):
-        res, best = partition(a, cfg, level, *given)
-        start = given[0] if given else copositivity._replicator_start(a)
+    def recorded(a, cfg, level):
+        res, best = partition(a, cfg, level)
+        start = copositivity._replicator_start(a)
         stats = {k: v for k, v in res.stats.items() if k != "wall_time"}
         runs.append({"start": start, "start_value": _form_above(a, start),
                      "stats": stats})
@@ -373,12 +368,7 @@ def lp_section():
     ))
     statuses: Counter = Counter()
     for c, a, b in progs:
-        try:
-            sol = lp.solve(lp.LinearProgram(c, a, b))
-        except ValueError as exc:  # see the module docstring
-            _feed(h, ["error", str(exc)])
-            statuses["error"] += 1
-            continue
+        sol = lp.solve(lp.LinearProgram(c, a, b))
         _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual, sol.iterations])
         statuses[sol.status] += 1
     detect = 0
