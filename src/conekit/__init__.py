@@ -2,9 +2,9 @@
 PSD-plus-nonnegative cone, and simplicial-partition copositivity testing.
 
 The names exported here are the entry points: they validate their input
-matrices and a given eigen pair, and the membership tests and the partition
-decide them at one scale (linalg.unit_scale).  The helpers inside the
-modules trust the symmetric float arrays and pairs those entry points make."""
+matrices, and the membership tests and the partition decide them at one
+scale (linalg.unit_scale).  The helpers inside the modules trust the
+symmetric float arrays and pairs those entry points make."""
 
 from .cones import (
     MEMBER,
@@ -32,11 +32,7 @@ from .instances import (
     qp_optimum,
     std_qp_matrix,
 )
-from .linalg import (
-    EigenPair,
-    as_sym_matrix,
-    load_matrix,
-)
+from .linalg import as_sym_matrix, load_matrix
 from .lp import LinearProgram, LpSolution, solve
 
 __version__ = "0.1.0"
@@ -62,7 +58,6 @@ __all__ = [
     "max_clique_matrix",
     "qp_optimum",
     "std_qp_matrix",
-    "EigenPair",
     "as_sym_matrix",
     "load_matrix",
     "LinearProgram",

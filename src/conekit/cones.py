@@ -144,9 +144,9 @@ def check_membership_lp(
     """Solve build_lp over sd_basis(ep.P, family) for a factorization ep of
     A and assemble the witness on success: S = R R^T with R = V sqrt(y),
     PSD by construction, and N = A - S.  The witness holds for any basis,
-    so ep is not checked here: the pairs the package builds are A's by
-    construction, and membership_report checks a caller's.  A capped LP
-    gives the same verdict, and its alpha_star is min(alpha*, max(alpha0, 0))."""
+    so ep is not checked: the pairs the package builds are A's by
+    construction.  A capped LP gives the same verdict, and its alpha_star
+    is min(alpha*, max(alpha0, 0))."""
     vectors = sd_basis(ep.P, family)
     prog, alpha0 = build_lp(a, vectors, capped=capped)
     return _lp_verdict(a, vectors, lpmod.solve(prog), alpha0, family, ep)
@@ -239,28 +239,22 @@ def _dispatch(
     if cone == "H":
         return in_H(a)
     if cone == "L":
-        return in_L_bomze(a, ep if ep is not None and ep.orthogonal else None)
+        return in_L_bomze(a, ep)
     return check_membership_lp(a, ep or eigen_decompose(a), cone, capped=capped)
 
 
-def membership_report(
-    a: np.ndarray, cones=CONE_ORDER, ep: EigenPair | None = None
-) -> list[MembershipVerdict]:
+def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
     """A's verdicts for the named cones, one per distinct name, in
     CONE_ORDER's order; [cone] asks for one.  Names outside CONE_ORDER are
     refused before any work, and A is decided at linalg.unit_scale's scale.
 
-    A given pair ep is checked here, the one place a caller's pair enters:
-    P and lam must read as an n x n and an n-long float array, and
-    P diag(lam) P^T must reconstruct A within 1e-6 max|A|, or ValueError.
-    The LP families and the L test share one pair: ep (a non-orthogonal one
-    gives the hat variants, and L decomposes A itself), else one orthogonal
-    decomposition of A.  With both Fplus and Fpm wanted, one simplex
-    decides the two (_fplus_and_fpm).  A test that raises an ArithmeticError
-    or ValueError (numpy's LinAlgError is one) is recorded as NOT_IDENTIFIED
-    with an "error:" note, for both cones of the shared simplex; other
-    exceptions propagate.  Each verdict is mapped back to A exactly:
-    alpha*, S and N times 2^-k.
+    The LP families and the L test share one orthogonal decomposition of A,
+    made here.  With both Fplus and Fpm wanted, one simplex decides the two
+    (_fplus_and_fpm).  A test that raises an ArithmeticError or ValueError
+    (numpy's LinAlgError is one) is recorded as NOT_IDENTIFIED with an
+    "error:" note, for both cones of the shared simplex; other exceptions
+    propagate.  Each verdict is mapped back to A exactly: alpha*, S and N
+    times 2^-k.
     """
     if isinstance(cones, str):
         raise ValueError(f"cones must be a list of cone names, got {cones!r}")
@@ -269,17 +263,10 @@ def membership_report(
     if unknown:
         raise ValueError(f"unknown cones: {sorted(unknown)}")
     a, k = unit_scale(as_sym_matrix(a))
-    if ep is not None:
-        p, lam = np.asarray(ep.P, dtype=float), np.asarray(ep.lam, dtype=float)
-        if p.shape != a.shape or lam.shape != a.shape[:1]:
-            raise ValueError(f"eigen pair needs a {a.shape} P and {len(a)} eigenvalues")
-        ep = EigenPair(p, np.ldexp(lam, k), ep.orthogonal)
-        if not ep.reconstruction_residual(a) <= 1e-6:  # NaN fails too
-            raise ValueError("eigen pair does not reconstruct the input matrix")
     shared = {"Fplus", "Fpm"} <= wanted  # one simplex decides the two
     steps = [["Fplus", "Fpm"] if shared and c == "Fplus" else [c]
              for c in CONE_ORDER if c in wanted and not (shared and c == "Fpm")]
-    verdicts = []
+    ep, verdicts = None, []
     for step in steps:
         try:
             if ep is None and step[0] in (*LP_FAMILIES, "L"):

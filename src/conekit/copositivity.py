@@ -35,14 +35,16 @@ _REPLICATOR_STEPS = 100  # fixed; on planted QPs 50 give as few cells, 25 more
 
 def longest_edge(v: np.ndarray):
     """(i, j, length) of the longest edge of the simplex with vertex columns
-    v, lexicographic tie-break."""
+    v.  Each row i offers its first longest edge (i, j > i); in row order,
+    an offer replaces the kept edge only when longer by more than 1e-15."""
+    d = v[:, None, :] - v[:, :, None]  # d[:, i, j] = v_j - v_i, one pass
+    lengths = np.sqrt(np.sum(d * d, axis=0))[:-1]
+    lengths[np.tri(*lengths.shape, dtype=bool)] = -1.0  # only j > i is an edge
+    cols, tops = np.argmax(lengths, axis=1), np.max(lengths, axis=1)
     best = (0, 1, -1.0)
-    for i in range(v.shape[1] - 1):
-        d = v[:, i + 1 :] - v[:, i : i + 1]
-        lengths = np.sqrt(np.sum(d * d, axis=0))
-        j = int(np.argmax(lengths))
-        if lengths[j] > best[2] + 1e-15:
-            best = (i, i + 1 + j, float(lengths[j]))
+    for i, (j, length) in enumerate(zip(cols.tolist(), tops.tolist())):
+        if length > best[2] + 1e-15:
+            best = (i, j, length)
     return best
 
 

@@ -8,6 +8,7 @@ emitted metadata.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -27,7 +28,8 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph; edges are 0-indexed pairs (i, j) with i < j."""
+    """Undirected simple graph; edges are 0-indexed pairs (i, j) with i < j,
+    given in any iterable and kept as a frozenset of (i, j) tuples."""
 
     n: int
     edges: frozenset
@@ -36,9 +38,12 @@ class Graph:
         _check_size("graph size n", self.n)
         if self.n < 1:
             raise ValueError(f"graph size n must be at least 1, got {self.n}")
-        for i, j in self.edges:
-            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.n):
-                raise ValueError(f"invalid edge ({i}, {j}) for {self.n} nodes")
+        edges = [tuple(e) if isinstance(e, Iterable) else (e,) for e in self.edges]
+        for e in edges:
+            if not (len(e) == 2 and _is_int(e[0]) and _is_int(e[1])
+                    and 0 <= e[0] < e[1] < self.n):
+                raise ValueError(f"invalid edge {e} for {self.n} nodes")
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @property
     def m(self) -> int:

@@ -62,10 +62,6 @@ class EigenPair:
         a = (self.P * self.lam) @ self.P.T
         return (a + a.T) / 2.0
 
-    def reconstruction_residual(self, a: np.ndarray) -> float:
-        scale = max(1.0, float(np.max(np.abs(a))))
-        return float(np.max(np.abs(self.reconstruct() - a))) / scale
-
 
 def eigen_decompose(a: np.ndarray) -> EigenPair:
     """Diagonalize a symmetric float matrix with ``numpy.linalg.eigh``.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conekit import cones, instances, lp
+from conekit import cones, copositivity, instances, lp
 from conekit.copositivity import (
     COPOSITIVE,
     FAMILIES,
@@ -57,6 +57,48 @@ def test_bisect_children_replace_one_column_by_the_midpoint():
 def test_bisect_tie_break_deterministic():
     i, j, _ = longest_edge(np.eye(3))  # equilateral: all edges tie
     assert (i, j) == (0, 1)
+
+
+def _loop_longest_edge(v):
+    """longest_edge as a loop over the k - 1 leading vertices, one reduction
+    each: the reference that the one-pass form must match bit for bit."""
+    best = (0, 1, -1.0)
+    for i in range(v.shape[1] - 1):
+        d = v[:, i + 1 :] - v[:, i : i + 1]
+        lengths = np.sqrt(np.sum(d * d, axis=0))
+        j = int(np.argmax(lengths))
+        if lengths[j] > best[2] + 1e-15:
+            best = (i, i + 1 + j, float(lengths[j]))
+    return best
+
+
+def test_longest_edge_matches_the_loop_on_bisected_and_near_tie_cells(monkeypatch):
+    cells = []
+
+    def recorded(v):
+        cells.append(v.copy())
+        return longest_edge(v)
+
+    monkeypatch.setattr(copositivity, "longest_edge", recorded)
+    a = instances.max_clique_matrix(instances.gen_gnp_graph(12, 0.5, seed=1), 4.5)
+    for family in ("N", "Fpm"):
+        run_copositive(a, CopoConfig(cone_family=family, max_iterations=3000))
+    monkeypatch.undo()
+    assert len(cells) > 1000
+    # row maxima 1, 1 + 6u and 1 + 8u: the second beats the first by more
+    # than 1e-15 and the third the second by less, so the chain keeps row 1
+    # where a plain argmax over all edges would take (2, 3)
+    u = 2.0**-52
+    chain = np.array([[0.0, -6 * u, -8 * u, 1.0]])
+    assert longest_edge(chain) == (1, 3, 1.0000000000000013)
+    near = [chain, np.array([[0.0, -4 * u, -8 * u, -12 * u, 1.0]]),
+            np.array([[0.0, 1.0, 1.0 + u], [0.0, 0.0, 0.0]]), np.eye(4)]
+    rng = np.random.default_rng(0)
+    for _ in range(200):  # vertices of a simplex moved by a few ulps
+        n, k = rng.integers(1, 5, size=2) + (0, 1)
+        near.append(np.eye(n, k) + rng.integers(-9, 10, size=(n, k)) * u)
+    for v in cells + near:
+        assert longest_edge(v) == _loop_longest_edge(v)
 
 
 def test_bisect_fineness_halves():

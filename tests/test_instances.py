@@ -49,6 +49,26 @@ def test_graph_validation():
         Graph(3, frozenset({(0, 3)}))
 
 
+def test_graph_keeps_its_edges_as_a_frozenset_of_pairs(tmp_path):
+    # a repeated edge counted twice in m and in the DIMACS header, a listed
+    # edge missed by has_edge, a generator was spent by the checks, and a
+    # set of edges made the frozen graph unhashable
+    g = Graph(3, [(0, 1), (0, 1)])
+    assert g.m == 1 and g.edges == frozenset({(0, 1)})
+    assert instances.format_dimacs(g) == "p edge 3 1\ne 1 2\n"
+    path = tmp_path / "g.col"
+    path.write_text(instances.format_dimacs(g))
+    assert instances.load_dimacs(path) == g
+    listed = Graph(3, [[0, 1]])
+    assert listed.has_edge(0, 1) and listed.adjacency()[0, 1] == 1
+    assert Graph(3, ((0, j) for j in (1, 2))).m == 2
+    assert hash(Graph(3, {(0, 1)})) == hash(g)
+    assert Graph(3, [(0, 1)]) == Graph(3, frozenset({(0, 1)}))
+    for edge in ((0, 1, 2), (0,), 0, "01"):
+        with pytest.raises(ValueError, match="invalid edge"):
+            Graph(3, [edge])
+
+
 def test_graph_refuses_a_size_or_endpoint_that_is_not_an_integer():
     # (0, 1.5) passed and .adjacency() raised numpy's IndexError; n = 2.5
     # failed later with a TypeError.  A bool is not taken for 0 or 1

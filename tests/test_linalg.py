@@ -73,7 +73,7 @@ def test_eigen_diagonal_descending():
 
 def test_eigen_m1_reconstruction():
     ep = eigen_decompose(M1)
-    assert ep.reconstruction_residual(M1) <= 1e-10
+    assert np.max(np.abs(ep.reconstruct() - M1)) <= 1e-10 * np.max(np.abs(M1))
     gaps = np.diff(ep.lam)
     assert np.all(gaps < -1e-6)  # three distinct eigenvalues
 
@@ -129,7 +129,7 @@ def test_eigen_random_residuals():
         a = rng.normal(size=(n, n)) * rng.uniform(0.1, 10.0)
         a = (a + a.T) / 2
         ep = eigen_decompose(a)
-        assert ep.reconstruction_residual(a) <= 1e-9
+        assert np.max(np.abs(ep.reconstruct() - a)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
         assert np.max(np.abs(ep.P.T @ ep.P - np.eye(n))) <= 1e-9
 
 
@@ -139,7 +139,7 @@ def test_eigen_larger_matrices():
         a = rng.normal(size=(30, 30))
         a = (a + a.T) / 2
         ep = eigen_decompose(a)
-        assert ep.reconstruction_residual(a) <= 1e-9
+        assert np.max(np.abs(ep.reconstruct() - a)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
 
 
 def test_psd_examples():
