@@ -188,17 +188,17 @@ def psd_split(a: np.ndarray, ep: EigenPair):
     return a_plus, a_plus - a
 
 
-def in_L_bomze(a: np.ndarray, ep: EigenPair | None = None) -> MembershipVerdict:
+def in_L_bomze(a: np.ndarray, ep: EigenPair) -> MembershipVerdict:
     """Copositivity certificate via the eigenvalue-clip split.
 
     Finds a nonnegative x with A_plus x >= e as the row multipliers of the
     dual LP  max e.y  s.t.  A_plus y <= e, y >= 0, which is feasible at
     y = 0; when the per-coordinate curvature inequalities hold at x, A is
     certified copositive.  No S + N witness is claimed.  An unbounded dual
-    means no such x exists, and the test cannot identify A.  ep, when given,
-    is an orthogonal decomposition of A, else A is decomposed here.
+    means no such x exists, and the test cannot identify A.  ep is an
+    orthogonal decomposition of A, as membership_report hands it.
     """
-    a_plus, a_minus = psd_split(a, ep or eigen_decompose(a))
+    a_plus, a_minus = psd_split(a, ep)
     prog = lpmod.LinearProgram(np.ones(len(a)), a_plus, 1.0)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:

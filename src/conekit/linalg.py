@@ -15,12 +15,19 @@ ASYM_TOL = 1e-12  # relative asymmetry that as_sym_matrix repairs
 def as_sym_matrix(entries) -> np.ndarray:
     """Validate and return an exactly symmetric dense float matrix.
 
-    Accepts anything array-like.  Rejects non-square shapes, non-finite
-    entries, and asymmetry beyond ``ASYM_TOL * max|A|``; mild asymmetry is
-    repaired by mirroring the upper triangle.  The package's entry points
-    call it once; the helpers behind them take its output as trusted.
+    Accepts anything array-like.  Rejects non-real entries, non-square
+    shapes, non-finite entries, and asymmetry beyond ``ASYM_TOL * max|A|``;
+    mild asymmetry is repaired by mirroring the upper triangle.  The
+    package's entry points call it once; the helpers behind them take its
+    output as trusted.
     """
-    a = np.array(entries, dtype=float)
+    a = np.asarray(entries)
+    if np.iscomplexobj(a):  # the float cast would keep only the real part
+        raise ValueError("matrix entries must be real")
+    try:
+        a = np.array(a, dtype=float)
+    except TypeError:  # an object entry that is not a real number, such as 2j
+        raise ValueError("matrix entries must be real") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:

@@ -314,7 +314,11 @@ class _Simplex:
 def solve(lp: LinearProgram, held=None) -> LpSolution:
     """Solve the LP within _PIVOTS_PER_SIZE * (rows + vars + 2) pivots;
     deterministic for a fixed input and a fixed OpenBLAS thread count.
-    Raises ValueError when an entry of b is negative.
+    Raises ValueError when an entry of b is negative.  The ratio test reads
+    a column entry at or below _PIVOT_TOL = 1e-10 as zero, an absolute
+    tolerance, so an LP posed at a tiny scale can read unbounded:
+    LinearProgram([1.0], [[1e-11]], [1e-11]) does.  The detection LPs are
+    posed at unit scale (linalg.unit_scale) and never meet this.
 
     held, indices of columns, first solves with those columns held at 0 by
     a cost of -inf (never priced in; the recurrence keeps their weights)

@@ -252,10 +252,11 @@ def test_criterion_09_iteration_ordering():
 
 def test_criterion_10_l_cone():
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    v = cones.in_L_bomze(a)
+    v = cones.in_L_bomze(a, eigen_decompose(a))
     ok = (not v.is_member) and "infeasible" in v.note
     for n in (2, 5, 10):
-        ok = ok and cones.in_L_bomze(np.eye(n)).is_member
+        e = np.eye(n)
+        ok = ok and cones.in_L_bomze(e, eigen_decompose(e)).is_member
     report(10, "coordinate-certificate cone: infeasible and identity cases", ok)
 
 

@@ -56,6 +56,20 @@ def test_entry_points_reject_bad_input():
                 call()
 
 
+def test_entry_points_refuse_a_matrix_that_is_not_real():
+    # a float cast would keep only the real part, which is copositive
+    bad = np.array([[1.0, -1.0], [-1.0, 1.0]]) + 5j * (1 - np.eye(2))
+    for call in (
+        lambda: conekit.test_copositive(bad),
+        lambda: conekit.membership_report(bad),
+        lambda: conekit.qp_optimum(bad),
+        lambda: conekit.as_sym_matrix([[1 + 2j]]),
+        lambda: conekit.as_sym_matrix(np.array([[1, 2j], [2j, 1]], dtype=object)),
+    ):
+        with pytest.raises(ValueError, match="matrix entries must be real"):
+            call()
+
+
 def test_eigen_identity():
     ep = eigen_decompose(np.eye(3))
     # eigenvector signs are an implementation choice; columns must be +-e_j
