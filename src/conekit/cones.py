@@ -153,11 +153,11 @@ def check_membership_lp(
 
 
 def _fplus_and_fpm(a: np.ndarray, ep: EigenPair) -> list[MembershipVerdict]:
-    """The F+ and F+- verdicts from one simplex: F+'s basis is the first
-    n(n+1)/2 columns of F+-'s, so F+-'s LP with the rest held at 0 is F+'s
-    LP, and lp.solve continues from F+'s optimum to F+-'s."""
+    """The F+ and F+- verdicts from one simplex over the capped LPs: F+'s
+    basis is the first n(n+1)/2 columns of F+-'s, so F+-'s LP with the rest
+    held at 0 is F+'s LP, and lp.solve continues from F+'s optimum to F+-'s."""
     vectors = sd_basis(ep.P, "Fpm")
-    prog, alpha0 = build_lp(a, vectors)
+    prog, alpha0 = build_lp(a, vectors, capped=True)
     m = len(a) * (len(a) + 1) // 2
     sol = lpmod.solve(prog, held=range(m, vectors.shape[1]))
     return [_lp_verdict(a, vectors[:, :m], sol.first, alpha0, "Fplus", ep),
@@ -220,10 +220,9 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
     return bool(np.all(np.diag(a) >= off))
 
 
-def _dispatch(
-    a: np.ndarray, cone: str, ep: EigenPair | None, capped=False
-) -> MembershipVerdict:
-    """One cone test on a matrix that as_sym_matrix already returned."""
+def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdict:
+    """One cone test on a matrix that as_sym_matrix already returned; an LP
+    family poses the capped detection LP (build_lp)."""
     if cone == "N":
         if np.min(a) >= 0.0:
             return MembershipVerdict(
@@ -240,7 +239,7 @@ def _dispatch(
         return in_H(a)
     if cone == "L":
         return in_L_bomze(a, ep)
-    return check_membership_lp(a, ep or eigen_decompose(a), cone, capped=capped)
+    return check_membership_lp(a, ep or eigen_decompose(a), cone, capped=True)
 
 
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
@@ -250,10 +249,15 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
 
     The LP families and the L test share one orthogonal decomposition of A,
     made here.  With both Fplus and Fpm wanted, one simplex decides the two
-    (_fplus_and_fpm).  A test that raises an ArithmeticError or ValueError
-    (numpy's LinAlgError is one) is recorded as NOT_IDENTIFIED with an
-    "error:" note, for both cones of the shared simplex; other exceptions
-    propagate.  Each verdict is mapped back to A exactly: alpha*, S and N
+    (_fplus_and_fpm).  Every LP family poses the capped detection LP
+    (build_lp), which stops once the floor reaches 0: the verdicts are the
+    uncapped LP's, and a member's alpha_star is min(alpha*, max(alpha0, 0))
+    up to rounding, alpha0 being A's least entry; check_membership_lp(a, ep,
+    family) gives alpha* itself.  An LP that ends lp.NUMERICAL is
+    NOT_IDENTIFIED with the note "lp-numerical".  A test that raises an
+    ArithmeticError or ValueError (numpy's LinAlgError is one) is recorded
+    as NOT_IDENTIFIED with an "error:" note, for both cones of the shared
+    simplex; other exceptions propagate.  Each verdict is mapped back to A exactly: alpha*, S and N
     times 2^-k.
     """
     if isinstance(cones, str):

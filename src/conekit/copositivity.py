@@ -22,7 +22,7 @@ from numbers import Real
 
 import numpy as np
 
-from . import cones
+from . import cones, lp
 from .linalg import EigenPair, as_sym_matrix, congruence, eigen_decompose, unit_scale
 
 COPOSITIVE = "copositive"
@@ -126,7 +126,8 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
     shift s certifies x^T A x >= s on it; level never rises as best falls,
     so every removal still holds at the final shift, and the LIFO worklist
     needs no reordering.  A cell test that raises an ArithmeticError or
-    ValueError is counted in stats["errors"] and the cell is bisected.
+    ValueError is counted in stats["errors"] under its type's name, one
+    whose LP ends lp.NUMERICAL under "numerical", and the cell is bisected.
     Returns (CopoResult, best).
     """
     start = _replicator_start(a)
@@ -189,7 +190,10 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
                         hat_shift, hat_ep = shift, eigen_decompose(a - shift)
                     ep = EigenPair(cell.T @ hat_ep.P, hat_ep.lam, orthogonal=False)
                 lp_calls += family in cones.LP_FAMILIES
-                verdict = cones._dispatch(vtav, family, ep, capped=True)
+                verdict = cones._dispatch(vtav, family, ep)
+                if verdict.note == f"lp-{lp.NUMERICAL}":  # never a removal
+                    errors["numerical"] = errors.get("numerical", 0) + 1
+                    break
                 if verdict.is_member:
                     removed = "member_hat" if step == "hat" else "member"
                     break

@@ -15,14 +15,16 @@ ASYM_TOL = 1e-12  # relative asymmetry that as_sym_matrix repairs
 def as_sym_matrix(entries) -> np.ndarray:
     """Validate and return an exactly symmetric dense float matrix.
 
-    Accepts anything array-like.  Rejects non-real entries, non-square
-    shapes, non-finite entries, and asymmetry beyond ``ASYM_TOL * max|A|``;
-    mild asymmetry is repaired by mirroring the upper triangle.  The
-    package's entry points call it once; the helpers behind them take its
-    output as trusted.
+    Accepts anything array-like.  Rejects non-real entries (complex ones,
+    strings and bytes), non-square shapes, non-finite entries, and asymmetry
+    beyond ``ASYM_TOL * max|A|``; mild asymmetry is repaired by mirroring
+    the upper triangle.  The package's entry points call it once; the
+    helpers behind them take its output as trusted.
     """
     a = np.asarray(entries)
-    if np.iscomplexobj(a):  # the float cast would keep only the real part
+    # the float cast would keep only the real part, or parse a quoted number
+    text = a.dtype == object and any(isinstance(x, (str, bytes)) for x in a.flat)
+    if a.dtype.kind in "cSU" or text:
         raise ValueError("matrix entries must be real")
     try:
         a = np.array(a, dtype=float)

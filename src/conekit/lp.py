@@ -43,6 +43,7 @@ import numpy as np
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+NUMERICAL = "numerical"  # an optimal basis whose point violates a row
 
 DEFAULT_FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-10
@@ -320,6 +321,11 @@ def solve(lp: LinearProgram, held=None) -> LpSolution:
     LinearProgram([1.0], [[1e-11]], [1e-11]) does.  The detection LPs are
     posed at unit scale (linalg.unit_scale) and never meet this.
 
+    At an optimal basis the point is read on the true rhs; when it violates
+    a row by more than DEFAULT_FEAS_TOL, B^-1 is formed afresh and the point
+    read once more, and a point that still violates one gives the status
+    NUMERICAL, with no x, objective or duals, instead of OPTIMAL.
+
     held, indices of columns, first solves with those columns held at 0 by
     a cost of -inf (never priced in; the recurrence keeps their weights)
     and returns that optimum as sol.first.  The same simplex then restores
@@ -345,13 +351,16 @@ def solve(lp: LinearProgram, held=None) -> LpSolution:
 def _result(lp: LinearProgram, spx: _Simplex, status: str) -> LpSolution:
     sol = LpSolution(status)
     if status == OPTIMAL:
-        sol.x = spx.primal()
-        # refine once if rounding pushed the point slightly outside
-        if lp.constraint_violation(sol.x) > DEFAULT_FEAS_TOL:
+        x = spx.primal()
+        # refine once if rounding pushed the point slightly outside; a point
+        # still outside after that is NUMERICAL, and carries no x
+        if lp.constraint_violation(x) > DEFAULT_FEAS_TOL:
             spx._refactorize()
-            sol.x = spx.primal()
-        sol.objective_value = float(lp.c @ sol.x)
-        sol.dual = spx.duals()
+            x = spx.primal()
+            if lp.constraint_violation(x) > DEFAULT_FEAS_TOL:
+                sol.status = NUMERICAL
+        if sol.status == OPTIMAL:
+            sol.x, sol.objective_value, sol.dual = x, float(lp.c @ x), spx.duals()
     for counter in ("iterations", "bland_pivots", "refactorizations", "pinv_fallbacks"):
         setattr(sol, counter, getattr(spx, counter))  # read after the refine
     return sol

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from conekit import cones, instances, lp
 from conekit.copositivity import bisect
-from conekit.linalg import PSD_TOL, EigenPair, congruence, eigen_decompose, is_psd_cholesky
+from conekit.linalg import (
+    PSD_TOL,
+    EigenPair,
+    congruence,
+    eigen_decompose,
+    is_psd_cholesky,
+    unit_scale,
+)
 
 M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
 M2 = np.array([[1.0, 5.0, -2.0], [5.0, 1.0, -2.0], [-2.0, -2.0, 4.0]])
@@ -763,7 +770,7 @@ def _fields(v):
 
 def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
     # G, F+ and L keep their one-cone verdicts bit for bit; F+- is the
-    # held solve's continuation, within 1e-12 of a lone F+- test
+    # capped held solve's continuation, within 1e-12 of a lone F+- test
     solves, solve = [], lp.solve
     monkeypatch.setattr(lp, "solve", lambda *a, **k: solves.append(k) or solve(*a, **k))
     for seed in range(4):
@@ -775,7 +782,7 @@ def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
             (alone,) = cones.membership_report(a, [cone])
             assert _fields(report[cone]) == _fields(alone)
         ep = eigen_decompose(a)
-        prog, alpha0 = cones.build_lp(a, cones.sd_basis(ep.P, "Fpm"))
+        prog, alpha0 = cones.build_lp(a, cones.sd_basis(ep.P, "Fpm"), capped=True)
         sol = solve(prog, held=range(78, 144))
         fpm, alone = report["Fpm"], cones.membership_report(a, ["Fpm"])[0]
         assert fpm.alpha_star == alpha0 + sol.objective_value
@@ -823,14 +830,16 @@ def _dad(a, k):
 def _diagonal_scaling_draws(count):
     """(A, k): gen_random_spn(n) for n = 3-7, every other one moved along -E
     to between halfway and all the way to its F+- floor, so that its N part
-    ends near 0, and k in [-6, 6]."""
+    ends near 0, and k in [-6, 6].  The floor is the uncapped LP's alpha*,
+    taken at unit scale as membership_report decides A, and mapped back."""
     rng = np.random.default_rng(16)
     for i in range(count):
         n = int(rng.integers(3, 8))
         a = instances.gen_random_spn(n, int(rng.integers(10**6)))[0]
         if i % 2:
-            (fpm,) = cones.membership_report(a, ["Fpm"])
-            a = a - rng.uniform(0.5, 1.0) * max(fpm.alpha_star, 0.0) * np.ones((n, n))
+            u, e = unit_scale(a)
+            floor = cones.check_membership_lp(u, eigen_decompose(u), "Fpm").alpha_star
+            a = a - rng.uniform(0.5, 1.0) * max(np.ldexp(floor, -e), 0.0) * np.ones((n, n))
         yield a, rng.integers(-6, 7, size=n)
 
 
@@ -891,15 +900,46 @@ def test_diagonal_scaling_keeps_n_and_h_and_maps_witnesses_back(monkeypatch):
             slack = 2 * max(violation, lp.DEFAULT_FEAS_TOL) * peak
             assert np.all(n_part >= _dad(np.full(a.shape, v.alpha_star - slack), -k))
     assert h_checked >= 850 and members >= 2500, (h_checked, members)
-    # lp.solve does not check its OPTIMAL after the one refine (ROADMAP item
-    # 9): 23 of these LPs (G 11, F+ 10, F+- 2), all at spreads of 2^20 to
-    # 2^24, end with rows violated by 1.0e-8 to 3.3e-6 at DAD's unit scale,
-    # beyond DEFAULT_FEAS_TOL, and their witnesses' N fall as far below alpha*
-    assert len(beyond) <= 23, beyond
+    # an LP whose point still violates a row after lp.solve's one refine is
+    # NUMERICAL, not a member, so no witness's N falls below alpha* by more
+    # than DEFAULT_FEAS_TOL at DAD's unit scale
+    assert beyond == []
     # (d) DD is not invariant: DAD = [[4, -3], [-3, 4]] is DD, A is not
     a, k = np.array([[1.0, -1.5], [-1.5, 4.0]]), np.array([1, 0])
     assert [v.is_member for v in cones.membership_report(a, ["DD"])] == [False]
     assert [v.is_member for v in cones.membership_report(_dad(a, k), ["DD"])] == [True]
+
+
+def test_a_badly_scaled_lp_that_misses_a_row_after_its_refine_is_numerical(monkeypatch):
+    # draw 20, n = 5 at the spread 2^20: the G LP's optimal basis gives a
+    # point outside a row, and so does the same basis formed afresh
+    a, k = list(_diagonal_scaling_draws(21))[20]
+    checks, violation = [], lp.LinearProgram.constraint_violation
+
+    def checked(prog, y):
+        checks.append(violation(prog, y))
+        return checks[-1]
+
+    monkeypatch.setattr(lp.LinearProgram, "constraint_violation", checked)
+    (g,) = cones.membership_report(_dad(a, k), ["G"])
+    assert len(checks) == 2 and min(checks) > lp.DEFAULT_FEAS_TOL, checks
+    assert (g.status, g.note) == (cones.NOT_IDENTIFIED, f"lp-{lp.NUMERICAL}")
+    assert g.alpha_star is None and g.s_part is None
+
+
+def test_capped_report_keeps_the_uncapped_statuses():
+    # the report's capped LPs give check_membership_lp's uncapped verdicts;
+    # a member's alpha* stops at max(alpha0, 0), a non-member's is alpha*
+    for seed in range(20):
+        a = instances.gen_random_spn(16, seed)[0]
+        report = {v.cone: v for v in cones.membership_report(a, cones.LP_FAMILIES)}
+        u, e = unit_scale(a)
+        ep, alpha0 = eigen_decompose(u), float(np.min(u))
+        for family in cones.LP_FAMILIES:
+            full, v = cones.check_membership_lp(u, ep, family), report[family]
+            assert v.status == full.status, (seed, family)
+            alpha = min(full.alpha_star, max(alpha0, 0.0)) if full.is_member else full.alpha_star
+            assert abs(np.ldexp(v.alpha_star, e) - alpha) <= 1e-12, (seed, family)
 
 
 def test_l_test_is_sound_at_every_scale():

@@ -153,6 +153,22 @@ def test_cell_test_errors_are_counted(monkeypatch):
         run_copositive(a, cfg)
 
 
+def test_cell_tests_that_end_numerical_are_counted_and_never_remove(monkeypatch):
+    # with every OPTIMAL read as violating a row, each cell LP ends NUMERICAL:
+    # counted once per cell, bisected, and never grounds for a removal
+    monkeypatch.setattr(lp, "DEFAULT_FEAS_TOL", -1.0)
+    a, _, _ = instances.gen_random_spn(4, 0)
+    for alg2 in (False, True):
+        cfg = CopoConfig(cone_family="Fpm", use_alg2=alg2, max_iterations=5)
+        res = run_copositive(a, cfg)
+        assert res.outcome == INCONCLUSIVE
+        assert res.stats["reason"] == "iteration-limit"
+        assert res.stats["errors"] == {"numerical": 5}
+        assert res.stats["removals"] == {"member": 0, "member_hat": 0}
+        assert res.stats["lp_calls"] == 5
+        assert res.stats["worklist"] == 6
+
+
 def test_all_ones_copositive_one_iteration():
     res = run_copositive(np.ones((3, 3)), CopoConfig(cone_family="N"))
     assert res.outcome == COPOSITIVE
@@ -223,8 +239,9 @@ def test_audit_witnesses_reconstruct(monkeypatch):
             assert w["s_min"] >= -1e-12
 
 
-def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
-    # a cell only needs alpha* >= 0, a membership test reports alpha* itself
+def test_cell_tests_and_membership_reports_pose_capped_lps(monkeypatch):
+    # a verdict only needs alpha* >= 0, so every LP that a cell test or a
+    # report poses stops once the floor reaches 0
     posed = []
     build = cones.build_lp
 
@@ -241,36 +258,26 @@ def test_cell_tests_pose_capped_lps_and_membership_tests_do_not(monkeypatch):
         lambda: run_copositive(missed_refutation(), CopoConfig(cone_family="Fpm")),
         lambda: instances.qp_optimum(qp.Q),
         lambda: instances.clique_number(g),
-    ):
-        posed.clear()
-        run()
-        assert posed and all(posed)
-    for run in (
-        lambda: cones.membership_report(a, ["Fpm"])[0],
+        lambda: cones.membership_report(a, ["Fpm"]),
         lambda: cones.membership_report(a),
     ):
         posed.clear()
         run()
-        assert posed and not any(posed)
-    # an interior member still reports its alpha* > 0 bit for bit; the
-    # report reaches F+-'s optimum from F+'s, with the minus columns held
-    ep = eigen_decompose(a)
-    prog, alpha0 = build(a, cones.sd_basis(ep.P, "Fpm"))
-    alpha = alpha0 + lp.solve(prog).objective_value
-    assert alpha > 0
-    assert cones.membership_report(a, ["Fpm"])[0].alpha_star == alpha
-    held = range(len(a) * (len(a) + 1) // 2, len(a) ** 2)
-    continued = alpha0 + lp.solve(prog, held=held).objective_value
-    fpm = [v for v in cones.membership_report(a) if v.cone == "Fpm"]
-    assert [v.alpha_star for v in fpm] == [continued]
-    assert abs(continued - alpha) <= 1e-12
-    capped = cones.check_membership_lp(a, ep, "Fpm", capped=True)
-    assert capped.is_member and capped.alpha_star == max(alpha0, 0.0)
+        assert posed and all(posed)
+    # an interior member's alpha* > 0 comes from the uncapped LP; the report
+    # gives min(alpha*, max(alpha0, 0)), for F+- alone and for F+- reached
+    # from F+'s optimum with the minus columns held
+    full = cones.check_membership_lp(a, eigen_decompose(a), "Fpm")
+    alpha0 = float(np.min(a))
+    assert full.is_member and full.alpha_star > 0 > alpha0
+    for report in (cones.membership_report(a, ["Fpm"]), cones.membership_report(a)):
+        (fpm,) = [v for v in report if v.cone == "Fpm"]
+        assert fpm.is_member and fpm.alpha_star == min(full.alpha_star, max(alpha0, 0.0))
 
 
 def test_alg2_tests_the_root_cell_with_the_hat_lp_only():
     # at the root V = I, so V^T A V is A and the exact LP is the hat LP:
-    # both reach the same verdict and alpha*, and alg 2 solves it once
+    # both, capped, reach the same verdict and alpha*, and alg 2 solves it once
     horn = np.array([
         [1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
         [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1],
@@ -280,7 +287,7 @@ def test_alg2_tests_the_root_cell_with_the_hat_lp_only():
         ep = eigen_decompose(a)
         hat = EigenPair(np.eye(len(a)).T @ ep.P, ep.lam, orthogonal=False)
         for family in cones.LP_FAMILIES:
-            by_hat = cones.check_membership_lp(a, hat, family)
+            by_hat = cones.check_membership_lp(a, hat, family, capped=True)
             (exact,) = cones.membership_report(congruence(a, np.eye(len(a))), [family])
             assert by_hat.status == exact.status
             assert by_hat.alpha_star == exact.alpha_star
@@ -317,13 +324,13 @@ def test_overflowed_cell_is_not_removed_by_h():
         root = congruence(a, np.eye(2))
         assert np.array_equal(root, [[np.inf, -np.inf], [-np.inf, np.inf]])
         for family in ("N", "H"):
-            verdict = cones._dispatch(root, family, None, capped=True)
+            verdict = cones._dispatch(root, family, None)
             assert verdict.status == cones.NOT_IDENTIFIED, family
         hat = eigen_decompose(a)
         hat = EigenPair(hat.P, hat.lam, orthogonal=False)
         for family in cones.LP_FAMILIES:
             with pytest.raises(ValueError, match="coefficients and rhs must be finite"):
-                cones._dispatch(root, family, hat, capped=True)
+                cones._dispatch(root, family, hat)
 
 
 def test_entries_near_the_float_range_are_decided():

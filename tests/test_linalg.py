@@ -70,6 +70,24 @@ def test_entry_points_refuse_a_matrix_that_is_not_real():
             call()
 
 
+def test_entry_points_refuse_quoted_numbers():
+    # a float cast parses "1", as the generators refuse it for t, p or gamma
+    quoted = [["1", "-1"], ["-1", "1"]]
+    for entries in (
+        quoted,
+        [[b"1", b"-1"], [b"-1", b"1"]],
+        np.array(quoted, dtype=object),
+        np.array([[1.0, b"-1"], [-1.0, 1.0]], dtype=object),
+    ):
+        with pytest.raises(ValueError, match="matrix entries must be real"):
+            conekit.as_sym_matrix(entries)
+    for call in (conekit.membership_report, conekit.test_copositive, conekit.qp_optimum):
+        with pytest.raises(ValueError, match="matrix entries must be real"):
+            call(quoted)
+    # an object array of real numbers is still read
+    assert conekit.as_sym_matrix(np.array([[1, 0.5], [0.5, 1]], dtype=object)).dtype == float
+
+
 def test_eigen_identity():
     ep = eigen_decompose(np.eye(3))
     # eigenvector signs are an implementation choice; columns must be +-e_j

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -253,18 +254,39 @@ def test_dual_certifies_the_136_row_detection_lp(monkeypatch):
 
 
 def test_refine_once_keeps_an_optimal_point(monkeypatch):
-    # a negative tolerance makes every OPTIMAL point take the refine branch:
-    # one more refactorization, and x moves by rounding only
+    # a first check that reads the point as infeasible takes the refine
+    # branch: one more refactorization, x moves by rounding only, and the
+    # second check passes, so the solve stays OPTIMAL
     prog = _detect_lp(gen_random_spn(16, 0)[0])
     plain = lp.solve(prog)
-    monkeypatch.setattr(lp, "DEFAULT_FEAS_TOL", -1.0)
+    checks, violation = [], lp.LinearProgram.constraint_violation
+
+    def first_fails(lp_, y):
+        checks.append(violation(lp_, y))
+        return math.inf if len(checks) == 1 else checks[-1]
+
+    monkeypatch.setattr(lp.LinearProgram, "constraint_violation", first_fails)
     refined = lp.solve(prog)
+    assert len(checks) == 2
     assert plain.status == refined.status == lp.OPTIMAL
     assert refined.iterations == plain.iterations
     assert refined.refactorizations == plain.refactorizations + 1
     assert np.max(np.abs(refined.x - plain.x)) <= 1e-10
     assert np.all(refined.x >= 0.0)
     assert prog.constraint_violation(refined.x) <= 1e-8
+
+
+def test_a_point_that_fails_both_checks_is_numerical(monkeypatch):
+    # with every check failing, the refined point is still outside: the
+    # status is NUMERICAL, with no point, objective or duals
+    prog = _detect_lp(gen_random_spn(16, 0)[0])
+    plain = lp.solve(prog)
+    monkeypatch.setattr(lp, "DEFAULT_FEAS_TOL", -1.0)
+    sol = lp.solve(prog)
+    assert sol.status == lp.NUMERICAL
+    assert sol.x is None and sol.objective_value is None and sol.dual is None
+    assert sol.iterations == plain.iterations
+    assert sol.refactorizations == plain.refactorizations + 1
 
 
 def test_determinism():

@@ -173,14 +173,14 @@ def _layertrace():
 
 def test_tracer_counts_the_rows_of_each_lp_solve():
     # the benchmark's tracer wraps lp.solve and lp._to_standard_form by name:
-    # a detect-style report at n = 6 solves the 21-row G LP, one 21-row
-    # simplex for F+ and F+-, and the 6-row L test LP
+    # a detect-style report at n = 6 solves the G LP, one simplex for F+ and
+    # F+-, each with 21 pair rows and the cap row, and the 6-row L test LP
     layertrace = _layertrace()
     with layertrace.Tracer() as tracer:
         tracer.run_instance(0, membership_report, gen_random_spn(6, 0)[0])
     metrics = layertrace.layer_metrics(tracer.spans)
     assert metrics["lp.solve.calls"] == 3
-    assert metrics["lp.rows_per_solve"] == (2 * 21 + 6) / 3
+    assert metrics["lp.rows_per_solve"] == (2 * 22 + 6) / 3
 
 
 def test_tracer_reads_the_hat_pair_of_a_partition_cell():

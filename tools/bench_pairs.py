@@ -15,8 +15,9 @@ the benchmark expects, and runs for perfbench/run.py's own length.  --trace
 1 runs the traced mode and records the per-layer metrics instead of the
 end-to-end ones.  After each run, one fresh process in the same tree probes
 three sets: the F+- LP that membership_report(a, ["Fpm"]) poses for
-a = gen_random_spn(n, 0), n in FPM_SIZES (fpm.n<n>.*: wall and cpu seconds,
-pivots, refactorizations); membership_report on gen_random_spn(16, s) for
+a = gen_random_spn(n, 0), n in FPM_SIZES, capped since the report poses the
+capped detection LP (fpm.n<n>.*: wall and cpu seconds, pivots,
+refactorizations); membership_report on gen_random_spn(16, s) for
 s < REPORT_SEEDS (report.n16.*: pivots, lp.solve calls and cpu seconds per
 report, which resolve a change that one n = 16 solve cannot, and the cpu
 microseconds per pivot, the cost of the simplex's pivot loop); and the

@@ -18,7 +18,9 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   G/F+/F+- member witnesses that pass a check which does not trust the LP
   (S and N exactly symmetric, S PSD, N at least alpha*).  The scaled
   matrices joined later, and moved the digest, as did dropping the given
-  pairs once fed to membership_report, which takes none now;
+  pairs once fed to membership_report, which takes none now, and the
+  report's capped LPs, which stop F+ and F+- members' alpha* at
+  max(alpha0, 0);
 - bracket:   qp_optimum on 12 planted QPs (n=8): 10 at eta = 0.1, and two
   offset by 1e10 at eta = 0.001, where rounding moves a cell's hat pair off
   its matrix by more than 1e-6; with a count of the brackets that hold the
@@ -44,7 +46,9 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   before that too.  A report that wants F+ and F+- solves both in one
   simplex, the F+- LP with its minus columns held (lp.solve's held): the
   F+ LP's entries then come from the first stage, with y on the held
-  columns dropped, so they keep their bits, and the F+- entries moved;
+  columns dropped, so they keep their bits, and the F+- entries moved.
+  They moved again when the report posed its G, F+ and F+- LPs capped,
+  with the cap row as row n(n+1)/2 + 1;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time, or the printed line), on two suites that each miss a
