@@ -90,6 +90,16 @@ def _sd_index(n: int, family: str):
     return iu, ju, sign
 
 
+@lru_cache(maxsize=64)
+def _sd_level(n: int):
+    """Read-only LP_FAMILIES index of the narrowest family with each column
+    of "Fpm"'s table: G's are the iu == ju columns, p_i bit for bit."""
+    iu, ju, _ = _sd_index(n, "Fpm")
+    level = np.where(iu == ju, 0, 1) + (np.arange(iu.size) >= n * (n + 1) // 2)
+    level.flags.writeable = False
+    return level
+
+
 def sd_basis(p: np.ndarray, family: str) -> np.ndarray:
     """Semidefinite basis vectors from the columns of p, one column v per LP
     variable of family, whose basis element is v v^T: p itself for "G", else
@@ -152,20 +162,26 @@ def check_membership_lp(
     return _lp_verdict(a, vectors, lpmod.solve(prog), alpha0, family, ep)
 
 
-def _fplus_and_fpm(a: np.ndarray, ep: EigenPair) -> list[MembershipVerdict]:
-    """The F+ and F+- verdicts from one simplex over the capped LPs: F+'s
-    basis is the first n(n+1)/2 columns of F+-'s, so F+-'s LP with the rest
-    held at 0 is F+'s LP, and lp.solve continues from F+'s optimum to F+-'s."""
-    vectors = sd_basis(ep.P, "Fpm")
+def _lp_families(a: np.ndarray, ep: EigenPair, families) -> list[MembershipVerdict]:
+    """The verdicts of families, LP_FAMILIES in order, from the stages of one
+    simplex over the capped LP of the widest, whose other columns held at 0
+    give a narrower family's LP.  A stage not optimal restarts its family
+    (after a first stage, the next) and the later ones in a fresh simplex."""
+    vectors = sd_basis(ep.P, families[-1])
     prog, alpha0 = build_lp(a, vectors, capped=True)
-    m = len(a) * (len(a) + 1) // 2
-    sol = lpmod.solve(prog, held=range(m, vectors.shape[1]))
-    return [_lp_verdict(a, vectors[:, :m], sol.first, alpha0, "Fplus", ep),
-            _lp_verdict(a, vectors, sol, alpha0, "Fpm", ep)]
+    level, verdicts = _sd_level(len(a))[: vectors.shape[1]], []
+    while len(verdicts) < len(families):
+        ranks = [LP_FAMILIES.index(f) for f in families[len(verdicts):]]
+        sol = lpmod.solve(prog, held=[np.flatnonzero((lo < level) & (level <= hi))
+                                      for lo, hi in zip(ranks, ranks[1:])])
+        kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
+        verdicts += [_lp_verdict(a, vectors, s, alpha0, LP_FAMILIES[r], ep, level <= r)
+                     for r, s in zip(ranks, kept)]
+    return verdicts
 
 
-def _lp_verdict(a, vectors, sol, alpha0, family, ep) -> MembershipVerdict:
-    """The verdict of a solved detection LP over the columns of vectors,
+def _lp_verdict(a, vectors, sol, alpha0, family, ep, cols=slice(None)) -> MembershipVerdict:
+    """The verdict of a solved detection LP over the columns cols of vectors,
     sd_basis(ep.P, family)'s; a non-orthogonal pair tags it family + "_hat"."""
     tag = family if ep.orthogonal else family + "_hat"
     if sol.status != lpmod.OPTIMAL:
@@ -173,7 +189,7 @@ def _lp_verdict(a, vectors, sol, alpha0, family, ep) -> MembershipVerdict:
     alpha = alpha0 + sol.objective_value
     if alpha < -EPS_ALPHA:
         return MembershipVerdict(NOT_IDENTIFIED, tag, alpha_star=alpha)
-    r = vectors * np.sqrt(sol.x[: vectors.shape[1]])
+    r = vectors[:, cols] * np.sqrt(sol.x[:-1][cols])  # x[-1] is beta
     s_part = r @ r.T  # numpy forms R R^T as one syrk, exactly symmetric
     return MembershipVerdict(
         MEMBER, tag, alpha_star=alpha, s_part=s_part, n_part=a - s_part
@@ -248,17 +264,17 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
     refused before any work, and A is decided at linalg.unit_scale's scale.
 
     The LP families and the L test share one orthogonal decomposition of A,
-    made here.  With both Fplus and Fpm wanted, one simplex decides the two
-    (_fplus_and_fpm).  Every LP family poses the capped detection LP
-    (build_lp), which stops once the floor reaches 0: the verdicts are the
-    uncapped LP's, and a member's alpha_star is min(alpha*, max(alpha0, 0))
-    up to rounding, alpha0 being A's least entry; check_membership_lp(a, ep,
-    family) gives alpha* itself.  An LP that ends lp.NUMERICAL is
-    NOT_IDENTIFIED with the note "lp-numerical".  A test that raises an
-    ArithmeticError or ValueError (numpy's LinAlgError is one) is recorded
-    as NOT_IDENTIFIED with an "error:" note, for both cones of the shared
-    simplex; other exceptions propagate.  Each verdict is mapped back to A exactly: alpha*, S and N
-    times 2^-k.
+    made here; two or three LP families are the stages of one simplex, G,
+    F+, F+- (_lp_families), and G keeps its own LP's bits.  Every LP family
+    poses the capped detection LP (build_lp), which stops once the floor
+    reaches 0: the verdicts are the uncapped LP's, and a member's alpha_star
+    is min(alpha*, max(alpha0, 0)) up to rounding, alpha0 being A's least
+    entry; check_membership_lp(a, ep, family) gives alpha* itself.  An LP
+    that ends lp.NUMERICAL is NOT_IDENTIFIED with the note "lp-numerical".
+    A test that raises an ArithmeticError or ValueError (numpy's LinAlgError
+    is one) is recorded as NOT_IDENTIFIED with an "error:" note, for every
+    cone of the shared simplex; other exceptions propagate.  Each verdict is
+    mapped back to A exactly: alpha*, S and N times 2^-k.
     """
     if isinstance(cones, str):
         raise ValueError(f"cones must be a list of cone names, got {cones!r}")
@@ -267,16 +283,15 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
     if unknown:
         raise ValueError(f"unknown cones: {sorted(unknown)}")
     a, k = unit_scale(as_sym_matrix(a))
-    shared = {"Fplus", "Fpm"} <= wanted  # one simplex decides the two
-    steps = [["Fplus", "Fpm"] if shared and c == "Fplus" else [c]
-             for c in CONE_ORDER if c in wanted and not (shared and c == "Fpm")]
+    order = [c for c in CONE_ORDER if c in wanted]
+    families = [c for c in order if c in LP_FAMILIES]  # one step, one simplex
+    steps = [families if [c] == families[:1] else [c] for c in order if c not in families[1:]]
     ep, verdicts = None, []
     for step in steps:
         try:
             if ep is None and step[0] in (*LP_FAMILIES, "L"):
                 ep = eigen_decompose(a)
-            found = (_fplus_and_fpm(a, ep) if len(step) == 2
-                     else [_dispatch(a, *step, ep)])
+            found = _lp_families(a, ep, step) if len(step) > 1 else [_dispatch(a, *step, ep)]
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
             note = f"error: {exc}"
             found = [MembershipVerdict(NOT_IDENTIFIED, c, note=note) for c in step]

@@ -17,9 +17,9 @@ folded into Binv by one matrix product every 20 pivots (every pivot below
 Phys. 2017).  Every 400 pivots Binv is formed afresh by inverting only the
 basis kernel, the basic structural columns on the rows whose slack is
 nonbasic (Bisschop & Meeraus, Math. Program. 1977); the basic slacks' rows
-of B^-1 follow from it: the cold detection LPs at n = 16 end before it
-(the report's held F+/F+- solve counts both stages, and refactorized once
-in 16 of detect's 150 catalogue reports), and at n = 30-50 400 was no
+of B^-1 follow from it: the detection LPs at n = 16 end before it (the
+report's staged G, F+, F+- solve, every stage counted, took at most 196
+pivots on detect's stream-0 catalogue), and at n = 30-50 400 was no
 slower than 100.  On the small structured LPs of the cone membership tests
 (a few thousand rows at most; not for sparse work) a pivot costs numpy
 calls more than arithmetic, so solve() keeps them few: it
@@ -99,7 +99,7 @@ class LpSolution:
     bland_pivots: int = 0  # pivots taken under Bland's anti-stalling rule
     refactorizations: int = 0  # times B^-1 was formed afresh
     pinv_fallbacks: int = 0  # refactorizations whose singular kernel took pinv
-    first: LpSolution | None = None  # solve's first stage, the held columns at 0
+    stages: list[LpSolution] | None = None  # solve's stages (held), this one's last
 
 
 def _to_standard_form(lp: LinearProgram):
@@ -312,7 +312,7 @@ class _Simplex:
         return self.c[self.basis] @ self.Binv  # t = 0 at OPTIMAL
 
 
-def solve(lp: LinearProgram, held=None) -> LpSolution:
+def solve(lp: LinearProgram, held=()) -> LpSolution:
     """Solve the LP within _PIVOTS_PER_SIZE * (rows + vars + 2) pivots;
     deterministic for a fixed input and a fixed OpenBLAS thread count.
     Raises ValueError when an entry of b is negative.  The ratio test reads
@@ -326,26 +326,26 @@ def solve(lp: LinearProgram, held=None) -> LpSolution:
     read once more, and a point that still violates one gives the status
     NUMERICAL, with no x, objective or duals, instead of OPTIMAL.
 
-    held, indices of columns, first solves with those columns held at 0 by
-    a cost of -inf (never priced in; the recurrence keeps their weights)
-    and returns that optimum as sol.first.  The same simplex then restores
-    their costs and continues, with a fresh budget, to the full optimum.
-    A first stage that is not optimal ends the solve: sol copies it."""
+    held, a sequence of column index sets, solves in stages: every held
+    column starts at a cost of -inf (never priced in; the recurrence keeps
+    its weights), and after each stage's optimum the same simplex restores
+    the next set's costs and continues, with a fresh budget.  sol.stages
+    lists each stage's solution, the last one sol's fields; a stage that
+    is not optimal ends the solve."""
     budget = _PIVOTS_PER_SIZE * (lp.n_rows + lp.n_vars + 2)
     lp, infeasible = _to_standard_form(lp)
     if infeasible:
         raise ValueError("b has a negative entry, so y = 0 is infeasible")
-    spx, first = _Simplex(lp.A, lp.b, lp.c), None
-    if held is not None:
-        held = np.arange(lp.n_vars)[held]  # IndexError outside the columns
-        spx.c[held] = -math.inf
-        first = _result(lp, spx, spx.solve(budget))
-        if first.status != OPTIMAL:
-            return replace(first, first=first)
-        spx.c[held] = lp.c[held]
-    sol = _result(lp, spx, spx.solve(spx.iterations + budget))
-    sol.first = first
-    return sol
+    spx, stages = _Simplex(lp.A, lp.b, lp.c), []
+    held = [np.arange(lp.n_vars)[cols] for cols in held]  # IndexError outside
+    for cols in held:
+        spx.c[cols] = -math.inf
+    for cols in [*held, None]:
+        stages.append(_result(lp, spx, spx.solve(spx.iterations + budget)))
+        if cols is None or stages[-1].status != OPTIMAL:
+            break
+        spx.c[cols] = lp.c[cols]
+    return replace(stages[-1], stages=stages)  # a copy, not a cycle left to the gc
 
 
 def _result(lp: LinearProgram, spx: _Simplex, status: str) -> LpSolution:

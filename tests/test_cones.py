@@ -727,7 +727,7 @@ def test_membership_report_records_numerical_errors_only(monkeypatch):
 
     def fail_with(exc_type, shared_only=False):
         def fail(*args, **kwargs):
-            if shared_only and "held" not in kwargs:  # the G and L solves
+            if shared_only and "held" not in kwargs:  # the L solve
                 return solve(*args, **kwargs)
             raise exc_type("injected")
 
@@ -739,7 +739,7 @@ def test_membership_report_records_numerical_errors_only(monkeypatch):
         return [v.cone for v in out]
 
     # a one-cone report keeps the one rule too; the one simplex that the
-    # report shares between F+ and F+- fails for both
+    # report shares between G, F+ and F+- fails for all three
     alone = lambda a: [cones.membership_report(a, [c])[0] for c in cones.LP_FAMILIES]
     for exc_type in (FloatingPointError, ValueError):
         with monkeypatch.context() as patched:
@@ -749,17 +749,19 @@ def test_membership_report_records_numerical_errors_only(monkeypatch):
             assert failed(cones.membership_report(M1)) == list(cones.LP_FAMILIES)
         with monkeypatch.context() as patched:
             patched.setattr(lp, "solve", fail_with(exc_type, shared_only=True))
-            assert failed(cones.membership_report(M1)) == ["Fplus", "Fpm"]
+            assert failed(cones.membership_report(M1)) == list(cones.LP_FAMILIES)
+            assert failed(cones.membership_report(M1, ["G", "Fpm"])) == ["G", "Fpm"]
+            assert failed(cones.membership_report(M1, ["G", "L"])) == []
             assert failed(alone(M1)) == []
     # a TypeError is a bug in the program, not a verdict
     with monkeypatch.context() as patched:
         patched.setattr(cones, "check_membership_lp", fail_with(TypeError))
-        for entry in (alone, cones.membership_report):
-            with pytest.raises(TypeError, match="injected"):
-                entry(M1)
+        with pytest.raises(TypeError, match="injected"):
+            alone(M1)
     monkeypatch.setattr(lp, "solve", fail_with(TypeError, shared_only=True))
-    with pytest.raises(TypeError, match="injected"):
-        cones.membership_report(M1, ["Fpm", "Fplus"])
+    for wanted in (cones.CONE_ORDER, ["Fpm", "Fplus"]):
+        with pytest.raises(TypeError, match="injected"):
+            cones.membership_report(M1, wanted)
 
 
 def _fields(v):
@@ -769,25 +771,29 @@ def _fields(v):
 
 
 def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
-    # G, F+ and L keep their one-cone verdicts bit for bit; F+- is the
-    # capped held solve's continuation, within 1e-12 of a lone F+- test
+    # G, F+ and F+- are the stages of one capped simplex: G and L keep their
+    # one-cone verdicts bit for bit, and F+ and F+- are continuations,
+    # within 1e-12 of one-cone reports
     solves, solve = [], lp.solve
     monkeypatch.setattr(lp, "solve", lambda *a, **k: solves.append(k) or solve(*a, **k))
+    level = cones._sd_level(12)
     for seed in range(4):
         a = instances.gen_random_spn(12, seed)[0]
         solves.clear()
         report = {v.cone: v for v in cones.membership_report(a)}
-        assert len(solves) == 3 and sum("held" in k for k in solves) == 1
-        for cone in ("G", "Fplus", "L"):
+        assert len(solves) == 2 and sum("held" in k for k in solves) == 1
+        for cone in ("G", "L"):
             (alone,) = cones.membership_report(a, [cone])
             assert _fields(report[cone]) == _fields(alone)
         ep = eigen_decompose(a)
         prog, alpha0 = cones.build_lp(a, cones.sd_basis(ep.P, "Fpm"), capped=True)
-        sol = solve(prog, held=range(78, 144))
-        fpm, alone = report["Fpm"], cones.membership_report(a, ["Fpm"])[0]
-        assert fpm.alpha_star == alpha0 + sol.objective_value
-        assert fpm.status == alone.status
-        assert abs(fpm.alpha_star - alone.alpha_star) <= 1e-12
+        sol = solve(prog, held=[np.flatnonzero(level == 1), np.flatnonzero(level == 2)])
+        assert [report[f].alpha_star for f in cones.LP_FAMILIES] == [
+            alpha0 + s.objective_value for s in sol.stages]
+        for cone in ("Fplus", "Fpm"):
+            (alone,) = cones.membership_report(a, [cone])
+            assert report[cone].status == alone.status
+            assert abs(report[cone].alpha_star - alone.alpha_star) <= 1e-12
 
 
 T = np.array([[1.0, -2.0], [-2.0, 1.0]])  # x = (1/2, 1/2) gives -1/2
@@ -844,22 +850,27 @@ def _diagonal_scaling_draws(count):
 
 
 def test_diagonal_scaling_keeps_n_and_h_and_maps_witnesses_back(monkeypatch):
-    solve, solved = lp.solve, []
+    solve, lp_verdict, solved, lps = lp.solve, cones._lp_verdict, [], {}
 
     def recording(prog, *args, **kwargs):
-        solved.append((prog, solve(prog, *args, **kwargs)))
-        return solved[-1][1]
+        solved.append(prog)
+        return solve(prog, *args, **kwargs)
+
+    def verdict(a, vectors, sol, alpha0, family, *args):
+        # each verdict reads one stage of the LP solved last
+        lps[family] = (solved[-1], sol)
+        return lp_verdict(a, vectors, sol, alpha0, family, *args)
 
     monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setattr(cones, "_lp_verdict", verdict)
     wanted = ["N", "H", "G", "Fplus", "Fpm"]
     h_checked, members, beyond = 0, 0, []
     for a, k in _diagonal_scaling_draws(900):
         da = _dad(a, k)
         base = {v.cone: v for v in cones.membership_report(a, ["N", "H"])}
-        solved.clear()
+        lps.clear()
         scaled = {v.cone: v for v in cones.membership_report(da, wanted)}
-        (g_lp, g), (f_lp, fpm) = solved
-        lps = {"G": (g_lp, g), "Fplus": (f_lp, fpm.first), "Fpm": (f_lp, fpm)}
+        assert sorted(lps) == sorted(cones.LP_FAMILIES)
         # (a) D keeps every sign, and N looks at signs only
         assert scaled["N"].status == base["N"].status
         # (b) H factors S + PSD_TOL * max(1, max S_ii) * I, and that shift
@@ -925,6 +936,26 @@ def test_a_badly_scaled_lp_that_misses_a_row_after_its_refine_is_numerical(monke
     assert len(checks) == 2 and min(checks) > lp.DEFAULT_FEAS_TOL, checks
     assert (g.status, g.note) == (cones.NOT_IDENTIFIED, f"lp-{lp.NUMERICAL}")
     assert g.alpha_star is None and g.s_part is None
+
+
+def test_a_stage_that_ends_numerical_restarts_the_families_after_it():
+    # the draws on which a numerical F+ stage of a shared F+/F+- simplex
+    # ended the solve and left F+- lp-numerical: a stage that ends
+    # numerical now restarts its family and the later ones in a fresh
+    # simplex (a failed first stage keeps its verdict, the rest restart
+    # after it), so the report gives the lone F+- verdict
+    draws = list(_diagonal_scaling_draws(885))
+    members = 0
+    for i in (15, 124, 126, 148, 232, 251, 267, 285, 388, 595, 617, 619, 627, 884):
+        da = _dad(*draws[i])
+        report = cones.membership_report(da, ["N", "H", "G", "Fplus", "Fpm"])
+        (alone,) = cones.membership_report(da, ["Fpm"])
+        fpm = report[-1]
+        assert (fpm.status, fpm.note) == (alone.status, alone.note), i
+        if fpm.is_member:
+            assert abs(fpm.alpha_star - alone.alpha_star) <= 1e-12 * np.max(np.abs(da)), i
+        members += fpm.is_member
+    assert members == 12
 
 
 def test_capped_report_keeps_the_uncapped_statuses():

@@ -280,7 +280,18 @@ def test_matrix_text_rejects_malformed(tmp_path):
 
 
 def test_runtime_imports_no_scipy():
-    # the runtime is numpy-only; scipy is a test-time reference at most
-    probe = "import conekit, sys; sys.exit('scipy' in sys.modules)"
+    # the runtime is numpy-only; scipy is a test-time reference at most.
+    # numpy.ma is numpy's, but loads lazily (np.setdiff1d loads it) and
+    # costs about 2 MB of peak memory, so neither may load at import or
+    # on a report, a QP bracket or a copositivity test
+    probe = (
+        "import sys, numpy as np, conekit\n"
+        "from conekit import instances\n"
+        "conekit.membership_report(instances.gen_random_spn(8, 0)[0])\n"
+        "conekit.qp_optimum(instances.gen_planted_qp(6, 3, -1.0, seed=0).Q)\n"
+        "conekit.test_copositive(np.eye(3) - 0.5)\n"
+        "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
+    )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr or "importing conekit loaded scipy"
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]", f"the runtime loaded {r.stdout.strip()}"

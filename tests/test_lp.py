@@ -525,32 +525,46 @@ def test_a_reduced_cost_at_or_below_the_pivot_tol_never_enters():
     assert sol.x.tolist() == [0.0]
 
 
+def _is_last_stage_of(sol):
+    """sol has its last stage's fields, and that stage no stages of its own:
+    solve returns a copy of it, not a cycle left to the garbage collector."""
+    last = sol.stages[-1]
+    fields = (k for k in vars(last) if k != "stages")
+    return last.stages is None and all(getattr(sol, k) is getattr(last, k) for k in fields)
+
+
 def test_held_columns_give_the_lp_without_them_first():
     # G's basis is F+'s diagonal columns and F+'s the first n(n+1)/2 of
-    # F+-'s; holding the other columns of the larger LP solves the smaller
-    # one bit for bit, and the same simplex continues to the larger optimum
+    # F+-'s; holding the other columns of the larger LP solves the smallest
+    # one bit for bit, and the same simplex releases one set per stage and
+    # continues to each larger optimum
     iu, ju, _ = cones._sd_index(16, "Fplus")
+    off, minus = np.flatnonzero(iu != ju), np.arange(iu.size, 16 * 16)
     for seed in range(4):
         a = gen_random_spn(16, seed)[0]
-        for family, held in (("Fplus", np.flatnonzero(iu != ju)),
-                             ("Fpm", np.arange(iu.size, 16 * 16))):
+        for family, held in (("Fplus", [off]), ("Fpm", [minus]), ("Fpm", [off, minus])):
             prog = _detect_lp(a, family)
-            keep = np.setdiff1d(np.arange(prog.n_vars), held)
-            small = lp.LinearProgram(prog.c[keep], prog.A[:, keep], prog.b)
-            cold, sol = lp.solve(small), lp.solve(prog, held=held)
-            first = sol.first
-            assert (first.status, first.iterations) == (cold.status, cold.iterations)
-            assert first.objective_value == cold.objective_value
-            assert np.array_equal(first.x[keep], cold.x) and not np.any(first.x[held])
-            assert np.array_equal(first.dual, cold.dual)
-            full = lp.solve(prog)
-            assert sol.status == full.status == lp.OPTIMAL
-            assert sol.iterations > first.iterations
-            obj = full.objective_value
-            tol = 1e-12 * max(1.0, abs(obj))
-            assert abs(sol.objective_value - obj) <= tol, (seed, family)
-            assert prog.constraint_violation(sol.x) <= lp.DEFAULT_FEAS_TOL
-            assert full.first is None
+            sol = lp.solve(prog, held=held)
+            assert len(sol.stages) == len(held) + 1 and _is_last_stage_of(sol)
+            for k, stage in enumerate(sol.stages):
+                out = np.concatenate([np.empty(0, dtype=int), *held[k:]])
+                keep = np.flatnonzero(~np.isin(np.arange(prog.n_vars), out))
+                small = lp.LinearProgram(prog.c[keep], prog.A[:, keep], prog.b)
+                cold = lp.solve(small)
+                assert stage.status == cold.status == lp.OPTIMAL, (seed, family, k)
+                assert len(cold.stages) == 1 and _is_last_stage_of(cold)
+                assert not np.any(stage.x[out])
+                if k == 0:
+                    assert stage.iterations == cold.iterations
+                    assert stage.objective_value == cold.objective_value
+                    assert np.array_equal(stage.x[keep], cold.x)
+                    assert np.array_equal(stage.dual, cold.dual)
+                    continue
+                assert stage.iterations >= sol.stages[k - 1].iterations
+                obj = cold.objective_value
+                tol = 1e-12 * max(1.0, abs(obj))
+                assert abs(stage.objective_value - obj) <= tol, (seed, family, k)
+                assert prog.constraint_violation(stage.x) <= lp.DEFAULT_FEAS_TOL
 
 
 def test_an_f_ordered_constraint_matrix_solves_to_its_c_copy_bits():
@@ -575,12 +589,20 @@ def test_an_f_ordered_constraint_matrix_solves_to_its_c_copy_bits():
 def test_a_first_stage_that_is_not_optimal_ends_the_solve(monkeypatch):
     # max y0 + y1 with y0 unbounded: holding y1, the first stage is unbounded
     prog = lp.LinearProgram([1.0, 1.0], [[-1.0, 1.0]], [1.0])
-    sol = lp.solve(prog, held=[1])
-    assert sol.status == sol.first.status == lp.UNBOUNDED
-    assert sol is not sol.first and sol.first.first is None
+    sol = lp.solve(prog, held=[[1]])
+    assert sol.status == lp.UNBOUNDED and len(sol.stages) == 1 and _is_last_stage_of(sol)
+    # y0 <= 1, y1 <= 1 and y2 unbounded: a later stage ends the solve too,
+    # before the sets after it are released
+    prog = lp.LinearProgram([1.0, 1.0, 1.0], np.diag([1.0, 1.0, -1.0]), [1.0, 1.0, 1.0])
+    sol = lp.solve(prog, held=[[2], [1]])
+    assert [s.status for s in sol.stages] == [lp.OPTIMAL, lp.UNBOUNDED]
+    assert sol.stages[0].objective_value == 1.0 and _is_last_stage_of(sol)
+    sol = lp.solve(prog, held=[[1], [2]])
+    assert [s.status for s in sol.stages] == [lp.OPTIMAL, lp.OPTIMAL, lp.UNBOUNDED]
+    assert [s.objective_value for s in sol.stages[:2]] == [1.0, 2.0]
     monkeypatch.setattr(lp, "_PIVOTS_PER_SIZE", 0)
-    sol = lp.solve(prog, held=[0])
-    assert sol.status == sol.first.status == lp.ITERATION_LIMIT
+    sol = lp.solve(prog, held=[[0], [1]])
+    assert sol.status == lp.ITERATION_LIMIT and len(sol.stages) == 1
     # held indexes the columns as numpy does: past the end is refused
     with pytest.raises(IndexError):
-        lp.solve(prog, held=[2])
+        lp.solve(prog, held=[[3]])

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from conekit.cones import membership_report
+from conekit.cones import build_lp, membership_report, sd_basis
 from conekit.instances import gen_planted_qp, gen_random_spn, qp_optimum
+from conekit.linalg import eigen_decompose, unit_scale
+from conekit.lp import solve
 
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 LAYERTRACE = FINGERPRINT.parents[1] / "perfbench" / "layertrace.py"
@@ -173,14 +175,14 @@ def _layertrace():
 
 def test_tracer_counts_the_rows_of_each_lp_solve():
     # the benchmark's tracer wraps lp.solve and lp._to_standard_form by name:
-    # a detect-style report at n = 6 solves the G LP, one simplex for F+ and
-    # F+-, each with 21 pair rows and the cap row, and the 6-row L test LP
+    # a detect-style report at n = 6 solves one simplex for G, F+ and F+-,
+    # with 21 pair rows and the cap row, and the 6-row L test LP
     layertrace = _layertrace()
     with layertrace.Tracer() as tracer:
         tracer.run_instance(0, membership_report, gen_random_spn(6, 0)[0])
     metrics = layertrace.layer_metrics(tracer.spans)
-    assert metrics["lp.solve.calls"] == 3
-    assert metrics["lp.rows_per_solve"] == (2 * 22 + 6) / 3
+    assert metrics["lp.solve.calls"] == 2
+    assert metrics["lp.rows_per_solve"] == (22 + 6) / 2
 
 
 def test_tracer_reads_the_hat_pair_of_a_partition_cell():
@@ -203,11 +205,18 @@ def _probe(tool, sizes=(), seeds=0, criteria=()):
 
 
 def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
+    # the capped F+- LP of a report, and the paper's uncapped one at A's
+    # unit scale, as check_membership_lp poses it
     tool = _load_tool("bench_pairs", monkeypatch)
     metrics = _probe(tool, sizes=(6,))
-    assert set(metrics) == {f"fpm.n6.{k}" for k in
+    assert set(metrics) == {f"fpm.{lp}n6.{k}" for lp in ("", "full.") for k in
                             ("wall_s", "cpu_s", "pivots", "refactorizations")}
     assert metrics["fpm.n6.pivots"] > 0 and metrics["fpm.n6.wall_s"] > 0
+    u = unit_scale(gen_random_spn(6, 0)[0])[0]
+    prog, _ = build_lp(u, sd_basis(eigen_decompose(u).P, "Fpm"))
+    assert metrics["fpm.full.n6.pivots"] == solve(prog).iterations
+    assert metrics["fpm.full.n6.pivots"] > metrics["fpm.n6.pivots"]
+    assert metrics["fpm.full.n6.wall_s"] > 0
 
 
 def test_bench_pairs_counts_the_pivots_of_a_report_in_a_tree(monkeypatch):
@@ -216,8 +225,8 @@ def test_bench_pairs_counts_the_pivots_of_a_report_in_a_tree(monkeypatch):
     metrics = _probe(tool, seeds=2)
     assert set(metrics) == {f"report.n16.{k}" for k in
                             ("pivots", "solves", "cpu_s", "us_per_pivot")}
-    # G, F+ and F+- in two simplex runs, and L: per report means
-    assert metrics["report.n16.solves"] == 3
+    # G, F+ and F+- in one simplex run, and L: per report means
+    assert metrics["report.n16.solves"] == 2
     assert metrics["report.n16.pivots"] > 0 and metrics["report.n16.cpu_s"] > 0
     assert metrics["report.n16.us_per_pivot"] == pytest.approx(
         1e6 * metrics["report.n16.cpu_s"] / metrics["report.n16.pivots"])

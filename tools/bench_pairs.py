@@ -14,18 +14,20 @@ Run it from anywhere; each run gets its own tree as working directory, as
 the benchmark expects, and runs for perfbench/run.py's own length.  --trace
 1 runs the traced mode and records the per-layer metrics instead of the
 end-to-end ones.  After each run, one fresh process in the same tree probes
-three sets: the F+- LP that membership_report(a, ["Fpm"]) poses for
-a = gen_random_spn(n, 0), n in FPM_SIZES, capped since the report poses the
-capped detection LP (fpm.n<n>.*: wall and cpu seconds, pivots,
-refactorizations); membership_report on gen_random_spn(16, s) for
-s < REPORT_SEEDS (report.n16.*: pivots, lp.solve calls and cpu seconds per
-report, which resolve a change that one n = 16 solve cannot, and the cpu
-microseconds per pivot, the cost of the simplex's pivot loop); and the
-acceptance criteria ACCEPT_CRITERIA of its tests/test_acceptance.py
-(accept.c<nn>_s, wall seconds).  Each set runs once to warm up, then each
-of its calls (one LP, one report, one criterion) is timed by QuietTimer from
-this checkout's perfbench/timing.py, the same file for both trees, with one
-attempt per criterion; the times are at the host's quiet speed, as
+three sets: for a = gen_random_spn(n, 0), n in FPM_SIZES, the capped F+- LP
+that membership_report(a, ["Fpm"]) poses (fpm.n<n>.*: wall and cpu
+seconds, pivots, refactorizations) and the paper's uncapped F+- LP, which
+check_membership_lp(u, eigen_decompose(u), "Fpm") poses at A's unit scale
+u, as the report decides A (fpm.full.n<n>.*, the same four; ROADMAP's
+n = 30-50 simplex targets are set on it); membership_report on
+gen_random_spn(16, s) for s < REPORT_SEEDS (report.n16.*: pivots,
+lp.solve calls and cpu seconds per report, which resolve a change that one
+n = 16 solve cannot, and the cpu microseconds per pivot, the cost of the
+simplex's pivot loop); and the acceptance criteria ACCEPT_CRITERIA of its
+tests/test_acceptance.py (accept.c<nn>_s, wall seconds).  Each set runs
+once to warm up, then each of its calls (one LP, one report, one
+criterion) is timed by QuietTimer from this checkout's perfbench/timing.py,
+the same file for both trees, with one attempt per criterion; the times are at the host's quiet speed, as
 perfbench's own are.  A timed pass whose pivot, solve or refactorization
 counts differ from the warm-up's fails the run.  Runs go one at a time.  A
 metric is "resolved" when the change won at least nine tenths of the pairs
@@ -53,7 +55,7 @@ ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
 # and [sizes, seeds, criteria] as JSON; see the module docstring
 PROBE_SCRIPT = """
 import functools, importlib.util, json, sys
-from conekit import cones, instances, lp
+from conekit import cones, instances, linalg, lp
 def load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -83,8 +85,12 @@ def counts(fn):
 sets = {}  # set: its calls, each with the counts of its warm-up run
 for n in sizes:
     a = instances.gen_random_spn(n, 0)[0]
-    warm = counts(functools.partial(cones.membership_report, a, ["Fpm"]))
-    sets[f"fpm.n{n}"] = [(posed[0], warm)]
+    u = linalg.unit_scale(a)[0]
+    for name, fn in ((f"fpm.n{n}", functools.partial(cones.membership_report, a, ["Fpm"])),
+                     (f"fpm.full.n{n}", functools.partial(
+                         cones.check_membership_lp, u, linalg.eigen_decompose(u), "Fpm"))):
+        warm = counts(fn)
+        sets[name] = [(posed[0], warm)]
 if seeds:
     reports = [functools.partial(cones.membership_report, instances.gen_random_spn(16, s)[0])
                for s in range(seeds)]

@@ -20,7 +20,12 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   matrices joined later, and moved the digest, as did dropping the given
   pairs once fed to membership_report, which takes none now, and the
   report's capped LPs, which stop F+ and F+- members' alpha* at
-  max(alpha0, 0);
+  max(alpha0, 0).  It moved again when G, F+ and F+- became the stages of
+  one simplex: every status and every G, L, N, DD and H verdict keeps its
+  bits, while all 35 F+ and 44 F+- members move alpha* at the cap, where
+  it is 0 up to rounding (at most 4.4e-15 times max|A|, -1.2e-14 against
+  -8.7e-14 at max|A| = 17.1), with S and N (another optimal point), and 9
+  F+ non-members move alpha* by at most 1.7e-14 (max|A| = 20.7);
 - bracket:   qp_optimum on 12 planted QPs (n=8): 10 at eta = 0.1, and two
   offset by 1e10 at eta = 0.001, where rounding moves a cell's hat pair off
   its matrix by more than 1e-6; with a count of the brackets that hold the
@@ -34,21 +39,23 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - lp:        lp.solve on 80 LPs  max c.y, A y <= b, y >= 0: 64 small ones
   full of singleton rows, tied rows and zero-rhs rows, all feasible at
   y = 0, where lp.solve starts (status, y, objective, row duals, pivots),
-  and the 16 that membership_report solves on gen_random_spn(16, s) for
-  s = 0..3, the G, F+, F+- and L LPs, 12 of them with 136 rows, where the
-  simplex holds up to 20 deferred updates and refactorizes (the same, and
-  refactorizations).  The small LPs were re-posed in this form when
-  LinearProgram lost its lo/hi bounds, so the digest differs from every
-  revision before that.  The 16 detect-size LPs joined later, and moved
-  the digest again.  They take b from A's own entries since the
-  detection LP was posed from A and its basis vectors, not from the
-  pair's reconstruction of A, so the digest differs from every revision
-  before that too.  A report that wants F+ and F+- solves both in one
-  simplex, the F+- LP with its minus columns held (lp.solve's held): the
-  F+ LP's entries then come from the first stage, with y on the held
-  columns dropped, so they keep their bits, and the F+- entries moved.
-  They moved again when the report posed its G, F+ and F+- LPs capped,
-  with the cap row as row n(n+1)/2 + 1;
+  and the 16 answers of the 8 lp.solve calls that membership_report makes
+  on gen_random_spn(16, s) for s = 0..3, the L LP and one solve of 137
+  rows whose stages are the G, F+ and F+- LPs, where the simplex holds up
+  to 20 deferred updates (the same, and refactorizations).  The small LPs
+  were re-posed in this form when LinearProgram lost its lo/hi bounds, so
+  the digest differs from every revision before that.  The detect-size
+  LPs joined later, and moved the digest again.  They take b from A's own
+  entries since the detection LP was posed from A and its basis vectors,
+  not from the pair's reconstruction of A, so the digest differs from
+  every revision before that too.  It moved when the report solved F+ and
+  F+- in one simplex (lp.solve's held), when the report capped its LPs
+  with the cap row as row n(n+1)/2 + 1, and when G joined that simplex as
+  its first stage (held, a sequence of column sets).  Each stage is hashed
+  with y on the columns still held dropped, so the 4 G stages keep the
+  bits of the G LPs they replace; the F+ stages take 130/141/42/86 pivots
+  after G, against 104/105/37/86 from the slack basis, and the F+- stages
+  0/2/0/0 more, as before;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time, or the printed line), on two suites that each miss a
@@ -317,8 +324,10 @@ def _report_lps(seeds) -> list:
 
 
 def _lp_fields(sol, held=()) -> list:
-    """The hashed fields of a detect-size solution, y without the held columns."""
-    return [sol.status, None if sol.x is None else np.delete(sol.x, held),
+    """The hashed fields of a detect-size solution, y without the columns
+    of the sets still held."""
+    out = np.concatenate([[], *held]).astype(int)
+    return [sol.status, None if sol.x is None else np.delete(sol.x, out),
             sol.objective_value, sol.dual, sol.iterations, sol.refactorizations]
 
 
@@ -340,14 +349,12 @@ def lp_section():
     detect = 0
     for prog, kwargs in _report_lps(range(4)):
         sol = lp.solve(prog, **kwargs)
-        # a held solve answers two LPs, the first one without its held columns
-        answers = [(sol, ())]
-        if kwargs.get("held") is not None:
-            answers.insert(0, (sol.first, kwargs["held"]))
-        for one, held in answers:
-            _feed(h, _lp_fields(one, held))
-            statuses[one.status] += 1
-        detect += len(answers)
+        # a held solve answers one LP per stage, without the columns still held
+        held = list(kwargs.get("held", ()))
+        for k, stage in enumerate(sol.stages):
+            _feed(h, _lp_fields(stage, held[k:]))
+            statuses[stage.status] += 1
+        detect += len(sol.stages)
     detail = " ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
     return len(progs) + detect, h.hexdigest(), detail
 
