@@ -131,16 +131,21 @@ def build_lp(a: np.ndarray, vectors: np.ndarray, capped=False):
 
     capped appends the objective row beta <= max(0, -alpha0) as row
     n(n+1)/2 + 1, so the optimum floor is min(alpha*, max(alpha0, 0)).
-    All rows are written into one preallocated constraint matrix and rhs.
+    All rows are written into one preallocated constraint matrix and rhs,
+    the pair rows block by block of i.
     """
-    iu, ju, _ = _sd_index(len(a), "Fplus")
+    n = len(a)
+    iu, ju, _ = _sd_index(n, "Fplus")
     m, k = iu.size, vectors.shape[1]
     entries = a[iu, ju]
     alpha0 = float(np.min(entries))
     c = np.zeros(k + 1)
     c[-1] = 1.0
     lhs, b = np.empty((m + capped, k + 1)), np.empty(m + capped)
-    np.multiply(vectors[iu], vectors[ju], out=lhs[:m, :k])
+    r = 0
+    for i in range(n):  # the rows of pairs (i, j >= i), with no gathered copy
+        np.multiply(vectors[i], vectors[i:], out=lhs[r : r + n - i, :k])
+        r += n - i
     lhs[:m, k] = 1.0
     np.subtract(entries, alpha0, out=b[:m])
     if capped:  # the cap row is the objective row itself

@@ -31,11 +31,22 @@ Python float operand on every call (a compare of 393 entries took 1.2 us,
 0.85 us with a 0-d array), so every scalar operand is a 0-d float64 array,
 and every view is bound once per solve; pricing scores d clipped at the
 tolerance and masks only when a clipped column wins.
+
+A solve's two m x m arrays, B^-1 and the fold's product, are recycled
+through a small free list (_take, _give) that keeps the two arrays of one
+solve for each of the last _SPARE_SIZES row counts.  At detect's n = 16
+they are 150 KB each; allocated per solve, they and build_lp's gathered
+copies made glibc hand freed memory back to the kernel after each report
+and fault it in again: about 187 minor page faults, some 0.4 ms of a
+6.7 ms report.  The LP's own arrays, A and a solution's x and duals, are
+never recycled, since a caller can hold them across later solves (a
+recorder that re-solves a kept LinearProgram does).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +61,29 @@ _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 50  # degenerate pivots before switching to Bland's rule
 _REFACTOR_EVERY = 400
 _PIVOTS_PER_SIZE = 50  # the pivot budget is this times (rows + vars + 2)
+_SPARE_SIZES = 4  # detect alternates m = 137 (the staged solve) and 16 (L)
+
+_spare: dict[int, list[np.ndarray]] = {}  # m: spare m x m arrays, oldest m first
+_spare_lock = threading.Lock()
+
+
+def _take(m: int) -> np.ndarray:
+    """A spare m x m float array, else a new one; its content is garbage."""
+    with _spare_lock:
+        arrays = _spare.get(m)
+        if arrays:
+            return arrays.pop()
+    return np.empty((m, m))
+
+
+def _give(*arrays: np.ndarray) -> None:
+    """Keep the m x m arrays of a finished solve for the next one of m rows:
+    at most two per m, for the last _SPARE_SIZES values of m."""
+    m = len(arrays[0])
+    with _spare_lock:
+        _spare[m] = [*_spare.pop(m, ()), *arrays][-2:]  # re-inserted as newest
+        while len(_spare) > _SPARE_SIZES:
+            del _spare[next(iter(_spare))]
 
 
 class LinearProgram:
@@ -130,7 +164,10 @@ class _Simplex:
         self.b = b + jitter
         self.c = np.concatenate([c, np.zeros(m)])
         self.basis = n + np.arange(m)
-        self.Binv = np.eye(m)
+        self.Binv = _take(m)
+        self.Binv.fill(0.0)
+        np.fill_diagonal(self.Binv, 1.0)  # np.eye(m)'s bits
+        self.W = _take(m)  # the fold's product U^T V
         # pending rank-1 updates: 1 below 64 rows, where the thin corrections
         # cost more numpy calls than the m x m update they defer, else 20
         self.U = np.empty((1 if m < 64 else 20, m))
@@ -164,7 +201,7 @@ class _Simplex:
         block = np.empty((self.m, cols.size))  # Binv[:, tight] in basis order
         block[struct] = X
         block[~struct] = -a_s[slack_rows] @ X
-        self.Binv = np.zeros((self.m, self.m))
+        self.Binv.fill(0.0)
         self.Binv[:, tight] = block
         self.Binv[np.flatnonzero(~struct), slack_rows] = 1.0
         self.t = 0
@@ -174,7 +211,8 @@ class _Simplex:
 
     def _fold(self):
         if self.t:  # np.dot: @ took 2x as long on the t = 1 outer product
-            self.Binv -= np.dot(self.U[: self.t].T, self.V[: self.t])
+            np.dot(self.U[: self.t].T, self.V[: self.t], out=self.W)
+            self.Binv -= self.W
             self.t = 0
 
     def _reduced_costs(self):
@@ -345,6 +383,7 @@ def solve(lp: LinearProgram, held=()) -> LpSolution:
         if cols is None or stages[-1].status != OPTIMAL:
             break
         spx.c[cols] = lp.c[cols]
+    _give(spx.Binv, spx.W)  # no solution refers to them
     return replace(stages[-1], stages=stages)  # a copy, not a cycle left to the gc
 
 

@@ -1,11 +1,21 @@
 import math
+import pickle
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conekit import cones, lp
-from conekit.instances import complete_graph, gen_random_spn, max_clique_matrix
+from conekit.instances import (
+    complete_graph,
+    gen_planted_qp,
+    gen_random_spn,
+    max_clique_matrix,
+    qp_optimum,
+)
 from conekit.linalg import eigen_decompose
 
 
@@ -606,3 +616,108 @@ def test_a_first_stage_that_is_not_optimal_ends_the_solve(monkeypatch):
     # held indexes the columns as numpy does: past the end is refused
     with pytest.raises(IndexError):
         lp.solve(prog, held=[[3]])
+
+
+def _poisoned(sizes):
+    """A free list of two all-NaN spare arrays per size."""
+    return {m: [np.full((m, m), np.nan) for _ in range(2)] for m in sizes}
+
+
+def test_recycled_buffers_move_no_output_bit(monkeypatch):
+    # whatever a spare array holds, B^-1 starts as the identity and every
+    # fold overwrites the whole product buffer; the sizes are those the runs
+    # solve: a report's staged solve and L LP, an n = 8 partition's cell LPs
+    a = gen_random_spn(16, 5)[0]
+    q = gen_planted_qp(8, 4, -10.0, seed=2).Q
+    u = a / np.max(np.abs(a))
+    prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u).P, "Fpm"), capped=True)[0]
+    level = cones._sd_level(16)  # the report's stages: G, then F+, then F+-
+    held = [np.flatnonzero(level == 1), np.flatnonzero(level == 2)]
+    runs = {
+        "report": (lambda: cones.membership_report(a), (137, 16)),
+        "bracket": (lambda: qp_optimum(q, eta=0.1), (37,)),
+        "staged": (lambda: lp.solve(prog, held=held), (137,)),
+    }
+    for name, (run, sizes) in runs.items():
+        monkeypatch.setattr(lp, "_spare", {})
+        fresh = pickle.dumps(run())
+        monkeypatch.setattr(lp, "_spare", spare := _poisoned(sizes))
+        assert pickle.dumps(run()) == fresh, name
+        # each NaN array was taken, and came back holding the solve's numbers
+        assert not any(np.isnan(x).any() for arrays in spare.values() for x in arrays)
+
+
+def test_solutions_and_lps_outlive_later_solves(monkeypatch):
+    # tools/fingerprint.py's pattern: keep a report's LPs and answers, make
+    # more reports, then re-solve the kept LPs; no kept array is reused
+    kept, solve = [], lp.solve
+
+    def recorded(prog, **kwargs):
+        sol = solve(prog, **kwargs)
+        kept.append((prog, kwargs, sol, pickle.dumps((prog.c, prog.A, prog.b, sol))))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    cones.membership_report(gen_random_spn(16, 0)[0])
+    monkeypatch.setattr(lp, "solve", solve)
+    assert len(kept) == 2
+    for seed in (1, 2):
+        cones.membership_report(gen_random_spn(16, seed)[0])
+    for prog, kwargs, sol, first in kept:
+        assert pickle.dumps((prog.c, prog.A, prog.b, sol)) == first
+        assert pickle.dumps((prog.c, prog.A, prog.b, solve(prog, **kwargs))) == first
+
+
+def test_threads_solving_same_size_lps_match_serial_solves(monkeypatch):
+    # more threads than cores take and give spare arrays of one size at
+    # once; two solves sharing an array would move their answers
+    progs = [_detect_lp(gen_random_spn(16, seed)[0]) for seed in range(4)]
+    serial = [pickle.dumps(lp.solve(prog)) for prog in progs]
+    monkeypatch.setattr(lp, "_spare", _poisoned((136,)))
+    found = [[] for _ in progs]
+
+    def work(k):
+        for _ in range(3):
+            found[k].append(pickle.dumps(lp.solve(progs[k])))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(progs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert found == [[bits] * 3 for bits in serial]
+    assert all(len(arrays) <= 2 for arrays in lp._spare.values())
+
+
+def test_the_free_list_keeps_two_arrays_for_the_last_few_sizes(monkeypatch):
+    monkeypatch.setattr(lp, "_spare", {})
+    sizes = []
+    for n in range(2, 31):
+        prog = _detect_lp(gen_random_spn(n, 0)[0], "G")
+        assert lp.solve(prog).status == lp.OPTIMAL
+        sizes.append(prog.n_rows)
+    assert list(lp._spare) == sizes[-lp._SPARE_SIZES:]
+    assert all(len(arrays) == 2 for arrays in lp._spare.values())
+    assert all(x.shape == (m, m) for m, arrays in lp._spare.items() for x in arrays)
+
+
+def test_a_warm_report_allocates_under_512_kb():
+    # the constraint matrix (137 x 258, 282 KB) is the one large array a warm
+    # n = 16 report allocates: B^-1 and the fold's product are recycled, and
+    # build_lp gathers no copies of the basis vectors (928 KB in all before)
+    a = gen_random_spn(16, 0)[0]
+    cones.membership_report(a)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cones.membership_report(a)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024

@@ -1,4 +1,5 @@
 import importlib.util
+import platform
 import re
 import signal
 import subprocess
@@ -224,12 +225,17 @@ def test_bench_pairs_counts_the_pivots_of_a_report_in_a_tree(monkeypatch):
     assert tool.REPORT_SEEDS == 40
     metrics = _probe(tool, seeds=2)
     assert set(metrics) == {f"report.n16.{k}" for k in
-                            ("pivots", "solves", "cpu_s", "us_per_pivot")}
+                            ("pivots", "solves", "cpu_s", "us_per_pivot", "minflt")}
     # G, F+ and F+- in one simplex run, and L: per report means
     assert metrics["report.n16.solves"] == 2
     assert metrics["report.n16.pivots"] > 0 and metrics["report.n16.cpu_s"] > 0
     assert metrics["report.n16.us_per_pivot"] == pytest.approx(
         1e6 * metrics["report.n16.cpu_s"] / metrics["report.n16.pivots"])
+    # lp.solve recycles its m x m arrays, so glibc faults no freed memory
+    # back in (about 190 minor faults per report without the recycling)
+    assert metrics["report.n16.minflt"] >= 0
+    if platform.libc_ver()[0] == "glibc":
+        assert metrics["report.n16.minflt"] <= 8
 
 
 def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):

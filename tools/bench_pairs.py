@@ -22,13 +22,16 @@ u, as the report decides A (fpm.full.n<n>.*, the same four; ROADMAP's
 n = 30-50 simplex targets are set on it); membership_report on
 gen_random_spn(16, s) for s < REPORT_SEEDS (report.n16.*: pivots,
 lp.solve calls and cpu seconds per report, which resolve a change that one
-n = 16 solve cannot, and the cpu microseconds per pivot, the cost of the
-simplex's pivot loop); and the acceptance criteria ACCEPT_CRITERIA of its
-tests/test_acceptance.py (accept.c<nn>_s, wall seconds).  Each set runs
-once to warm up, then each of its calls (one LP, one report, one
-criterion) is timed by QuietTimer from this checkout's perfbench/timing.py,
-the same file for both trees, with one attempt per criterion; the times are at the host's quiet speed, as
-perfbench's own are.  A timed pass whose pivot, solve or refactorization
+n = 16 solve cannot, the cpu microseconds per pivot, the cost of the
+simplex's pivot loop, and the minor page faults per report over the timed
+passes, from resource.getrusage, memory the allocator handed back to the
+kernel and touched again); and the acceptance criteria ACCEPT_CRITERIA of its
+tests/test_acceptance.py (accept.c<nn>_s, wall seconds).  The reports go
+first, since the larger LPs of the other sets leave glibc's mmap threshold
+raised.  Each set runs once to warm up, then each of its calls (one LP,
+one report, one criterion) is timed by QuietTimer from this checkout's
+perfbench/timing.py, the same file for both trees, with one attempt per
+criterion; the times are at the host's quiet speed, as perfbench's own are.  A timed pass whose pivot, solve or refactorization
 counts differ from the warm-up's fails the run.  Runs go one at a time.  A
 metric is "resolved" when the change won at least nine tenths of the pairs
 (ties count for neither side) and the medians differ by more than the
@@ -54,7 +57,7 @@ ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
 # run in a tree, its src/ on the path, with argv: the timing.py to time with,
 # and [sizes, seeds, criteria] as JSON; see the module docstring
 PROBE_SCRIPT = """
-import functools, importlib.util, json, sys
+import functools, importlib.util, json, resource, sys
 from conekit import cones, instances, linalg, lp
 def load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
@@ -82,30 +85,19 @@ def counts(fn):
     count.update(pivots=0, solves=0, refactorizations=0)
     fn()
     return dict(count)
-sets = {}  # set: its calls, each with the counts of its warm-up run
-for n in sizes:
-    a = instances.gen_random_spn(n, 0)[0]
-    u = linalg.unit_scale(a)[0]
-    for name, fn in ((f"fpm.n{n}", functools.partial(cones.membership_report, a, ["Fpm"])),
-                     (f"fpm.full.n{n}", functools.partial(
-                         cones.check_membership_lp, u, linalg.eigen_decompose(u), "Fpm"))):
-        warm = counts(fn)
-        sets[name] = [(posed[0], warm)]
-if seeds:
-    reports = [functools.partial(cones.membership_report, instances.gen_random_spn(16, s)[0])
-               for s in range(seeds)]
-    sets["report.n16"] = [(fn, counts(fn)) for fn in reports]
-for num, test in tested.items():  # its report lines go before the record
-    sets[f"accept.c{num:02d}"] = [(test, counts(test))]
 timer, record = timing.QuietTimer(), {}
-for name, calls in sets.items():
+def measure(name, calls):  # calls: a set's, each with its warm-up's counts
     # each call is measured on its own: a short call seldom spans a change
     # of the host's speed, so the references around it describe it
     wall = cpu = 0.0
+    faults = [0, 0]  # minor page faults, and the calls they span
     for fn, warm in calls:
         def repeat():
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             if counts(fn) != warm:
                 sys.exit(f"{name}: counts {count} differ from the warm-up's {warm}")
+            faults[0] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+            faults[1] += 1
         _, w, c = timer.measure(repeat, attempts=1 if name.startswith("accept.") else timing.ATTEMPTS)
         wall, cpu = wall + w, cpu + c
     total = {k: sum(warm[k] for _, warm in calls) for k in count}
@@ -116,8 +108,26 @@ for name, calls in sets.items():
         per_report = dict(pivots=total["pivots"], solves=total["solves"], cpu_s=cpu)
         record.update({f"{name}.{k}": v / seeds for k, v in per_report.items()})
         record[f"{name}.us_per_pivot"] = 1e6 * cpu / total["pivots"]
+        record[f"{name}.minflt"] = faults[0] / faults[1]
     else:
         record[f"{name}_s"] = wall
+# the reports go first: freeing the larger LPs' arrays raises glibc's mmap
+# threshold, after which n = 16 reports fault less than in a process that
+# makes reports alone, as detect's does
+if seeds:
+    reports = [functools.partial(cones.membership_report, instances.gen_random_spn(16, s)[0])
+               for s in range(seeds)]
+    measure("report.n16", [(fn, counts(fn)) for fn in reports])
+for n in sizes:
+    a = instances.gen_random_spn(n, 0)[0]
+    u = linalg.unit_scale(a)[0]
+    for name, fn in ((f"fpm.n{n}", functools.partial(cones.membership_report, a, ["Fpm"])),
+                     (f"fpm.full.n{n}", functools.partial(
+                         cones.check_membership_lp, u, linalg.eigen_decompose(u), "Fpm"))):
+        warm = counts(fn)
+        measure(name, [(posed[0], warm)])
+for num, test in tested.items():  # its report lines go before the record
+    measure(f"accept.c{num:02d}", [(test, counts(test))])
 print(json.dumps(record))
 """
 
