@@ -74,45 +74,35 @@ def in_H(a: np.ndarray) -> MembershipVerdict:
 
 @lru_cache(maxsize=64)
 def _sd_index(n: int, family: str):
-    """Read-only (i, j, sign) per basis vector (p_i + sign p_j) / 2: "Fplus"
-    and "minus" over the pairs i <= j of np.triu_indices(n), sign -1 off the
-    diagonal for "minus"; "Fpm" is Fplus, then minus's off-diagonal columns.
-    Fplus's i and j are also the detection LP's pair rows."""
-    if family not in ("Fplus", "minus", "Fpm"):
+    """Read-only (i, j, sign, level) per basis vector (p_i + sign p_j) / 2: "G"
+    over i = j, "Fplus" and "minus" over i <= j of np.triu_indices(n), sign -1
+    off the diagonal for "minus"; "Fpm" is Fplus, then minus's off-diagonal
+    columns.  level is the LP_FAMILIES index of the narrowest family with the
+    column.  Fplus's i and j are also the detection LP's pair rows."""
+    if family not in ("G", "Fplus", "minus", "Fpm"):
         raise ValueError(f"unknown LP family {family!r}")
-    iu, ju = np.triu_indices(n)
+    iu, ju = np.diag_indices(n) if family == "G" else np.triu_indices(n)
     off = iu != ju
     sign = np.where((family == "minus") & off, -1.0, 1.0)
     if family == "Fpm":
         iu, ju, sign = np.r_[iu, iu[off]], np.r_[ju, ju[off]], np.r_[sign, -sign[off]]
-    for t in (iu, ju, sign):
+    level = np.where(iu == ju, 0, 1) + (sign < 0)
+    for t in (iu, ju, sign, level):
         t.flags.writeable = False
-    return iu, ju, sign
-
-
-@lru_cache(maxsize=64)
-def _sd_level(n: int):
-    """Read-only LP_FAMILIES index of the narrowest family with each column
-    of "Fpm"'s table: G's are the iu == ju columns, p_i bit for bit."""
-    iu, ju, _ = _sd_index(n, "Fpm")
-    level = np.where(iu == ju, 0, 1) + (np.arange(iu.size) >= n * (n + 1) // 2)
-    level.flags.writeable = False
-    return level
+    return iu, ju, sign, level
 
 
 def sd_basis(p: np.ndarray, family: str) -> np.ndarray:
     """Semidefinite basis vectors from the columns of p, one column v per LP
-    variable of family, whose basis element is v v^T: p itself for "G", else
-    v = (p_i + sign p_j) / 2 through _sd_index's table.  For nonsingular p the
-    n(n+1)/2 elements of "Fplus" (or of "minus") span the symmetric matrices.
+    variable of family, whose basis element is v v^T: (p_i + sign p_j) / 2
+    through _sd_index's table, G's (p_i + p_i) / 2 = p_i bit for bit.  For
+    nonsingular p the n(n+1)/2 elements of "Fplus" (or "minus") span the symmetric matrices.
 
     Sizes: n columns for G, n(n+1)/2 for Fplus and n^2 for Fpm (DD in the
     basis p).  Counting each y_k >= 0 of build_lp, the paper's cap on
     omega_k, as one constraint, as the paper does (beta >= 0 is not one of
     its constraints), gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints."""
-    if family == "G":
-        return p
-    i, j, sign = _sd_index(p.shape[0], family)
+    i, j, sign, _ = _sd_index(p.shape[0], family)
     return (p[:, i] + sign * p[:, j]) / 2.0
 
 
@@ -135,7 +125,7 @@ def build_lp(a: np.ndarray, vectors: np.ndarray, capped=False):
     the pair rows block by block of i.
     """
     n = len(a)
-    iu, ju, _ = _sd_index(n, "Fplus")
+    iu, ju = _sd_index(n, "Fplus")[:2]
     m, k = iu.size, vectors.shape[1]
     entries = a[iu, ju]
     alpha0 = float(np.min(entries))
@@ -162,19 +152,18 @@ def check_membership_lp(
     so ep is not checked: the pairs the package builds are A's by
     construction.  A capped LP gives the same verdict, and its alpha_star
     is min(alpha*, max(alpha0, 0))."""
-    vectors = sd_basis(ep.P, family)
-    prog, alpha0 = build_lp(a, vectors, capped=capped)
-    return _lp_verdict(a, vectors, lpmod.solve(prog), alpha0, family, ep)
+    return _lp_families(a, ep, [family], capped)[0]
 
 
-def _lp_families(a: np.ndarray, ep: EigenPair, families) -> list[MembershipVerdict]:
+def _lp_families(a: np.ndarray, ep: EigenPair, families, capped) -> list[MembershipVerdict]:
     """The verdicts of families, LP_FAMILIES in order, from the stages of one
-    simplex over the capped LP of the widest, whose other columns held at 0
-    give a narrower family's LP.  A stage not optimal restarts its family
-    (after a first stage, the next) and the later ones in a fresh simplex."""
+    simplex over the LP of the widest, whose other columns (by its table's
+    level) held at 0 give a narrower family's LP.  A stage not optimal
+    restarts its family (after a first stage, the next) and the later ones
+    in a fresh simplex."""
     vectors = sd_basis(ep.P, families[-1])
-    prog, alpha0 = build_lp(a, vectors, capped=True)
-    level, verdicts = _sd_level(len(a))[: vectors.shape[1]], []
+    prog, alpha0 = build_lp(a, vectors, capped=capped)
+    level, verdicts = _sd_index(len(a), families[-1])[3], []
     while len(verdicts) < len(families):
         ranks = [LP_FAMILIES.index(f) for f in families[len(verdicts):]]
         sol = lpmod.solve(prog, held=[np.flatnonzero((lo < level) & (level <= hi))
@@ -185,7 +174,7 @@ def _lp_families(a: np.ndarray, ep: EigenPair, families) -> list[MembershipVerdi
     return verdicts
 
 
-def _lp_verdict(a, vectors, sol, alpha0, family, ep, cols=slice(None)) -> MembershipVerdict:
+def _lp_verdict(a, vectors, sol, alpha0, family, ep, cols) -> MembershipVerdict:
     """The verdict of a solved detection LP over the columns cols of vectors,
     sd_basis(ep.P, family)'s; a non-orthogonal pair tags it family + "_hat"."""
     tag = family if ep.orthogonal else family + "_hat"
@@ -269,7 +258,7 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
     refused before any work, and A is decided at linalg.unit_scale's scale.
 
     The LP families and the L test share one orthogonal decomposition of A,
-    made here; two or three LP families are the stages of one simplex, G,
+    made here; the LP families asked for are the stages of one simplex, G,
     F+, F+- (_lp_families), and G keeps its own LP's bits.  Every LP family
     poses the capped detection LP (build_lp), which stops once the floor
     reaches 0: the verdicts are the uncapped LP's, and a member's alpha_star
@@ -296,7 +285,8 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
         try:
             if ep is None and step[0] in (*LP_FAMILIES, "L"):
                 ep = eigen_decompose(a)
-            found = _lp_families(a, ep, step) if len(step) > 1 else [_dispatch(a, *step, ep)]
+            found = (_lp_families(a, ep, step, True) if step[0] in LP_FAMILIES
+                     else [_dispatch(a, *step, ep)])
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
             note = f"error: {exc}"
             found = [MembershipVerdict(NOT_IDENTIFIED, c, note=note) for c in step]

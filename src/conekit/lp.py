@@ -32,15 +32,16 @@ Python float operand on every call (a compare of 393 entries took 1.2 us,
 and every view is bound once per solve; pricing scores d clipped at the
 tolerance and masks only when a clipped column wins.
 
-A solve's two m x m arrays, B^-1 and the fold's product, are recycled
-through a small free list (_take, _give) that keeps the two arrays of one
-solve for each of the last _SPARE_SIZES row counts.  At detect's n = 16
+A solve of at least _DEFER_ROWS = 64 rows keeps its two m x m arrays, B^-1
+and the fold's product, as the one spare pair (_take, _give) for the next
+solve of as many rows, in place of the pair kept before.  At detect's n = 16
 they are 150 KB each; allocated per solve, they and build_lp's gathered
 copies made glibc hand freed memory back to the kernel after each report
-and fault it in again: about 187 minor page faults, some 0.4 ms of a
-6.7 ms report.  The LP's own arrays, A and a solution's x and duals, are
-never recycled, since a caller can hold them across later solves (a
-recorder that re-solves a kept LinearProgram does).
+and fault it in again: about 187 minor page faults, some 0.4 ms of a 6.7 ms
+report.  Below 64 rows B^-1 is at most 32 KB and faulted no page (the L
+LP, the partition's cells).  The LP's own arrays, A and a solution's x and
+duals, are never recycled, since a caller can hold them across later
+solves (a recorder that re-solves a kept LinearProgram does).
 """
 
 from __future__ import annotations
@@ -61,29 +62,27 @@ _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 50  # degenerate pivots before switching to Bland's rule
 _REFACTOR_EVERY = 400
 _PIVOTS_PER_SIZE = 50  # the pivot budget is this times (rows + vars + 2)
-_SPARE_SIZES = 4  # detect alternates m = 137 (the staged solve) and 16 (L)
+_DEFER_ROWS = 64  # from this many rows updates are deferred, and B^-1 recycled
 
-_spare: dict[int, list[np.ndarray]] = {}  # m: spare m x m arrays, oldest m first
+_spare: list[tuple[np.ndarray, np.ndarray]] = []  # the last large solve's pair, if any
 _spare_lock = threading.Lock()
 
 
-def _take(m: int) -> np.ndarray:
-    """A spare m x m float array, else a new one; its content is garbage."""
+def _take(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spare (B^-1, W) pair when it has m rows, else two new m x m
+    arrays; their content is garbage."""
     with _spare_lock:
-        arrays = _spare.get(m)
-        if arrays:
-            return arrays.pop()
-    return np.empty((m, m))
+        if _spare and len(_spare[0][0]) == m:
+            return _spare.pop()
+    return np.empty((m, m)), np.empty((m, m))
 
 
-def _give(*arrays: np.ndarray) -> None:
-    """Keep the m x m arrays of a finished solve for the next one of m rows:
-    at most two per m, for the last _SPARE_SIZES values of m."""
-    m = len(arrays[0])
-    with _spare_lock:
-        _spare[m] = [*_spare.pop(m, ()), *arrays][-2:]  # re-inserted as newest
-        while len(_spare) > _SPARE_SIZES:
-            del _spare[next(iter(_spare))]
+def _give(pair: tuple[np.ndarray, np.ndarray]) -> None:
+    """Keep a finished solve's pair, in place of the one kept before, when
+    it has at least _DEFER_ROWS rows."""
+    if len(pair[0]) >= _DEFER_ROWS:
+        with _spare_lock:
+            _spare[:] = [pair]
 
 
 class LinearProgram:
@@ -164,13 +163,12 @@ class _Simplex:
         self.b = b + jitter
         self.c = np.concatenate([c, np.zeros(m)])
         self.basis = n + np.arange(m)
-        self.Binv = _take(m)
+        self.Binv, self.W = _take(m)  # W: the fold's product U^T V
         self.Binv.fill(0.0)
         np.fill_diagonal(self.Binv, 1.0)  # np.eye(m)'s bits
-        self.W = _take(m)  # the fold's product U^T V
-        # pending rank-1 updates: 1 below 64 rows, where the thin corrections
+        # pending rank-1 updates: 1 below _DEFER_ROWS, where the thin corrections
         # cost more numpy calls than the m x m update they defer, else 20
-        self.U = np.empty((1 if m < 64 else 20, m))
+        self.U = np.empty((1 if m < _DEFER_ROWS else 20, m))
         self.V = np.empty_like(self.U)
         self.t = 0  # updates held in U and V
         self.xB = self.b.copy()
@@ -383,7 +381,7 @@ def solve(lp: LinearProgram, held=()) -> LpSolution:
         if cols is None or stages[-1].status != OPTIMAL:
             break
         spx.c[cols] = lp.c[cols]
-    _give(spx.Binv, spx.W)  # no solution refers to them
+    _give((spx.Binv, spx.W))  # no solution refers to them
     return replace(stages[-1], stages=stages)  # a copy, not a cycle left to the gc
 
 

@@ -160,12 +160,13 @@ def test_build_lp_pair_rows_are_the_sd_basis():
 
 def _reference_bases(p):
     """The basis vectors sd_basis should give for G, Fplus, minus and Fpm,
-    computed over np.triu_indices as the formulas read."""
+    computed over np.triu_indices as the formulas read; G's are p's columns,
+    gathered as every family's are."""
     iu, ju = np.triu_indices(p.shape[0])
     plus = (p[:, iu] + p[:, ju]) / 2.0
     minus = (p[:, iu] + np.where(iu != ju, -1.0, 1.0) * p[:, ju]) / 2.0
     fpm = np.hstack([plus, minus[:, iu != ju]])
-    return {"G": p, "Fplus": plus, "minus": minus, "Fpm": fpm}
+    return {"G": p[:, np.arange(p.shape[0])], "Fplus": plus, "minus": minus, "Fpm": fpm}
 
 
 def test_lp_layout_matches_the_sd_basis():
@@ -184,8 +185,10 @@ def test_lp_layout_matches_the_sd_basis():
                 vectors = cones.sd_basis(basis, family)
                 assert np.array_equal(vectors, ref)
                 assert vectors.flags.f_contiguous == ref.flags.f_contiguous
-            # G <= Fplus <= Fpm by construction: Fplus's diagonal columns are
-            # p's, and Fpm's first n(n+1)/2 columns are Fplus's, bit for bit
+            # G <= Fplus <= Fpm by construction: G's columns and Fplus's
+            # diagonal ones are p's, and Fpm's first n(n+1)/2 columns are
+            # Fplus's, bit for bit
+            assert np.array_equal(cones.sd_basis(basis, "G"), basis)
             plus = cones.sd_basis(basis, "Fplus")
             assert np.array_equal(plus[:, iu == ju], basis)
             assert np.array_equal(cones.sd_basis(basis, "Fpm")[:, :iu.size], plus)
@@ -509,10 +512,7 @@ def test_membership_report_rejects_a_string_of_cones():
 
 
 def test_lp_iteration_limit_is_not_member(monkeypatch):
-    def limit(prog):
-        return lp.LpSolution(status=lp.ITERATION_LIMIT, iterations=1)
-
-    monkeypatch.setattr(lp, "solve", limit)
+    monkeypatch.setattr(lp, "_PIVOTS_PER_SIZE", 0)  # a budget of no pivot
     v = cones.check_membership_lp(M1, eigen_decompose(M1), "Fpm")
     assert not v.is_member
     assert v.note == "lp-iteration_limit"
@@ -565,8 +565,8 @@ def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
     pivots = []
     solve = lp.solve
 
-    def counted(prog):
-        sol = solve(prog)
+    def counted(prog, held=()):
+        sol = solve(prog, held=held)
         pivots.append(sol.iterations)
         return sol
 
@@ -674,7 +674,7 @@ def test_membership_report_decomposes_once_for_lp_and_l_tests(monkeypatch):
 
 
 def test_pair_indices_are_cached_and_read_only():
-    iu, ju, _ = cones._sd_index(7, "Fplus")
+    iu, ju = cones._sd_index(7, "Fplus")[:2]
     assert cones._sd_index(7, "Fplus")[0] is iu
     expect = np.triu_indices(7)
     assert np.array_equal(iu, expect[0]) and np.array_equal(ju, expect[1])
@@ -725,9 +725,9 @@ def test_membership_report_gives_one_verdict_per_distinct_name():
 def test_membership_report_records_numerical_errors_only(monkeypatch):
     solve = lp.solve
 
-    def fail_with(exc_type, shared_only=False):
+    def fail_with(exc_type, detection_only=False):
         def fail(*args, **kwargs):
-            if shared_only and "held" not in kwargs:  # the L solve
+            if detection_only and "held" not in kwargs:  # the L solve
                 return solve(*args, **kwargs)
             raise exc_type("injected")
 
@@ -739,27 +739,20 @@ def test_membership_report_records_numerical_errors_only(monkeypatch):
         return [v.cone for v in out]
 
     # a one-cone report keeps the one rule too; the one simplex that the
-    # report shares between G, F+ and F+- fails for all three
+    # report shares between G, F+ and F+- fails for all three, and L alone
     alone = lambda a: [cones.membership_report(a, [c])[0] for c in cones.LP_FAMILIES]
     for exc_type in (FloatingPointError, ValueError):
         with monkeypatch.context() as patched:
-            patched.setattr(cones, "check_membership_lp", fail_with(exc_type))
+            patched.setattr(lp, "solve", fail_with(exc_type))
+            assert failed(cones.membership_report(M1)) == [*cones.LP_FAMILIES, "L"]
+            patched.setattr(lp, "solve", fail_with(exc_type, detection_only=True))
             assert failed(alone(M1)) == list(cones.LP_FAMILIES)
-            patched.setattr(lp, "solve", fail_with(exc_type, shared_only=True))
-            assert failed(cones.membership_report(M1)) == list(cones.LP_FAMILIES)
-        with monkeypatch.context() as patched:
-            patched.setattr(lp, "solve", fail_with(exc_type, shared_only=True))
             assert failed(cones.membership_report(M1)) == list(cones.LP_FAMILIES)
             assert failed(cones.membership_report(M1, ["G", "Fpm"])) == ["G", "Fpm"]
-            assert failed(cones.membership_report(M1, ["G", "L"])) == []
-            assert failed(alone(M1)) == []
+            assert failed(cones.membership_report(M1, ["G", "L"])) == ["G"]
     # a TypeError is a bug in the program, not a verdict
-    with monkeypatch.context() as patched:
-        patched.setattr(cones, "check_membership_lp", fail_with(TypeError))
-        with pytest.raises(TypeError, match="injected"):
-            alone(M1)
-    monkeypatch.setattr(lp, "solve", fail_with(TypeError, shared_only=True))
-    for wanted in (cones.CONE_ORDER, ["Fpm", "Fplus"]):
+    monkeypatch.setattr(lp, "solve", fail_with(TypeError, detection_only=True))
+    for wanted in (cones.CONE_ORDER, ["Fpm", "Fplus"], ["G"]):
         with pytest.raises(TypeError, match="injected"):
             cones.membership_report(M1, wanted)
 
@@ -770,13 +763,31 @@ def _fields(v):
     return (v.status, v.cone, v.alpha_star, v.note, *parts)
 
 
+def test_one_family_alone_is_its_own_capped_lp():
+    # _lp_families reads each column's level from the widest family's own
+    # table, so one family's verdict is check_membership_lp's, bit for bit;
+    # read from F+-'s table, G's first n levels built S from column 0 alone,
+    # and on seed 2 left N 0.21 below alpha* ~ -3e-16
+    members = 0
+    for seed in range(6):
+        u = unit_scale(instances.gen_random_spn(6, seed)[0])[0]
+        ep = eigen_decompose(u)
+        for family in cones.LP_FAMILIES:
+            (v,) = cones._lp_families(u, ep, [family], True)
+            assert _fields(v) == _fields(cones.check_membership_lp(u, ep, family, capped=True))
+            if v.is_member:
+                members += 1
+                assert np.min(v.n_part) >= v.alpha_star - 1e-12, (seed, family)
+    assert members == 10
+
+
 def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
     # G, F+ and F+- are the stages of one capped simplex: G and L keep their
     # one-cone verdicts bit for bit, and F+ and F+- are continuations,
     # within 1e-12 of one-cone reports
     solves, solve = [], lp.solve
     monkeypatch.setattr(lp, "solve", lambda *a, **k: solves.append(k) or solve(*a, **k))
-    level = cones._sd_level(12)
+    level = cones._sd_index(12, "Fpm")[3]
     for seed in range(4):
         a = instances.gen_random_spn(12, seed)[0]
         solves.clear()

@@ -16,7 +16,7 @@ from conekit.instances import (
     max_clique_matrix,
     qp_optimum,
 )
-from conekit.linalg import eigen_decompose
+from conekit.linalg import eigen_decompose, unit_scale
 
 
 def _solve(c, rows):
@@ -548,7 +548,7 @@ def test_held_columns_give_the_lp_without_them_first():
     # F+-'s; holding the other columns of the larger LP solves the smallest
     # one bit for bit, and the same simplex releases one set per stage and
     # continues to each larger optimum
-    iu, ju, _ = cones._sd_index(16, "Fplus")
+    iu, ju = cones._sd_index(16, "Fplus")[:2]
     off, minus = np.flatnonzero(iu != ju), np.arange(iu.size, 16 * 16)
     for seed in range(4):
         a = gen_random_spn(16, seed)[0]
@@ -618,33 +618,37 @@ def test_a_first_stage_that_is_not_optimal_ends_the_solve(monkeypatch):
         lp.solve(prog, held=[[3]])
 
 
-def _poisoned(sizes):
-    """A free list of two all-NaN spare arrays per size."""
-    return {m: [np.full((m, m), np.nan) for _ in range(2)] for m in sizes}
+def _poisoned(m):
+    """A spare list of one pair of all-NaN m x m arrays."""
+    return [(np.full((m, m), np.nan), np.full((m, m), np.nan))]
+
+
+def _spare_is(pair):
+    """lp's spare list holds pair's two arrays, and nothing else."""
+    return len(lp._spare) == 1 and all(x is y for x, y in zip(lp._spare[0], pair))
 
 
 def test_recycled_buffers_move_no_output_bit(monkeypatch):
-    # whatever a spare array holds, B^-1 starts as the identity and every
-    # fold overwrites the whole product buffer; the sizes are those the runs
-    # solve: a report's staged solve and L LP, an n = 8 partition's cell LPs
+    # whatever the spare pair holds, B^-1 starts as the identity and every
+    # fold overwrites the whole product buffer; a report's staged solve and
+    # a staged lp.solve, both of 137 rows, take the pair and give it back
     a = gen_random_spn(16, 5)[0]
-    q = gen_planted_qp(8, 4, -10.0, seed=2).Q
     u = a / np.max(np.abs(a))
     prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u).P, "Fpm"), capped=True)[0]
-    level = cones._sd_level(16)  # the report's stages: G, then F+, then F+-
+    level = cones._sd_index(16, "Fpm")[3]  # the report's stages: G, then F+, then F+-
     held = [np.flatnonzero(level == 1), np.flatnonzero(level == 2)]
     runs = {
-        "report": (lambda: cones.membership_report(a), (137, 16)),
-        "bracket": (lambda: qp_optimum(q, eta=0.1), (37,)),
-        "staged": (lambda: lp.solve(prog, held=held), (137,)),
+        "report": lambda: cones.membership_report(a),
+        "staged": lambda: lp.solve(prog, held=held),
     }
-    for name, (run, sizes) in runs.items():
-        monkeypatch.setattr(lp, "_spare", {})
+    for name, run in runs.items():
+        monkeypatch.setattr(lp, "_spare", [])
         fresh = pickle.dumps(run())
-        monkeypatch.setattr(lp, "_spare", spare := _poisoned(sizes))
+        monkeypatch.setattr(lp, "_spare", spare := _poisoned(137))
+        (pair,) = spare
         assert pickle.dumps(run()) == fresh, name
-        # each NaN array was taken, and came back holding the solve's numbers
-        assert not any(np.isnan(x).any() for arrays in spare.values() for x in arrays)
+        # the NaN pair was taken, and came back holding the solve's numbers
+        assert _spare_is(pair) and not any(np.isnan(x).any() for x in pair)
 
 
 def test_solutions_and_lps_outlive_later_solves(monkeypatch):
@@ -673,7 +677,7 @@ def test_threads_solving_same_size_lps_match_serial_solves(monkeypatch):
     # once; two solves sharing an array would move their answers
     progs = [_detect_lp(gen_random_spn(16, seed)[0]) for seed in range(4)]
     serial = [pickle.dumps(lp.solve(prog)) for prog in progs]
-    monkeypatch.setattr(lp, "_spare", _poisoned((136,)))
+    monkeypatch.setattr(lp, "_spare", _poisoned(136))
     found = [[] for _ in progs]
 
     def work(k):
@@ -692,19 +696,40 @@ def test_threads_solving_same_size_lps_match_serial_solves(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert found == [[bits] * 3 for bits in serial]
-    assert all(len(arrays) <= 2 for arrays in lp._spare.values())
+    assert [[x.shape for x in pair] for pair in lp._spare] == [[(136, 136)] * 2]
 
 
-def test_the_free_list_keeps_two_arrays_for_the_last_few_sizes(monkeypatch):
-    monkeypatch.setattr(lp, "_spare", {})
-    sizes = []
+def test_the_spare_pair_is_the_last_large_solves(monkeypatch):
+    # a solve of _DEFER_ROWS rows or more leaves its pair as the one spare,
+    # in place of the one before; a smaller one neither takes nor keeps one
+    monkeypatch.setattr(lp, "_spare", [])
+    kept = []
     for n in range(2, 31):
         prog = _detect_lp(gen_random_spn(n, 0)[0], "G")
         assert lp.solve(prog).status == lp.OPTIMAL
-        sizes.append(prog.n_rows)
-    assert list(lp._spare) == sizes[-lp._SPARE_SIZES:]
-    assert all(len(arrays) == 2 for arrays in lp._spare.values())
-    assert all(x.shape == (m, m) for m, arrays in lp._spare.items() for x in arrays)
+        if prog.n_rows >= lp._DEFER_ROWS:
+            kept = [[(prog.n_rows, prog.n_rows)] * 2]
+        assert [[x.shape for x in pair] for pair in lp._spare] == kept, n
+    assert kept == [[(465, 465)] * 2]
+
+
+def test_a_large_lp_leaves_only_the_next_reports_pair_behind():
+    # after the n = 30 F+- LP (465 rows, 3.5 MB for its pair) and one n = 16
+    # report, lp keeps the report's 137-row pair alone: the L LP's 16 rows
+    # are below _DEFER_ROWS
+    u = unit_scale(gen_random_spn(30, 0)[0])[0]
+    assert cones.check_membership_lp(u, eigen_decompose(u), "Fpm").is_member
+    cones.membership_report(gen_random_spn(16, 0)[0])
+    assert len(lp._spare) == 1
+    (pair,) = lp._spare
+    assert [x.shape for x in pair] == [(137, 137)] * 2
+    # an n = 8 bracket's cell LPs (37 rows) leave that pair in place, unread
+    q = gen_planted_qp(8, 4, -10.0, seed=2).Q
+    bits = pickle.dumps(qp_optimum(q, eta=0.1))
+    for x in pair:
+        x.fill(np.nan)
+    assert pickle.dumps(qp_optimum(q, eta=0.1)) == bits
+    assert _spare_is(pair) and all(np.isnan(x).all() for x in pair)
 
 
 def test_a_warm_report_allocates_under_512_kb():

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conekit.cones import build_lp, membership_report, sd_basis
 from conekit.instances import gen_planted_qp, gen_random_spn, qp_optimum
 from conekit.linalg import eigen_decompose, unit_scale
-from conekit.lp import solve
+from conekit.lp import LinearProgram, solve
 
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 LAYERTRACE = FINGERPRINT.parents[1] / "perfbench" / "layertrace.py"
@@ -69,6 +70,20 @@ def _load_tool(name, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_fingerprint_drops_the_held_columns_lp_solve_holds(monkeypatch):
+    # lp.solve reads each held set as np.arange(n_vars)[cols], so a boolean
+    # mask or a slice holds the same columns as their indices; the
+    # fingerprint must drop those columns of y, not y[0] and y[1] for a mask
+    tool = _load_tool("fingerprint", monkeypatch)
+    prog = LinearProgram([1.0, 1.0, 1.0, 1.0], np.eye(4), [1.0, 2.0, 3.0, 4.0])
+    mask = np.array([False, True, True, False])
+    for held in ([[1, 2]], [mask], [slice(1, 3)], [[1], np.arange(4) == 2]):
+        sol = solve(prog, held=held)
+        assert (sol.stages[0].objective_value, sol.objective_value) == (5.0, 10.0)
+        x = tool._lp_fields(sol.stages[0], held)[1]
+        assert x.tolist() == [1.0, 4.0], held
 
 
 def test_bench_pairs_summary_counts_wins_in_each_metrics_direction(monkeypatch):

@@ -30,10 +30,11 @@ tests/test_acceptance.py (accept.c<nn>_s, wall seconds).  The reports go
 first, since the larger LPs of the other sets leave glibc's mmap threshold
 raised.  Each set runs once to warm up, then each of its calls (one LP,
 one report, one criterion) is timed by QuietTimer from this checkout's
-perfbench/timing.py, the same file for both trees, with one attempt per
-criterion; the times are at the host's quiet speed, as perfbench's own are.  A timed pass whose pivot, solve or refactorization
-counts differ from the warm-up's fails the run.  Runs go one at a time.  A
-metric is "resolved" when the change won at least nine tenths of the pairs
+perfbench/timing.py, the same file for both trees, with its ATTEMPTS
+attempts each; the times are at the host's quiet speed, as perfbench's own
+are.  A timed pass whose pivot, solve or refactorization counts differ
+from the warm-up's fails the run.  Runs go one at a time.  A metric is
+"resolved" when the change won at least nine tenths of the pairs
 (ties count for neither side) and the medians differ by more than the
 parent's quartile spread, the rule for claiming a gain.
 """
@@ -98,7 +99,7 @@ def measure(name, calls):  # calls: a set's, each with its warm-up's counts
                 sys.exit(f"{name}: counts {count} differ from the warm-up's {warm}")
             faults[0] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
             faults[1] += 1
-        _, w, c = timer.measure(repeat, attempts=1 if name.startswith("accept.") else timing.ATTEMPTS)
+        _, w, c = timer.measure(repeat)
         wall, cpu = wall + w, cpu + c
     total = {k: sum(warm[k] for _, warm in calls) for k in count}
     if name.startswith("fpm."):

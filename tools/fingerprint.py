@@ -325,10 +325,12 @@ def _report_lps(seeds) -> list:
 
 def _lp_fields(sol, held=()) -> list:
     """The hashed fields of a detect-size solution, y without the columns
-    of the sets still held."""
-    out = np.concatenate([[], *held]).astype(int)
-    return [sol.status, None if sol.x is None else np.delete(sol.x, out),
-            sol.objective_value, sol.dual, sol.iterations, sol.refactorizations]
+    of the sets still held, each set read as lp.solve reads it."""
+    x = sol.x
+    if x is not None:
+        x = np.delete(x, np.concatenate([np.arange(len(x))[cols] for cols in [[], *held]]))
+    return [sol.status, x, sol.objective_value, sol.dual, sol.iterations,
+            sol.refactorizations]
 
 
 def lp_section():
