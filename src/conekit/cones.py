@@ -132,9 +132,9 @@ def build_lp(a: np.ndarray, vectors: np.ndarray, capped=False):
     c = np.zeros(k + 1)
     c[-1] = 1.0
     lhs, b = np.empty((m + capped, k + 1)), np.empty(m + capped)
-    r = 0
+    r, v = 0, np.ascontiguousarray(vectors)  # contiguous rows; sd_basis's is F-ordered
     for i in range(n):  # the rows of pairs (i, j >= i), with no gathered copy
-        np.multiply(vectors[i], vectors[i:], out=lhs[r : r + n - i, :k])
+        np.multiply(v[i], v[i:], out=lhs[r : r + n - i, :k])
         r += n - i
     lhs[:m, k] = 1.0
     np.subtract(entries, alpha0, out=b[:m])
@@ -169,7 +169,8 @@ def _lp_families(a: np.ndarray, ep: EigenPair, families, capped) -> list[Members
         sol = lpmod.solve(prog, held=[np.flatnonzero((lo < level) & (level <= hi))
                                       for lo, hi in zip(ranks, ranks[1:])])
         kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
-        verdicts += [_lp_verdict(a, vectors, s, alpha0, LP_FAMILIES[r], ep, level <= r)
+        verdicts += [_lp_verdict(a, vectors, s, alpha0, LP_FAMILIES[r], ep,
+                                 level <= r if r < ranks[-1] else slice(None))  # no gather
                      for r, s in zip(ranks, kept)]
     return verdicts
 

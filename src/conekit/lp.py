@@ -10,27 +10,30 @@ inf, which keeps it out of pricing, and a held column's cost -inf (solve's
 held).  xB keeps the rhs jitter at OPTIMAL, for a continuation (on the true
 rhs it stalls), and primal() reads the true rhs; a continued optimum, as
 the report's F+- alpha*, can differ from a cold solve's in the last bits.
-Only A is stored, not the slack identity.  B^-1 is dense, kept as
-Binv - U V^T: each pivot's rank-1 update is deferred into thin U, V and
-folded into Binv by one matrix product every 20 pivots (every pivot below
-64 rows), a delayed Sherman-Morrison update (McDaniel et al., J. Chem.
-Phys. 2017).  Every 400 pivots Binv is formed afresh by inverting only the
-basis kernel, the basic structural columns on the rows whose slack is
-nonbasic (Bisschop & Meeraus, Math. Program. 1977); the basic slacks' rows
-of B^-1 follow from it: the detection LPs at n = 16 end before it (the
-report's staged G, F+, F+- solve, every stage counted, took at most 196
-pivots on detect's stream-0 catalogue), and at n = 30-50 400 was no
-slower than 100.  On the small structured LPs of the cone membership tests
-(a few thousand rows at most; not for sparse work) a pivot costs numpy
-calls more than arithmetic, so solve() keeps them few: it
-works in buffers allocated once per call, binds its numpy functions, steps
-the stacked reduced costs and weights by one subtraction, divides the whole
-ratio column and masks it after, and tracks the objective by each pivot's
-gain for the stall check.  Each call is cheap too: a ufunc converts a
-Python float operand on every call (a compare of 393 entries took 1.2 us,
-0.85 us with a 0-d array), so every scalar operand is a 0-d float64 array,
-and every view is bound once per solve; pricing scores d clipped at the
-tolerance and masks only when a clipped column wins.
+Only A is stored, not the slack identity.  B^-1 is dense, kept as Binv - U
+V^T: each pivot's rank-1 update is deferred into thin U, V and folded into
+Binv by one matrix product every 20 pivots (every pivot below 64 rows), a
+delayed Sherman-Morrison update (McDaniel et al., J. Chem. Phys. 2017).
+Every 400 pivots Binv is formed afresh by inverting only the basis kernel,
+the basic structural columns on the rows whose slack is nonbasic (Bisschop
+& Meeraus, Math. Program. 1977); the basic slacks' rows of B^-1 follow from
+it: the detection LPs at n = 16 end before it (the report's staged G, F+,
+F+- solve, every stage counted, took at most 196 pivots on detect's
+stream-0 catalogue), and at n = 30-50 400 was no slower than 100.  On the
+small structured LPs of the cone membership tests (a few thousand rows at
+most; not for sparse work) a pivot costs numpy calls more than arithmetic,
+so solve() keeps them few: it works in one workspace built with the simplex
+(a staged solve reuses it), binds its numpy functions, steps the stacked
+reduced costs and weights by one subtraction, divides the whole ratio
+column and masks it after, and tracks the objective by each pivot's gain
+for the stall check.  Each call is cheap too: a ufunc converts a Python
+float operand on every call (a compare of 393 entries took 1.2 us, 0.85 us
+with a 0-d array), so every scalar operand is a 0-d float64 array, and
+every view is bound once; pricing scores d clipped at the tolerance and
+masks only when a clipped column wins.  Products go through ndarray.dot,
+not the matmul gufunc, whose dispatch cost 0.3-0.9 us more a call at
+m = 137 (FTRAN 3.3 against 2.8 us); the row product alone stays np.matmul,
+since its out is not C-contiguous.
 
 A solve of at least _DEFER_ROWS = 64 rows keeps its two m x m arrays, B^-1
 and the fold's product, as the one spare pair (_take, _give) for the next
@@ -118,7 +121,7 @@ class LinearProgram:
 
     def constraint_violation(self, y: np.ndarray) -> float:
         """Largest violation of the rows and of y >= 0 at y (0 when feasible)."""
-        v = self.A @ y - self.b
+        v = self.A.dot(y) - self.b
         return float(max(0.0, v.max(initial=0.0), -np.min(y)))
 
 
@@ -168,8 +171,8 @@ class _Simplex:
         np.fill_diagonal(self.Binv, 1.0)  # np.eye(m)'s bits
         # pending rank-1 updates: 1 below _DEFER_ROWS, where the thin corrections
         # cost more numpy calls than the m x m update they defer, else 20
-        self.U = np.empty((1 if m < _DEFER_ROWS else 20, m))
-        self.V = np.empty_like(self.U)
+        self.U = U = np.empty((1 if m < _DEFER_ROWS else 20, m))
+        self.V = V = np.empty_like(U)
         self.t = 0  # updates held in U and V
         self.xB = self.b.copy()
         # the reduced costs d over the steepest-edge weights gamma_j =
@@ -179,6 +182,20 @@ class _Simplex:
         self.dg[1, :n] = 1.0 + np.einsum("ij,ij->j", A, A)
         self.iterations = self.bland_pivots = self.refactorizations = 0
         self.pinv_fallbacks = 0
+        # the pivot loop's workspace, built once for every solve() call: alpha
+        # and tau^T W (structural part, then slack part), the step dg takes,
+        # the pivot-row correction's coefficients per pending count t, u, the
+        # scores, ratios and masks, 0-d cells for the pivot's scalars, and the
+        # constants as 0-d arrays (a ufunc converts a Python float operand on
+        # every call, not a 0-d array); every view is bound here
+        rows, step, coef = np.empty((2, n + m)), np.empty((2, n + m)), np.empty((2, len(U)))
+        self.work = (
+            *rows, rows[:, n:], *rows[:, n:], rows[0, n:], rows[:, :n], step, step[1],
+            np.empty((2, 1)), [(U[:t], V[:t], coef[:, :t]) for t in range(len(U) + 1)],
+            np.empty(n + m), np.empty(n + m, dtype=bool), np.empty(m), np.empty(m),
+            np.empty(m, dtype=bool), np.empty(()), np.empty(()), np.empty(()),
+            *map(np.array, (_PIVOT_TOL, -1.0, math.inf, 1.0, 0.0)),
+        )
 
     def _refactorize(self):
         # B is [[B11, 0], [B21, I]] up to permutation: the k basic structural
@@ -198,12 +215,12 @@ class _Simplex:
             self.pinv_fallbacks += 1
         block = np.empty((self.m, cols.size))  # Binv[:, tight] in basis order
         block[struct] = X
-        block[~struct] = -a_s[slack_rows] @ X
+        block[~struct] = -a_s[slack_rows].dot(X)
         self.Binv.fill(0.0)
         self.Binv[:, tight] = block
         self.Binv[np.flatnonzero(~struct), slack_rows] = 1.0
         self.t = 0
-        self.xB = self.Binv @ self.b
+        self.xB = self.Binv.dot(self.b)
         np.maximum(self.xB, 0.0, out=self.xB)
         self.refactorizations += 1
 
@@ -214,10 +231,10 @@ class _Simplex:
             self.t = 0
 
     def _reduced_costs(self):
-        y = self.c[self.basis] @ self.Binv
+        y = self.c[self.basis].dot(self.Binv)
         if self.t:
-            y -= (self.U[: self.t] @ self.c[self.basis]) @ self.V[: self.t]
-        return self.c - np.concatenate([y @ self.A, y])
+            y -= self.U[: self.t].dot(self.c[self.basis]).dot(self.V[: self.t])
+        return self.c - np.concatenate([y.dot(self.A), y])
 
     def solve(self, max_iters):
         """Run the simplex to a status; at OPTIMAL xB is on the jittered rhs.
@@ -228,22 +245,10 @@ class _Simplex:
         less_equal, multiply, putmask = np.less_equal, np.multiply, np.putmask
         matmul, divide, maximum = np.matmul, np.divide, np.maximum
         add, subtract = np.add, np.subtract
-        # a ufunc converts a Python float operand on every call, not a 0-d array
-        consts = (_PIVOT_TOL, -1.0, math.inf, 1.0, 0.0)
-        tol, masked, inf, one, zero = map(np.array, consts)
-        # per-solve workspace: alpha and tau^T W (structural part, then slack
-        # part), the step dg takes, the pivot-row correction's coefficients,
-        # u, the scores, ratios and masks, scratch once e and leave are set,
-        # and 0-d cells for the pivot's scalars; every view is bound here
-        rows, step = np.empty((2, n + m)), np.empty((2, n + m))
-        (alpha, tau_w), slack, s1, struct = rows, rows[:, n:], step[1], rows[:, :n]
-        (row, tau), alpha_slack = slack, alpha[n:]
-        coef, factors = np.empty((2, len(U))), np.empty((2, 1))
-        pending = [(U[:t], V[:t], coef[:, :t]) for t in range(len(U) + 1)]
-        score, unpriced = np.empty(n + m), np.empty(n + m, dtype=bool)
-        u, ratios, mask = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
-        tie, piv, theta = np.empty(()), np.empty(()), np.empty(())
-        stall, bland, obj = 0, _STALL_LIMIT <= 0, float(self.c[basis] @ self.xB)
+        (alpha, tau_w, slack, row, tau, alpha_slack, struct, step, s1, factors, pending,
+         score, unpriced, u, ratios, mask, tie, piv, theta,
+         tol, masked, inf, one, zero) = self.work
+        stall, bland, obj = 0, _STALL_LIMIT <= 0, float(self.c[basis].dot(self.xB))
         d[:], fresh = self._reduced_costs(), True
         # the ratio test divides by every u_i and masks out u_i <= tol after
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -271,11 +276,11 @@ class _Simplex:
                 Ut, Vt, coef_t = pending[t]
                 if k < 0:
                     col = A[:, e]
-                    matmul(binv, col, out=u)
+                    binv.dot(col, u)
                 else:
                     u[:] = binv[:, k]
                 if t:
-                    u -= (Vt @ col if k < 0 else Vt[:, k]) @ Ut
+                    u -= (Vt.dot(col) if k < 0 else Vt[:, k]).dot(Ut)
                 divide(xB, u, out=ratios)
                 less_equal(u, tol, out=mask)
                 putmask(ratios, mask, inf)
@@ -293,14 +298,16 @@ class _Simplex:
                 # with tau = B^-T u, both on the old basis
                 piv[()] = piv_f = float(u[leave])
                 row[:] = binv[leave]
-                matmul(u, binv, out=tau)
+                u.dot(binv, tau)
                 if t:
                     coef_t[0] = Ut[:, leave]
-                    matmul(Ut, u, out=coef_t[1])
-                    slack -= coef_t @ Vt
+                    Ut.dot(u, coef_t[1])
+                    slack -= coef_t.dot(Vt)
+                # np.matmul: .dot writes only into a C-contiguous out, and two
+                # .dot calls took 10.3 us against 6.5 us for this one product
                 matmul(slack, A, out=struct)
                 divide(alpha, piv, out=alpha)
-                gamma_e, d_e = 1.0 + float(u @ u), float(d[e])
+                gamma_e, d_e = 1.0 + float(u.dot(u)), float(d[e])
                 # dg -= [alpha d_e; alpha (2 tau_w - gamma_e alpha)], then
                 # gamma = max(gamma, 1 + alpha^2)
                 factors[0, 0], factors[1, 0] = d_e, gamma_e
@@ -341,11 +348,11 @@ class _Simplex:
     def primal(self):
         """The basic solution on the true rhs, clipped at 0; t = 0 at OPTIMAL."""
         y = np.zeros(self.n_struct + self.m)
-        y[self.basis] = np.maximum(self.Binv @ self.b_true, 0.0)
+        y[self.basis] = np.maximum(self.Binv.dot(self.b_true), 0.0)
         return y[: self.n_struct]
 
     def duals(self):
-        return self.c[self.basis] @ self.Binv  # t = 0 at OPTIMAL
+        return self.c[self.basis].dot(self.Binv)  # t = 0 at OPTIMAL
 
 
 def solve(lp: LinearProgram, held=()) -> LpSolution:
@@ -397,7 +404,7 @@ def _result(lp: LinearProgram, spx: _Simplex, status: str) -> LpSolution:
             if lp.constraint_violation(x) > DEFAULT_FEAS_TOL:
                 sol.status = NUMERICAL
         if sol.status == OPTIMAL:
-            sol.x, sol.objective_value, sol.dual = x, float(lp.c @ x), spx.duals()
+            sol.x, sol.objective_value, sol.dual = x, float(lp.c.dot(x)), spx.duals()
     for counter in ("iterations", "bland_pivots", "refactorizations", "pinv_fallbacks"):
         setattr(sol, counter, getattr(spx, counter))  # read after the refine
     return sol

@@ -210,6 +210,28 @@ def test_lp_layout_matches_the_sd_basis():
         cones.sd_basis(p, "F+")
 
 
+def test_build_lp_gives_one_lp_for_every_memory_order_of_its_vectors():
+    # build_lp multiplies the rows of a C-contiguous copy of the vectors:
+    # sd_basis's F-ordered columns, a C copy and a strided view give the
+    # same A, b and alpha0, bit for bit
+    rng = np.random.default_rng(31)
+    for n in (2, 5, 8, 16):
+        a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2
+        vectors = cones.sd_basis(eigen_decompose(a).P, "Fpm")
+        wide = np.full((2 * n, 3 * vectors.shape[1]), np.nan)
+        wide[::2, ::3] = vectors
+        layouts = [vectors, np.ascontiguousarray(vectors), wide[::2, ::3]]
+        assert vectors.flags.f_contiguous and layouts[1].flags.c_contiguous
+        assert not (layouts[2].flags.c_contiguous or layouts[2].flags.f_contiguous)
+        for capped in (False, True):
+            (ref, floor), *others = [cones.build_lp(a, v, capped=capped) for v in layouts]
+            for prog, alpha0 in others:
+                assert prog.A.tobytes() == ref.A.tobytes()
+                assert prog.b.tobytes() == ref.b.tobytes()
+                assert alpha0 == floor
+
+
 def _paper_lp_alpha(optimize, ep, family):
     """alpha* of the paper's unshifted detection LP, solved by HiGHS:
     max alpha  s.t.  sum_k omega_k E_k >= alpha entrywise (i <= j),

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import pickle
 import sys
@@ -746,3 +748,19 @@ def test_a_warm_report_allocates_under_512_kb():
     finally:
         tracemalloc.stop()
     assert peak < 512 * 1024
+
+
+def test_the_simplex_takes_its_products_through_dot():
+    # the matmul gufunc (which @ calls) cost 0.3-0.9 us more a call than
+    # ndarray.dot at detect's 137-row bases; only the row product [row; tau] A
+    # stays np.matmul, since its out is the (2, n) structural view of a
+    # (2, n + m) buffer, and .dot writes only into a C-contiguous out
+    module = ast.parse(inspect.getsource(lp))
+    spx = next(node for node in module.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Simplex")
+    nodes = list(ast.walk(spx))
+    assert not [node for node in nodes if isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)]
+    called = [getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in nodes if isinstance(node, ast.Call)]
+    assert called.count("matmul") == 1
