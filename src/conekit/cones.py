@@ -160,14 +160,17 @@ def _lp_families(a: np.ndarray, ep: EigenPair, families, capped) -> list[Members
     simplex over the LP of the widest, whose other columns (by its table's
     level) held at 0 give a narrower family's LP.  A stage not optimal
     restarts its family (after a first stage, the next) and the later ones
-    in a fresh simplex."""
+    in a fresh simplex.  The cap is lp.solve's bound: the families after a
+    stage at the cap take its point, so a G member at the cap gives F+ and
+    F+- members with G's witness and alpha_star."""
     vectors = sd_basis(ep.P, families[-1])
     prog, alpha0 = build_lp(a, vectors, capped=capped)
     level, verdicts = _sd_index(len(a), families[-1])[3], []
     while len(verdicts) < len(families):
         ranks = [LP_FAMILIES.index(f) for f in families[len(verdicts):]]
         sol = lpmod.solve(prog, held=[np.flatnonzero((lo < level) & (level <= hi))
-                                      for lo, hi in zip(ranks, ranks[1:])])
+                                      for lo, hi in zip(ranks, ranks[1:])],
+                          bound=prog.b[-1] if capped else np.inf)
         kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
         verdicts += [_lp_verdict(a, vectors, s, alpha0, LP_FAMILIES[r], ep,
                                  level <= r if r < ranks[-1] else slice(None))  # no gather
@@ -264,7 +267,9 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
     poses the capped detection LP (build_lp), which stops once the floor
     reaches 0: the verdicts are the uncapped LP's, and a member's alpha_star
     is min(alpha*, max(alpha0, 0)) up to rounding, alpha0 being A's least
-    entry; check_membership_lp(a, ep, family) gives alpha* itself.  An LP
+    entry; check_membership_lp(a, ep, family) gives alpha* itself.  A stage
+    at the cap decides the wider families: a G member there carries G's
+    witness and alpha_star into F+ and F+-, as the subcones nest.  An LP
     that ends lp.NUMERICAL is NOT_IDENTIFIED with the note "lp-numerical".
     A test that raises an ArithmeticError or ValueError (numpy's LinAlgError
     is one) is recorded as NOT_IDENTIFIED with an "error:" note, for every

@@ -355,7 +355,7 @@ class _Simplex:
         return self.c[self.basis].dot(self.Binv)  # t = 0 at OPTIMAL
 
 
-def solve(lp: LinearProgram, held=()) -> LpSolution:
+def solve(lp: LinearProgram, held=(), bound=math.inf) -> LpSolution:
     """Solve the LP within _PIVOTS_PER_SIZE * (rows + vars + 2) pivots;
     deterministic for a fixed input and a fixed OpenBLAS thread count.
     Raises ValueError when an entry of b is negative.  The ratio test reads
@@ -374,7 +374,11 @@ def solve(lp: LinearProgram, held=()) -> LpSolution:
     its weights), and after each stage's optimum the same simplex restores
     the next set's costs and continues, with a fresh budget.  sol.stages
     lists each stage's solution, the last one sol's fields; a stage that
-    is not optimal ends the solve."""
+    is not optimal ends the solve.  So does one at bound, an upper bound on
+    the objective that the LP implies (as build_lp's cap row): OPTIMAL
+    within 1e-13 * max(1, |bound|) of it, on either side, its point is
+    optimal for the later stages too, which only release columns, and they
+    reuse its solution, with no further pivot and no dual certificate."""
     budget = _PIVOTS_PER_SIZE * (lp.n_rows + lp.n_vars + 2)
     lp, infeasible = _to_standard_form(lp)
     if infeasible:
@@ -384,8 +388,11 @@ def solve(lp: LinearProgram, held=()) -> LpSolution:
     for cols in held:
         spx.c[cols] = -math.inf
     for cols in [*held, None]:
-        stages.append(_result(lp, spx, spx.solve(spx.iterations + budget)))
-        if cols is None or stages[-1].status != OPTIMAL:
+        stages.append(sol := _result(lp, spx, spx.solve(spx.iterations + budget)))
+        if cols is None or sol.status != OPTIMAL:
+            break
+        if math.isclose(sol.objective_value, bound, rel_tol=1e-13, abs_tol=1e-13):
+            stages += [sol] * (len(held) + 1 - len(stages))  # optimal for the wider LPs too
             break
         spx.c[cols] = lp.c[cols]
     _give((spx.Binv, spx.W))  # no solution refers to them

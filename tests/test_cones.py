@@ -587,8 +587,8 @@ def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
     pivots = []
     solve = lp.solve
 
-    def counted(prog, held=()):
-        sol = solve(prog, held=held)
+    def counted(prog, **kwargs):
+        sol = solve(prog, **kwargs)
         pivots.append(sol.iterations)
         return sol
 
@@ -827,6 +827,23 @@ def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
             (alone,) = cones.membership_report(a, [cone])
             assert report[cone].status == alone.status
             assert abs(report[cone].alpha_star - alone.alpha_star) <= 1e-12
+
+
+def test_a_g_member_at_the_cap_decides_fplus_and_fpm(monkeypatch):
+    # detect's catalogue matrix 14: the G stage ends at the cap, so the
+    # staged solve ends there, after G's 71 pivots (166 when F+ and F+-
+    # went on to climb the rhs jitter's band), and F+ and F+- are members
+    # with G's witness and alpha*
+    solves, solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda *a, **k: solves.append(s := solve(*a, **k)) or s)
+    a = instances.gen_random_spn(16, np.random.SeedSequence([0, 14]))[0]
+    g, fplus, fpm = cones.membership_report(a, cones.LP_FAMILIES)
+    (sol,) = solves
+    assert [s.iterations for s in sol.stages] == [71, 71, 71]
+    assert g.is_member and abs(g.alpha_star) <= 1e-12
+    for v in (fplus, fpm):
+        assert v.is_member and v.alpha_star == g.alpha_star
+        assert np.array_equal(v.s_part, g.s_part) and np.array_equal(v.n_part, g.n_part)
 
 
 T = np.array([[1.0, -2.0], [-2.0, 1.0]])  # x = (1/2, 1/2) gives -1/2

@@ -620,6 +620,50 @@ def test_a_first_stage_that_is_not_optimal_ends_the_solve(monkeypatch):
         lp.solve(prog, held=[[3]])
 
 
+def test_a_stage_at_the_bound_ends_the_solve():
+    # max y0 + y1 under y0 <= 1, y1 <= 1 and the bound row y0 + y1 <= 1,
+    # y1 held: the first stage's optimum 1 is the bound, so it is optimal
+    # for the LP with y1 too, and every later stage is that solution, with
+    # no further pivot; within 1e-13 on either side is the bound
+    prog = lp.LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0])
+    free = lp.solve(prog, held=[[1]])
+    assert [s.iterations for s in free.stages] == [1, 2]  # y1 enters on the jitter
+    for bound in (1.0, 1.0 - 5e-14, 1.0 + 5e-14):
+        sol = lp.solve(prog, held=[[1]], bound=bound)
+        assert sol.stages[1] is sol.stages[0] and _is_last_stage_of(sol)
+        assert pickle.dumps(sol.stages[0]) == pickle.dumps(free.stages[0])
+        assert sol.iterations == 1 and sol.x.tolist() == [1.0, 0.0]
+        # the reused duals certify the first stage only: y1's cost is uncovered
+        assert (prog.A.T.dot(sol.dual) < prog.c).tolist() == [False, True]
+    # an optimum off the bound by more than rounding, above or below, continues
+    for bound in (1.0 - 1e-11, 1.0 + 1e-11, math.inf):
+        assert pickle.dumps(lp.solve(prog, held=[[1]], bound=bound)) == pickle.dumps(free)
+
+
+def test_a_bound_moves_no_bit_until_a_stage_reaches_it():
+    # the report's capped staged LP with the cap as the bound, or inf, or
+    # above every optimum, or below one by more than rounding: every bit of
+    # the solve without a bound; seed 1's G stage is at the cap and ends it
+    level = cones._sd_index(16, "Fpm")[3]
+    held = [np.flatnonzero(level == 1), np.flatnonzero(level == 2)]
+    for seed in range(4):
+        u = unit_scale(gen_random_spn(16, np.random.SeedSequence([0, seed]))[0])[0]
+        prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u).P, "Fpm"), capped=True)[0]
+        free = lp.solve(prog, held=held)
+        g, cap = free.stages[0], prog.b[-1]
+        at_cap = abs(g.objective_value - cap) <= 1e-13 * max(1.0, cap)
+        assert at_cap == (seed == 1), seed
+        for bound in (math.inf, 2 * cap + 1, g.objective_value - 1e-11):
+            assert pickle.dumps(lp.solve(prog, held=held, bound=bound)) == pickle.dumps(free)
+        sol = lp.solve(prog, held=held, bound=cap)
+        if at_cap:
+            assert free.iterations > g.iterations == sol.iterations
+            assert sol.stages[2] is sol.stages[1] is sol.stages[0]
+            assert pickle.dumps(sol.stages[0]) == pickle.dumps(g)
+        else:
+            assert pickle.dumps(sol.stages[:2]) == pickle.dumps(free.stages[:2])
+
+
 def _poisoned(m):
     """A spare list of one pair of all-NaN m x m arrays."""
     return [(np.full((m, m), np.nan), np.full((m, m), np.nan))]

@@ -25,7 +25,14 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
   bits, while all 35 F+ and 44 F+- members move alpha* at the cap, where
   it is 0 up to rounding (at most 4.4e-15 times max|A|, -1.2e-14 against
   -8.7e-14 at max|A| = 17.1), with S and N (another optimal point), and 9
-  F+ non-members move alpha* by at most 1.7e-14 (max|A| = 20.7);
+  F+ non-members move alpha* by at most 1.7e-14 (max|A| = 20.7).  It
+  moved again when a stage at the cap ended the staged solve (lp.solve's
+  bound): every status and every G, L, N, DD and H verdict keeps its bits,
+  while the G members at the cap of draws 19, 20, 24, 26 and 32 give F+
+  and F+- G's witness and alpha*, where the F+ stage had gone on inside
+  the rhs jitter's band: alpha* moves by at most 2.4e-14 (1.3e-15 times
+  max|A|, 2.3e-14 against G's -8.9e-16 at max|A| = 18.4), and S by at most
+  9.2e-14 times max|A|; the witness check passes 84 of 84 on both sides;
 - bracket:   qp_optimum on 12 planted QPs (n=8): 10 at eta = 0.1, and two
   offset by 1e10 at eta = 0.001, where rounding moves a cell's hat pair off
   its matrix by more than 1e-6; with a count of the brackets that hold the
