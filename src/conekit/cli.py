@@ -32,7 +32,7 @@ from .instances import (
     plant_clique,
     std_qp_matrix,
 )
-from .linalg import as_sym_matrix, format_matrix, load_matrix
+from .linalg import as_float, as_sym_matrix, check_int, format_matrix, load_matrix
 
 EXIT_DECIDED = 0
 EXIT_ERROR = 1
@@ -202,8 +202,7 @@ def cmd_qpbound(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.seed < 0:  # numpy's own error names no flag
-        raise ValueError(f"gen seed must be at least 0, got {args.seed}")
+    check_int("gen seed", args.seed, 0)  # numpy's own error names no flag
     if args.kind == "spn":
         payload = format_matrix(gen_random_spn(args.n, args.seed)[0])
     elif args.kind == "plantedqp":
@@ -233,7 +232,7 @@ def _typed(value, kind: type, what: str):
     whole = kind is float and isinstance(value, int)
     if isinstance(value, bool) or not (whole or isinstance(value, kind)):
         raise ValueError(f"bench {what} must be {_KINDS[kind]}, got {value!r}")
-    return float(value) if whole else value
+    return as_float(f"bench {what}", value) if whole else value
 
 
 def _field(spec: dict, name: str, kind: type, default=None):
@@ -291,10 +290,7 @@ def _bench_requests(suite: dict, master: int) -> list:
     for written, row in enumerate(rows):
         try:
             repeat = _field(_typed(row, dict, "row"), "repeat", int, 1)
-            if repeat < 1:
-                raise ValueError(
-                    f"bench field 'repeat' must be at least 1, got {repeat}")
-            for _ in range(repeat):
+            for _ in range(check_int("bench field 'repeat'", repeat, 1)):
                 requests.append(_bench_request(len(requests), row, master))
         except (OSError, ValueError) as exc:
             raise ValueError(f"{exc} (row {written})") from exc
@@ -322,9 +318,8 @@ def cmd_bench(args) -> int:
     with open(args.suite) as fh:
         suite = _typed(json.load(fh), dict, "suite")
     seed = _field(suite, "seed", int, 0)  # checked even under --seed
-    master = seed if args.seed is None else args.seed
-    if master < 0:  # SeedSequence's own error would blame row 0
-        raise ValueError(f"bench seed must be at least 0, got {master}")
+    # SeedSequence's own error would blame row 0
+    master = check_int("bench seed", seed if args.seed is None else args.seed, 0)
     # every row is validated, its instance too, before the first one runs
     requests = _bench_requests(suite, master)
     records = [

@@ -18,12 +18,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
 
 import numpy as np
 
 from . import cones, lp
-from .linalg import EigenPair, as_sym_matrix, congruence, eigen_decompose, unit_scale
+from .linalg import (EigenPair, as_sym_matrix, check_int, check_real, congruence,
+                     eigen_decompose, unit_scale)
 
 COPOSITIVE = "copositive"
 NOT_COPOSITIVE = "not_copositive"
@@ -83,12 +83,8 @@ class CopoConfig:
             raise ValueError(f"unknown cone family {self.cone_family!r}")
         if not isinstance(self.use_alg2, (bool, np.bool_)):
             raise ValueError(f"use_alg2 must be a bool, got {self.use_alg2!r}")
-        it = self.max_iterations
-        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it <= 0:
-            raise ValueError(f"max_iterations must be a positive integer, got {it!r}")
-        t = self.time_limit
-        if isinstance(t, bool) or not isinstance(t, Real) or not 0 < t < np.inf:
-            raise ValueError("budgets must be positive and finite")
+        check_int("max_iterations", self.max_iterations, 1)
+        check_real("time_limit", self.time_limit, positive=True)
 
 
 @dataclass

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from .copositivity import INCONCLUSIVE, CopoConfig, _partition
-from .linalg import as_sym_matrix
+from .linalg import as_sym_matrix, check_int, check_real
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -35,13 +35,11 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        _check_size("graph size n", self.n)
-        if self.n < 1:
-            raise ValueError(f"graph size n must be at least 1, got {self.n}")
+        check_int("graph size n", self.n, 1)
         edges = [tuple(e) if isinstance(e, Iterable) else (e,) for e in self.edges]
         for e in edges:
-            if not (len(e) == 2 and _is_int(e[0]) and _is_int(e[1])
-                    and 0 <= e[0] < e[1] < self.n):
+            ints = all(isinstance(v, Integral) and not isinstance(v, bool) for v in e)
+            if not (ints and len(e) == 2 and 0 <= e[0] < e[1] < self.n):
                 raise ValueError(f"invalid edge {e} for {self.n} nodes")
         object.__setattr__(self, "edges", frozenset(edges))
 
@@ -59,26 +57,8 @@ class Graph:
         return (min(i, j), max(i, j)) in self.edges
 
 
-def _is_int(v) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
-def _check_size(what: str, v) -> None:
-    """Refuse a size that _is_int does not accept, with a ValueError naming it."""
-    if not _is_int(v):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-
-
-def _check_real(what: str, v) -> None:
-    """Refuse a bool or a value that is not a real number, with a ValueError
-    naming it, before a range or finiteness check compares it."""
-    if isinstance(v, bool) or not isinstance(v, Real):
-        raise ValueError(f"{what} must be a real number, got {v!r}")
-
-
 def complete_graph(n: int) -> Graph:
-    _check_size("graph size n", n)
+    check_int("graph size n", n, 1)
     return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -138,9 +118,7 @@ def format_dimacs(g: Graph) -> str:
 def max_clique_matrix(g: Graph, gamma: float) -> np.ndarray:
     """The clique-detection matrix gamma * (E - adjacency) - E; a gamma not
     finite and real is refused before it meets the adjacency's zeros."""
-    _check_real("gamma", gamma)
-    if not np.isfinite(gamma):
-        raise ValueError("matrix entries must be finite")
+    gamma = check_real("gamma", gamma)
     e = np.ones((g.n, g.n))
     return gamma * (e - g.adjacency()) - e
 
@@ -148,9 +126,7 @@ def max_clique_matrix(g: Graph, gamma: float) -> np.ndarray:
 def std_qp_matrix(q: np.ndarray, gamma: float) -> np.ndarray:
     """The level-shift matrix Q - gamma * E for the simplex-constrained QP;
     a gamma not finite and real is refused, as max_clique_matrix refuses it."""
-    _check_real("gamma", gamma)
-    if not np.isfinite(gamma):
-        raise ValueError("matrix entries must be finite")
+    gamma = check_real("gamma", gamma)
     q = as_sym_matrix(q)
     return q - gamma * np.ones_like(q)
 
@@ -191,9 +167,7 @@ def qp_optimum(
     completion the minimum lies in [best - eta, best]; inconclusive, it lies
     in [min Q, best].  eta and the bracket keep the caller's units.
     """
-    if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta < np.inf:
-        raise ValueError("eta must be positive and finite")
-    eta, q = float(eta), as_sym_matrix(q)
+    eta, q = check_real("eta", eta, positive=True), as_sym_matrix(q)
     res, best = _partition(q, cfg or CopoConfig(), lambda best: best - eta)
     if res.outcome == INCONCLUSIVE:
         return QpBound(float(np.min(q)), best, converged=False)
@@ -204,9 +178,7 @@ def gen_random_spn(n: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random member of the PSD-plus-nonnegative cone: S is a Gaussian Gram
     matrix, N a symmetrized uniform matrix shifted so its smallest diagonal
     entry is zero.  Returns (A, S, N) with A = S + N."""
-    _check_size("n", n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_int("n", n, 1)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((n, n))
     s = b @ b.T
@@ -235,13 +207,8 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed) -> PlantedQp:
     x^T Q x = t + (x - x_star)^T H (x - x_star) + x^T N0 x >= t on the
     simplex, with equality at x_star.
     """
-    _check_size("n", n)
-    _check_size("support_size", support_size)
-    if not (1 <= support_size <= n):
-        raise ValueError("support_size must lie in [1, n]")
-    _check_real("t", t)
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    check_int("support_size", support_size, 1, check_int("n", n))
+    t = check_real("t", t)
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(n, size=support_size, replace=False))
     x_star = np.zeros(n)
@@ -255,17 +222,13 @@ def gen_planted_qp(n: int, support_size: int, t: float, seed) -> PlantedQp:
     n0[np.ix_(support, support)] = 0.0
     q = t * np.outer(e, e) + r.T @ h @ r + n0
     q = q / 2.0 + q.T / 2.0  # halving is exact, and a sum near the range overflows
-    return PlantedQp(Q=q, x_star=x_star, t=float(t))
+    return PlantedQp(Q=q, x_star=x_star, t=t)
 
 
 def gen_gnp_graph(n: int, p: float, seed) -> Graph:
     """Erdos-Renyi graph with edge probability p."""
-    _check_size("n", n)
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_real("edge probability p", p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability p must lie in [0, 1], got {p}")
+    check_int("n", n, 1)
+    check_real("edge probability p", p, 0, 1)
     rng = np.random.default_rng(seed)
     edges = set()
     for i in range(n):
@@ -277,9 +240,7 @@ def gen_gnp_graph(n: int, p: float, seed) -> Graph:
 
 def plant_clique(g: Graph, k: int, seed) -> Graph:
     """Add a k-clique on random nodes, guaranteeing clique number >= k."""
-    _check_size("clique size k", k)
-    if not (1 <= k <= g.n):
-        raise ValueError("clique size must lie in [1, n]")
+    check_int("clique size k", k, 1, g.n)
     rng = np.random.default_rng(seed)
     nodes = sorted(rng.choice(g.n, size=k, replace=False))
     extra = {

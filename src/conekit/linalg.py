@@ -1,10 +1,13 @@
 """Dense symmetric linear algebra: eigendecomposition, PSD testing,
-congruence transforms, and the plain-text matrix format shared by the CLI."""
+congruence transforms, and the plain-text matrix format shared by the CLI;
+and the input checks of the package, for matrices and for scalar arguments."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,6 +44,40 @@ def as_sym_matrix(entries) -> np.ndarray:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     upper = np.triu(a)
     return upper + np.triu(a, 1).T
+
+
+def check_int(what: str, v, lo=-math.inf, hi=math.inf):
+    """v if it is an integer (not a bool) in [lo, hi], else a ValueError."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return _in_range(what, v, lo, hi)
+
+
+def as_float(what: str, v, bound: str = "finite") -> float:
+    """float(v), or a ValueError, not an OverflowError, where v is too large."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} must be {bound}, got {v}") from None
+
+
+def check_real(what: str, v, lo=-math.inf, hi=math.inf, positive=False) -> float:
+    """float(v) if v is a real number (not a bool), finite and in [lo, hi],
+    and above 0 if positive, else a ValueError; each names what and v."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise ValueError(f"{what} must be a real number, got {v!r}")
+    bound = "positive and finite" if positive else "finite"
+    x = as_float(what, v, bound)
+    if not math.isfinite(x) or positive and x <= 0:
+        raise ValueError(f"{what} must be {bound}, got {v}")
+    return _in_range(what, x, lo, hi)
+
+
+def _in_range(what: str, v, lo, hi):
+    if not lo <= v <= hi:
+        bounds = f"be at least {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
+        raise ValueError(f"{what} must {bounds}, got {v}")
+    return v
 
 
 def unit_scale(a: np.ndarray):

@@ -167,11 +167,12 @@ def test_non_finite_time_limit_is_an_error(m1_path, tmp_path, capsys):
     assert main(["copositive", m1_path, "--time-limit", "nan", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "budgets must be positive and finite" in captured.err
+    assert captured.err == "error: time_limit must be positive and finite, got nan\n"
     row = {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},
            "task": "copositive", "cone": "F+-", "time_limit": float("nan")}
     assert main(["bench", _suite(tmp_path, [row]), "--format", "json"]) == 1
-    assert "budgets must be positive and finite" in capsys.readouterr().err
+    msg = "time_limit must be positive and finite, got nan (row 0)"
+    assert capsys.readouterr().err == f"error: {msg}\n"
 
 
 def test_flags_a_subcommand_does_not_read_are_rejected():
@@ -371,7 +372,8 @@ def test_gen_gnp_rejects_bad_n_and_p(tmp_path, capsys):
         assert main(["gen", "gnp", *flags, "--out", str(out)]) == 1, flags
         err = capsys.readouterr().err
         assert "error:" in err
-        assert ("clique size must lie in [1, n]" in err) == ("--clique" in flags)
+        clique = "clique size k must lie in [1, 8], got 20"
+        assert (clique in err) == ("--clique" in flags)
         assert not out.exists()
 
 
@@ -453,7 +455,8 @@ def test_bench_non_finite_instance_is_refused_before_any_row_runs(
         assert main(["bench", _suite(tmp_path, [first, row])]) == 1, inst
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: matrix entries must be finite (row 1)\n"
+        msg = f"gamma must be finite, got {inst['gamma']} (row 1)"
+        assert captured.err == f"error: {msg}\n"
     assert calls == []
 
 
@@ -464,7 +467,7 @@ def test_bench_infinite_kgamma_is_one_error_line(tmp_path, capsys):
         assert main(["bench", _suite(tmp_path, [row])]) == 1, gamma
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: matrix entries must be finite (row 0)\n"
+        assert captured.err == f"error: gamma must be finite, got {gamma} (row 0)\n"
 
 
 def test_bench_kgamma_size_must_be_positive(tmp_path, capsys):
@@ -537,6 +540,27 @@ def test_bench_float_fields_reject_other_values(tmp_path, capsys):
     p.write_text(json.dumps({"rows": [{**row, "instance": {**k4, "gamma": 5}}]}))
     assert main(["bench", str(p), "--format", "json"]) == 0
     assert '"gamma": 5' in capsys.readouterr().out
+
+
+def test_bench_a_whole_number_beyond_the_float_range_is_one_error_line(
+        tmp_path, capsys):
+    # float() of a 401-digit integer raised an OverflowError, which ended
+    # the run with a traceback instead of an error line
+    k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
+    qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
+    row = {"instance": k4, "task": "copositive", "alg": 1, "max_iter": 20}
+    p = tmp_path / "suite.json"
+    for value in (10**400, -10**400):
+        for field, bad in (("time_limit", {**row, "time_limit": value}),
+                           ("gamma", {**row, "instance": {**k4, "gamma": value}}),
+                           ("gamma", {**row, "instance": {**qp, "gamma": value}}),
+                           ("t", {**row, "instance": {**qp, "t": value}})):
+            p.write_text(json.dumps({"rows": [bad]}))
+            assert main(["bench", str(p), "--format", "json"]) == 1, bad
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            msg = f"bench field {field!r} must be finite, got {value} (row 0)"
+            assert captured.err == f"error: {msg}\n"
 
 
 def test_bench_missing_fields_are_named_with_their_row(

@@ -82,17 +82,6 @@ def test_sd_basis_minus_example():
     assert np.allclose(mats[2], [[0, 0], [0, 1]])
 
 
-def test_sd_basis_rank():
-    rng = np.random.default_rng(4)
-    for n in (3, 6, 10):
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        for kind in ("Fplus", "minus"):
-            mats = _basis_matrices(q, kind)
-            assert len(mats) == n * (n + 1) // 2
-            vec = np.array([m.ravel() for m in mats])
-            assert np.linalg.matrix_rank(vec) == n * (n + 1) // 2
-
-
 def test_sd_basis_elements_are_psd_rank_one():
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
@@ -101,25 +90,6 @@ def test_sd_basis_elements_are_psd_rank_one():
             assert np.allclose(m, m.T)
             assert is_psd_cholesky(m)
             assert np.linalg.matrix_rank(m, tol=1e-9) <= 1
-
-
-def test_build_lp_sizes():
-    for n in (3, 10, 50):
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        ep = eigen_decompose(a)
-        for family, nvars, nrows in (
-            ("G", n + 1, n * (n + 3) // 2),
-            ("Fplus", n * (n + 1) // 2 + 1, n * (n + 1)),
-            ("Fpm", n * n + 1, n * (3 * n + 1) // 2),
-        ):
-            prog, _ = cones.build_lp(a, cones.sd_basis(ep.P, family))
-            assert prog.n_vars == nvars
-            assert prog.n_rows == n * (n + 1) // 2
-            # each cap is one constraint, as the paper counts them, here the
-            # y >= 0 of each omega column; beta >= 0 is not one of them
-            assert prog.n_rows + (prog.n_vars - 1) == nrows
 
 
 def _family_bases(p):

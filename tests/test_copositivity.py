@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import warnings
 from fractions import Fraction
 
@@ -455,14 +456,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CopoConfig(cone_family="nope")
     # the iteration budget counts cells: NaN never fires, inf is no budget
-    for limit in (0, -3, float("nan"), float("inf"), 2.5, 10.0, True, "5"):
-        with pytest.raises(ValueError, match="must be a positive integer"):
+    for limit in (0, -3):
+        msg = f"^max_iterations must be at least 1, got {limit}$"
+        with pytest.raises(ValueError, match=msg):
+            CopoConfig(max_iterations=limit)
+    for limit in (float("nan"), float("inf"), 2.5, 10.0, True, "5"):
+        msg = f"^max_iterations must be an integer, got {re.escape(repr(limit))}$"
+        with pytest.raises(ValueError, match=msg):
             CopoConfig(max_iterations=limit)
     assert CopoConfig(max_iterations=np.int64(7)).max_iterations == 7
-    # NaN passes a `<= 0` check, and a budget that never fires is no budget;
+    # NaN passes a `<= 0` check, and a budget that never fires is no budget,
+    # nor is an integer beyond the float range, which passed as finite
+    for limit in (0.0, -1.0, float("nan"), float("inf"), 10**400):
+        msg = f"^time_limit must be positive and finite, got {limit}$"
+        with pytest.raises(ValueError, match=msg):
+            CopoConfig(time_limit=limit)
     # True would pass as 1 s, and "5" would raise a TypeError from the check
-    for limit in (0.0, -1.0, float("nan"), float("inf"), True, "5"):
-        with pytest.raises(ValueError, match="budgets must be positive and finite"):
+    for limit in (True, "5"):
+        msg = f"^time_limit must be a real number, got {re.escape(repr(limit))}$"
+        with pytest.raises(ValueError, match=msg):
             CopoConfig(time_limit=limit)
 
 
@@ -476,7 +488,7 @@ def test_config_is_frozen_so_every_value_passes_its_checks():
             setattr(cfg, name, value)
     assert cfg == CopoConfig(max_iterations=50)
     # a changed config is a new one, checked again
-    with pytest.raises(ValueError, match="must be a positive integer"):
+    with pytest.raises(ValueError, match="^max_iterations must be at least 1, got 0$"):
         dataclasses.replace(cfg, max_iterations=0)
     assert dataclasses.replace(cfg, cone_family="G").alg == 2
 

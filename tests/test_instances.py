@@ -173,7 +173,7 @@ def test_dimacs_roundtrip(tmp_path):
 
 def test_gen_gnp_graph_validation():
     for n in (0, -1):
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
             gen_gnp_graph(n, 0.5, seed=0)
     for p in (-0.1, 1.7, float("nan")):
         with pytest.raises(ValueError, match="edge probability"):
@@ -183,7 +183,7 @@ def test_gen_gnp_graph_validation():
 
 
 def test_gen_random_spn_needs_a_positive_n():
-    with pytest.raises(ValueError, match="n must be positive"):
+    with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
         gen_random_spn(0, 0)
 
 
@@ -206,15 +206,17 @@ def test_max_clique_matrix_examples():
 
 
 def test_max_clique_matrix_refuses_a_non_finite_gamma():
-    # inf would meet the adjacency's zeros as inf * 0, which numpy warns of
-    for gamma in (float("inf"), -float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+    # inf would meet the adjacency's zeros as inf * 0, which numpy warns of;
+    # an integer beyond the float range raised numpy's TypeError
+    for gamma in (float("inf"), -float("inf"), float("nan"), 10**400):
+        with pytest.raises(ValueError, match=f"^gamma must be finite, got {gamma}$"):
             max_clique_matrix(complete_graph(4), gamma)
 
 
 def test_gen_planted_qp_refuses_a_non_finite_t():
-    # t fills every entry of Q through t * E, so Q would be all nan or inf
-    for t in (float("nan"), float("inf"), -float("inf")):
+    # t fills every entry of Q through t * E, so Q would be all nan or inf;
+    # an integer beyond the float range raised numpy's TypeError
+    for t in (float("nan"), float("inf"), -float("inf"), -10**400):
         with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
             gen_planted_qp(4, 2, t, seed=0)
 
@@ -425,9 +427,10 @@ def test_std_qp_matrix_examples():
 
 
 def test_std_qp_matrix_refuses_a_non_finite_gamma():
-    # inf gave [[-inf]] and NaN a NaN matrix, with no error
-    for gamma in (float("inf"), -float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+    # inf gave [[-inf]] and NaN a NaN matrix, with no error, and an integer
+    # beyond the float range raised numpy's TypeError
+    for gamma in (float("inf"), -float("inf"), float("nan"), 10**400):
+        with pytest.raises(ValueError, match=f"^gamma must be finite, got {gamma}$"):
             std_qp_matrix([[1.0]], gamma)
 
 
@@ -438,10 +441,16 @@ def test_qp_optimum_identity():
 
 
 def test_qp_optimum_rejects_eta_that_is_not_positive_and_finite():
-    # a NaN or infinite eta gave an unconverged bracket instead of an error;
+    # a NaN or infinite eta gave an unconverged bracket instead of an error,
+    # and an integer beyond the float range an OverflowError
+    for eta in (0.0, -0.1, float("nan"), float("inf"), 10**400):
+        msg = f"^eta must be positive and finite, got {eta}$"
+        with pytest.raises(ValueError, match=msg):
+            instances.qp_optimum(np.eye(2), fast_cfg(), eta=eta)
     # True ran as eta = 1 and "0.1" raised a TypeError from the comparison
-    for eta in (0.0, -0.1, float("nan"), float("inf"), True, "0.1"):
-        with pytest.raises(ValueError, match="eta must be positive and finite"):
+    for eta in (True, "0.1"):
+        msg = f"^eta must be a real number, got {re.escape(repr(eta))}$"
+        with pytest.raises(ValueError, match=msg):
             instances.qp_optimum(np.eye(2), fast_cfg(), eta=eta)
 
 

@@ -48,8 +48,9 @@ def test_fingerprint_compares_with_a_git_revision():
         [sys.executable, str(FINGERPRINT), "--parent", "HEAD"],
         capture_output=True, text=True,
     )
-    lines = r.stdout.splitlines()
-    # a section that differs also prints the details of both trees
+    # a section that differs also prints the details of both trees, and
+    # under them, indented, the records that differ
+    lines = [line for line in r.stdout.splitlines() if not line.startswith("  ")]
     rows = [re.fullmatch(r"(\w+) +parent ([0-9a-f]{64}) tree ([0-9a-f]{64}) "
                          r"(same|DIFFERS) ?(\(parent: .+; tree: .+\))?", line)
             for line in lines]
@@ -70,6 +71,38 @@ def _load_tool(name, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_fingerprint_names_the_records_that_differ_and_their_deviation(monkeypatch):
+    # a moved digest said only that a section differed, so explaining it
+    # took a script of its own that compared both trees' outputs
+    tool = _load_tool("fingerprint", monkeypatch)
+    s = np.array([[2.0, -1.0], [-1.0, 4.0]])
+    moved = s.copy()
+    moved[1, 1] += 2.0**-48
+    parent = [("matrix 0 G", ["member", 0.5, s]), ("matrix 0 L", ["member", None, s]),
+              ("matrix 1 G", ["member", -0.0, s]), ("qp 0", [float("nan"), 1.0]),
+              ("run 0 gen", [1, "error: x\n"])]
+    tree = [("matrix 0 G", ["member", 0.5, moved]),
+            ("matrix 0 L", ["not_identified", None, s]),
+            ("matrix 1 G", ["member", 0.0, s]), ("qp 0", [2.0, 1.0]),
+            ("run 0 gen", [1, "error: x\n"])]
+    # a change that is not a float's comes first, then the largest float
+    # deviation, relative to the record's largest float; -0.0 -> 0.0 moves
+    # the bits by 0
+    assert tool.differences(parent, tree) == [
+        "  4 of 5 records differ, the largest relative deviation first",
+        "  matrix 0 L: a value that is not a float, or a shape",
+        "  qp 0: inf",
+        f"  matrix 0 G: {2.0**-48 / (4.0 + 2.0**-48):.3g}",
+        "  matrix 1 G: 0",
+    ]
+    many = [(f"lp {i}", [float(i)]) for i in range(tool.SHOWN + 2)]
+    lines = tool.differences(many, [(label, [v[0] + 1.0]) for label, v in many])
+    assert lines[0].startswith(f"  {tool.SHOWN + 2} of {tool.SHOWN + 2} records")
+    assert len(lines) == tool.SHOWN + 2 and lines[-1] == "  ... and 2 more"
+    assert tool.differences(many, many[:-1])[0].startswith(
+        f"  0 of {tool.SHOWN + 1} records differ (the parent has {tool.SHOWN + 2})")
 
 
 def test_fingerprint_drops_the_held_columns_lp_solve_holds(monkeypatch):

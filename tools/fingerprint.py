@@ -5,73 +5,38 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 
 - partition: test_copositive on 26 matrices x N/H/G/F+/F+- x alg 1/2
   (outcome, certificate, every stats field but wall_time), with a count of
-  the not_copositive certificates whose form is negative in fractions.
-  The digest moved when test_copositive took the replicator start: a
-  refutation's certificate became the lowest point found, often the start
-  itself.  It moved again when the 26th matrix joined, a PSD one that
-  the N family refuted by a vertex's float form, below its exact one, and
-  when the stats lost the longest edge left in the worklist, as the
-  clique digest did;
+  the not_copositive certificates whose form is negative in fractions;
 - report:    membership_report on 46 matrices x 7 cones (status, alpha*,
   S, N, note): 40 gen_random_spn(12) draws, a non-copositive 2 x 2 matrix
   at 1e-10 and 1e10, and two draws at 2^-41 and 2^40, with a count of the
   G/F+/F+- member witnesses that pass a check which does not trust the LP
-  (S and N exactly symmetric, S PSD, N at least alpha*).  The scaled
-  matrices joined later, and moved the digest, as did dropping the given
-  pairs once fed to membership_report, which takes none now, and the
-  report's capped LPs, which stop F+ and F+- members' alpha* at
-  max(alpha0, 0).  It moved again when G, F+ and F+- became the stages of
-  one simplex: every status and every G, L, N, DD and H verdict keeps its
-  bits, while all 35 F+ and 44 F+- members move alpha* at the cap, where
-  it is 0 up to rounding (at most 4.4e-15 times max|A|, -1.2e-14 against
-  -8.7e-14 at max|A| = 17.1), with S and N (another optimal point), and 9
-  F+ non-members move alpha* by at most 1.7e-14 (max|A| = 20.7).  It
-  moved again when a stage at the cap ended the staged solve (lp.solve's
-  bound): every status and every G, L, N, DD and H verdict keeps its bits,
-  while the G members at the cap of draws 19, 20, 24, 26 and 32 give F+
-  and F+- G's witness and alpha*, where the F+ stage had gone on inside
-  the rhs jitter's band: alpha* moves by at most 2.4e-14 (1.3e-15 times
-  max|A|, 2.3e-14 against G's -8.9e-16 at max|A| = 18.4), and S by at most
-  9.2e-14 times max|A|; the witness check passes 84 of 84 on both sides;
+  (S and N exactly symmetric, S PSD, N at least alpha*);
 - bracket:   qp_optimum on 12 planted QPs (n=8): 10 at eta = 0.1, and two
   offset by 1e10 at eta = 0.001, where rounding moves a cell's hat pair off
   its matrix by more than 1e-6; with a count of the brackets that hold the
   planted optimum (t, or t + 1e10), and each QP's replicator start and
   that start's value _form_above(Q, start), so a start that moves shows
-  even where the bracket stays put.  The offset QPs joined later;
+  even where the bracket stays put;
 - clique:    clique_number on 6 random graphs (the clique number, and the
   replicator start, its _form_above value and the stats but wall_time of
-  its partition run).  The starts joined both sections later, and moved
-  both digests;
+  its partition run);
 - lp:        lp.solve on 80 LPs  max c.y, A y <= b, y >= 0: 64 small ones
   full of singleton rows, tied rows and zero-rhs rows, all feasible at
   y = 0, where lp.solve starts (status, y, objective, row duals, pivots),
   and the 16 answers of the 8 lp.solve calls that membership_report makes
   on gen_random_spn(16, s) for s = 0..3, the L LP and one solve of 137
   rows whose stages are the G, F+ and F+- LPs, where the simplex holds up
-  to 20 deferred updates (the same, and refactorizations).  The small LPs
-  were re-posed in this form when LinearProgram lost its lo/hi bounds, so
-  the digest differs from every revision before that.  The detect-size
-  LPs joined later, and moved the digest again.  They take b from A's own
-  entries since the detection LP was posed from A and its basis vectors,
-  not from the pair's reconstruction of A, so the digest differs from
-  every revision before that too.  It moved when the report solved F+ and
-  F+- in one simplex (lp.solve's held), when the report capped its LPs
-  with the cap row as row n(n+1)/2 + 1, and when G joined that simplex as
-  its first stage (held, a sequence of column sets).  Each stage is hashed
-  with y on the columns still held dropped, so the 4 G stages keep the
-  bits of the G LPs they replace; the F+ stages take 130/141/42/86 pivots
-  after G, against 104/105/37/86 from the slack basis, and the F+- stages
-  0/2/0/0 more, as before;
+  to 20 deferred updates (the same, and refactorizations).  Each stage is
+  hashed with y on the columns still held dropped;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time, or the printed line), on two suites that each miss a
   required field, and on two gen calls to refuse, a NaN t and a negative
   seed (exit code and stderr), so a change to the error texts of the
-  bench reader or of gen shows.  The record config joined later, and
-  moved the digest, as did the two suites, the stderr of every run and
-  the two gen calls; it is deterministic here, since no bench row reads a
-  file instance, whose path would differ between runs.
+  bench reader or of gen shows.  No bench row reads a file instance,
+  whose path would differ between runs.
+
+CHANGES.md records each change that moved a digest, and why.
 
 Run it from the repository root (the run time goes to stderr):
 
@@ -81,7 +46,10 @@ With --parent REV it extracts REV's src/ with git archive, runs the sections
 against that tree and against this checkout's src/ in two subprocesses,
 prints both digests per section, and exits 1 if any section differs.  A
 section that differs also prints both trees' details, so a witness that
-fails its check shows even where rounding alone moved the digest:
+fails its check shows even where rounding alone moved the digest, and then
+the records that differ (one per hashed value: a matrix and cone, an LP, a
+CLI run, ...), the largest float deviation first, each relative to the
+largest float of its record:
 
     PYTHONPATH=src python tools/fingerprint.py --parent HEAD~1
 """
@@ -93,7 +61,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -111,6 +81,8 @@ from conekit.linalg import format_matrix
 from gitrev import ROOT, extracted
 
 M2 = np.array([[1.0, 5.0, -2.0], [5.0, 1.0, -2.0], [-2.0, -2.0, 4.0]])
+TOOLS = Path(__file__).resolve().parent
+SHOWN = 10  # the differing records that compare prints per section
 
 
 def _feed(h, value) -> None:
@@ -131,6 +103,22 @@ def _feed(h, value) -> None:
     else:
         h.update(repr(value).encode())
     h.update(b";")
+
+
+class _Digest:
+    """A section's sha256 over the values fed to it, which also keeps each
+    value as a labelled record, so compare can name the records that moved."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.records = []
+
+    def feed(self, label: str, value) -> None:
+        _feed(self.sha, value)
+        self.records.append((label, value))
+
+    def hexdigest(self) -> str:
+        return self.sha.hexdigest()
 
 
 def _partition_matrices() -> list:
@@ -175,24 +163,25 @@ def _exact_form(a, x) -> Fraction:
 
 
 def partition_section():
-    h = hashlib.sha256()
+    h = _Digest()
     tally: Counter = Counter()
     runs = exact = 0
-    for a in _partition_matrices():
+    for i, a in enumerate(_partition_matrices()):
         for family in FAMILIES:
             for alg2 in (False, True):
                 cfg = CopoConfig(cone_family=family, use_alg2=alg2,
                                  max_iterations=1500)
                 res = run_copositive(a, cfg)
                 stats = {k: v for k, v in res.stats.items() if k != "wall_time"}
-                _feed(h, [res.outcome, res.certificate, stats])
+                h.feed(f"matrix {i} {family} alg {cfg.alg}",
+                       [res.outcome, res.certificate, stats])
                 tally[res.stats["reason"] or res.outcome] += 1
                 runs += 1
                 if res.outcome == "not_copositive":
                     exact += _exact_form(a, res.certificate) < 0
     detail = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
     refuted = tally["not_copositive"]
-    return runs, h.hexdigest(), f"{detail} certificates exact: {exact}/{refuted}"
+    return runs, h, f"{detail} certificates exact: {exact}/{refuted}"
 
 
 def _witness_ok(a, v) -> bool:
@@ -218,16 +207,17 @@ def _report_matrices() -> list:
 
 
 def report_section():
-    h = hashlib.sha256()
+    h = _Digest()
     count = 0
     witnesses = []
-    for a in _report_matrices():
+    for i, a in enumerate(_report_matrices()):
         for v in cones.membership_report(a):
-            _feed(h, [v.status, v.cone, v.alpha_star, v.s_part, v.n_part, v.note])
+            h.feed(f"matrix {i} {v.cone}",
+                   [v.status, v.cone, v.alpha_star, v.s_part, v.n_part, v.note])
             count += 1
             if v.is_member and v.cone in cones.LP_FAMILIES:
                 witnesses.append(_witness_ok(a, v))
-    return count, h.hexdigest(), f"witness ok: {sum(witnesses)}/{len(witnesses)}"
+    return count, h, f"witness ok: {sum(witnesses)}/{len(witnesses)}"
 
 
 @contextlib.contextmanager
@@ -253,34 +243,34 @@ def _partition_runs():
 
 
 def bracket_section():
-    h = hashlib.sha256()
+    h = _Digest()
     cfg = CopoConfig(max_iterations=20000)
     hits = 0  # brackets holding the planted optimum, with no tolerance
     with _partition_runs() as runs:
         for seed in range(10):
             qp = instances.gen_planted_qp(8, 4, -10.0, seed=seed)
             b = instances.qp_optimum(qp.Q, cfg, eta=0.1)
-            _feed(h, [b.lo, b.hi, b.converged])
+            h.feed(f"qp {seed}", [b.lo, b.hi, b.converged])
             hits += b.lo <= qp.t <= b.hi
         for seed in (1, 3):  # the optimum t + 1e10, to within 1e-3
             qp = instances.gen_planted_qp(8, 4, -10.0, seed=seed)
             b = instances.qp_optimum(qp.Q + 1e10, CopoConfig(max_iterations=3000),
                                      eta=0.001)
-            _feed(h, [b.lo, b.hi, b.converged])
+            h.feed(f"qp {seed} + 1e10", [b.lo, b.hi, b.converged])
             hits += b.lo <= qp.t + 1e10 <= b.hi
-    _feed(h, [[r["start"], r["start_value"]] for r in runs])
-    return 12, h.hexdigest(), f"t in [lo, hi]: {hits}/12"
+    h.feed("starts", [[r["start"], r["start_value"]] for r in runs])
+    return 12, h, f"t in [lo, hi]: {hits}/12"
 
 
 def clique_section():
-    h = hashlib.sha256()
+    h = _Digest()
     cfg = CopoConfig(max_iterations=20000)
     with _partition_runs() as runs:
         for seed in range(6):
             g = instances.gen_gnp_graph(6 + seed % 3, 0.5, seed=seed)
-            _feed(h, instances.clique_number(g, cfg))
-    _feed(h, runs)
-    return 6, h.hexdigest(), f"cells={sum(r['stats']['iterations'] for r in runs)}"
+            h.feed(f"graph {seed}", instances.clique_number(g, cfg))
+    h.feed("partition runs", runs)
+    return 6, h, f"cells={sum(r['stats']['iterations'] for r in runs)}"
 
 
 def _singleton_lp(rng):
@@ -341,7 +331,7 @@ def _lp_fields(sol, held=()) -> list:
 
 
 def lp_section():
-    h = hashlib.sha256()
+    h = _Digest()
     rng = np.random.default_rng(31)
     progs = [_singleton_lp(rng) for _ in range(63)]
     # tied rows: x <= 1 twice around x <= 3, y <= 1 twice around -y <= 2
@@ -351,21 +341,22 @@ def lp_section():
         [1, 3, 1, 2, 1, 1, 5],
     ))
     statuses: Counter = Counter()
-    for c, a, b in progs:
+    for i, (c, a, b) in enumerate(progs):
         sol = lp.solve(lp.LinearProgram(c, a, b))
-        _feed(h, [sol.status, sol.x, sol.objective_value, sol.dual, sol.iterations])
+        h.feed(f"lp {i}",
+               [sol.status, sol.x, sol.objective_value, sol.dual, sol.iterations])
         statuses[sol.status] += 1
     detect = 0
-    for prog, kwargs in _report_lps(range(4)):
+    for i, (prog, kwargs) in enumerate(_report_lps(range(4))):
         sol = lp.solve(prog, **kwargs)
         # a held solve answers one LP per stage, without the columns still held
         held = list(kwargs.get("held", ()))
         for k, stage in enumerate(sol.stages):
-            _feed(h, _lp_fields(stage, held[k:]))
+            h.feed(f"report lp {i} stage {k}", _lp_fields(stage, held[k:]))
             statuses[stage.status] += 1
         detect += len(sol.stages)
     detail = " ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
-    return len(progs) + detect, h.hexdigest(), detail
+    return len(progs) + detect, h, detail
 
 
 def _cli_runs(tmp: Path) -> list:
@@ -423,11 +414,11 @@ def _cli_runs(tmp: Path) -> list:
 
 
 def cli_section():
-    h = hashlib.sha256()
+    h = _Digest()
     exits: Counter = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         runs = _cli_runs(Path(tmp))
-        for argv in runs:
+        for i, argv in enumerate(runs):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
@@ -437,10 +428,10 @@ def cli_section():
                     {k: v for k, v in json.loads(line).items() if k != "wall_time"}
                     for line in text.splitlines()
                 ]
-            _feed(h, [argv[0], code, text, err.getvalue()])
+            h.feed(f"run {i} {argv[0]}", [argv[0], code, text, err.getvalue()])
             exits[f"exit{code}"] += 1
     detail = " ".join(f"{k}={v}" for k, v in sorted(exits.items()))
-    return len(runs), h.hexdigest(), detail
+    return len(runs), h, detail
 
 
 SECTIONS = {
@@ -453,23 +444,86 @@ SECTIONS = {
 }
 
 
+def _leaves(value):
+    """The leaves of a fed value in _feed's order, an array's entries one by
+    one, with a marker for each container's shape."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield key
+            yield from _leaves(value[key])
+    elif isinstance(value, (list, tuple)):
+        yield ("list", len(value))
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, np.ndarray):
+        yield (value.dtype.str, value.shape)
+        yield from value.ravel().tolist()
+    else:
+        yield value
+
+
+def _deviation(parent, tree) -> float | None:
+    """The largest |p - t| over the float leaves of two versions of a record,
+    relative to the largest finite |float| among them (1 if all are 0): inf
+    where a NaN or an infinity meets another value, and None where a leaf
+    that is not a float, or a container's shape, differs."""
+    a, b = list(_leaves(parent)), list(_leaves(tree))
+    real = [isinstance(p, float) and isinstance(t, float) for p, t in zip(a, b)]
+    if len(a) != len(b) or any(p != t for p, t, r in zip(a, b, real) if not r):
+        return None
+    pairs = [(p, t) for p, t, r in zip(a, b, real) if r]
+    scale = max((abs(v) for pt in pairs for v in pt if math.isfinite(v)), default=0.0)
+    gaps = [abs(p - t) / (scale or 1.0) for p, t in pairs
+            if p != t and not (math.isnan(p) and math.isnan(t))]
+    return max((math.inf if math.isnan(g) else g for g in gaps), default=0.0)
+
+
+def _sha(value) -> bytes:
+    h = hashlib.sha256()
+    _feed(h, value)
+    return h.digest()
+
+
+def differences(parent: list, tree: list) -> list:
+    """Lines naming the records of one section whose hashed values differ
+    between two runs: those whose change is not a float's first, then the
+    largest relative float deviation first, at most SHOWN of them."""
+    moved = [(label, _deviation(p, t))
+             for (label, p), (_, t) in zip(parent, tree) if _sha(p) != _sha(t)]
+    moved.sort(key=lambda record: -math.inf if record[1] is None else -record[1])
+    counts = "" if len(parent) == len(tree) else f" (the parent has {len(parent)})"
+    lines = [f"{len(moved)} of {len(tree)} records differ{counts}, "
+             "the largest relative deviation first"]
+    for label, gap in moved[:SHOWN]:
+        lines.append(f"{label}: " + ("a value that is not a float, or a shape"
+                                     if gap is None else f"{gap:.3g}"))
+    if len(moved) > SHOWN:
+        lines.append(f"... and {len(moved) - SHOWN} more")
+    return ["  " + line for line in lines]
+
+
 def compare(rev: str) -> int:
     """Print the digests of rev's src/ and of this checkout's src/ per
-    section; 1 if any section differs, 2 if a tree could not be run."""
+    section, and the records that differ under a section that differs; 1 if
+    any section differs, 2 if a tree could not be run."""
     try:
         with extracted(rev, "src") as tmp:
+            dumps = [tmp / "parent.pickle", tmp / "tree.pickle"]
+            code = "import fingerprint; fingerprint.run({!r})"
             runs = [
                 subprocess.Popen(
-                    [sys.executable, __file__], stdout=subprocess.PIPE, text=True,
-                    env={**os.environ, "PYTHONPATH": str(src)},
+                    [sys.executable, "-c", code.format(str(dump))],
+                    stdout=subprocess.PIPE, text=True,
+                    env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{TOOLS}"},
                 )
-                for src in (tmp / "src", ROOT / "src")
+                for src, dump in zip((tmp / "src", ROOT / "src"), dumps)
             ]
             outputs = [run.communicate()[0] for run in runs]
+            if any(run.returncode for run in runs):
+                return 2
+            records = [pickle.loads(dump.read_bytes()) for dump in dumps]
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
-        return 2
-    if any(run.returncode for run in runs):
         return 2
     parent, tree = ({line.split()[0]: line.split(maxsplit=3)
                      for line in out.splitlines()} for out in outputs)
@@ -482,7 +536,22 @@ def compare(rev: str) -> int:
             print(line + "same")
         else:  # the details tell a rounding change from a broken output
             print(line + f"DIFFERS (parent: {parent[name][3]}; tree: {tree[name][3]})")
+            print("\n".join(differences(records[0][name], records[1][name])))
     return int(differs)
+
+
+def run(dump=None) -> None:
+    """Print each section's count, digest and details; with dump, a path,
+    also pickle every section's records to it, for compare."""
+    started = time.monotonic()
+    records = {}
+    for name, section in SECTIONS.items():
+        count, digest, detail = section()
+        print(f"{name:<10} {count:>4} {digest.hexdigest()} {detail}".rstrip())
+        records[name] = digest.records
+    if dump:
+        Path(dump).write_bytes(pickle.dumps(records))
+    print(f"fingerprint: {time.monotonic() - started:.1f} s", file=sys.stderr)
 
 
 def main() -> int:
@@ -492,11 +561,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.parent:
         return compare(args.parent)
-    started = time.monotonic()
-    for name, section in SECTIONS.items():
-        count, digest, detail = section()
-        print(f"{name:<10} {count:>4} {digest} {detail}".rstrip())
-    print(f"fingerprint: {time.monotonic() - started:.1f} s", file=sys.stderr)
+    run()
     return 0
 
 
