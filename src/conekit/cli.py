@@ -46,7 +46,6 @@ PARTITION_FLAGS = {k: v for k, v in CONE_FLAGS.items() if v in copositivity.FAMI
 # CopoConfig's defaults under a request config's names (the argparse dests)
 PARTITION_DEFAULTS = {
     "cone": _SPELLINGS.get(CopoConfig.cone_family, CopoConfig.cone_family),
-    "alg": 2 if CopoConfig.use_alg2 else 1,
     "max_iter": CopoConfig.max_iterations,
     "time_limit": CopoConfig.time_limit,
 }
@@ -119,14 +118,10 @@ def _cone(flag, accepted=CONE_FLAGS) -> str:
 
 
 def _copo_config(config: dict) -> CopoConfig:
-    """The partition settings of a request config, read from its cone, alg,
-    max_iter and time_limit (the argparse dests); a cone flag or alg outside
-    the choices is an error that names them."""
-    if config["alg"] not in (1, 2):
-        raise ValueError(f"unknown alg {config['alg']!r}; choose from 1,2")
+    """The CopoConfig of a request config's cone, max_iter and time_limit
+    (the argparse dests); a cone flag outside the choices names them."""
     return CopoConfig(
         cone_family=_cone(config["cone"], PARTITION_FLAGS),
-        use_alg2=config["alg"] == 2,
         max_iterations=config["max_iter"],
         time_limit=config["time_limit"],
     )
@@ -138,7 +133,6 @@ def _record(command: str, a, task, config: dict, seed: str = "") -> RunRecord:
     started = time.monotonic()
     rec = RunRecord(command, matrix_digest(a), config, seed=seed)
     if isinstance(task, CopoConfig):
-        rec.config = {**config, "alg": task.alg}  # the algorithm that runs
         res = test_copositive(a, task)
         rec.outcome, rec.wall_time = res.outcome, res.stats["wall_time"]
         rec.certificate = None if res.certificate is None else list(res.certificate)
@@ -178,7 +172,7 @@ def cmd_membership(args) -> int:
 
 def cmd_copositive(args) -> int:
     a = load_matrix(args.matrix)
-    config = {k: getattr(args, k) for k in ("cone", "alg", "max_iter", "time_limit")}
+    config = {k: getattr(args, k) for k in PARTITION_DEFAULTS}
     rec = _record("copositive", a, _copo_config(config), config)
     _emit([rec], args)
     return _exit_code(rec.outcome in DECIDED)
@@ -265,6 +259,8 @@ def _bench_request(index: int, row: dict, master: int) -> tuple:
     """A bench row's validated (matrix, task, config) for _record.  Its
     instance draws from the stream of master extended by the row index, so
     any row can be regenerated in isolation."""
+    if "alg" in row:  # the one cell test would run, whatever alg it asks for
+        raise ValueError("bench field 'alg' was removed")
     instance = _field(row, "instance", dict)
     seeds = np.random.SeedSequence([master, index])
     a = as_sym_matrix(_bench_instance(instance, seeds))
@@ -274,7 +270,7 @@ def _bench_request(index: int, row: dict, master: int) -> tuple:
     if config["task"] == "membership":
         return a, _cone(config["cone"]), config
     if config["task"] == "copositive":
-        for name, kind in (("alg", int), ("max_iter", int), ("time_limit", float)):
+        for name, kind in (("max_iter", int), ("time_limit", float)):
             config[name] = _field(row, name, kind, PARTITION_DEFAULTS[name])
         return a, _copo_config(config), config
     raise ValueError(f"unknown task {config['task']!r}")
@@ -298,17 +294,17 @@ def _bench_requests(suite: dict, master: int) -> list:
 
 
 def _summary_records(records: list) -> list:
-    """One summary per (task, cone, alg); alg is None for membership rows."""
+    """One summary per (task, cone)."""
     groups: dict = {}
     for r in records:
-        key = (r.config.get("task"), r.config.get("cone", "?"), r.config.get("alg"))
+        key = (r.config.get("task"), r.config.get("cone", "?"))
         bucket = groups.setdefault(key, {"runs": 0, "decided": 0, "time": 0.0})
         bucket["runs"] += 1
         bucket["time"] += r.wall_time
         bucket["decided"] += r.outcome in DECIDED
     out = []
-    for (task, cone, alg), b in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        config = {"task": task, "cone": cone, "alg": alg, "runs": b["runs"]}
+    for (task, cone), b in sorted(groups.items(), key=lambda kv: str(kv[0])):
+        config = {"task": task, "cone": cone, "runs": b["runs"]}
         out.append(RunRecord("summary", "", config, wall_time=b["time"] / b["runs"],
                              outcome=f"decided={b['decided']}/{b['runs']}"))
     return out
@@ -347,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def partition_flags(p):
         p.add_argument("--cone")
-        p.add_argument("--alg", type=int, choices=(1, 2))
         p.add_argument("--max-iter", type=int)
         p.add_argument("--time-limit", type=float)
         p.set_defaults(**PARTITION_DEFAULTS)

@@ -172,25 +172,23 @@ def _lp_families(a: np.ndarray, ep: EigenPair, families, capped) -> list[Members
                                       for lo, hi in zip(ranks, ranks[1:])],
                           bound=prog.b[-1] if capped else np.inf)
         kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
-        verdicts += [_lp_verdict(a, vectors, s, alpha0, LP_FAMILIES[r], ep,
+        verdicts += [_lp_verdict(a, vectors, s, alpha0, LP_FAMILIES[r],
                                  level <= r if r < ranks[-1] else slice(None))  # no gather
                      for r, s in zip(ranks, kept)]
     return verdicts
 
 
-def _lp_verdict(a, vectors, sol, alpha0, family, ep, cols) -> MembershipVerdict:
-    """The verdict of a solved detection LP over the columns cols of vectors,
-    sd_basis(ep.P, family)'s; a non-orthogonal pair tags it family + "_hat"."""
-    tag = family if ep.orthogonal else family + "_hat"
+def _lp_verdict(a, vectors, sol, alpha0, family, cols) -> MembershipVerdict:
+    """The verdict of a solved detection LP over the columns cols of vectors."""
     if sol.status != lpmod.OPTIMAL:
-        return MembershipVerdict(NOT_IDENTIFIED, tag, note=f"lp-{sol.status}")
+        return MembershipVerdict(NOT_IDENTIFIED, family, note=f"lp-{sol.status}")
     alpha = alpha0 + sol.objective_value
     if alpha < -EPS_ALPHA:
-        return MembershipVerdict(NOT_IDENTIFIED, tag, alpha_star=alpha)
+        return MembershipVerdict(NOT_IDENTIFIED, family, alpha_star=alpha)
     r = vectors[:, cols] * np.sqrt(sol.x[:-1][cols])  # x[-1] is beta
     s_part = r @ r.T  # numpy forms R R^T as one syrk, exactly symmetric
     return MembershipVerdict(
-        MEMBER, tag, alpha_star=alpha, s_part=s_part, n_part=a - s_part
+        MEMBER, family, alpha_star=alpha, s_part=s_part, n_part=a - s_part
     )
 
 
@@ -235,8 +233,8 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
 
 
 def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdict:
-    """One cone test on a matrix that as_sym_matrix already returned; an LP
-    family poses the capped detection LP (build_lp)."""
+    """One test of N, DD, H or L on a matrix that as_sym_matrix already
+    returned; the LP families are _lp_families' and _cell_test's."""
     if cone == "N":
         if np.min(a) >= 0.0:
             return MembershipVerdict(
@@ -251,9 +249,31 @@ def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdi
         return MembershipVerdict(NOT_IDENTIFIED, "DD")
     if cone == "H":
         return in_H(a)
-    if cone == "L":
-        return in_L_bomze(a, ep)
-    return check_membership_lp(a, ep or eigen_decompose(a), cone, capped=True)
+    return in_L_bomze(a, ep)
+
+
+def _cell_test(a: np.ndarray, family: str, inherited: np.ndarray | None):
+    """A partition cell's test: N's or H's verdict; in an LP family the capped
+    detection LP over sd_basis of the inherited basis, then of A's eigenbasis
+    too, as two stages of one simplex (the root's: check_membership_lp's
+    capped LP).  Returns the verdicts up to the first member and, when none
+    is one and the last stage is OPTIMAL, the eigenvectors of its S for
+    bisect to hand down: a child's matrix is T^T A T, and the parent's
+    witness maps to T^T S T, in the inherited G columns, plus T^T N T."""
+    if family not in LP_FAMILIES:
+        return [_dispatch(a, family, None)], None
+    own = sd_basis(eigen_decompose(a).P, family)
+    vectors = own if inherited is None else np.hstack([sd_basis(inherited, family), own])
+    prog, alpha0 = build_lp(a, vectors, capped=True)
+    held = [] if inherited is None else [np.arange(own.shape[1], vectors.shape[1])]
+    sol = lpmod.solve(prog, held=held, bound=prog.b[-1])
+    verdicts = []
+    for stage in sol.stages:
+        verdicts.append(_lp_verdict(a, vectors, stage, alpha0, family, slice(None)))
+        if verdicts[-1].is_member or stage.status != lpmod.OPTIMAL:
+            return verdicts, None
+    r = vectors * np.sqrt(sol.x[:-1])
+    return verdicts, eigen_decompose(r @ r.T).P
 
 
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:

@@ -4,12 +4,12 @@ A matrix is copositive iff its quadratic form is nonnegative on the standard
 simplex.  The worklist algorithm removes a simplex once the congruence
 V^T A V is certified to lie in a tractable subcone of the copositive cone,
 bisects otherwise, and stops with a negative certificate, the lowest point
-found from a replicator start on, as soon as one appears.  The improved
-variant reuses a single global eigen pair to test each cell with the hat
-(non-orthogonal) family before the exact per-cell test.  Every removal rests
-on its own cell's membership verdict.  The same partition, tested at a level
-that follows the best point found, bounds the simplex QP and the clique
-number (see instances).
+found from a replicator start on, as soon as one appears.  A cell below
+the root is tested in the basis of its parent's failed witness first, the
+basis pursuit of Ahmadi & Hall (arXiv:1510.01597) run down the partition
+tree.  Every removal rests on its own cell's membership verdict.  The same
+partition, tested at a level that follows the best point found, bounds the
+simplex QP and the clique number (see instances).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cones, lp
-from .linalg import (EigenPair, as_sym_matrix, check_int, check_real, congruence,
-                     eigen_decompose, unit_scale)
+from .linalg import as_sym_matrix, check_int, check_real, congruence, unit_scale
 
 COPOSITIVE = "copositive"
 NOT_COPOSITIVE = "not_copositive"
@@ -48,18 +47,23 @@ def longest_edge(v: np.ndarray):
     return best
 
 
-def bisect(v: np.ndarray):
+def bisect(v: np.ndarray, q: np.ndarray | None = None):
     """Split the simplex with (n, k) vertex matrix v at the midpoint of its
-    longest edge (i, j).  Returns the two children: v with column i, resp.
-    column j, replaced by the midpoint; None if that edge is numerically a
-    point (shorter than 1e-14)."""
+    longest edge (i, j).  Returns the two children, each v T with T the
+    identity but for column i, resp. j, (e_i + e_j) / 2, as pairs (v T,
+    T^T q), T^T q the basis the child inherits (None without q); None if
+    that edge is numerically a point (shorter than 1e-14)."""
     i, j, length = longest_edge(v)
     if length < 1e-14:
         return None
     mid = (v[:, i] + v[:, j]) / 2.0
     v_i, v_j = v.copy(), v.copy()
     v_i[:, i] = v_j[:, j] = mid
-    return v_i, v_j
+    q_i = q_j = q
+    if q is not None:
+        q_i, q_j = q.copy(), q.copy()
+        q_i[i] = q_j[j] = (q[i] + q[j]) / 2.0
+    return (v_i, q_i), (v_j, q_j)
 
 
 @dataclass(frozen=True)
@@ -69,20 +73,12 @@ class CopoConfig:
     config comes from dataclasses.replace, which checks it again)."""
 
     cone_family: str = "Fpm"
-    use_alg2: bool = True
     max_iterations: int = 1_000_000
     time_limit: float = 300.0
-
-    @property
-    def alg(self) -> int:
-        """The algorithm that runs: alg 2 needs an LP family, so N and H run alg 1."""
-        return 2 if self.use_alg2 and self.cone_family in cones.LP_FAMILIES else 1
 
     def __post_init__(self):
         if self.cone_family not in FAMILIES:
             raise ValueError(f"unknown cone family {self.cone_family!r}")
-        if not isinstance(self.use_alg2, (bool, np.bool_)):
-            raise ValueError(f"use_alg2 must be a bool, got {self.use_alg2!r}")
         check_int("max_iterations", self.max_iterations, 1)
         check_real("time_limit", self.time_limit, positive=True)
 
@@ -121,28 +117,24 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
     "not_copositive" and the best point once best < s.  A cell removed at
     shift s certifies x^T A x >= s on it; level never rises as best falls,
     so every removal still holds at the final shift, and the LIFO worklist
-    needs no reordering.  A cell test that raises an ArithmeticError or
-    ValueError is counted in stats["errors"] under its type's name, one
-    whose LP ends lp.NUMERICAL under "numerical", and the cell is bisected.
-    Returns (CopoResult, best).
+    needs no reordering.  cones._cell_test tests a cell, in an LP family in
+    the basis bisect hands down, if any, then in its own; stats["removals"]
+    counts the inherited stage's members under "member_inherited".  A cell
+    test that raises an ArithmeticError or ValueError is counted in
+    stats["errors"] under its type's name, one whose LP ends lp.NUMERICAL
+    under "numerical", and the cell is bisected.  Returns (CopoResult, best).
     """
     start = _replicator_start(a)
     a, k = unit_scale(a)  # level and the returned best keep the caller's units
     # x^T A x > -4 at the scale 2^k, so a level below -8 there is raised to -8
     floor, caller_level = -8.0 * 2.0**-k, level  # -inf where that overflows
     level = lambda best: math.ldexp(max(caller_level(math.ldexp(best, -k)), floor), k)
-    n = a.shape[0]
     family = cfg.cone_family
-    # the per-cell membership sequence: the hat LP (alg 2 only), then the
-    # exact-family test; the root cell V = I takes the first step only, as
-    # there V^T A V - shift is A - shift and the exact LP is the hat LP
-    steps = ("hat", "exact") if cfg.alg == 2 else ("exact",)
     best, best_v = _form_above(a, start), start
-    hat_shift = hat_ep = None  # the global eigen pair of A - hat_shift * E
 
-    worklist = [np.eye(n)]  # vertex matrices, LIFO
+    worklist = [(np.eye(a.shape[0]), None)]  # (vertex matrix, inherited basis), LIFO
     iterations = lp_calls = 0
-    removals = {"member": 0, "member_hat": 0}
+    removals = {"member": 0, "member_inherited": 0}
     errors: dict = {}  # exception type name -> failed cell tests
     started = time.monotonic()
 
@@ -163,7 +155,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
             return finish(INCONCLUSIVE, "iteration-limit")
         if time.monotonic() - started > cfg.time_limit:
             return finish(INCONCLUSIVE, "time-limit")
-        cell = worklist.pop()
+        cell, inherited = worklist.pop()
         iterations += 1
 
         vtav = congruence(a, cell)
@@ -177,22 +169,14 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
             return finish(NOT_COPOSITIVE, certificate=best_v)
         vtav = vtav - shift
 
-        removed = None  # removal kind once a test certifies the cell
+        removed = basis = None  # the removal kind, the basis handed down
         try:
-            for step in steps[: 1 if iterations == 1 else None]:
-                ep = None  # the exact step lets the cone test decompose vtav
-                if step == "hat":
-                    if shift != hat_shift:
-                        hat_shift, hat_ep = shift, eigen_decompose(a - shift)
-                    ep = EigenPair(cell.T @ hat_ep.P, hat_ep.lam, orthogonal=False)
-                lp_calls += family in cones.LP_FAMILIES
-                verdict = cones._dispatch(vtav, family, ep)
-                if verdict.note == f"lp-{lp.NUMERICAL}":  # never a removal
-                    errors["numerical"] = errors.get("numerical", 0) + 1
-                    break
-                if verdict.is_member:
-                    removed = "member_hat" if step == "hat" else "member"
-                    break
+            lp_calls += family in cones.LP_FAMILIES
+            verdicts, basis = cones._cell_test(vtav, family, inherited)
+            kinds = ("member",) if inherited is None else ("member_inherited", "member")
+            removed = next((kind for kind, v in zip(kinds, verdicts) if v.is_member), None)
+            if verdicts[-1].note == f"lp-{lp.NUMERICAL}":  # never a removal
+                errors["numerical"] = errors.get("numerical", 0) + 1
         except (ArithmeticError, ValueError) as exc:
             # solver trouble is never grounds for removal; count it and refine
             name = type(exc).__name__
@@ -201,9 +185,9 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
         if removed:
             removals[removed] += 1
             continue
-        children = bisect(cell)
+        children = bisect(cell, basis)
         if children is None:
-            worklist.append(cell)
+            worklist.append((cell, inherited))
             return finish(INCONCLUSIVE, "degenerate-edge")
         worklist.extend(children)
 

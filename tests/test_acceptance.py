@@ -156,7 +156,7 @@ def test_criterion_06_copositivity_thresholds():
     started = time.monotonic()
     ok = True
     details = []
-    cfg = CopoConfig(cone_family="Fpm", use_alg2=True, max_iterations=100_000)
+    cfg = CopoConfig(cone_family="Fpm", max_iterations=100_000)
     for n in (3, 5, 8):
         above = instances.max_clique_matrix(instances.complete_graph(n), n + 0.5)
         below = instances.max_clique_matrix(instances.complete_graph(n), n - 0.5)

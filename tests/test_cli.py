@@ -259,7 +259,7 @@ def test_runrecord_roundtrip_json_and_csv():
     empty = RunRecord(
         command="copositive",
         input_digest="abc123",
-        config={"cone": "N", "alg": 2},
+        config={"cone": "N", "max_iter": 10},
         outcome="inconclusive",
         alpha_star=None,
         certificate=None,
@@ -276,7 +276,7 @@ def test_runrecord_roundtrip_json_and_csv():
         "lp_calls,wall_time,seed,generator_id",
         'bench,abc123,"{""cone"": ""F+-"", ""row"": 3}",member,0.25,"[0.5, 0.5]",'
         "7,2,0.125,42/3,numpy-pcg64",
-        'copositive,abc123,"{""alg"": 2, ""cone"": ""N""}",inconclusive,,,10,0,0.5,,'
+        'copositive,abc123,"{""cone"": ""N"", ""max_iter"": 10}",inconclusive,,,10,0,0.5,,'
         "numpy-pcg64",
     ]
 
@@ -482,21 +482,37 @@ def test_bench_kgamma_size_must_be_positive(tmp_path, capsys):
 
 
 def test_bench_unknown_alg_errors(tmp_path, capsys):
-    for alg in (0, 3):
-        row = {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},
-               "task": "copositive", "cone": "F+-", "alg": alg}
-        assert main(["bench", _suite(tmp_path, [row]), "--format", "json"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"unknown alg {alg}; choose from 1,2" in captured.err
+    # the field is gone: a row that still sets it, 1 and 2 included, would
+    # silently run the one cell test, so it is refused and no row runs
+    k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
+    for alg in (0, 1, 2, 3, "2", None):
+        for row in ({"instance": k4, "task": "copositive", "cone": "F+-", "alg": alg},
+                    {"instance": k4, "task": "membership", "alg": alg}):
+            assert main(["bench", _suite(tmp_path, [row]), "--format", "json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: bench field 'alg' was removed (row 0)\n"
+
+
+def test_alg_is_an_unknown_flag_of_every_partition_command(tmp_path, m1_path, capsys):
+    # --alg chose alg 1 or 2; the one cell test has no such choice, so the
+    # flag is a usage error (exit 1), not silently ignored
+    graph = tmp_path / "g.col"
+    graph.write_text(instances.format_dimacs(instances.gen_gnp_graph(5, 0.5, seed=1)))
+    for argv in (["copositive", m1_path], ["clique", str(graph)], ["qpbound", m1_path]):
+        for alg in ("1", "2"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--alg", alg])
+            assert exc.value.code == 1
+            assert "unrecognized arguments: --alg" in capsys.readouterr().err
 
 
 def test_bench_integer_fields_reject_other_values(tmp_path, capsys):
     k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
     qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
-    row = {"instance": k4, "task": "copositive", "alg": 1, "max_iter": 20}
+    row = {"instance": k4, "task": "copositive", "max_iter": 20}
     cases = [("seed", 1.5, {"seed": 1.5, "rows": [row]})]
-    for field in ("alg", "max_iter", "repeat"):
+    for field in ("max_iter", "repeat"):
         for value in (1.9, True):
             cases.append((field, value, {"rows": [{**row, field: value}]}))
     for field, inst in (("n", k4), ("n", qp), ("support", qp)):
@@ -514,7 +530,7 @@ def test_bench_integer_fields_reject_other_values(tmp_path, capsys):
     # a suite with several bad fields names the first one read
     p.write_text(json.dumps({"seed": 1.5, "rows": [
         {"instance": {"kind": "kgamma", "n": 4.7, "gamma": 4.5},
-         "task": "copositive", "alg": 1.9, "max_iter": 2.5, "repeat": 1.9}]}))
+         "task": "copositive", "max_iter": 2.5, "repeat": 1.9}]}))
     assert main(["bench", str(p)]) == 1
     assert "bench field 'seed' must be an integer" in capsys.readouterr().err
 
@@ -522,7 +538,7 @@ def test_bench_integer_fields_reject_other_values(tmp_path, capsys):
 def test_bench_float_fields_reject_other_values(tmp_path, capsys):
     k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
     qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
-    row = {"instance": k4, "task": "copositive", "alg": 1, "max_iter": 20}
+    row = {"instance": k4, "task": "copositive", "max_iter": 20}
     cases = []
     for value in (None, True, "1.5", [1.5]):
         cases.append(("time_limit", value, {**row, "time_limit": value}))
@@ -548,7 +564,7 @@ def test_bench_a_whole_number_beyond_the_float_range_is_one_error_line(
     # the run with a traceback instead of an error line
     k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
     qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
-    row = {"instance": k4, "task": "copositive", "alg": 1, "max_iter": 20}
+    row = {"instance": k4, "task": "copositive", "max_iter": 20}
     p = tmp_path / "suite.json"
     for value in (10**400, -10**400):
         for field, bad in (("time_limit", {**row, "time_limit": value}),
@@ -671,12 +687,12 @@ def test_bench_validates_every_row_before_running(tmp_path, monkeypatch, capsys)
     k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
     rows = [
         {"instance": {"kind": "spn", "n": 4}, "task": "membership", "cone": "H"},
-        {"instance": k4, "task": "copositive", "cone": "F+-", "alg": 1},
+        {"instance": k4, "task": "copositive", "cone": "F+-"},
     ]
-    bad_last = [*rows, {"instance": k4, "task": "copositive", "alg": 3}]
+    bad_last = [*rows, {"instance": k4, "task": "copositive", "alg": 1}]
     assert main(["bench", _suite(tmp_path, bad_last), "--format", "json"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "unknown alg 3" in captured.err
+    assert captured.out == "" and "bench field 'alg' was removed (row 2)" in captured.err
     assert calls == []
     # the counters see the runs of a valid suite
     assert main(["bench", _suite(tmp_path, rows), "--format", "json"]) == 0
@@ -694,44 +710,24 @@ def test_readme_cli_lines_parse():
         assert args.func.__name__ == f"cmd_{args.subcommand}"
 
 
-def test_bench_summary_per_task_and_alg(tmp_path):
+def test_bench_summary_per_task_and_cone(tmp_path):
     spn = {"kind": "spn", "n": 4}
     suite = _suite(
         tmp_path,
         [
             {"instance": spn, "task": "membership", "cone": "F+-", "repeat": 3},
-            {"instance": spn, "task": "copositive", "cone": "F+-", "alg": 1,
-             "repeat": 2},
-            {"instance": spn, "task": "copositive", "cone": "F+-", "alg": 2,
-             "repeat": 2},
+            {"instance": spn, "task": "copositive", "cone": "F+-", "repeat": 2},
+            {"instance": spn, "task": "copositive", "cone": "N", "repeat": 2},
         ],
     )
     out = tmp_path / "bench.json"
     main(["bench", suite, "--format", "json", "--out", str(out)])
     summary = [r for r in json_records(out.read_text()) if r["command"] == "summary"]
-    assert len(summary) == 3
-    assert sorted((r["config"]["task"], r["config"]["alg"], r["config"]["runs"])
+    assert sorted((r["config"]["task"], r["config"]["cone"], r["config"]["runs"])
                   for r in summary) == [
-        ("copositive", 1, 2), ("copositive", 2, 2), ("membership", None, 3)
+        ("copositive", "F+-", 2), ("copositive", "N", 2), ("membership", "F+-", 3)
     ]
-
-
-def test_records_name_the_algorithm_that_ran(tmp_path, m1_path, capsys):
-    # alg 2 needs an LP family: an N row runs alg 1 whatever it asks for,
-    # so two N rows make one summary, not an alg-1 and an alg-2 one
-    spn = {"kind": "spn", "n": 4}
-    suite = _suite(tmp_path, [
-        {"instance": spn, "task": "copositive", "cone": "N", "alg": alg}
-        for alg in (1, 2)
-    ])
-    out = tmp_path / "bench.json"
-    assert main(["bench", suite, "--format", "json", "--out", str(out)]) == 0
-    records = json_records(out.read_text())
-    assert [r["config"]["alg"] for r in records] == [1, 1, 1]
-    assert [r["config"]["runs"] for r in records if r["command"] == "summary"] == [2]
-    for cone, alg in (("N", 1), ("H", 1), ("G", 2)):
-        main(["copositive", m1_path, "--cone", cone, "--format", "json"])
-        assert json_records(capsys.readouterr().out)[0]["config"]["alg"] == alg
+    assert all(set(r["config"]) == {"task", "cone", "runs"} for r in summary)
 
 
 def test_write_records_refuses_an_unknown_format():

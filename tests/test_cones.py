@@ -374,7 +374,7 @@ def test_m2_hat_pair_fpm_member():
     assert np.max(np.abs(ep.reconstruct() - M2)) <= 1e-12 * np.max(np.abs(M2))
     v = cones.check_membership_lp(M2, ep, "Fpm")
     assert v.is_member
-    assert v.cone == "Fpm_hat"
+    assert v.cone == "Fpm"  # any pair gives a sound witness, and one name
     res = v.witness_residuals(M2)
     assert res["split"] <= 1e-7
     assert res["n_min"] >= -1e-9
@@ -458,7 +458,7 @@ def test_conic_closure_of_witnesses():
 
 def test_witness_is_sound_for_a_pair_inside_the_tolerance():
     # a pair with every lambda moved by 4e-7 max|A| is off A by up to 1e-6
-    # max|A|, as the partition's hat pairs can be; S = R R^T is built from
+    # max|A|, as a pair built from rounded data can be; S = R R^T is built from
     # the LP's y alone, so it stays PSD, and N is the rest of A bit for bit
     members = 0
     for seed in range(20):
@@ -539,15 +539,17 @@ def test_detection_lps_report_their_pivot_counts(monkeypatch):
 
 
 def _partition_cells(a, level, depth):
-    """(V^T A V - level, hat pair) for every cell that bisecting the simplex
-    reaches within depth, as copositivity._partition poses its cell tests."""
-    hat = eigen_decompose(a - level)
-    cells, out = [np.eye(len(a))], []
+    """(V^T A V - level, inherited basis or None) for every cell that
+    bisecting the simplex reaches within depth, as copositivity._partition
+    poses its cell tests, each with the basis its parent's F+- test hands
+    down."""
+    cells, out = [(np.eye(len(a)), None)], []
     for _ in range(depth + 1):
-        for v in cells:
-            pair = EigenPair(v.T @ hat.P, hat.lam, orthogonal=False)
-            out.append((congruence(a, v) - level, pair))
-        cells = [child for v in cells for child in bisect(v)]
+        children = []
+        for v, inherited in cells:
+            out.append((congruence(a, v) - level, inherited))
+            children += bisect(v, cones._cell_test(out[-1][0], "Fpm", inherited)[1])
+        cells = children
     return out
 
 
@@ -572,10 +574,12 @@ def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
         g = instances.gen_gnp_graph(7, 0.5, seed)
         omega = instances.clique_number(g)
         cells += _partition_cells(1.0 - g.adjacency(), 1.0 / (omega + 0.5), 2)
+    assert any(inherited is not None for _, inherited in cells)
     seen = set()
-    for a, hat in cells:
+    for a, inherited in cells:
         n, scale = len(a), max(1.0, float(np.max(np.abs(a))))
-        for ep in (eigen_decompose(a), hat):
+        bases = [] if inherited is None else [EigenPair(inherited, np.zeros(n))]
+        for ep in [eigen_decompose(a), *bases]:
             for family in cones.LP_FAMILIES:
                 full = cones.check_membership_lp(a, ep, family)
                 capped = cones.check_membership_lp(a, ep, family, capped=True)

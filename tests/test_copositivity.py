@@ -21,7 +21,7 @@ from conekit.copositivity import (
     longest_edge,
 )
 from conekit.copositivity import test_copositive as run_copositive
-from conekit.linalg import EigenPair, congruence, eigen_decompose
+from conekit.linalg import congruence, eigen_decompose, unit_scale
 
 
 def k_gamma(n, gamma):
@@ -36,23 +36,34 @@ def missed_refutation():
 
 
 def test_bisect_two_dim():
-    ci, cj = bisect(np.eye(2))
+    (ci, qi), (cj, qj) = bisect(np.eye(2))
     assert np.array_equal(ci, [[0.5, 0.0], [0.5, 1.0]])
     assert np.array_equal(cj, [[1.0, 0.5], [0.0, 0.5]])
+    assert qi is None and qj is None  # no basis to hand down
 
 
 def test_bisect_children_replace_one_column_by_the_midpoint():
     rng = np.random.default_rng(3)
     for n in (3, 4, 6):
         cell = rng.dirichlet(np.ones(n), size=n).T  # columns on the simplex
+        q = rng.normal(size=(n, n))
         i, j, _ = longest_edge(cell)
         mid = (cell[:, i] + cell[:, j]) / 2
-        children = bisect(cell)
+        children = bisect(cell, q)
         assert len(children) == 2
-        for child, col in zip(children, (i, j)):
+        for (child, basis), col in zip(children, (i, j)):
             expect = cell.copy()
             expect[:, col] = mid
             assert child.tobytes() == expect.tobytes()
+            # the child is cell T and inherits T^T q: q with row col replaced
+            # by the mean of rows i and j
+            t = np.eye(n)
+            t[:, col] = (t[:, i] + t[:, j]) / 2
+            assert np.allclose(child, cell @ t)
+            expect = q.copy()
+            expect[col] = (q[i] + q[j]) / 2
+            assert basis.tobytes() == expect.tobytes()
+            assert np.allclose(basis, t.T @ q)
 
 
 def test_bisect_tie_break_deterministic():
@@ -108,7 +119,7 @@ def test_bisect_fineness_halves():
     for _ in range(10):
         nxt = []
         for c in cells:
-            nxt.extend(bisect(c))
+            nxt.extend(child for child, _ in bisect(c))
         cells = nxt
     fineness = max(longest_edge(c)[2] for c in cells)
     assert fineness == pytest.approx(np.sqrt(2.0) / 2**10, rel=1e-12)
@@ -126,12 +137,10 @@ def test_bisect_degenerate_edge():
 def test_degenerate_edge_is_inconclusive():
     # the N family refines toward a zero of the form until an edge is a point
     a = k_gamma(3, 3.0)  # 3 I - E, zero at the barycentre
-    for alg2 in (False, True):
-        cfg = CopoConfig(cone_family="N", use_alg2=alg2, max_iterations=3000)
-        res = run_copositive(a, cfg)
-        assert res.outcome == INCONCLUSIVE
-        assert res.stats["reason"] == "degenerate-edge"
-        assert res.stats["worklist"] > 0
+    res = run_copositive(a, CopoConfig(cone_family="N", max_iterations=3000))
+    assert res.outcome == INCONCLUSIVE
+    assert res.stats["reason"] == "degenerate-edge"
+    assert res.stats["worklist"] > 0
 
 
 def test_cell_test_errors_are_counted(monkeypatch):
@@ -141,15 +150,15 @@ def test_cell_test_errors_are_counted(monkeypatch):
 
         return fail
 
-    monkeypatch.setattr(cones, "check_membership_lp", fail_with(FloatingPointError))
+    monkeypatch.setattr(cones, "build_lp", fail_with(FloatingPointError))
     a, _, _ = instances.gen_random_spn(4, 0)
-    cfg = CopoConfig(cone_family="Fpm", use_alg2=False, max_iterations=5)
+    cfg = CopoConfig(cone_family="Fpm", max_iterations=5)
     res = run_copositive(a, cfg)
     assert res.outcome == INCONCLUSIVE
     assert res.stats["reason"] == "iteration-limit"
     assert res.stats["errors"] == {"FloatingPointError": 5}
     # only numerical failures are counted; a TypeError is a bug, not a cell
-    monkeypatch.setattr(cones, "check_membership_lp", fail_with(TypeError))
+    monkeypatch.setattr(cones, "build_lp", fail_with(TypeError))
     with pytest.raises(TypeError, match="injected"):
         run_copositive(a, cfg)
 
@@ -159,15 +168,13 @@ def test_cell_tests_that_end_numerical_are_counted_and_never_remove(monkeypatch)
     # counted once per cell, bisected, and never grounds for a removal
     monkeypatch.setattr(lp, "DEFAULT_FEAS_TOL", -1.0)
     a, _, _ = instances.gen_random_spn(4, 0)
-    for alg2 in (False, True):
-        cfg = CopoConfig(cone_family="Fpm", use_alg2=alg2, max_iterations=5)
-        res = run_copositive(a, cfg)
-        assert res.outcome == INCONCLUSIVE
-        assert res.stats["reason"] == "iteration-limit"
-        assert res.stats["errors"] == {"numerical": 5}
-        assert res.stats["removals"] == {"member": 0, "member_hat": 0}
-        assert res.stats["lp_calls"] == 5
-        assert res.stats["worklist"] == 6
+    res = run_copositive(a, CopoConfig(cone_family="Fpm", max_iterations=5))
+    assert res.outcome == INCONCLUSIVE
+    assert res.stats["reason"] == "iteration-limit"
+    assert res.stats["errors"] == {"numerical": 5}
+    assert res.stats["removals"] == {"member": 0, "member_inherited": 0}
+    assert res.stats["lp_calls"] == 5
+    assert res.stats["worklist"] == 6
 
 
 def test_all_ones_copositive_one_iteration():
@@ -177,16 +184,15 @@ def test_all_ones_copositive_one_iteration():
 
 
 def test_complete_graph_thresholds():
-    for alg2 in (False, True):
-        cfg = CopoConfig(cone_family="Fpm", use_alg2=alg2)
-        res = run_copositive(k_gamma(5, 5.5), cfg)
-        assert res.outcome == COPOSITIVE
-        res = run_copositive(k_gamma(5, 4.5), cfg)
-        assert res.outcome == NOT_COPOSITIVE
-        v = res.certificate
-        assert v is not None
-        assert np.all(v >= 0) and np.sum(v) == pytest.approx(1.0)
-        assert float(v @ k_gamma(5, 4.5) @ v) < 0.0
+    cfg = CopoConfig(cone_family="Fpm")
+    res = run_copositive(k_gamma(5, 5.5), cfg)
+    assert res.outcome == COPOSITIVE
+    res = run_copositive(k_gamma(5, 4.5), cfg)
+    assert res.outcome == NOT_COPOSITIVE
+    v = res.certificate
+    assert v is not None
+    assert np.all(v >= 0) and np.sum(v) == pytest.approx(1.0)
+    assert float(v @ k_gamma(5, 4.5) @ v) < 0.0
 
 
 def test_boundary_with_tiny_budget_inconclusive():
@@ -214,27 +220,27 @@ def test_audit_witnesses_reconstruct(monkeypatch):
         (instances.gen_random_spn(5, 99)[0], "Fpm", COPOSITIVE),
         (missed_refutation(), "G", NOT_COPOSITIVE),  # bisects many cells first
     ]
-    cell_test = cones._dispatch
+    cell_test = cones._cell_test
     for a, family, outcome in cases:
-        members = {"member": [], "member_hat": []}
+        members = {"member": [], "member_inherited": []}
 
-        def spy(vtav, cone, ep, **kw):
-            verdict = cell_test(vtav, cone, ep, **kw)
-            if verdict.is_member:
-                hat = ep is not None and not ep.orthogonal
-                kind = "member_hat" if hat else "member"
-                members[kind].append(verdict.witness_residuals(vtav))
-            return verdict
+        def spy(vtav, cone, inherited):
+            verdicts, basis = cell_test(vtav, cone, inherited)
+            if verdicts[-1].is_member:  # the first member ends the stages
+                first = inherited is not None and len(verdicts) == 1
+                kind = "member_inherited" if first else "member"
+                members[kind].append(verdicts[-1].witness_residuals(vtav))
+            return verdicts, basis
 
-        monkeypatch.setattr(cones, "_dispatch", spy)
-        res = run_copositive(a, CopoConfig(cone_family=family, use_alg2=True))
+        monkeypatch.setattr(cones, "_cell_test", spy)
+        res = run_copositive(a, CopoConfig(cone_family=family))
         assert res.outcome == outcome
         assert res.stats["errors"] == {}
         removals = res.stats["removals"]
-        assert set(removals) == {"member", "member_hat"}
+        assert set(removals) == {"member", "member_inherited"}
         assert {k: len(w) for k, w in members.items()} == removals
         assert sum(removals.values()) > 0
-        for w in members["member"] + members["member_hat"]:
+        for w in members["member"] + members["member_inherited"]:
             assert w["split"] <= 1e-7
             assert w["n_min"] >= -1e-9
             assert w["s_min"] >= -1e-12
@@ -276,28 +282,31 @@ def test_cell_tests_and_membership_reports_pose_capped_lps(monkeypatch):
         assert fpm.is_member and fpm.alpha_star == min(full.alpha_star, max(alpha0, 0.0))
 
 
-def test_alg2_tests_the_root_cell_with_the_hat_lp_only():
-    # at the root V = I, so V^T A V is A and the exact LP is the hat LP:
-    # both, capped, reach the same verdict and alpha*, and alg 2 solves it once
+def test_the_root_cell_poses_the_capped_lp_of_its_own_eigenbasis():
+    # the root has no inherited basis: at V = I its one LP is the capped LP
+    # of A's own eigenbasis, check_membership_lp's, with the same solution
+    # bits, and a member there is a "member" removal in one LP call
     horn = np.array([
         [1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
         [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1],
     ], dtype=float)
     cases = [horn] + [instances.gen_random_spn(6, seed)[0] for seed in range(4)]
     for a in cases:
-        ep = eigen_decompose(a)
-        hat = EigenPair(np.eye(len(a)).T @ ep.P, ep.lam, orthogonal=False)
+        root = congruence(a, np.eye(len(a)))
+        assert root.tobytes() == a.tobytes()
         for family in cones.LP_FAMILIES:
-            by_hat = cones.check_membership_lp(a, hat, family, capped=True)
-            (exact,) = cones.membership_report(congruence(a, np.eye(len(a))), [family])
-            assert by_hat.status == exact.status
-            assert by_hat.alpha_star == exact.alpha_star
-            for alg2 in (False, True):
-                cfg = CopoConfig(cone_family=family, use_alg2=alg2, max_iterations=1)
-                res = run_copositive(a, cfg)
-                assert res.stats["lp_calls"] == 1
-                removed = res.stats["removals"]["member_hat" if alg2 else "member"]
-                assert removed == by_hat.is_member
+            by_lp = cones.check_membership_lp(a, eigen_decompose(a), family, capped=True)
+            (exact,) = cones.membership_report(root, [family])
+            assert by_lp.status == exact.status
+            assert by_lp.alpha_star == exact.alpha_star
+            (verdict,), basis = cones._cell_test(root, family, None)
+            assert verdict.status == by_lp.status
+            assert verdict.alpha_star == by_lp.alpha_star
+            assert (basis is None) == by_lp.is_member
+            res = run_copositive(a, CopoConfig(cone_family=family, max_iterations=1))
+            assert res.stats["lp_calls"] == 1
+            assert res.stats["removals"] == {"member": int(by_lp.is_member),
+                                             "member_inherited": 0}
 
 
 def test_negative_certificate_on_indefinite():
@@ -313,25 +322,22 @@ def test_overflowed_cell_is_not_removed_by_h():
     # [1, 4), so it refutes with no failed cell test and no removal
     a = np.array([[1e308, -1.5e308], [-1.5e308, 1e308]])
     for family in ("N", "H", *cones.LP_FAMILIES):
-        for alg2 in (False, True):
-            cfg = CopoConfig(cone_family=family, use_alg2=alg2)
-            res, _ = _partition(a, cfg, lambda best: 0.0)
-            assert res.outcome == NOT_COPOSITIVE, (family, alg2)
-            assert res.stats["removals"] == {"member": 0, "member_hat": 0}
-            assert res.stats["errors"] == {}
+        res, _ = _partition(a, CopoConfig(cone_family=family), lambda best: 0.0)
+        assert res.outcome == NOT_COPOSITIVE, family
+        assert res.stats["removals"] == {"member": 0, "member_inherited": 0}
+        assert res.stats["errors"] == {}
     # unscaled, the root V^T A V overflows to +-inf: S = [[inf, -inf],
     # [-inf, inf]] must not pass as PSD, and no LP may be posed on it
     with np.errstate(over="ignore", invalid="ignore"):
         root = congruence(a, np.eye(2))
         assert np.array_equal(root, [[np.inf, -np.inf], [-np.inf, np.inf]])
         for family in ("N", "H"):
-            verdict = cones._dispatch(root, family, None)
+            (verdict,), _ = cones._cell_test(root, family, None)
             assert verdict.status == cones.NOT_IDENTIFIED, family
-        hat = eigen_decompose(a)
-        hat = EigenPair(hat.P, hat.lam, orthogonal=False)
+        inherited = eigen_decompose(a).P
         for family in cones.LP_FAMILIES:
             with pytest.raises(ValueError, match="coefficients and rhs must be finite"):
-                cones._dispatch(root, family, hat)
+                cones._cell_test(root, family, inherited)
 
 
 def test_entries_near_the_float_range_are_decided():
@@ -351,10 +357,9 @@ def test_tiny_matrices_are_refuted_in_every_family():
     # cell tests: unscaled, H, G, F+ and F+- removed the root cell
     a = 1e-10 * np.array([[1.0, -2.0], [-2.0, 1.0]])
     for family in ("N", "H", "G", "Fplus", "Fpm"):
-        for alg2 in (False, True):
-            res = run_copositive(a, CopoConfig(cone_family=family, use_alg2=alg2))
-            assert res.outcome == NOT_COPOSITIVE, (family, alg2)
-            assert np.array_equal(res.certificate, [0.5, 0.5])
+        res = run_copositive(a, CopoConfig(cone_family=family))
+        assert res.outcome == NOT_COPOSITIVE, family
+        assert np.array_equal(res.certificate, [0.5, 0.5])
 
 
 def test_scaling_that_flushes_an_entry_to_zero_raises():
@@ -387,12 +392,11 @@ def test_a_negative_start_refutes_in_one_cell():
     start = _replicator_start(a)
     assert np.min(np.diag(a)) > 0 and _form_exact(a, start) < 0
     for family in FAMILIES:
-        for alg2 in (False, True):
-            res = run_copositive(a, CopoConfig(cone_family=family, use_alg2=alg2))
-            assert res.outcome == NOT_COPOSITIVE
-            assert res.stats["iterations"] == 1 and res.stats["lp_calls"] == 0
-            assert np.array_equal(res.certificate, start)
-            assert _form_exact(a, res.certificate) < 0
+        res = run_copositive(a, CopoConfig(cone_family=family))
+        assert res.outcome == NOT_COPOSITIVE
+        assert res.stats["iterations"] == 1 and res.stats["lp_calls"] == 0
+        assert np.array_equal(res.certificate, start)
+        assert _form_exact(a, res.certificate) < 0
 
 
 def test_a_vertex_whose_float_form_reads_low_refutes_nothing():
@@ -405,14 +409,13 @@ def test_a_vertex_whose_float_form_reads_low_refutes_nothing():
     a[2, 2] = 1.0
     assert a[0, 0] > 0 and Fraction(a[0, 0]) * Fraction(a[1, 1]) > Fraction(a[0, 1]) ** 2
     for family in FAMILIES:
-        for alg2 in (False, True):
-            res = run_copositive(a, CopoConfig(cone_family=family, use_alg2=alg2))
-            if family == "N":  # its cells close in on the form's near-zero
-                assert res.outcome == INCONCLUSIVE, alg2
-                assert res.stats["reason"] == "degenerate-edge", alg2
-            else:
-                assert res.outcome == COPOSITIVE, (family, alg2)
-                assert res.stats["iterations"] == 1, (family, alg2)
+        res = run_copositive(a, CopoConfig(cone_family=family))
+        if family == "N":  # its cells close in on the form's near-zero
+            assert res.outcome == INCONCLUSIVE
+            assert res.stats["reason"] == "degenerate-edge"
+        else:
+            assert res.outcome == COPOSITIVE, family
+            assert res.stats["iterations"] == 1, family
 
 
 def test_strictly_copositive_terminates():
@@ -440,16 +443,6 @@ def test_family_iteration_ordering():
         if not iters["Fpm"] <= iters["Fplus"] <= iters["G"]:
             violations += 1
     assert violations == 0
-
-
-def test_alg2_matches_alg1_outcomes():
-    rng = np.random.default_rng(77)
-    for seed in range(5):
-        a, _, _ = instances.gen_random_spn(4, seed)
-        r1 = run_copositive(a, CopoConfig(cone_family="G", use_alg2=False))
-        r2 = run_copositive(a, CopoConfig(cone_family="G", use_alg2=True))
-        assert r1.outcome == r2.outcome == COPOSITIVE
-        assert r2.stats["iterations"] <= r1.stats["iterations"]
 
 
 def test_config_validation():
@@ -480,28 +473,17 @@ def test_config_validation():
 
 def test_config_is_frozen_so_every_value_passes_its_checks():
     # an assignment would skip __post_init__: cone_family "XX" failed every
-    # cell test, use_alg2 "no" ran alg 2 and a NaN time limit was no limit
+    # cell test and a NaN time limit was no limit
     cfg = CopoConfig(max_iterations=50)
-    for name, value in (("cone_family", "XX"), ("use_alg2", "no"),
-                        ("max_iterations", 0), ("time_limit", float("nan"))):
+    for name, value in (("cone_family", "XX"), ("max_iterations", 0),
+                        ("time_limit", float("nan"))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, value)
     assert cfg == CopoConfig(max_iterations=50)
     # a changed config is a new one, checked again
     with pytest.raises(ValueError, match="^max_iterations must be at least 1, got 0$"):
         dataclasses.replace(cfg, max_iterations=0)
-    assert dataclasses.replace(cfg, cone_family="G").alg == 2
-
-
-def test_use_alg2_must_be_a_bool():
-    # truthiness would pick the algorithm: "no", [1] and 2 ran alg 2, and
-    # 0.0 and None ran alg 1
-    for flag in ("no", [1], 2, 0.0, None, 1, 0):
-        with pytest.raises(ValueError) as exc:
-            CopoConfig(use_alg2=flag)
-        assert str(exc.value) == f"use_alg2 must be a bool, got {flag!r}"
-    for flag in (True, False, np.True_, np.False_):
-        assert CopoConfig(cone_family="G", use_alg2=flag).alg == (2 if flag else 1)
+    assert dataclasses.replace(cfg, cone_family="G").cone_family == "G"
 
 
 def _form_exact(a, x):
@@ -541,13 +523,72 @@ def test_one_by_one_is_decided_at_the_root():
                            (1e308, COPOSITIVE), (-1.0, NOT_COPOSITIVE),
                            (-1e-300, NOT_COPOSITIVE)):
         for family in FAMILIES:
-            for alg2 in (False, True):
-                cfg = CopoConfig(cone_family=family, use_alg2=alg2)
-                res = run_copositive(np.array([[entry]]), cfg)
-                assert res.outcome == outcome, (entry, family, alg2)
-                assert res.stats["iterations"] == 1
-                assert res.stats["errors"] == {}
-                if outcome == NOT_COPOSITIVE:
-                    assert res.certificate.tolist() == [1.0]
-                else:
-                    assert res.certificate is None
+            res = run_copositive(np.array([[entry]]), CopoConfig(cone_family=family))
+            assert res.outcome == outcome, (entry, family)
+            assert res.stats["iterations"] == 1
+            assert res.stats["errors"] == {}
+            if outcome == NOT_COPOSITIVE:
+                assert res.certificate.tolist() == [1.0]
+            else:
+                assert res.certificate is None
+
+
+def _clique_graphs():
+    """ROADMAP item 14's 12 graphs: G(n, 1/2), n = 7..11, from default_rng(5)."""
+    rng = np.random.default_rng(5)
+    return [instances.gen_gnp_graph(int(rng.integers(7, 12)), 0.5,
+                                    seed=int(rng.integers(0, 1_000_000)))
+            for _ in range(12)]
+
+
+def _omega(g):
+    # brute force, with no conekit code: the largest set of pairwise edges
+    adj = g.adjacency()
+    return max(k for k in range(1, g.n + 1)
+               for sub in itertools.combinations(range(g.n), k)
+               if all(adj[i, j] for i, j in itertools.combinations(sub, 2)))
+
+
+def test_a_childs_inherited_stage_reaches_its_parents_alpha():
+    # the child V T of a failed cell has T^T (V^T A V - s) T as its matrix,
+    # and the parent's witness S + N maps to T^T S T, in the inherited G
+    # columns, plus T^T N T, whose least entry is at least N's: at the same
+    # shift the child's first stage reaches at least the parent's alpha*
+    mats = [instances.max_clique_matrix(g, _omega(g) + 0.5) for g in _clique_graphs()[:6]]
+    for seed in range(4):  # PSD + N, shifted below the cone along E
+        a = instances.gen_random_spn(6, seed)[0]
+        full = cones.check_membership_lp(a, eigen_decompose(a), "Fpm")
+        mats.append(a - (full.alpha_star + 0.3 * np.max(np.abs(a))))
+    pairs = 0
+    for a in mats:
+        a = unit_scale(a)[0]
+        for family in ("G", "Fpm"):
+            cells = [(np.eye(len(a)), None)]
+            for _ in range(4):  # the failing cells of four levels
+                failing = []
+                for v, inherited in cells:
+                    verdicts, basis = cones._cell_test(congruence(a, v), family, inherited)
+                    if basis is not None:
+                        failing.append((v, basis, verdicts[-1].alpha_star))
+                cells = []
+                for v, basis, alpha in failing:
+                    for child, inherited in bisect(v, basis):
+                        first = cones._cell_test(congruence(a, child), family, inherited)[0][0]
+                        assert first.note == "" and first.alpha_star is not None
+                        assert first.alpha_star >= alpha - 1e-12 * max(1.0, abs(alpha))
+                        pairs += 1
+                        cells.append((child, inherited))
+    assert pairs >= 100
+
+
+def test_the_inherited_basis_keeps_the_clique_partition_small():
+    # ROADMAP item 14's graphs at omega + 1/2, all copositive: the hat LP
+    # of one global eigen pair, then each cell's own LP, took 436 cells;
+    # the parent's witness basis, then the cell's own, takes 40
+    cells = 0
+    for g in _clique_graphs():
+        a = instances.max_clique_matrix(g, _omega(g) + 0.5)
+        res = run_copositive(a, CopoConfig(cone_family="Fpm"))
+        assert res.outcome == COPOSITIVE
+        cells += res.stats["iterations"]
+    assert cells <= 60

@@ -68,10 +68,8 @@ def exact_form(a, x) -> Fraction:
 
 
 def _configs():
-    """Every family under each algorithm it runs: N and H run alg 1 only."""
-    return [CopoConfig(cone_family=f, use_alg2=alg2, max_iterations=20_000)
-            for f in FAMILIES for alg2 in (False, True)
-            if not alg2 or f in cones.LP_FAMILIES]
+    """Every family."""
+    return [CopoConfig(cone_family=f, max_iterations=20_000) for f in FAMILIES]
 
 
 def test_the_oracle_on_horns_matrix():

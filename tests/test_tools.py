@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conekit.cones import build_lp, membership_report, sd_basis
-from conekit.instances import gen_planted_qp, gen_random_spn, qp_optimum
+from conekit.instances import gen_random_spn
 from conekit.linalg import eigen_decompose, unit_scale
 from conekit.lp import LinearProgram, solve
 
@@ -29,10 +29,10 @@ def test_fingerprint_prints_its_six_sections():
     assert all(sections), lines
     counts = {m[1]: int(m[2]) for m in sections}
     assert counts == {
-        "partition": 260, "report": 322, "bracket": 12,
-        "clique": 6, "lp": 80, "cli": 15,
+        "partition": 130, "report": 322, "bracket": 12,
+        "clique": 6, "lp": 80, "cli": 16,
     }
-    assert lines[0].endswith("certificates exact: 80/80")
+    assert lines[0].endswith("certificates exact: 40/40")
     assert lines[1].endswith("witness ok: 84/84")
     assert "t in [lo, hi]: 12/12" in lines[2]
     assert re.match(r"fingerprint: [\d.]+ s$", r.stderr.strip())
@@ -232,20 +232,6 @@ def test_tracer_counts_the_rows_of_each_lp_solve():
     metrics = layertrace.layer_metrics(tracer.spans)
     assert metrics["lp.solve.calls"] == 2
     assert metrics["lp.rows_per_solve"] == (22 + 6) / 2
-
-
-def test_tracer_reads_the_hat_pair_of_a_partition_cell():
-    # a qpbound-style bracket poses its cell LP through check_membership_lp
-    # on a hat pair, which the tracer reads as the call's second argument
-    layertrace = _layertrace()
-    with layertrace.Tracer() as tracer:
-        tracer.run_instance(0, qp_optimum, gen_planted_qp(8, 4, -10.0, seed=0).Q)
-    metrics = layertrace.layer_metrics(tracer.spans)
-    assert metrics["cones.build_lp.calls"] == metrics["cones.check_lp.calls"] == 1
-    assert metrics["lp.solve.calls"] == 1
-    name, attrs = layertrace.NAME, layertrace.ATTRS
-    checks = [s[attrs] for s in tracer.spans if s[name] == "cones.check_lp"]
-    assert checks == [{"member": True, "hat": True}]
 
 
 def _probe(tool, sizes=(), seeds=0, criteria=()):

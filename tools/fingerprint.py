@@ -3,17 +3,17 @@
 Runs a fixed suite through the public entry points of whichever conekit is on
 PYTHONPATH and hashes every output bit that a refactor must keep:
 
-- partition: test_copositive on 26 matrices x N/H/G/F+/F+- x alg 1/2
-  (outcome, certificate, every stats field but wall_time), with a count of
-  the not_copositive certificates whose form is negative in fractions;
+- partition: test_copositive on 26 matrices x N/H/G/F+/F+- (outcome,
+  certificate, every stats field but wall_time), with a count of the
+  not_copositive certificates whose form is negative in fractions;
 - report:    membership_report on 46 matrices x 7 cones (status, alpha*,
   S, N, note): 40 gen_random_spn(12) draws, a non-copositive 2 x 2 matrix
   at 1e-10 and 1e10, and two draws at 2^-41 and 2^40, with a count of the
   G/F+/F+- member witnesses that pass a check which does not trust the LP
   (S and N exactly symmetric, S PSD, N at least alpha*);
 - bracket:   qp_optimum on 12 planted QPs (n=8): 10 at eta = 0.1, and two
-  offset by 1e10 at eta = 0.001, where rounding moves a cell's hat pair off
-  its matrix by more than 1e-6; with a count of the brackets that hold the
+  offset by 1e10 at eta = 0.001, where each cell's V^T Q V carries a
+  rounding error of about 1e-6; with a count of the brackets that hold the
   planted optimum (t, or t + 1e10), and each QP's replicator start and
   that start's value _form_above(Q, start), so a start that moves shows
   even where the bracket stays put;
@@ -31,9 +31,9 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time, or the printed line), on two suites that each miss a
-  required field, and on two gen calls to refuse, a NaN t and a negative
-  seed (exit code and stderr), so a change to the error texts of the
-  bench reader or of gen shows.  No bench row reads a file instance,
+  required field, one whose row sets the removed alg, and on two gen
+  calls to refuse, a NaN t and a negative seed (exit code and stderr), so
+  a change to the error texts of the bench reader or of gen shows.  No bench row reads a file instance,
   whose path would differ between runs.
 
 CHANGES.md records each change that moved a digest, and why.
@@ -168,17 +168,13 @@ def partition_section():
     runs = exact = 0
     for i, a in enumerate(_partition_matrices()):
         for family in FAMILIES:
-            for alg2 in (False, True):
-                cfg = CopoConfig(cone_family=family, use_alg2=alg2,
-                                 max_iterations=1500)
-                res = run_copositive(a, cfg)
-                stats = {k: v for k, v in res.stats.items() if k != "wall_time"}
-                h.feed(f"matrix {i} {family} alg {cfg.alg}",
-                       [res.outcome, res.certificate, stats])
-                tally[res.stats["reason"] or res.outcome] += 1
-                runs += 1
-                if res.outcome == "not_copositive":
-                    exact += _exact_form(a, res.certificate) < 0
+            res = run_copositive(a, CopoConfig(cone_family=family, max_iterations=1500))
+            stats = {k: v for k, v in res.stats.items() if k != "wall_time"}
+            h.feed(f"matrix {i} {family}", [res.outcome, res.certificate, stats])
+            tally[res.stats["reason"] or res.outcome] += 1
+            runs += 1
+            if res.outcome == "not_copositive":
+                exact += _exact_form(a, res.certificate) < 0
     detail = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
     refuted = tally["not_copositive"]
     return runs, h, f"{detail} certificates exact: {exact}/{refuted}"
@@ -384,28 +380,29 @@ def _cli_runs(tmp: Path) -> list:
         for c in ("H", "F+-", "L")
     ] + [
         {"instance": {"kind": "kgamma", "n": 4, "gamma": 4.5},
-         "task": "copositive", "cone": "F+-", "alg": 1},
+         "task": "copositive", "cone": "F+-"},
         {"instance": {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0,
                       "gamma": -1.2}, "task": "copositive", "cone": "F+"},
         {"instance": spn5, "task": "copositive", "cone": "N", "max_iter": 3},
     ]}))
     missing = []
-    for k, instance in enumerate(({"kind": "file"}, {"n": 4})):
+    for k, row in enumerate(({"instance": {"kind": "file"}}, {"instance": {"n": 4}},
+                             {"instance": spn5, "task": "copositive", "alg": 2})):
         path = tmp / f"missing{k}.json"
-        path.write_text(json.dumps({"rows": [{"instance": instance}]}))
-        missing.append(["bench", str(path)])
+        path.write_text(json.dumps({"rows": [row]}))
+        missing.append(["bench", str(path), "--format", "json"])
     js = ["--format", "json"]
     return [
         ["membership", spn, *js],
         ["membership", m2, "--cone", "H,G,F+-", *js],
         ["copositive", k55, *js],
-        ["copositive", k45, "--alg", "1", *js],
+        ["copositive", k45, *js],
         ["copositive", k50, "--cone", "N", "--max-iter", "20", *js],
-        ["copositive", spn, "--cone", "G", "--alg", "1", *js],
+        ["copositive", spn, "--cone", "G", *js],
         ["qpbound", qp, "--eta", "0.1"],
         ["qpbound", qp, "--cone", "F+", "--max-iter", "3"],
         ["clique", str(graph)],
-        ["clique", str(graph), "--cone", "G", "--alg", "1", "--max-iter", "5"],
+        ["clique", str(graph), "--cone", "G", "--max-iter", "5"],
         ["bench", str(suite), *js],
         *missing,
         ["gen", "plantedqp", "--n", "3", "--t", "nan"],
