@@ -229,63 +229,81 @@ def _typed(value, kind: type, what: str):
     return as_float(f"bench {what}", value) if whole else value
 
 
-def _field(spec: dict, name: str, kind: type, default=None):
-    """The field name of a bench suite, row or instance, read by _typed; an
-    absent field is its default, and an error when it has none (None)."""
-    if name in spec:
-        return _typed(spec[name], kind, f"field {name!r}")
-    if default is None:
-        raise ValueError(f"bench field {name!r} is missing")
-    return default
+class _Spec:
+    """A bench suite, row or instance, read field by field; done() refuses
+    a field that no read asked for, so a misspelled one cannot fall back to
+    its default unseen."""
+
+    def __init__(self, fields: dict):
+        self.fields, self.read = fields, set()
+
+    def __call__(self, name: str, kind: type, default=None):
+        """The field name, by _typed; an absent field is its default, and an
+        error when it has none (None)."""
+        self.read.add(name)
+        if name in self.fields:
+            return _typed(self.fields[name], kind, f"field {name!r}")
+        if default is None:
+            raise ValueError(f"bench field {name!r} is missing")
+        return default
+
+    def done(self) -> None:
+        for name in self.fields:
+            if name not in self.read:
+                raise ValueError(f"bench field {name!r} is not read")
 
 
-def _bench_instance(spec: dict, seed_seq) -> np.ndarray:
-    kind = _field(spec, "kind", str)
+def _bench_instance(spec: _Spec, seed_seq) -> np.ndarray:
+    kind = spec("kind", str)
     if kind == "spn":
-        return gen_random_spn(_field(spec, "n", int), seed_seq)[0]
+        return gen_random_spn(spec("n", int), seed_seq)[0]
     if kind == "kgamma":
-        n = _field(spec, "n", int)
-        return max_clique_matrix(complete_graph(n), _field(spec, "gamma", float))
+        n = spec("n", int)
+        return max_clique_matrix(complete_graph(n), spec("gamma", float))
     if kind == "plantedqp":
-        n, support = _field(spec, "n", int), _field(spec, "support", int)
-        inst = gen_planted_qp(n, support, _field(spec, "t", float), seed=seed_seq)
-        return std_qp_matrix(inst.Q, _field(spec, "gamma", float, 0.0))
+        n, support = spec("n", int), spec("support", int)
+        inst = gen_planted_qp(n, support, spec("t", float), seed=seed_seq)
+        return std_qp_matrix(inst.Q, spec("gamma", float, 0.0))
     if kind == "file":
-        return load_matrix(_field(spec, "path", str))
+        return load_matrix(spec("path", str))
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def _bench_request(index: int, row: dict, master: int) -> tuple:
+def _bench_request(index: int, row: _Spec, master: int) -> tuple:
     """A bench row's validated (matrix, task, config) for _record.  Its
     instance draws from the stream of master extended by the row index, so
     any row can be regenerated in isolation."""
-    if "alg" in row:  # the one cell test would run, whatever alg it asks for
-        raise ValueError("bench field 'alg' was removed")
-    instance = _field(row, "instance", dict)
+    instance = _Spec(row("instance", dict))
     seeds = np.random.SeedSequence([master, index])
     a = as_sym_matrix(_bench_instance(instance, seeds))
-    config = {"row": index, "task": _field(row, "task", str, "membership"),
-              "cone": _field(row, "cone", str, PARTITION_DEFAULTS["cone"]),
-              "instance": instance}
+    instance.done()
+    config = {"row": index, "task": row("task", str, "membership"),
+              "cone": row("cone", str, PARTITION_DEFAULTS["cone"]),
+              "instance": instance.fields}
     if config["task"] == "membership":
-        return a, _cone(config["cone"]), config
-    if config["task"] == "copositive":
+        request = a, _cone(config["cone"]), config
+    elif config["task"] == "copositive":
         for name, kind in (("max_iter", int), ("time_limit", float)):
-            config[name] = _field(row, name, kind, PARTITION_DEFAULTS[name])
-        return a, _copo_config(config), config
-    raise ValueError(f"unknown task {config['task']!r}")
+            config[name] = row(name, kind, PARTITION_DEFAULTS[name])
+        request = a, _copo_config(config), config
+    else:
+        raise ValueError(f"unknown task {config['task']!r}")
+    row.done()
+    return request
 
 
-def _bench_requests(suite: dict, master: int) -> list:
+def _bench_requests(suite: _Spec, master: int) -> list:
     """The requests of every row, each row repeat times, indexed in that
     order; an error names the row by its place in the suite's rows."""
-    rows = _field(suite, "rows", list)
+    rows = suite("rows", list)
     if not rows:
         raise ValueError("bench field 'rows' must list at least one row")
+    suite.done()
     requests = []
     for written, row in enumerate(rows):
         try:
-            repeat = _field(_typed(row, dict, "row"), "repeat", int, 1)
+            row = _Spec(_typed(row, dict, "row"))
+            repeat = row("repeat", int, 1)
             for _ in range(check_int("bench field 'repeat'", repeat, 1)):
                 requests.append(_bench_request(len(requests), row, master))
         except (OSError, ValueError) as exc:
@@ -312,8 +330,8 @@ def _summary_records(records: list) -> list:
 
 def cmd_bench(args) -> int:
     with open(args.suite) as fh:
-        suite = _typed(json.load(fh), dict, "suite")
-    seed = _field(suite, "seed", int, 0)  # checked even under --seed
+        suite = _Spec(_typed(json.load(fh), dict, "suite"))
+    seed = suite("seed", int, 0)  # checked even under --seed
     # SeedSequence's own error would blame row 0
     master = check_int("bench seed", seed if args.seed is None else args.seed, 0)
     # every row is validated, its instance too, before the first one runs

@@ -2,7 +2,8 @@
 cone, with verifiable witness decompositions A = S + N.
 
 Every test is one-sided: a "member" verdict carries a certificate, while
-"not identified" asserts nothing about non-membership.
+"not identified" asserts nothing about non-membership.  G, F+ and F+- are
+nested column sets of one LP, which _lp_families alone poses and solves.
 """
 
 from __future__ import annotations
@@ -152,30 +153,34 @@ def check_membership_lp(
     so ep is not checked: the pairs the package builds are A's by
     construction.  A capped LP gives the same verdict, and its alpha_star
     is min(alpha*, max(alpha0, 0))."""
-    return _lp_families(a, ep, [family], capped)[0]
+    return _lp_families(a, [ep.P], [family], capped)[0][0]
 
 
-def _lp_families(a: np.ndarray, ep: EigenPair, families, capped) -> list[MembershipVerdict]:
-    """The verdicts of families, LP_FAMILIES in order, from the stages of one
-    simplex over the LP of the widest, whose other columns (by its table's
-    level) held at 0 give a narrower family's LP.  A stage not optimal
-    restarts its family (after a first stage, the next) and the later ones
-    in a fresh simplex.  The cap is lp.solve's bound: the families after a
-    stage at the cap take its point, so a G member at the cap gives F+ and
-    F+- members with G's witness and alpha_star."""
-    vectors = sd_basis(ep.P, families[-1])
+def _lp_families(a: np.ndarray, bases, families, capped):
+    """The one poser, solver and reader of detection LPs: the LP of the
+    widest of families (LP_FAMILIES in order) over sd_basis of each basis,
+    side by side, in stages of one simplex that free, basis by basis, each
+    family's columns (by its table's level).  A stage not optimal restarts
+    its own (after a first stage, the next) and the later ones in a fresh
+    simplex.  The cap is lp.solve's bound: the stages after one at the cap
+    take its point, so a G member there gives F+ and F+- members with G's
+    witness.  Returns the verdicts, one per stage, and the last stage's R
+    (S = R R^T), None if that stage is not optimal."""
+    vectors = np.concatenate([sd_basis(p, families[-1]) for p in bases], axis=1)
     prog, alpha0 = build_lp(a, vectors, capped=capped)
-    level, verdicts = _sd_index(len(a), families[-1])[3], []
-    while len(verdicts) < len(families):
-        ranks = [LP_FAMILIES.index(f) for f in families[len(verdicts):]]
-        sol = lpmod.solve(prog, held=[np.flatnonzero((lo < level) & (level <= hi))
-                                      for lo, hi in zip(ranks, ranks[1:])],
+    ranks, verdicts = [LP_FAMILIES.index(f) for f in families], []
+    count = len(bases) * len(ranks)
+    stage = (len(ranks) * np.arange(len(bases))[:, None]  # each column's first stage
+             + np.searchsorted(ranks, _sd_index(len(a), families[-1])[3])).ravel()
+    while len(verdicts) < count:
+        sol = lpmod.solve(prog, held=[np.flatnonzero(stage == t)
+                                      for t in range(len(verdicts) + 1, count)],
                           bound=prog.b[-1] if capped else np.inf)
         kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
-        verdicts += [_lp_verdict(a, vectors, s, alpha0, LP_FAMILIES[r],
-                                 level <= r if r < ranks[-1] else slice(None))  # no gather
-                     for r, s in zip(ranks, kept)]
-    return verdicts
+        verdicts += [_lp_verdict(a, vectors, s, alpha0, families[t % len(ranks)],
+                                 stage <= t if t < count - 1 else slice(None))  # no gather
+                     for t, s in enumerate(kept, len(verdicts))]
+    return verdicts, None if kept[-1].x is None else vectors * np.sqrt(kept[-1].x[:-1])
 
 
 def _lp_verdict(a, vectors, sol, alpha0, family, cols) -> MembershipVerdict:
@@ -234,7 +239,7 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
 
 def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdict:
     """One test of N, DD, H or L on a matrix that as_sym_matrix already
-    returned; the LP families are _lp_families' and _cell_test's."""
+    returned; the LP families are _lp_families'."""
     if cone == "N":
         if np.min(a) >= 0.0:
             return MembershipVerdict(
@@ -253,27 +258,23 @@ def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdi
 
 
 def _cell_test(a: np.ndarray, family: str, inherited: np.ndarray | None):
-    """A partition cell's test: N's or H's verdict; in an LP family the capped
-    detection LP over sd_basis of the inherited basis, then of A's eigenbasis
-    too, as two stages of one simplex (the root's: check_membership_lp's
-    capped LP).  Returns the verdicts up to the first member and, when none
-    is one and the last stage is OPTIMAL, the eigenvectors of its S for
-    bisect to hand down: a child's matrix is T^T A T, and the parent's
-    witness maps to T^T S T, in the inherited G columns, plus T^T N T."""
+    """A partition cell's test: N's or H's verdict, or in an LP family the
+    capped _lp_families stages over the inherited basis, if any, then A's
+    eigenbasis.  Returns (kind, basis): kind is the removal by the first
+    stage that certifies A ("member_inherited", "member"), else "numerical"
+    if a stage ended so, else None; basis, for a cell not removed whose last
+    stage is optimal, is the eigenvectors of that stage's S, for bisect to
+    hand down: a child's matrix is T^T A T, and the parent's witness maps
+    to T^T S T, in the inherited G columns, plus T^T N T."""
     if family not in LP_FAMILIES:
-        return [_dispatch(a, family, None)], None
-    own = sd_basis(eigen_decompose(a).P, family)
-    vectors = own if inherited is None else np.hstack([sd_basis(inherited, family), own])
-    prog, alpha0 = build_lp(a, vectors, capped=True)
-    held = [] if inherited is None else [np.arange(own.shape[1], vectors.shape[1])]
-    sol = lpmod.solve(prog, held=held, bound=prog.b[-1])
-    verdicts = []
-    for stage in sol.stages:
-        verdicts.append(_lp_verdict(a, vectors, stage, alpha0, family, slice(None)))
-        if verdicts[-1].is_member or stage.status != lpmod.OPTIMAL:
-            return verdicts, None
-    r = vectors * np.sqrt(sol.x[:-1])
-    return verdicts, eigen_decompose(r @ r.T).P
+        return ("member" if _dispatch(a, family, None).is_member else None), None
+    bases = [p for p in (inherited, eigen_decompose(a).P) if p is not None]
+    verdicts, r = _lp_families(a, bases, [family], True)
+    kinds = ("member_inherited", "member")[-len(bases):]
+    kind = next((kind for kind, v in zip(kinds, verdicts) if v.is_member), None)
+    if kind is None and any(v.note == f"lp-{lpmod.NUMERICAL}" for v in verdicts):
+        kind = lpmod.NUMERICAL
+    return kind, None if kind in kinds or r is None else eigen_decompose(r @ r.T).P
 
 
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
@@ -311,7 +312,7 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
         try:
             if ep is None and step[0] in (*LP_FAMILIES, "L"):
                 ep = eigen_decompose(a)
-            found = (_lp_families(a, ep, step, True) if step[0] in LP_FAMILIES
+            found = (_lp_families(a, [ep.P], step, True)[0] if step[0] in LP_FAMILIES
                      else [_dispatch(a, *step, ep)])
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
             note = f"error: {exc}"

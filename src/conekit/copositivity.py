@@ -7,7 +7,8 @@ bisects otherwise, and stops with a negative certificate, the lowest point
 found from a replicator start on, as soon as one appears.  A cell below
 the root is tested in the basis of its parent's failed witness first, the
 basis pursuit of Ahmadi & Hall (arXiv:1510.01597) run down the partition
-tree.  Every removal rests on its own cell's membership verdict.  The same
+tree.  Every removal rests on its own cell's membership verdict, and a
+failed cell test is counted, never a removal.  The same
 partition, tested at a level that follows the best point found, bounds the
 simplex QP and the clique number (see instances).
 """
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import cones, lp
+from . import cones
 from .linalg import as_sym_matrix, check_int, check_real, congruence, unit_scale
 
 COPOSITIVE = "copositive"
@@ -118,11 +119,12 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
     shift s certifies x^T A x >= s on it; level never rises as best falls,
     so every removal still holds at the final shift, and the LIFO worklist
     needs no reordering.  cones._cell_test tests a cell, in an LP family in
-    the basis bisect hands down, if any, then in its own; stats["removals"]
-    counts the inherited stage's members under "member_inherited".  A cell
-    test that raises an ArithmeticError or ValueError is counted in
-    stats["errors"] under its type's name, one whose LP ends lp.NUMERICAL
-    under "numerical", and the cell is bisected.  Returns (CopoResult, best).
+    the basis bisect hands down, if any, then in its own, and names its
+    outcome, counted by one rule: a removal in stats["removals"] (by the
+    inherited stage, "member_inherited"), a failure in stats["errors"]
+    ("numerical" for an LP stage that ended so, or the type name of an
+    ArithmeticError or ValueError the test raised), and a failed cell is
+    bisected.  Returns (CopoResult, best).
     """
     start = _replicator_start(a)
     a, k = unit_scale(a)  # level and the returned best keep the caller's units
@@ -135,7 +137,7 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
     worklist = [(np.eye(a.shape[0]), None)]  # (vertex matrix, inherited basis), LIFO
     iterations = lp_calls = 0
     removals = {"member": 0, "member_inherited": 0}
-    errors: dict = {}  # exception type name -> failed cell tests
+    errors: dict = {}  # failure name -> failed cell tests
     started = time.monotonic()
 
     def finish(outcome, reason="", certificate=None):
@@ -169,21 +171,15 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
             return finish(NOT_COPOSITIVE, certificate=best_v)
         vtav = vtav - shift
 
-        removed = basis = None  # the removal kind, the basis handed down
-        try:
+        try:  # a removal or a failure, and the basis handed down
             lp_calls += family in cones.LP_FAMILIES
-            verdicts, basis = cones._cell_test(vtav, family, inherited)
-            kinds = ("member",) if inherited is None else ("member_inherited", "member")
-            removed = next((kind for kind, v in zip(kinds, verdicts) if v.is_member), None)
-            if verdicts[-1].note == f"lp-{lp.NUMERICAL}":  # never a removal
-                errors["numerical"] = errors.get("numerical", 0) + 1
-        except (ArithmeticError, ValueError) as exc:
-            # solver trouble is never grounds for removal; count it and refine
-            name = type(exc).__name__
-            errors[name] = errors.get(name, 0) + 1
-
-        if removed:
-            removals[removed] += 1
+            kind, basis = cones._cell_test(vtav, family, inherited)
+        except (ArithmeticError, ValueError) as exc:  # never grounds for removal
+            kind, basis = type(exc).__name__, None
+        tally = removals if kind in removals else errors
+        if kind:
+            tally[kind] = tally.get(kind, 0) + 1
+        if tally is removals:
             continue
         children = bisect(cell, basis)
         if children is None:

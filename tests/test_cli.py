@@ -483,7 +483,8 @@ def test_bench_kgamma_size_must_be_positive(tmp_path, capsys):
 
 def test_bench_unknown_alg_errors(tmp_path, capsys):
     # the field is gone: a row that still sets it, 1 and 2 included, would
-    # silently run the one cell test, so it is refused and no row runs
+    # silently run the one cell test, so it is refused, as every field that
+    # no reader reads is, and no row runs
     k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
     for alg in (0, 1, 2, 3, "2", None):
         for row in ({"instance": k4, "task": "copositive", "cone": "F+-", "alg": alg},
@@ -491,7 +492,49 @@ def test_bench_unknown_alg_errors(tmp_path, capsys):
             assert main(["bench", _suite(tmp_path, [row]), "--format", "json"]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "error: bench field 'alg' was removed (row 0)\n"
+            assert captured.err == "error: bench field 'alg' is not read (row 0)\n"
+
+
+def test_bench_fields_that_nothing_reads_are_refused(tmp_path, m1_path, monkeypatch,
+                                                     capsys):
+    # a misspelled field fell back to its default unseen: this suite ran
+    # with max_iter 1,000,000 and time_limit 300.  A field is refused at
+    # each level that does not read it: the suite, the row for its task and
+    # the instance for its kind, before any row runs
+    calls = []
+    monkeypatch.setattr(cli, "test_copositive", lambda *args: calls.append(args))
+    monkeypatch.setattr(cones, "membership_report", lambda *args: calls.append(args))
+    spn = {"kind": "spn", "n": 4}
+    k4 = {"kind": "kgamma", "n": 4, "gamma": 4.5}
+    qp = {"kind": "plantedqp", "n": 5, "support": 2, "t": -1.0}
+    copositive = {"instance": spn, "task": "copositive"}
+    first = {"instance": spn, "cone": "H"}
+    cases = [
+        ({"sede": 5, "rows": [{**copositive, "instance": {**spn, "gama": 3},
+                               "max_iters": 1, "time_limt": 0.001}]}, "sede", ""),
+        ({"rows": [first, {**copositive, "instance": {**spn, "gama": 3},
+                           "max_iters": 1}]}, "gama", " (row 1)"),
+        ({"rows": [first, {**copositive, "max_iters": 1}]}, "max_iters", " (row 1)"),
+        ({"rows": [first, {**copositive, "time_limt": 1e-3}]}, "time_limt", " (row 1)"),
+    ]
+    # fields that another task or kind reads
+    for name, value in (("max_iter", 5), ("time_limit", 1.0)):
+        cases.append(({"rows": [first, {**first, name: value}]}, name, " (row 1)"))
+        cases.append(({"rows": [{**first, "task": "membership", name: value}]},
+                      name, " (row 0)"))
+    for inst, name, value in ((spn, "gamma", 4.5), (spn, "path", "a.txt"),
+                              (k4, "support", 2), (qp, "path", "a.txt"),
+                              ({"kind": "file", "path": m1_path}, "n", 4)):
+        row = {"instance": {**inst, name: value}, "cone": "H"}
+        cases.append(({"rows": [first, row]}, name, " (row 1)"))
+    p = tmp_path / "suite.json"
+    for suite, name, row in cases:
+        p.write_text(json.dumps(suite))
+        assert main(["bench", str(p), "--format", "json"]) == 1, suite
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bench field {name!r} is not read{row}\n", suite
+    assert calls == []
 
 
 def test_alg_is_an_unknown_flag_of_every_partition_command(tmp_path, m1_path, capsys):
@@ -692,7 +735,7 @@ def test_bench_validates_every_row_before_running(tmp_path, monkeypatch, capsys)
     bad_last = [*rows, {"instance": k4, "task": "copositive", "alg": 1}]
     assert main(["bench", _suite(tmp_path, bad_last), "--format", "json"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "bench field 'alg' was removed (row 2)" in captured.err
+    assert captured.out == "" and "bench field 'alg' is not read (row 2)" in captured.err
     assert calls == []
     # the counters see the runs of a valid suite
     assert main(["bench", _suite(tmp_path, rows), "--format", "json"]) == 0

@@ -769,7 +769,7 @@ def test_one_family_alone_is_its_own_capped_lp():
         u = unit_scale(instances.gen_random_spn(6, seed)[0])[0]
         ep = eigen_decompose(u)
         for family in cones.LP_FAMILIES:
-            (v,) = cones._lp_families(u, ep, [family], True)
+            (v,), _ = cones._lp_families(u, [ep.P], [family], True)
             assert _fields(v) == _fields(cones.check_membership_lp(u, ep, family, capped=True))
             if v.is_member:
                 members += 1

@@ -35,6 +35,20 @@ def missed_refutation():
     return instances.max_clique_matrix(g, 2.5)
 
 
+def staged_verdicts(monkeypatch):
+    """The verdicts of every cones._lp_families call from here on, in order,
+    each with the number of bases it was given."""
+    calls, lp_families = [], cones._lp_families
+
+    def spy(a, bases, families, capped):
+        verdicts, r = lp_families(a, bases, families, capped)
+        calls.append((len(bases), verdicts))
+        return verdicts, r
+
+    monkeypatch.setattr(cones, "_lp_families", spy)
+    return calls
+
+
 def test_bisect_two_dim():
     (ci, qi), (cj, qj) = bisect(np.eye(2))
     assert np.array_equal(ci, [[0.5, 0.0], [0.5, 1.0]])
@@ -177,6 +191,39 @@ def test_cell_tests_that_end_numerical_are_counted_and_never_remove(monkeypatch)
     assert res.stats["worklist"] == 6
 
 
+def test_a_cell_whose_inherited_stage_ends_numerical_still_gets_its_own(monkeypatch):
+    # a cell follows the report's rule for a stage that ends not optimal:
+    # the stages after it run in a fresh simplex.  With every child's
+    # inherited stage forced to end NUMERICAL, its own-basis stage is one
+    # more solve, with no column held; a member there is a "member"
+    # removal, and any other cell is counted once under "numerical"
+    solves, solve = [], lp.solve
+
+    def inherited_fails(prog, held=(), bound=np.inf):
+        solves.append(len(held))
+        if held:  # a child's stages: the first, over the inherited basis, fails
+            failed = lp.LpSolution(lp.NUMERICAL)
+            return dataclasses.replace(failed, stages=[failed])
+        return solve(prog, held=held, bound=bound)
+
+    monkeypatch.setattr(lp, "solve", inherited_fails)
+    staged = staged_verdicts(monkeypatch)
+    g = instances.gen_gnp_graph(7, 0.5, seed=0)
+    res = run_copositive(instances.max_clique_matrix(g, 3.5),
+                         CopoConfig(cone_family="Fplus"))
+    assert res.outcome == COPOSITIVE
+    roots = [verdicts for bases, verdicts in staged if bases == 1]
+    children = [verdicts for bases, verdicts in staged if bases == 2]
+    assert len(roots) == 1 and not roots[0][0].is_member
+    assert solves == [0] + [1, 0] * len(children)
+    assert all(v[0].note == f"lp-{lp.NUMERICAL}" for v in children)
+    certified = sum(v[1].is_member for v in children)
+    assert 0 < certified < len(children)
+    assert res.stats["removals"] == {"member": certified, "member_inherited": 0}
+    assert res.stats["errors"] == {"numerical": len(children) - certified}
+    assert res.stats["iterations"] == 1 + len(children)
+
+
 def test_all_ones_copositive_one_iteration():
     res = run_copositive(np.ones((3, 3)), CopoConfig(cone_family="N"))
     assert res.outcome == COPOSITIVE
@@ -220,17 +267,18 @@ def test_audit_witnesses_reconstruct(monkeypatch):
         (instances.gen_random_spn(5, 99)[0], "Fpm", COPOSITIVE),
         (missed_refutation(), "G", NOT_COPOSITIVE),  # bisects many cells first
     ]
-    cell_test = cones._cell_test
+    cell_test, staged = cones._cell_test, staged_verdicts(monkeypatch)
     for a, family, outcome in cases:
         members = {"member": [], "member_inherited": []}
 
         def spy(vtav, cone, inherited):
-            verdicts, basis = cell_test(vtav, cone, inherited)
-            if verdicts[-1].is_member:  # the first member ends the stages
-                first = inherited is not None and len(verdicts) == 1
-                kind = "member_inherited" if first else "member"
-                members[kind].append(verdicts[-1].witness_residuals(vtav))
-            return verdicts, basis
+            kind, basis = cell_test(vtav, cone, inherited)
+            if kind in members:  # the first member is the removal's stage
+                bases, verdicts = staged[-1]
+                first = next(i for i, v in enumerate(verdicts) if v.is_member)
+                assert kind == ("member_inherited", "member")[-bases:][first]
+                members[kind].append(verdicts[first].witness_residuals(vtav))
+            return kind, basis
 
         monkeypatch.setattr(cones, "_cell_test", spy)
         res = run_copositive(a, CopoConfig(cone_family=family))
@@ -282,10 +330,11 @@ def test_cell_tests_and_membership_reports_pose_capped_lps(monkeypatch):
         assert fpm.is_member and fpm.alpha_star == min(full.alpha_star, max(alpha0, 0.0))
 
 
-def test_the_root_cell_poses_the_capped_lp_of_its_own_eigenbasis():
+def test_the_root_cell_poses_the_capped_lp_of_its_own_eigenbasis(monkeypatch):
     # the root has no inherited basis: at V = I its one LP is the capped LP
     # of A's own eigenbasis, check_membership_lp's, with the same solution
     # bits, and a member there is a "member" removal in one LP call
+    staged = staged_verdicts(monkeypatch)
     horn = np.array([
         [1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
         [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1],
@@ -299,9 +348,12 @@ def test_the_root_cell_poses_the_capped_lp_of_its_own_eigenbasis():
             (exact,) = cones.membership_report(root, [family])
             assert by_lp.status == exact.status
             assert by_lp.alpha_star == exact.alpha_star
-            (verdict,), basis = cones._cell_test(root, family, None)
+            kind, basis = cones._cell_test(root, family, None)
+            assert staged[-1][0] == 1
+            (verdict,) = staged[-1][1]
             assert verdict.status == by_lp.status
             assert verdict.alpha_star == by_lp.alpha_star
+            assert kind == ("member" if by_lp.is_member else None)
             assert (basis is None) == by_lp.is_member
             res = run_copositive(a, CopoConfig(cone_family=family, max_iterations=1))
             assert res.stats["lp_calls"] == 1
@@ -332,8 +384,7 @@ def test_overflowed_cell_is_not_removed_by_h():
         root = congruence(a, np.eye(2))
         assert np.array_equal(root, [[np.inf, -np.inf], [-np.inf, np.inf]])
         for family in ("N", "H"):
-            (verdict,), _ = cones._cell_test(root, family, None)
-            assert verdict.status == cones.NOT_IDENTIFIED, family
+            assert cones._cell_test(root, family, None) == (None, None), family
         inherited = eigen_decompose(a).P
         for family in cones.LP_FAMILIES:
             with pytest.raises(ValueError, match="coefficients and rhs must be finite"):
@@ -549,7 +600,7 @@ def _omega(g):
                if all(adj[i, j] for i, j in itertools.combinations(sub, 2)))
 
 
-def test_a_childs_inherited_stage_reaches_its_parents_alpha():
+def test_a_childs_inherited_stage_reaches_its_parents_alpha(monkeypatch):
     # the child V T of a failed cell has T^T (V^T A V - s) T as its matrix,
     # and the parent's witness S + N maps to T^T S T, in the inherited G
     # columns, plus T^T N T, whose least entry is at least N's: at the same
@@ -559,7 +610,7 @@ def test_a_childs_inherited_stage_reaches_its_parents_alpha():
         a = instances.gen_random_spn(6, seed)[0]
         full = cones.check_membership_lp(a, eigen_decompose(a), "Fpm")
         mats.append(a - (full.alpha_star + 0.3 * np.max(np.abs(a))))
-    pairs = 0
+    pairs, staged = 0, staged_verdicts(monkeypatch)
     for a in mats:
         a = unit_scale(a)[0]
         for family in ("G", "Fpm"):
@@ -567,13 +618,14 @@ def test_a_childs_inherited_stage_reaches_its_parents_alpha():
             for _ in range(4):  # the failing cells of four levels
                 failing = []
                 for v, inherited in cells:
-                    verdicts, basis = cones._cell_test(congruence(a, v), family, inherited)
+                    _, basis = cones._cell_test(congruence(a, v), family, inherited)
                     if basis is not None:
-                        failing.append((v, basis, verdicts[-1].alpha_star))
+                        failing.append((v, basis, staged[-1][1][-1].alpha_star))
                 cells = []
                 for v, basis, alpha in failing:
                     for child, inherited in bisect(v, basis):
-                        first = cones._cell_test(congruence(a, child), family, inherited)[0][0]
+                        cones._cell_test(congruence(a, child), family, inherited)
+                        first = staged[-1][1][0]
                         assert first.note == "" and first.alpha_star is not None
                         assert first.alpha_star >= alpha - 1e-12 * max(1.0, abs(alpha))
                         pairs += 1

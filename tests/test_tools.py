@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from conekit.cones import build_lp, membership_report, sd_basis
-from conekit.instances import gen_random_spn
+from conekit.instances import (
+    clique_number,
+    gen_gnp_graph,
+    gen_planted_qp,
+    gen_random_spn,
+    qp_optimum,
+)
 from conekit.linalg import eigen_decompose, unit_scale
 from conekit.lp import LinearProgram, solve
 
@@ -232,6 +238,24 @@ def test_tracer_counts_the_rows_of_each_lp_solve():
     metrics = layertrace.layer_metrics(tracer.spans)
     assert metrics["lp.solve.calls"] == 2
     assert metrics["lp.rows_per_solve"] == (22 + 6) / 2
+
+
+def test_tracer_follows_the_partition_of_both_reductions():
+    # the reductions call _partition, not test_copositive, so the tracer
+    # sees no probe span; every cell LP, one stage or two, is one build_lp
+    # and one lp.solve, and none goes through check_membership_lp, whose
+    # span reads its pair argument
+    layertrace = _layertrace()
+    qp = gen_planted_qp(8, 4, -5.0, 2)
+    with layertrace.Tracer() as tracer:
+        tracer.run_instance(0, qp_optimum, qp.Q, None, 0.001)
+        tracer.run_instance(1, clique_number, gen_gnp_graph(10, 0.5, 2))
+    metrics = layertrace.layer_metrics(tracer.spans)  # no TraceError
+    assert metrics["trace.instances"] == 2
+    assert metrics["cones.check_lp.calls"] == 0
+    assert metrics["lp.solve.calls"] == metrics["cones.build_lp.calls"] > 0
+    bisections = sum(span[0] == "copositivity.bisect" for span in tracer.spans)
+    assert bisections >= 5  # so most cells pose two stages
 
 
 def _probe(tool, sizes=(), seeds=0, criteria=()):

@@ -31,9 +31,10 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time, or the printed line), on two suites that each miss a
-  required field, one whose row sets the removed alg, and on two gen
-  calls to refuse, a NaN t and a negative seed (exit code and stderr), so
-  a change to the error texts of the bench reader or of gen shows.  No bench row reads a file instance,
+  required field, one whose row sets alg, a field that no bench reader
+  reads, and on two gen calls to refuse, a NaN t and a negative seed (exit
+  code and stderr), so a change to the error texts of the bench reader or
+  of gen shows.  No bench row reads a file instance,
   whose path would differ between runs.
 
 CHANGES.md records each change that moved a digest, and why.
