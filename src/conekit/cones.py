@@ -166,21 +166,32 @@ def _lp_families(a: np.ndarray, bases, families, capped):
     take its point, so a G member there gives F+ and F+- members with G's
     witness.  Returns the verdicts, one per stage, and the last stage's R
     (S = R R^T), None if that stage is not optimal."""
-    vectors = np.concatenate([sd_basis(p, families[-1]) for p in bases], axis=1)
+    vectors = [sd_basis(p, families[-1]) for p in bases]
+    vectors = vectors[0] if len(bases) == 1 else np.concatenate(vectors, axis=1)
     prog, alpha0 = build_lp(a, vectors, capped=capped)
-    ranks, verdicts = [LP_FAMILIES.index(f) for f in families], []
-    count = len(bases) * len(ranks)
-    stage = (len(ranks) * np.arange(len(bases))[:, None]  # each column's first stage
-             + np.searchsorted(ranks, _sd_index(len(a), families[-1])[3])).ravel()
-    while len(verdicts) < count:
-        sol = lpmod.solve(prog, held=[np.flatnonzero(stage == t)
-                                      for t in range(len(verdicts) + 1, count)],
+    freed, cols = _stage_table(len(a), tuple(families), len(bases))
+    verdicts = []
+    while len(verdicts) < len(cols):
+        sol = lpmod.solve(prog, held=freed[len(verdicts) + 1 :],
                           bound=prog.b[-1] if capped else np.inf)
         kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
-        verdicts += [_lp_verdict(a, vectors, s, alpha0, families[t % len(ranks)],
-                                 stage <= t if t < count - 1 else slice(None))  # no gather
+        verdicts += [_lp_verdict(a, vectors, s, alpha0, families[t % len(families)], cols[t])
                      for t, s in enumerate(kept, len(verdicts))]
     return verdicts, None if kept[-1].x is None else vectors * np.sqrt(kept[-1].x[:-1])
+
+
+@lru_cache(maxsize=64)
+def _stage_table(n: int, families: tuple, bases: int):
+    """Per stage of _lp_families, read-only: the columns it frees, and the
+    columns its verdict reads (every column for the last, with no gather)."""
+    ranks = [LP_FAMILIES.index(f) for f in families]
+    stage = (len(ranks) * np.arange(bases)[:, None]  # each column's first stage
+             + np.searchsorted(ranks, _sd_index(n, families[-1])[3])).ravel()
+    freed = [np.flatnonzero(stage == t) for t in range(bases * len(ranks))]
+    cols = [stage <= t for t in range(len(freed) - 1)]
+    for x in freed + cols:
+        x.flags.writeable = False
+    return tuple(freed), (*cols, slice(None))
 
 
 def _lp_verdict(a, vectors, sol, alpha0, family, cols) -> MembershipVerdict:

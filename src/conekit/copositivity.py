@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -194,9 +193,10 @@ def _form_above(a: np.ndarray, x: np.ndarray) -> float:
     """x^T A x / (sum x)^2 on the floats' exact values, rounded up, so never
     below the form at the simplex point x / sum x, as a float sum can be."""
     (xs, _), (an, den) = _dyadic(x), _dyadic(a)  # x's denominator cancels
-    exact = Fraction(int(xs @ an @ xs), den * int(xs.sum()) ** 2)
-    value = float(exact)  # the nearest float, so at most one step below
-    return float(np.nextafter(value, np.inf)) if value < exact else value
+    p, q = int(xs @ an @ xs), den * int(xs.sum()) ** 2
+    value = p / q  # correctly rounded, so at most one step below p / q
+    num, div = value.as_integer_ratio()  # value < p / q, exactly
+    return float(np.nextafter(value, np.inf)) if num * q < p * div else value
 
 
 def _dyadic(v: np.ndarray):

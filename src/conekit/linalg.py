@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -42,8 +43,15 @@ def as_sym_matrix(entries) -> np.ndarray:
     asym = float(np.max(np.abs(a - a.T)))
     if asym > ASYM_TOL * float(np.max(np.abs(a))):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    upper = np.triu(a)
-    return upper + np.triu(a, 1).T
+    return np.where(_strict_lower(len(a)), a.T, a) + 0.0  # + 0.0: no -0.0 is left
+
+
+@lru_cache(maxsize=64)
+def _strict_lower(n: int) -> np.ndarray:
+    """The read-only mask of the entries below the diagonal of an n x n matrix."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def check_int(what: str, v, lo=-math.inf, hi=math.inf):

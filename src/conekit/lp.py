@@ -22,8 +22,8 @@ F+- solve, every stage counted, took at most 196 pivots on detect's
 stream-0 catalogue), and at n = 30-50 400 was no slower than 100.  On the
 small structured LPs of the cone membership tests (a few thousand rows at
 most; not for sparse work) a pivot costs numpy calls more than arithmetic,
-so solve() keeps them few: it works in one workspace built with the simplex
-(a staged solve reuses it), binds its numpy functions, steps the stacked
+so solve() keeps them few: it works in its shape's recycled workspace (a
+staged solve reuses it), binds its numpy functions, steps the stacked
 reduced costs and weights by one subtraction, divides the whole ratio
 column and masks it after, and tracks the objective by each pivot's gain
 for the stall check.  Each call is cheap too: a ufunc converts a Python
@@ -35,16 +35,16 @@ not the matmul gufunc, whose dispatch cost 0.3-0.9 us more a call at
 m = 137 (FTRAN 3.3 against 2.8 us); the row product alone stays np.matmul,
 since its out is not C-contiguous.
 
-A solve of at least _DEFER_ROWS = 64 rows keeps its two m x m arrays, B^-1
-and the fold's product, as the one spare pair (_take, _give) for the next
-solve of as many rows, in place of the pair kept before.  At detect's n = 16
-they are 150 KB each; allocated per solve, they and build_lp's gathered
-copies made glibc hand freed memory back to the kernel after each report
-and fault it in again: about 187 minor page faults, some 0.4 ms of a 6.7 ms
-report.  Below 64 rows B^-1 is at most 32 KB and faulted no page (the L
-LP, the partition's cells).  The LP's own arrays, A and a solution's x and
-duals, are never recycled, since a caller can hold them across later
-solves (a recorder that re-solves a kept LinearProgram does).
+A solve hands its simplex back (_give) as its size class's workspace: its
+arrays, views and rhs jitter pattern depend on the shape (m, n) alone, and
+the next solve of that shape loads its LP into them (_take), 21 us for a
+37-row cell LP against 60 us to build them (2-core host).  Two are kept: the
+last of _DEFER_ROWS = 64 rows or more (at n = 16, B^-1 and the fold's
+product are 150 KB each; allocated per solve they were faulted in again,
+about 187 minor faults of a 6.7 ms report) and the last smaller one, each
+two m x m arrays and nine of n + m entries.  The LP's own arrays, A and a
+solution's x and duals, are never kept, since a caller can hold them
+across later solves.
 """
 
 from __future__ import annotations
@@ -65,27 +65,28 @@ _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 50  # degenerate pivots before switching to Bland's rule
 _REFACTOR_EVERY = 400
 _PIVOTS_PER_SIZE = 50  # the pivot budget is this times (rows + vars + 2)
-_DEFER_ROWS = 64  # from this many rows updates are deferred, and B^-1 recycled
+_DEFER_ROWS = 64  # from this many rows updates are deferred
 
-_spare: list[tuple[np.ndarray, np.ndarray]] = []  # the last large solve's pair, if any
+_spare: dict[bool, _Simplex] = {}  # the last workspace of each size class: m >= _DEFER_ROWS
 _spare_lock = threading.Lock()
 
 
-def _take(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spare (B^-1, W) pair when it has m rows, else two new m x m
-    arrays; their content is garbage."""
+def _take(A, b, c) -> _Simplex:
+    """The kept workspace of A's size class posed on this LP when it has A's
+    shape, else a new simplex."""
+    large = len(A) >= _DEFER_ROWS
     with _spare_lock:
-        if _spare and len(_spare[0][0]) == m:
-            return _spare.pop()
-    return np.empty((m, m)), np.empty((m, m))
+        spx = _spare.get(large)
+        spx = _spare.pop(large) if spx is not None and (spx.m, spx.n_struct) == A.shape else None
+    return _Simplex(A, b, c) if spx is None else spx.load(A, b, c)
 
 
-def _give(pair: tuple[np.ndarray, np.ndarray]) -> None:
-    """Keep a finished solve's pair, in place of the one kept before, when
-    it has at least _DEFER_ROWS rows."""
-    if len(pair[0]) >= _DEFER_ROWS:
-        with _spare_lock:
-            _spare[:] = [pair]
+def _give(spx: _Simplex) -> None:
+    """Keep a finished solve's workspace as its size class's (_DEFER_ROWS rows
+    or more, or fewer), so a small solve neither reads nor evicts the large one."""
+    spx.A = spx.b_true = None  # the LP's own arrays are never kept
+    with _spare_lock:
+        _spare[spx.m >= _DEFER_ROWS] = spx
 
 
 class LinearProgram:
@@ -153,35 +154,20 @@ class _Simplex:
 
     def __init__(self, A, b, c):
         m, n = A.shape
-        self.m = m
-        self.n_struct = n
-        self.A = A
-        # a deterministic jitter of 1e-9 to 2e-9 times max b on each rhs entry
-        # breaks the pivot stalling that degenerate systems (many zero rhs
-        # rows) cause; primal() reads the optimal basis on the true rhs
-        self.b_true = b
-        jitter = 1e-9 * float(np.max(b, initial=0.0)) * (
-            1.0 + (np.arange(m, dtype=np.int64) * 2654435761 % 1024) / 1024.0
-        )
-        self.b = b + jitter
-        self.c = np.concatenate([c, np.zeros(m)])
-        self.basis = n + np.arange(m)
-        self.Binv, self.W = _take(m)  # W: the fold's product U^T V
-        self.Binv.fill(0.0)
-        np.fill_diagonal(self.Binv, 1.0)  # np.eye(m)'s bits
+        self.m, self.n_struct = m, n
+        # the rhs jitter's pattern and the slack basis, fixed by the shape
+        self.pattern = 1.0 + (np.arange(m, dtype=np.int64) * 2654435761 % 1024) / 1024.0
+        self.slacks = n + np.arange(m)
+        self.b, self.xB, self.c = np.empty(m), np.empty(m), np.empty(n + m)
+        self.basis = np.empty_like(self.slacks)
+        self.Binv, self.W = np.empty((m, m)), np.empty((m, m))  # W: the fold's product U^T V
         # pending rank-1 updates: 1 below _DEFER_ROWS, where the thin corrections
         # cost more numpy calls than the m x m update they defer, else 20
         self.U = U = np.empty((1 if m < _DEFER_ROWS else 20, m))
         self.V = V = np.empty_like(U)
-        self.t = 0  # updates held in U and V
-        self.xB = self.b.copy()
         # the reduced costs d over the steepest-edge weights gamma_j =
-        # 1 + |B^-1 w_j|^2, stacked so one subtraction updates both; gamma
-        # is exact at the slack basis and kept across solve() calls
-        self.dg = np.full((2, n + m), math.inf)  # a basic column's gamma is inf
-        self.dg[1, :n] = 1.0 + np.einsum("ij,ij->j", A, A)
-        self.iterations = self.bland_pivots = self.refactorizations = 0
-        self.pinv_fallbacks = 0
+        # 1 + |B^-1 w_j|^2, stacked so one subtraction updates both
+        self.dg = np.empty((2, n + m))
         # the pivot loop's workspace, built once for every solve() call: alpha
         # and tau^T W (structural part, then slack part), the step dg takes,
         # the pivot-row correction's coefficients per pending count t, u, the
@@ -189,13 +175,37 @@ class _Simplex:
         # constants as 0-d arrays (a ufunc converts a Python float operand on
         # every call, not a 0-d array); every view is bound here
         rows, step, coef = np.empty((2, n + m)), np.empty((2, n + m)), np.empty((2, len(U)))
+        consts = [np.array(x) for x in (_PIVOT_TOL, -1.0, math.inf, 1.0, 0.0)]
+        for x in (self.pattern, self.slacks, *consts):
+            x.flags.writeable = False  # of the workspace, but never written
         self.work = (
             *rows, rows[:, n:], *rows[:, n:], rows[0, n:], rows[:, :n], step, step[1],
             np.empty((2, 1)), [(U[:t], V[:t], coef[:, :t]) for t in range(len(U) + 1)],
             np.empty(n + m), np.empty(n + m, dtype=bool), np.empty(m), np.empty(m),
-            np.empty(m, dtype=bool), np.empty(()), np.empty(()), np.empty(()),
-            *map(np.array, (_PIVOT_TOL, -1.0, math.inf, 1.0, 0.0)),
+            np.empty(m, dtype=bool), np.empty(()), np.empty(()), np.empty(()), *consts,
         )
+        self.load(A, b, c)
+
+    def load(self, A, b, c):
+        """Pose the LP on A of this shape at the slack basis; every buffer is
+        written before it is read, so nothing of an earlier LP is left."""
+        # a deterministic jitter of 1e-9 to 2e-9 times max b on each rhs entry
+        # breaks the pivot stalling that degenerate systems (many zero rhs
+        # rows) cause; primal() reads the optimal basis on the true rhs
+        self.A, self.b_true = A, b
+        np.multiply(1e-9 * float(np.max(b, initial=0.0)), self.pattern, out=self.b)
+        self.b += b
+        self.xB[:] = self.b
+        self.c[: self.n_struct], self.c[self.n_struct :] = c, 0.0
+        self.basis[:] = self.slacks
+        self.Binv.fill(0.0)
+        np.fill_diagonal(self.Binv, 1.0)  # np.eye(m)'s bits
+        self.t = 0  # updates held in U and V
+        # gamma is exact at the slack basis and kept across solve() calls
+        self.dg.fill(math.inf)  # a basic column's gamma is inf
+        self.dg[1, : self.n_struct] = 1.0 + np.einsum("ij,ij->j", A, A)
+        self.iterations = self.bland_pivots = self.refactorizations = self.pinv_fallbacks = 0
+        return self
 
     def _refactorize(self):
         # B is [[B11, 0], [B21, I]] up to permutation: the k basic structural
@@ -383,7 +393,7 @@ def solve(lp: LinearProgram, held=(), bound=math.inf) -> LpSolution:
     lp, infeasible = _to_standard_form(lp)
     if infeasible:
         raise ValueError("b has a negative entry, so y = 0 is infeasible")
-    spx, stages = _Simplex(lp.A, lp.b, lp.c), []
+    spx, stages = _take(lp.A, lp.b, lp.c), []
     held = [np.arange(lp.n_vars)[cols] for cols in held]  # IndexError outside
     for cols in held:
         spx.c[cols] = -math.inf
@@ -395,7 +405,7 @@ def solve(lp: LinearProgram, held=(), bound=math.inf) -> LpSolution:
             stages += [sol] * (len(held) + 1 - len(stages))  # optimal for the wider LPs too
             break
         spx.c[cols] = lp.c[cols]
-    _give((spx.Binv, spx.W))  # no solution refers to them
+    _give(spx)  # no solution refers to its buffers
     return replace(stages[-1], stages=stages)  # a copy, not a cycle left to the gc
 
 

@@ -568,6 +568,35 @@ def test_form_above_is_the_exact_value_rounded_up():
     assert _form_above(clique_form, start) >= 0.25
 
 
+def test_form_above_is_the_least_float_at_or_above_the_exact_value():
+    # _form_exact rounded up through fractions, against _form_above's one
+    # integer division and one cross-multiplication
+    def rounded_up(exact):
+        value = float(exact)
+        return value if Fraction(value) >= exact else float(np.nextafter(value, np.inf))
+
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(5, 5))
+    a = a + a.T
+    x = rng.dirichlet(np.ones(5))
+    below = next(y for y in (rng.dirichlet(np.ones(5)) for _ in range(100))
+                 if Fraction(float(_form_exact(a, y))) < _form_exact(a, y))
+    cases = {
+        "vertex": (a, np.eye(5)[2]),
+        "negative": (a - 10.0, x),
+        "nearest float below": (a, below),
+        "1e308 pair's barycentre": (np.array([[1e308, -1e308], [-1e308, 1e308]]),
+                                    np.array([0.5, 0.5])),
+        "scaled by 2^-1000": (np.ldexp(a, -1000), x),
+    }
+    for name, (m, y) in cases.items():
+        value = _form_above(m, y)
+        assert value == rounded_up(_form_exact(m, y)), name
+    assert _form_above(*cases["vertex"]) == a[2, 2]
+    assert _form_above(*cases["negative"]) < 0.0
+    assert _form_above(*cases["1e308 pair's barycentre"]) == 0.0
+
+
 def test_one_by_one_is_decided_at_the_root():
     # the partition serves n = 1 too: its root cell decides, with no error
     for entry, outcome in ((1.0, COPOSITIVE), (0.0, COPOSITIVE),

@@ -29,6 +29,31 @@ def test_as_sym_matrix_rejects_asymmetry():
     assert np.array_equal(as_sym_matrix(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
+def test_as_sym_matrix_mirrors_the_upper_triangle_bit_for_bit():
+    # the reference: the upper triangle plus its strict part transposed,
+    # which also turns every -0.0 into +0.0
+    rng = np.random.default_rng(7)
+    negative_zeros = 0
+    for n in range(1, 7):
+        sym = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
+        sym = sym + sym.T  # zero where both draws are
+        signed = np.where(rng.random((n, n)) < 0.5, -sym, sym)  # -0.0 where 0
+        pick = rng.random((n, n)) < 0.4
+        huge = np.where(pick | pick.T, np.copysign(1e308, sym + sym.T), sym)
+        cases = [
+            np.where(sym == 0.0, signed, sym),  # -0.0 on either side of the diagonal
+            sym * (1.0 + 1e-13 * rng.uniform(-1, 1, size=(n, n))),  # repaired
+            huge,  # +-1e308
+        ]
+        for a in cases:
+            ref = np.triu(a) + np.triu(a, 1).T
+            out = as_sym_matrix(a)
+            assert out.tobytes() == ref.tobytes() and out.flags.c_contiguous, n
+            assert not np.any(np.signbit(out) & (out == 0.0))
+            negative_zeros += np.count_nonzero(np.signbit(a) & (a == 0.0))
+    assert negative_zeros > 0
+
+
 def test_unit_scale_is_an_even_power_into_one_to_four():
     for peak in (1e-310, 1e-10, 0.3, 1.0, 2.0, 3.99, 4.0, 1e10, 1e308):
         a = np.array([[peak, -peak / 3], [-peak / 3, 0.0]])

@@ -664,20 +664,35 @@ def test_a_bound_moves_no_bit_until_a_stage_reaches_it():
             assert pickle.dumps(sol.stages[:2]) == pickle.dumps(free.stages[:2])
 
 
-def _poisoned(m):
-    """A spare list of one pair of all-NaN m x m arrays."""
-    return [(np.full((m, m), np.nan), np.full((m, m), np.nan))]
+def _arrays(x):
+    """Every array in x, a workspace's attributes, nested lists and tuples."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _arrays(y)
 
 
-def _spare_is(pair):
-    """lp's spare list holds pair's two arrays, and nothing else."""
-    return len(lp._spare) == 1 and all(x is y for x, y in zip(lp._spare[0], pair))
+def _poisoned(prog):
+    """A spare dict of one workspace of prog's shape as its size class's,
+    every writable buffer of it NaN (float), -1 (int) or True (bool)."""
+    spx = lp._Simplex(prog.A.copy(), prog.b.copy(), prog.c)
+    spx.A = spx.b_true = None  # as _give leaves it
+    for x in _arrays(list(vars(spx).values())):
+        if x.flags.writeable:
+            x[...] = {"f": np.nan, "i": -1, "b": True}[x.dtype.kind]
+    return {prog.n_rows >= lp._DEFER_ROWS: spx}
+
+
+def _clean(spx):
+    """B^-1, the fold's product and the stacked d and gamma hold no NaN."""
+    return not any(np.isnan(x).any() for x in (spx.Binv, spx.W, spx.dg))
 
 
 def test_recycled_buffers_move_no_output_bit(monkeypatch):
-    # whatever the spare pair holds, B^-1 starts as the identity and every
-    # fold overwrites the whole product buffer; a report's staged solve and
-    # a staged lp.solve, both of 137 rows, take the pair and give it back
+    # whatever the workspace holds, load() writes every buffer before the
+    # simplex reads it; a report's staged solve and a staged lp.solve, both
+    # of 137 rows, take the workspace and give it back
     a = gen_random_spn(16, 5)[0]
     u = a / np.max(np.abs(a))
     prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u).P, "Fpm"), capped=True)[0]
@@ -688,13 +703,38 @@ def test_recycled_buffers_move_no_output_bit(monkeypatch):
         "staged": lambda: lp.solve(prog, held=held),
     }
     for name, run in runs.items():
-        monkeypatch.setattr(lp, "_spare", [])
+        monkeypatch.setattr(lp, "_spare", {})
         fresh = pickle.dumps(run())
-        monkeypatch.setattr(lp, "_spare", spare := _poisoned(137))
-        (pair,) = spare
+        monkeypatch.setattr(lp, "_spare", spare := _poisoned(prog))
+        spx = spare[True]
         assert pickle.dumps(run()) == fresh, name
-        # the NaN pair was taken, and came back holding the solve's numbers
-        assert _spare_is(pair) and not any(np.isnan(x).any() for x in pair)
+        # the NaN workspace was taken, and came back holding the solve's numbers
+        assert lp._spare[True] is spx and _clean(spx), name
+        assert spx.A is None and spx.b_true is None
+
+
+def test_a_37_row_solve_reuses_its_shapes_workspace(monkeypatch):
+    # the n = 8 cell LP of a qpbound probe (37 x 65) takes the workspace the
+    # last solve of its shape gave back, and builds no simplex of its own;
+    # a small solve of another shape builds one, which takes its place
+    monkeypatch.setattr(lp, "_spare", {})
+    q = gen_planted_qp(8, 4, -10.0, seed=2).Q
+    prog = cones.build_lp(unit_scale(q)[0], cones.sd_basis(eigen_decompose(q).P, "Fpm"),
+                          capped=True)[0]
+    assert prog.A.shape == (37, 65)
+    first = lp.solve(prog)
+    spx = lp._spare[False]
+    assert (spx.m, spx.n_struct) == (37, 65)
+    built, init = [], lp._Simplex.__init__
+    monkeypatch.setattr(lp._Simplex, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    assert pickle.dumps(lp.solve(prog)) == pickle.dumps(first)
+    assert lp._spare == {False: spx} and not built
+    other = _detect_lp(gen_random_spn(8, 1)[0], "G")
+    assert other.A.shape != (37, 65) and other.n_rows < lp._DEFER_ROWS
+    lp.solve(other)
+    assert built == [1] and list(lp._spare) == [False] and lp._spare[False] is not spx
+    assert (lp._spare[False].m, lp._spare[False].n_struct) == other.A.shape
 
 
 def test_solutions_and_lps_outlive_later_solves(monkeypatch):
@@ -719,11 +759,13 @@ def test_solutions_and_lps_outlive_later_solves(monkeypatch):
 
 
 def test_threads_solving_same_size_lps_match_serial_solves(monkeypatch):
-    # more threads than cores take and give spare arrays of one size at
-    # once; two solves sharing an array would move their answers
+    # more threads than cores take and give workspaces of one shape at once,
+    # the first of them poisoned; two solves sharing one would move answers
     progs = [_detect_lp(gen_random_spn(16, seed)[0]) for seed in range(4)]
+    assert len({prog.A.shape for prog in progs}) == 1
     serial = [pickle.dumps(lp.solve(prog)) for prog in progs]
-    monkeypatch.setattr(lp, "_spare", _poisoned(136))
+    monkeypatch.setattr(lp, "_spare", spare := _poisoned(progs[0]))
+    poisoned = spare[True]
     found = [[] for _ in progs]
 
     def work(k):
@@ -742,40 +784,41 @@ def test_threads_solving_same_size_lps_match_serial_solves(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert found == [[bits] * 3 for bits in serial]
-    assert [[x.shape for x in pair] for pair in lp._spare] == [[(136, 136)] * 2]
+    # the poisoned workspace was taken and solved in
+    assert _clean(poisoned) and list(lp._spare) == [True]
+    assert (lp._spare[True].m, lp._spare[True].n_struct) == progs[0].A.shape
 
 
-def test_the_spare_pair_is_the_last_large_solves(monkeypatch):
-    # a solve of _DEFER_ROWS rows or more leaves its pair as the one spare,
-    # in place of the one before; a smaller one neither takes nor keeps one
-    monkeypatch.setattr(lp, "_spare", [])
-    kept = []
+def test_the_large_workspace_is_the_last_large_solves(monkeypatch):
+    # a solve of _DEFER_ROWS rows or more leaves its workspace as the one
+    # large one, in place of the one before; a smaller one keeps its own
+    # beside it, in place of the small one before
+    monkeypatch.setattr(lp, "_spare", {})
+    kept = {}
     for n in range(2, 31):
         prog = _detect_lp(gen_random_spn(n, 0)[0], "G")
         assert lp.solve(prog).status == lp.OPTIMAL
-        if prog.n_rows >= lp._DEFER_ROWS:
-            kept = [[(prog.n_rows, prog.n_rows)] * 2]
-        assert [[x.shape for x in pair] for pair in lp._spare] == kept, n
-    assert kept == [[(465, 465)] * 2]
+        kept[prog.n_rows >= lp._DEFER_ROWS] = prog.A.shape
+        assert {k: (s.m, s.n_struct) for k, s in lp._spare.items()} == kept, n
+    assert kept == {False: (55, 11), True: (465, 31)}
 
 
-def test_a_large_lp_leaves_only_the_next_reports_pair_behind():
-    # after the n = 30 F+- LP (465 rows, 3.5 MB for its pair) and one n = 16
-    # report, lp keeps the report's 137-row pair alone: the L LP's 16 rows
-    # are below _DEFER_ROWS
+def test_a_large_lp_leaves_only_the_next_reports_workspace_behind():
+    # after the n = 30 F+- LP (465 rows, 3.5 MB for B^-1 and W) and one n = 16
+    # report, lp keeps the report's 137-row workspace as its one large one:
+    # the L LP's 16 rows are below _DEFER_ROWS
     u = unit_scale(gen_random_spn(30, 0)[0])[0]
     assert cones.check_membership_lp(u, eigen_decompose(u), "Fpm").is_member
     cones.membership_report(gen_random_spn(16, 0)[0])
-    assert len(lp._spare) == 1
-    (pair,) = lp._spare
-    assert [x.shape for x in pair] == [(137, 137)] * 2
-    # an n = 8 bracket's cell LPs (37 rows) leave that pair in place, unread
+    spx = lp._spare[True]
+    assert (spx.m, spx.n_struct) == (137, 257)
+    # an n = 8 bracket's cell LPs (37 rows) leave that workspace in place, unread
     q = gen_planted_qp(8, 4, -10.0, seed=2).Q
     bits = pickle.dumps(qp_optimum(q, eta=0.1))
-    for x in pair:
+    for x in (spx.Binv, spx.W):
         x.fill(np.nan)
     assert pickle.dumps(qp_optimum(q, eta=0.1)) == bits
-    assert _spare_is(pair) and all(np.isnan(x).all() for x in pair)
+    assert lp._spare[True] is spx and all(np.isnan(x).all() for x in (spx.Binv, spx.W))
 
 
 def test_a_warm_report_allocates_under_512_kb():

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conekit import lp as lpmod
 from conekit.cones import build_lp, membership_report, sd_basis
+from conekit.copositivity import CopoConfig
 from conekit.instances import (
     clique_number,
     gen_gnp_graph,
@@ -258,9 +260,9 @@ def test_tracer_follows_the_partition_of_both_reductions():
     assert bisections >= 5  # so most cells pose two stages
 
 
-def _probe(tool, sizes=(), seeds=0, criteria=()):
+def _probe(tool, sizes=(), seeds=0, criteria=(), brackets=0):
     # one set at a time; the others are empty and add no metric
-    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria)
+    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria, brackets)
 
 
 def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
@@ -296,6 +298,23 @@ def test_bench_pairs_counts_the_pivots_of_a_report_in_a_tree(monkeypatch):
         assert metrics["report.n16.minflt"] <= 8
 
 
+def test_bench_pairs_counts_the_pivots_of_a_bracket_in_a_tree(monkeypatch):
+    # perfbench's qpbound call on its catalogue's first entries, as timed
+    tool = _load_tool("bench_pairs", monkeypatch)
+    assert tool.BRACKETS == 45
+    metrics = _probe(tool, brackets=2)
+    assert set(metrics) == {f"bracket.n8.{k}" for k in ("pivots", "solves", "cpu_s", "minflt")}
+    counted = []
+    monkeypatch.setattr(lpmod, "solve", lambda *a, **k: counted.append(s := solve(*a, **k)) or s)
+    cfg = CopoConfig(cone_family="Fpm", max_iterations=200_000)
+    for i in range(2):
+        qp = gen_planted_qp(8, 4, -10.0, seed=np.random.SeedSequence([0, i]))
+        assert qp_optimum(qp.Q, cfg, eta=0.1).converged
+    assert metrics["bracket.n8.solves"] == len(counted) / 2 > 0
+    assert metrics["bracket.n8.pivots"] == sum(s.iterations for s in counted) / 2
+    assert metrics["bracket.n8.cpu_s"] > 0 and metrics["bracket.n8.minflt"] >= 0
+
+
 def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
     # a tree whose one criterion makes one more report on each call
     tool = _load_tool("bench_pairs", monkeypatch)
@@ -310,7 +329,7 @@ def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
         "        cones.membership_report(instances.gen_random_spn(4, 0)[0], ['Fpm'])\n"
     )
     with pytest.raises(RuntimeError, match="accept.c01: counts .* differ from the warm-up's"):
-        tool.probe_once(tmp_path, (), 0, (1,))
+        tool.probe_once(tmp_path, (), 0, (1,), 0)
 
 
 def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):

@@ -14,7 +14,7 @@ Run it from anywhere; each run gets its own tree as working directory, as
 the benchmark expects, and runs for perfbench/run.py's own length.  --trace
 1 runs the traced mode and records the per-layer metrics instead of the
 end-to-end ones.  After each run, one fresh process in the same tree probes
-three sets: for a = gen_random_spn(n, 0), n in FPM_SIZES, the capped F+- LP
+four sets: for a = gen_random_spn(n, 0), n in FPM_SIZES, the capped F+- LP
 that membership_report(a, ["Fpm"]) poses (fpm.n<n>.*: wall and cpu
 seconds, pivots, refactorizations) and the paper's uncapped F+- LP, which
 check_membership_lp(u, eigen_decompose(u), "Fpm") poses at A's unit scale
@@ -25,15 +25,20 @@ lp.solve calls and cpu seconds per report, which resolve a change that one
 n = 16 solve cannot, the cpu microseconds per pivot, the cost of the
 simplex's pivot loop, and the minor page faults per report over the timed
 passes, from resource.getrusage, memory the allocator handed back to the
-kernel and touched again); and the acceptance criteria ACCEPT_CRITERIA of its
-tests/test_acceptance.py (accept.c<nn>_s, wall seconds).  The reports go
-first, since the larger LPs of the other sets leave glibc's mmap threshold
-raised.  Each set runs once to warm up, then each of its calls (one LP,
-one report, one criterion) is timed by QuietTimer from this checkout's
-perfbench/timing.py, the same file for both trees, with its ATTEMPTS
-attempts each; the times are at the host's quiet speed, as perfbench's own
-are.  A timed pass whose pivot, solve or refactorization counts differ
-from the warm-up's fails the run.  Runs go one at a time.  A metric is
+kernel and touched again); qpbound's timed call, qp_optimum at perfbench's
+configuration, on the BRACKETS planted QPs of its catalogue that a
+perfbench run times (bracket.n8.*: pivots, lp.solve calls, cpu seconds and
+minor page faults per bracket), built and called by this checkout's
+perfbench/workloads.py, the same file for both trees; and the acceptance
+criteria ACCEPT_CRITERIA of its tests/test_acceptance.py (accept.c<nn>_s,
+wall seconds).  The reports go first, since the larger LPs of the other
+sets leave glibc's mmap threshold raised.  Each set runs once to warm up,
+then each of its calls (one LP, one report, one bracket, one criterion) is
+timed by QuietTimer from this checkout's perfbench/timing.py, the same
+file for both trees, with its ATTEMPTS attempts each; the times are at the
+host's quiet speed, as perfbench's own are.  A timed pass whose pivot,
+solve or refactorization counts differ from the warm-up's fails the run.
+Runs go one at a time.  A metric is
 "resolved" when the change won at least nine tenths of the pairs
 (ties count for neither side) and the medians differ by more than the
 parent's quartile spread, the rule for claiming a gain.
@@ -55,18 +60,22 @@ SIDES = ("parent", "change")
 FPM_SIZES = (10, 16, 20, 30)
 REPORT_SEEDS = 40
 ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
-# run in a tree, its src/ on the path, with argv: the timing.py to time with,
-# and [sizes, seeds, criteria] as JSON; see the module docstring
+BRACKETS = 45  # the qpbound entries a perfbench run times
+# run in a tree, its src/ on the path, with argv: the perfbench/ directory
+# whose timing.py and workloads.py to use, and [sizes, seeds, criteria,
+# brackets] as JSON; see the module docstring
 PROBE_SCRIPT = """
 import functools, importlib.util, json, resource, sys
+import numpy as np
 from conekit import cones, instances, linalg, lp
 def load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # as dataclass needs
     spec.loader.exec_module(module)
     return module
-timing, tests = load("timing", sys.argv[1]), load("acceptance", "tests/test_acceptance.py")
-sizes, seeds, criteria = json.loads(sys.argv[2])
+timing, tests = load("timing", sys.argv[1] + "/timing.py"), load("acceptance", "tests/test_acceptance.py")
+workloads = load("workloads", sys.argv[1] + "/workloads.py")
+sizes, seeds, criteria, brackets = json.loads(sys.argv[2])
 tested = {}
 for num in criteria:
     names = [k for k in dir(tests) if k.startswith(f"test_criterion_{num:02d}_")]
@@ -110,6 +119,10 @@ def measure(name, calls):  # calls: a set's, each with its warm-up's counts
         record.update({f"{name}.{k}": v / seeds for k, v in per_report.items()})
         record[f"{name}.us_per_pivot"] = 1e6 * cpu / total["pivots"]
         record[f"{name}.minflt"] = faults[0] / faults[1]
+    elif name == "bracket.n8":
+        per_bracket = dict(pivots=total["pivots"], solves=total["solves"], cpu_s=cpu)
+        record.update({f"{name}.{k}": v / brackets for k, v in per_bracket.items()})
+        record[f"{name}.minflt"] = faults[0] / faults[1]
     else:
         record[f"{name}_s"] = wall
 # the reports go first: freeing the larger LPs' arrays raises glibc's mmap
@@ -119,6 +132,12 @@ if seeds:
     reports = [functools.partial(cones.membership_report, instances.gen_random_spn(16, s)[0])
                for s in range(seeds)]
     measure("report.n16", [(fn, counts(fn)) for fn in reports])
+if brackets:  # perfbench's qpbound calls on its catalogue's first entries
+    qpbound = workloads.WORKLOADS["qpbound"]
+    qps = [qpbound.make(np.random.SeedSequence([workloads.CATALOGUE_SEED, i]), i)
+           for i in range(brackets)]
+    calls = [functools.partial(qpbound.solve, qp) for qp in qps]
+    measure("bracket.n8", [(fn, counts(fn)) for fn in calls])
 for n in sizes:
     a = instances.gen_random_spn(n, 0)[0]
     u = linalg.unit_scale(a)[0]
@@ -133,14 +152,16 @@ print(json.dumps(record))
 """
 
 
-def probe_once(tree: Path, sizes=FPM_SIZES, seeds=REPORT_SEEDS, criteria=ACCEPT_CRITERIA) -> dict:
-    """The fpm.n<n>.*, report.n16.* and accept.c<nn>_s metrics of tree, from
-    one fresh process on its src/, tree as working directory, timed by this
-    checkout's perfbench/timing.py; RuntimeError when the process fails: a
-    criterion is missing or fails, or a timed pass's counts move."""
+def probe_once(tree: Path, sizes=FPM_SIZES, seeds=REPORT_SEEDS, criteria=ACCEPT_CRITERIA,
+               brackets=BRACKETS) -> dict:
+    """The fpm.n<n>.*, report.n16.*, bracket.n8.* and accept.c<nn>_s metrics
+    of tree, from one fresh process on its src/, tree as working directory,
+    timed by this checkout's perfbench/timing.py; RuntimeError when the
+    process fails: a criterion is missing or fails, or a timed pass's counts
+    move."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    sets = json.dumps([list(sizes), seeds, list(criteria)])
-    command = [sys.executable, "-c", PROBE_SCRIPT, str(ROOT / "perfbench" / "timing.py"), sets]
+    sets = json.dumps([list(sizes), seeds, list(criteria), brackets])
+    command = [sys.executable, "-c", PROBE_SCRIPT, str(ROOT / "perfbench"), sets]
     r = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     if r.returncode:
         raise RuntimeError(f"probe in {tree} failed:\n{r.stderr[-2000:]}")
