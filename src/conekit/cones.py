@@ -165,7 +165,7 @@ def _lp_families(a: np.ndarray, bases, families, capped):
     simplex.  The cap is lp.solve's bound: the stages after one at the cap
     take its point, so a G member there gives F+ and F+- members with G's
     witness.  Returns the verdicts, one per stage, and the last stage's R
-    (S = R R^T), None if that stage is not optimal."""
+    (S = R R^T), None if that stage is not optimal or a stage certified."""
     vectors = [sd_basis(p, families[-1]) for p in bases]
     vectors = vectors[0] if len(bases) == 1 else np.concatenate(vectors, axis=1)
     prog, alpha0 = build_lp(a, vectors, capped=capped)
@@ -177,7 +177,9 @@ def _lp_families(a: np.ndarray, bases, families, capped):
         kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
         verdicts += [_lp_verdict(a, vectors, s, alpha0, families[t % len(families)], cols[t])
                      for t, s in enumerate(kept, len(verdicts))]
-    return verdicts, None if kept[-1].x is None else vectors * np.sqrt(kept[-1].x[:-1])
+    if kept[-1].x is None or any(v.is_member for v in verdicts):
+        return verdicts, None
+    return verdicts, vectors * np.sqrt(kept[-1].x[:-1])
 
 
 @lru_cache(maxsize=64)
@@ -285,7 +287,7 @@ def _cell_test(a: np.ndarray, family: str, inherited: np.ndarray | None):
     kind = next((kind for kind, v in zip(kinds, verdicts) if v.is_member), None)
     if kind is None and any(v.note == f"lp-{lpmod.NUMERICAL}" for v in verdicts):
         kind = lpmod.NUMERICAL
-    return kind, None if kind in kinds or r is None else eigen_decompose(r @ r.T).P
+    return kind, None if r is None else eigen_decompose(r @ r.T).P
 
 
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:

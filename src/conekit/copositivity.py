@@ -107,23 +107,25 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
     """Certify x^T A x >= level(best) on the standard simplex, for a matrix
     that as_sym_matrix already returned, decided at linalg.unit_scale's scale.
 
-    best is the lowest value seen, each one _form_above's, so never below
-    the form at its point: first at _replicator_start(a), taken on the
-    caller's matrix so that its bits do not depend on the scale; then at
-    the lowest vertex of each cell, picked off the congruence diagonal and
-    valued when that diagonal entry is below best.  Cell columns lie on the
-    simplex, so V^T (A - s E) V = V^T A V - s 11^T, and each cell is tested
-    at the scalar shift s = level(best).  The run stops with
-    "not_copositive" and the best point once best < s.  A cell removed at
-    shift s certifies x^T A x >= s on it; level never rises as best falls,
-    so every removal still holds at the final shift, and the LIFO worklist
-    needs no reordering.  cones._cell_test tests a cell, in an LP family in
-    the basis bisect hands down, if any, then in its own, and names its
-    outcome, counted by one rule: a removal in stats["removals"] (by the
-    inherited stage, "member_inherited"), a failure in stats["errors"]
-    ("numerical" for an LP stage that ended so, or the type name of an
-    ArithmeticError or ValueError the test raised), and a failed cell is
-    bisected.  Returns (CopoResult, best).
+    best is the lowest value seen, never below the form at its point: first
+    at _replicator_start(a), taken on the caller's matrix so that its bits
+    do not depend on the scale, and valued as _form_bounds' hi unless that
+    interval is not finite or reaches below level(hi), where _form_above's
+    exact value decides, so a start refutes on its exact value; then at the
+    lowest vertex of each cell, picked off the congruence diagonal and
+    valued by _form_above when that diagonal entry is below best.  Cell
+    columns lie on the simplex, so V^T (A - s E) V = V^T A V - s 11^T, and
+    each cell is tested at the scalar shift s = level(best).  The run stops
+    with "not_copositive" and the best point once best < s.  A cell removed
+    at shift s certifies x^T A x >= s on it; level never rises as best
+    falls, so every removal still holds at the final shift, and the LIFO
+    worklist needs no reordering.  cones._cell_test tests a cell, in an LP
+    family in the basis bisect hands down, if any, then in its own, and
+    names its outcome, counted by one rule: a removal in stats["removals"]
+    (by the inherited stage, "member_inherited"), a failure in
+    stats["errors"] ("numerical" for an LP stage that ended so, or the type
+    name of an ArithmeticError or ValueError the test raised), and a failed
+    cell is bisected.  Returns (CopoResult, best).
     """
     start = _replicator_start(a)
     a, k = unit_scale(a)  # level and the returned best keep the caller's units
@@ -131,7 +133,9 @@ def _partition(a: np.ndarray, cfg: CopoConfig, level):
     floor, caller_level = -8.0 * 2.0**-k, level  # -inf where that overflows
     level = lambda best: math.ldexp(max(caller_level(math.ldexp(best, -k)), floor), k)
     family = cfg.cone_family
-    best, best_v = _form_above(a, start), start
+    lo, hi = _form_bounds(a, start)
+    certified = math.isfinite(lo) and math.isfinite(hi) and lo >= level(hi)
+    best, best_v = hi if certified else _form_above(a, start), start
 
     worklist = [(np.eye(a.shape[0]), None)]  # (vertex matrix, inherited basis), LIFO
     iterations = lp_calls = 0
@@ -197,6 +201,21 @@ def _form_above(a: np.ndarray, x: np.ndarray) -> float:
     value = p / q  # correctly rounded, so at most one step below p / q
     num, div = value.as_integer_ratio()  # value < p / q, exactly
     return float(np.nextafter(value, np.inf)) if num * q < p * div else value
+
+
+def _form_bounds(a: np.ndarray, x: np.ndarray):
+    """(lo, hi) around x^T A x / (sum x)^2, x >= 0 nonzero, by one float
+    evaluation.  In any summation order, with or without FMA, x.(A x) rounds
+    by at most gamma_2n |x|^T |A| |x| and sum x by gamma_n sum x (Higham 2002,
+    section 3.1), and a product lost to underflow by 2^-1075.  The float
+    value -/+ err, err = 8 (n + 1) 2^-53 |x|^T |A| |x| / (sum x)^2 + 2^-1074
+    ((n + 2) (1 + sum x) / (sum x)^2 + 4), about twice that bound, so each
+    end lies within 2 err of the form.  Not finite on an overflow."""
+    n, s = len(x), float(x.sum())
+    value = float(x @ (a @ x)) / (s * s)
+    spread = float(x @ (np.abs(a) @ x)) / (s * s)
+    err = 8 * (n + 1) * 2.0**-53 * spread + 2.0**-1074 * ((n + 2) * (1 + s) / (s * s) + 4)
+    return value - err, value + err
 
 
 def _dyadic(v: np.ndarray):

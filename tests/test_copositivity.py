@@ -1,8 +1,11 @@
 import dataclasses
+import importlib.util
 import itertools
 import re
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from conekit.copositivity import (
     NOT_COPOSITIVE,
     CopoConfig,
     _form_above,
+    _form_bounds,
     _partition,
     _replicator_start,
     bisect,
@@ -595,6 +599,104 @@ def test_form_above_is_the_least_float_at_or_above_the_exact_value():
     assert _form_above(*cases["vertex"]) == a[2, 2]
     assert _form_above(*cases["negative"]) < 0.0
     assert _form_above(*cases["1e308 pair's barycentre"]) == 0.0
+
+
+def _form_and_spread(a, x):
+    # x^T A x and |x|^T |A| |x|, each over (sum x)^2, as Fractions of the
+    # floats' exact values: each array is integers over its own power of two
+    def ints(v):
+        pairs = [t.as_integer_ratio() for t in v.ravel().tolist()]
+        den = max(q for _, q in pairs)
+        return np.array([p * (den // q) for p, q in pairs], dtype=object).reshape(v.shape), den
+
+    (xs, _), (an, den) = ints(x), ints(a)
+    den *= int(xs.sum()) ** 2
+    return Fraction(int(xs @ an @ xs), den), Fraction(int(xs @ np.abs(an) @ xs), den)
+
+
+def _certified_cases():
+    # n = 1-20 at scales 2^-600 to 2^600, some entries down to 1e-200 of the
+    # peak (products that underflow), some offset by 1e8; starts from the
+    # replicator, the simplex's interior, a vertex, and value-0 barycentres
+    rng = np.random.default_rng(55)
+    for case in range(3000):
+        n, scale = int(rng.integers(1, 21)), 2.0 ** int(rng.integers(-600, 601))
+        a = rng.normal(size=(n, n))
+        if case % 3 == 1:
+            a *= 10.0 ** -rng.integers(0, 201, size=(n, n)).astype(float)
+        if case % 5 == 2:
+            a += 1e8
+        if case % 7 == 3:  # a Laplacian of integer weights: its barycentre's value is 0
+            w = np.triu(rng.integers(0, 9, size=(n, n)), 1).astype(float)
+            a = np.diag(np.sum(w + w.T, axis=1)) - w - w.T
+        a, start = (a + a.T) * scale, 3 if case % 7 == 3 else case % 4
+        if start == 0:
+            yield a, _replicator_start(a)
+        elif start == 1:
+            yield a, rng.dirichlet(np.ones(n))
+        else:
+            yield a, np.eye(n)[rng.integers(n)] if start == 2 else np.full(n, 1.0 / n)
+
+
+def test_certified_start_value_holds_the_exact_value_within_its_bound():
+    # _form_bounds's interval holds the exact form, whatever BLAS's summation
+    # order, and each end lies within twice its stated half-width of it; hi
+    # is never below _form_above's value, and the underflow term keeps hi
+    # above a positive form whose products all underflow
+    u, tiny = Fraction(1, 2**53), Fraction(1, 2**1074)
+    underflow = (np.array([[0.0, 1e-200], [1e-200, 0.0]]), np.array([1.0, 1e-150]))
+    assert float(underflow[1] @ underflow[0] @ underflow[1]) == 0.0
+    zeros = 0
+    for a, x in [underflow, *_certified_cases()]:
+        lo, hi = _form_bounds(a, x)
+        exact, spread = _form_and_spread(a, x)
+        zeros += exact == 0
+        s = Fraction(float(x.sum()))  # the computed sum, as the bound reads it
+        half = 8 * (len(x) + 1) * u * spread + tiny * ((len(x) + 2) * (1 + s) / s**2 + 4)
+        assert Fraction(lo) <= exact <= Fraction(hi)
+        assert Fraction(hi) - exact <= 2 * half and exact - Fraction(lo) <= 2 * half
+        assert hi >= _form_above(a, x)
+    assert _form_bounds(*underflow)[1] > 0.0 and zeros >= 400
+
+
+def test_a_straddling_certified_start_takes_the_exact_value(monkeypatch):
+    # a Laplacian's barycentre, a fixed point of the replicator start, has
+    # the exact value 0, the minimum: at test_copositive's level 0 its
+    # interval reaches below the level, so _form_above values it, and the
+    # partition returns 0.0 exactly at every scale (a float hi would read
+    # about 1e-15 above it)
+    w = np.array([[0, 3, 1, 0], [3, 0, 2, 5], [1, 2, 0, 4], [0, 5, 4, 0]], dtype=float)
+    lap = np.diag(w.sum(axis=1)) - w
+    valued = []
+    above = copositivity._form_above
+    monkeypatch.setattr(copositivity, "_form_above",
+                        lambda a, x: valued.append(x.copy()) or above(a, x))
+    for e in (-600, 0, 600):
+        valued.clear()
+        res, best = _partition(2.0**e * lap, CopoConfig(), lambda best: 0.0)
+        assert res.outcome == COPOSITIVE and best == 0.0
+        assert np.array_equal(valued[0], np.full(4, 0.25))
+        lo, hi = _form_bounds(unit_scale(2.0**e * lap)[0], valued[0])
+        assert lo < 0.0 < hi
+
+
+def test_certified_start_values_the_timed_qpbound_catalogue_in_floats(monkeypatch):
+    # perfbench's 45 timed qpbound QPs: no start takes the exact fallback
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # as dataclass needs
+    spec.loader.exec_module(workloads)
+    starts, exact_starts = [], []
+    start, above = copositivity._replicator_start, copositivity._form_above
+    monkeypatch.setattr(copositivity, "_replicator_start",
+                        lambda q: starts.append(start(q)) or starts[-1])
+    monkeypatch.setattr(copositivity, "_form_above",
+                        lambda a, x: exact_starts.append(x is starts[-1]) or above(a, x))
+    qpbound = workloads.WORKLOADS["qpbound"]
+    for qp in workloads.make_instances(qpbound, workloads.CATALOGUE_SEED, 0, 45):
+        assert qpbound.check(qp, qpbound.solve(qp)) == ""
+    assert len(starts) == 45 and not any(exact_starts)
 
 
 def test_one_by_one_is_decided_at_the_root():

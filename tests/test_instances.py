@@ -361,7 +361,8 @@ def test_replicator_start_matches_the_reference_steps(monkeypatch):
 
 def test_qp_bracket_contains_the_planted_optimum_exactly(monkeypatch):
     # hi is the start's value when no vertex beats it, so that value is
-    # computed exactly and rounded up.  The replicator start stays above t on
+    # rounded up past its rounding bound (or computed exactly, where the
+    # bound straddles the level).  The replicator start stays above t on
     # these draws; started at the planted minimizer itself, a float x^T Q x
     # lands a few ulps below t on 9 of them, and hi would miss t
     draws = [gen_planted_qp(8, 4, -10.0, seed) for seed in range(40)]
