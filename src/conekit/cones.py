@@ -14,13 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lp as lpmod
-from .linalg import (
-    EigenPair,
-    as_sym_matrix,
-    eigen_decompose,
-    is_psd_cholesky,
-    unit_scale,
-)
+from .linalg import as_sym_matrix, eigen_decompose, is_psd_cholesky, unit_scale
 
 MEMBER = "member"
 NOT_IDENTIFIED = "not_identified"
@@ -145,15 +139,14 @@ def build_lp(a: np.ndarray, vectors: np.ndarray, capped=False):
 
 
 def check_membership_lp(
-    a: np.ndarray, ep: EigenPair, family: str, capped=False
+    a: np.ndarray, p: np.ndarray, family: str, capped=False
 ) -> MembershipVerdict:
-    """Solve build_lp over sd_basis(ep.P, family) for a factorization ep of
-    A and assemble the witness on success: S = R R^T with R = V sqrt(y),
-    PSD by construction, and N = A - S.  The witness holds for any basis,
-    so ep is not checked: the pairs the package builds are A's by
-    construction.  A capped LP gives the same verdict, and its alpha_star
-    is min(alpha*, max(alpha0, 0))."""
-    return _lp_families(a, [ep.P], [family], capped)[0][0]
+    """Solve build_lp over sd_basis(p, family) for a nonsingular basis p,
+    A's eigenvectors for the paper's LP, and assemble the witness on
+    success: S = R R^T with R = V sqrt(y), PSD by construction, and N = A -
+    S.  The witness holds for any basis, so p is not checked.  A capped LP
+    gives the same verdict, and its alpha_star is min(alpha*, max(alpha0, 0))."""
+    return _lp_families(a, [p], [family], capped)[0][0]
 
 
 def _lp_families(a: np.ndarray, bases, families, capped):
@@ -210,25 +203,26 @@ def _lp_verdict(a, vectors, sol, alpha0, family, cols) -> MembershipVerdict:
     )
 
 
-def psd_split(a: np.ndarray, ep: EigenPair):
-    """Split A = A_plus - A_minus by clipping the negative eigenvalues of ep,
-    a decomposition P diag(lam) P^T of A.  Returns (A_plus, A_minus), both
-    PSD when ep reconstructs A, as the callers' pairs do."""
-    a_plus = EigenPair(ep.P, np.maximum(ep.lam, 0.0)).reconstruct()
+def psd_split(a: np.ndarray, lam: np.ndarray, p: np.ndarray):
+    """Split A = A_plus - A_minus by clipping the negative eigenvalues of a
+    decomposition P diag(lam) P^T of A.  Returns (A_plus, A_minus), both PSD
+    when the pair reconstructs A, as the callers' pairs do."""
+    a_plus = (p * np.maximum(lam, 0.0)) @ p.T
+    a_plus = (a_plus + a_plus.T) / 2.0
     return a_plus, a_plus - a
 
 
-def in_L_bomze(a: np.ndarray, ep: EigenPair) -> MembershipVerdict:
+def in_L_bomze(a: np.ndarray, lam: np.ndarray, p: np.ndarray) -> MembershipVerdict:
     """Copositivity certificate via the eigenvalue-clip split.
 
     Finds a nonnegative x with A_plus x >= e as the row multipliers of the
     dual LP  max e.y  s.t.  A_plus y <= e, y >= 0, which is feasible at
     y = 0; when the per-coordinate curvature inequalities hold at x, A is
     certified copositive.  No S + N witness is claimed.  An unbounded dual
-    means no such x exists, and the test cannot identify A.  ep is an
-    orthogonal decomposition of A, as membership_report hands it.
+    means no such x exists, and the test cannot identify A.  (lam, p) is
+    eigen_decompose(a), as membership_report hands it.
     """
-    a_plus, a_minus = psd_split(a, ep)
+    a_plus, a_minus = psd_split(a, lam, p)
     prog = lpmod.LinearProgram(np.ones(len(a)), a_plus, 1.0)
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
@@ -250,9 +244,10 @@ def is_diagonally_dominant(a: np.ndarray) -> bool:
     return bool(np.all(np.diag(a) >= off))
 
 
-def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdict:
+def _dispatch(a: np.ndarray, cone: str, eig) -> MembershipVerdict:
     """One test of N, DD, H or L on a matrix that as_sym_matrix already
-    returned; the LP families are _lp_families'."""
+    returned, L's on eig = eigen_decompose(a); the LP families are
+    _lp_families'."""
     if cone == "N":
         if np.min(a) >= 0.0:
             return MembershipVerdict(
@@ -267,7 +262,7 @@ def _dispatch(a: np.ndarray, cone: str, ep: EigenPair | None) -> MembershipVerdi
         return MembershipVerdict(NOT_IDENTIFIED, "DD")
     if cone == "H":
         return in_H(a)
-    return in_L_bomze(a, ep)
+    return in_L_bomze(a, *eig)
 
 
 def _cell_test(a: np.ndarray, family: str, inherited: np.ndarray | None):
@@ -281,13 +276,13 @@ def _cell_test(a: np.ndarray, family: str, inherited: np.ndarray | None):
     to T^T S T, in the inherited G columns, plus T^T N T."""
     if family not in LP_FAMILIES:
         return ("member" if _dispatch(a, family, None).is_member else None), None
-    bases = [p for p in (inherited, eigen_decompose(a).P) if p is not None]
+    bases = [p for p in (inherited, eigen_decompose(a)[1]) if p is not None]
     verdicts, r = _lp_families(a, bases, [family], True)
     kinds = ("member_inherited", "member")[-len(bases):]
     kind = next((kind for kind, v in zip(kinds, verdicts) if v.is_member), None)
     if kind is None and any(v.note == f"lp-{lpmod.NUMERICAL}" for v in verdicts):
         kind = lpmod.NUMERICAL
-    return kind, None if r is None else eigen_decompose(r @ r.T).P
+    return kind, None if r is None else eigen_decompose(r @ r.T)[1]
 
 
 def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict]:
@@ -295,13 +290,13 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
     CONE_ORDER's order; [cone] asks for one.  Names outside CONE_ORDER are
     refused before any work, and A is decided at linalg.unit_scale's scale.
 
-    The LP families and the L test share one orthogonal decomposition of A,
-    made here; the LP families asked for are the stages of one simplex, G,
+    The LP families and the L test share one eigendecomposition of A, made
+    here; the LP families asked for are the stages of one simplex, G,
     F+, F+- (_lp_families), and G keeps its own LP's bits.  Every LP family
     poses the capped detection LP (build_lp), which stops once the floor
     reaches 0: the verdicts are the uncapped LP's, and a member's alpha_star
     is min(alpha*, max(alpha0, 0)) up to rounding, alpha0 being A's least
-    entry; check_membership_lp(a, ep, family) gives alpha* itself.  A stage
+    entry; check_membership_lp(a, p, family) gives alpha* itself.  A stage
     at the cap decides the wider families: a G member there carries G's
     witness and alpha_star into F+ and F+-, as the subcones nest.  An LP
     that ends lp.NUMERICAL is NOT_IDENTIFIED with the note "lp-numerical".
@@ -320,13 +315,13 @@ def membership_report(a: np.ndarray, cones=CONE_ORDER) -> list[MembershipVerdict
     order = [c for c in CONE_ORDER if c in wanted]
     families = [c for c in order if c in LP_FAMILIES]  # one step, one simplex
     steps = [families if [c] == families[:1] else [c] for c in order if c not in families[1:]]
-    ep, verdicts = None, []
+    eig, verdicts = None, []  # (lam, P), made once
     for step in steps:
         try:
-            if ep is None and step[0] in (*LP_FAMILIES, "L"):
-                ep = eigen_decompose(a)
-            found = (_lp_families(a, [ep.P], step, True)[0] if step[0] in LP_FAMILIES
-                     else [_dispatch(a, *step, ep)])
+            if eig is None and step[0] in (*LP_FAMILIES, "L"):
+                eig = eigen_decompose(a)
+            found = (_lp_families(a, [eig[1]], step, True)[0] if step[0] in LP_FAMILIES
+                     else [_dispatch(a, *step, eig)])
         except (ArithmeticError, ValueError) as exc:  # record, keep testing
             note = f"error: {exc}"
             found = [MembershipVerdict(NOT_IDENTIFIED, c, note=note) for c in step]

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
 
@@ -100,25 +99,9 @@ def unit_scale(a: np.ndarray):
     return scaled, k
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """A factorization A = P diag(lam) P^T.
-
-    ``orthogonal`` marks whether P is orthogonal; congruence-derived pairs
-    carry a merely nonsingular P.
-    """
-
-    P: np.ndarray
-    lam: np.ndarray
-    orthogonal: bool = True
-
-    def reconstruct(self) -> np.ndarray:
-        a = (self.P * self.lam) @ self.P.T
-        return (a + a.T) / 2.0
-
-
-def eigen_decompose(a: np.ndarray) -> EigenPair:
-    """Diagonalize a symmetric float matrix with ``numpy.linalg.eigh``.
+def eigen_decompose(a: np.ndarray):
+    """Diagonalize a symmetric float matrix with ``numpy.linalg.eigh``: (lam,
+    P), in eigh's order, with A = P diag(lam) P^T and P's columns orthonormal.
 
     Eigenvalues come back in descending order; equal eigenvalues keep
     LAPACK's order, so a diagonal input yields signed unit vectors.  Each
@@ -133,7 +116,7 @@ def eigen_decompose(a: np.ndarray) -> EigenPair:
     rows = v.T[order]  # row k is the k-th eigenvector
     flip = [hashlib.sha256(row).digest()[0] & 1 for row in rows]
     np.negative(rows, out=rows, where=np.array(flip, dtype=bool)[:, None])
-    return EigenPair(rows.T, lam[order], True)
+    return lam[order], rows.T
 
 
 def is_psd_cholesky(a: np.ndarray) -> bool:

@@ -17,7 +17,7 @@ from conekit.copositivity import (
     CopoConfig,
 )
 from conekit.copositivity import test_copositive as run_copositive
-from conekit.linalg import EigenPair, eigen_decompose
+from conekit.linalg import eigen_decompose
 
 M1 = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, -3.0], [2.0, -3.0, 6.0]])
 M2 = np.array([[1.0, 5.0, -2.0], [5.0, 1.0, -2.0], [-2.0, -2.0, 4.0]])
@@ -34,17 +34,15 @@ def report(num: int, label: str, ok: bool, detail: str = ""):
 def test_criterion_01_fixture_matrices():
     started = time.monotonic()
     h1 = cones.in_H(M1)
-    g1 = cones.check_membership_lp(M1, eigen_decompose(M1), "G")
+    g1 = cones.check_membership_lp(M1, eigen_decompose(M1)[1], "G")
     h2 = cones.in_H(M2)
-    # non-orthogonal factorization assembled from the explicit decomposition
-    # M2 = vv^T + N, which the detection LP certifies exactly
+    # the basis of a non-orthogonal factorization M2 = P diag(1, 4, -4) P^T
+    # assembled from the explicit decomposition M2 = vv^T + N, which the
+    # detection LP certifies exactly
     v = np.array([1.0, 1.0, -2.0])
     u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    ep2 = EigenPair(
-        np.column_stack([v, u, w]), np.array([1.0, 4.0, -4.0]), orthogonal=False
-    )
-    f2 = cones.check_membership_lp(M2, ep2, "Fpm")
+    f2 = cones.check_membership_lp(M2, np.column_stack([v, u, w]), "Fpm")
     res = f2.witness_residuals(M2) if f2.is_member else {"split": np.inf, "n_min": -1}
     elapsed = time.monotonic() - started
     ok = (
@@ -68,14 +66,14 @@ def test_criterion_02_identification_rates():
     counts10 = {"H": 0, "G": 0, "Fplus": 0, "Fpm": 0}
     for seed in range(n_samples):
         a, _, _ = instances.gen_random_spn(10, seed)
-        ep = eigen_decompose(a)
+        p = eigen_decompose(a)[1]
         counts10["H"] += cones.in_H(a).is_member
         for fam in ("G", "Fplus", "Fpm"):
-            counts10[fam] += cones.check_membership_lp(a, ep, fam).is_member
+            counts10[fam] += cones.check_membership_lp(a, p, fam).is_member
     fpm20 = 0
     for seed in range(n_samples):
         a, _, _ = instances.gen_random_spn(20, seed)
-        fpm20 += cones.check_membership_lp(a, eigen_decompose(a), "Fpm").is_member
+        fpm20 += cones.check_membership_lp(a, eigen_decompose(a)[1], "Fpm").is_member
     elapsed = time.monotonic() - started
     ok = (
         counts10["Fpm"] == n_samples
@@ -95,14 +93,14 @@ def test_criterion_03_lp_sizes():
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        ep = eigen_decompose(a)
+        p = eigen_decompose(a)[1]
         sizes = {
             "G": (n + 1, n * (n + 3) // 2),
             "Fplus": (n * (n + 1) // 2 + 1, n * (n + 1)),
             "Fpm": (n * n + 1, n * (3 * n + 1) // 2),
         }
         for fam, (nvars, nrows) in sizes.items():
-            prog, _ = cones.build_lp(a, cones.sd_basis(ep.P, fam))
+            prog, _ = cones.build_lp(a, cones.sd_basis(p, fam))
             # each cap is one constraint, as the paper counts them, here the
             # y >= 0 of each omega column; beta >= 0 is not one of them
             ok = (ok and prog.n_vars == nvars
@@ -119,10 +117,10 @@ def test_criterion_04_alpha_nesting():
         n = int(rng.integers(2, 16))
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        ep = eigen_decompose(a)
-        ag = cones.check_membership_lp(a, ep, "G").alpha_star
-        ap = cones.check_membership_lp(a, ep, "Fplus").alpha_star
-        am = cones.check_membership_lp(a, ep, "Fpm").alpha_star
+        p = eigen_decompose(a)[1]
+        ag = cones.check_membership_lp(a, p, "G").alpha_star
+        ap = cones.check_membership_lp(a, p, "Fplus").alpha_star
+        am = cones.check_membership_lp(a, p, "Fpm").alpha_star
         worst = max(worst, ag - ap, ap - am)
         ok = ok and ag <= ap + 1e-7 and ap <= am + 1e-7
     report(4, "optimal-value nesting G <= F+ <= F+- on 200 matrices", ok,
@@ -136,19 +134,19 @@ def test_criterion_05_nonneg_and_psd_in_g():
         n = int(rng.integers(2, 8))
         a = rng.uniform(0.0, 1.0, size=(n, n))
         a = a + a.T
-        ok = ok and cones.check_membership_lp(a, eigen_decompose(a), "G").is_member
+        ok = ok and cones.check_membership_lp(a, eigen_decompose(a)[1], "G").is_member
     for _ in range(200):
         n = int(rng.integers(2, 8))
         b = rng.normal(size=(n, n))
         psd = b @ b.T
         ok = ok and cones.check_membership_lp(
-            psd, eigen_decompose(psd), "G"
+            psd, eigen_decompose(psd)[1], "G"
         ).is_member
     for _ in range(100):
         b = rng.normal(size=(2, 2))
         f = rng.uniform(0.0, 1.0, size=(2, 2))
         a = b @ b.T + f + f.T
-        ok = ok and cones.check_membership_lp(a, eigen_decompose(a), "G").is_member
+        ok = ok and cones.check_membership_lp(a, eigen_decompose(a)[1], "G").is_member
     report(5, "nonnegative, PSD, and 2x2 sum samples all G members", ok)
 
 
@@ -252,11 +250,11 @@ def test_criterion_09_iteration_ordering():
 
 def test_criterion_10_l_cone():
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    v = cones.in_L_bomze(a, eigen_decompose(a))
+    v = cones.in_L_bomze(a, *eigen_decompose(a))
     ok = (not v.is_member) and "infeasible" in v.note
     for n in (2, 5, 10):
         e = np.eye(n)
-        ok = ok and cones.in_L_bomze(e, eigen_decompose(e)).is_member
+        ok = ok and cones.in_L_bomze(e, *eigen_decompose(e)).is_member
     report(10, "coordinate-certificate cone: infeasible and identity cases", ok)
 
 

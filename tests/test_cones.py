@@ -7,7 +7,6 @@ from conekit import cones, instances, lp
 from conekit.copositivity import bisect
 from conekit.linalg import (
     PSD_TOL,
-    EigenPair,
     congruence,
     eigen_decompose,
     is_psd_cholesky,
@@ -26,14 +25,12 @@ M2_ALPHA_FPM = -0.33770871866841756
 
 
 def m2_hat_pair():
-    """Non-orthogonal factorization of M2 assembled from its explicit
-    PSD-plus-nonnegative decomposition M2 = vv^T + N."""
+    """(lam, P): a non-orthogonal factorization M2 = P diag(lam) P^T assembled
+    from its explicit PSD-plus-nonnegative decomposition M2 = vv^T + N."""
     v = np.array([1.0, 1.0, -2.0])
     u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    return EigenPair(
-        np.column_stack([v, u, w]), np.array([1.0, 4.0, -4.0]), orthogonal=False
-    )
+    return np.array([1.0, 4.0, -4.0]), np.column_stack([v, u, w])
 
 
 def test_split_nonneg_examples():
@@ -111,7 +108,7 @@ def test_build_lp_pair_rows_are_the_sd_basis():
         p = rng.normal(size=(n, n))
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        for basis in (p, eigen_decompose(a).P):
+        for basis in (p, eigen_decompose(a)[1]):
             iu, ju = np.triu_indices(n)
             for family, mats in _family_bases(basis).items():
                 prog, alpha0 = cones.build_lp(a, cones.sd_basis(basis, family))
@@ -146,7 +143,7 @@ def test_lp_layout_matches_the_sd_basis():
     for n in range(1, 17):
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        p = eigen_decompose(a).P
+        p = eigen_decompose(a)[1]
         iu, ju = np.triu_indices(n)
         alpha0 = float(np.min(a[iu, ju]))
         for basis in (p, np.ascontiguousarray(rng.normal(size=(n, n)))):
@@ -188,7 +185,7 @@ def test_build_lp_gives_one_lp_for_every_memory_order_of_its_vectors():
     for n in (2, 5, 8, 16):
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        vectors = cones.sd_basis(eigen_decompose(a).P, "Fpm")
+        vectors = cones.sd_basis(eigen_decompose(a)[1], "Fpm")
         wide = np.full((2 * n, 3 * vectors.shape[1]), np.nan)
         wide[::2, ::3] = vectors
         layouts = [vectors, np.ascontiguousarray(vectors), wide[::2, ::3]]
@@ -202,15 +199,15 @@ def test_build_lp_gives_one_lp_for_every_memory_order_of_its_vectors():
                 assert alpha0 == floor
 
 
-def _paper_lp_alpha(optimize, ep, family):
+def _paper_lp_alpha(optimize, lam, p, family):
     """alpha* of the paper's unshifted detection LP, solved by HiGHS:
     max alpha  s.t.  sum_k omega_k E_k >= alpha entrywise (i <= j),
     omega_k <= lambda_i on the (i, i) terms and <= 0 on the rest."""
-    n = ep.P.shape[0]
-    mats = _family_bases(ep.P)[family]
+    n = p.shape[0]
+    mats = _family_bases(p)[family]
     iu, ju = np.triu_indices(n)
     caps = np.zeros(len(mats))
-    caps[np.arange(n) if family == "G" else np.flatnonzero(iu == ju)] = ep.lam
+    caps[np.arange(n) if family == "G" else np.flatnonzero(iu == ju)] = lam
     rows = np.column_stack([m[iu, ju] for m in mats] + [-np.ones(iu.size)])
     ref = optimize.linprog(
         np.append(np.zeros(len(mats)), -1.0),
@@ -236,18 +233,17 @@ def test_detection_lp_alpha_matches_highs(monkeypatch):
         for k in range(6):
             a = rng.normal(size=(n, n))
             a = instances.gen_random_spn(n, k)[0] if k % 2 else (a + a.T) / 2
-            ep = eigen_decompose(a)
+            lam, p = eigen_decompose(a)
             v = rng.uniform(0.0, 1.0, size=(n, n)) + np.eye(n)
-            hat = EigenPair(v.T @ ep.P, ep.lam, orthogonal=False)
-            for mat, pair in ((a, ep), (v.T @ a @ v, hat)):
+            for mat, basis in ((a, p), (v.T @ a @ v, v.T @ p)):
                 mat = (mat + mat.T) / 2
                 for family in cones.LP_FAMILIES:
-                    verdict = cones.check_membership_lp(mat, pair, family)
-                    ref = _paper_lp_alpha(optimize, pair, family)
+                    verdict = cones.check_membership_lp(mat, basis, family)
+                    ref = _paper_lp_alpha(optimize, lam, basis, family)
                     assert abs(verdict.alpha_star - ref) <= 1e-7 * max(1.0, abs(ref))
                     checked += 1
                     if n == 16:
-                        vectors = cones.sd_basis(pair.P, family)
+                        vectors = cones.sd_basis(basis, family)
                         with monkeypatch.context() as patched:
                             patched.setattr(lp, "_REFACTOR_EVERY", 100)
                             sol = lp.solve(cones.build_lp(mat, vectors)[0])
@@ -263,11 +259,11 @@ def test_n_part_is_the_weighted_basis_sum():
     for n in (3, 5, 8):
         b = rng.normal(size=(n, n))
         a = b @ b.T
-        ep = eigen_decompose(a)
-        for family, mats in _family_bases(ep.P).items():
-            v = cones.check_membership_lp(a, ep, family)
+        p = eigen_decompose(a)[1]
+        for family, mats in _family_bases(p).items():
+            v = cones.check_membership_lp(a, p, family)
             assert v.is_member
-            prog, _ = cones.build_lp(a, cones.sd_basis(ep.P, family))
+            prog, _ = cones.build_lp(a, cones.sd_basis(p, family))
             y = lp.solve(prog).x[: len(mats)]
             expect = sum(w * m for w, m in zip(y, mats))
             scale = max(1.0, float(np.max(np.abs(expect))))
@@ -285,10 +281,10 @@ def test_g_and_fpm_do_not_depend_on_the_eigenvector_signs(n, seed, spn, flips):
     a = instances.gen_random_spn(n, seed)[0] if spn else (
         np.random.default_rng(seed).normal(size=(n, n)))
     a = (a + a.T) / 2
-    ep = eigen_decompose(a)
-    flipped = EigenPair(ep.P * np.where(flips[:n], -1.0, 1.0), ep.lam)
+    p = eigen_decompose(a)[1]
+    flipped = p * np.where(flips[:n], -1.0, 1.0)
     for family in ("G", "Fpm"):
-        v, w = (cones.check_membership_lp(a, pair, family) for pair in (ep, flipped))
+        v, w = (cones.check_membership_lp(a, basis, family) for basis in (p, flipped))
         assert v.status == w.status
         assert abs(v.alpha_star - w.alpha_star) <= 1e-9 * np.max(np.abs(a))
 
@@ -315,31 +311,31 @@ def test_fplus_depends_on_the_eigenvector_signs():
     # p_0 + p_1: one sign gives G's alpha*, the other F+-'s.  That is why
     # eigen_decompose fixes each sign, so that one input gets one answer
     a = np.array([[2.0, -1.0], [-1.0, 6.0]])
-    ep = eigen_decompose(a)
+    p = eigen_decompose(a)[1]
     alphas = sorted(
-        cones.check_membership_lp(a, EigenPair(ep.P * s, ep.lam), "Fplus").alpha_star
+        cones.check_membership_lp(a, p * s, "Fplus").alpha_star
         for s in ([1.0, 1.0], [1.0, -1.0])
     )
-    g, fpm = (cones.check_membership_lp(a, ep, f).alpha_star for f in ("G", "Fpm"))
+    g, fpm = (cones.check_membership_lp(a, p, f).alpha_star for f in ("G", "Fpm"))
     assert alphas == pytest.approx([g, fpm], abs=1e-12)
     assert fpm - g > 0.4
 
 
 def test_membership_diag_nonneg_is_g_member():
     a = np.diag([1.0, 2.0])
-    v = cones.check_membership_lp(a, eigen_decompose(a), "G")
+    v = cones.check_membership_lp(a, eigen_decompose(a)[1], "G")
     assert v.is_member
     assert v.alpha_star >= 0.0
 
 
 def test_m1_g_not_identified():
-    v = cones.check_membership_lp(M1, eigen_decompose(M1), "G")
+    v = cones.check_membership_lp(M1, eigen_decompose(M1)[1], "G")
     assert not v.is_member
     assert v.alpha_star == pytest.approx(M1_ALPHA_G, abs=1e-6)
 
 
 def test_m1_fpm_member_with_witness():
-    v = cones.check_membership_lp(M1, eigen_decompose(M1), "Fpm")
+    v = cones.check_membership_lp(M1, eigen_decompose(M1)[1], "Fpm")
     assert v.is_member
     assert v.alpha_star == pytest.approx(M1_ALPHA_FPM, abs=1e-6)
     res = v.witness_residuals(M1)
@@ -355,24 +351,24 @@ def test_m1_fpm_member_with_witness():
 
 
 def test_not_identified_verdict_has_no_witness_residuals():
-    v = cones.check_membership_lp(M1, eigen_decompose(M1), "G")
+    v = cones.check_membership_lp(M1, eigen_decompose(M1)[1], "G")
     assert not v.is_member and v.witness_residuals(M1) == {}
 
 
 def test_m2_orthogonal_pair_values():
-    ep = eigen_decompose(M2)
-    g = cones.check_membership_lp(M2, ep, "G")
+    p = eigen_decompose(M2)[1]
+    g = cones.check_membership_lp(M2, p, "G")
     assert not g.is_member
     assert g.alpha_star == pytest.approx(M2_ALPHA_G, abs=1e-6)
-    f = cones.check_membership_lp(M2, ep, "Fpm")
+    f = cones.check_membership_lp(M2, p, "Fpm")
     assert not f.is_member
     assert f.alpha_star == pytest.approx(M2_ALPHA_FPM, abs=1e-6)
 
 
 def test_m2_hat_pair_fpm_member():
-    ep = m2_hat_pair()
-    assert np.max(np.abs(ep.reconstruct() - M2)) <= 1e-12 * np.max(np.abs(M2))
-    v = cones.check_membership_lp(M2, ep, "Fpm")
+    lam, p = m2_hat_pair()
+    assert np.max(np.abs((p * lam) @ p.T - M2)) <= 1e-12 * np.max(np.abs(M2))
+    v = cones.check_membership_lp(M2, p, "Fpm")  # the basis alone
     assert v.is_member
     assert v.cone == "Fpm"  # any pair gives a sound witness, and one name
     res = v.witness_residuals(M2)
@@ -388,9 +384,9 @@ def test_alpha_star_nesting():
         n = int(rng.integers(2, 9))
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        ep = eigen_decompose(a)
+        p = eigen_decompose(a)[1]
         verdicts = {
-            fam: cones.check_membership_lp(a, ep, fam) for fam in ("G", "Fplus", "Fpm")
+            fam: cones.check_membership_lp(a, p, fam) for fam in ("G", "Fplus", "Fpm")
         }
         alphas = {fam: v.alpha_star for fam, v in verdicts.items()}
         # every member's witness passes a check that does not trust the LP
@@ -411,9 +407,9 @@ def test_alpha_star_upper_bound():
         n = int(rng.integers(2, 8))
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        ep = eigen_decompose(a)
+        p = eigen_decompose(a)[1]
         for fam in ("G", "Fplus", "Fpm"):
-            alpha = cones.check_membership_lp(a, ep, fam).alpha_star
+            alpha = cones.check_membership_lp(a, p, fam).alpha_star
             assert alpha <= float(np.min(np.diag(a))) + 1e-7
 
 
@@ -423,10 +419,10 @@ def test_nonneg_and_psd_are_g_members():
         n = int(rng.integers(2, 7))
         a = rng.uniform(0.0, 1.0, size=(n, n))
         a = a + a.T
-        assert cones.check_membership_lp(a, eigen_decompose(a), "G").is_member
+        assert cones.check_membership_lp(a, eigen_decompose(a)[1], "G").is_member
         b = rng.normal(size=(n, n))
         psd = b @ b.T
-        v = cones.check_membership_lp(psd, eigen_decompose(psd), "G")
+        v = cones.check_membership_lp(psd, eigen_decompose(psd)[1], "G")
         assert v.is_member
         assert v.alpha_star >= -1e-9
 
@@ -438,7 +434,7 @@ def test_two_by_two_sum_always_g_member():
         s = b @ b.T
         f = rng.uniform(0.0, 1.0, size=(2, 2))
         a = s + f + f.T
-        assert cones.check_membership_lp(a, eigen_decompose(a), "G").is_member
+        assert cones.check_membership_lp(a, eigen_decompose(a)[1], "G").is_member
 
 
 def test_conic_closure_of_witnesses():
@@ -446,7 +442,7 @@ def test_conic_closure_of_witnesses():
     b = rng.normal(size=(4, 4))
     a = b @ b.T + rng.uniform(0.0, 1.0, size=(4, 4)) + np.eye(4)
     a = (a + a.T) / 2
-    v = cones.check_membership_lp(a, eigen_decompose(a), "Fpm")
+    v = cones.check_membership_lp(a, eigen_decompose(a)[1], "Fpm")
     assert v.is_member
     for c in (0.5, 3.0):
         s_scaled, n_scaled = c * v.s_part, c * v.n_part
@@ -458,22 +454,25 @@ def test_conic_closure_of_witnesses():
 
 def test_witness_is_sound_for_a_pair_inside_the_tolerance():
     # a pair with every lambda moved by 4e-7 max|A| is off A by up to 1e-6
-    # max|A|, as a pair built from rounded data can be; S = R R^T is built from
-    # the LP's y alone, so it stays PSD, and N is the rest of A bit for bit
+    # max|A|, as a pair built from rounded data can be; the LP reads only P,
+    # S = R R^T is built from the LP's y alone, so it stays PSD, and N is the
+    # rest of A bit for bit
     members = 0
     for seed in range(20):
         a = instances.gen_random_spn(8, seed)[0]
         scale = float(np.max(np.abs(a)))
-        ep = eigen_decompose(a)
+        lam, p = eigen_decompose(a)
+        assert np.all(np.diff(lam) <= 0.0)
+        assert np.max(np.abs(p.T @ p - np.eye(8))) <= 1e-12
         for sign in (1.0, -1.0):
-            pair = EigenPair(ep.P, ep.lam + sign * 4e-7 * scale)
-            assert np.max(np.abs(pair.reconstruct() - a)) <= 1e-6 * scale
-            for family in cones.LP_FAMILIES:
-                v = cones.check_membership_lp(a, pair, family)
-                if v.is_member:
-                    members += 1
-                    assert np.min(np.linalg.eigvalsh(v.s_part)) >= -1e-12 * scale
-                    assert np.array_equal(v.n_part, a - v.s_part)
+            moved = lam + sign * 4e-7 * scale
+            assert np.max(np.abs((p * moved) @ p.T - a)) <= 1e-6 * scale
+        for family in cones.LP_FAMILIES:
+            v = cones.check_membership_lp(a, p, family)
+            if v.is_member:
+                members += 1
+                assert np.min(np.linalg.eigvalsh(v.s_part)) >= -1e-12 * scale
+                assert np.array_equal(v.n_part, a - v.s_part)
     assert members > 0
 
 
@@ -505,7 +504,7 @@ def test_membership_report_rejects_a_string_of_cones():
 
 def test_lp_iteration_limit_is_not_member(monkeypatch):
     monkeypatch.setattr(lp, "_PIVOTS_PER_SIZE", 0)  # a budget of no pivot
-    v = cones.check_membership_lp(M1, eigen_decompose(M1), "Fpm")
+    v = cones.check_membership_lp(M1, eigen_decompose(M1)[1], "Fpm")
     assert not v.is_member
     assert v.note == "lp-iteration_limit"
 
@@ -515,7 +514,7 @@ def test_fpm_lp_pivot_budget():
     # takes 319-492 pivots on these draws, Dantzig pricing 1839-2524
     for seed in range(3):
         a = instances.gen_random_spn(20, seed)[0]
-        prog, _ = cones.build_lp(a, cones.sd_basis(eigen_decompose(a).P, "Fpm"))
+        prog, _ = cones.build_lp(a, cones.sd_basis(eigen_decompose(a)[1], "Fpm"))
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
         assert sol.iterations <= 800
@@ -525,10 +524,10 @@ def test_detection_lps_report_their_pivot_counts(monkeypatch):
     # an interval below the F+- LP's length, so the count is exercised
     monkeypatch.setattr(lp, "_REFACTOR_EVERY", 100)
     a = instances.gen_random_spn(16, 3)[0]
-    ep = eigen_decompose(a)
+    p = eigen_decompose(a)[1]
     long_runs = 0
     for family in cones.LP_FAMILIES:
-        sol = lp.solve(cones.build_lp(a, cones.sd_basis(ep.P, family))[0])
+        sol = lp.solve(cones.build_lp(a, cones.sd_basis(p, family))[0])
         assert sol.status == lp.OPTIMAL
         assert sol.bland_pivots == 0
         # one refactorization per _REFACTOR_EVERY pivots, plus at most the refine
@@ -578,16 +577,16 @@ def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
     seen = set()
     for a, inherited in cells:
         n, scale = len(a), max(1.0, float(np.max(np.abs(a))))
-        bases = [] if inherited is None else [EigenPair(inherited, np.zeros(n))]
-        for ep in [eigen_decompose(a), *bases]:
+        bases = [] if inherited is None else [inherited]
+        for basis in [eigen_decompose(a)[1], *bases]:
             for family in cones.LP_FAMILIES:
-                full = cones.check_membership_lp(a, ep, family)
-                capped = cones.check_membership_lp(a, ep, family, capped=True)
+                full = cones.check_membership_lp(a, basis, family)
+                capped = cones.check_membership_lp(a, basis, family, capped=True)
                 assert capped.is_member == full.is_member
                 assert capped.cone == full.cone
                 assert pivots[-1] <= pivots[-2]
                 prog, alpha0 = cones.build_lp(
-                    a, cones.sd_basis(ep.P, family), capped=True
+                    a, cones.sd_basis(basis, family), capped=True
                 )
                 cap = max(alpha0, 0.0)
                 assert abs(capped.alpha_star - min(full.alpha_star, cap)) <= 1e-12 * scale
@@ -599,7 +598,7 @@ def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
     # an entrywise nonnegative cell is certified at its alpha0 in one pivot
     a = instances.gen_random_spn(5, 0)[2] + 0.25
     for family in cones.LP_FAMILIES:
-        v = cones.check_membership_lp(a, eigen_decompose(a), family, capped=True)
+        v = cones.check_membership_lp(a, eigen_decompose(a)[1], family, capped=True)
         assert v.is_member and pivots[-1] <= 1
         assert abs(v.alpha_star - float(np.min(a))) <= 1e-12
 
@@ -608,43 +607,43 @@ def test_psd_split_examples():
     rng = np.random.default_rng(2)
     b = rng.normal(size=(3, 3))
     psd = b @ b.T
-    a_plus, a_minus = cones.psd_split(psd, eigen_decompose(psd))
+    a_plus, a_minus = cones.psd_split(psd, *eigen_decompose(psd))
     assert np.allclose(a_plus, psd, atol=1e-9)
     assert np.allclose(a_minus, 0.0, atol=1e-9)
 
     d = np.diag([1.0, -2.0])
-    a_plus, a_minus = cones.psd_split(d, eigen_decompose(d))
+    a_plus, a_minus = cones.psd_split(d, *eigen_decompose(d))
     assert np.allclose(a_plus, np.diag([1.0, 0.0]), atol=1e-12)
     assert np.allclose(a_minus, np.diag([0.0, 2.0]), atol=1e-12)
 
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    a_plus, _ = cones.psd_split(a, eigen_decompose(a))
+    a_plus, _ = cones.psd_split(a, *eigen_decompose(a))
     assert np.allclose(a_plus, a, atol=1e-9)
 
 
 def test_in_l_examples():
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    v = cones.in_L_bomze(a, eigen_decompose(a))
+    v = cones.in_L_bomze(a, *eigen_decompose(a))
     assert not v.is_member
     assert "infeasible" in v.note
 
     for n in (2, 5, 10):
         e = np.eye(n)
-        assert cones.in_L_bomze(e, eigen_decompose(e)).is_member
+        assert cones.in_L_bomze(e, *eigen_decompose(e)).is_member
 
     b = 2.0 * np.ones((2, 2))
-    assert cones.in_L_bomze(b, eigen_decompose(b)).is_member
+    assert cones.in_L_bomze(b, *eigen_decompose(b)).is_member
 
     # A_plus = diag(1, 0) has a zero row, so no x has A_plus x >= e: the
     # dual LP is unbounded
     d = np.diag([1.0, -1.0])
-    v = cones.in_L_bomze(d, eigen_decompose(d))
+    v = cones.in_L_bomze(d, *eigen_decompose(d))
     assert v.status == cones.NOT_IDENTIFIED
     assert "infeasible" in v.note
 
 
 def test_membership_report_decomposes_once_for_lp_and_l_tests(monkeypatch):
-    # the L test clips the eigenvalues of the report's own orthogonal pair,
+    # the L test clips the eigenvalues of the report's own (lam, P),
     # so its verdict is bitwise the one it reaches on a fresh decomposition
     calls = []
 
@@ -663,7 +662,7 @@ def test_membership_report_decomposes_once_for_lp_and_l_tests(monkeypatch):
             l_test = cones.membership_report(a, cones=selection)[-1]
             assert len(calls) == 1
             assert l_test.cone == "L"
-            alone = cones.in_L_bomze(a, eigen_decompose(a))
+            alone = cones.in_L_bomze(a, *eigen_decompose(a))
             assert (l_test.status, l_test.note) == (alone.status, alone.note)
             notes.add(alone.note)
     assert len(notes) == 3
@@ -767,10 +766,10 @@ def test_one_family_alone_is_its_own_capped_lp():
     members = 0
     for seed in range(6):
         u = unit_scale(instances.gen_random_spn(6, seed)[0])[0]
-        ep = eigen_decompose(u)
+        p = eigen_decompose(u)[1]
         for family in cones.LP_FAMILIES:
-            (v,), _ = cones._lp_families(u, [ep.P], [family], True)
-            assert _fields(v) == _fields(cones.check_membership_lp(u, ep, family, capped=True))
+            (v,), _ = cones._lp_families(u, [p], [family], True)
+            assert _fields(v) == _fields(cones.check_membership_lp(u, p, family, capped=True))
             if v.is_member:
                 members += 1
                 assert np.min(v.n_part) >= v.alpha_star - 1e-12, (seed, family)
@@ -792,8 +791,7 @@ def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
         for cone in ("G", "L"):
             (alone,) = cones.membership_report(a, [cone])
             assert _fields(report[cone]) == _fields(alone)
-        ep = eigen_decompose(a)
-        prog, alpha0 = cones.build_lp(a, cones.sd_basis(ep.P, "Fpm"), capped=True)
+        prog, alpha0 = cones.build_lp(a, cones.sd_basis(eigen_decompose(a)[1], "Fpm"), capped=True)
         sol = solve(prog, held=[np.flatnonzero(level == 1), np.flatnonzero(level == 2)])
         assert [report[f].alpha_star for f in cones.LP_FAMILIES] == [
             alpha0 + s.objective_value for s in sol.stages]
@@ -868,7 +866,7 @@ def _diagonal_scaling_draws(count):
         a = instances.gen_random_spn(n, int(rng.integers(10**6)))[0]
         if i % 2:
             u, e = unit_scale(a)
-            floor = cones.check_membership_lp(u, eigen_decompose(u), "Fpm").alpha_star
+            floor = cones.check_membership_lp(u, eigen_decompose(u)[1], "Fpm").alpha_star
             a = a - rng.uniform(0.5, 1.0) * max(np.ldexp(floor, -e), 0.0) * np.ones((n, n))
         yield a, rng.integers(-6, 7, size=n)
 
@@ -989,9 +987,9 @@ def test_capped_report_keeps_the_uncapped_statuses():
         a = instances.gen_random_spn(16, seed)[0]
         report = {v.cone: v for v in cones.membership_report(a, cones.LP_FAMILIES)}
         u, e = unit_scale(a)
-        ep, alpha0 = eigen_decompose(u), float(np.min(u))
+        p, alpha0 = eigen_decompose(u)[1], float(np.min(u))
         for family in cones.LP_FAMILIES:
-            full, v = cones.check_membership_lp(u, ep, family), report[family]
+            full, v = cones.check_membership_lp(u, p, family), report[family]
             assert v.status == full.status, (seed, family)
             alpha = min(full.alpha_star, max(alpha0, 0.0)) if full.is_member else full.alpha_star
             assert abs(np.ldexp(v.alpha_star, e) - alpha) <= 1e-12, (seed, family)

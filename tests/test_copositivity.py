@@ -326,7 +326,7 @@ def test_cell_tests_and_membership_reports_pose_capped_lps(monkeypatch):
     # an interior member's alpha* > 0 comes from the uncapped LP; the report
     # gives min(alpha*, max(alpha0, 0)), for F+- alone and for F+- reached
     # from F+'s optimum with the minus columns held
-    full = cones.check_membership_lp(a, eigen_decompose(a), "Fpm")
+    full = cones.check_membership_lp(a, eigen_decompose(a)[1], "Fpm")
     alpha0 = float(np.min(a))
     assert full.is_member and full.alpha_star > 0 > alpha0
     for report in (cones.membership_report(a, ["Fpm"]), cones.membership_report(a)):
@@ -348,7 +348,7 @@ def test_the_root_cell_poses_the_capped_lp_of_its_own_eigenbasis(monkeypatch):
         root = congruence(a, np.eye(len(a)))
         assert root.tobytes() == a.tobytes()
         for family in cones.LP_FAMILIES:
-            by_lp = cones.check_membership_lp(a, eigen_decompose(a), family, capped=True)
+            by_lp = cones.check_membership_lp(a, eigen_decompose(a)[1], family, capped=True)
             (exact,) = cones.membership_report(root, [family])
             assert by_lp.status == exact.status
             assert by_lp.alpha_star == exact.alpha_star
@@ -389,7 +389,7 @@ def test_overflowed_cell_is_not_removed_by_h():
         assert np.array_equal(root, [[np.inf, -np.inf], [-np.inf, np.inf]])
         for family in ("N", "H"):
             assert cones._cell_test(root, family, None) == (None, None), family
-        inherited = eigen_decompose(a).P
+        inherited = eigen_decompose(a)[1]
         for family in cones.LP_FAMILIES:
             with pytest.raises(ValueError, match="coefficients and rhs must be finite"):
                 cones._cell_test(root, family, inherited)
@@ -739,7 +739,7 @@ def test_a_childs_inherited_stage_reaches_its_parents_alpha(monkeypatch):
     mats = [instances.max_clique_matrix(g, _omega(g) + 0.5) for g in _clique_graphs()[:6]]
     for seed in range(4):  # PSD + N, shifted below the cone along E
         a = instances.gen_random_spn(6, seed)[0]
-        full = cones.check_membership_lp(a, eigen_decompose(a), "Fpm")
+        full = cones.check_membership_lp(a, eigen_decompose(a)[1], "Fpm")
         mats.append(a - (full.alpha_star + 0.3 * np.max(np.abs(a))))
     pairs, staged = 0, staged_verdicts(monkeypatch)
     for a in mats:

@@ -113,25 +113,34 @@ def test_entry_points_refuse_quoted_numbers():
     assert conekit.as_sym_matrix(np.array([[1, 0.5], [0.5, 1]], dtype=object)).dtype == float
 
 
+def _check_pair(a, lam, p, tol):
+    # eigen_decompose's (lam, P): lam descending, P's columns orthonormal,
+    # and (P * lam) P^T within tol of A
+    n = len(a)
+    assert np.all(np.diff(lam) <= 0.0)
+    assert np.max(np.abs(p.T @ p - np.eye(n))) <= 1e-12
+    assert np.max(np.abs((p * lam) @ p.T - a)) <= tol
+
+
 def test_eigen_identity():
-    ep = eigen_decompose(np.eye(3))
+    lam, p = eigen_decompose(np.eye(3))
     # eigenvector signs are an implementation choice; columns must be +-e_j
-    assert np.allclose(np.abs(ep.P), np.eye(3))
-    assert np.allclose(ep.lam, [1.0, 1.0, 1.0])
-    assert ep.orthogonal
+    assert np.allclose(np.abs(p), np.eye(3))
+    assert np.allclose(lam, [1.0, 1.0, 1.0])
+    _check_pair(np.eye(3), lam, p, 1e-12)
 
 
 def test_eigen_diagonal_descending():
-    ep = eigen_decompose(np.diag([1.0, 2.0]))
-    assert np.allclose(ep.lam, [2.0, 1.0])
+    lam, p = eigen_decompose(np.diag([1.0, 2.0]))
+    assert np.allclose(lam, [2.0, 1.0])
     # columns are signed unit vectors
-    assert np.allclose(np.abs(ep.P), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(np.abs(p), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_eigen_m1_reconstruction():
-    ep = eigen_decompose(M1)
-    assert np.max(np.abs(ep.reconstruct() - M1)) <= 1e-10 * np.max(np.abs(M1))
-    gaps = np.diff(ep.lam)
+    lam, p = eigen_decompose(M1)
+    _check_pair(M1, lam, p, 1e-10 * np.max(np.abs(M1)))
+    gaps = np.diff(lam)
     assert np.all(gaps < -1e-6)  # three distinct eigenvalues
 
 
@@ -141,8 +150,8 @@ def test_eigen_deterministic():
     a = (a + a.T) / 2
     e1 = eigen_decompose(a)
     e2 = eigen_decompose(a)
-    assert np.array_equal(e1.P, e2.P)
-    assert np.array_equal(e1.lam, e2.lam)
+    assert np.array_equal(e1[1], e2[1])
+    assert np.array_equal(e1[0], e2[0])
 
 
 def test_eigen_deterministic_across_many_matrices():
@@ -153,8 +162,8 @@ def test_eigen_deterministic_across_many_matrices():
         a = (a + a.T) / 2
         e1 = eigen_decompose(a)
         e2 = eigen_decompose(a.copy())
-        assert np.array_equal(e1.P, e2.P)
-        assert np.array_equal(e1.lam, e2.lam)
+        assert np.array_equal(e1[1], e2[1])
+        assert np.array_equal(e1[0], e2[0])
 
 
 def test_eigen_signs_follow_the_column_hash():
@@ -168,13 +177,13 @@ def test_eigen_signs_follow_the_column_hash():
         a = (a + a.T) / 2
         lam, v = np.linalg.eigh(a)
         order = np.argsort(-lam, kind="stable")
-        ep = eigen_decompose(a)
-        assert np.array_equal(ep.lam, lam[order])
-        assert ep.P.flags.f_contiguous
+        got_lam, p = eigen_decompose(a)
+        assert np.array_equal(got_lam, lam[order])
+        assert p.flags.f_contiguous
         for k, j in enumerate(order):
             col = v[:, j]
             odd = hashlib.sha256(col.tobytes()).digest()[0] & 1
-            assert np.array_equal(ep.P[:, k], -col if odd else col)
+            assert np.array_equal(p[:, k], -col if odd else col)
             flipped, kept = flipped + odd, kept + (not odd)
     assert flipped and kept
 
@@ -185,9 +194,7 @@ def test_eigen_random_residuals():
         n = int(rng.integers(1, 16))
         a = rng.normal(size=(n, n)) * rng.uniform(0.1, 10.0)
         a = (a + a.T) / 2
-        ep = eigen_decompose(a)
-        assert np.max(np.abs(ep.reconstruct() - a)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
-        assert np.max(np.abs(ep.P.T @ ep.P - np.eye(n))) <= 1e-9
+        _check_pair(a, *eigen_decompose(a), 1e-9 * max(1.0, np.max(np.abs(a))))
 
 
 def test_eigen_larger_matrices():
@@ -195,8 +202,7 @@ def test_eigen_larger_matrices():
     for _ in range(5):
         a = rng.normal(size=(30, 30))
         a = (a + a.T) / 2
-        ep = eigen_decompose(a)
-        assert np.max(np.abs(ep.reconstruct() - a)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
+        _check_pair(a, *eigen_decompose(a), 1e-9 * max(1.0, np.max(np.abs(a))))
 
 
 def test_psd_examples():
@@ -220,7 +226,7 @@ def test_psd_agrees_with_min_eigenvalue():
         n = int(rng.integers(2, 10))
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        lam_min = float(np.min(eigen_decompose(a).lam))
+        lam_min = float(np.min(eigen_decompose(a)[0]))
         if abs(lam_min) <= 10 * tol:
             continue
         checked += 1

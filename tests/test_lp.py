@@ -37,7 +37,7 @@ def _capped(c, a, b, cap):
 
 def _detect_lp(a, family="Fpm"):
     """The detection LP of one family, posed on A's orthogonal pair."""
-    return cones.build_lp(a, cones.sd_basis(eigen_decompose(a).P, family))[0]
+    return cones.build_lp(a, cones.sd_basis(eigen_decompose(a)[1], family))[0]
 
 
 def test_single_variable_box():
@@ -648,7 +648,7 @@ def test_a_bound_moves_no_bit_until_a_stage_reaches_it():
     held = [np.flatnonzero(level == 1), np.flatnonzero(level == 2)]
     for seed in range(4):
         u = unit_scale(gen_random_spn(16, np.random.SeedSequence([0, seed]))[0])[0]
-        prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u).P, "Fpm"), capped=True)[0]
+        prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u)[1], "Fpm"), capped=True)[0]
         free = lp.solve(prog, held=held)
         g, cap = free.stages[0], prog.b[-1]
         at_cap = abs(g.objective_value - cap) <= 1e-13 * max(1.0, cap)
@@ -695,7 +695,7 @@ def test_recycled_buffers_move_no_output_bit(monkeypatch):
     # of 137 rows, take the workspace and give it back
     a = gen_random_spn(16, 5)[0]
     u = a / np.max(np.abs(a))
-    prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u).P, "Fpm"), capped=True)[0]
+    prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u)[1], "Fpm"), capped=True)[0]
     level = cones._sd_index(16, "Fpm")[3]  # the report's stages: G, then F+, then F+-
     held = [np.flatnonzero(level == 1), np.flatnonzero(level == 2)]
     runs = {
@@ -719,7 +719,7 @@ def test_a_37_row_solve_reuses_its_shapes_workspace(monkeypatch):
     # a small solve of another shape builds one, which takes its place
     monkeypatch.setattr(lp, "_spare", {})
     q = gen_planted_qp(8, 4, -10.0, seed=2).Q
-    prog = cones.build_lp(unit_scale(q)[0], cones.sd_basis(eigen_decompose(q).P, "Fpm"),
+    prog = cones.build_lp(unit_scale(q)[0], cones.sd_basis(eigen_decompose(q)[1], "Fpm"),
                           capped=True)[0]
     assert prog.A.shape == (37, 65)
     first = lp.solve(prog)
@@ -808,7 +808,7 @@ def test_a_large_lp_leaves_only_the_next_reports_workspace_behind():
     # report, lp keeps the report's 137-row workspace as its one large one:
     # the L LP's 16 rows are below _DEFER_ROWS
     u = unit_scale(gen_random_spn(30, 0)[0])[0]
-    assert cones.check_membership_lp(u, eigen_decompose(u), "Fpm").is_member
+    assert cones.check_membership_lp(u, eigen_decompose(u)[1], "Fpm").is_member
     cones.membership_report(gen_random_spn(16, 0)[0])
     spx = lp._spare[True]
     assert (spx.m, spx.n_struct) == (137, 257)

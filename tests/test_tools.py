@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conekit import copositivity
 from conekit import lp as lpmod
 from conekit.cones import build_lp, membership_report, sd_basis
 from conekit.copositivity import CopoConfig
@@ -17,6 +18,7 @@ from conekit.instances import (
     gen_gnp_graph,
     gen_planted_qp,
     gen_random_spn,
+    max_clique_matrix,
     qp_optimum,
 )
 from conekit.linalg import eigen_decompose, unit_scale
@@ -230,6 +232,16 @@ def _layertrace():
     return layertrace
 
 
+def test_every_name_the_tracer_wraps_is_a_conekit_callable():
+    # the benchmark's traced mode raises a TraceError on a missing name, so
+    # a library change that drops one must fail here first
+    layertrace = _layertrace()
+    names = [entry[:2] for entry in layertrace.TRACED] + [layertrace.STANDARD_FORM]
+    for module, name in names:
+        fn = getattr(importlib.import_module(f"conekit.{module}"), name, None)
+        assert callable(fn), f"conekit.{module}.{name}"
+
+
 def test_tracer_counts_the_rows_of_each_lp_solve():
     # the benchmark's tracer wraps lp.solve and lp._to_standard_form by name:
     # a detect-style report at n = 6 solves one simplex for G, F+ and F+-,
@@ -260,9 +272,9 @@ def test_tracer_follows_the_partition_of_both_reductions():
     assert bisections >= 5  # so most cells pose two stages
 
 
-def _probe(tool, sizes=(), seeds=0, criteria=(), brackets=0):
+def _probe(tool, sizes=(), seeds=0, criteria=(), brackets=0, graphs=0):
     # one set at a time; the others are empty and add no metric
-    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria, brackets)
+    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria, brackets, graphs)
 
 
 def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
@@ -274,7 +286,7 @@ def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
                             ("wall_s", "cpu_s", "pivots", "refactorizations")}
     assert metrics["fpm.n6.pivots"] > 0 and metrics["fpm.n6.wall_s"] > 0
     u = unit_scale(gen_random_spn(6, 0)[0])[0]
-    prog, _ = build_lp(u, sd_basis(eigen_decompose(u).P, "Fpm"))
+    prog, _ = build_lp(u, sd_basis(eigen_decompose(u)[1], "Fpm"))
     assert metrics["fpm.full.n6.pivots"] == solve(prog).iterations
     assert metrics["fpm.full.n6.pivots"] > metrics["fpm.n6.pivots"]
     assert metrics["fpm.full.n6.wall_s"] > 0
@@ -315,6 +327,24 @@ def test_bench_pairs_counts_the_pivots_of_a_bracket_in_a_tree(monkeypatch):
     assert metrics["bracket.n8.cpu_s"] > 0 and metrics["bracket.n8.minflt"] >= 0
 
 
+def test_bench_pairs_counts_the_cells_of_a_copositive_partition_in_a_tree(monkeypatch):
+    # the first graph of the n = 18-24 set, at omega + 1/2: the probe finds
+    # omega by its own search, and its cells and pivots are the partition's
+    tool = _load_tool("bench_pairs", monkeypatch)
+    assert tool.GRAPHS == 10
+    metrics = _probe(tool, graphs=1)
+    assert set(metrics) == {f"copo.c.{k}" for k in ("cells", "pivots", "cpu_s")}
+    rng = np.random.default_rng(7)
+    g = gen_gnp_graph(int(rng.integers(18, 25)), 0.5, seed=int(rng.integers(0, 1_000_000)))
+    m, counted = max_clique_matrix(g, clique_number(g) + 0.5), []
+    monkeypatch.setattr(lpmod, "solve", lambda *a, **k: counted.append(s := solve(*a, **k)) or s)
+    result = copositivity.test_copositive(m)
+    assert result.outcome == "copositive"
+    assert metrics["copo.c.cells"] == result.stats["iterations"] > 1
+    assert metrics["copo.c.pivots"] == sum(s.iterations for s in counted) > 0
+    assert metrics["copo.c.cpu_s"] > 0
+
+
 def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
     # a tree whose one criterion makes one more report on each call
     tool = _load_tool("bench_pairs", monkeypatch)
@@ -329,7 +359,7 @@ def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
         "        cones.membership_report(instances.gen_random_spn(4, 0)[0], ['Fpm'])\n"
     )
     with pytest.raises(RuntimeError, match="accept.c01: counts .* differ from the warm-up's"):
-        tool.probe_once(tmp_path, (), 0, (1,), 0)
+        tool.probe_once(tmp_path, (), 0, (1,), 0, 0)
 
 
 def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):

@@ -14,12 +14,12 @@ Run it from anywhere; each run gets its own tree as working directory, as
 the benchmark expects, and runs for perfbench/run.py's own length.  --trace
 1 runs the traced mode and records the per-layer metrics instead of the
 end-to-end ones.  After each run, one fresh process in the same tree probes
-four sets: for a = gen_random_spn(n, 0), n in FPM_SIZES, the capped F+- LP
+five sets: for a = gen_random_spn(n, 0), n in FPM_SIZES, the capped F+- LP
 that membership_report(a, ["Fpm"]) poses (fpm.n<n>.*: wall and cpu
 seconds, pivots, refactorizations) and the paper's uncapped F+- LP, which
-check_membership_lp(u, eigen_decompose(u), "Fpm") poses at A's unit scale
-u, as the report decides A (fpm.full.n<n>.*, the same four; ROADMAP's
-n = 30-50 simplex targets are set on it); membership_report on
+check_membership_lp poses over the eigenvectors of A's unit scale u, as the
+report decides A (fpm.full.n<n>.*, the same four; ROADMAP's n = 30-50
+simplex targets are set on it); membership_report on
 gen_random_spn(16, s) for s < REPORT_SEEDS (report.n16.*: pivots,
 lp.solve calls and cpu seconds per report, which resolve a change that one
 n = 16 solve cannot, the cpu microseconds per pivot, the cost of the
@@ -29,7 +29,12 @@ kernel and touched again); qpbound's timed call, qp_optimum at perfbench's
 configuration, on the BRACKETS planted QPs of its catalogue that a
 perfbench run times (bracket.n8.*: pivots, lp.solve calls, cpu seconds and
 minor page faults per bracket), built and called by this checkout's
-perfbench/workloads.py, the same file for both trees; and the acceptance
+perfbench/workloads.py, the same file for both trees; the partition's
+copositive case, test_copositive(max_clique_matrix(g, omega + 1/2)) with
+its default configuration on GRAPHS graphs g = gen_gnp_graph(n, 0.5) of
+ROADMAP item 14's set C, n drawn from 18-24 by default_rng(7), omega from
+a Bron-Kerbosch search in the probe itself (copo.c.*: cells, pivots and
+cpu seconds per graph); and the acceptance
 criteria ACCEPT_CRITERIA of its tests/test_acceptance.py (accept.c<nn>_s,
 wall seconds).  The reports go first, since the larger LPs of the other
 sets leave glibc's mmap threshold raised.  Each set runs once to warm up,
@@ -61,13 +66,14 @@ FPM_SIZES = (10, 16, 20, 30)
 REPORT_SEEDS = 40
 ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
 BRACKETS = 45  # the qpbound entries a perfbench run times
+GRAPHS = 10
 # run in a tree, its src/ on the path, with argv: the perfbench/ directory
 # whose timing.py and workloads.py to use, and [sizes, seeds, criteria,
-# brackets] as JSON; see the module docstring
+# brackets, graphs] as JSON; see the module docstring
 PROBE_SCRIPT = """
 import functools, importlib.util, json, resource, sys
 import numpy as np
-from conekit import cones, instances, linalg, lp
+from conekit import cones, copositivity, instances, linalg, lp
 def load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = sys.modules[name] = importlib.util.module_from_spec(spec)  # as dataclass needs
@@ -75,7 +81,7 @@ def load(name, path):
     return module
 timing, tests = load("timing", sys.argv[1] + "/timing.py"), load("acceptance", "tests/test_acceptance.py")
 workloads = load("workloads", sys.argv[1] + "/workloads.py")
-sizes, seeds, criteria, brackets = json.loads(sys.argv[2])
+sizes, seeds, criteria, brackets, graphs = json.loads(sys.argv[2])
 tested = {}
 for num in criteria:
     names = [k for k in dir(tests) if k.startswith(f"test_criterion_{num:02d}_")]
@@ -92,7 +98,7 @@ def counted(prog, *args, **kwargs):
     return sol
 lp.solve = counted
 def counts(fn):
-    count.update(pivots=0, solves=0, refactorizations=0)
+    count.update(pivots=0, solves=0, refactorizations=0, cells=0)
     fn()
     return dict(count)
 timer, record = timing.QuietTimer(), {}
@@ -123,6 +129,9 @@ def measure(name, calls):  # calls: a set's, each with its warm-up's counts
         per_bracket = dict(pivots=total["pivots"], solves=total["solves"], cpu_s=cpu)
         record.update({f"{name}.{k}": v / brackets for k, v in per_bracket.items()})
         record[f"{name}.minflt"] = faults[0] / faults[1]
+    elif name == "copo.c":
+        per_graph = dict(cells=total["cells"], pivots=total["pivots"], cpu_s=cpu)
+        record.update({f"{name}.{k}": v / graphs for k, v in per_graph.items()})
     else:
         record[f"{name}_s"] = wall
 # the reports go first: freeing the larger LPs' arrays raises glibc's mmap
@@ -141,11 +150,38 @@ if brackets:  # perfbench's qpbound calls on its catalogue's first entries
 for n in sizes:
     a = instances.gen_random_spn(n, 0)[0]
     u = linalg.unit_scale(a)[0]
+    eig = linalg.eigen_decompose(u)  # a pair with .P in trees before the (lam, P) tuple
+    p = eig.P if hasattr(eig, "P") else eig[1]
     for name, fn in ((f"fpm.n{n}", functools.partial(cones.membership_report, a, ["Fpm"])),
                      (f"fpm.full.n{n}", functools.partial(
-                         cones.check_membership_lp, u, linalg.eigen_decompose(u), "Fpm"))):
+                         cones._lp_families, u, [p], ["Fpm"], False))):
         warm = counts(fn)
         measure(name, [(posed[0], warm)])
+def clique_size(adj, cand):  # Bron-Kerbosch with a pivot u: the largest clique in cand
+    if not cand:
+        return 0
+    best, u = 0, max(cand, key=lambda v: len(adj[v] & cand))
+    for v in cand - adj[u]:
+        best = max(best, 1 + clique_size(adj, cand & adj[v]))
+        cand = cand - {v}
+    return best
+def copositive(m):
+    result = copositivity.test_copositive(m)
+    if result.outcome != copositivity.COPOSITIVE:
+        sys.exit(f"copo.c: omega + 1/2 read {result.outcome}")
+    count["cells"] += result.stats["iterations"]
+if graphs:  # omega + 1/2 is copositive; omega comes from no conekit code
+    rng, calls = np.random.default_rng(7), []
+    for _ in range(graphs):
+        n, seed = int(rng.integers(18, 25)), int(rng.integers(0, 1_000_000))
+        g = instances.gen_gnp_graph(n, 0.5, seed=seed)
+        adj = [set() for _ in range(n)]
+        for i, j in g.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        m = instances.max_clique_matrix(g, clique_size(adj, set(range(n))) + 0.5)
+        calls.append(functools.partial(copositive, m))
+    measure("copo.c", [(fn, counts(fn)) for fn in calls])
 for num, test in tested.items():  # its report lines go before the record
     measure(f"accept.c{num:02d}", [(test, counts(test))])
 print(json.dumps(record))
@@ -153,14 +189,14 @@ print(json.dumps(record))
 
 
 def probe_once(tree: Path, sizes=FPM_SIZES, seeds=REPORT_SEEDS, criteria=ACCEPT_CRITERIA,
-               brackets=BRACKETS) -> dict:
-    """The fpm.n<n>.*, report.n16.*, bracket.n8.* and accept.c<nn>_s metrics
+               brackets=BRACKETS, graphs=GRAPHS) -> dict:
+    """The fpm.n<n>.*, report.n16.*, bracket.n8.*, copo.c.* and accept.c<nn>_s metrics
     of tree, from one fresh process on its src/, tree as working directory,
     timed by this checkout's perfbench/timing.py; RuntimeError when the
     process fails: a criterion is missing or fails, or a timed pass's counts
     move."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    sets = json.dumps([list(sizes), seeds, list(criteria), brackets])
+    sets = json.dumps([list(sizes), seeds, list(criteria), brackets, graphs])
     command = [sys.executable, "-c", PROBE_SCRIPT, str(ROOT / "perfbench"), sets]
     r = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     if r.returncode:
