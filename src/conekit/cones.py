@@ -3,12 +3,12 @@ cone, with verifiable witness decompositions A = S + N.
 
 Every test is one-sided: a "member" verdict carries a certificate, while
 "not identified" asserts nothing about non-membership.  G, F+ and F+- are
-nested column sets of one LP, which _lp_families alone poses and solves.
+nested column prefixes of one LP, which _lp_families alone poses and solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -68,37 +68,40 @@ def in_H(a: np.ndarray) -> MembershipVerdict:
 
 
 @lru_cache(maxsize=64)
-def _sd_index(n: int, family: str):
-    """Read-only (i, j, sign, level) per basis vector (p_i + sign p_j) / 2: "G"
-    over i = j, "Fplus" and "minus" over i <= j of np.triu_indices(n), sign -1
-    off the diagonal for "minus"; "Fpm" is Fplus, then minus's off-diagonal
-    columns.  level is the LP_FAMILIES index of the narrowest family with the
-    column.  Fplus's i and j are also the detection LP's pair rows."""
-    if family not in ("G", "Fplus", "minus", "Fpm"):
-        raise ValueError(f"unknown LP family {family!r}")
-    iu, ju = np.diag_indices(n) if family == "G" else np.triu_indices(n)
-    off = iu != ju
-    sign = np.where((family == "minus") & off, -1.0, 1.0)
-    if family == "Fpm":
-        iu, ju, sign = np.r_[iu, iu[off]], np.r_[ju, ju[off]], np.r_[sign, -sign[off]]
-    level = np.where(iu == ju, 0, 1) + (sign < 0)
-    for t in (iu, ju, sign, level):
+def _sd_index(n: int):
+    """Read-only (i, j, sign) per basis vector (p_i + sign p_j) / 2 of Fpm,
+    whose every LP family is a column prefix: G's n columns i = j, then
+    Fplus's sums over i < j in np.triu_indices(n, 1) order, then their
+    differences; and build_lp's pair rows np.triu_indices(n)."""
+    d, (iu, ju), rows = np.arange(n), np.triu_indices(n, 1), np.triu_indices(n)
+    i, j = np.r_[d, iu, iu], np.r_[d, ju, ju]
+    sign = np.r_[np.ones(n + iu.size), -np.ones(iu.size)]
+    for t in (i, j, sign, *rows):
         t.flags.writeable = False
-    return iu, ju, sign, level
+    return i, j, sign, rows
+
+
+def _width(n: int, family: str) -> int:
+    """The number of basis vectors of family: n, n(n+1)/2 or n^2."""
+    if family not in LP_FAMILIES:
+        raise ValueError(f"unknown LP family {family!r}")
+    return (n, n * (n + 1) // 2, n * n)[LP_FAMILIES.index(family)]
 
 
 def sd_basis(p: np.ndarray, family: str) -> np.ndarray:
     """Semidefinite basis vectors from the columns of p, one column v per LP
-    variable of family, whose basis element is v v^T: (p_i + sign p_j) / 2
-    through _sd_index's table, G's (p_i + p_i) / 2 = p_i bit for bit.  For
-    nonsingular p the n(n+1)/2 elements of "Fplus" (or "minus") span the symmetric matrices.
+    variable of family, whose basis element is v v^T: the first _width(n,
+    family) columns (p_i + sign p_j) / 2 of _sd_index's table, G's (p_i +
+    p_i) / 2 = p_i bit for bit.  For nonsingular p the n(n+1)/2 elements of
+    "Fplus" (or G's and the differences) span the symmetric matrices.
 
     Sizes: n columns for G, n(n+1)/2 for Fplus and n^2 for Fpm (DD in the
     basis p).  Counting each y_k >= 0 of build_lp, the paper's cap on
     omega_k, as one constraint, as the paper does (beta >= 0 is not one of
     its constraints), gives n(n+3)/2, n(n+1) and n(3n+1)/2 constraints."""
-    i, j, sign, _ = _sd_index(p.shape[0], family)
-    return (p[:, i] + sign * p[:, j]) / 2.0
+    i, j, sign, _ = _sd_index(p.shape[0])
+    w = _width(p.shape[0], family)
+    return (p[:, i[:w]] + sign[:w] * p[:, j[:w]]) / 2.0
 
 
 def build_lp(a: np.ndarray, vectors: np.ndarray, capped=False):
@@ -120,7 +123,7 @@ def build_lp(a: np.ndarray, vectors: np.ndarray, capped=False):
     the pair rows block by block of i.
     """
     n = len(a)
-    iu, ju = _sd_index(n, "Fplus")[:2]
+    iu, ju = _sd_index(n)[3]
     m, k = iu.size, vectors.shape[1]
     entries = a[iu, ju]
     alpha0 = float(np.min(entries))
@@ -152,51 +155,40 @@ def check_membership_lp(
 def _lp_families(a: np.ndarray, bases, families, capped):
     """The one poser, solver and reader of detection LPs: the LP of the
     widest of families (LP_FAMILIES in order) over sd_basis of each basis,
-    side by side, in stages of one simplex that free, basis by basis, each
-    family's columns (by its table's level).  A stage not optimal restarts
-    its own (after a first stage, the next) and the later ones in a fresh
-    simplex.  The cap is lp.solve's bound: the stages after one at the cap
-    take its point, so a G member there gives F+ and F+- members with G's
-    witness.  Returns the verdicts, one per stage, and the last stage's R
-    (S = R R^T), None if that stage is not optimal or a stage certified."""
+    side by side, in stages of one simplex, each freeing the next family's
+    columns of a basis, one block.  A stage not optimal restarts its own
+    (after a first stage, the next) and the later ones in a fresh simplex.
+    The cap is lp.solve's bound: the stages after one at the cap repeat its
+    solution and take its verdict, so a G member there gives F+ and F+-
+    members with G's witness.  Returns the verdicts, one per stage, and the
+    last stage's R (S = R R^T), None if it is not optimal or one certified."""
+    n, w = len(a), _width(len(a), families[-1])
     vectors = [sd_basis(p, families[-1]) for p in bases]
     vectors = vectors[0] if len(bases) == 1 else np.concatenate(vectors, axis=1)
     prog, alpha0 = build_lp(a, vectors, capped=capped)
-    freed, cols = _stage_table(len(a), tuple(families), len(bases))
-    verdicts = []
-    while len(verdicts) < len(cols):
-        sol = lpmod.solve(prog, held=freed[len(verdicts) + 1 :],
+    ends = [b * w + _width(n, f) for b in range(len(bases)) for f in families]
+    verdicts, prev = [], None
+    while (t0 := len(verdicts)) < len(ends):
+        sol = lpmod.solve(prog, held=[slice(*e) for e in zip(ends[t0:], ends[t0 + 1 :])],
                           bound=prog.b[-1] if capped else np.inf)
         kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
-        verdicts += [_lp_verdict(a, vectors, s, alpha0, families[t % len(families)], cols[t])
-                     for t, s in enumerate(kept, len(verdicts))]
-    if kept[-1].x is None or any(v.is_member for v in verdicts):
-        return verdicts, None
-    return verdicts, vectors * np.sqrt(kept[-1].x[:-1])
+        for t, s in enumerate(kept, t0):  # a stage that repeats the last takes its verdict
+            cone = families[t % len(families)]
+            verdicts.append(replace(verdicts[-1], cone=cone) if s is prev
+                            else _lp_verdict(a, vectors, s, alpha0, cone, ends[t]))
+            prev = s
+    needs_r = kept[-1].x is not None and not any(v.is_member for v in verdicts)
+    return verdicts, vectors * np.sqrt(kept[-1].x[:-1]) if needs_r else None
 
 
-@lru_cache(maxsize=64)
-def _stage_table(n: int, families: tuple, bases: int):
-    """Per stage of _lp_families, read-only: the columns it frees, and the
-    columns its verdict reads (every column for the last, with no gather)."""
-    ranks = [LP_FAMILIES.index(f) for f in families]
-    stage = (len(ranks) * np.arange(bases)[:, None]  # each column's first stage
-             + np.searchsorted(ranks, _sd_index(n, families[-1])[3])).ravel()
-    freed = [np.flatnonzero(stage == t) for t in range(bases * len(ranks))]
-    cols = [stage <= t for t in range(len(freed) - 1)]
-    for x in freed + cols:
-        x.flags.writeable = False
-    return tuple(freed), (*cols, slice(None))
-
-
-def _lp_verdict(a, vectors, sol, alpha0, family, cols) -> MembershipVerdict:
-    """The verdict of a solved detection LP over the columns cols of vectors."""
+def _lp_verdict(a, vectors, sol, alpha0, family, k) -> MembershipVerdict:
+    """The verdict of a solved detection LP over the first k columns of vectors."""
     if sol.status != lpmod.OPTIMAL:
         return MembershipVerdict(NOT_IDENTIFIED, family, note=f"lp-{sol.status}")
     alpha = alpha0 + sol.objective_value
     if alpha < -EPS_ALPHA:
         return MembershipVerdict(NOT_IDENTIFIED, family, alpha_star=alpha)
-    r = vectors[:, cols] * np.sqrt(sol.x[:-1][cols])  # x[-1] is beta
+    r = vectors[:, :k] * np.sqrt(sol.x[:k])  # x[-1] is beta
     s_part = r @ r.T  # numpy forms R R^T as one syrk, exactly symmetric
     return MembershipVerdict(
         MEMBER, family, alpha_star=alpha, s_part=s_part, n_part=a - s_part

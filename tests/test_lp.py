@@ -546,12 +546,11 @@ def _is_last_stage_of(sol):
 
 
 def test_held_columns_give_the_lp_without_them_first():
-    # G's basis is F+'s diagonal columns and F+'s the first n(n+1)/2 of
+    # G's basis is F+'s first n columns and F+'s the first n(n+1)/2 of
     # F+-'s; holding the other columns of the larger LP solves the smallest
     # one bit for bit, and the same simplex releases one set per stage and
     # continues to each larger optimum
-    iu, ju = cones._sd_index(16, "Fplus")[:2]
-    off, minus = np.flatnonzero(iu != ju), np.arange(iu.size, 16 * 16)
+    off, minus = np.arange(16, 136), np.arange(136, 16 * 16)
     for seed in range(4):
         a = gen_random_spn(16, seed)[0]
         for family, held in (("Fplus", [off]), ("Fpm", [minus]), ("Fpm", [off, minus])):
@@ -644,8 +643,7 @@ def test_a_bound_moves_no_bit_until_a_stage_reaches_it():
     # the report's capped staged LP with the cap as the bound, or inf, or
     # above every optimum, or below one by more than rounding: every bit of
     # the solve without a bound; seed 1's G stage is at the cap and ends it
-    level = cones._sd_index(16, "Fpm")[3]
-    held = [np.flatnonzero(level == 1), np.flatnonzero(level == 2)]
+    held = [slice(16, 136), slice(136, 256)]  # F+'s sums, then F+-'s differences
     for seed in range(4):
         u = unit_scale(gen_random_spn(16, np.random.SeedSequence([0, seed]))[0])[0]
         prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u)[1], "Fpm"), capped=True)[0]
@@ -696,8 +694,7 @@ def test_recycled_buffers_move_no_output_bit(monkeypatch):
     a = gen_random_spn(16, 5)[0]
     u = a / np.max(np.abs(a))
     prog = cones.build_lp(u, cones.sd_basis(eigen_decompose(u)[1], "Fpm"), capped=True)[0]
-    level = cones._sd_index(16, "Fpm")[3]  # the report's stages: G, then F+, then F+-
-    held = [np.flatnonzero(level == 1), np.flatnonzero(level == 2)]
+    held = [slice(16, 136), slice(136, 256)]  # the report's stages: G, then F+, then F+-
     runs = {
         "report": lambda: cones.membership_report(a),
         "staged": lambda: lp.solve(prog, held=held),

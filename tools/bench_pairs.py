@@ -16,9 +16,9 @@ the benchmark expects, and runs for perfbench/run.py's own length.  --trace
 end-to-end ones.  After each run, one fresh process in the same tree probes
 five sets: for a = gen_random_spn(n, 0), n in FPM_SIZES, the capped F+- LP
 that membership_report(a, ["Fpm"]) poses (fpm.n<n>.*: wall and cpu
-seconds, pivots, refactorizations) and the paper's uncapped F+- LP, which
-check_membership_lp poses over the eigenvectors of A's unit scale u, as the
-report decides A (fpm.full.n<n>.*, the same four; ROADMAP's n = 30-50
+seconds, pivots, refactorizations) and the paper's uncapped F+- LP,
+check_membership_lp(u, eigen_decompose(u)[1], "Fpm") on A's unit scale u,
+as the report decides A (fpm.full.n<n>.*, the same four; ROADMAP's n = 30-50
 simplex targets are set on it); membership_report on
 gen_random_spn(16, s) for s < REPORT_SEEDS (report.n16.*: pivots,
 lp.solve calls and cpu seconds per report, which resolve a change that one
@@ -150,11 +150,9 @@ if brackets:  # perfbench's qpbound calls on its catalogue's first entries
 for n in sizes:
     a = instances.gen_random_spn(n, 0)[0]
     u = linalg.unit_scale(a)[0]
-    eig = linalg.eigen_decompose(u)  # a pair with .P in trees before the (lam, P) tuple
-    p = eig.P if hasattr(eig, "P") else eig[1]
     for name, fn in ((f"fpm.n{n}", functools.partial(cones.membership_report, a, ["Fpm"])),
                      (f"fpm.full.n{n}", functools.partial(
-                         cones._lp_families, u, [p], ["Fpm"], False))):
+                         cones.check_membership_lp, u, linalg.eigen_decompose(u)[1], "Fpm"))):
         warm = counts(fn)
         measure(name, [(posed[0], warm)])
 def clique_size(adj, cand):  # Bron-Kerbosch with a pivot u: the largest clique in cand
