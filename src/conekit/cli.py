@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -99,8 +99,9 @@ def write_records(records, fmt: str, out) -> None:
     elif fmt == "table":
         for r in records:
             alpha = "" if r.alpha_star is None else f"{r.alpha_star:.6g}"
+            cone = r.config.get("cone", "")
             out.write(
-                f"{r.command:<12} {r.outcome:<16} alpha={alpha:<12} "
+                f"{r.command:<12} cone={cone:<4} {r.outcome:<16} alpha={alpha:<12} "
                 f"iter={r.iterations:<8} lp={r.lp_calls:<8} "
                 f"t={r.wall_time:.3f}s seed={r.seed}\n"
             )
@@ -127,22 +128,24 @@ def _copo_config(config: dict) -> CopoConfig:
     )
 
 
-def _record(command: str, a, task, config: dict, seed: str = "") -> RunRecord:
-    """Run one validated request on its own clock: a membership test when
-    task is a cone family, a copositivity test when it is a CopoConfig."""
-    started = time.monotonic()
+def _records(command: str, a, task, config: dict, seed: str = "") -> list:
+    """Run one validated request: a CopoConfig's copositivity test, one
+    record on its own clock, or one membership_report on the cone families
+    in task, one record per verdict on the report's clock, named by its
+    cone's flag; lp_calls is 1 for G, F+, F+- (one staged LP) and L."""
     rec = RunRecord(command, matrix_digest(a), config, seed=seed)
     if isinstance(task, CopoConfig):
         res = test_copositive(a, task)
         rec.outcome, rec.wall_time = res.outcome, res.stats["wall_time"]
         rec.certificate = None if res.certificate is None else list(res.certificate)
         rec.iterations, rec.lp_calls = res.stats["iterations"], res.stats["lp_calls"]
-    else:
-        v = cones.membership_report(a, [task])[0]
-        rec.outcome, rec.alpha_star = v.status, v.alpha_star
-        rec.lp_calls = int(task in cones.LP_FAMILIES)
-        rec.wall_time = time.monotonic() - started
-    return rec
+        return [rec]
+    started = time.monotonic()
+    verdicts = cones.membership_report(a, task)
+    rec.wall_time = time.monotonic() - started
+    return [replace(rec, config={**config, "cone": _SPELLINGS.get(v.cone, v.cone)},
+                    outcome=v.status, alpha_star=v.alpha_star,
+                    lp_calls=int(v.cone in (*cones.LP_FAMILIES, "L"))) for v in verdicts]
 
 
 def _emit(records, args) -> None:
@@ -160,12 +163,7 @@ def _exit_code(decided: bool) -> int:
 
 def cmd_membership(args) -> int:
     a = load_matrix(args.matrix)
-    families = {_cone(flag) for flag in args.cone.split(",")}
-    records = [
-        _record("membership", a, family, {"cone": flag})
-        for flag, family in CONE_FLAGS.items()
-        if family in families
-    ]
+    records = _records("membership", a, [_cone(f) for f in args.cone.split(",")], {})
     _emit(records, args)
     return _exit_code(any(r.outcome in DECIDED for r in records))
 
@@ -173,7 +171,7 @@ def cmd_membership(args) -> int:
 def cmd_copositive(args) -> int:
     a = load_matrix(args.matrix)
     config = {k: getattr(args, k) for k in PARTITION_DEFAULTS}
-    rec = _record("copositive", a, _copo_config(config), config)
+    (rec,) = _records("copositive", a, _copo_config(config), config)
     _emit([rec], args)
     return _exit_code(rec.outcome in DECIDED)
 
@@ -270,7 +268,7 @@ def _bench_instance(spec: _Spec, seed_seq) -> np.ndarray:
 
 
 def _bench_request(index: int, row: _Spec, master: int) -> tuple:
-    """A bench row's validated (matrix, task, config) for _record.  Its
+    """A bench row's validated (matrix, task, config) for _records.  Its
     instance draws from the stream of master extended by the row index, so
     any row can be regenerated in isolation."""
     instance = _Spec(row("instance", dict))
@@ -281,7 +279,7 @@ def _bench_request(index: int, row: _Spec, master: int) -> tuple:
               "cone": row("cone", str, PARTITION_DEFAULTS["cone"]),
               "instance": instance.fields}
     if config["task"] == "membership":
-        request = a, _cone(config["cone"]), config
+        request = a, [_cone(config["cone"])], config
     elif config["task"] == "copositive":
         for name, kind in (("max_iter", int), ("time_limit", float)):
             config[name] = row(name, kind, PARTITION_DEFAULTS[name])
@@ -337,8 +335,9 @@ def cmd_bench(args) -> int:
     # every row is validated, its instance too, before the first one runs
     requests = _bench_requests(suite, master)
     records = [
-        _record("bench", a, task, config, f"{master}/{i}")
+        rec
         for i, (a, task, config) in enumerate(requests)
+        for rec in _records("bench", a, task, config, f"{master}/{i}")
     ]
     _emit(records + _summary_records(records), args)
     return _exit_code(all(r.outcome in DECIDED for r in records))
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None)
 
-    p = sub.add_parser("membership", help="per-cone membership report")
+    p = sub.add_parser("membership", help="one membership report, a record per cone")
     p.add_argument("matrix")
     p.add_argument("--cone", default=",".join(CONE_FLAGS))
     record_flags(p, "table")

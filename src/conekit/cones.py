@@ -141,15 +141,12 @@ def build_lp(a: np.ndarray, vectors: np.ndarray, capped=False):
     return lpmod.LinearProgram(c, lhs, b), alpha0
 
 
-def check_membership_lp(
-    a: np.ndarray, p: np.ndarray, family: str, capped=False
-) -> MembershipVerdict:
-    """Solve build_lp over sd_basis(p, family) for a nonsingular basis p,
-    A's eigenvectors for the paper's LP, and assemble the witness on
-    success: S = R R^T with R = V sqrt(y), PSD by construction, and N = A -
-    S.  The witness holds for any basis, so p is not checked.  A capped LP
-    gives the same verdict, and its alpha_star is min(alpha*, max(alpha0, 0))."""
-    return _lp_families(a, [p], [family], capped)[0][0]
+def check_membership_lp(a: np.ndarray, p: np.ndarray, family: str) -> MembershipVerdict:
+    """Solve the paper's uncapped build_lp over sd_basis(p, family) for a
+    nonsingular basis p, A's eigenvectors for the paper's LP, and assemble
+    the witness on success: S = R R^T with R = V sqrt(y), PSD by
+    construction, and N = A - S; it holds for any basis, so p is not checked."""
+    return _lp_families(a, [p], [family], False)[0][0]
 
 
 def _lp_families(a: np.ndarray, bases, families, capped):

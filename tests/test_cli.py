@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conekit import cli, cones, instances
+from conekit import cli, cones, instances, lp
 from conekit.cli import (
     RunRecord,
     build_parser,
@@ -97,7 +97,45 @@ def test_membership_records_one_lp_per_lp_cone(m1_path, capsys):
     assert main(["membership", m1_path, "--format", "json"]) == 0
     records = json_records(capsys.readouterr().out)
     lp_calls = {r["config"]["cone"]: r["lp_calls"] for r in records}
-    assert lp_calls == {"N": 0, "DD": 0, "H": 0, "G": 1, "F+": 1, "F+-": 1, "L": 0}
+    assert lp_calls == {"N": 0, "DD": 0, "H": 0, "G": 1, "F+": 1, "F+-": 1, "L": 1}
+
+
+def test_membership_table_names_each_cone(m1_path, capsys):
+    assert main(["membership", m1_path, "--cone", "H,G"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["membership", "cone=H"],
+                                                    ["membership", "cone=G"]]
+
+
+@pytest.mark.parametrize("flags, solves", [(["--cone", "G,F+,F+-"], 1), ([], 2)],
+                         ids=["lp-families", "default"])
+def test_membership_is_one_report(flags, solves, tmp_path, monkeypatch, capsys):
+    # one request is one membership_report: one eigendecomposition, G, F+
+    # and F+- as the stages of one simplex (and L's LP by default), and one
+    # record per verdict, in CONE_ORDER, on the report's clock
+    path = tmp_path / "a.txt"
+    path.write_text(format_matrix(instances.gen_random_spn(16, 0)[0]))
+    a = load_matrix(str(path))
+    wanted = flags[1].split(",") if flags else list(cli.CONE_FLAGS)
+    reference = cones.membership_report(a, [cli.CONE_FLAGS[f] for f in wanted])
+    calls = {"report": 0, "eigen": 0, "solve": 0}
+
+    def counted(name, run):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return run(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(cones, "membership_report",
+                        counted("report", cones.membership_report))
+    monkeypatch.setattr(cones, "eigen_decompose", counted("eigen", cones.eigen_decompose))
+    monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
+    assert main(["membership", str(path), *flags, "--format", "json"]) == 0
+    assert calls == {"report": 1, "eigen": 1, "solve": solves}
+    records = json_records(capsys.readouterr().out)
+    assert [(r["config"]["cone"], r["outcome"], r["alpha_star"]) for r in records] == [
+        (f, v.status, v.alpha_star) for f, v in zip(wanted, reference)]
+    assert len({r["wall_time"] for r in records}) == 1
 
 
 def test_copositive_exit_codes(tmp_path):

@@ -578,7 +578,7 @@ def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
         for basis in [eigen_decompose(a)[1], *bases]:
             for family in cones.LP_FAMILIES:
                 full = cones.check_membership_lp(a, basis, family)
-                capped = cones.check_membership_lp(a, basis, family, capped=True)
+                capped = cones._lp_families(a, [basis], [family], True)[0][0]
                 assert capped.is_member == full.is_member
                 assert capped.cone == full.cone
                 assert pivots[-1] <= pivots[-2]
@@ -595,7 +595,7 @@ def test_capped_lp_keeps_the_verdict_on_partition_cells(monkeypatch):
     # an entrywise nonnegative cell is certified at its alpha0 in one pivot
     a = instances.gen_random_spn(5, 0)[2] + 0.25
     for family in cones.LP_FAMILIES:
-        v = cones.check_membership_lp(a, eigen_decompose(a)[1], family, capped=True)
+        v = cones._lp_families(a, [eigen_decompose(a)[1]], [family], True)[0][0]
         assert v.is_member and pivots[-1] <= 1
         assert abs(v.alpha_star - float(np.min(a))) <= 1e-12
 
@@ -778,17 +778,15 @@ def _fields(v):
 
 
 def test_one_family_alone_is_its_own_capped_lp():
-    # _lp_families reads each column's level from the widest family's own
-    # table, so one family's verdict is check_membership_lp's, bit for bit;
-    # read from F+-'s table, G's first n levels built S from column 0 alone,
-    # and on seed 2 left N 0.21 below alpha* ~ -3e-16
+    # one family over A's own eigenbasis is the report's one-cone LP, bit
+    # for bit: u is already unit-scaled, so the report decides it unscaled
     members = 0
     for seed in range(6):
         u = unit_scale(instances.gen_random_spn(6, seed)[0])[0]
         p = eigen_decompose(u)[1]
         for family in cones.LP_FAMILIES:
             (v,), _ = cones._lp_families(u, [p], [family], True)
-            assert _fields(v) == _fields(cones.check_membership_lp(u, p, family, capped=True))
+            assert _fields(v) == _fields(cones.membership_report(u, [family])[0])
             if v.is_member:
                 members += 1
                 assert np.min(v.n_part) >= v.alpha_star - 1e-12, (seed, family)

@@ -338,7 +338,7 @@ def test_cell_tests_and_membership_reports_pose_capped_lps(monkeypatch):
 
 def test_the_root_cell_poses_the_capped_lp_of_its_own_eigenbasis(monkeypatch):
     # the root has no inherited basis: at V = I its one LP is the capped LP
-    # of A's own eigenbasis, check_membership_lp's, with the same solution
+    # of A's own eigenbasis, _lp_families's on [P], with the same solution
     # bits, and a member there is a "member" removal in one LP call
     staged = staged_verdicts(monkeypatch)
     horn = np.array([
@@ -350,7 +350,7 @@ def test_the_root_cell_poses_the_capped_lp_of_its_own_eigenbasis(monkeypatch):
         root = congruence(a, np.eye(len(a)))
         assert root.tobytes() == a.tobytes()
         for family in cones.LP_FAMILIES:
-            by_lp = cones.check_membership_lp(a, eigen_decompose(a)[1], family, capped=True)
+            by_lp = cones._lp_families(a, [eigen_decompose(a)[1]], [family], True)[0][0]
             (exact,) = cones.membership_report(root, [family])
             assert by_lp.status == exact.status
             assert by_lp.alpha_star == exact.alpha_star
