@@ -43,12 +43,6 @@ _SPELLINGS = {"Fplus": "F+", "Fpm": "F+-"}  # the two flags that differ
 CONE_FLAGS = {_SPELLINGS.get(c, c): c for c in cones.CONE_ORDER}
 # the flags a partition (copositive, clique, qpbound, bench rows) accepts
 PARTITION_FLAGS = {k: v for k, v in CONE_FLAGS.items() if v in copositivity.FAMILIES}
-# CopoConfig's defaults under a request config's names (the argparse dests)
-PARTITION_DEFAULTS = {
-    "cone": _SPELLINGS.get(CopoConfig.cone_family, CopoConfig.cone_family),
-    "max_iter": CopoConfig.max_iterations,
-    "time_limit": CopoConfig.time_limit,
-}
 # the outcomes that settle a request's question
 DECIDED = (cones.MEMBER, copositivity.COPOSITIVE, copositivity.NOT_COPOSITIVE)
 
@@ -118,24 +112,28 @@ def _cone(flag, accepted=CONE_FLAGS) -> str:
     return accepted[flag]
 
 
-def _copo_config(config: dict) -> CopoConfig:
-    """The CopoConfig of a request config's cone, max_iter and time_limit
-    (the argparse dests); a cone flag outside the choices names them."""
-    return CopoConfig(
-        cone_family=_cone(config["cone"], PARTITION_FLAGS),
-        max_iterations=config["max_iter"],
-        time_limit=config["time_limit"],
-    )
+def _copo_config(request: dict) -> CopoConfig:
+    """The CopoConfig of a request's cone, max_iter and time_limit (the
+    argparse dests), each None where the request gave none, so CopoConfig's
+    own defaults fill those in; a cone flag outside the choices names them."""
+    given = {"max_iterations": request["max_iter"], "time_limit": request["time_limit"]}
+    if request["cone"] is not None:
+        given["cone_family"] = _cone(request["cone"], PARTITION_FLAGS)
+    return CopoConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _records(command: str, a, task, config: dict, seed: str = "") -> list:
     """Run one validated request: a CopoConfig's copositivity test, one
     record on its own clock, or one membership_report on the cone families
-    in task, one record per verdict on the report's clock, named by its
-    cone's flag; lp_calls is 1 for G, F+, F+- (one staged LP) and L."""
+    in task, one record per verdict on the report's clock.  Each record's
+    config is the request's context plus what ran: the cone's flag, and a
+    CopoConfig's budgets; lp_calls is 1 for G, F+, F+- (one staged LP) and L."""
     rec = RunRecord(command, matrix_digest(a), config, seed=seed)
     if isinstance(task, CopoConfig):
         res = test_copositive(a, task)
+        family = task.cone_family
+        rec.config = {**config, "cone": _SPELLINGS.get(family, family),
+                      "max_iter": task.max_iterations, "time_limit": task.time_limit}
         rec.outcome, rec.wall_time = res.outcome, res.stats["wall_time"]
         rec.certificate = None if res.certificate is None else list(res.certificate)
         rec.iterations, rec.lp_calls = res.stats["iterations"], res.stats["lp_calls"]
@@ -170,8 +168,7 @@ def cmd_membership(args) -> int:
 
 def cmd_copositive(args) -> int:
     a = load_matrix(args.matrix)
-    config = {k: getattr(args, k) for k in PARTITION_DEFAULTS}
-    (rec,) = _records("copositive", a, _copo_config(config), config)
+    (rec,) = _records("copositive", a, _copo_config(vars(args)), {})
     _emit([rec], args)
     return _exit_code(rec.outcome in DECIDED)
 
@@ -235,13 +232,13 @@ class _Spec:
     def __init__(self, fields: dict):
         self.fields, self.read = fields, set()
 
-    def __call__(self, name: str, kind: type, default=None):
+    def __call__(self, name: str, kind: type, default=...):
         """The field name, by _typed; an absent field is its default, and an
-        error when it has none (None)."""
+        error when it has none (...)."""
         self.read.add(name)
         if name in self.fields:
             return _typed(self.fields[name], kind, f"field {name!r}")
-        if default is None:
+        if default is ...:
             raise ValueError(f"bench field {name!r} is missing")
         return default
 
@@ -276,14 +273,14 @@ def _bench_request(index: int, row: _Spec, master: int) -> tuple:
     a = as_sym_matrix(_bench_instance(instance, seeds))
     instance.done()
     config = {"row": index, "task": row("task", str, "membership"),
-              "cone": row("cone", str, PARTITION_DEFAULTS["cone"]),
               "instance": instance.fields}
+    cone = row("cone", str, None)  # None where the row leaves it out
     if config["task"] == "membership":
-        request = a, [_cone(config["cone"])], config
+        request = a, [CopoConfig.cone_family if cone is None else _cone(cone)], config
     elif config["task"] == "copositive":
-        for name, kind in (("max_iter", int), ("time_limit", float)):
-            config[name] = row(name, kind, PARTITION_DEFAULTS[name])
-        request = a, _copo_config(config), config
+        given = {"cone": cone, "max_iter": row("max_iter", int, None),
+                 "time_limit": row("time_limit", float, None)}
+        request = a, _copo_config(given), config
     else:
         raise ValueError(f"unknown task {config['task']!r}")
     row.done()
@@ -313,13 +310,13 @@ def _summary_records(records: list) -> list:
     """One summary per (task, cone)."""
     groups: dict = {}
     for r in records:
-        key = (r.config.get("task"), r.config.get("cone", "?"))
+        key = (r.config["task"], r.config["cone"])
         bucket = groups.setdefault(key, {"runs": 0, "decided": 0, "time": 0.0})
         bucket["runs"] += 1
         bucket["time"] += r.wall_time
         bucket["decided"] += r.outcome in DECIDED
     out = []
-    for (task, cone), b in sorted(groups.items(), key=lambda kv: str(kv[0])):
+    for (task, cone), b in sorted(groups.items()):
         config = {"task": task, "cone": cone, "runs": b["runs"]}
         out.append(RunRecord("summary", "", config, wall_time=b["time"] / b["runs"],
                              outcome=f"decided={b['decided']}/{b['runs']}"))
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cone")
         p.add_argument("--max-iter", type=int)
         p.add_argument("--time-limit", type=float)
-        p.set_defaults(**PARTITION_DEFAULTS)
 
     def record_flags(p, default_format):
         p.add_argument(

@@ -167,6 +167,19 @@ def test_copositive_exit_codes(tmp_path):
     assert main(["copositive", str(p), "--cone", "N"]) == 2
 
 
+def test_copositive_record_names_the_cone_and_budgets_that_ran(m1_path, capsys):
+    # the cone by its flag, not as written, and CopoConfig's own budgets
+    assert main(["copositive", m1_path, "--cone", " F+", "--format", "json"]) == 0
+    (rec,) = json_records(capsys.readouterr().out)
+    assert rec["config"] == {"cone": "F+", "max_iter": 1000000, "time_limit": 300.0}
+
+
+def test_partition_flags_keep_no_copy_of_the_defaults():
+    # an omitted flag is None, and CopoConfig fills in its own default
+    args = build_parser().parse_args(["copositive", "a.txt"])
+    assert (args.cone, args.max_iter, args.time_limit) == (None, None, None)
+
+
 def test_clique_subcommand(tmp_path, capsys):
     p = tmp_path / "k4.col"
     p.write_text(instances.format_dimacs(instances.complete_graph(4)))
@@ -799,6 +812,8 @@ def test_bench_summary_per_task_and_cone(tmp_path):
             {"instance": spn, "task": "membership", "cone": "F+-", "repeat": 3},
             {"instance": spn, "task": "copositive", "cone": "F+-", "repeat": 2},
             {"instance": spn, "task": "copositive", "cone": "N", "repeat": 2},
+            # a cone flag as written: its records and summary name the cone
+            {"instance": spn, "task": "copositive", "cone": " F+-"},
         ],
     )
     out = tmp_path / "bench.json"
@@ -806,7 +821,7 @@ def test_bench_summary_per_task_and_cone(tmp_path):
     summary = [r for r in json_records(out.read_text()) if r["command"] == "summary"]
     assert sorted((r["config"]["task"], r["config"]["cone"], r["config"]["runs"])
                   for r in summary) == [
-        ("copositive", "F+-", 2), ("copositive", "N", 2), ("membership", "F+-", 3)
+        ("copositive", "F+-", 3), ("copositive", "N", 2), ("membership", "F+-", 3)
     ]
     assert all(set(r["config"]) == {"task", "cone", "runs"} for r in summary)
 
