@@ -155,25 +155,25 @@ def _lp_families(a: np.ndarray, bases, families, capped):
     side by side, in stages of one simplex, each freeing the next family's
     columns of a basis, one block.  A stage not optimal restarts its own
     (after a first stage, the next) and the later ones in a fresh simplex.
-    The cap is lp.solve's bound: the stages after one at the cap repeat its
-    solution and take its verdict, so a G member there gives F+ and F+-
-    members with G's witness.  Returns the verdicts, one per stage, and the
+    The cap is lp.solve's bound: a solve that ends OPTIMAL short of the
+    last stage ended at the cap, and as the cones nest, each later stage
+    takes that verdict under its own family, so a G member there gives F+
+    and F+- members with G's witness.  Returns the verdicts, one per stage, and the
     last stage's R (S = R R^T), None if it is not optimal or one certified."""
     n, w = len(a), _width(len(a), families[-1])
     vectors = [sd_basis(p, families[-1]) for p in bases]
     vectors = vectors[0] if len(bases) == 1 else np.concatenate(vectors, axis=1)
     prog, alpha0 = build_lp(a, vectors, capped=capped)
     ends = [b * w + _width(n, f) for b in range(len(bases)) for f in families]
-    verdicts, prev = [], None
+    cones, verdicts = families * len(bases), []  # the family of each stage
     while (t0 := len(verdicts)) < len(ends):
         sol = lpmod.solve(prog, held=[slice(*e) for e in zip(ends[t0:], ends[t0 + 1 :])],
                           bound=prog.b[-1] if capped else np.inf)
         kept = sol.stages[: max(1, len(sol.stages) - (sol.status != lpmod.OPTIMAL))]
-        for t, s in enumerate(kept, t0):  # a stage that repeats the last takes its verdict
-            cone = families[t % len(families)]
-            verdicts.append(replace(verdicts[-1], cone=cone) if s is prev
-                            else _lp_verdict(a, vectors, s, alpha0, cone, ends[t]))
-            prev = s
+        verdicts += [_lp_verdict(a, vectors, s, alpha0, cones[t], ends[t])
+                     for t, s in enumerate(kept, t0)]
+        if sol.status == lpmod.OPTIMAL:  # all stages, or one at the cap
+            verdicts += [replace(verdicts[-1], cone=c) for c in cones[len(verdicts) :]]
     needs_r = kept[-1].x is not None and not any(v.is_member for v in verdicts)
     return verdicts, vectors * np.sqrt(kept[-1].x[:-1]) if needs_r else None
 

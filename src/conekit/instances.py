@@ -136,13 +136,13 @@ def clique_number(g: Graph, cfg: CopoConfig | None = None) -> int | None:
 
     By Motzkin-Straus the minimum of x^T (E - A_G) x over the simplex is
     1/omega, attained at the barycentre of a largest clique.  The partition,
-    from its replicator start, certifies the level 1/(k + 1/2),
-    k = round(1/best): the half-integer margin keeps every cell test
-    strictly inside the copositive cone, where a level at 1/omega itself
-    would stall.  On completion 1/best <= omega <= k, so omega = k.
-    Returns None if the partition ends inconclusive.
+    from its replicator start, certifies the level 1/(k + 0.9), k =
+    round(1/best); a level in (1/(k + 1), 1/k) proves omega <= k, and the
+    margin below 1/k (1.8 times 1/2's, so fewer cells) keeps cell tests
+    strictly inside the copositive cone, where 1/omega would stall.  On
+    completion 1/best <= omega <= k, so omega = k.  None if inconclusive.
     """
-    level = lambda best: 1.0 / (round(1.0 / best) + 0.5)
+    level = lambda best: 1.0 / (round(1.0 / best) + 0.9)
     res, best = _partition(1.0 - g.adjacency(), cfg or CopoConfig(), level)
     return None if res.outcome == INCONCLUSIVE else round(1.0 / best)
 

@@ -383,12 +383,11 @@ def solve(lp: LinearProgram, held=(), bound=math.inf) -> LpSolution:
     column starts at a cost of -inf (never priced in; the recurrence keeps
     its weights), and after each stage's optimum the same simplex restores
     the next set's costs and continues, with a fresh budget.  sol.stages
-    lists each stage's solution, the last one sol's fields; a stage that
-    is not optimal ends the solve.  So does one at bound, an upper bound on
-    the objective that the LP implies (as build_lp's cap row): OPTIMAL
-    within 1e-13 * max(1, |bound|) of it, on either side, its point is
-    optimal for the later stages too, which only release columns, and they
-    reuse its solution, with no further pivot and no dual certificate."""
+    lists the solution of each stage it solved, the last one sol's fields.
+    A stage that is not optimal ends the solve, and so does one at bound,
+    an upper bound on the objective that the LP implies (as build_lp's cap
+    row): OPTIMAL within 1e-13 * max(1, |bound|) of it, on either side, its
+    point is optimal for the later stages too, which only release columns."""
     budget = _PIVOTS_PER_SIZE * (lp.n_rows + lp.n_vars + 2)
     lp, infeasible = _to_standard_form(lp)
     if infeasible:
@@ -399,10 +398,8 @@ def solve(lp: LinearProgram, held=(), bound=math.inf) -> LpSolution:
         spx.c[cols] = -math.inf
     for cols in [*held, None]:
         stages.append(sol := _result(lp, spx, spx.solve(spx.iterations + budget)))
-        if cols is None or sol.status != OPTIMAL:
-            break
-        if math.isclose(sol.objective_value, bound, rel_tol=1e-13, abs_tol=1e-13):
-            stages += [sol] * (len(held) + 1 - len(stages))  # optimal for the wider LPs too
+        if (cols is None or sol.status != OPTIMAL
+                or math.isclose(sol.objective_value, bound, rel_tol=1e-13, abs_tol=1e-13)):
             break
         spx.c[cols] = lp.c[cols]
     _give(spx)  # no solution refers to its buffers

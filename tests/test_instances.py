@@ -276,10 +276,20 @@ def test_clique_number_examples():
 
 def test_clique_number_matches_brute_force():
     rng = np.random.default_rng(123)
+    graphs = []
     for _ in range(6):
         n = int(rng.integers(4, 10))
-        g = gen_gnp_graph(n, float(rng.uniform(0.3, 0.7)), seed=int(rng.integers(10**6)))
-        assert instances.clique_number(g, fast_cfg()) == brute_clique_number(g)
+        p = float(rng.uniform(0.3, 0.7))
+        graphs.append(gen_gnp_graph(n, p, seed=int(rng.integers(10**6))))
+    # ROADMAP item 14's set B: 20 G(n, 1/2) graphs, n = 10-16, where a
+    # level's margin decides how many cells a graph takes
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        n = int(rng.integers(10, 17))
+        graphs.append(gen_gnp_graph(n, 0.5, seed=int(rng.integers(0, 1_000_000))))
+    assert max(g.n for g in graphs) == 16
+    for g in graphs:
+        assert instances.clique_number(g, fast_cfg()) == brute_clique_number(g), g.n
 
 
 def test_clique_number_inconclusive_budget():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conekit import copositivity
+from conekit import copositivity, instances
 from conekit import lp as lpmod
 from conekit.cones import build_lp, membership_report, sd_basis
 from conekit.copositivity import CopoConfig
@@ -40,7 +40,7 @@ def test_fingerprint_prints_its_six_sections():
     counts = {m[1]: int(m[2]) for m in sections}
     assert counts == {
         "partition": 130, "report": 322, "bracket": 12,
-        "clique": 6, "lp": 80, "cli": 16,
+        "clique": 6, "lp": 77, "cli": 16,
     }
     assert lines[0].endswith("certificates exact: 40/40")
     assert lines[1].endswith("witness ok: 84/84")
@@ -113,6 +113,11 @@ def test_fingerprint_names_the_records_that_differ_and_their_deviation(monkeypat
     assert len(lines) == tool.SHOWN + 2 and lines[-1] == "  ... and 2 more"
     assert tool.differences(many, many[:-1])[0].startswith(
         f"  0 of {tool.SHOWN + 1} records differ (the parent has {tool.SHOWN + 2})")
+    # records are paired by label, so a dropped record moves no later one,
+    # and each label that one run alone has is named
+    dropped = many[:2] + many[3:]
+    assert tool.differences(many, dropped)[1:] == ["  lp 2: only in the parent"]
+    assert tool.differences(dropped, many)[1:] == ["  lp 2: only in the tree"]
 
 
 def test_fingerprint_drops_the_held_columns_lp_solve_holds(monkeypatch):
@@ -272,9 +277,10 @@ def test_tracer_follows_the_partition_of_both_reductions():
     assert bisections >= 5  # so most cells pose two stages
 
 
-def _probe(tool, sizes=(), seeds=0, criteria=(), brackets=0, graphs=0):
+def _probe(tool, sizes=(), seeds=0, criteria=(), brackets=0, graphs=0, cliques=0):
     # one set at a time; the others are empty and add no metric
-    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria, brackets, graphs)
+    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria, brackets, graphs,
+                           cliques)
 
 
 def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
@@ -345,6 +351,43 @@ def test_bench_pairs_counts_the_cells_of_a_copositive_partition_in_a_tree(monkey
     assert metrics["copo.c.cpu_s"] > 0
 
 
+def test_bench_pairs_counts_the_cells_of_a_clique_reduction_in_a_tree(monkeypatch):
+    # the same first graph, through clique_number: its cells are those of
+    # the one partition that clique_number runs, its pivots those of the
+    # partition's LPs, and its omega must be the probe's own search's
+    tool = _load_tool("bench_pairs", monkeypatch)
+    assert tool.CLIQUES == 10
+    metrics = _probe(tool, cliques=1)
+    assert set(metrics) == {f"clique.c.{k}" for k in ("cells", "pivots", "cpu_s")}
+    rng = np.random.default_rng(7)
+    g = gen_gnp_graph(int(rng.integers(18, 25)), 0.5, seed=int(rng.integers(0, 1_000_000)))
+    runs, counted, partition = [], [], instances._partition
+    monkeypatch.setattr(instances, "_partition",
+                        lambda *a: runs.append(r := partition(*a)) or r)
+    monkeypatch.setattr(lpmod, "solve", lambda *a, **k: counted.append(s := solve(*a, **k)) or s)
+    assert clique_number(g) is not None
+    ((result, _),) = runs
+    assert metrics["clique.c.cells"] == result.stats["iterations"] > 1
+    assert metrics["clique.c.pivots"] == sum(s.iterations for s in counted) > 0
+    assert metrics["clique.c.cpu_s"] > 0
+
+
+def test_bench_pairs_refuses_a_wrong_clique_number(monkeypatch, tmp_path):
+    # a tree whose clique_number reads one more than the largest clique
+    tool = _load_tool("bench_pairs", monkeypatch)
+    (tmp_path / "src" / "conekit").mkdir(parents=True)
+    for module in (FINGERPRINT.parents[1] / "src" / "conekit").glob("*.py"):
+        (tmp_path / "src" / "conekit" / module.name).write_text(module.read_text())
+    path = tmp_path / "src" / "conekit" / "instances.py"
+    text = path.read_text()
+    path.write_text(text.replace("else round(1.0 / best)", "else round(1.0 / best) + 1"))
+    assert path.read_text() != text
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text("")
+    with pytest.raises(RuntimeError, match="clique.c: clique_number reads"):
+        tool.probe_once(tmp_path, (), 0, (), 0, 0, 1)
+
+
 def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
     # a tree whose one criterion makes one more report on each call
     tool = _load_tool("bench_pairs", monkeypatch)
@@ -359,7 +402,7 @@ def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
         "        cones.membership_report(instances.gen_random_spn(4, 0)[0], ['Fpm'])\n"
     )
     with pytest.raises(RuntimeError, match="accept.c01: counts .* differ from the warm-up's"):
-        tool.probe_once(tmp_path, (), 0, (1,), 0, 0)
+        tool.probe_once(tmp_path, (), 0, (1,), 0, 0, 0)
 
 
 def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):

@@ -20,14 +20,15 @@ PYTHONPATH and hashes every output bit that a refactor must keep:
 - clique:    clique_number on 6 random graphs (the clique number, and the
   replicator start, its _form_above value and the stats but wall_time of
   its partition run);
-- lp:        lp.solve on 80 LPs  max c.y, A y <= b, y >= 0: 64 small ones
+- lp:        77 answers of lp.solve on LPs  max c.y, A y <= b, y >= 0: 64 small ones
   full of singleton rows, tied rows and zero-rhs rows, all feasible at
   y = 0, where lp.solve starts (status, y, objective, row duals, pivots),
-  and the 16 answers of the 8 lp.solve calls that membership_report makes
+  and the 13 answers of the 8 lp.solve calls that membership_report makes
   on gen_random_spn(16, s) for s = 0..3, the L LP and one solve of 137
   rows whose stages are the G, F+ and F+- LPs, where the simplex holds up
-  to 20 deferred updates (the same, and refactorizations).  Each stage is
-  hashed with y on the columns still held dropped;
+  to 20 deferred updates (the same, and refactorizations).  Each stage it
+  solved is hashed with y on the columns still held dropped; a solve that
+  ends at the cap lists no stage after it;
 - cli:       cli.main on fixed files for membership, copositive, qpbound,
   clique and a small bench suite (exit code, and every record field but
   wall_time, or the printed line), on two suites that each miss a
@@ -49,8 +50,9 @@ prints both digests per section, and exits 1 if any section differs.  A
 section that differs also prints both trees' details, so a witness that
 fails its check shows even where rounding alone moved the digest, and then
 the records that differ (one per hashed value: a matrix and cone, an LP, a
-CLI run, ...), the largest float deviation first, each relative to the
-largest float of its record:
+CLI run, ...), paired by label, the largest float deviation first, each
+relative to the largest float of its record, and then the labels that
+only one tree has:
 
     PYTHONPATH=src python tools/fingerprint.py --parent HEAD~1
 """
@@ -484,20 +486,22 @@ def _sha(value) -> bytes:
 
 def differences(parent: list, tree: list) -> list:
     """Lines naming the records of one section whose hashed values differ
-    between two runs: those whose change is not a float's first, then the
-    largest relative float deviation first, at most SHOWN of them."""
-    moved = [(label, _deviation(p, t))
-             for (label, p), (_, t) in zip(parent, tree) if _sha(p) != _sha(t)]
+    between two runs, paired by label: those whose change is not a float's
+    first, then the largest relative float deviation first, then the labels
+    that one run alone has, at most SHOWN lines of records."""
+    theirs, ours = dict(parent), dict(tree)
+    moved = [(label, _deviation(theirs[label], t)) for label, t in tree
+             if label in theirs and _sha(theirs[label]) != _sha(t)]
     moved.sort(key=lambda record: -math.inf if record[1] is None else -record[1])
     counts = "" if len(parent) == len(tree) else f" (the parent has {len(parent)})"
-    lines = [f"{len(moved)} of {len(tree)} records differ{counts}, "
-             "the largest relative deviation first"]
-    for label, gap in moved[:SHOWN]:
-        lines.append(f"{label}: " + ("a value that is not a float, or a shape"
-                                     if gap is None else f"{gap:.3g}"))
-    if len(moved) > SHOWN:
-        lines.append(f"... and {len(moved) - SHOWN} more")
-    return ["  " + line for line in lines]
+    lines = [f"{label}: " + ("a value that is not a float, or a shape"
+                             if gap is None else f"{gap:.3g}") for label, gap in moved]
+    lines += [f"{label}: only in the parent" for label, _ in parent if label not in ours]
+    lines += [f"{label}: only in the tree" for label, _ in tree if label not in theirs]
+    head = (f"{len(moved)} of {len(tree)} records differ{counts}, "
+            "the largest relative deviation first")
+    more = [f"... and {len(lines) - SHOWN} more"] if len(lines) > SHOWN else []
+    return ["  " + line for line in [head, *lines[:SHOWN], *more]]
 
 
 def compare(rev: str) -> int:
