@@ -277,10 +277,9 @@ def test_tracer_follows_the_partition_of_both_reductions():
     assert bisections >= 5  # so most cells pose two stages
 
 
-def _probe(tool, sizes=(), seeds=0, criteria=(), brackets=0, graphs=0, cliques=0):
+def _probe(tool, sizes=(), seeds=0, criteria=(), brackets=0, graphs=0):
     # one set at a time; the others are empty and add no metric
-    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria, brackets, graphs,
-                           cliques)
+    return tool.probe_once(FINGERPRINT.parents[1], sizes, seeds, criteria, brackets, graphs)
 
 
 def test_bench_pairs_times_the_fpm_lp_in_a_tree(monkeypatch):
@@ -339,7 +338,8 @@ def test_bench_pairs_counts_the_cells_of_a_copositive_partition_in_a_tree(monkey
     tool = _load_tool("bench_pairs", monkeypatch)
     assert tool.GRAPHS == 10
     metrics = _probe(tool, graphs=1)
-    assert set(metrics) == {f"copo.c.{k}" for k in ("cells", "pivots", "cpu_s")}
+    assert set(metrics) == {f"{s}.{k}" for s in ("copo.c", "clique.c")
+                            for k in ("cells", "pivots", "cpu_s")}
     rng = np.random.default_rng(7)
     g = gen_gnp_graph(int(rng.integers(18, 25)), 0.5, seed=int(rng.integers(0, 1_000_000)))
     m, counted = max_clique_matrix(g, clique_number(g) + 0.5), []
@@ -356,9 +356,7 @@ def test_bench_pairs_counts_the_cells_of_a_clique_reduction_in_a_tree(monkeypatc
     # the one partition that clique_number runs, its pivots those of the
     # partition's LPs, and its omega must be the probe's own search's
     tool = _load_tool("bench_pairs", monkeypatch)
-    assert tool.CLIQUES == 10
-    metrics = _probe(tool, cliques=1)
-    assert set(metrics) == {f"clique.c.{k}" for k in ("cells", "pivots", "cpu_s")}
+    metrics = _probe(tool, graphs=1)
     rng = np.random.default_rng(7)
     g = gen_gnp_graph(int(rng.integers(18, 25)), 0.5, seed=int(rng.integers(0, 1_000_000)))
     runs, counted, partition = [], [], instances._partition
@@ -385,7 +383,7 @@ def test_bench_pairs_refuses_a_wrong_clique_number(monkeypatch, tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_acceptance.py").write_text("")
     with pytest.raises(RuntimeError, match="clique.c: clique_number reads"):
-        tool.probe_once(tmp_path, (), 0, (), 0, 0, 1)
+        tool.probe_once(tmp_path, (), 0, (), 0, 1)
 
 
 def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
@@ -402,7 +400,7 @@ def test_bench_pairs_refuses_a_probe_whose_counts_move(monkeypatch, tmp_path):
         "        cones.membership_report(instances.gen_random_spn(4, 0)[0], ['Fpm'])\n"
     )
     with pytest.raises(RuntimeError, match="accept.c01: counts .* differ from the warm-up's"):
-        tool.probe_once(tmp_path, (), 0, (1,), 0, 0, 0)
+        tool.probe_once(tmp_path, (), 0, (1,), 0, 0)
 
 
 def test_bench_pairs_times_acceptance_criteria_in_a_tree(monkeypatch):

@@ -34,9 +34,9 @@ copositive case, test_copositive(max_clique_matrix(g, omega + 1/2)) with
 its default configuration on GRAPHS graphs g = gen_gnp_graph(n, 0.5) of
 ROADMAP item 14's set C, n drawn from 18-24 by default_rng(7), omega from
 a Bron-Kerbosch search in the probe itself (copo.c.*: cells, pivots and
-cpu seconds per graph); the clique reduction on the first CLIQUES of those
-graphs, clique_number(g) with its default configuration, whose omega must
-be the search's (clique.c.*: the cells of its partition, from the stats
+cpu seconds per graph); the clique reduction on the same graphs,
+clique_number(g) with its default configuration, whose omega must be the
+search's (clique.c.*: the cells of its partition, from the stats
 _partition returns, pivots and cpu seconds per graph); and the acceptance
 criteria ACCEPT_CRITERIA of its tests/test_acceptance.py (accept.c<nn>_s,
 wall seconds).  The reports go first, since the larger LPs of the other
@@ -69,10 +69,10 @@ FPM_SIZES = (10, 16, 20, 30)
 REPORT_SEEDS = 40
 ACCEPT_CRITERIA = (2, 6, 7, 8, 9)
 BRACKETS = 45  # the qpbound entries a perfbench run times
-GRAPHS = CLIQUES = 10
+GRAPHS = 10
 # run in a tree, its src/ on the path, with argv: the perfbench/ directory
 # whose timing.py and workloads.py to use, and [sizes, seeds, criteria,
-# brackets, graphs, cliques] as JSON; see the module docstring
+# brackets, graphs] as JSON; see the module docstring
 PROBE_SCRIPT = """
 import functools, importlib.util, json, resource, sys
 import numpy as np
@@ -84,7 +84,7 @@ def load(name, path):
     return module
 timing, tests = load("timing", sys.argv[1] + "/timing.py"), load("acceptance", "tests/test_acceptance.py")
 workloads = load("workloads", sys.argv[1] + "/workloads.py")
-sizes, seeds, criteria, brackets, graphs, cliques = json.loads(sys.argv[2])
+sizes, seeds, criteria, brackets, graphs = json.loads(sys.argv[2])
 tested = {}
 for num in criteria:
     names = [k for k in dir(tests) if k.startswith(f"test_criterion_{num:02d}_")]
@@ -100,12 +100,6 @@ def counted(prog, *args, **kwargs):
     count["refactorizations"] += sol.refactorizations
     return sol
 lp.solve = counted
-partition = instances._partition
-def partitioned(*args):  # clique_number's one partition: its cells
-    res, best = partition(*args)
-    count["cells"] += res.stats["iterations"]
-    return res, best
-instances._partition = partitioned
 def counts(fn):
     count.update(pivots=0, solves=0, refactorizations=0, cells=0)
     fn()
@@ -140,7 +134,7 @@ def measure(name, calls):  # calls: a set's, each with its warm-up's counts
         record[f"{name}.minflt"] = faults[0] / faults[1]
     elif name in ("copo.c", "clique.c"):
         per_graph = dict(cells=total["cells"], pivots=total["pivots"], cpu_s=cpu)
-        record.update({f"{name}.{k}": v / len(calls) for k, v in per_graph.items()})
+        record.update({f"{name}.{k}": v / graphs for k, v in per_graph.items()})
     else:
         record[f"{name}_s"] = wall
 # the reports go first: freeing the larger LPs' arrays raises glibc's mmap
@@ -182,7 +176,7 @@ def clique(g, omega):
     if found != omega:
         sys.exit(f"clique.c: clique_number reads {found}, Bron-Kerbosch {omega}")
 rng, set_c = np.random.default_rng(7), []  # (g, omega); omega comes from no conekit code
-for _ in range(max(graphs, cliques)):
+for _ in range(graphs):
     n, seed = int(rng.integers(18, 25)), int(rng.integers(0, 1_000_000))
     g = instances.gen_gnp_graph(n, 0.5, seed=seed)
     adj = [set() for _ in range(n)]
@@ -190,13 +184,19 @@ for _ in range(max(graphs, cliques)):
         adj[i].add(j)
         adj[j].add(i)
     set_c.append((g, clique_size(adj, set(range(n)))))
-if graphs:  # omega + 1/2 is copositive
+if graphs:  # omega + 1/2 is copositive, and clique_number reads omega
     calls = [functools.partial(copositive, instances.max_clique_matrix(g, omega + 0.5))
-             for g, omega in set_c[:graphs]]
+             for g, omega in set_c]
     measure("copo.c", [(fn, counts(fn)) for fn in calls])
-if cliques:
-    calls = [functools.partial(clique, g, omega) for g, omega in set_c[:cliques]]
+    partition = instances._partition
+    def partitioned(*args):  # counts the cells of each partition instances runs
+        res, best = partition(*args)
+        count["cells"] += res.stats["iterations"]
+        return res, best
+    instances._partition = partitioned
+    calls = [functools.partial(clique, g, omega) for g, omega in set_c]
     measure("clique.c", [(fn, counts(fn)) for fn in calls])
+    instances._partition = partition
 for num, test in tested.items():  # its report lines go before the record
     measure(f"accept.c{num:02d}", [(test, counts(test))])
 print(json.dumps(record))
@@ -204,14 +204,14 @@ print(json.dumps(record))
 
 
 def probe_once(tree: Path, sizes=FPM_SIZES, seeds=REPORT_SEEDS, criteria=ACCEPT_CRITERIA,
-               brackets=BRACKETS, graphs=GRAPHS, cliques=CLIQUES) -> dict:
+               brackets=BRACKETS, graphs=GRAPHS) -> dict:
     """The fpm.n<n>.*, report.n16.*, bracket.n8.*, copo.c.*, clique.c.* and
     accept.c<nn>_s metrics of tree, from one fresh process on its src/, tree
     as working directory, timed by this checkout's perfbench/timing.py;
     RuntimeError when the process fails: a criterion is missing or fails, a
     clique number is wrong, or a timed pass's counts move."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    sets = json.dumps([list(sizes), seeds, list(criteria), brackets, graphs, cliques])
+    sets = json.dumps([list(sizes), seeds, list(criteria), brackets, graphs])
     command = [sys.executable, "-c", PROBE_SCRIPT, str(ROOT / "perfbench"), sets]
     r = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     if r.returncode:
